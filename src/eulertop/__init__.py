@@ -62,8 +62,7 @@ from .special import (
     connection,
     continue_frame,
     elliptic_K,
-    hyper_F,
-    hyper_Fstar,
+    hyper_series,
 )
 
 __version__ = "0.1.0"
@@ -97,8 +96,7 @@ __all__ = [
     "euler_period",
     "euler_rhs",
     "generator_matrix",
-    "hyper_F",
-    "hyper_Fstar",
+    "hyper_series",
     "integrate_orbit",
     "lambda_proof",
     "loop_monodromy",

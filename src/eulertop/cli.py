@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -214,6 +215,10 @@ def cmd_period(args: argparse.Namespace) -> int:
         print(f"error: --axis must be p1 or p3, got {axis!r}", file=sys.stderr)
         return 2
     tol = float(opts["tol"])
+    jobs = int(opts["jobs"])
+    if jobs < 1:
+        print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
+        return 2
     tasks = [(a, b, c, d, l, axis, tol) for l in ls for d in ds]
     # Refuse separatrix grid points up front; the period diverges there.
     for t in tasks:
@@ -224,10 +229,11 @@ def cmd_period(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    jobs = int(opts["jobs"])
+    # Never start more workers than there are tasks or CPUs to run them.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_period_row, tasks))
         else:
             rows = [_period_row(t) for t in tasks]
@@ -372,19 +378,19 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
         if loop_file:
             with open(loop_file, "r", encoding="utf-8") as fh:
                 loop = ModuliLoop.from_json_dict(json.load(fh))
-            matrix, raw, resid = loop_monodromy(loop, return_float=True)
+            result = loop_monodromy(loop)
             out = {
                 "loop": loop.to_json_dict(),
-                "matrix": matrix.as_array().tolist(),
-                "residual": resid,
+                "matrix": result.matrix.as_array().tolist(),
+                "residual": result.residual,
             }
         elif preset in ALPHA_PRESETS:
-            matrix, raw, resid = preset_monodromy(preset, return_float=True)
+            result = preset_monodromy(preset)
             out = {
                 "preset": preset,
                 "frame": "engine (S3, S1)",
-                "matrix": matrix.as_array().tolist(),
-                "residual": resid,
+                "matrix": result.matrix.as_array().tolist(),
+                "residual": result.residual,
             }
         elif preset == "all-generators":
             entries = []

@@ -32,6 +32,7 @@ __all__ = [
     "Permutation4",
     "all_permutations",
     "apply_permutation",
+    "cross_ratio",
     "lambda_proof",
     "moduli_from_mechanics",
     "mu_main",
@@ -183,33 +184,35 @@ def moduli_from_mechanics(inertia: InertiaSpec, l: float, h: float) -> ModuliPoi
     return ModuliPoint(a, b, c, h / l, l=float(l))
 
 
-def _cross_ratio(m: ModuliPoint, num_pairs, den_pairs) -> complex:
+def cross_ratio(a, b, c, d):
+    """(d-a)(b-c) / ((d-c)(b-a)) of complex scalars or numpy arrays, unchecked."""
+    return (d - a) * (b - c) / ((d - c) * (b - a))
+
+
+def _checked_cross_ratio(m: ModuliPoint, order: str) -> complex:
+    """``cross_ratio`` of m's coordinates taken in ``order``, refusing a
+    coincident denominator pair."""
+    a, b, c, d = order
     vals = {n: complex(getattr(m, n)) for n in LABELS}
     tol = DEGENERACY_RTOL * m.scale()
-    den = 1.0 + 0.0j
-    for x, y in den_pairs:
-        diff = vals[x] - vals[y]
-        if abs(diff) < tol:
+    for x, y in ((d, c), (b, a)):
+        if abs(vals[x] - vals[y]) < tol:
             raise CoincidentModuliError((x, y))
-        den *= diff
-    num = 1.0 + 0.0j
-    for x, y in num_pairs:
-        num *= vals[x] - vals[y]
-    return num / den
+    return cross_ratio(vals[a], vals[b], vals[c], vals[d])
 
 
 def mu_main(m: ModuliPoint) -> complex:
     """The cross-ratio (d-a)(b-c) / ((d-c)(b-a)), the K argument."""
-    return _cross_ratio(m, (("d", "a"), ("b", "c")), (("d", "c"), ("b", "a")))
+    return _checked_cross_ratio(m, "abcd")
 
 
 def lambda_proof(m: ModuliPoint) -> complex:
-    """The cross-ratio (d-a)(c-b) / ((d-b)(c-a)).
+    """The cross-ratio (d-a)(c-b) / ((d-b)(c-a)), ``mu_main`` with b and c swapped.
 
     Related to ``mu_main`` by mu = lam/(lam - 1); in the real chamber
     a > d > b > c this variant is negative while mu lies in (0, 1).
     """
-    return _cross_ratio(m, (("d", "a"), ("c", "b")), (("d", "b"), ("c", "a")))
+    return _checked_cross_ratio(m, "acbd")
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import LABELS, ModuliPoint
-from .special import (
-    ContinuationStallError,
-    _transport_germs,
-    hyper_F,
-    hyper_F_deriv,
-    hyper_Fstar,
-    hyper_Fstar_deriv,
-)
+from .core import LABELS, cross_ratio
+from .special import _transport_germs, hyper_series
 
 __all__ = [
     "ALPHA_PRESETS",
@@ -38,7 +31,7 @@ __all__ = [
     "IntegerMatrix2",
     "ModuliLoop",
     "MonodromyError",
-    "braid_relations_report",
+    "MonodromyResult",
     "chamber_basepoint",
     "generator_matrix",
     "loop_monodromy",
@@ -126,8 +119,6 @@ class ModuliLoop:
     start : complex, optional
         Where the mover begins and ends.  Defaults to a point on the ray
         from the center through theta = 0, two radii out.
-    chamber : str
-        Documentation of which real chamber the basepoint adheres to.
     """
 
     move: str
@@ -136,7 +127,6 @@ class ModuliLoop:
     winding: int
     frozen: dict
     start: complex | None = None
-    chamber: str = "a>d>b>c"
 
     def __post_init__(self) -> None:
         if self.move not in LABELS:
@@ -177,7 +167,6 @@ class ModuliLoop:
             "radius": self.radius,
             "winding": self.winding,
             "frozen": frozen,
-            "chamber": self.chamber,
         }
         if self.start is not None:
             out["start"] = [complex(self.start).real, complex(self.start).imag]
@@ -196,7 +185,6 @@ class ModuliLoop:
             winding=int(data["winding"]),
             frozen=frozen,
             start=_c(data["start"]) if "start" in data else None,
-            chamber=data.get("chamber", "a>d>b>c"),
         )
 
 
@@ -270,10 +258,6 @@ def _loop_point_samples(loop: ModuliLoop, start_shift: complex = 0.0j, per_turn:
     return np.concatenate([approach, circle[1:], approach[::-1][1:]])
 
 
-def _mu_of_coords(a, b, c, d):
-    return (d - a) * (b - c) / ((d - c) * (b - a))
-
-
 def _moduli_samples(loop: ModuliLoop, start_shift: complex = 0.0j) -> np.ndarray:
     """Full (n, 4) coordinate samples of a loop, mover start optionally shifted."""
     zs = _loop_point_samples(loop, start_shift)
@@ -305,8 +289,10 @@ def _seed_germs(mu0: complex) -> np.ndarray:
     if mu0.imag == 0.0:
         raise MonodromyError("basepoint cross-ratio is real; offsets are required")
     sgn = 1.0 if mu0.imag > 0.0 else -1.0
-    g1 = np.array([hyper_F(mu0), hyper_F_deriv(mu0)])
-    g3 = np.array([hyper_F(1.0 - mu0), -hyper_F_deriv(1.0 - mu0)])
+    f1, f1d, _, _ = hyper_series(mu0)
+    f3, f3d, _, _ = hyper_series(1.0 - mu0)
+    g1 = np.array([f1, f1d])
+    g3 = np.array([f3, -f3d])
     g5 = sgn * 1j * g1 + g3
     return np.vstack([g5, g1])
 
@@ -320,7 +306,7 @@ def _transport_block(coords: np.ndarray, germs: np.ndarray):
     by closeness so sign flips under full turns are captured.
     """
     a, b, c, d = coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
-    mu = _mu_of_coords(a, b, c, d)
+    mu = cross_ratio(a, b, c, d)
     r1 = _continuous_sqrt((d - c) * (a - b))
     r2 = _continuous_sqrt((d - c) * (b - a))
     new_germs, _, _ = _transport_germs(mu, germs, min_step=1e-12)
@@ -350,18 +336,14 @@ def _extract_matrix(starts: list, ends: list) -> tuple[np.ndarray, float]:
     return X.T, resid
 
 
-def loop_monodromy(loop: ModuliLoop, *, return_float: bool = False):
-    """Monodromy matrix of one loop in the engine frame (S3, S1).
+@dataclass(frozen=True)
+class MonodromyResult:
+    """An extracted monodromy: the integer matrix, the float matrix it was
+    rounded from, and the extraction residual."""
 
-    Two start frames seeded at independently scaled basepoint offsets make
-    the linear extraction over-determined; disagreement shows up in the
-    residual.  The result must round to integers within 1e-6 and have unit
-    determinant, else MonodromyError.
-
-    With return_float=True the raw float matrix and residual are returned
-    alongside the rounded matrix.
-    """
-    return _run_monodromy([loop], return_float=return_float)
+    matrix: IntegerMatrix2
+    raw: np.ndarray
+    residual: float
 
 
 # Shift applied to the mover's start for the second frame; pushed further
@@ -370,20 +352,18 @@ def loop_monodromy(loop: ModuliLoop, *, return_float: bool = False):
 _SECOND_FRAME_SHIFT = -3e-4 - 4e-4j
 
 
-def _run_monodromy(legs: list, *, return_float: bool = False):
-    """Shared extraction for single loops and based concatenations."""
-    first = legs[0]
-    for leg in legs[1:]:
-        if leg.move != first.move or leg.frozen != first.frozen:
-            raise ValueError("composite legs must share the mover and frozen values")
-        if abs(leg.effective_start() - first.effective_start()) > 1e-12:
-            raise ValueError("composite legs must share the basepoint")
+def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
+    """Monodromy matrix of one loop in the engine frame (S3, S1).
+
+    Two start frames seeded at independently scaled basepoint offsets make
+    the linear extraction over-determined; disagreement shows up in the
+    residual.  The result must round to integers within 1e-6 and have unit
+    determinant, else MonodromyError.
+    """
     starts, ends = [], []
     for shift in (0.0j, _SECOND_FRAME_SHIFT):
-        blocks = [_moduli_samples(leg, start_shift=shift) for leg in legs]
-        coords = np.vstack([blocks[0]] + [blk[1:] for blk in blocks[1:]])
-        mu0 = complex(_mu_of_coords(*coords[0]))
-        germs = _seed_germs(mu0)
+        coords = _moduli_samples(loop, start_shift=shift)
+        germs = _seed_germs(complex(cross_ratio(*coords[0])))
         new_germs, roots0, roots1 = _transport_block(coords, germs)
         starts.append(_frame_vectors(germs, roots0))
         ends.append(_frame_vectors(new_germs, roots1))
@@ -399,10 +379,7 @@ def _run_monodromy(legs: list, *, return_float: bool = False):
     det = rounded[0, 0] * rounded[1, 1] - rounded[0, 1] * rounded[1, 0]
     if abs(det - 1.0) > 0.5:
         raise MonodromyError(f"monodromy determinant is {det}, expected +1")
-    result = IntegerMatrix2.from_array(rounded)
-    if return_float:
-        return result, raw, resid
-    return result
+    return MonodromyResult(IntegerMatrix2.from_array(rounded), raw, resid)
 
 
 # ----------------------------------------------------------------------
@@ -436,17 +413,17 @@ GENERATOR_STATED = {
     "h23": _LINV,
 }
 
-# Loop realizations: (move, around, winding) legs composed left to right.
-# The h13 approach must cross the line of the blocking coordinate b; the
-# downward bow in _approach_points fixes which side, and that choice is
-# what reproduces the stated matrix.
+# Loop realizations as (move, around, winding).  The h13 approach must
+# cross the line of the blocking coordinate b; the downward bow in
+# _approach_points fixes which side, and that choice is what reproduces the
+# stated matrix.
 GENERATOR_PRESETS = {
-    "h12": [("b", "a", 1)],
-    "h34": [("c", "d", 1)],
-    "h24": [("b", "d", 1)],
-    "h14": [("d", "a", 1)],
-    "h23": [("b", "c", 1)],
-    "h13": [("c", "a", 1)],
+    "h12": ("b", "a", 1),
+    "h34": ("c", "d", 1),
+    "h24": ("b", "d", 1),
+    "h14": ("d", "a", 1),
+    "h23": ("b", "c", 1),
+    "h13": ("c", "a", 1),
 }
 
 # The engine works in (S3, S1); stated matrices use (S1, S3).
@@ -464,26 +441,19 @@ def generator_matrix(label: str) -> IntegerMatrix2:
     return GENERATOR_STATED[label]
 
 
-def preset_monodromy(label: str, *, return_float: bool = False):
+def preset_monodromy(label: str) -> MonodromyResult:
     """Compute the monodromy of a preset loop realization numerically.
 
     Accepts alpha1/alpha2/alpha3 (reported in the engine frame) and the six
     generator labels (reported in the stated (S1, S3) frame).
     """
     if label in ALPHA_PRESETS:
-        move, around, winding = ALPHA_PRESETS[label]
-        out = loop_monodromy(preset_loop(move, around, winding), return_float=return_float)
-        return out
+        return loop_monodromy(preset_loop(*ALPHA_PRESETS[label]))
     if label in GENERATOR_PRESETS:
-        legs = [preset_loop(move, around, winding) for move, around, winding in GENERATOR_PRESETS[label]]
-        if len(legs) == 1:
-            got = loop_monodromy(legs[0], return_float=return_float)
-        else:
-            got = _run_monodromy(legs, return_float=return_float)
-        if return_float:
-            m, raw, resid = got
-            return _to_stated_frame(m), _FRAME_SWAP @ raw @ _FRAME_SWAP, resid
-        return _to_stated_frame(got)
+        got = loop_monodromy(preset_loop(*GENERATOR_PRESETS[label]))
+        return MonodromyResult(
+            _to_stated_frame(got.matrix), _FRAME_SWAP @ got.raw @ _FRAME_SWAP, got.residual
+        )
     raise ValueError(f"unknown preset {label!r}")
 
 
@@ -506,14 +476,9 @@ def numeric_vs_stated(label: str) -> ComparisonReport:
     which orientation matched; mismatch_count counts differing entries for
     the better orientation.
     """
-    if label in ALPHA_PRESETS:
-        stated = ALPHA_STATED[label]
-        computed, raw, resid = loop_monodromy(
-            preset_loop(*ALPHA_PRESETS[label]), return_float=True
-        )
-    else:
-        stated = generator_matrix(label)
-        computed, raw, resid = preset_monodromy(label, return_float=True)
+    stated = ALPHA_STATED[label] if label in ALPHA_PRESETS else generator_matrix(label)
+    got = preset_monodromy(label)
+    computed, resid = got.matrix, got.residual
     direct = int(np.sum(computed.as_array() != stated.as_array()))
     inverse = int(np.sum(computed.inverse().as_array() != stated.as_array()))
     if direct <= inverse:
@@ -604,7 +569,3 @@ def verify_braid_relations() -> dict:
         "is_minus_identity": bool(np.array_equal(center, -np.eye(2, dtype=int))),
     }
     return report
-
-
-# Back-compat alias used by the CLI.
-braid_relations_report = verify_braid_relations

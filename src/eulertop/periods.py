@@ -79,7 +79,7 @@ class PeriodValue:
             raise ValueError(f"cycle_label must be one of {CYCLE_LABELS}")
 
 
-def _sided_sqrt_d(value: complex, dderiv: complex, scale: float) -> tuple[complex, bool]:
+def _sided_sqrt_d(value: complex, dderiv: complex) -> tuple[complex, bool]:
     """Square root of a radicand, resolved at the d - i0 limit when on-cut.
 
     ``dderiv`` is the derivative of the radicand with respect to d; under
@@ -126,7 +126,7 @@ def S_closed_form(m: ModuliPoint) -> PeriodValue:
             raise CoincidentModuliError(("d", "b"), "K argument hit 1: S diverges") from None
 
     radicand = (d - c) * (a - b)
-    root, rf = _sided_sqrt_d(radicand, a - b, m.scale())
+    root, rf = _sided_sqrt_d(radicand, a - b)
     flagged = flagged or rf
 
     value = -math.sqrt(2.0 / m.l) / (3.0 * math.pi) * kval / root
@@ -300,32 +300,6 @@ def quadrature_tau_integral(m: ModuliPoint) -> PeriodValue:
     pref = 2.0 / (3.0 * math.sqrt(2.0 * l * abs(a - c) * abs(d - b)))
     value = -pref * (j2 - 1j * j1) / math.pi
     return PeriodValue(value, "tau", m)
-
-
-def tau_arc_integrals(m: ModuliPoint) -> dict:
-    """The four arc contributions of the connecting cycle, for inspection.
-
-    The primed pair differs only by an orientation sign and cancels exactly;
-    the unprimed pair consists of two equal arcs.  Keys: tau_plus, tau_minus,
-    tau_prime_plus, tau_prime_minus.
-    """
-    a, b, c, d, l = _real_chamber_coords(m)
-    half = quadrature_tau_integral(m).value * (-math.pi)  # = 2 * tau_plus / 2
-
-    q = abs((d - b) * (a - c) / ((d - c) * (a - b)))
-
-    def g_prime(u, dlo, dhi):
-        prod = dlo * dhi * (1.0 - (1.0 - q) * u * u)
-        return 1.0 / math.sqrt(prod)
-
-    jp = tanh_sinh(g_prime, -1.0, 1.0)
-    pref_prime = jp / (3.0 * math.sqrt(2.0 * l * abs(a - b) * abs(d - c)))
-    return {
-        "tau_plus": half,
-        "tau_minus": half,
-        "tau_prime_plus": pref_prime,
-        "tau_prime_minus": -pref_prime,
-    }
 
 
 # ----------------------------------------------------------------------

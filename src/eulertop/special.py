@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -44,10 +44,7 @@ __all__ = [
     "continue_frame",
     "elliptic_K",
     "gauss_ode_residual",
-    "hyper_F",
-    "hyper_F_deriv",
-    "hyper_Fstar",
-    "hyper_Fstar_deriv",
+    "hyper_series",
     "phi_value",
 ]
 
@@ -154,13 +151,6 @@ _SERIES_RTOL = 1e-17
 _SERIES_MAX_TERMS = 4000
 
 
-def _series_region_check(z: complex, name: str) -> complex:
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise RegionError(f"{name} series requires |z| < 1, got |z| = {abs(z):.6g}")
-    return z
-
-
 def _certified(acc: complex, term_mag: float, q: float) -> bool:
     # Certified stop: last term below the relative floor AND the geometric
     # tail bound term * q / (1 - q) below it as well.
@@ -168,72 +158,33 @@ def _certified(acc: complex, term_mag: float, q: float) -> bool:
     return term_mag < floor and term_mag * q / (1.0 - q) < floor
 
 
-def hyper_F(z: complex) -> complex:
-    """The hypergeometric series sum c_n^2 z^n on |z| < 1 (= (2/pi) K(z))."""
-    z = _series_region_check(z, "hyper_F")
+def hyper_series(z: complex) -> tuple[complex, complex, complex, complex]:
+    """F, F', Fstar, Fstar' on |z| < 1 from one pass over the shared terms.
+
+    F = sum c_n^2 z^n (= (2/pi) K(z)) and Fstar = 4 sum c_n^2 h_n z^n.  Each
+    of the four sums stops growing at its own certified term, so it carries
+    exactly the terms it would carry if summed alone.
+    """
+    z = complex(z)
     q = abs(z)
-    acc = 1.0 + 0.0j
-    cn2 = 1.0
-    zn = 1.0 + 0.0j
-    for n in range(_SERIES_MAX_TERMS):
-        cn2 *= ((2 * n + 1) / (2 * n + 2)) ** 2
-        zn *= z
-        term = cn2 * zn
-        acc += term
-        if _certified(acc, abs(term), q):
-            return acc
-    raise RegionError(f"hyper_F did not certify convergence at |z| = {q:.6g}")
-
-
-def hyper_F_deriv(z: complex) -> complex:
-    z = _series_region_check(z, "hyper_F_deriv")
-    q = abs(z)
-    acc = 0.25 + 0.0j  # n = 1 term: c_1^2 = 1/4
-    cn2 = 0.25
-    zn = 1.0 + 0.0j
-    for n in range(1, _SERIES_MAX_TERMS):
-        cn2 *= ((2 * n + 1) / (2 * n + 2)) ** 2
-        zn *= z
-        term = (n + 1) * cn2 * zn
-        acc += term
-        if _certified(acc, abs(term), q):
-            return acc
-    raise RegionError(f"hyper_F_deriv did not certify convergence at |z| = {q:.6g}")
-
-
-def hyper_Fstar(z: complex) -> complex:
-    """Companion series 4 sum c_n^2 h_n z^n of the logarithmic solution."""
-    z = _series_region_check(z, "hyper_Fstar")
-    q = abs(z)
-    acc = 0.0 + 0.0j
-    cn2, hn = 1.0, 0.0
-    zn = 1.0 + 0.0j
-    for n in range(_SERIES_MAX_TERMS):
-        cn2 *= ((2 * n + 1) / (2 * n + 2)) ** 2
-        hn += 1.0 / (2 * n + 1) - 1.0 / (2 * n + 2)
-        zn *= z
-        term = 4.0 * cn2 * hn * zn
-        acc += term
-        if abs(z) == 0.0 or _certified(acc, abs(term), q):
-            return acc
-    raise RegionError(f"hyper_Fstar did not certify convergence at |z| = {q:.6g}")
-
-
-def hyper_Fstar_deriv(z: complex) -> complex:
-    z = _series_region_check(z, "hyper_Fstar_deriv")
-    q = abs(z)
-    acc = 0.0 + 0.0j
-    cn2, hn = 1.0, 0.0
-    zn = 1.0 + 0.0j
-    for n in range(_SERIES_MAX_TERMS):
-        cn2 *= ((2 * n + 1) / (2 * n + 2)) ** 2
-        hn += 1.0 / (2 * n + 1) - 1.0 / (2 * n + 2)
-        term = 4.0 * (n + 1) * cn2 * hn * zn
-        acc += term
-        zn *= z
-        if abs(z) == 0.0 or _certified(acc, abs(term), max(q, 1e-300)):
-            return acc
-    raise RegionError(f"hyper_Fstar_deriv did not certify convergence at |z| = {q:.6g}")
+    if q >= 1.0:
+        raise RegionError(f"hypergeometric series requires |z| < 1, got |z| = {q:.6g}")
+    sums = [1.0 + 0.0j, 0.0j, 0.0j, 0.0j]
+    live = [0, 1, 2, 3]
+    cn2, hn, zprev = 1.0, 0.0, 1.0 + 0.0j
+    for n in range(1, _SERIES_MAX_TERMS + 1):
+        cn2 *= ((2 * n - 1) / (2 * n)) ** 2
+        hn += 1.0 / (2 * n - 1) - 1.0 / (2 * n)
+        zn = zprev * z
+        terms = (cn2 * zn, n * cn2 * zprev, 4.0 * cn2 * hn * zn, 4.0 * n * cn2 * hn * zprev)
+        for i in tuple(live):
+            sums[i] += terms[i]
+            if _certified(sums[i], abs(terms[i]), q):
+                live.remove(i)
+        if not live:
+            return tuple(sums)
+        zprev = zn
+    raise RegionError(f"hypergeometric series did not certify convergence at |z| = {q:.6g}")
 
 
 # ----------------------------------------------------------------------
@@ -290,15 +241,17 @@ def phi_value(name: str, z: complex, side: int = +1) -> complex:
         # Both 1/z and -z acquire the opposite infinitesimal side.
         return (2.0 / math.pi) * _K_sided(1.0 / z, -side) / _sqrt_sided(-z, -side)
     if name == "phi2s":
-        return hyper_F(z) * _log_sided(z, side) + hyper_Fstar(z)
+        f, _, fs, _ = hyper_series(z)
+        return f * _log_sided(z, side) + fs
     if name == "phi4s":
         w = 1.0 - z
-        return hyper_F(w) * _log_sided(w, -side) + hyper_Fstar(w)
+        f, _, fs, _ = hyper_series(w)
+        return f * _log_sided(w, -side) + fs
     if name == "phi6s":
         if abs(z) <= 1.0:
             raise RegionError(f"phi6s series requires |z| > 1, got |z| = {abs(z):.6g}")
-        w = 1.0 / z
-        return (hyper_F(w) * _log_sided(-z, -side) - hyper_Fstar(w)) / _sqrt_sided(-z, -side)
+        f, _, fs, _ = hyper_series(1.0 / z)
+        return (f * _log_sided(-z, -side) - fs) / _sqrt_sided(-z, -side)
     raise ValueError(f"unknown solution name {name!r}, expected one of {PHI_NAMES}")
 
 
@@ -352,8 +305,7 @@ def basis_eval(basis_id: str, z: complex) -> SolutionFrame:
         on_cut = abs(z.imag) <= _CUT_ATOL and z.real < 0.0
         if on_cut:
             raise BranchCutError(f"at0 log prefactor is cut along (-inf, 0], z = {z.real}")
-        f, fs = hyper_F(z), hyper_Fstar(z)
-        fd, fsd = hyper_F_deriv(z), hyper_Fstar_deriv(z)
+        f, fd, fs, fsd = hyper_series(z)
         lg = cmath.log(z)
         return SolutionFrame(
             "at0",
@@ -370,8 +322,7 @@ def basis_eval(basis_id: str, z: complex) -> SolutionFrame:
             raise DivergenceError("the logarithmic solution at z = 1 diverges; evaluate off the puncture")
         if abs(w.imag) <= _CUT_ATOL and w.real < 0.0:
             raise BranchCutError(f"at1 log prefactor is cut along z in [1, inf), z = {z.real}")
-        f, fs = hyper_F(w), hyper_Fstar(w)
-        fd, fsd = hyper_F_deriv(w), hyper_Fstar_deriv(w)
+        f, fd, fs, fsd = hyper_series(w)
         lg = cmath.log(w)
         # d/dz = -d/dw throughout.
         return SolutionFrame(
@@ -387,8 +338,7 @@ def basis_eval(basis_id: str, z: complex) -> SolutionFrame:
         if abs(z.imag) <= _CUT_ATOL * abs(z) and z.real > 0.0:
             raise BranchCutError(f"atInf prefactors are cut along [1, inf), z = {z.real}")
         w = 1.0 / z
-        f, fs = hyper_F(w), hyper_Fstar(w)
-        fd, fsd = hyper_F_deriv(w), hyper_Fstar_deriv(w)
+        f, fd, fs, fsd = hyper_series(w)
         rt = cmath.sqrt(-z)
         lg = cmath.log(-z)
         v1 = f / rt
@@ -639,7 +589,9 @@ def _transport_germs(
 
 
 def _ode_transport(zs: np.ndarray, germs: np.ndarray, rtol: float = 1e-13) -> np.ndarray:
-    """Independent check: integrate the ODE along the polyline with DOP853.
+    """Test oracle for ``_transport_germs``: integrate the ODE along the
+    polyline with DOP853.  The library never calls it; the tests compare the
+    Taylor transport against it.
 
     scipy's solvers want real systems, so the two germ rows are unpacked
     into 8 real components.  The path is parameterized by arc index.
@@ -686,7 +638,6 @@ def continue_frame(
     frame: SolutionFrame,
     path: ComplexPath,
     *,
-    method: str = "taylor",
     min_step: float = 1e-6,
     spacing: float = 0.02,
 ) -> SolutionFrame:
@@ -694,9 +645,7 @@ def continue_frame(
 
     The frame's two solutions are transported as (value, derivative) germs by
     Taylor recentering, with steps capped at 0.35 times the distance to the
-    nearest singular point.  method="ode" uses numerical integration of the
-    equation instead; the two agree to ~1e-8 and the ODE route exists purely
-    as an independent check.
+    nearest singular point.
 
     Raises PathTooCloseError if any sample sits closer than 10 * min_step to
     z = 0 or z = 1, and ContinuationStallError if sub-stepping collapses.
@@ -718,15 +667,7 @@ def continue_frame(
         [[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]],
         dtype=complex,
     )
-    if method == "taylor":
-        new_germs, w0, w1 = _transport_germs(zs, germs, min_step=min_step)
-    elif method == "ode":
-        new_germs = _ode_transport(zs, germs)
-        # winding depends on the path alone
-        w0 = float(np.sum(np.angle(zs[1:] / zs[:-1]))) / (2.0 * math.pi)
-        w1 = float(np.sum(np.angle((zs[1:] - 1.0) / (zs[:-1] - 1.0)))) / (2.0 * math.pi)
-    else:
-        raise ValueError(f"method must be 'taylor' or 'ode', got {method!r}")
+    new_germs, w0, w1 = _transport_germs(zs, germs, min_step=min_step)
     log = dict(frame.branch_log)
     log["around0"] = log.get("around0", 0.0) + w0
     log["around1"] = log.get("around1", 0.0) + w1

@@ -115,8 +115,9 @@ def test_criterion_06_local_monodromy():
     }
     computed = {}
     for label, entries in expected.items():
-        matrix, raw, residual = preset_monodromy(label, return_float=True)
-        assert residual < 1e-6
+        result = preset_monodromy(label)
+        matrix = result.matrix
+        assert result.residual < 1e-6
         assert matrix.entries == entries
         assert matrix.trace == 2  # each family is unipotent
         computed[label] = np.array(matrix.entries)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from eulertop import cli
 from eulertop.cli import main
 
 BASE_ANCHOR = "-0.21243521802276702"
@@ -77,6 +78,38 @@ def test_period_json_with_worker_pool(capsys):
     assert [(r["d"], r["l"]) for r in payload["rows"]] == [
         (2.3, 1.0), (2.7, 1.0), (2.3, 2.0), (2.7, 2.0),
     ]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_period_rejects_nonpositive_jobs(capsys, jobs):
+    code, out, err = run(capsys, "period", "--grid-d", "2.5", "--jobs", jobs)
+    assert code == 2
+    assert "--jobs" in err
+
+
+@pytest.mark.parametrize("grid_d,cpus,want", [("2.3,2.5,2.7", 8, 3), ("2.1,2.3,2.5,2.7,2.9", 2, 2)])
+def test_period_pool_is_clamped(monkeypatch, capsys, grid_d, cpus, want):
+    # A fake executor records the pool size; no worker process is started.
+    sizes = []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, err = run(capsys, "period", "--grid-d", grid_d, "--jobs", "100000")
+    assert code == 0
+    assert sizes == [want]
 
 
 def test_period_p3_family(capsys):

@@ -90,9 +90,9 @@ def test_preset_loop_rejects_unknown_labels():
     "label,entries", [("alpha1", U), ("alpha2", A), ("alpha3", L_INV)]
 )
 def test_alpha_monodromies(label, entries):
-    matrix, raw, residual = preset_monodromy(label, return_float=True)
-    assert matrix.entries == entries
-    assert residual < 1e-6
+    result = preset_monodromy(label)
+    assert result.matrix.entries == entries
+    assert result.residual < 1e-6
 
 
 def test_alpha_comparison_reports():
@@ -106,7 +106,7 @@ def test_alpha_comparison_reports():
 def test_winding_is_a_homomorphism():
     u = np.array(U)
     for k in (-1, 2):
-        got = loop_monodromy(preset_loop("a", "d", winding=k))
+        got = loop_monodromy(preset_loop("a", "d", winding=k)).matrix
         want = np.linalg.matrix_power(u, k) if k >= 0 else np.linalg.inv(u)
         np.testing.assert_array_equal(got.as_array(), np.rint(want).astype(int))
 
@@ -114,10 +114,10 @@ def test_winding_is_a_homomorphism():
 def test_monodromy_is_homotopy_invariant():
     # Radius and basepoint offsets deform the loop without crossing the
     # discriminant, so the matrix cannot change.
-    reference = loop_monodromy(preset_loop("a", "d")).entries
-    assert loop_monodromy(preset_loop("a", "d", radius=0.1)).entries == reference
-    assert loop_monodromy(preset_loop("a", "d", radius=0.3)).entries == reference
-    assert loop_monodromy(preset_loop("a", "d", offset_scale=2.0)).entries == reference
+    reference = loop_monodromy(preset_loop("a", "d")).matrix.entries
+    assert loop_monodromy(preset_loop("a", "d", radius=0.1)).matrix.entries == reference
+    assert loop_monodromy(preset_loop("a", "d", radius=0.3)).matrix.entries == reference
+    assert loop_monodromy(preset_loop("a", "d", offset_scale=2.0)).matrix.entries == reference
 
 
 def test_stated_generator_table():
@@ -173,11 +173,3 @@ def test_braid_relation_statuses():
     assert out["R7"]["products"][0] == [[1, 0], [-4, 1]]
     assert out["center"]["product"] == [[21, -8], [8, -3]]
     assert not out["center"]["is_minus_identity"]
-
-
-def test_composite_legs_must_share_geometry():
-    from eulertop.monodromy import _run_monodromy
-
-    legs = [preset_loop("a", "d", 1), preset_loop("b", "d", 1)]
-    with pytest.raises(ValueError, match="mover"):
-        _run_monodromy(legs)
