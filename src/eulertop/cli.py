@@ -106,13 +106,42 @@ COMMAND_DEFAULTS = {
 }
 
 
+class ConfigError(Exception):
+    """The --config file is missing, is not a JSON object, or has unknown keys."""
+
+
+def _config_keys() -> dict[str, set[str]]:
+    """Option names each subcommand accepts, read off the argparse parser."""
+    # argparse has no public accessor for its subparsers.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.dest for a in p._actions if a.option_strings} - {"help", "config"}
+        for name, p in sub.choices.items()
+    }
+
+
 def _load_config(path: str | None) -> dict:
+    """Read a config file: flat option keys plus optional per-command sections."""
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    known = _config_keys()
+    flat = set().union(*known.values())
+    for key, value in data.items():
+        if key in known:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be a JSON object")
+            unknown = sorted(set(value) - known[key])
+            if unknown:
+                raise ConfigError(f"unknown keys in config section {key!r}: {unknown}")
+        elif key not in flat:
+            raise ConfigError(f"unknown config key {key!r}")
     return data
 
 
@@ -416,7 +445,7 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
         else:
             print(f"error: unknown preset {preset!r}", file=sys.stderr)
             return 2
-    except (MonodromyError, ValueError) as exc:
+    except (MonodromyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(_json_dump(out), opts["out"])
@@ -509,6 +538,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
+        return 2
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 1

@@ -53,6 +53,9 @@ PEER_OFFSET = -1e-3j
 
 _EXTRACTION_TOL = 1e-6
 
+# Largest |winding| a loop may ask for; each turn is 256 transport samples.
+MAX_WINDING = 16
+
 
 class MonodromyError(RuntimeError):
     """Monodromy extraction failed (residual too large or det not +1)."""
@@ -113,7 +116,8 @@ class ModuliLoop:
         Must be smaller than the distance from the center to every frozen
         coordinate, so exactly one discriminant line is encircled.
     winding : int
-        Nonzero; positive is counterclockwise.
+        Nonzero, at most ``MAX_WINDING`` in absolute value; positive is
+        counterclockwise.
     frozen : dict
         Values of the three non-moving coordinates.
     start : complex, optional
@@ -136,6 +140,8 @@ class ModuliLoop:
             raise ValueError(f"frozen must have keys {sorted(expected)}, got {sorted(self.frozen)}")
         if not (isinstance(self.winding, (int, np.integer)) and self.winding != 0):
             raise ValueError(f"winding must be a nonzero integer, got {self.winding!r}")
+        if abs(self.winding) > MAX_WINDING:
+            raise ValueError(f"|winding| must be at most {MAX_WINDING}, got {self.winding!r}")
         if self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         # The circle may enclose at most the frozen coordinate at its center;
@@ -182,7 +188,7 @@ class ModuliLoop:
             move=data["move"],
             center=_c(data["center"]),
             radius=float(data["radius"]),
-            winding=int(data["winding"]),
+            winding=data["winding"],
             frozen=frozen,
             start=_c(data["start"]) if "start" in data else None,
         )

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -422,95 +421,24 @@ def verify_symmetries(m: ModuliPoint, rtol: float = 1e-9) -> SymmetryReport:
 # Exact rational series of the inverse Birkhoff normal form derivative.
 #
 # With s = r^2 = (a - b)/(c - b) and Z the normalized action, the derivative
-# expands as C(a, b, c, l) * sum_n P_n(s) Z^n where P_n is a palindromic
-# integer-coefficient-free rational polynomial of degree n:
-#     P_n(1/s) s^n = P_n(s).
-# Composition is done once, symbolically in s, with exact Fractions.
+# expands as C(a, b, c, l) * sum_n P_n(s) Z^n with
+#     P_n(s) = binom(2n, n) / 4^n * sum_{k=0..n} binom(2k, k) binom(2n-2k, n-k) s^k,
+# a rational polynomial of degree n.  The summand is symmetric under
+# k <-> n - k, so every P_n is palindromic: P_n(1/s) s^n = P_n(s).
 
 MAX_SERIES_ORDER = 32
 
 
 class PrecisionError(ValueError):
-    """Requested series order exceeds the exact-composition budget."""
+    """Requested series order is outside the supported range 0..32."""
 
 
-def _poly_add(p: list, q: list) -> list:
-    n = max(len(p), len(q))
-    return [
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-        for i in range(n)
-    ]
-
-
-def _poly_scale(p: list, k: Fraction) -> list:
-    return [k * x for x in p]
-
-
-def _zseries_mul(u: list, v: list, nmax: int) -> list:
-    """Product of two Z-series with s-polynomial coefficients, truncated."""
-    out: list = [[] for _ in range(min(len(u) + len(v) - 1, nmax + 1))]
-    for i, pi in enumerate(u):
-        if i > nmax or not pi:
-            continue
-        for j, qj in enumerate(v):
-            if i + j > nmax or not qj:
-                continue
-            acc = out[i + j]
-            # inline poly-multiply-accumulate
-            need = len(pi) + len(qj) - 1
-            if len(acc) < need:
-                acc.extend([Fraction(0)] * (need - len(acc)))
-            for di, ci in enumerate(pi):
-                if ci:
-                    for dj, cj in enumerate(qj):
-                        if cj:
-                            acc[di + dj] += ci * cj
-    return out
-
-
-@lru_cache(maxsize=4)
-def _birkhoff_polys(nmax: int) -> tuple:
-    """The polynomials P_0..P_nmax as tuples of Fractions (degree = index)."""
-    # Building blocks as Z-series with s-poly coefficients:
-    #   B(Z)   = sum binom(2k, k) s^k Z^k            (prefactor expansion)
-    #   w(Z)   = sum_{k>=1} 4^k (s^{k-1} - s^k) Z^k   (argument substitution)
-    # and the target is B(Z) * F(w(Z)) with F the c_n^2 series.
-    B = []
-    for k in range(nmax + 1):
-        coeff = Fraction(math.comb(2 * k, k))
-        B.append([Fraction(0)] * k + [coeff])
-    w = [[]]
-    for k in range(1, nmax + 1):
-        four_k = Fraction(4) ** k
-        poly = [Fraction(0)] * (k - 1) + [four_k, -four_k]
-        w.append(poly)
-
-    # F(w) = sum c_n^2 w^n, truncated at Z^nmax; w starts at Z^1 so n <= nmax.
-    Fw: list = [[Fraction(1)]]
-    wn = [[Fraction(1)]]  # w^0
-    cn2 = Fraction(1)
-    for n in range(1, nmax + 1):
-        cn2 *= Fraction((2 * n - 1) ** 2, (2 * n) ** 2)
-        wn = _zseries_mul(wn, w, nmax)
-        term = [_poly_scale(p, cn2) for p in wn]
-        Fw = _poly_add_series(Fw, term)
-    G = _zseries_mul(B, Fw, nmax)
-    out = []
-    for n in range(nmax + 1):
-        poly = G[n] if n < len(G) else []
-        poly = list(poly) + [Fraction(0)] * (n + 1 - len(poly))
-        out.append(tuple(poly[: n + 1]))
-    return tuple(out)
-
-
-def _poly_add_series(u: list, v: list) -> list:
-    n = max(len(u), len(v))
-    out = []
-    for i in range(n):
-        pi = u[i] if i < len(u) else []
-        qi = v[i] if i < len(v) else []
-        out.append(_poly_add(pi, qi))
-    return out
+def _birkhoff_poly(n: int) -> tuple:
+    """Coefficients of P_n(s) as Fractions, constant term first."""
+    scale = Fraction(math.comb(2 * n, n), 4**n)
+    return tuple(
+        scale * math.comb(2 * k, k) * math.comb(2 * n - 2 * k, n - k) for k in range(n + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -576,19 +504,18 @@ def birkhoff_series(s: float | Fraction | None = None, order: int = 12) -> Serie
         Shape ratio r^2 = (a - b)/(c - b); optional because the polynomials
         do not depend on it.
     order : int
-        Highest Z power, at most 32 (the exact composition is done once in
-        the symbolic variable, not per point, and 32 keeps it cheap).
+        Highest Z power, from 0 up to the supported bound
+        ``MAX_SERIES_ORDER`` = 32.
     """
     if not (0 <= order <= MAX_SERIES_ORDER):
         raise PrecisionError(
             f"order must be between 0 and {MAX_SERIES_ORDER}, got {order!r}"
         )
-    # Cache at two sizes only so repeated small requests share one build.
-    polys = _birkhoff_polys(16 if order <= 16 else MAX_SERIES_ORDER)[: order + 1]
+    polys = tuple(_birkhoff_poly(n) for n in range(order + 1))
     sval = None
     if s is not None:
         sval = s if isinstance(s, Fraction) else float(s)
-    return SeriesCoefficients(order, tuple(polys), sval)
+    return SeriesCoefficients(order, polys, sval)
 
 
 def birkhoff_normalization(a: float, b: float, c: float, l: float = 1.0) -> float:

@@ -204,13 +204,6 @@ def _sqrt_sided(z: complex, side: int) -> complex:
     return cmath.sqrt(z)
 
 
-def _K_sided(m: complex, side: int) -> complex:
-    m = complex(m)
-    if abs(m.imag) <= _CUT_ATOL * max(1.0, abs(m)) and m.real > 1.0:
-        return elliptic_K(m.real, side=side)
-    return elliptic_K(m)
-
-
 # ----------------------------------------------------------------------
 # The six named solutions.  phi1, phi3, phi5 are the holomorphic members of
 # the three local bases; phi2s, phi4s, phi6s their logarithmic companions
@@ -231,15 +224,15 @@ def phi_value(name: str, z: complex, side: int = +1) -> complex:
     if side not in (+1, -1):
         raise ValueError(f"side must be +1 or -1, got {side!r}")
     if name == "phi1":
-        return (2.0 / math.pi) * _K_sided(z, side)
+        return (2.0 / math.pi) * elliptic_K(z, side=side)
     if name == "phi3":
         # Im(1 - z) = -Im z, so the side flips.
-        return (2.0 / math.pi) * _K_sided(1.0 - z, -side)
+        return (2.0 / math.pi) * elliptic_K(1.0 - z, side=-side)
     if name == "phi5":
         if abs(z) < 1e-15:
             raise RegionError("phi5 is singular at z = 0")
         # Both 1/z and -z acquire the opposite infinitesimal side.
-        return (2.0 / math.pi) * _K_sided(1.0 / z, -side) / _sqrt_sided(-z, -side)
+        return (2.0 / math.pi) * elliptic_K(1.0 / z, side=-side) / _sqrt_sided(-z, -side)
     if name == "phi2s":
         f, _, fs, _ = hyper_series(z)
         return f * _log_sided(z, side) + fs

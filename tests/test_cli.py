@@ -177,6 +177,12 @@ def test_monodromy_loop_file(tmp_path, capsys):
     assert json.loads(out)["matrix"] == [[1, 4], [0, 1]]
 
 
+def test_monodromy_missing_loop_file(tmp_path, capsys):
+    code, out, err = run(capsys, "monodromy", "--loop", str(tmp_path / "absent.json"))
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_monodromy_flag_conflicts(capsys):
     code, out, err = run(capsys, "monodromy", "--preset", "alpha1", "--loop", "x.json")
     assert code == 2
@@ -217,3 +223,29 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     )
     assert code == 0
     assert float(out.splitlines()[1].split(",")[3]) == pytest.approx(2.1)
+
+
+@pytest.mark.parametrize("content,message", [
+    ({"tol ": 1e-30}, "'tol '"),
+    ({"period": {"grid_d": "2.5", "gridd": "2.1"}}, "'gridd'"),
+    ({"period": "2.5"}, "'period'"),
+])
+def test_config_rejects_unknown_keys(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    code, out, err = run(capsys, "period", "--grid-d", "2.5", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_config_missing_or_malformed_file(tmp_path, capsys):
+    code, out, err = run(capsys, "series", "--config", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert err.startswith("error:") and "absent.json" in err
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol": ')
+    code, out, err = run(capsys, "series", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "cfg.json" in err

@@ -6,6 +6,7 @@ import pytest
 from eulertop.monodromy import (
     ALPHA_STATED,
     GENERATOR_LABELS,
+    MAX_WINDING,
     IntegerMatrix2,
     ModuliLoop,
     MonodromyError,
@@ -61,6 +62,15 @@ def test_loop_validation():
     with pytest.raises(ValueError, match="keys"):
         ModuliLoop(move="a", center=frozen["d"], radius=0.2, winding=1,
                    frozen={"b": frozen["b"]})
+
+
+@pytest.mark.parametrize("winding", [1.7, MAX_WINDING + 1, -MAX_WINDING - 1])
+def test_loop_file_winding_is_bounded(winding):
+    # Rejected while the loop is built, before any sample is allocated.
+    data = preset_loop("a", "d").to_json_dict()
+    data["winding"] = winding
+    with pytest.raises(ValueError, match="winding"):
+        ModuliLoop.from_json_dict(data)
 
 
 def test_loop_json_roundtrip():

@@ -1,5 +1,7 @@
 """Period values: closed form, quadratures, covariance, Birkhoff series."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -163,6 +165,15 @@ def test_birkhoff_polynomials_exact():
     assert series.pn(1) == (F(1), F(1))
     assert series.pn(2) == (F(9, 4), F(3, 2), F(9, 4))
     assert series.pn(3) == (F(25, 4), F(15, 4), F(15, 4), F(25, 4))
+
+
+def test_birkhoff_series_pinned_through_max_order():
+    # Digest of the order-32 series as produced by the symbolic Z-series
+    # composition the closed form replaced; pins every coefficient of P_0..P_32.
+    payload = json.dumps(birkhoff_series(order=32).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "465fefadc052bfc5d9ad29d0d6cfe1c7962c8253dbe643c61d8ddf37337276c4"
+    )
 
 
 def test_birkhoff_palindromes_and_roots():
