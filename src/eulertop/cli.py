@@ -19,8 +19,8 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -107,21 +107,38 @@ COMMAND_DEFAULTS = {
 
 
 class ConfigError(Exception):
-    """The --config file is missing, is not a JSON object, or has unknown keys."""
+    """The --config file is missing, is not a JSON object, or has unknown
+    keys or ill-typed values."""
 
 
-def _config_keys() -> dict[str, set[str]]:
-    """Option names each subcommand accepts, read off the argparse parser."""
+def _config_options() -> dict[str, dict[str, argparse.Action]]:
+    """The options each subcommand accepts, by name, read off the argparse parser."""
     # argparse has no public accessor for its subparsers.
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {
-        name: {a.dest for a in p._actions if a.option_strings} - {"help", "config"}
+        name: {a.dest: a for a in p._actions if a.option_strings and a.dest not in ("help", "config")}
         for name, p in sub.choices.items()
     }
 
 
+def _config_value(key: str, value, action: argparse.Action):
+    """A config value converted and checked as argparse treats the flag's text."""
+    if action.type is not None:
+        # Through the text, as for a flag: JSON 1.5 is no int, as "--jobs 1.5" is not.
+        try:
+            value = action.type(str(value))
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"config value for {key!r} is not a valid {action.type.__name__}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config value for {key!r} must be one of {list(action.choices)}, got {value!r}")
+    return value
+
+
 def _load_config(path: str | None) -> dict:
-    """Read a config file: flat option keys plus optional per-command sections."""
+    """Read a config file: flat option keys plus optional per-command sections.
+
+    Values come back converted with the ``type`` of their argparse option.
+    """
     if not path:
         return {}
     try:
@@ -131,18 +148,22 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    known = _config_keys()
-    flat = set().union(*known.values())
+    known = _config_options()
+    flat = {dest: action for options in known.values() for dest, action in options.items()}
+    config = {}
     for key, value in data.items():
         if key in known:
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {key!r} must be a JSON object")
-            unknown = sorted(set(value) - known[key])
+            unknown = sorted(set(value) - set(known[key]))
             if unknown:
                 raise ConfigError(f"unknown keys in config section {key!r}: {unknown}")
-        elif key not in flat:
+            config[key] = {k: _config_value(k, v, known[key][k]) for k, v in value.items()}
+        elif key in flat:
+            config[key] = _config_value(key, value, flat[key])
+        else:
             raise ConfigError(f"unknown config key {key!r}")
-    return data
+    return config
 
 
 def _effective_options(args: argparse.Namespace, command: str) -> dict:
@@ -262,6 +283,8 @@ def cmd_period(args: argparse.Namespace) -> int:
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     try:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only the pool path pays its import
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_period_row, tasks))
         else:
@@ -482,6 +505,17 @@ def cmd_series(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a value starting with a minus sign and a
+    digit, such as ``-0.7,0.1,0.3`` or ``-1/3``, as the value of the flag
+    before it.  Plain argparse takes such a comma list for an unknown option;
+    no eulertop option starts with a digit, so the two cannot be confused."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="tolerance override")
@@ -490,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=None, help="worker processes for grid commands")
     common.add_argument("--config", default=None, help="JSON config file mirroring the flags")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eulertop",
         description="Rigid body periods, normal form series, and period monodromy.",
     )

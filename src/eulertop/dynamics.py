@@ -18,9 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import DomainError, InertiaSpec
+
+# scipy.integrate is imported inside the two functions that integrate: it is
+# most of the package's import time, and most commands never integrate.
 
 __all__ = [
     "Equilibrium",
@@ -162,6 +164,8 @@ def integrate_orbit(
     """
     if t_end <= 0.0:
         raise DomainError(f"t_end must be positive, got {t_end!r}")
+    from scipy.integrate import solve_ivp
+
     t_eval = np.linspace(0.0, t_end, n_samples)
     sol = solve_ivp(
         _rhs_closure(inertia),
@@ -233,6 +237,8 @@ def orbit_period(
 
     section.direction = 1.0
     section.terminal = True
+
+    from scipy.integrate import solve_ivp
 
     t_char = characteristic_time(inertia, l)
     t_max = max_characteristic_times * t_char

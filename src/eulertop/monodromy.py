@@ -16,6 +16,7 @@ counterclockwise for positive winding.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -180,17 +181,39 @@ class ModuliLoop:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ModuliLoop":
-        def _c(v):
-            return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+        """Read a loop from its JSON form; a missing or ill-typed key raises
+        ValueError naming the key."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a loop must be a JSON object, got {type(data).__name__}")
+        missing = [k for k in ("move", "center", "radius", "winding", "frozen") if k not in data]
+        if missing:
+            raise ValueError(f"loop is missing required keys {missing}")
 
-        frozen = {k: _c(v) for k, v in data["frozen"].items()}
+        def _c(key, v):
+            try:
+                z = complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+                finite = cmath.isfinite(z)
+            except (TypeError, ValueError, IndexError):
+                finite = False
+            if not finite:
+                raise ValueError(f"loop key {key!r} must be a finite number or [re, im] pair, got {v!r}")
+            return z
+
+        if not isinstance(data["frozen"], dict):
+            raise ValueError(f"loop key 'frozen' must be an object of coordinates, got {data['frozen']!r}")
+        try:
+            radius = float(data["radius"])
+        except (TypeError, ValueError):
+            radius = math.nan
+        if not math.isfinite(radius):
+            raise ValueError(f"loop key 'radius' must be a finite number, got {data['radius']!r}")
         return ModuliLoop(
             move=data["move"],
-            center=_c(data["center"]),
-            radius=float(data["radius"]),
+            center=_c("center", data["center"]),
+            radius=radius,
             winding=data["winding"],
-            frozen=frozen,
-            start=_c(data["start"]) if "start" in data else None,
+            frozen={k: _c(f"frozen.{k}", v) for k, v in data["frozen"].items()},
+            start=_c("start", data["start"]) if "start" in data else None,
         )
 
 

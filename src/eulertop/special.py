@@ -24,9 +24,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import DomainError
+
+# scipy.integrate is imported only inside _ode_transport, the test oracle:
+# it is most of the package's import time.
 
 __all__ = [
     "Arc",
@@ -515,28 +517,50 @@ class ComplexPath:
 
 # ----------------------------------------------------------------------
 # Germ transport.  A germ is a (value, derivative) pair of one solution at an
-# ordinary point; Taylor recentering steps it along a path.
+# ordinary point.  The equation is linear, so one Taylor step from z0 to
+# z0 + h maps every germ by the same 2x2 transition matrix; a path is the
+# ordered product of its steps' matrices.
 
-def _taylor_coeffs(z0: complex, f0: complex, f1: complex, nterms: int) -> np.ndarray:
-    a = np.empty(nterms, dtype=complex)
-    a[0], a[1] = f0, f1
+# Taylor terms per step.  Steps are at most 0.35 of the distance to the
+# nearest singular point, so the truncated tail is below 0.35**64 relative.
+_TAYLOR_TERMS = 64
+
+# Steps whose matrices are built together; bounds the kernel's memory
+# (about 6 MB) however long the path is.
+_STEP_BLOCK = 2048
+
+
+def _step_matrices(z0: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Transition matrices of the Taylor steps z0[k] -> z0[k] + h[k].
+
+    Returns shape (2, 2, N): column j of step k is the (value, derivative)
+    germ at z0[k] + h[k] of the solution whose germ at z0[k] is the unit
+    vector e_j.  Both unit germs run through the Taylor recurrence of the
+    equation together, for all steps at once, and each sum adds its terms
+    smallest first (n = 63 down to 0).
+
+    The coefficients a_n grow like dist**-n, so they are carried as a_n r**n
+    and the powers as (h / r)**n, with r the power of two just above |h|.
+    Scaling by a power of two is exact, so the terms a_n h**n come out as if
+    unscaled, but neither factor overflows or underflows near 0 or 1.
+    """
+    z0 = np.asarray(z0, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    r = np.ldexp(1.0, np.frexp(np.abs(h))[1])
     s = z0 * (1.0 - z0)
     t = 1.0 - 2.0 * z0
-    for n in range(nterms - 2):
-        a[n + 2] = ((n + 0.5) ** 2 * a[n] - t * (n + 1) ** 2 * a[n + 1]) / (s * (n + 2) * (n + 1))
-    return a
-
-
-def _germ_step(z0: complex, germs: np.ndarray, z1: complex, nterms: int = 64) -> np.ndarray:
-    """Advance all (value, derivative) germ rows from z0 to z1 at once."""
-    h = z1 - z0
-    out = np.empty_like(germs)
-    for i, (f0, f1) in enumerate(germs):
-        a = _taylor_coeffs(z0, f0, f1, nterms)
-        powers = h ** np.arange(nterms)
-        val = np.dot(a, powers)
-        der = np.dot(a[1:] * np.arange(1, nterms), powers[:-1])
-        out[i] = (val, der)
+    a = np.zeros((_TAYLOR_TERMS, 2, len(z0)), dtype=complex)
+    a[0, 0] = 1.0
+    a[1, 1] = r
+    for n in range(_TAYLOR_TERMS - 2):
+        a[n + 2] = ((n + 0.5) ** 2 * (r * r * a[n]) - t * (n + 1) ** 2 * (r * a[n + 1])) / (s * (n + 2) * (n + 1))
+    powers = (h / r) ** np.arange(_TAYLOR_TERMS)[:, None]
+    out = np.zeros((2, 2, len(z0)), dtype=complex)
+    for n in range(_TAYLOR_TERMS - 1, -1, -1):
+        out[0] += a[n] * powers[n]
+        if n:
+            out[1] += n * a[n] * powers[n - 1]
+    out[1] /= r
     return out
 
 
@@ -551,11 +575,13 @@ def _transport_germs(
 
     Steps never exceed step_fraction times the distance to the nearest of
     the singular points {0, 1}; winding of z around 0 and 1 is accumulated
-    and returned in turns.
+    and returned in turns.  The step nodes are laid out first; then the
+    steps' transition matrices are built a block at a time and applied to
+    the rows in path order.
     """
-    cur = np.asarray(germs, dtype=complex).copy()
     w0 = w1 = 0.0
     z = complex(zs[0])
+    nodes = [z]
     for target in zs[1:]:
         target = complex(target)
         guard = 0
@@ -571,14 +597,21 @@ def _transport_germs(
                 znew = target
             else:
                 znew = z + gap * (allowed / abs(gap))
-            cur = _germ_step(z, cur, znew)
             w0 += cmath.phase((znew - 0.0) / (z - 0.0)) / (2.0 * math.pi)
             w1 += cmath.phase((znew - 1.0) / (z - 1.0)) / (2.0 * math.pi)
+            nodes.append(znew)
             z = znew
             guard += 1
             if guard > 100000:
                 raise ContinuationStallError("sub-stepping did not terminate")
-    return cur, w0, w1
+    path = np.array(nodes, dtype=complex)
+    rows = np.asarray(germs, dtype=complex).tolist()
+    for lo in range(0, len(path) - 1, _STEP_BLOCK):
+        block = path[lo:lo + _STEP_BLOCK + 1]
+        mats = _step_matrices(block[:-1], np.diff(block))
+        for m00, m01, m10, m11 in zip(*mats.reshape(4, -1).tolist()):
+            rows = [(m00 * f + m01 * d, m10 * f + m11 * d) for f, d in rows]
+    return np.array(rows, dtype=complex), w0, w1
 
 
 def _ode_transport(zs: np.ndarray, germs: np.ndarray, rtol: float = 1e-13) -> np.ndarray:
@@ -589,6 +622,8 @@ def _ode_transport(zs: np.ndarray, germs: np.ndarray, rtol: float = 1e-13) -> np
     scipy's solvers want real systems, so the two germ rows are unpacked
     into 8 real components.  The path is parameterized by arc index.
     """
+    from scipy.integrate import solve_ivp
+
     zs = np.asarray(zs, dtype=complex)
     n = len(zs)
 

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, formats, config, exit codes."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -105,7 +109,7 @@ def test_period_pool_is_clamped(monkeypatch, capsys, grid_d, cpus, want):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code, out, err = run(capsys, "period", "--grid-d", grid_d, "--jobs", "100000")
     assert code == 0
@@ -183,6 +187,15 @@ def test_monodromy_missing_loop_file(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_monodromy_loop_file_missing_key(tmp_path, capsys):
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps({"center": [2.5, 0], "radius": 0.2, "winding": 1, "frozen": {}}))
+    code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "'move'" in err
+
+
 def test_monodromy_flag_conflicts(capsys):
     code, out, err = run(capsys, "monodromy", "--preset", "alpha1", "--loop", "x.json")
     assert code == 2
@@ -249,3 +262,60 @@ def test_config_missing_or_malformed_file(tmp_path, capsys):
     code, out, err = run(capsys, "series", "--config", str(cfg))
     assert code == 2
     assert err.startswith("error:") and "cfg.json" in err
+
+
+@pytest.mark.parametrize("content,message", [
+    ({"tol": "abc"}, "'tol'"),
+    ({"verify": {"tol": None}}, "'tol'"),
+    ({"jobs": 1.5}, "'jobs'"),
+    ({"verify": {"format": "xml"}}, "'format'"),
+])
+def test_config_values_are_type_checked(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_config_values_convert_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"series": {"n": "3", "z": "0.05"}, "s": "1/3"}))
+    assert run(capsys, "series", "--config", str(cfg)) == run(
+        capsys, "series", "--n", "3", "--s", "1/3", "--z", "0.05"
+    )
+
+
+@pytest.mark.parametrize("flag,value,rest", [
+    ("--p0", "-0.7,0.1,0.3", ("simulate", "--inertia", "1,2,3", "--t", "2", "--samples", "5")),
+    ("--grid-d", "-2.5,2.5", ("period", "--abc", "3,2,1")),
+    ("--s", "-1/3", ("series", "--n", "4", "--z", "0.05")),
+])
+def test_separated_negative_value_reads_like_attached(capsys, flag, value, rest):
+    # "--p0 -0.7,0.1,0.3" and "--p0=-0.7,0.1,0.3" print the same bytes.
+    separated = run(capsys, *rest, flag, value)
+    attached = run(capsys, *rest, f"{flag}={value}")
+    assert separated == attached
+    assert "expected one argument" not in separated[2]
+
+
+def test_start_up_does_not_load_scipy_integrate():
+    # Only period and simulate integrate an ODE; the other commands must not
+    # pay for importing scipy.integrate, nor for the --jobs process pool.
+    script = (
+        "import sys\n"
+        "import eulertop.cli as cli\n"
+        "for argv in (['monodromy', '--preset', 'alpha1'], ['verify'], ['series', '--n', '8']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "loaded = [m for m in ('scipy.integrate', 'concurrent.futures') if m in sys.modules]\n"
+        "print(loaded, file=sys.stderr)\n"
+        "sys.exit(1 if loaded else 0)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -73,6 +73,27 @@ def test_loop_file_winding_is_bounded(winding):
         ModuliLoop.from_json_dict(data)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("move", None), ("center", None), ("radius", None), ("winding", None), ("frozen", None),
+    ("move", ["a"]), ("center", "x"), ("radius", "abc"), ("radius", [0.2, 0.0]),
+    ("winding", "1"), ("frozen", [2.0, 1.0]), ("start", [3.0, "q"]),
+])
+def test_loop_file_missing_or_ill_typed_key(key, value):
+    # None stands for a missing key; every error names the key it is about.
+    data = preset_loop("a", "d").to_json_dict()
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    with pytest.raises(ValueError, match=key):
+        ModuliLoop.from_json_dict(data)
+
+
+def test_loop_file_must_be_an_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        ModuliLoop.from_json_dict([preset_loop("a", "d").to_json_dict()])
+
+
 def test_loop_json_roundtrip():
     loop = preset_loop("a", "d", winding=-2)
     back = ModuliLoop.from_json_dict(loop.to_json_dict())

@@ -23,6 +23,8 @@ from eulertop.special import (
     gauss_ode_residual,
     hyper_series,
     phi_value,
+    _step_matrices,
+    _transport_germs,
 )
 
 # Frozen reference values (AGM / series, cross-checked against scipy.special).
@@ -263,6 +265,60 @@ def test_continuation_taylor_and_ode_agree():
     ode = _ode_transport(loop.samples(0.02), germs)
     for u, v in zip(taylor.values + taylor.derivs, (*ode[:, 0], *ode[:, 1])):
         assert abs(u - v) / max(1.0, abs(u)) < 1e-8
+
+
+def _per_germ_taylor_step(z0, f0, f1, h, nterms=64):
+    # One germ at a time: the Taylor recurrence of the equation from (f0, f1)
+    # at z0, summed at z0 + h.
+    a = np.empty(nterms, dtype=complex)
+    a[0], a[1] = f0, f1
+    s, t = z0 * (1.0 - z0), 1.0 - 2.0 * z0
+    for n in range(nterms - 2):
+        a[n + 2] = ((n + 0.5) ** 2 * a[n] - t * (n + 1) ** 2 * a[n + 1]) / (s * (n + 2) * (n + 1))
+    powers = h ** np.arange(nterms)
+    return np.dot(a, powers), np.dot(a[1:] * np.arange(1, nterms), powers[:-1])
+
+
+def test_step_matrices_match_per_germ_taylor_sum():
+    # Steps of ratio 0.35 (the transport's largest) next to 0 and next to 1,
+    # and shorter steps elsewhere, in several directions.
+    z0 = np.array([0.02 + 0.01j, 0.97 - 0.02j, 0.3 + 0.2j, -0.4 + 0.1j, 1.5 - 0.7j, 0.5 + 0.5j])
+    dist = np.minimum(np.abs(z0), np.abs(z0 - 1.0))
+    h = np.array([0.35, 0.35, 0.2, 0.35, 0.1, 0.3]) * dist * np.exp(1j * np.array([0.3, 2.0, -1.2, 3.0, 0.7, -2.5]))
+    mats = _step_matrices(z0, h)
+    assert mats.shape == (2, 2, len(z0))
+    for k in range(len(z0)):
+        for j, (f0, f1) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+            want = np.array(_per_germ_taylor_step(z0[k], f0, f1, h[k]))
+            got = mats[:, j, k]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("z0,turns", [(0.3 + 0.2j, 1), (-0.4 + 0.1j, 1), (0.05 - 0.02j, -6)])
+def test_transport_around_zero_is_the_exact_at0_monodromy(z0, turns):
+    # Around z = 0 only, F comes back unchanged and F log z + Fstar gains
+    # 2 pi i F per turn, in value and derivative alike.  Six turns take more
+    # steps than one block of step matrices.
+    frame = basis_eval("at0", z0)
+    germs = np.array([[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]])
+    theta = np.angle(z0) + np.linspace(0.0, 2.0 * np.pi * turns, 400 * abs(turns) + 1)
+    got, w0, w1 = _transport_germs(abs(z0) * np.exp(1j * theta), germs)
+    want = germs.copy()
+    want[1] += 2j * np.pi * turns * germs[0]
+    assert w0 == pytest.approx(turns, abs=1e-9)
+    assert w1 == pytest.approx(0.0, abs=1e-9)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("end", [1e-6, 1e-9])
+def test_transport_close_to_a_singular_point(end):
+    # Taylor coefficients grow like dist**-n; the kernel must stay finite
+    # where monodromy paths are allowed to go (steps down to 1e-12).
+    frame = basis_eval("at0", 0.5)
+    germs = np.array([[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]])
+    got, _, _ = _transport_germs(np.array([0.5, end]), germs, min_step=1e-12)
+    want = basis_eval("at0", end)
+    np.testing.assert_allclose(got[:, 0], want.values, rtol=1e-13)
 
 
 def test_continuation_guards():
