@@ -8,9 +8,11 @@ verify      run the identity/covariance/structure check battery
 monodromy   compute loop monodromies (presets or a loop JSON file)
 series      emit the exact rational normal-form series
 
-Options common to all subcommands: --tol, --format, --out, --jobs, --config.
-Precedence is flags over config file over built-in defaults.  All floats are
-printed with 17 significant digits so outputs are byte-reproducible.
+Every subcommand takes --out and --config; --tol goes to simulate, period and
+verify, --format to period and verify, --jobs to period only.  Values from a
+config file become the subcommand's defaults, so precedence is flags over
+config file over built-in defaults.  All floats are printed with 17
+significant digits so outputs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ import math
 import os
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .core import DomainError, InertiaSpec, ModuliPoint, moduli_from_mechanics
+from .core import DomainError, InertiaSpec, ModuliPoint
 from .dynamics import (
     IntegrationError,
     MomentumState,
@@ -45,9 +48,7 @@ from .monodromy import (
     verify_confluence_product,
 )
 from .periods import (
-    S_closed_form,
     birkhoff_series,
-    euler_period,
     phi_prime,
     quadrature_sigma_integral,
     verify_connection_identity,
@@ -66,59 +67,48 @@ def _fmt_complex(z: complex) -> list:
     return [z.real, z.imag]
 
 
-def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _triple(text: str) -> tuple[float, float, float]:
+    """Three comma-separated numbers, as in ``3,2,1``."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"{flag} wants three comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"wants three comma-separated numbers, got {text!r}")
+    return tuple(_float(p) for p in parts)  # type: ignore[return-value]
+
+
+def _floats(text: str) -> list[float]:
+    """A comma list of at least one number; empty items are skipped."""
+    values = [_float(p) for p in text.split(",") if p.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"wants at least one number, got {text!r}")
+    return values
+
+
+def _ratio(text: str) -> Fraction | float:
+    """An exact fraction written ``p/q``, or else a float."""
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{flag}: {exc}") from None
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+        return Fraction(text) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"wants a float or p/q, got {text!r}") from None
 
 
 # ----------------------------------------------------------------------
-# Defaults and config handling.
-
-GLOBAL_DEFAULTS = {
-    "tol": None,  # per-command fallback when unset
-    "format": None,
-    "out": None,
-    "jobs": 1,
-}
-
-COMMAND_DEFAULTS = {
-    "simulate": {"tol": 1e-12, "format": "csv", "samples": 2001},
-    "period": {
-        "tol": 1e-7,
-        "format": "csv",
-        "abc": "3,2,1",
-        "grid_d": "2.1,2.3,2.5,2.7,2.9",
-        "grid_l": "1",
-        "axis": "p1",
-    },
-    "verify": {"tol": 1e-10, "format": "json"},
-    "monodromy": {"tol": 1e-6, "format": "json", "preset": None, "loop": None},
-    "series": {"tol": 0.0, "format": "json", "n": 12, "s": None, "z": None},
-}
-
+# Config files.
 
 class ConfigError(Exception):
     """The --config file is missing, is not a JSON object, or has unknown
     keys or ill-typed values."""
 
 
-def _config_options() -> dict[str, dict[str, argparse.Action]]:
-    """The options each subcommand accepts, by name, read off the argparse parser."""
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
     # argparse has no public accessor for its subparsers.
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        name: {a.dest: a for a in p._actions if a.option_strings and a.dest not in ("help", "config")}
-        for name, p in sub.choices.items()
-    }
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _config_value(key: str, value, action: argparse.Action):
@@ -128,19 +118,19 @@ def _config_value(key: str, value, action: argparse.Action):
         try:
             value = action.type(str(value))
         except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"config value for {key!r} is not a valid {action.type.__name__}: {exc}") from None
+            raise ConfigError(f"config value for {key!r} is invalid: {exc}") from None
     if action.choices is not None and value not in action.choices:
         raise ConfigError(f"config value for {key!r} must be one of {list(action.choices)}, got {value!r}")
     return value
 
 
-def _load_config(path: str | None) -> dict:
-    """Read a config file: flat option keys plus optional per-command sections.
+def _config_defaults(path: str, commands: dict[str, argparse.ArgumentParser], command: str) -> dict:
+    """The defaults a config file sets for one subcommand.
 
-    Values come back converted with the ``type`` of their argparse option.
+    The file holds flat option keys, each an option of some subcommand, and
+    optional per-command sections, which beat flat keys.  Every value is
+    checked and converted with the ``type`` and ``choices`` of its option.
     """
-    if not path:
-        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -148,9 +138,12 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    known = _config_options()
+    known = {
+        name: {a.dest: a for a in p._actions if a.option_strings and a.dest not in ("help", "config")}
+        for name, p in commands.items()
+    }
     flat = {dest: action for options in known.values() for dest, action in options.items()}
-    config = {}
+    defaults, section = {}, {}
     for key, value in data.items():
         if key in known:
             if not isinstance(value, dict):
@@ -158,29 +151,16 @@ def _load_config(path: str | None) -> dict:
             unknown = sorted(set(value) - set(known[key]))
             if unknown:
                 raise ConfigError(f"unknown keys in config section {key!r}: {unknown}")
-            config[key] = {k: _config_value(k, v, known[key][k]) for k, v in value.items()}
+            values = {k: _config_value(k, v, known[key][k]) for k, v in value.items()}
+            if key == command:
+                section = values
+        elif key in known[command]:
+            defaults[key] = _config_value(key, value, known[command][key])
         elif key in flat:
-            config[key] = _config_value(key, value, flat[key])
+            _config_value(key, value, flat[key])  # checked, though this command has no such option
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    return config
-
-
-def _effective_options(args: argparse.Namespace, command: str) -> dict:
-    """Merge defaults, config file values, and explicit flags, in that order."""
-    merged = dict(GLOBAL_DEFAULTS)
-    merged.update(COMMAND_DEFAULTS[command])
-    config = _load_config(getattr(args, "config", None))
-    for key, value in config.items():
-        if key == command and isinstance(value, dict):
-            merged.update(value)
-        elif not isinstance(value, dict):
-            merged.update({key: value})
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        merged[key] = value
-    return merged
+    return {**defaults, **section}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -199,14 +179,10 @@ def _json_dump(obj) -> str:
 # simulate
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _effective_options(args, "simulate")
     try:
-        inertia = InertiaSpec(*_parse_triple(opts["inertia"], "--inertia"))
-        p0 = MomentumState(*_parse_triple(opts["p0"], "--p0"))
-        traj = integrate_orbit(
-            p0, inertia, float(opts["t"]),
-            tol=float(opts["tol"]), n_samples=int(opts["samples"]),
-        )
+        inertia = InertiaSpec(*args.inertia)
+        p0 = MomentumState(*args.p0)
+        traj = integrate_orbit(p0, inertia, args.t, tol=args.tol, n_samples=args.samples)
     except (IntegrationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -214,7 +190,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for i in range(len(traj.t)):
         row = [traj.t[i], *traj.p[i], traj.H[i], traj.L[i]]
         lines.append(",".join(_fmt(x) for x in row))
-    _emit("\n".join(lines) + "\n", opts["out"])
+    _emit("\n".join(lines) + "\n", args.out)
     print(
         f"relative drift over run: H {traj.drift_h:.3e}, L {traj.drift_l:.3e}",
         file=sys.stderr,
@@ -256,20 +232,12 @@ def _period_row(task: tuple) -> dict:
 
 
 def cmd_period(args: argparse.Namespace) -> int:
-    opts = _effective_options(args, "period")
-    a, b, c = _parse_triple(str(opts["abc"]), "--abc")
-    ds = _parse_floats(str(opts["grid_d"]))
-    ls = _parse_floats(str(opts["grid_l"]))
-    axis = opts["axis"]
-    if axis not in ("p1", "p3"):
-        print(f"error: --axis must be p1 or p3, got {axis!r}", file=sys.stderr)
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
-    tol = float(opts["tol"])
-    jobs = int(opts["jobs"])
-    if jobs < 1:
-        print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
-        return 2
-    tasks = [(a, b, c, d, l, axis, tol) for l in ls for d in ds]
+    a, b, c = args.abc
+    tol = args.tol
+    tasks = [(a, b, c, d, l, args.axis, tol) for l in args.grid_l for d in args.grid_d]
     # Refuse separatrix grid points up front; the period diverges there.
     for t in tasks:
         if abs(t[3] - b) < 1e-8 * abs(b):
@@ -280,7 +248,7 @@ def cmd_period(args: argparse.Namespace) -> int:
             )
             return 1
     # Never start more workers than there are tasks or CPUs to run them.
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     try:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # only the pool path pays its import
@@ -293,14 +261,14 @@ def cmd_period(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     worst = max(max(r["dev_quad"], r["dev_ode"]) for r in rows)
-    if opts["format"] == "json":
-        _emit(_json_dump({"rows": rows, "max_deviation": worst}), opts["out"])
+    if args.format == "json":
+        _emit(_json_dump({"rows": rows, "max_deviation": worst}), args.out)
     else:
         header = "a,b,c,d,l,S_closed,S_quadrature,S_ode,dev_quad,dev_ode"
         lines = [header]
         for r in rows:
             lines.append(",".join(_fmt(r[k]) for k in header.split(",")))
-        _emit("\n".join(lines) + "\n", opts["out"])
+        _emit("\n".join(lines) + "\n", args.out)
     if worst > tol:
         print(f"error: max deviation {worst:.3e} exceeds tol {tol:.3e}", file=sys.stderr)
         return 1
@@ -312,8 +280,7 @@ def cmd_period(args: argparse.Namespace) -> int:
 # verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opts = _effective_options(args, "verify")
-    tol = float(opts["tol"])
+    tol = args.tol
     report: dict = {}
     failures: list[str] = []
 
@@ -403,16 +370,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report["status"] = "fail" if failures else "pass"
     report["failures"] = failures
 
-    if opts["format"] == "csv":
+    if args.format == "csv":
         lines = ["check,value,status"]
         lines.append(f"connection_identity,{_fmt(worst_identity)},{report['connection_identity']['status']}")
         lines.append(f"covariance,{_fmt(sym.max_unflagged_deviation)},{report['covariance']['status']}")
         lines.append(f"modular_identity,{_fmt(worst_modular)},{report['modular_identity']['status']}")
         lines.append(f"series_palindromes,{int(pal_ok)},{report['series_palindromes']['status']}")
         lines.append(f"confluence,{int(conf_ok)},{report['confluence']['status']}")
-        _emit("\n".join(lines) + "\n", opts["out"])
+        _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_json_dump(report), opts["out"])
+        _emit(_json_dump(report), args.out)
     return 1 if failures else 0
 
 
@@ -420,9 +387,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # monodromy
 
 def cmd_monodromy(args: argparse.Namespace) -> int:
-    opts = _effective_options(args, "monodromy")
-    preset = opts.get("preset")
-    loop_file = opts.get("loop")
+    preset, loop_file = args.preset, args.loop
     if bool(preset) == bool(loop_file):
         print("error: give exactly one of --preset or --loop", file=sys.stderr)
         return 2
@@ -471,7 +436,7 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
     except (MonodromyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(_json_dump(out), opts["out"])
+    _emit(_json_dump(out), args.out)
     return 0
 
 
@@ -479,26 +444,21 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
 # series
 
 def cmd_series(args: argparse.Namespace) -> int:
-    opts = _effective_options(args, "series")
-    from fractions import Fraction
-
-    s_opt = opts.get("s")
-    s_val = None
-    if s_opt is not None:
-        text = str(s_opt)
-        s_val = Fraction(text) if "/" in text else float(text)
+    if args.z is not None and args.s is None:
+        print("error: --z needs --s: the series is evaluated at a shape ratio", file=sys.stderr)
+        return 2
     try:
-        series = birkhoff_series(s=s_val, order=int(opts["n"]))
+        series = birkhoff_series(s=args.s, order=args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = series.to_json_dict()
-    if s_val is not None:
-        out["s"] = str(s_val)
+    if args.s is not None:
+        out["s"] = str(args.s)
         out["pn_at_s"] = [str(series.pn_value(n)) for n in range(series.order + 1)]
-    if s_val is not None and opts.get("z") is not None:
-        out["value_at_z"] = complex(series.evaluate(float(opts["z"]))).real
-    _emit(_json_dump(out), opts["out"])
+        if args.z is not None:
+            out["value_at_z"] = complex(series.evaluate(args.z)).real
+    _emit(_json_dump(out), args.out)
     return 0
 
 
@@ -518,11 +478,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-    common.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    common.add_argument("--jobs", type=int, default=None, help="worker processes for grid commands")
-    common.add_argument("--config", default=None, help="JSON config file mirroring the flags")
+    common.add_argument("--out", help="write output to this file instead of stdout")
+    common.add_argument("--config", help="JSON config file mirroring the flags")
 
     parser = _Parser(
         prog="eulertop",
@@ -532,35 +489,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", parents=[common], help="integrate an orbit, emit CSV")
-    p_sim.add_argument("--inertia", required=True, help="I1,I2,I3")
-    p_sim.add_argument("--p0", required=True, help="initial momentum p1,p2,p3")
+    p_sim.add_argument("--inertia", required=True, type=_triple, help="I1,I2,I3")
+    p_sim.add_argument("--p0", required=True, type=_triple, help="initial momentum p1,p2,p3")
     p_sim.add_argument("--t", required=True, type=float, help="integration time")
-    p_sim.add_argument("--samples", type=int, default=None, help="output sample count")
+    p_sim.add_argument("--samples", type=int, default=2001, help="output sample count (default %(default)s)")
+    p_sim.add_argument("--tol", type=float, default=1e-12, help="integrator tolerance (default %(default)s)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_per = sub.add_parser("period", parents=[common], help="compare period routes on a grid")
-    p_per.add_argument("--abc", default=None, help="reciprocal moments a,b,c (default 3,2,1)")
-    p_per.add_argument("--grid-d", dest="grid_d", default=None, help="comma list of d values")
-    p_per.add_argument("--grid-l", dest="grid_l", default=None, help="comma list of l values")
-    p_per.add_argument("--axis", choices=("p1", "p3"), default=None, help="orbit family")
+    p_per.add_argument("--abc", type=_triple, default="3,2,1",
+                       help="reciprocal moments a,b,c (default %(default)s)")
+    p_per.add_argument("--grid-d", dest="grid_d", type=_floats, default="2.1,2.3,2.5,2.7,2.9",
+                       help="comma list of d values (default %(default)s)")
+    p_per.add_argument("--grid-l", dest="grid_l", type=_floats, default="1",
+                       help="comma list of l values (default %(default)s)")
+    p_per.add_argument("--axis", choices=("p1", "p3"), default="p1", help="orbit family (default %(default)s)")
+    p_per.add_argument("--tol", type=float, default=1e-7,
+                       help="largest accepted deviation between routes (default %(default)s)")
+    p_per.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format (default %(default)s)")
+    p_per.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, never more than the grid rows or the CPUs (default %(default)s)")
     p_per.set_defaults(func=cmd_period)
 
     p_ver = sub.add_parser("verify", parents=[common], help="run the check battery")
+    p_ver.add_argument("--tol", type=float, default=1e-10,
+                       help="connection identity tolerance (default %(default)s)")
+    p_ver.add_argument("--format", choices=("csv", "json"), default="json",
+                       help="output format (default %(default)s)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_mon = sub.add_parser("monodromy", parents=[common], help="loop monodromy")
-    p_mon.add_argument(
-        "--preset",
-        default=None,
-        help="alpha1|alpha2|alpha3|all-generators|confluence|braid",
-    )
-    p_mon.add_argument("--loop", default=None, help="JSON file describing a ModuliLoop")
+    p_mon.add_argument("--preset", help="alpha1|alpha2|alpha3|all-generators|confluence|braid")
+    p_mon.add_argument("--loop", help="JSON file describing a ModuliLoop")
     p_mon.set_defaults(func=cmd_monodromy)
 
     p_ser = sub.add_parser("series", parents=[common], help="exact normal form series")
-    p_ser.add_argument("--n", type=int, default=None, help="series order (max 32)")
-    p_ser.add_argument("--s", default=None, help="shape ratio r^2, float or p/q")
-    p_ser.add_argument("--z", type=float, default=None, help="evaluate the series at this Z")
+    p_ser.add_argument("--n", type=int, default=12, help="series order, at most 32 (default %(default)s)")
+    p_ser.add_argument("--s", type=_ratio, help="shape ratio r^2, float or p/q")
+    p_ser.add_argument("--z", type=float, help="evaluate the series at this Z (needs --s)")
     p_ser.set_defaults(func=cmd_series)
     return parser
 
@@ -569,10 +536,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # Config values become the subcommand's defaults, so flags still win.
+            commands = _subparsers(parser)
+            commands[args.command].set_defaults(**_config_defaults(args.config, commands, args.command))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
-        return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,7 +53,7 @@ __all__ = [
 # Exact entry of the connection matrices; 4 log 2, never a decimal literal.
 LOG16 = 4.0 * math.log(2.0)
 
-BASIS_IDS = ("at0", "at1", "atInf", "period")
+BASIS_IDS = ("at0", "at1", "atInf")
 
 _CUT_ATOL = 1e-14
 
@@ -260,7 +260,7 @@ class SolutionFrame:
     Attributes
     ----------
     basis_id : str
-        One of "at0", "at1", "atInf", "period".
+        One of "at0", "at1", "atInf".
     values : tuple of complex
         Values of the two basis solutions at ``base_point``.
     base_point : complex
@@ -287,11 +287,9 @@ def basis_eval(basis_id: str, z: complex) -> SolutionFrame:
 
     Regions are strict: at0 needs |z| < 1, at1 needs |1 - z| < 1, atInf needs
     |z| > 1 with z off the ray [1, inf) (its log/sqrt prefactors are cut
-    there).  "period" frames are produced by the period engine, not here.
+    there).
     """
     z = complex(z)
-    if basis_id == "period":
-        raise ValueError("period frames are produced by the period engine, not basis_eval")
     if basis_id == "at0":
         if abs(z) >= 1.0:
             raise RegionError(f"at0 basis requires |z| < 1, got |z| = {abs(z):.6g}")
@@ -396,7 +394,7 @@ def connection(from_basis: str, to_basis: str) -> ConnectionMatrix:
     lower sheet is the complex conjugate.
     """
     for b in (from_basis, to_basis):
-        if b not in ("at0", "at1", "atInf"):
+        if b not in BASIS_IDS:
             raise ValueError(f"connection is defined between at0/at1/atInf, got {b!r}")
     return ConnectionMatrix(_conn_block(from_basis, to_basis), from_basis, to_basis)
 
@@ -678,8 +676,6 @@ def continue_frame(
     Raises PathTooCloseError if any sample sits closer than 10 * min_step to
     z = 0 or z = 1, and ContinuationStallError if sub-stepping collapses.
     """
-    if frame.basis_id == "period":
-        raise ValueError("period frames are continued by the monodromy engine")
     if abs(path.start - frame.base_point) > 1e-9:
         raise ValueError(
             f"path starts at {path.start}, frame is based at {frame.base_point}"

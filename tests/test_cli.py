@@ -214,6 +214,13 @@ def test_series_exact_output(capsys):
     assert payload["value_at_z"] == pytest.approx(1.0751851851851852, rel=1e-15)
 
 
+def test_series_z_needs_s(capsys):
+    code, out, err = run(capsys, "series", "--n", "3", "--z", "0.05")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--s" in err
+
+
 def test_series_order_budget(capsys):
     code, out, err = run(capsys, "series", "--n", "40")
     assert code == 1
@@ -319,3 +326,57 @@ def test_start_up_does_not_load_scipy_integrate():
         env=dict(os.environ, PYTHONPATH=path), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command,flag,value,key", [
+    ("series", "--s", "abc", "s"),
+    ("series", "--s", "1/0", "s"),
+    ("period", "--grid-l", "abc", "grid_l"),
+    ("period", "--grid-d", "2.5,x", "grid_d"),
+])
+def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, flag, value, key):
+    # A bad value exits 2 with an error naming the flag, not with a traceback ...
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err
+
+    # ... and the same value from a config file exits 2 naming the key.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({command: {key: value}}))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("simulate", "--format", "csv"),
+    ("simulate", "--jobs", "2"),
+    ("verify", "--jobs", "2"),
+    ("monodromy", "--tol", "1e-3"),
+    ("monodromy", "--format", "json"),
+    ("monodromy", "--jobs", "2"),
+    ("series", "--tol", "1e-3"),
+    ("series", "--format", "json"),
+    ("series", "--jobs", "2"),
+])
+def test_commands_reject_flags_they_do_not_read(capsys, command, flag, value):
+    rest = {
+        "simulate": ("--inertia", "1,2,3", "--p0", "0.1,2.0,0.1", "--t", "1"),
+        "monodromy": ("--preset", "alpha1"),
+    }.get(command, ())
+    with pytest.raises(SystemExit) as exc:
+        main([command, *rest, flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_section_rejects_flags_its_command_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"monodromy": {"tol": 1e-3}}))
+    code, out, err = run(capsys, "monodromy", "--preset", "alpha1", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'tol'" in err

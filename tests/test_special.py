@@ -155,6 +155,8 @@ def test_basis_eval_regions_are_strict():
         basis_eval("atInf", 2.5)
     with pytest.raises(DivergenceError):
         basis_eval("at0", 0.0)
+    with pytest.raises(ValueError, match="basis_id must be one of"):
+        basis_eval("period", 0.3)
 
 
 def test_basis_derivatives_match_finite_differences():
