@@ -9,10 +9,12 @@ monodromy   compute loop monodromies (presets or a loop JSON file)
 series      emit the exact rational normal-form series
 
 Every subcommand takes --out and --config; --tol goes to simulate, period and
-verify, --format to period and verify, --jobs to period only.  Values from a
-config file become the subcommand's defaults, so precedence is flags over
-config file over built-in defaults.  All floats are printed with 17
-significant digits so outputs are byte-reproducible.
+verify, --format to period and verify.  Numbers must be finite, and counts
+are bounded before any work starts.  ``period`` finds the ODE periods of all
+its grid rows in one batched integration.  Values from a config file become
+the subcommand's defaults, so precedence is flags over config file over
+built-in defaults.  All floats are printed with 17 significant digits so
+outputs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -28,13 +29,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .core import DomainError, InertiaSpec, ModuliPoint
+from .core import DomainError, InertiaSpec, ModuliPoint, Permutation4, apply_permutation
 from .dynamics import (
     IntegrationError,
     MomentumState,
     SeparatrixError,
     integrate_orbit,
-    orbit_period,
+    orbit_periods,
 )
 from .monodromy import (
     ALPHA_PRESETS,
@@ -67,11 +68,36 @@ def _fmt_complex(z: complex) -> list:
     return [z.real, z.imag]
 
 
+# Bounds checked before any work is allocated.  The batched ODE solve of
+# period holds about 13 x 3 floats for each grid row.
+MAX_SAMPLES = 100001
+MAX_GRID_ROWS = 4096
+
+
 def _float(text: str) -> float:
+    """A finite number."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """A finite number above zero."""
+    value = _float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _samples(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if not 2 <= value <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be from 2 to {MAX_SAMPLES}, got {text!r}")
+    return value
 
 
 def _triple(text: str) -> tuple[float, float, float]:
@@ -91,9 +117,11 @@ def _floats(text: str) -> list[float]:
 
 
 def _ratio(text: str) -> Fraction | float:
-    """An exact fraction written ``p/q``, or else a float."""
+    """An exact fraction written ``p/q``, or else a finite float."""
+    if "/" not in text:
+        return _float(text)
     try:
-        return Fraction(text) if "/" in text else float(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"wants a float or p/q, got {text!r}") from None
 
@@ -114,7 +142,7 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentP
 def _config_value(key: str, value, action: argparse.Action):
     """A config value converted and checked as argparse treats the flag's text."""
     if action.type is not None:
-        # Through the text, as for a flag: JSON 1.5 is no int, as "--jobs 1.5" is not.
+        # Through the text, as for a flag: JSON 1.5 is no int, as "--samples 1.5" is not.
         try:
             value = action.type(str(value))
         except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
@@ -201,65 +229,51 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # period
 
-def _period_row(task: tuple) -> dict:
-    a, b, c, d, l, axis, tol = task
-    m = ModuliPoint(a, b, c, d, l=l)
+def _closed_and_quadrature(m: ModuliPoint, axis: str) -> tuple[complex, complex]:
     closed = phi_prime(axis, m).value
     if axis == "p3":
-        from .core import Permutation4, apply_permutation
-
-        quad_point = apply_permutation(m, Permutation4.from_cycles("(ac)"))
-    else:
-        quad_point = m
-    quad = quadrature_sigma_integral(quad_point).value
-    # ODE route: period of the orbit with p2 = 0 on the matching oval.
-    inertia = InertiaSpec(1.0 / a, 1.0 / b, 1.0 / c)
-    p1sq = 2.0 * l * (d - c) / (a - c)
-    p3sq = 2.0 * l * (a - d) / (a - c)
-    state = MomentumState(math.sqrt(abs(p1sq)), 0.0, math.sqrt(abs(p3sq)))
-    t_orbit = orbit_period(state, inertia, tol=min(1e-12, tol))
-    s_ode = -t_orbit / (6.0 * math.pi)
-    dev_quad = abs(closed - quad) / abs(closed)
-    dev_ode = abs(abs(closed) - abs(s_ode)) / abs(closed)
-    return {
-        "a": a, "b": b, "c": c, "d": d, "l": l,
-        "S_closed": closed.real,
-        "S_quadrature": quad.real,
-        "S_ode": s_ode,
-        "dev_quad": dev_quad,
-        "dev_ode": dev_ode,
-    }
+        m = apply_permutation(m, Permutation4.from_cycles("(ac)"))
+    return closed, quadrature_sigma_integral(m).value
 
 
 def cmd_period(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
     a, b, c = args.abc
     tol = args.tol
-    tasks = [(a, b, c, d, l, args.axis, tol) for l in args.grid_l for d in args.grid_d]
+    if len(args.grid_d) * len(args.grid_l) > MAX_GRID_ROWS:
+        print(f"error: --grid-d and --grid-l make more than {MAX_GRID_ROWS} rows", file=sys.stderr)
+        return 2
+    grid = [(d, l) for l in args.grid_l for d in args.grid_d]
     # Refuse separatrix grid points up front; the period diverges there.
-    for t in tasks:
-        if abs(t[3] - b) < 1e-8 * abs(b):
+    for d, _ in grid:
+        if abs(d - b) < 1e-8 * abs(b):
             print(
-                f"error: grid point d = {t[3]} sits on the separatrix (d = b); "
+                f"error: grid point d = {d} sits on the separatrix (d = b); "
                 "the rotation period diverges there",
                 file=sys.stderr,
             )
             return 1
-    # Never start more workers than there are tasks or CPUs to run them.
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     try:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # only the pool path pays its import
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_period_row, tasks))
-        else:
-            rows = [_period_row(t) for t in tasks]
+        routes = [_closed_and_quadrature(ModuliPoint(a, b, c, d, l=l), args.axis) for d, l in grid]
+        # ODE route: the orbit with p2 = 0 on the matching oval, all rows in one solve.
+        states = [
+            MomentumState(math.sqrt(abs(2.0 * l * (d - c) / (a - c))), 0.0, math.sqrt(abs(2.0 * l * (a - d) / (a - c))))
+            for d, l in grid
+        ]
+        periods = orbit_periods(states, InertiaSpec(1.0 / a, 1.0 / b, 1.0 / c), tol=min(1e-12, tol))
     except (DomainError, SeparatrixError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    rows = []
+    for (d, l), (closed, quad), t_orbit in zip(grid, routes, periods):
+        s_ode = -float(t_orbit) / (6.0 * math.pi)
+        rows.append({
+            "a": a, "b": b, "c": c, "d": d, "l": l,
+            "S_closed": closed.real,
+            "S_quadrature": quad.real,
+            "S_ode": s_ode,
+            "dev_quad": abs(closed - quad) / abs(closed),
+            "dev_ode": abs(abs(closed) - abs(s_ode)) / abs(closed),
+        })
     worst = max(max(r["dev_quad"], r["dev_ode"]) for r in rows)
     if args.format == "json":
         _emit(_json_dump({"rows": rows, "max_deviation": worst}), args.out)
@@ -491,29 +505,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[common], help="integrate an orbit, emit CSV")
     p_sim.add_argument("--inertia", required=True, type=_triple, help="I1,I2,I3")
     p_sim.add_argument("--p0", required=True, type=_triple, help="initial momentum p1,p2,p3")
-    p_sim.add_argument("--t", required=True, type=float, help="integration time")
-    p_sim.add_argument("--samples", type=int, default=2001, help="output sample count (default %(default)s)")
-    p_sim.add_argument("--tol", type=float, default=1e-12, help="integrator tolerance (default %(default)s)")
+    p_sim.add_argument("--t", required=True, type=_positive, help="integration time")
+    p_sim.add_argument("--samples", type=_samples, default=2001,
+                       help=f"output sample count, 2 to {MAX_SAMPLES} (default %(default)s)")
+    p_sim.add_argument("--tol", type=_positive, default=1e-12, help="integrator tolerance (default %(default)s)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_per = sub.add_parser("period", parents=[common], help="compare period routes on a grid")
     p_per.add_argument("--abc", type=_triple, default="3,2,1",
                        help="reciprocal moments a,b,c (default %(default)s)")
     p_per.add_argument("--grid-d", dest="grid_d", type=_floats, default="2.1,2.3,2.5,2.7,2.9",
-                       help="comma list of d values (default %(default)s)")
+                       help=f"comma list of d values; at most {MAX_GRID_ROWS} d, l rows (default %(default)s)")
     p_per.add_argument("--grid-l", dest="grid_l", type=_floats, default="1",
                        help="comma list of l values (default %(default)s)")
     p_per.add_argument("--axis", choices=("p1", "p3"), default="p1", help="orbit family (default %(default)s)")
-    p_per.add_argument("--tol", type=float, default=1e-7,
+    p_per.add_argument("--tol", type=_positive, default=1e-7,
                        help="largest accepted deviation between routes (default %(default)s)")
     p_per.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default %(default)s)")
-    p_per.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, never more than the grid rows or the CPUs (default %(default)s)")
     p_per.set_defaults(func=cmd_period)
 
     p_ver = sub.add_parser("verify", parents=[common], help="run the check battery")
-    p_ver.add_argument("--tol", type=float, default=1e-10,
+    p_ver.add_argument("--tol", type=_positive, default=1e-10,
                        help="connection identity tolerance (default %(default)s)")
     p_ver.add_argument("--format", choices=("csv", "json"), default="json",
                        help="output format (default %(default)s)")
@@ -527,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ser = sub.add_parser("series", parents=[common], help="exact normal form series")
     p_ser.add_argument("--n", type=int, default=12, help="series order, at most 32 (default %(default)s)")
     p_ser.add_argument("--s", type=_ratio, help="shape ratio r^2, float or p/q")
-    p_ser.add_argument("--z", type=float, help="evaluate the series at this Z (needs --s)")
+    p_ser.add_argument("--z", type=_float, help="evaluate the series at this Z (needs --s)")
     p_ser.set_defaults(func=cmd_series)
     return parser
 

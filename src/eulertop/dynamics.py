@@ -8,8 +8,8 @@ The angular momentum p = (p1, p2, p3) in the body frame obeys
 
 which preserves the energy H = (1/2) sum p_i^2 / I_i and the Casimir
 L = (1/2) |p|^2.  Orbits are intersections of an energy ellipsoid with a
-momentum sphere; away from the separatrix they are closed and their period
-is what ``orbit_period`` measures.
+momentum sphere; away from the separatrix they are closed and their periods
+are what ``orbit_periods`` measures, all orbits in one integration.
 """
 
 from __future__ import annotations
@@ -35,11 +35,16 @@ __all__ = [
     "euler_rhs",
     "integrate_orbit",
     "orbit_period",
+    "orbit_periods",
 ]
 
 # Relative width of the energy window around the separatrix value h = l/I2
 # inside which period computations refuse to run.
 SEPARATRIX_RTOL = 1e-8
+
+# An orbit that has not returned within this many characteristic times is
+# refused; near the separatrix the period grows like the log of the distance.
+MAX_CHARACTERISTIC_TIMES = 1e4
 
 
 class SeparatrixError(DomainError):
@@ -61,31 +66,28 @@ class MomentumState:
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3], dtype=float)
 
-    @staticmethod
-    def from_array(p) -> "MomentumState":
-        p1, p2, p3 = (float(x) for x in p)
-        return MomentumState(p1, p2, p3)
-
 
 def euler_rhs(p, inertia: InertiaSpec) -> np.ndarray:
-    """Time derivative of the momentum at p (a tangent vector, as an array)."""
+    """Time derivative of the momentum at p: one state (3,) or a stack (3, N)."""
     if isinstance(p, MomentumState):
         p = p.as_array()
-    p1, p2, p3 = float(p[0]), float(p[1]), float(p[2])
+    return _field(p, inertia.reciprocals())
+
+
+def _field(p, reciprocals) -> np.ndarray:
+    # The integrators take the reciprocals once, not once per evaluation.
+    a, b, c = reciprocals
+    return np.array([-(b - c) * p[1] * p[2], -(c - a) * p[2] * p[0], -(a - b) * p[0] * p[1]])
+
+
+def conserved(p, inertia: InertiaSpec):
+    """The pair (H, L) = (energy, Casimir) at one state (3,) or a stack (3, N)."""
+    if isinstance(p, MomentumState):
+        p = p.as_array()
+    p = np.asarray(p, dtype=float)
+    sq = p * p
     a, b, c = inertia.reciprocals()
-    return np.array(
-        [-(b - c) * p2 * p3, -(c - a) * p3 * p1, -(a - b) * p1 * p2]
-    )
-
-
-def conserved(p, inertia: InertiaSpec) -> tuple[float, float]:
-    """The pair (H, L) = (energy, Casimir) at p."""
-    if isinstance(p, MomentumState):
-        p = p.as_array()
-    p1, p2, p3 = float(p[0]), float(p[1]), float(p[2])
-    h = 0.5 * (p1 * p1 / inertia.I1 + p2 * p2 / inertia.I2 + p3 * p3 / inertia.I3)
-    l = 0.5 * (p1 * p1 + p2 * p2 + p3 * p3)
-    return h, l
+    return 0.5 * (a * sq[0] + b * sq[1] + c * sq[2]), 0.5 * (sq[0] + sq[1] + sq[2])
 
 
 @dataclass(frozen=True)
@@ -139,16 +141,6 @@ class Trajectory:
         return float(np.max(np.abs(self.L - l0)) / scale)
 
 
-def _rhs_closure(inertia: InertiaSpec):
-    a, bb, c = inertia.reciprocals()
-    k1, k2, k3 = -(bb - c), -(c - a), -(a - bb)
-
-    def rhs(t, p):
-        return (k1 * p[1] * p[2], k2 * p[2] * p[0], k3 * p[0] * p[1])
-
-    return rhs
-
-
 def integrate_orbit(
     state: MomentumState,
     inertia: InertiaSpec,
@@ -166,105 +158,100 @@ def integrate_orbit(
         raise DomainError(f"t_end must be positive, got {t_end!r}")
     from scipy.integrate import solve_ivp
 
-    t_eval = np.linspace(0.0, t_end, n_samples)
+    reciprocals = inertia.reciprocals()
     sol = solve_ivp(
-        _rhs_closure(inertia),
+        lambda t, p: _field(p, reciprocals),
         (0.0, t_end),
         state.as_array(),
         method="DOP853",
         rtol=tol,
         atol=tol,
-        t_eval=t_eval,
-        dense_output=False,
+        t_eval=np.linspace(0.0, t_end, n_samples),
     )
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
-    p = sol.y.T
-    inv_i = np.array([1.0 / inertia.I1, 1.0 / inertia.I2, 1.0 / inertia.I3])
-    H = 0.5 * np.sum(p * p * inv_i, axis=1)
-    L = 0.5 * np.sum(p * p, axis=1)
-    return Trajectory(sol.t, p, H, L)
+    H, L = conserved(sol.y, inertia)
+    return Trajectory(sol.t, sol.y.T, H, L)
 
 
-def characteristic_time(inertia: InertiaSpec, l: float) -> float:
-    """1 / sqrt(2 l (a - c)(a - b)) with a > b > c the sorted reciprocals."""
-    a, b, c = sorted(inertia.reciprocals(), reverse=True)
-    return 1.0 / math.sqrt(2.0 * l * (a - c) * (a - b))
+def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.ndarray:
+    """Periods of the closed orbits through ``states``, in one integration.
 
+    Orbit k's Poincare section is the plane through its start point, normal
+    to the flow there; its period is its first return to that plane in the
+    same direction.  All orbits run as one 3N-dimensional DOP853 system,
+    orbit k in its own characteristic time 1/sqrt(2 l_k (a - c)(a - b)),
+    a > b > c the sorted reciprocals, so all turn at a comparable rate.
+    Returns are found after each step and refined together by bisection on
+    the step's dense output, so memory stays proportional to N.
 
-def orbit_period(
-    state: MomentumState,
-    inertia: InertiaSpec,
-    *,
-    tol: float = 1e-12,
-    max_characteristic_times: float = 1e4,
-) -> float:
-    """Period of the closed orbit through ``state``.
-
-    Uses a Poincare section through the initial point, normal to the flow,
-    and returns the first same-direction crossing time, refined by the
-    solver's dense-output root finding.
-
-    Raises
-    ------
-    DomainError
-        At an equilibrium (no period to speak of).
-    SeparatrixError
-        When h is within a relative 1e-8 of the separatrix energy l/I2
-        (period diverges there), with I2 the middle moment.
-    IntegrationError
-        If no return happens within 1e4 characteristic times.
+    Raises DomainError at zero momentum or an equilibrium, SeparatrixError
+    when h is within a relative 1e-8 of the separatrix energy l/I2 (I2 the
+    middle moment; the period diverges there), and IntegrationError if the
+    solver fails or an orbit does not return within MAX_CHARACTERISTIC_TIMES.
     """
-    p0 = state.as_array()
-    f0 = euler_rhs(p0, inertia)
-    speed = float(np.linalg.norm(f0))
+    p0 = np.array([s.as_array() for s in states]).reshape(-1, 3).T
+    n = p0.shape[1]
+    if n == 0:
+        return np.empty(0)
+    reciprocals = inertia.reciprocals()
+    f0 = _field(p0, reciprocals)
+    speed = np.linalg.norm(f0, axis=0)
     h, l = conserved(p0, inertia)
-    if l <= 0.0:
+    if np.any(l <= 0.0):
         raise DomainError("zero momentum has no orbit")
-    scale = 2.0 * l * max(inertia.reciprocals())
-    if speed < 1e-13 * scale:
+    if np.any(speed < 1e-13 * 2.0 * l * max(reciprocals)):
         raise DomainError("initial condition is an equilibrium; the orbit is a point")
-    b_mid = 1.0 / sorted((inertia.I1, inertia.I2, inertia.I3))[1]
-    h_sep = b_mid * l
-    if abs(h - h_sep) < SEPARATRIX_RTOL * abs(h_sep):
-        raise SeparatrixError(
-            f"energy h = {h!r} is within 1e-8 of the separatrix value {h_sep!r}"
-        )
+    a, b, c = sorted(reciprocals, reverse=True)
+    h_sep = b * l
+    near = np.abs(h - h_sep) < SEPARATRIX_RTOL * np.abs(h_sep)
+    if near.any():
+        k = np.argmax(near)
+        raise SeparatrixError(f"energy h = {float(h[k])!r} is within 1e-8 of the separatrix value {float(h_sep[k])!r}")
+    t_char = 1.0 / np.sqrt(2.0 * l * (a - c) * (a - b))
     normal = f0 / speed
 
-    def section(t, p):
-        return float(np.dot(np.asarray(p) - p0, normal))
+    def section(p, rows=slice(None)):
+        # How far each row's p (3, rows) lies past its section plane.
+        return np.sum((p - p0[:, rows]) * normal[:, rows], axis=0)
 
-    section.direction = 1.0
-    section.terminal = True
+    from scipy.integrate import DOP853
 
-    from scipy.integrate import solve_ivp
-
-    t_char = characteristic_time(inertia, l)
-    t_max = max_characteristic_times * t_char
-    rhs = _rhs_closure(inertia)
-    # The section function vanishes exactly at t = 0, which confuses event
-    # root finding; advance a short flow leg first, then arm the event.
-    delta = 1e-3 * t_char
-    leg1 = solve_ivp(rhs, (0.0, delta), p0, method="DOP853", rtol=tol, atol=tol)
-    if not leg1.success:
-        raise IntegrationError(f"integration failed: {leg1.message}")
-    leg2 = solve_ivp(
-        rhs,
-        (delta, t_max),
-        leg1.y[:, -1],
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        events=section,
-        dense_output=True,
+    # A step passes when the RMS of all 3N scaled errors is at most 1; with
+    # tol / sqrt(N), no orbit is held looser than if it were solved alone.
+    batch_tol = tol / math.sqrt(n)
+    solver = DOP853(
+        lambda tau, y: (t_char * _field(y.reshape(3, n), reciprocals)).ravel(),
+        0.0, p0.ravel(), MAX_CHARACTERISTIC_TIMES,
+        rtol=max(batch_tol, 100.0 * np.finfo(float).eps), atol=batch_tol,  # scipy's rtol floor
     )
-    if not leg2.success:
-        raise IntegrationError(f"integration failed: {leg2.message}")
-    crossings = leg2.t_events[0]
-    if len(crossings) == 0:
-        raise IntegrationError(
-            f"orbit did not return to the section within {t_max:.3g} time units; "
-            "the initial condition may be exponentially close to the separatrix"
-        )
-    return float(crossings[0])
+    period = np.full(n, np.nan)
+    g_old = np.zeros(n)
+    while np.isnan(period).any():
+        if solver.status != "running":
+            t_max = MAX_CHARACTERISTIC_TIMES * t_char[np.argmax(np.isnan(period))]
+            raise IntegrationError(
+                f"orbit did not return to the section within {t_max:.3g} time units; "
+                "the initial condition may be exponentially close to the separatrix"
+            )
+        message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(f"integration failed: {message}")
+        g = section(solver.y.reshape(3, n))
+        rows = np.flatnonzero(np.isnan(period) & (g_old < 0.0) & (g >= 0.0))
+        g_old = g
+        if rows.size:
+            dense = solver.dense_output()
+            lo, hi = np.full(rows.size, solver.t_old), np.full(rows.size, solver.t)
+            while np.any(np.nextafter(lo, hi) < hi):
+                mid = 0.5 * (lo + hi)
+                # Row j of the batch is read at its own time mid[j].
+                below = section(dense(mid).reshape(3, n, rows.size)[:, rows, np.arange(rows.size)], rows) < 0.0
+                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            period[rows] = hi
+    return period * t_char
+
+
+def orbit_period(state: MomentumState, inertia: InertiaSpec, *, tol: float = 1e-12) -> float:
+    """Period of the closed orbit through ``state``; see ``orbit_periods``."""
+    return float(orbit_periods([state], inertia, tol=tol)[0])

@@ -54,7 +54,9 @@ PEER_OFFSET = -1e-3j
 
 _EXTRACTION_TOL = 1e-6
 
-# Largest |winding| a loop may ask for; each turn is 256 transport samples.
+# Transport samples on each turn of a loop's circle, and the largest
+# |winding| a loop may ask for.
+_SAMPLES_PER_TURN = 256
 MAX_WINDING = 16
 
 
@@ -272,7 +274,7 @@ def _approach_points(start: complex, entry: complex, frozen: Iterable[complex]) 
     return points
 
 
-def _loop_point_samples(loop: ModuliLoop, start_shift: complex = 0.0j, per_turn: int = 256) -> np.ndarray:
+def _loop_point_samples(loop: ModuliLoop, start_shift: complex = 0.0j) -> np.ndarray:
     """Sample the mover's path: radial approach, circle(s), and return."""
     center = complex(loop.center)
     start = loop.effective_start() + start_shift
@@ -281,7 +283,7 @@ def _loop_point_samples(loop: ModuliLoop, start_shift: complex = 0.0j, per_turn:
     theta0 = math.atan2((start - center).imag, (start - center).real)
     entry = center + loop.radius * np.exp(1j * theta0)
     approach = _approach_points(start, entry, loop.frozen.values())
-    n_arc = per_turn * abs(loop.winding)
+    n_arc = _SAMPLES_PER_TURN * abs(loop.winding)
     theta = theta0 + np.linspace(0.0, 2.0 * math.pi * loop.winding, n_arc + 1)
     circle = center + loop.radius * np.exp(1j * theta)
     return np.concatenate([approach, circle[1:], approach[::-1][1:]])

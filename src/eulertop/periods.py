@@ -161,7 +161,13 @@ def euler_period(m: ModuliPoint, axis: str = "p1") -> float:
 # ----------------------------------------------------------------------
 # Double-exponential quadrature with endpoint-distance bookkeeping.
 
-def tanh_sinh(g, lo: float, hi: float, *, tol: float = 5e-14, max_level: int = 8, t_max: float = 4.5):
+# Nodes span |t| <= T_MAX; the spacing halves until the sum moves by TOL, at most LEVELS times.
+_TANH_SINH_TOL = 5e-14
+_TANH_SINH_LEVELS = 8
+_TANH_SINH_T_MAX = 4.5
+
+
+def tanh_sinh(g, lo: float, hi: float):
     """Tanh-sinh quadrature of g over (lo, hi) for inverse-sqrt endpoints.
 
     The integrand is called as g(x, dist_lo, dist_hi) where the distances to
@@ -194,13 +200,13 @@ def tanh_sinh(g, lo: float, hi: float, *, tol: float = 5e-14, max_level: int = 8
         return total
 
     h = 1.0
-    ts = np.arange(-t_max, t_max + 0.5 * h, h)
+    ts = np.arange(-_TANH_SINH_T_MAX, _TANH_SINH_T_MAX + 0.5 * h, h)
     acc = h * sum_at(ts)
-    for _ in range(max_level):
+    for _ in range(_TANH_SINH_LEVELS):
         h *= 0.5
-        new_ts = np.arange(-t_max + h, t_max, 2.0 * h)
+        new_ts = np.arange(-_TANH_SINH_T_MAX + h, _TANH_SINH_T_MAX, 2.0 * h)
         new = 0.5 * acc + h * sum_at(new_ts)
-        if abs(new - acc) <= tol * max(abs(new), 1e-300):
+        if abs(new - acc) <= _TANH_SINH_TOL * max(abs(new), 1e-300):
             return new
         acc = new
     return acc
@@ -247,8 +253,6 @@ def quadrature_sigma_integral(m: ModuliPoint, s: float = 0.0) -> PeriodValue:
         prod = (a - b) * dlo * dhi * q2
         return 1.0 / math.sqrt(prod)
 
-    i1 = tanh_sinh(g1, -P, P) / 3.0
-
     # Arc in the p3 coordinate: p3 ranges over (-P3, P3).
     P3 = math.sqrt(2.0 * l * (a - d) / (a - c))
 
@@ -257,8 +261,9 @@ def quadrature_sigma_integral(m: ModuliPoint, s: float = 0.0) -> PeriodValue:
         prod = (a - c) * dlo * dhi * g1v
         return 1.0 / math.sqrt(prod)
 
-    i2 = tanh_sinh(g2, -P3, P3) / 3.0
-
+    # An arc of weight 0 is not integrated.
+    i1 = tanh_sinh(g1, -P, P) / 3.0 if s != 1.0 else 0.0
+    i2 = tanh_sinh(g2, -P3, P3) / 3.0 if s != 0.0 else 0.0
     value = -((1.0 - s) * i1 + s * i2) / math.pi
     return PeriodValue(value, "sigma1_axis", m)
 

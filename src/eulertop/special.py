@@ -527,6 +527,13 @@ _TAYLOR_TERMS = 64
 # (about 6 MB) however long the path is.
 _STEP_BLOCK = 2048
 
+# A Taylor step reaches at most this share of the distance to 0 or 1.
+_STEP_FRACTION = 0.35
+
+# continue_frame refuses a path within 10 * _FRAME_MIN_STEP of a singular
+# point and takes no Taylor step below it.
+_FRAME_MIN_STEP = 1e-6
+
 
 def _step_matrices(z0: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Transition matrices of the Taylor steps z0[k] -> z0[k] + h[k].
@@ -566,16 +573,15 @@ def _transport_germs(
     zs: np.ndarray,
     germs: np.ndarray,
     *,
-    step_fraction: float = 0.35,
-    min_step: float = 1e-6,
+    min_step: float = _FRAME_MIN_STEP,
 ) -> tuple[np.ndarray, float, float]:
     """Transport germ rows along the polyline zs, sub-stepping as needed.
 
-    Steps never exceed step_fraction times the distance to the nearest of
-    the singular points {0, 1}; winding of z around 0 and 1 is accumulated
-    and returned in turns.  The step nodes are laid out first; then the
-    steps' transition matrices are built a block at a time and applied to
-    the rows in path order.
+    Steps never exceed _STEP_FRACTION times the distance to the nearest of
+    the singular points {0, 1}, nor fall below min_step; winding of z around
+    0 and 1 is accumulated and returned in turns.  The step nodes are laid
+    out first; then the steps' transition matrices are built a block at a
+    time and applied to the rows in path order.
     """
     w0 = w1 = 0.0
     z = complex(zs[0])
@@ -585,7 +591,7 @@ def _transport_germs(
         guard = 0
         while z != target:
             dist = min(abs(z), abs(z - 1.0))
-            allowed = step_fraction * dist
+            allowed = _STEP_FRACTION * dist
             if allowed < min_step:
                 raise ContinuationStallError(
                     f"step size collapsed to {allowed:.3g} near z = {z:.6g}"
@@ -612,7 +618,7 @@ def _transport_germs(
     return np.array(rows, dtype=complex), w0, w1
 
 
-def _ode_transport(zs: np.ndarray, germs: np.ndarray, rtol: float = 1e-13) -> np.ndarray:
+def _ode_transport(zs: np.ndarray, germs: np.ndarray) -> np.ndarray:
     """Test oracle for ``_transport_germs``: integrate the ODE along the
     polyline with DOP853.  The library never calls it; the tests compare the
     Taylor transport against it.
@@ -649,7 +655,7 @@ def _ode_transport(zs: np.ndarray, germs: np.ndarray, rtol: float = 1e-13) -> np
         f, fp = germs[k]
         y0[4 * k], y0[4 * k + 1] = f.real, f.imag
         y0[4 * k + 2], y0[4 * k + 3] = fp.real, fp.imag
-    sol = solve_ivp(rhs, (0.0, n - 1.0), y0, method="DOP853", rtol=rtol, atol=rtol, max_step=1.0)
+    sol = solve_ivp(rhs, (0.0, n - 1.0), y0, method="DOP853", rtol=1e-13, atol=1e-13, max_step=1.0)
     if not sol.success:
         raise ContinuationStallError(f"ODE transport failed: {sol.message}")
     y = sol.y[:, -1]
@@ -660,38 +666,32 @@ def _ode_transport(zs: np.ndarray, germs: np.ndarray, rtol: float = 1e-13) -> np
     return out
 
 
-def continue_frame(
-    frame: SolutionFrame,
-    path: ComplexPath,
-    *,
-    min_step: float = 1e-6,
-    spacing: float = 0.02,
-) -> SolutionFrame:
+def continue_frame(frame: SolutionFrame, path: ComplexPath) -> SolutionFrame:
     """Analytically continue a solution frame along a path.
 
     The frame's two solutions are transported as (value, derivative) germs by
     Taylor recentering, with steps capped at 0.35 times the distance to the
     nearest singular point.
 
-    Raises PathTooCloseError if any sample sits closer than 10 * min_step to
+    Raises PathTooCloseError if any sample sits closer than 1e-5 to
     z = 0 or z = 1, and ContinuationStallError if sub-stepping collapses.
     """
     if abs(path.start - frame.base_point) > 1e-9:
         raise ValueError(
             f"path starts at {path.start}, frame is based at {frame.base_point}"
         )
-    zs = path.samples(spacing)
+    zs = path.samples()
     dist = np.minimum(np.abs(zs), np.abs(zs - 1.0))
-    if float(dist.min()) < 10.0 * min_step:
+    if float(dist.min()) < 10.0 * _FRAME_MIN_STEP:
         raise PathTooCloseError(
             f"path passes within {dist.min():.3g} of a singular point; "
-            f"margin must exceed {10.0 * min_step:.3g}"
+            f"margin must exceed {10.0 * _FRAME_MIN_STEP:.3g}"
         )
     germs = np.array(
         [[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]],
         dtype=complex,
     )
-    new_germs, w0, w1 = _transport_germs(zs, germs, min_step=min_step)
+    new_germs, w0, w1 = _transport_germs(zs, germs)
     log = dict(frame.branch_log)
     log["around0"] = log.get("around0", 0.0) + w0
     log["around1"] = log.get("around1", 0.0) + w1

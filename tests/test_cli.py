@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, formats, config, exit codes."""
 
-import concurrent.futures
 import json
 import os
 import subprocess
@@ -69,51 +68,29 @@ def test_period_csv_anchor(capsys):
     assert "max deviation" in err
 
 
-def test_period_json_with_worker_pool(capsys):
+def test_period_json_rows_are_l_major(capsys):
     code, out, err = run(
         capsys, "period", "--abc", "3,2,1", "--grid-d", "2.3,2.7",
-        "--grid-l", "1,2", "--jobs", "2", "--format", "json",
+        "--grid-l", "1,2", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
     assert len(payload["rows"]) == 4
     assert payload["max_deviation"] < 1e-7
-    # grid is ordered l-major, d-minor regardless of worker count
+    # grid is ordered l-major, d-minor
     assert [(r["d"], r["l"]) for r in payload["rows"]] == [
         (2.3, 1.0), (2.7, 1.0), (2.3, 2.0), (2.7, 2.0),
     ]
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_period_rejects_nonpositive_jobs(capsys, jobs):
-    code, out, err = run(capsys, "period", "--grid-d", "2.5", "--jobs", jobs)
+def test_period_grid_is_bounded(capsys):
+    # 65 x 64 rows is over the cap: refused before any row is computed.
+    grid_d = ",".join(str(2.1 + 0.01 * k) for k in range(65))
+    grid_l = ",".join(str(1.0 + k) for k in range(64))
+    code, out, err = run(capsys, "period", "--grid-d", grid_d, "--grid-l", grid_l)
     assert code == 2
-    assert "--jobs" in err
-
-
-@pytest.mark.parametrize("grid_d,cpus,want", [("2.3,2.5,2.7", 8, 3), ("2.1,2.3,2.5,2.7,2.9", 2, 2)])
-def test_period_pool_is_clamped(monkeypatch, capsys, grid_d, cpus, want):
-    # A fake executor records the pool size; no worker process is started.
-    sizes = []
-
-    class FakeExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    code, out, err = run(capsys, "period", "--grid-d", grid_d, "--jobs", "100000")
-    assert code == 0
-    assert sizes == [want]
+    assert out == ""
+    assert "--grid-d" in err and "--grid-l" in err and str(cli.MAX_GRID_ROWS) in err
 
 
 def test_period_p3_family(capsys):
@@ -274,7 +251,7 @@ def test_config_missing_or_malformed_file(tmp_path, capsys):
 @pytest.mark.parametrize("content,message", [
     ({"tol": "abc"}, "'tol'"),
     ({"verify": {"tol": None}}, "'tol'"),
-    ({"jobs": 1.5}, "'jobs'"),
+    ({"samples": 1.5}, "'samples'"),
     ({"verify": {"format": "xml"}}, "'format'"),
 ])
 def test_config_values_are_type_checked(tmp_path, capsys, content, message):
@@ -309,7 +286,7 @@ def test_separated_negative_value_reads_like_attached(capsys, flag, value, rest)
 
 def test_start_up_does_not_load_scipy_integrate():
     # Only period and simulate integrate an ODE; the other commands must not
-    # pay for importing scipy.integrate, nor for the --jobs process pool.
+    # pay for importing scipy.integrate, nor for concurrent.futures.
     script = (
         "import sys\n"
         "import eulertop.cli as cli\n"
@@ -351,10 +328,47 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, flag, val
     assert err.startswith("error:") and repr(key) in err
 
 
+
+SIMULATE_ARGS = ("--inertia", "1,2,3", "--p0", "0.1,2.0,0.1", "--t", "1")
+
+
+@pytest.mark.parametrize("command,flag,value,key", [
+    ("period", "--tol", "nan", "tol"),
+    ("period", "--tol", "-1", "tol"),
+    ("simulate", "--tol", "nan", "tol"),
+    ("verify", "--tol", "inf", "tol"),
+    ("simulate", "--t", "nan", "t"),
+    ("simulate", "--t", "inf", "t"),
+    ("simulate", "--p0", "nan,0.5,0.2", "p0"),
+    ("series", "--s", "inf", "s"),
+    ("series", "--z", "nan", "z"),
+    ("simulate", "--samples", "0", "samples"),
+    ("simulate", "--samples", "-1", "samples"),
+    ("simulate", "--samples", "100002", "samples"),
+])
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, command, flag, value, key):
+    # Non-finite numbers, a tolerance or time that is not positive, and a
+    # sample count outside 2..100001 exit 2 naming the flag, before any work ...
+    rest = SIMULATE_ARGS if command == "simulate" else ()
+    with pytest.raises(SystemExit) as exc:
+        main([command, *rest, f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err
+
+    # ... and so does the same value from a config file, naming the key.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({command: {key: value}}))
+    code, out, err = run(capsys, command, *rest, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and repr(key) in err
+
 @pytest.mark.parametrize("command,flag,value", [
     ("simulate", "--format", "csv"),
     ("simulate", "--jobs", "2"),
     ("verify", "--jobs", "2"),
+    ("period", "--jobs", "2"),
     ("monodromy", "--tol", "1e-3"),
     ("monodromy", "--format", "json"),
     ("monodromy", "--jobs", "2"),

@@ -14,6 +14,7 @@ from eulertop.dynamics import (
     euler_rhs,
     integrate_orbit,
     orbit_period,
+    orbit_periods,
 )
 from eulertop.periods import euler_period
 
@@ -131,3 +132,24 @@ def test_orbit_period_equilibrium_refusal():
         orbit_period(MomentumState(math.sqrt(2.0), 0.0, 0.0), INERTIA)
     with pytest.raises(DomainError):
         orbit_period(MomentumState(0.0, 0.0, 0.0), INERTIA)
+
+
+def test_orbit_periods_batch_matches_closed_form():
+    # Both families, several l, rows at 1e-4 of the separatrix gap, and one
+    # state flowed off the p2 = 0 plane, all in one call, in row order.
+    rows = [(2.5, 1.0, "p1"), (1.5, 0.3, "p3"), (2.0001, 7.0, "p1"), (1.9999, 1.0, "p3"), (2.9, 0.05, "p1")]
+    states = [chamber_state(d, l) for d, l, _ in rows]
+    traj = integrate_orbit(chamber_state(1.2, 2.0), INERTIA, 0.37, n_samples=11)
+    states.append(MomentumState(*traj.p[-1]))
+    rows.append((1.2, 2.0, "p3"))
+    got = orbit_periods(states, INERTIA)
+    want = [euler_period(ModuliPoint(3, 2, 1, d, l), axis=axis) for d, l, axis in rows]
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+def test_orbit_periods_batch_refuses_one_bad_row():
+    good = [chamber_state(2.5), chamber_state(1.5, 2.0)]
+    with pytest.raises(SeparatrixError):
+        orbit_periods([*good, chamber_state(2.0)], INERTIA)
+    with pytest.raises(DomainError, match="equilibrium"):
+        orbit_periods([good[0], MomentumState(0.0, 0.0, math.sqrt(2.0)), good[1]], INERTIA)
