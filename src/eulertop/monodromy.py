@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import LABELS, cross_ratio
-from .special import _transport_germs, hyper_series
+from .special import _local_frame, _transport_germs
 
 __all__ = [
     "ALPHA_PRESETS",
@@ -299,15 +299,15 @@ def _moduli_samples(loop: ModuliLoop, start_shift: complex = 0.0j) -> np.ndarray
 
 
 def _continuous_sqrt(values: np.ndarray) -> np.ndarray:
-    """Square root along a path, branch chosen by continuity from sample 0."""
-    out = np.empty_like(values)
-    out[0] = np.sqrt(values[0])
-    for i in range(1, len(values)):
-        r = np.sqrt(values[i])
-        if abs(r - out[i - 1]) > abs(r + out[i - 1]):
-            r = -r
-        out[i] = r
-    return out
+    """Square root along a path, branch chosen by continuity from sample 0.
+
+    Root i is negated against root i - 1 when it lies nearer that root's
+    negative; each root's sign is the product of the flips up to it.
+    """
+    r = np.sqrt(values)
+    flips = np.abs(r[1:] - r[:-1]) > np.abs(r[1:] + r[:-1])
+    negated = np.concatenate([[False], np.logical_xor.accumulate(flips)])
+    return np.where(negated, -r, r)
 
 
 def _seed_germs(mu0: complex) -> np.ndarray:
@@ -315,15 +315,16 @@ def _seed_germs(mu0: complex) -> np.ndarray:
 
     Row 0 belongs to S3's numerator (the atInf member, re-expressed through
     K(1 - mu) and K(mu) on the basepoint's side of the axis), row 1 to S1's
-    numerator F(mu).
+    numerator F(mu).  F(mu) and F(1 - mu) are the first members of the at0
+    and at1 frames, which do not depend on the side passed for the second.
     """
     if mu0.imag == 0.0:
         raise MonodromyError("basepoint cross-ratio is real; offsets are required")
     sgn = 1.0 if mu0.imag > 0.0 else -1.0
-    f1, f1d, _, _ = hyper_series(mu0)
-    f3, f3d, _, _ = hyper_series(1.0 - mu0)
-    g1 = np.array([f1, f1d])
-    g3 = np.array([f3, -f3d])
+    at0 = _local_frame("at0", mu0, sgn)
+    at1 = _local_frame("at1", mu0, sgn)
+    g1 = np.array([at0.values[0], at0.derivs[0]])
+    g3 = np.array([at1.values[0], at1.derivs[0]])
     g5 = sgn * 1j * g1 + g3
     return np.vstack([g5, g1])
 

@@ -35,7 +35,7 @@ from .core import (
     lambda_proof,
     mu_main,
 )
-from .special import DivergenceError, elliptic_K
+from .special import DivergenceError, _on_cut, _sqrt_sided, elliptic_K
 
 __all__ = [
     "CYCLE_LABELS",
@@ -78,18 +78,13 @@ class PeriodValue:
             raise ValueError(f"cycle_label must be one of {CYCLE_LABELS}")
 
 
-def _sided_sqrt_d(value: complex, dderiv: complex) -> tuple[complex, bool]:
-    """Square root of a radicand, resolved at the d - i0 limit when on-cut.
+def _d_side(dq_dd: complex) -> int:
+    """The side of the principal cut a quantity q takes at the d - i0 limit.
 
-    ``dderiv`` is the derivative of the radicand with respect to d; under
-    d -> d - i delta the radicand picks up -i delta * dderiv, so the sign of
-    its imaginary part there decides the side of the principal cut.
+    Under d -> d - i delta, q picks up -i delta * dq/dd, so the sign of its
+    imaginary part there is -sign(Re dq/dd).
     """
-    v = complex(value)
-    if abs(v.imag) <= 1e-14 * max(1.0, abs(v)) and v.real < 0.0:
-        side = -1.0 if complex(dderiv).real > 0.0 else 1.0
-        return 1j * side * math.sqrt(-v.real), True
-    return complex(np.sqrt(v)), False
+    return -1 if complex(dq_dd).real > 0.0 else +1
 
 
 def S_closed_form(m: ModuliPoint) -> PeriodValue:
@@ -111,22 +106,15 @@ def S_closed_form(m: ModuliPoint) -> PeriodValue:
             )
 
     mu = mu_main(m)
-    flagged = False
-    if abs(mu.imag) <= 1e-14 * max(1.0, abs(mu)) and mu.real > 1.0:
-        # d - i0 resolves the K cut: Im mu there has the sign of -dmu/dd.
-        dmu_dd = (b - c) * (a - c) / ((b - a) * (d - c) ** 2)
-        side = -1 if dmu_dd.real > 0.0 else +1
-        kval = elliptic_K(mu.real, side=side)
-        flagged = True
-    else:
-        try:
-            kval = elliptic_K(mu)
-        except DivergenceError:
-            raise CoincidentModuliError(("d", "b"), "K argument hit 1: S diverges") from None
-
+    # Both cuts are taken at d - i0; elliptic_K ignores the side off its cut.
+    dmu_dd = (b - c) * (a - c) / ((b - a) * (d - c) ** 2)
+    try:
+        kval = elliptic_K(mu, side=_d_side(dmu_dd))
+    except DivergenceError:
+        raise CoincidentModuliError(("d", "b"), "K argument hit 1: S diverges") from None
     radicand = (d - c) * (a - b)
-    root, rf = _sided_sqrt_d(radicand, a - b)
-    flagged = flagged or rf
+    root = _sqrt_sided(radicand, _d_side(a - b))
+    flagged = _on_cut(1.0 - mu) or _on_cut(radicand)
 
     value = -math.sqrt(2.0 / m.l) / (3.0 * math.pi) * kval / root
     return PeriodValue(value, "sigma1_axis", m, flagged)

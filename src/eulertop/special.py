@@ -58,6 +58,23 @@ BASIS_IDS = ("at0", "at1", "atInf")
 _CUT_ATOL = 1e-14
 
 
+def _on_cut(w: complex) -> bool:
+    """Whether w lies on the principal cut (-inf, 0) of log and sqrt.
+
+    Every cut in this package is this one after a change of variable: K's
+    [1, inf) is 1 - m on it.  The tolerance is relative to max(1, |w|).
+    """
+    return abs(w.imag) <= _CUT_ATOL * max(1.0, abs(w)) and w.real < 0.0
+
+
+def _check_side(side, where: str) -> None:
+    """A declared side is +1 or -1; none at all raises BranchCutError(where)."""
+    if side is None:
+        raise BranchCutError(where)
+    if side not in (+1, -1):
+        raise ValueError(f"side must be +1 or -1, got {side!r}")
+
+
 class RegionError(DomainError):
     """Argument outside the region where a series/basis is defined."""
 
@@ -128,19 +145,15 @@ def elliptic_K(m: complex, side: int | None = None) -> complex:
     m = complex(m)
     if abs(m - 1.0) < 1e-15:
         raise DivergenceError("K(m) diverges logarithmically at m = 1")
-    on_cut = abs(m.imag) <= _CUT_ATOL * max(1.0, abs(m)) and m.real > 1.0
-    if on_cut:
-        if side is None:
-            raise BranchCutError(f"K evaluated on the branch cut [1, inf) at m = {m.real}")
-        if side not in (+1, -1):
-            raise ValueError(f"side must be +1 or -1, got {side!r}")
-        # Sided values from the reciprocal-parameter identity:
-        # K(m +/- i0) = (K(1/m) +/- i K(1 - 1/m)) / sqrt(m).
-        x = m.real
-        k_inv = _agm_K(1.0 / x)
-        k_comp = _agm_K(1.0 - 1.0 / x)
-        return (k_inv + side * 1j * k_comp) / math.sqrt(x)
-    return _agm_K(m)
+    if not _on_cut(1.0 - m):
+        return _agm_K(m)
+    _check_side(side, f"K evaluated on the branch cut [1, inf) at m = {m.real}")
+    # Sided values from the reciprocal-parameter identity:
+    # K(m +/- i0) = (K(1/m) +/- i K(1 - 1/m)) / sqrt(m).
+    x = m.real
+    k_inv = _agm_K(1.0 / x)
+    k_comp = _agm_K(1.0 - 1.0 / x)
+    return (k_inv + side * 1j * k_comp) / math.sqrt(x)
 
 
 # ----------------------------------------------------------------------
@@ -190,20 +203,23 @@ def hyper_series(z: complex) -> tuple[complex, complex, complex, complex]:
 
 
 # ----------------------------------------------------------------------
-# Sided scalar helpers used by the global phi evaluations.
+# Sided scalar helpers: principal values off the cut (-inf, 0); on it, the
+# limit from the declared side, or BranchCutError when none was declared.
 
-def _log_sided(z: complex, side: int) -> complex:
-    z = complex(z)
-    if abs(z.imag) <= _CUT_ATOL * max(1.0, abs(z)) and z.real < 0.0:
-        return math.log(-z.real) + side * 1j * math.pi
-    return cmath.log(z)
+def _log_sided(w: complex, side: int | None = None) -> complex:
+    w = complex(w)
+    if not _on_cut(w):
+        return cmath.log(w)
+    _check_side(side, f"log evaluated on its branch cut (-inf, 0) at {w.real}")
+    return math.log(-w.real) + side * 1j * math.pi
 
 
-def _sqrt_sided(z: complex, side: int) -> complex:
-    z = complex(z)
-    if abs(z.imag) <= _CUT_ATOL * max(1.0, abs(z)) and z.real < 0.0:
-        return side * 1j * math.sqrt(-z.real)
-    return cmath.sqrt(z)
+def _sqrt_sided(w: complex, side: int | None = None) -> complex:
+    w = complex(w)
+    if not _on_cut(w):
+        return cmath.sqrt(w)
+    _check_side(side, f"sqrt evaluated on its branch cut (-inf, 0) at {w.real}")
+    return side * 1j * math.sqrt(-w.real)
 
 
 # ----------------------------------------------------------------------
@@ -212,6 +228,9 @@ def _sqrt_sided(z: complex, side: int) -> complex:
 # (the trailing s marks the starred normalization).
 
 PHI_NAMES = ("phi1", "phi2s", "phi3", "phi4s", "phi5", "phi6s")
+
+# Each logarithmic companion is the second member of one local basis.
+_COMPANION_BASIS = {"phi2s": "at0", "phi4s": "at1", "phi6s": "atInf"}
 
 
 def phi_value(name: str, z: complex, side: int = +1) -> complex:
@@ -223,8 +242,7 @@ def phi_value(name: str, z: complex, side: int = +1) -> complex:
     The logarithmic companions are only provided inside their series disc.
     """
     z = complex(z)
-    if side not in (+1, -1):
-        raise ValueError(f"side must be +1 or -1, got {side!r}")
+    _check_side(side, "phi_value needs a side")
     if name == "phi1":
         return (2.0 / math.pi) * elliptic_K(z, side=side)
     if name == "phi3":
@@ -235,18 +253,8 @@ def phi_value(name: str, z: complex, side: int = +1) -> complex:
             raise RegionError("phi5 is singular at z = 0")
         # Both 1/z and -z acquire the opposite infinitesimal side.
         return (2.0 / math.pi) * elliptic_K(1.0 / z, side=-side) / _sqrt_sided(-z, -side)
-    if name == "phi2s":
-        f, _, fs, _ = hyper_series(z)
-        return f * _log_sided(z, side) + fs
-    if name == "phi4s":
-        w = 1.0 - z
-        f, _, fs, _ = hyper_series(w)
-        return f * _log_sided(w, -side) + fs
-    if name == "phi6s":
-        if abs(z) <= 1.0:
-            raise RegionError(f"phi6s series requires |z| > 1, got |z| = {abs(z):.6g}")
-        f, _, fs, _ = hyper_series(1.0 / z)
-        return (f * _log_sided(-z, -side) - fs) / _sqrt_sided(-z, -side)
+    if name in _COMPANION_BASIS:
+        return _local_frame(_COMPANION_BASIS[name], z, side).values[1]
     raise ValueError(f"unknown solution name {name!r}, expected one of {PHI_NAMES}")
 
 
@@ -289,60 +297,52 @@ def basis_eval(basis_id: str, z: complex) -> SolutionFrame:
     |z| > 1 with z off the ray [1, inf) (its log/sqrt prefactors are cut
     there).
     """
+    return _local_frame(basis_id, z, None)
+
+
+def _local_frame(basis_id: str, z: complex, side: int | None) -> SolutionFrame:
+    """``basis_eval`` with the prefactors' cut resolved by ``side``.
+
+    The one caller of the series.  Errors come in the order region,
+    divergence, cut, all before the series is summed.
+    """
     z = complex(z)
+    # Im(1 - z) = Im(-z) = -Im z: the prefactors of at1 and atInf take the
+    # opposite side.
+    flip = None if side is None else -side
+    branch_log = {"around0": 0.0, "around1": 0.0}
     if basis_id == "at0":
         if abs(z) >= 1.0:
             raise RegionError(f"at0 basis requires |z| < 1, got |z| = {abs(z):.6g}")
         if abs(z) < 1e-300:
             raise DivergenceError("the logarithmic solution at z = 0 diverges; evaluate off the puncture")
-        on_cut = abs(z.imag) <= _CUT_ATOL and z.real < 0.0
-        if on_cut:
-            raise BranchCutError(f"at0 log prefactor is cut along (-inf, 0], z = {z.real}")
+        lg = _log_sided(z, side)
         f, fd, fs, fsd = hyper_series(z)
-        lg = cmath.log(z)
-        return SolutionFrame(
-            "at0",
-            (f, f * lg + fs),
-            z,
-            (fd, fd * lg + f / z + fsd),
-            {"around0": 0.0, "around1": 0.0},
-        )
+        return SolutionFrame("at0", (f, f * lg + fs), z, (fd, fd * lg + f / z + fsd), branch_log)
     if basis_id == "at1":
         w = 1.0 - z
         if abs(w) >= 1.0:
             raise RegionError(f"at1 basis requires |1 - z| < 1, got {abs(w):.6g}")
         if abs(w) < 1e-300:
             raise DivergenceError("the logarithmic solution at z = 1 diverges; evaluate off the puncture")
-        if abs(w.imag) <= _CUT_ATOL and w.real < 0.0:
-            raise BranchCutError(f"at1 log prefactor is cut along z in [1, inf), z = {z.real}")
+        lg = _log_sided(w, flip)
         f, fd, fs, fsd = hyper_series(w)
-        lg = cmath.log(w)
         # d/dz = -d/dw throughout.
-        return SolutionFrame(
-            "at1",
-            (f, f * lg + fs),
-            z,
-            (-fd, -(fd * lg + f / w + fsd)),
-            {"around0": 0.0, "around1": 0.0},
-        )
+        return SolutionFrame("at1", (f, f * lg + fs), z, (-fd, -(fd * lg + f / w + fsd)), branch_log)
     if basis_id == "atInf":
         if abs(z) <= 1.0:
             raise RegionError(f"atInf basis requires |z| > 1, got |z| = {abs(z):.6g}")
-        if abs(z.imag) <= _CUT_ATOL * abs(z) and z.real > 0.0:
-            raise BranchCutError(f"atInf prefactors are cut along [1, inf), z = {z.real}")
+        rt = _sqrt_sided(-z, flip)
+        lg = _log_sided(-z, flip)
         w = 1.0 / z
         f, fd, fs, fsd = hyper_series(w)
-        rt = cmath.sqrt(-z)
-        lg = cmath.log(-z)
         v1 = f / rt
         v2 = (f * lg - fs) / rt
         # Chain rule with w = 1/z (dw/dz = -1/z^2) and d/dz log(-z) = 1/z.
         dw = -1.0 / (z * z)
         d1 = (fd * dw) / rt - 0.5 * f / (rt * z)
         d2 = (fd * dw * lg + f / z - fsd * dw) / rt - 0.5 * (f * lg - fs) / (rt * z)
-        return SolutionFrame(
-            "atInf", (v1, v2), z, (d1, d2), {"around0": 0.0, "around1": 0.0}
-        )
+        return SolutionFrame("atInf", (v1, v2), z, (d1, d2), branch_log)
     raise ValueError(f"basis_id must be one of {BASIS_IDS}, got {basis_id!r}")
 
 
