@@ -253,13 +253,14 @@ def cmd_period(args: argparse.Namespace) -> int:
             )
             return 1
     try:
+        inertia = InertiaSpec.from_reciprocals(a, b, c)
         routes = [_closed_and_quadrature(ModuliPoint(a, b, c, d, l=l), args.axis) for d, l in grid]
         # ODE route: the orbit with p2 = 0 on the matching oval, all rows in one solve.
         states = [
             MomentumState(math.sqrt(abs(2.0 * l * (d - c) / (a - c))), 0.0, math.sqrt(abs(2.0 * l * (a - d) / (a - c))))
             for d, l in grid
         ]
-        periods = orbit_periods(states, InertiaSpec(1.0 / a, 1.0 / b, 1.0 / c), tol=min(1e-12, tol))
+        periods = orbit_periods(states, inertia, tol=min(1e-12, tol))
     except (DomainError, SeparatrixError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -92,6 +92,10 @@ class InertiaSpec:
 
     @staticmethod
     def from_reciprocals(a: float, b: float, c: float) -> "InertiaSpec":
+        """The moments (1/a, 1/b, 1/c); each reciprocal must be positive and finite."""
+        for name, value in (("a", a), ("b", b), ("c", c)):
+            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value <= 0.0:
+                raise DomainError(f"reciprocal moment {name} must be positive and finite, got {value!r}")
         return InertiaSpec(1.0 / a, 1.0 / b, 1.0 / c)
 
 
@@ -152,7 +156,7 @@ class ModuliPoint:
         data.update(kw)
         return ModuliPoint(**data)
 
-    # JSON field names are fixed; the CLI round-trips through this format.
+    # JSON field names are fixed; to_json_dict and from_json_dict are inverses.
     def to_json_dict(self) -> dict:
         out: dict = {}
         for n in LABELS:

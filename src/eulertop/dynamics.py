@@ -80,6 +80,13 @@ def _field(p, reciprocals) -> np.ndarray:
     return np.array([-(b - c) * p[1] * p[2], -(c - a) * p[2] * p[0], -(a - b) * p[0] * p[1]])
 
 
+def _characteristic_time(l, reciprocals):
+    """1/sqrt(2 l (a - c)(a - b)), a > b > c the sorted reciprocals: the time
+    an orbit at Casimir level l takes to turn by about a radian."""
+    a, b, c = sorted(reciprocals, reverse=True)
+    return 1.0 / np.sqrt(2.0 * l * (a - c) * (a - b))
+
+
 def conserved(p, inertia: InertiaSpec):
     """The pair (H, L) = (energy, Casimir) at one state (3,) or a stack (3, N)."""
     if isinstance(p, MomentumState):
@@ -152,13 +159,22 @@ def integrate_orbit(
     """Integrate the momentum equations to t_end with an adaptive RK8(5,3).
 
     Samples are taken on a uniform grid via dense output.  Energy and Casimir
-    are evaluated at every sample so drift is directly inspectable.
+    are evaluated at every sample so drift is directly inspectable.  A t_end
+    beyond MAX_CHARACTERISTIC_TIMES characteristic times raises DomainError
+    before any work starts.
     """
     if t_end <= 0.0:
         raise DomainError(f"t_end must be positive, got {t_end!r}")
+    reciprocals = inertia.reciprocals()
+    _, l = conserved(state.as_array(), inertia)
+    t_max = MAX_CHARACTERISTIC_TIMES * _characteristic_time(l, reciprocals) if l > 0.0 else math.inf
+    if t_end > t_max:
+        raise DomainError(
+            f"t_end = {t_end!r} exceeds {MAX_CHARACTERISTIC_TIMES:g} characteristic times "
+            f"({t_max:.6g} time units) of this orbit"
+        )
     from scipy.integrate import solve_ivp
 
-    reciprocals = inertia.reciprocals()
     sol = solve_ivp(
         lambda t, p: _field(p, reciprocals),
         (0.0, t_end),
@@ -180,8 +196,9 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     Orbit k's Poincare section is the plane through its start point, normal
     to the flow there; its period is its first return to that plane in the
     same direction.  All orbits run as one 3N-dimensional DOP853 system,
-    orbit k in its own characteristic time 1/sqrt(2 l_k (a - c)(a - b)),
-    a > b > c the sorted reciprocals, so all turn at a comparable rate.
+    orbit k scaled to the unit sphere and in its own characteristic time
+    1/sqrt(2 l_k (a - c)(a - b)), a > b > c the sorted reciprocals, so all
+    turn at a comparable rate and l_k scales only the returned period.
     Returns are found after each step and refined together by bisection on
     the step's dense output, so memory stays proportional to N.
 
@@ -195,12 +212,16 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     if n == 0:
         return np.empty(0)
     reciprocals = inertia.reciprocals()
-    f0 = _field(p0, reciprocals)
-    speed = np.linalg.norm(f0, axis=0)
     h, l = conserved(p0, inertia)
     if np.any(l <= 0.0):
         raise DomainError("zero momentum has no orbit")
-    if np.any(speed < 1e-13 * 2.0 * l * max(reciprocals)):
+    # Orbit k runs on the unit sphere, q = p / sqrt(2 l_k), in its own
+    # characteristic time, where the field is _field(q) / sqrt((a - c)(a - b)):
+    # l enters only through t_char.
+    q0 = p0 / np.sqrt(2.0 * l)
+    f0 = _field(q0, reciprocals)
+    speed = np.linalg.norm(f0, axis=0)
+    if np.any(speed < 1e-13 * max(reciprocals)):
         raise DomainError("initial condition is an equilibrium; the orbit is a point")
     a, b, c = sorted(reciprocals, reverse=True)
     h_sep = b * l
@@ -208,12 +229,13 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     if near.any():
         k = np.argmax(near)
         raise SeparatrixError(f"energy h = {float(h[k])!r} is within 1e-8 of the separatrix value {float(h_sep[k])!r}")
-    t_char = 1.0 / np.sqrt(2.0 * l * (a - c) * (a - b))
+    t_char = _characteristic_time(l, reciprocals)
+    t_unit = _characteristic_time(0.5, reciprocals)  # on the unit sphere, 2 l = 1
     normal = f0 / speed
 
-    def section(p, rows=slice(None)):
-        # How far each row's p (3, rows) lies past its section plane.
-        return np.sum((p - p0[:, rows]) * normal[:, rows], axis=0)
+    def section(q, rows=slice(None)):
+        # How far each row's q (3, rows) lies past its section plane.
+        return np.sum((q - q0[:, rows]) * normal[:, rows], axis=0)
 
     from scipy.integrate import DOP853
 
@@ -221,8 +243,8 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     # tol / sqrt(N), no orbit is held looser than if it were solved alone.
     batch_tol = tol / math.sqrt(n)
     solver = DOP853(
-        lambda tau, y: (t_char * _field(y.reshape(3, n), reciprocals)).ravel(),
-        0.0, p0.ravel(), MAX_CHARACTERISTIC_TIMES,
+        lambda tau, y: (t_unit * _field(y.reshape(3, n), reciprocals)).ravel(),
+        0.0, q0.ravel(), MAX_CHARACTERISTIC_TIMES,
         rtol=max(batch_tol, 100.0 * np.finfo(float).eps), atol=batch_tol,  # scipy's rtol floor
     )
     period = np.full(n, np.nan)

@@ -231,28 +231,30 @@ def quadrature_sigma_integral(m: ModuliPoint, s: float = 0.0) -> PeriodValue:
     """
     a, b, c, d, l = _real_chamber_coords(m)
 
+    # The arcs are integrated on the sphere with 2 l = 1; l enters only as
+    # the prefactor 1/sqrt(2 l).
     # Arc in the p2 coordinate: p2 ranges over (-P, P).
-    P = math.sqrt(2.0 * l * (a - d) / (a - b))
+    P = math.sqrt((a - d) / (a - b))
 
     def g1(x, dlo, dhi):
-        # Q1 = (a - b)(P - x)(P + x), Q2 = 2 l (d - c) - (b - c) x^2;
+        # Q1 = (a - b)(P - x)(P + x), Q2 = (d - c) - (b - c) x^2;
         # the product is positive in both chamber orientations.
-        q2 = 2.0 * l * (d - c) - (b - c) * x * x
+        q2 = (d - c) - (b - c) * x * x
         prod = (a - b) * dlo * dhi * q2
         return 1.0 / math.sqrt(prod)
 
     # Arc in the p3 coordinate: p3 ranges over (-P3, P3).
-    P3 = math.sqrt(2.0 * l * (a - d) / (a - c))
+    P3 = math.sqrt((a - d) / (a - c))
 
     def g2(x, dlo, dhi):
-        g1v = 2.0 * l * (d - b) + (b - c) * x * x
+        g1v = (d - b) + (b - c) * x * x
         prod = (a - c) * dlo * dhi * g1v
         return 1.0 / math.sqrt(prod)
 
     # An arc of weight 0 is not integrated.
     i1 = tanh_sinh(g1, -P, P) / 3.0 if s != 1.0 else 0.0
     i2 = tanh_sinh(g2, -P3, P3) / 3.0 if s != 0.0 else 0.0
-    value = -((1.0 - s) * i1 + s * i2) / math.pi
+    value = -((1.0 - s) * i1 + s * i2) / (math.pi * math.sqrt(2.0 * l))
     return PeriodValue(value, "sigma1_axis", m)
 
 

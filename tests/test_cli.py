@@ -119,6 +119,32 @@ def test_period_chamber_violation(capsys):
     assert "error" in err
 
 
+def test_period_rejects_nonpositive_reciprocal(capsys):
+    code, out, err = run(capsys, "period", "--abc", "3,2,0", "--grid-d", "2.5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "reciprocal" in err
+
+
+def test_period_casimir_level_extremes(capsys):
+    code, out, err = run(
+        capsys, "period", "--grid-d", "2.5", "--grid-l", "1e-300,1e-100,1e100,1e300", "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["rows"]) == 4
+    assert report["max_deviation"] < 1e-12
+
+
+def test_simulate_horizon_is_bounded(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--inertia", "1,2,3", "--p0", "1,1,1", "--t", "1e9", "--samples", "3",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "characteristic times" in err
+
+
 def test_verify_battery(capsys):
     code, out, err = run(capsys, "verify")
     assert code == 0

@@ -46,6 +46,12 @@ def test_inertia_from_reciprocals_roundtrip():
     assert spec.reciprocals() == pytest.approx((3.0, 2.0, 1.0))
 
 
+@pytest.mark.parametrize("reciprocals", [(3.0, 2.0, 0.0), (3.0, -2.0, 1.0), (float("nan"), 2.0, 1.0), (3.0, float("inf"), 1.0)])
+def test_inertia_from_reciprocals_rejects_nonpositive_or_nonfinite(reciprocals):
+    with pytest.raises(DomainError, match="reciprocal"):
+        InertiaSpec.from_reciprocals(*reciprocals)
+
+
 def test_moduli_from_mechanics_base_chamber():
     m = moduli_from_mechanics(InertiaSpec(1 / 3, 1 / 2, 1.0), l=1.0, h=2.5)
     assert m.coords() == pytest.approx((3.0, 2.0, 1.0, 2.5))

@@ -7,6 +7,7 @@ import pytest
 
 from eulertop.core import DomainError, InertiaSpec, ModuliPoint
 from eulertop.dynamics import (
+    MAX_CHARACTERISTIC_TIMES,
     MomentumState,
     SeparatrixError,
     classify_equilibria,
@@ -89,6 +90,16 @@ def test_integrate_orbit_rejects_bad_horizon():
         integrate_orbit(chamber_state(2.5), INERTIA, -1.0)
 
 
+def test_integrate_orbit_bounds_horizon_in_characteristic_times():
+    # t_char = 1/sqrt(2 l (a - c)(a - b)) = 1/2 at l = 1 on INERTIA.
+    state = chamber_state(2.5)
+    t_max = MAX_CHARACTERISTIC_TIMES / 2.0
+    with pytest.raises(DomainError, match="characteristic times"):
+        integrate_orbit(state, INERTIA, 1.001 * t_max, n_samples=3)
+    with pytest.raises(DomainError, match="characteristic times"):
+        integrate_orbit(MomentumState(1.0, 1.0, 1.0), InertiaSpec(1.0, 2.0, 3.0), 1e9, n_samples=3)
+
+
 @pytest.mark.parametrize("d", [2.1, 2.5, 2.9])
 def test_orbit_period_matches_closed_form(d):
     period = orbit_period(chamber_state(d), INERTIA)
@@ -144,6 +155,15 @@ def test_orbit_periods_batch_matches_closed_form():
     rows.append((1.2, 2.0, "p3"))
     got = orbit_periods(states, INERTIA)
     want = [euler_period(ModuliPoint(3, 2, 1, d, l), axis=axis) for d, l, axis in rows]
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+def test_orbit_periods_casimir_level_is_a_prefactor():
+    # Orbits are solved on the unit sphere, so l from 1e-300 to 1e300 only
+    # rescales the period by 1/sqrt(l).
+    levels = [1e-300, 1e-100, 1.0, 1e100, 1e300]
+    got = orbit_periods([chamber_state(2.5, l) for l in levels], INERTIA)
+    want = [euler_period(ModuliPoint(3, 2, 1, 2.5, l)) for l in levels]
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 

@@ -114,6 +114,13 @@ def test_sigma_quadrature_reversed_chamber():
     assert got.value == pytest.approx(S_REVERSED, rel=1e-12)
 
 
+@pytest.mark.parametrize("l", [1e-300, 1e-200, 1e-100, 1e100, 1e300])
+def test_sigma_quadrature_casimir_level_is_a_prefactor(l):
+    for s in (0.0, 1.0):
+        got = quadrature_sigma_integral(BASE.replace(l=l), s=s)
+        assert got.value == pytest.approx(S1 * math.sqrt(1.0 / l), rel=1e-12)
+
+
 def test_sigma_quadrature_needs_real_chamber():
     with pytest.raises(DomainError):
         quadrature_sigma_integral(ModuliPoint(3, 2, 1, 2.5 + 1e-3j, 1.0))
