@@ -241,7 +241,10 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
 
     # A step passes when the RMS of all 3N scaled errors is at most 1; with
     # tol / sqrt(N), no orbit is held looser than if it were solved alone.
-    batch_tol = tol / math.sqrt(n)
+    # atol and rtol are each half of that, so a component's allowance
+    # atol + rtol |q_i| stays below it on the unit sphere, relative to the
+    # orbit's size whatever l is.
+    batch_tol = 0.5 * tol / math.sqrt(n)
     solver = DOP853(
         lambda tau, y: (t_unit * _field(y.reshape(3, n), reciprocals)).ravel(),
         0.0, q0.ravel(), MAX_CHARACTERISTIC_TIMES,

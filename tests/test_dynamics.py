@@ -88,16 +88,9 @@ def test_integrate_orbit_conserves_invariants():
 def test_integrate_orbit_rejects_bad_horizon():
     with pytest.raises(DomainError):
         integrate_orbit(chamber_state(2.5), INERTIA, -1.0)
-
-
-def test_integrate_orbit_bounds_horizon_in_characteristic_times():
-    # t_char = 1/sqrt(2 l (a - c)(a - b)) = 1/2 at l = 1 on INERTIA.
-    state = chamber_state(2.5)
-    t_max = MAX_CHARACTERISTIC_TIMES / 2.0
+    # The characteristic time 1/sqrt(2 l (a - c)(a - b)) is 1/2 here.
     with pytest.raises(DomainError, match="characteristic times"):
-        integrate_orbit(state, INERTIA, 1.001 * t_max, n_samples=3)
-    with pytest.raises(DomainError, match="characteristic times"):
-        integrate_orbit(MomentumState(1.0, 1.0, 1.0), InertiaSpec(1.0, 2.0, 3.0), 1e9, n_samples=3)
+        integrate_orbit(chamber_state(2.5), INERTIA, 1.001 * MAX_CHARACTERISTIC_TIMES / 2.0, n_samples=3)
 
 
 @pytest.mark.parametrize("d", [2.1, 2.5, 2.9])
@@ -146,24 +139,17 @@ def test_orbit_period_equilibrium_refusal():
 
 
 def test_orbit_periods_batch_matches_closed_form():
-    # Both families, several l, rows at 1e-4 of the separatrix gap, and one
-    # state flowed off the p2 = 0 plane, all in one call, in row order.
-    rows = [(2.5, 1.0, "p1"), (1.5, 0.3, "p3"), (2.0001, 7.0, "p1"), (1.9999, 1.0, "p3"), (2.9, 0.05, "p1")]
+    # Both families, l from 1e-300 to 1e300, rows at 1e-4 of the separatrix
+    # gap, and one state flowed off the p2 = 0 plane, all in one call, in
+    # row order.
+    rows = [(2.5, 1.0, "p1"), (1.5, 0.3, "p3"), (2.0001, 7.0, "p1"), (1.9999, 1.0, "p3"), (2.9, 0.05, "p1"),
+            (2.5, 1e-300, "p1"), (1.5, 1e300, "p3")]
     states = [chamber_state(d, l) for d, l, _ in rows]
     traj = integrate_orbit(chamber_state(1.2, 2.0), INERTIA, 0.37, n_samples=11)
     states.append(MomentumState(*traj.p[-1]))
     rows.append((1.2, 2.0, "p3"))
     got = orbit_periods(states, INERTIA)
     want = [euler_period(ModuliPoint(3, 2, 1, d, l), axis=axis) for d, l, axis in rows]
-    np.testing.assert_allclose(got, want, rtol=1e-10)
-
-
-def test_orbit_periods_casimir_level_is_a_prefactor():
-    # Orbits are solved on the unit sphere, so l from 1e-300 to 1e300 only
-    # rescales the period by 1/sqrt(l).
-    levels = [1e-300, 1e-100, 1.0, 1e100, 1e300]
-    got = orbit_periods([chamber_state(2.5, l) for l in levels], INERTIA)
-    want = [euler_period(ModuliPoint(3, 2, 1, 2.5, l)) for l in levels]
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
