@@ -299,11 +299,8 @@ def _moduli_samples(loop: ModuliLoop, start_shift: complex = 0.0j) -> np.ndarray
 
 
 def _continuous_sqrt(values: np.ndarray) -> np.ndarray:
-    """Square root along a path, branch chosen by continuity from sample 0.
-
-    Root i is negated against root i - 1 when it lies nearer that root's
-    negative; each root's sign is the product of the flips up to it.
-    """
+    """Square root along a path, branch chosen by continuity from sample 0:
+    each root's sign is the product of the flips up to it."""
     r = np.sqrt(values)
     flips = np.abs(r[1:] - r[:-1]) > np.abs(r[1:] + r[:-1])
     negated = np.concatenate([[False], np.logical_xor.accumulate(flips)])
@@ -315,8 +312,7 @@ def _seed_germs(mu0: complex) -> np.ndarray:
 
     Row 0 belongs to S3's numerator (the atInf member, re-expressed through
     K(1 - mu) and K(mu) on the basepoint's side of the axis), row 1 to S1's
-    numerator F(mu).  F(mu) and F(1 - mu) are the first members of the at0
-    and at1 frames, which do not depend on the side passed for the second.
+    numerator F(mu).  The side passed resolves only the frames' log members.
     """
     if mu0.imag == 0.0:
         raise MonodromyError("basepoint cross-ratio is real; offsets are required")

@@ -79,11 +79,8 @@ class PeriodValue:
 
 
 def _d_side(dq_dd: complex) -> int:
-    """The side of the principal cut a quantity q takes at the d - i0 limit.
-
-    Under d -> d - i delta, q picks up -i delta * dq/dd, so the sign of its
-    imaginary part there is -sign(Re dq/dd).
-    """
+    """The side q takes at d - i0: under d -> d - i delta, q picks up
+    -i delta dq/dd."""
     return -1 if complex(dq_dd).real > 0.0 else +1
 
 

@@ -59,11 +59,8 @@ _CUT_ATOL = 1e-14
 
 
 def _on_cut(w: complex) -> bool:
-    """Whether w lies on the principal cut (-inf, 0) of log and sqrt.
-
-    Every cut in this package is this one after a change of variable: K's
-    [1, inf) is 1 - m on it.  The tolerance is relative to max(1, |w|).
-    """
+    """Whether w is on the cut (-inf, 0) of log and sqrt; every cut here is
+    this one after a change of variable (K's [1, inf) is 1 - m on it)."""
     return abs(w.imag) <= _CUT_ATOL * max(1.0, abs(w)) and w.real < 0.0
 
 
@@ -301,16 +298,12 @@ def basis_eval(basis_id: str, z: complex) -> SolutionFrame:
 
 
 def _local_frame(basis_id: str, z: complex, side: int | None) -> SolutionFrame:
-    """``basis_eval`` with the prefactors' cut resolved by ``side``.
-
-    The one caller of the series.  Errors come in the order region,
-    divergence, cut, all before the series is summed.
-    """
+    """``basis_eval`` with the prefactors' cut resolved by ``side``; the one
+    caller of the series.  Errors come in the order region, divergence, cut."""
     z = complex(z)
     # Im(1 - z) = Im(-z) = -Im z: the prefactors of at1 and atInf take the
     # opposite side.
     flip = None if side is None else -side
-    branch_log = {"around0": 0.0, "around1": 0.0}
     if basis_id == "at0":
         if abs(z) >= 1.0:
             raise RegionError(f"at0 basis requires |z| < 1, got |z| = {abs(z):.6g}")
@@ -318,7 +311,13 @@ def _local_frame(basis_id: str, z: complex, side: int | None) -> SolutionFrame:
             raise DivergenceError("the logarithmic solution at z = 0 diverges; evaluate off the puncture")
         lg = _log_sided(z, side)
         f, fd, fs, fsd = hyper_series(z)
-        return SolutionFrame("at0", (f, f * lg + fs), z, (fd, fd * lg + f / z + fsd), branch_log)
+        return SolutionFrame(
+            "at0",
+            (f, f * lg + fs),
+            z,
+            (fd, fd * lg + f / z + fsd),
+            {"around0": 0.0, "around1": 0.0},
+        )
     if basis_id == "at1":
         w = 1.0 - z
         if abs(w) >= 1.0:
@@ -328,7 +327,13 @@ def _local_frame(basis_id: str, z: complex, side: int | None) -> SolutionFrame:
         lg = _log_sided(w, flip)
         f, fd, fs, fsd = hyper_series(w)
         # d/dz = -d/dw throughout.
-        return SolutionFrame("at1", (f, f * lg + fs), z, (-fd, -(fd * lg + f / w + fsd)), branch_log)
+        return SolutionFrame(
+            "at1",
+            (f, f * lg + fs),
+            z,
+            (-fd, -(fd * lg + f / w + fsd)),
+            {"around0": 0.0, "around1": 0.0},
+        )
     if basis_id == "atInf":
         if abs(z) <= 1.0:
             raise RegionError(f"atInf basis requires |z| > 1, got |z| = {abs(z):.6g}")
@@ -342,7 +347,9 @@ def _local_frame(basis_id: str, z: complex, side: int | None) -> SolutionFrame:
         dw = -1.0 / (z * z)
         d1 = (fd * dw) / rt - 0.5 * f / (rt * z)
         d2 = (fd * dw * lg + f / z - fsd * dw) / rt - 0.5 * (f * lg - fs) / (rt * z)
-        return SolutionFrame("atInf", (v1, v2), z, (d1, d2), branch_log)
+        return SolutionFrame(
+            "atInf", (v1, v2), z, (d1, d2), {"around0": 0.0, "around1": 0.0}
+        )
     raise ValueError(f"basis_id must be one of {BASIS_IDS}, got {basis_id!r}")
 
 
