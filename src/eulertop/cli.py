@@ -26,35 +26,11 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .core import DomainError, InertiaSpec, ModuliPoint, Permutation4, apply_permutation
-from .dynamics import (
-    IntegrationError,
-    MomentumState,
-    SeparatrixError,
-    integrate_orbit,
-    orbit_periods,
-)
-from .monodromy import (
-    ALPHA_PRESETS,
-    GENERATOR_LABELS,
-    ModuliLoop,
-    MonodromyError,
-    loop_monodromy,
-    numeric_vs_stated,
-    preset_monodromy,
-    verify_braid_relations,
-    verify_confluence_product,
-)
-from .periods import (
-    birkhoff_series,
-    phi_prime,
-    quadrature_sigma_integral,
-    verify_connection_identity,
-    verify_symmetries,
-)
+
+# Each command imports the layers it runs when it starts, so none pays for a
+# layer it does not use: ``--version`` and ``series`` never load numpy.
 
 __all__ = ["main", "build_parser"]
 
@@ -207,6 +183,8 @@ def _json_dump(obj) -> str:
 # simulate
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .dynamics import IntegrationError, MomentumState, integrate_orbit
+
     try:
         inertia = InertiaSpec(*args.inertia)
         p0 = MomentumState(*args.p0)
@@ -230,6 +208,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # period
 
 def _closed_and_quadrature(m: ModuliPoint, axis: str) -> tuple[complex, complex]:
+    from .periods import phi_prime, quadrature_sigma_integral
+
     closed = phi_prime(axis, m).value
     if axis == "p3":
         m = apply_permutation(m, Permutation4.from_cycles("(ac)"))
@@ -237,6 +217,8 @@ def _closed_and_quadrature(m: ModuliPoint, axis: str) -> tuple[complex, complex]
 
 
 def cmd_period(args: argparse.Namespace) -> int:
+    from .dynamics import IntegrationError, MomentumState, SeparatrixError, orbit_periods
+
     a, b, c = args.abc
     tol = args.tol
     if len(args.grid_d) * len(args.grid_l) > MAX_GRID_ROWS:
@@ -295,6 +277,13 @@ def cmd_period(args: argparse.Namespace) -> int:
 # verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .birkhoff import birkhoff_series
+    from .monodromy import verify_confluence_product
+    from .periods import verify_connection_identity, verify_symmetries
+    from .special import elliptic_K
+
     tol = args.tol
     report: dict = {}
     failures: list[str] = []
@@ -345,8 +334,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
 
     # Modular identity of K across the lambda -> lambda/(lambda-1) map.
-    from .special import elliptic_K
-
     lams = np.linspace(-5.0, 0.5, 101)
     worst_modular = 0.0
     for lam in lams:
@@ -402,6 +389,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # monodromy
 
 def cmd_monodromy(args: argparse.Namespace) -> int:
+    from .monodromy import (
+        ALPHA_PRESETS,
+        GENERATOR_LABELS,
+        ModuliLoop,
+        MonodromyError,
+        loop_monodromy,
+        numeric_vs_stated,
+        preset_monodromy,
+        verify_braid_relations,
+        verify_confluence_product,
+    )
+    from .special import ContinuationStallError
+
     preset, loop_file = args.preset, args.loop
     if bool(preset) == bool(loop_file):
         print("error: give exactly one of --preset or --loop", file=sys.stderr)
@@ -448,7 +448,7 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
         else:
             print(f"error: unknown preset {preset!r}", file=sys.stderr)
             return 2
-    except (MonodromyError, OSError, ValueError) as exc:
+    except (MonodromyError, ContinuationStallError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(_json_dump(out), args.out)
@@ -459,6 +459,8 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
 # series
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from .birkhoff import birkhoff_series
+
     if args.z is not None and args.s is None:
         print("error: --z needs --s: the series is evaluated at a shape ratio", file=sys.stderr)
         return 2

@@ -54,10 +54,13 @@ PEER_OFFSET = -1e-3j
 
 _EXTRACTION_TOL = 1e-6
 
-# Transport samples on each turn of a loop's circle, and the largest
-# |winding| a loop may ask for.
+# Transport samples on each turn of a loop's circle, the largest |winding|
+# a loop may ask for, and the farthest its start may lie from the center:
+# the approach path takes 96 samples per unit of distance, so about 6,100
+# at this bound.
 _SAMPLES_PER_TURN = 256
 MAX_WINDING = 16
+MAX_START_DISTANCE = 64.0
 
 
 class MonodromyError(RuntimeError):
@@ -124,8 +127,9 @@ class ModuliLoop:
     frozen : dict
         Values of the three non-moving coordinates.
     start : complex, optional
-        Where the mover begins and ends.  Defaults to a point on the ray
-        from the center through theta = 0, two radii out.
+        Where the mover begins and ends, at most ``MAX_START_DISTANCE``
+        from the center.  Defaults to a point on the ray from the center
+        through theta = 0, two radii out.
     """
 
     move: str
@@ -147,6 +151,11 @@ class ModuliLoop:
             raise ValueError(f"|winding| must be at most {MAX_WINDING}, got {self.winding!r}")
         if self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
+        distance = abs(self.effective_start() - complex(self.center))
+        if not distance <= MAX_START_DISTANCE:
+            raise ValueError(
+                f"start must lie within {MAX_START_DISTANCE:g} of the center, got distance {distance:.6g}"
+            )
         # The circle may enclose at most the frozen coordinate at its center;
         # every other frozen value must stay strictly outside.
         others = [

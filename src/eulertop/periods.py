@@ -14,15 +14,14 @@ T = 6 pi |S| in the elliptic chambers.
 The module provides the closed form, two independent quadrature routes
 (a real arc decomposition for the elliptic cycles and a hyperbolic-arc
 decomposition for the connecting cycle), the three-term identity checker,
-the 24-fold covariance report, and the exact rational series of the
-inverse Birkhoff normal form derivative.
+and the 24-fold covariance report.  The exact rational series of the
+inverse Birkhoff normal form lives in ``birkhoff``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,11 +39,8 @@ from .special import DivergenceError, _on_cut, _sqrt_sided, elliptic_K
 __all__ = [
     "CYCLE_LABELS",
     "PeriodValue",
-    "SeriesCoefficients",
     "S_closed_form",
     "SymmetryReport",
-    "birkhoff_normalization",
-    "birkhoff_series",
     "euler_period",
     "phi_prime",
     "quadrature_sigma_integral",
@@ -55,8 +51,6 @@ __all__ = [
 ]
 
 CYCLE_LABELS = ("sigma1_axis", "sigma3_axis", "gamma_hyperbolic", "tau")
-
-_DEG_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,14 +86,14 @@ def S_closed_form(m: ModuliPoint) -> PeriodValue:
     The coincidences d = a and b = c are regular (mu = 0) and allowed.
     """
     a, b, c, d = m.coords()
-    tol = _DEG_RTOL * m.scale()
-    for x, y in (("d", "c"), ("b", "a")):
-        if abs(complex(getattr(m, x)) - complex(getattr(m, y))) < tol:
-            raise CoincidentModuliError((x, y), f"S is singular where {x} = {y}")
-    for x, y in (("d", "b"), ("c", "a")):
-        if abs(complex(getattr(m, x)) - complex(getattr(m, y))) < tol:
+    pairs = m.coincident_pairs()
+    for x, y in (("c", "d"), ("a", "b")):
+        if (x, y) in pairs:
+            raise CoincidentModuliError((x, y), f"S is singular where {y} = {x}")
+    for x, y in (("b", "d"), ("a", "c")):
+        if (x, y) in pairs:
             raise CoincidentModuliError(
-                (x, y), f"K argument hits 1 where {x} = {y}: S diverges logarithmically"
+                (x, y), f"K argument hits 1 where {y} = {x}: S diverges logarithmically"
             )
 
     mu = mu_main(m)
@@ -407,122 +401,3 @@ def verify_symmetries(m: ModuliPoint, rtol: float = 1e-9) -> SymmetryReport:
     return SymmetryReport(
         m, tuple(rows), reps, max_dev, flagged_count, cut_count
     )
-
-
-# ----------------------------------------------------------------------
-# Exact rational series of the inverse Birkhoff normal form derivative.
-#
-# With s = r^2 = (a - b)/(c - b) and Z the normalized action, the derivative
-# expands as C(a, b, c, l) * sum_n P_n(s) Z^n with
-#     P_n(s) = binom(2n, n) / 4^n * sum_{k=0..n} binom(2k, k) binom(2n-2k, n-k) s^k,
-# a rational polynomial of degree n.  The summand is symmetric under
-# k <-> n - k, so every P_n is palindromic: P_n(1/s) s^n = P_n(s).
-
-MAX_SERIES_ORDER = 32
-
-
-class PrecisionError(ValueError):
-    """Requested series order is outside the supported range 0..32."""
-
-
-def _birkhoff_poly(n: int) -> tuple:
-    """Coefficients of P_n(s) as Fractions, constant term first."""
-    scale = Fraction(math.comb(2 * n, n), 4**n)
-    return tuple(
-        scale * math.comb(2 * k, k) * math.comb(2 * n - 2 * k, n - k) for k in range(n + 1)
-    )
-
-
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Exact series data for the inverse normal-form derivative.
-
-    ``polys[n]`` lists the Fraction coefficients of P_n(s), constant term
-    first.  The numeric shape ratio s = r^2 is carried along so the series
-    can be evaluated, but the polynomials themselves are s-independent.
-    """
-
-    order: int
-    polys: tuple
-    s: float | None = None
-
-    def pn(self, n: int) -> tuple:
-        return self.polys[n]
-
-    def pn_value(self, n: int, s=None):
-        sval = self.s if s is None else s
-        if sval is None:
-            raise ValueError("no shape ratio s given")
-        if isinstance(sval, Fraction):
-            acc = Fraction(0)
-        else:
-            acc = 0.0
-        for coef in reversed(self.polys[n]):
-            acc = acc * sval + coef
-        return acc
-
-    def is_palindromic(self, n: int) -> bool:
-        poly = self.polys[n]
-        return tuple(reversed(poly)) == poly
-
-    def roots(self, n: int) -> np.ndarray:
-        coeffs = [float(x) for x in reversed(self.polys[n])]
-        return np.roots(coeffs)
-
-    def evaluate(self, z: complex, s=None) -> complex:
-        acc = 0.0 + 0.0j
-        for n in reversed(range(self.order + 1)):
-            acc = acc * z + complex(self.pn_value(n, s))
-        return acc
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.order,
-            "coeffs": [[str(c) for c in poly] for poly in self.polys],
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "SeriesCoefficients":
-        polys = tuple(tuple(Fraction(c) for c in poly) for poly in data["coeffs"])
-        return SeriesCoefficients(int(data["n"]), polys)
-
-
-def birkhoff_series(s: float | Fraction | None = None, order: int = 12) -> SeriesCoefficients:
-    """Exact series of the inverse Birkhoff normal form derivative.
-
-    Parameters
-    ----------
-    s : float or Fraction, optional
-        Shape ratio r^2 = (a - b)/(c - b); optional because the polynomials
-        do not depend on it.
-    order : int
-        Highest Z power, from 0 up to the supported bound
-        ``MAX_SERIES_ORDER`` = 32.
-    """
-    if not (0 <= order <= MAX_SERIES_ORDER):
-        raise PrecisionError(
-            f"order must be between 0 and {MAX_SERIES_ORDER}, got {order!r}"
-        )
-    polys = tuple(_birkhoff_poly(n) for n in range(order + 1))
-    sval = None
-    if s is not None:
-        sval = s if isinstance(s, Fraction) else float(s)
-    return SeriesCoefficients(order, polys, sval)
-
-
-def birkhoff_normalization(a: float, b: float, c: float, l: float = 1.0) -> float:
-    """Prefactor C with S(b, a, c, d(Z)) = C * sum P_n(s) Z^n.
-
-    Valid where (b - c)(b - a) > 0, i.e. b is an extreme reciprocal; then
-    C = -sqrt(2/l) / (6 sqrt((b - c)(b - a))).
-    """
-    rad = (b - c) * (b - a)
-    if rad <= 0.0:
-        raise DomainError("normalization needs (b - c)(b - a) > 0")
-    return -math.sqrt(2.0 / l) / (6.0 * math.sqrt(rad))
-
-
-def birkhoff_d_of_z(a: float, b: float, c: float, z: float) -> float:
-    """The energy ratio d corresponding to normalized action Z."""
-    s = (a - b) / (c - b)
-    return b + 4.0 * s * (c - b) * z

@@ -57,6 +57,9 @@ BASIS_IDS = ("at0", "at1", "atInf")
 
 _CUT_ATOL = 1e-14
 
+# Appended to the cut errors of the public functions that take a side.
+_SIDE_HINT = " (pass side=+1 for the limit from Im > 0, side=-1 from below)"
+
 
 def _on_cut(w: complex) -> bool:
     """Whether w is on the cut (-inf, 0) of log and sqrt; every cut here is
@@ -78,9 +81,6 @@ class RegionError(DomainError):
 
 class BranchCutError(DomainError):
     """Evaluation landed on a branch cut with no side declared."""
-
-    def __init__(self, message: str):
-        super().__init__(message + " (pass side=+1 for the limit from Im > 0, side=-1 from below)")
 
 
 class DivergenceError(DomainError):
@@ -144,7 +144,7 @@ def elliptic_K(m: complex, side: int | None = None) -> complex:
         raise DivergenceError("K(m) diverges logarithmically at m = 1")
     if not _on_cut(1.0 - m):
         return _agm_K(m)
-    _check_side(side, f"K evaluated on the branch cut [1, inf) at m = {m.real}")
+    _check_side(side, f"K evaluated on the branch cut [1, inf) at m = {m.real}" + _SIDE_HINT)
     # Sided values from the reciprocal-parameter identity:
     # K(m +/- i0) = (K(1/m) +/- i K(1 - 1/m)) / sqrt(m).
     x = m.real
@@ -239,7 +239,7 @@ def phi_value(name: str, z: complex, side: int = +1) -> complex:
     The logarithmic companions are only provided inside their series disc.
     """
     z = complex(z)
-    _check_side(side, "phi_value needs a side")
+    _check_side(side, "phi_value needs a side" + _SIDE_HINT)
     if name == "phi1":
         return (2.0 / math.pi) * elliptic_K(z, side=side)
     if name == "phi3":

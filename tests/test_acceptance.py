@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eulertop.birkhoff import birkhoff_series
 from eulertop.core import InertiaSpec, ModuliPoint, Permutation4, apply_permutation
 from eulertop.dynamics import MomentumState, integrate_orbit, orbit_period
 from eulertop.monodromy import (
@@ -21,7 +22,6 @@ from eulertop.monodromy import (
 )
 from eulertop.periods import (
     S_closed_form,
-    birkhoff_series,
     quadrature_sigma_integral,
     quadrature_tau_integral,
     verify_connection_identity,

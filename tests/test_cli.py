@@ -199,6 +199,30 @@ def test_monodromy_loop_file_missing_key(tmp_path, capsys):
     assert err.startswith("error:") and "'move'" in err
 
 
+@pytest.mark.parametrize("preset", ["confluence", "braid"])
+def test_monodromy_table_presets(capsys, preset):
+    from eulertop.monodromy import verify_braid_relations, verify_confluence_product
+
+    expected = {"orderings": verify_confluence_product()} if preset == "confluence" else verify_braid_relations()
+    code, out, err = run(capsys, "monodromy", "--preset", preset)
+    assert code == 0
+    assert json.loads(out) == expected
+
+
+def test_monodromy_loop_transport_stall(tmp_path, capsys):
+    # A circle of radius 1e-13 around d: the germ transport's step size
+    # collapses, which the command reports as an error, not a traceback.
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps({
+        "move": "a", "center": [2.5, 0], "radius": 1e-13, "winding": 1,
+        "frozen": {"b": [2.0, -0.001], "c": [1.0, -0.001], "d": [2.5, 0]}, "start": [3.0, -0.001],
+    }))
+    code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "step size collapsed" in err
+
+
 def test_monodromy_flag_conflicts(capsys):
     code, out, err = run(capsys, "monodromy", "--preset", "alpha1", "--loop", "x.json")
     assert code == 2
@@ -321,6 +345,28 @@ def test_start_up_does_not_load_scipy_integrate():
         "loaded = [m for m in ('scipy.integrate', 'concurrent.futures') if m in sys.modules]\n"
         "print(loaded, file=sys.stderr)\n"
         "sys.exit(1 if loaded else 0)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_version_and_series_do_not_load_numpy():
+    # The exact series needs only Fractions: neither it nor --version may
+    # pay for importing numpy.
+    script = (
+        "import sys\n"
+        "import eulertop.cli as cli\n"
+        "try:\n"
+        "    cli.main(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert cli.main(['series', '--n', '32', '--s', '1/3', '--z', '0.05']) == 0\n"
+        "sys.exit('numpy' in sys.modules)\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

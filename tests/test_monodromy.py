@@ -76,7 +76,7 @@ def test_loop_file_winding_is_bounded(winding):
 @pytest.mark.parametrize("key,value", [
     ("move", None), ("center", None), ("radius", None), ("winding", None), ("frozen", None),
     ("move", ["a"]), ("center", "x"), ("radius", "abc"), ("radius", [0.2, 0.0]),
-    ("winding", "1"), ("frozen", [2.0, 1.0]), ("start", [3.0, "q"]),
+    ("winding", "1"), ("frozen", [2.0, 1.0]), ("start", [3.0, "q"]), ("start", [1e6, 0.0]),
 ])
 def test_loop_file_missing_or_ill_typed_key(key, value):
     # None stands for a missing key; every error names the key it is about.

@@ -8,13 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eulertop.core import CoincidentModuliError, DomainError, ModuliPoint
-from eulertop.periods import (
+from eulertop.birkhoff import (
     PrecisionError,
-    S_closed_form,
     birkhoff_d_of_z,
     birkhoff_normalization,
     birkhoff_series,
+)
+from eulertop.core import CoincidentModuliError, DomainError, ModuliPoint
+from eulertop.periods import (
+    S_closed_form,
     euler_period,
     phi_prime,
     quadrature_sigma_integral,
