@@ -95,11 +95,6 @@ class SeriesCoefficients:
             "coeffs": [[str(c) for c in poly] for poly in self.polys],
         }
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "SeriesCoefficients":
-        polys = tuple(tuple(Fraction(c) for c in poly) for poly in data["coeffs"])
-        return SeriesCoefficients(int(data["n"]), polys)
-
 
 def birkhoff_series(s: float | Fraction | None = None, order: int = 12) -> SeriesCoefficients:
     """Exact series of the inverse Birkhoff normal form derivative.

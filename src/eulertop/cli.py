@@ -217,17 +217,22 @@ def _closed_and_quadrature(m: ModuliPoint, axis: str) -> tuple[complex, complex]
 
 
 def cmd_period(args: argparse.Namespace) -> int:
-    from .dynamics import IntegrationError, MomentumState, SeparatrixError, orbit_periods
+    from .dynamics import SEPARATRIX_RTOL, IntegrationError, MomentumState, SeparatrixError, orbit_periods
 
     a, b, c = args.abc
     tol = args.tol
-    if len(args.grid_d) * len(args.grid_l) > MAX_GRID_ROWS:
+    grid_d = args.grid_d
+    if grid_d is None:
+        # Points across the axis's gap, from b: (b, a) for p1, (c, b) for p3.
+        far = a if args.axis == "p1" else c
+        grid_d = [b + t * (far - b) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    if len(grid_d) * len(args.grid_l) > MAX_GRID_ROWS:
         print(f"error: --grid-d and --grid-l make more than {MAX_GRID_ROWS} rows", file=sys.stderr)
         return 2
-    grid = [(d, l) for l in args.grid_l for d in args.grid_d]
+    grid = [(d, l) for l in args.grid_l for d in grid_d]
     # Refuse separatrix grid points up front; the period diverges there.
     for d, _ in grid:
-        if abs(d - b) < 1e-8 * abs(b):
+        if abs(d - b) < SEPARATRIX_RTOL * abs(b):
             print(
                 f"error: grid point d = {d} sits on the separatrix (d = b); "
                 "the rotation period diverges there",
@@ -517,8 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_per = sub.add_parser("period", parents=[common], help="compare period routes on a grid")
     p_per.add_argument("--abc", type=_triple, default="3,2,1",
                        help="reciprocal moments a,b,c (default %(default)s)")
-    p_per.add_argument("--grid-d", dest="grid_d", type=_floats, default="2.1,2.3,2.5,2.7,2.9",
-                       help=f"comma list of d values; at most {MAX_GRID_ROWS} d, l rows (default %(default)s)")
+    p_per.add_argument("--grid-d", dest="grid_d", type=_floats,
+                       help=f"comma list of d values; at most {MAX_GRID_ROWS} d, l rows (default: 0.1, 0.3, "
+                       "0.5, 0.7 and 0.9 of the way from b across the axis's gap, (b, a) for p1, (c, b) for p3)")
     p_per.add_argument("--grid-l", dest="grid_l", type=_floats, default="1",
                        help="comma list of l values (default %(default)s)")
     p_per.add_argument("--axis", choices=("p1", "p3"), default="p1", help="orbit family (default %(default)s)")

@@ -156,23 +156,6 @@ class ModuliPoint:
         data.update(kw)
         return ModuliPoint(**data)
 
-    # JSON field names are fixed; to_json_dict and from_json_dict are inverses.
-    def to_json_dict(self) -> dict:
-        out: dict = {}
-        for n in LABELS:
-            z = complex(getattr(self, n))
-            out[n] = [z.real, z.imag]
-        out["l"] = float(self.l)
-        return out
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "ModuliPoint":
-        kw = {}
-        for n in LABELS:
-            v = data[n]
-            kw[n] = complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-        return ModuliPoint(l=float(data.get("l", 1.0)), **kw)
-
 
 def moduli_from_mechanics(inertia: InertiaSpec, l: float, h: float) -> ModuliPoint:
     """Map mechanical data (inertia, Casimir level l, energy h) to moduli.

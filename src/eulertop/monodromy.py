@@ -298,13 +298,10 @@ def _loop_point_samples(loop: ModuliLoop, start_shift: complex = 0.0j) -> np.nda
     return np.concatenate([approach, circle[1:], approach[::-1][1:]])
 
 
-def _moduli_samples(loop: ModuliLoop, start_shift: complex = 0.0j) -> np.ndarray:
-    """Full (n, 4) coordinate samples of a loop, mover start optionally shifted."""
-    zs = _loop_point_samples(loop, start_shift)
-    coords = np.empty((len(zs), 4), dtype=complex)
-    for j, name in enumerate(LABELS):
-        coords[:, j] = zs if name == loop.move else complex(loop.frozen[name])
-    return coords
+def _coordinates(loop: ModuliLoop, mover) -> list:
+    """a, b, c, d with the mover's value (a point or a sample array) in its
+    slot and the frozen values as scalars."""
+    return [mover if name == loop.move else complex(loop.frozen[name]) for name in LABELS]
 
 
 def _continuous_sqrt(values: np.ndarray) -> np.ndarray:
@@ -334,19 +331,20 @@ def _seed_germs(mu0: complex) -> np.ndarray:
     return np.vstack([g5, g1])
 
 
-def _transport_block(coords: np.ndarray, germs: np.ndarray):
-    """Transport germs and prefactors along a coordinate sample block.
+def _transport_block(coords: list, germs: np.ndarray):
+    """Transport germs and prefactors along a loop's samples.
 
-    Returns the continued germs together with the start and end values of
-    the two square-root prefactors sqrt(R2), sqrt(R1), where
+    ``coords`` is a, b, c, d from ``_coordinates`` with the mover's sample
+    array.  Returns the continued germs together with the start and end
+    values of the two square-root prefactors sqrt(R2), sqrt(R1), where
     R1 = (d - c)(a - b) and R2 = (d - c)(b - a); the roots are continued
     by closeness so sign flips under full turns are captured.
     """
-    a, b, c, d = coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
+    a, b, c, d = coords
     mu = cross_ratio(a, b, c, d)
     r1 = _continuous_sqrt((d - c) * (a - b))
     r2 = _continuous_sqrt((d - c) * (b - a))
-    new_germs, _, _ = _transport_germs(mu, germs, min_step=1e-12)
+    new_germs = _transport_germs(mu, germs, min_step=1e-12)
     return new_germs, (r2[0], r1[0]), (r2[-1], r1[-1])
 
 
@@ -399,9 +397,9 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
     """
     starts, ends = [], []
     for shift in (0.0j, _SECOND_FRAME_SHIFT):
-        coords = _moduli_samples(loop, start_shift=shift)
-        germs = _seed_germs(complex(cross_ratio(*coords[0])))
-        new_germs, roots0, roots1 = _transport_block(coords, germs)
+        zs = _loop_point_samples(loop, start_shift=shift)
+        germs = _seed_germs(complex(cross_ratio(*_coordinates(loop, zs[0]))))
+        new_germs, roots0, roots1 = _transport_block(_coordinates(loop, zs), germs)
         starts.append(_frame_vectors(germs, roots0))
         ends.append(_frame_vectors(new_germs, roots1))
     raw, lsq_resid = _extract_matrix(starts, ends)

@@ -9,7 +9,9 @@ whose solution space is spanned near z = 0 by F(z) = (2/pi) K(z) and the
 logarithmic companion F(z) log z + Fstar(z).  Bases attached to the three
 singular points 0, 1, infinity are provided, together with the exact
 connection matrices between them and a branch-aware continuation engine that
-transports value/derivative germs along paths in the z plane.
+transports value/derivative germs along paths in the z plane.  A path is a
+1-D array of points, followed as a polyline; its winding is read from the
+points.
 
 Branch conventions.  All cut-sensitive evaluations take a ``side`` argument
 with the meaning "sign of an infinitesimal imaginary part added to the
@@ -31,13 +33,10 @@ from .core import DomainError
 # it is most of the package's import time.
 
 __all__ = [
-    "Arc",
     "BranchCutError",
-    "ComplexPath",
     "ConnectionMatrix",
     "ContinuationStallError",
     "DivergenceError",
-    "Line",
     "PathTooCloseError",
     "RegionError",
     "SolutionFrame",
@@ -407,120 +406,6 @@ def connection(from_basis: str, to_basis: str) -> ConnectionMatrix:
 
 
 # ----------------------------------------------------------------------
-# Paths in the z plane.
-
-@dataclass(frozen=True)
-class Line:
-    start: complex
-    end: complex
-
-    @property
-    def length(self) -> float:
-        return abs(self.end - self.start)
-
-    def points(self, spacing: float) -> np.ndarray:
-        n = max(8, int(math.ceil(self.length / spacing)) + 1)
-        t = np.linspace(0.0, 1.0, n)
-        return self.start + t * (self.end - self.start)
-
-
-@dataclass(frozen=True)
-class Arc:
-    center: complex
-    radius: float
-    theta_start: float
-    theta_end: float
-
-    @property
-    def start(self) -> complex:
-        return self.center + self.radius * cmath.exp(1j * self.theta_start)
-
-    @property
-    def end(self) -> complex:
-        return self.center + self.radius * cmath.exp(1j * self.theta_end)
-
-    @property
-    def length(self) -> float:
-        return abs(self.theta_end - self.theta_start) * self.radius
-
-    def points(self, spacing: float) -> np.ndarray:
-        n = max(16, int(math.ceil(self.length / spacing)) + 1)
-        th = np.linspace(self.theta_start, self.theta_end, n)
-        return self.center + self.radius * np.exp(1j * th)
-
-
-@dataclass(frozen=True)
-class ComplexPath:
-    """A piecewise path of line and arc segments in an ambient plane.
-
-    ``ambient`` records which plane the path lives in ("lambda" for the
-    hypergeometric argument, or "moduli:<label>" for one moduli coordinate).
-    Consecutive segments must join to within 1e-9.
-    """
-
-    segments: tuple
-    ambient: str = "lambda"
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("path needs at least one segment")
-        for prev, nxt in zip(self.segments, self.segments[1:]):
-            if abs(complex(prev.end) - complex(nxt.start)) > 1e-9:
-                raise ValueError(
-                    f"segments do not join: {prev.end} -> {nxt.start}"
-                )
-
-    @property
-    def start(self) -> complex:
-        return complex(self.segments[0].start)
-
-    @property
-    def end(self) -> complex:
-        return complex(self.segments[-1].end)
-
-    def samples(self, spacing: float = 0.02) -> np.ndarray:
-        parts = []
-        for i, seg in enumerate(self.segments):
-            pts = seg.points(spacing)
-            parts.append(pts if i == 0 else pts[1:])
-        return np.concatenate(parts)
-
-    def to_json_dict(self) -> dict:
-        segs = []
-        for seg in self.segments:
-            if isinstance(seg, Line):
-                segs.append({
-                    "kind": "line",
-                    "start": [seg.start.real, seg.start.imag],
-                    "end": [seg.end.real, seg.end.imag],
-                })
-            elif isinstance(seg, Arc):
-                segs.append({
-                    "kind": "arc",
-                    "center": [seg.center.real, seg.center.imag],
-                    "radius": seg.radius,
-                    "theta": [seg.theta_start, seg.theta_end],
-                })
-            else:
-                raise TypeError(f"unknown segment type {type(seg)!r}")
-        return {"ambient": self.ambient, "segments": segs}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "ComplexPath":
-        segs: list = []
-        for raw in data["segments"]:
-            kind = raw["kind"]
-            if kind == "line":
-                segs.append(Line(complex(*raw["start"]), complex(*raw["end"])))
-            elif kind == "arc":
-                t0, t1 = raw["theta"]
-                segs.append(Arc(complex(*raw["center"]), float(raw["radius"]), float(t0), float(t1)))
-            else:
-                raise ValueError(f"unknown segment kind {kind!r}")
-        return ComplexPath(tuple(segs), ambient=data.get("ambient", "lambda"))
-
-
-# ----------------------------------------------------------------------
 # Germ transport.  A germ is a (value, derivative) pair of one solution at an
 # ordinary point.  The equation is linear, so one Taylor step from z0 to
 # z0 + h maps every germ by the same 2x2 transition matrix; a path is the
@@ -581,16 +466,14 @@ def _transport_germs(
     germs: np.ndarray,
     *,
     min_step: float = _FRAME_MIN_STEP,
-) -> tuple[np.ndarray, float, float]:
+) -> np.ndarray:
     """Transport germ rows along the polyline zs, sub-stepping as needed.
 
     Steps never exceed _STEP_FRACTION times the distance to the nearest of
-    the singular points {0, 1}, nor fall below min_step; winding of z around
-    0 and 1 is accumulated and returned in turns.  The step nodes are laid
-    out first; then the steps' transition matrices are built a block at a
-    time and applied to the rows in path order.
+    the singular points {0, 1}, nor fall below min_step.  The step nodes are
+    laid out first; then the steps' transition matrices are built a block at
+    a time and applied to the rows in path order.
     """
-    w0 = w1 = 0.0
     z = complex(zs[0])
     nodes = [z]
     for target in zs[1:]:
@@ -605,13 +488,10 @@ def _transport_germs(
                 )
             gap = target - z
             if abs(gap) <= allowed:
-                znew = target
+                z = target
             else:
-                znew = z + gap * (allowed / abs(gap))
-            w0 += cmath.phase((znew - 0.0) / (z - 0.0)) / (2.0 * math.pi)
-            w1 += cmath.phase((znew - 1.0) / (z - 1.0)) / (2.0 * math.pi)
-            nodes.append(znew)
-            z = znew
+                z = z + gap * (allowed / abs(gap))
+            nodes.append(z)
             guard += 1
             if guard > 100000:
                 raise ContinuationStallError("sub-stepping did not terminate")
@@ -622,7 +502,7 @@ def _transport_germs(
         mats = _step_matrices(block[:-1], np.diff(block))
         for m00, m01, m10, m11 in zip(*mats.reshape(4, -1).tolist()):
             rows = [(m00 * f + m01 * d, m10 * f + m11 * d) for f, d in rows]
-    return np.array(rows, dtype=complex), w0, w1
+    return np.array(rows, dtype=complex)
 
 
 def _ode_transport(zs: np.ndarray, germs: np.ndarray) -> np.ndarray:
@@ -673,21 +553,32 @@ def _ode_transport(zs: np.ndarray, germs: np.ndarray) -> np.ndarray:
     return out
 
 
-def continue_frame(frame: SolutionFrame, path: ComplexPath) -> SolutionFrame:
-    """Analytically continue a solution frame along a path.
+def _winding(zs: np.ndarray, s: float) -> float:
+    """Turns of the polyline zs around s.  A straight segment that misses s
+    sweeps exactly the principal angle between its ends, seen from s."""
+    return float(np.sum(np.angle((zs[1:] - s) / (zs[:-1] - s)))) / (2.0 * math.pi)
+
+
+def continue_frame(frame: SolutionFrame, zs: np.ndarray) -> SolutionFrame:
+    """Analytically continue a solution frame along the polyline through
+    the points zs, which must start at the frame's base point.
 
     The frame's two solutions are transported as (value, derivative) germs by
     Taylor recentering, with steps capped at 0.35 times the distance to the
-    nearest singular point.
+    nearest singular point.  The returned frame is based at zs[-1], and its
+    branch_log adds the turns of the path around 0 and around 1.
 
-    Raises PathTooCloseError if any sample sits closer than 1e-5 to
+    Raises ValueError if zs is not a non-empty 1-D array starting at the
+    base point, PathTooCloseError if any point sits closer than 1e-5 to
     z = 0 or z = 1, and ContinuationStallError if sub-stepping collapses.
     """
-    if abs(path.start - frame.base_point) > 1e-9:
+    zs = np.asarray(zs, dtype=complex)
+    if zs.ndim != 1 or len(zs) == 0:
+        raise ValueError(f"a path is a non-empty 1-D array of points, got shape {zs.shape}")
+    if abs(zs[0] - frame.base_point) > 1e-9:
         raise ValueError(
-            f"path starts at {path.start}, frame is based at {frame.base_point}"
+            f"path starts at {complex(zs[0])}, frame is based at {frame.base_point}"
         )
-    zs = path.samples()
     dist = np.minimum(np.abs(zs), np.abs(zs - 1.0))
     if float(dist.min()) < 10.0 * _FRAME_MIN_STEP:
         raise PathTooCloseError(
@@ -698,14 +589,14 @@ def continue_frame(frame: SolutionFrame, path: ComplexPath) -> SolutionFrame:
         [[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]],
         dtype=complex,
     )
-    new_germs, w0, w1 = _transport_germs(zs, germs)
+    new_germs = _transport_germs(zs, germs)
     log = dict(frame.branch_log)
-    log["around0"] = log.get("around0", 0.0) + w0
-    log["around1"] = log.get("around1", 0.0) + w1
+    log["around0"] = log.get("around0", 0.0) + _winding(zs, 0.0)
+    log["around1"] = log.get("around1", 0.0) + _winding(zs, 1.0)
     return SolutionFrame(
         frame.basis_id,
         (complex(new_germs[0, 0]), complex(new_germs[1, 0])),
-        path.end,
+        complex(zs[-1]),
         (complex(new_germs[0, 1]), complex(new_germs[1, 1])),
         log,
     )

@@ -103,6 +103,22 @@ def test_period_p3_family(capsys):
     assert row["S_closed"] == pytest.approx(-0.18089288904942458, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "flags, want_d",
+    [
+        ((), [2.1, 2.3, 2.5, 2.7, 2.9]),
+        (("--axis", "p3"), [1.9, 1.7, 1.5, 1.3, 1.1]),
+        (("--abc", "1,2,3"), [1.9, 1.7, 1.5, 1.3, 1.1]),
+    ],
+)
+def test_period_default_grid_lies_in_the_axis_gap(capsys, flags, want_d):
+    # Without --grid-d the rows sit 0.1, ..., 0.9 of the way from b across
+    # (b, a) for p1 or (c, b) for p3.
+    code, out, err = run(capsys, "period", *flags, "--format", "json")
+    assert code == 0, err
+    assert [r["d"] for r in json.loads(out)["rows"]] == pytest.approx(want_d, rel=1e-15)
+
+
 def test_period_separatrix_exit(capsys):
     code, out, err = run(
         capsys, "period", "--abc", "3,2,1", "--grid-d", "2.0", "--grid-l", "1",

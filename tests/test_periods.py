@@ -196,13 +196,6 @@ def test_birkhoff_values_at_rational_shape():
     assert series.pn_value(3) == Fraction(220, 27)
 
 
-def test_birkhoff_json_roundtrip():
-    series = birkhoff_series(order=5)
-    back = type(series).from_json_dict(series.to_json_dict())
-    assert back.order == 5
-    assert all(back.pn(n) == series.pn(n) for n in range(6))
-
-
 def test_birkhoff_order_budget():
     with pytest.raises(PrecisionError):
         birkhoff_series(order=33)

@@ -7,11 +7,8 @@ import numpy as np
 import pytest
 
 from eulertop.special import (
-    Arc,
     BranchCutError,
-    ComplexPath,
     DivergenceError,
-    Line,
     LOG16,
     PathTooCloseError,
     RegionError,
@@ -32,6 +29,19 @@ K_HALF = 1.8540746773013719
 K_MINUS_ONE = 1.3110287771460598
 F_03 = 1.0910959103627813
 FSTAR_03 = 0.18808374835689526
+
+
+def _germs(frame):
+    return np.array([[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]])
+
+
+def _lasso(z0, center, entry, spacing=0.02):
+    """Points from z0 to entry, once counterclockwise round the circle about
+    center through entry, and back, at most spacing apart."""
+    line = np.linspace(z0, entry, int(np.ceil(abs(entry - z0) / spacing)) + 1)
+    r, t0 = abs(entry - center), np.angle(entry - center)
+    theta = t0 + np.linspace(0.0, 2 * np.pi, int(np.ceil(2 * np.pi * r / spacing)) + 1)
+    return np.concatenate([line, (center + r * np.exp(1j * theta))[1:], line[::-1][1:]])
 
 
 def test_elliptic_K_at_zero_is_quarter_turn():
@@ -191,7 +201,7 @@ def test_connection_at0_atInf_via_continuation():
     # The regions do not overlap; the block is the upper-half-plane sheet,
     # so transport the at0 frame across the unit circle and compare there.
     z0, z1 = 0.5 + 0.3j, 1.2 + 0.8j
-    got = continue_frame(basis_eval("at0", z0), ComplexPath([Line(z0, z1)]))
+    got = continue_frame(basis_eval("at0", z0), np.linspace(z0, z1, 50))
     want = connection("at0", "atInf").matrix @ np.array(basis_eval("atInf", z1).values)
     np.testing.assert_allclose(np.array(got.values), want, rtol=0, atol=1e-12)
 
@@ -206,35 +216,12 @@ def test_connection_inverse_and_composition():
         connection("at0", "period")
 
 
-def test_path_segments_must_join():
-    with pytest.raises(ValueError):
-        ComplexPath([Line(0.0, 1.0), Line(1.1, 2.0)])
-
-
-def test_path_samples_and_json_roundtrip():
-    path = ComplexPath([
-        Line(0.3, 0.5 + 0.5j),
-        Arc(0.0, abs(0.5 + 0.5j), np.angle(0.5 + 0.5j), np.angle(0.5 + 0.5j) + 2 * np.pi),
-        Line(0.5 + 0.5j, 0.3),
-    ])
-    pts = path.samples(spacing=0.02)
-    steps = np.abs(np.diff(pts))
-    assert steps.max() <= 0.02 + 1e-12
-    back = ComplexPath.from_json_dict(path.to_json_dict())
-    np.testing.assert_allclose(back.samples(spacing=0.02), pts, rtol=0, atol=1e-15)
-
-
 def test_continuation_closes_trivial_loop():
     # The circle must enclose neither singular point for the frame to close.
     z0 = 0.3 + 0.2j
     frame = basis_eval("at0", z0)
-    center, r = 0.35 + 0.35j, 0.15
-    loop = ComplexPath([
-        Line(z0, center + r),
-        Arc(center, r, 0.0, 2 * np.pi),
-        Line(center + r, z0),
-    ])
-    out = continue_frame(frame, loop)
+    center = 0.35 + 0.35j
+    out = continue_frame(frame, _lasso(z0, center, center + 0.15))
     np.testing.assert_allclose(np.array(out.values), np.array(frame.values), rtol=1e-12)
     assert out.branch_log["around0"] == pytest.approx(0.0, abs=1e-9)
     assert out.branch_log["around1"] == pytest.approx(0.0, abs=1e-9)
@@ -244,8 +231,7 @@ def test_continuation_records_winding_and_monodromy():
     # One turn around z = 0: f1 is single valued, f2 gains 2 pi i f1.
     z0 = 0.3 + 0.2j
     frame = basis_eval("at0", z0)
-    loop = ComplexPath([Arc(0.0, abs(z0), np.angle(z0), np.angle(z0) + 2 * np.pi)])
-    out = continue_frame(frame, loop)
+    out = continue_frame(frame, abs(z0) * np.exp(1j * (np.angle(z0) + np.linspace(0.0, 2 * np.pi, 120))))
     assert out.branch_log["around0"] == pytest.approx(1.0, abs=1e-9)
     f1, f2 = frame.values
     g1, g2 = out.values
@@ -256,15 +242,9 @@ def test_continuation_records_winding_and_monodromy():
 def test_continuation_taylor_and_ode_agree():
     z0 = 0.3 + 0.2j
     frame = basis_eval("at0", z0)
-    mid = 0.5 + 0.5j
-    loop = ComplexPath([
-        Line(z0, mid),
-        Arc(0.0, abs(mid), np.angle(mid), np.angle(mid) + 2 * np.pi),
-        Line(mid, z0),
-    ])
-    taylor = continue_frame(frame, loop)
-    germs = np.array([[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]])
-    ode = _ode_transport(loop.samples(0.02), germs)
+    zs = _lasso(z0, 0.0, 0.5 + 0.5j)
+    taylor = continue_frame(frame, zs)
+    ode = _ode_transport(zs, _germs(frame))
     for u, v in zip(taylor.values + taylor.derivs, (*ode[:, 0], *ode[:, 1])):
         assert abs(u - v) / max(1.0, abs(u)) < 1e-8
 
@@ -302,14 +282,24 @@ def test_transport_around_zero_is_the_exact_at0_monodromy(z0, turns):
     # 2 pi i F per turn, in value and derivative alike.  Six turns take more
     # steps than one block of step matrices.
     frame = basis_eval("at0", z0)
-    germs = np.array([[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]])
     theta = np.angle(z0) + np.linspace(0.0, 2.0 * np.pi * turns, 400 * abs(turns) + 1)
-    got, w0, w1 = _transport_germs(abs(z0) * np.exp(1j * theta), germs)
-    want = germs.copy()
-    want[1] += 2j * np.pi * turns * germs[0]
-    assert w0 == pytest.approx(turns, abs=1e-9)
-    assert w1 == pytest.approx(0.0, abs=1e-9)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    out = continue_frame(frame, abs(z0) * np.exp(1j * theta))
+    want = _germs(frame)
+    want[1] += 2j * np.pi * turns * want[0]
+    assert out.branch_log["around0"] == pytest.approx(turns, abs=1e-9)
+    assert out.branch_log["around1"] == pytest.approx(0.0, abs=1e-9)
+    assert np.max(np.abs(_germs(out) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_continue_frame_transports_with_the_kernel():
+    # One path, the same germs through the frame API and the bare kernel.
+    z0 = 0.3 + 0.2j
+    frame = basis_eval("at0", z0)
+    zs = _lasso(z0, 1.0, 1.2 + 0.1j)
+    out = continue_frame(frame, zs)
+    assert np.array_equal(_germs(out), _transport_germs(zs, _germs(frame)))
+    assert out.base_point == zs[-1]
+    assert out.branch_log["around1"] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("end", [1e-6, 1e-9])
@@ -317,8 +307,7 @@ def test_transport_close_to_a_singular_point(end):
     # Taylor coefficients grow like dist**-n; the kernel must stay finite
     # where monodromy paths are allowed to go (steps down to 1e-12).
     frame = basis_eval("at0", 0.5)
-    germs = np.array([[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]])
-    got, _, _ = _transport_germs(np.array([0.5, end]), germs, min_step=1e-12)
+    got = _transport_germs(np.array([0.5, end]), _germs(frame), min_step=1e-12)
     want = basis_eval("at0", end)
     np.testing.assert_allclose(got[:, 0], want.values, rtol=1e-13)
 
@@ -327,9 +316,11 @@ def test_continuation_guards():
     z0 = 0.3 + 0.2j
     frame = basis_eval("at0", z0)
     with pytest.raises(ValueError, match="based at"):
-        continue_frame(frame, ComplexPath([Line(0.5, 0.7)]))
+        continue_frame(frame, np.array([0.5, 0.7]))
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        continue_frame(frame, np.array([]))
     with pytest.raises(PathTooCloseError):
-        continue_frame(frame, ComplexPath([Line(z0, 1e-9 + 0.0j)]))
+        continue_frame(frame, np.linspace(z0, 1e-9, 20))
 
 
 @pytest.mark.parametrize("basis_id,z", [("at0", 0.4 + 0.1j), ("at1", 0.9 - 0.3j), ("atInf", 1.6 + 1.1j)])
