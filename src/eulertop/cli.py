@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .core import DomainError, InertiaSpec, ModuliPoint, Permutation4, apply_permutation
+from .core import DomainError, InertiaSpec, ModuliPoint
 
 # Each command imports the layers it runs when it starts, so none pays for a
 # layer it does not use: ``--version`` and ``series`` never load numpy.
@@ -208,11 +208,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # period
 
 def _closed_and_quadrature(m: ModuliPoint, axis: str) -> tuple[complex, complex]:
-    from .periods import phi_prime, quadrature_sigma_integral
+    from .periods import _CLASS_ORDERS, phi_prime, quadrature_sigma_integral
 
     closed = phi_prime(axis, m).value
     if axis == "p3":
-        m = apply_permutation(m, Permutation4.from_cycles("(ac)"))
+        m = m.reorder(_CLASS_ORDERS["S3"])
     return closed, quadrature_sigma_integral(m).value
 
 
@@ -230,17 +230,16 @@ def cmd_period(args: argparse.Namespace) -> int:
         print(f"error: --grid-d and --grid-l make more than {MAX_GRID_ROWS} rows", file=sys.stderr)
         return 2
     grid = [(d, l) for l in args.grid_l for d in grid_d]
-    # Refuse separatrix grid points up front; the period diverges there.
-    for d, _ in grid:
-        if abs(d - b) < SEPARATRIX_RTOL * abs(b):
-            print(
-                f"error: grid point d = {d} sits on the separatrix (d = b); "
-                "the rotation period diverges there",
-                file=sys.stderr,
-            )
-            return 1
     try:
+        # A degenerate --abc is named before the grid it puts on d = b.
         inertia = InertiaSpec.from_reciprocals(a, b, c)
+        # Refuse separatrix grid points up front; the period diverges there.
+        for d, _ in grid:
+            if abs(d - b) < SEPARATRIX_RTOL * abs(b):
+                raise DomainError(
+                    f"grid point d = {d} sits on the separatrix (d = b); "
+                    "the rotation period diverges there"
+                )
         routes = [_closed_and_quadrature(ModuliPoint(a, b, c, d, l=l), args.axis) for d, l in grid]
         # ODE route: the orbit with p2 = 0 on the matching oval, all rows in one solve.
         states = [

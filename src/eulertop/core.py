@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations as _permutations
 
 __all__ = [
     "CoincidentModuliError",
@@ -29,9 +28,6 @@ __all__ = [
     "InertiaSpec",
     "LABELS",
     "ModuliPoint",
-    "Permutation4",
-    "all_permutations",
-    "apply_permutation",
     "cross_ratio",
     "lambda_proof",
     "moduli_from_mechanics",
@@ -132,9 +128,9 @@ class ModuliPoint:
     def scale(self) -> float:
         return max(1.0, *(abs(complex(getattr(self, n))) for n in LABELS))
 
-    def coincident_pairs(self, rtol: float = DEGENERACY_RTOL) -> list[tuple[str, str]]:
-        """All label pairs closer than rtol * scale, in a fixed order."""
-        tol = rtol * self.scale()
+    def coincident_pairs(self) -> list[tuple[str, str]]:
+        """All label pairs closer than DEGENERACY_RTOL * scale, in a fixed order."""
+        tol = DEGENERACY_RTOL * self.scale()
         found = []
         for x, y in (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")):
             if abs(complex(getattr(self, x)) - complex(getattr(self, y))) < tol:
@@ -149,6 +145,14 @@ class ModuliPoint:
 
     def is_real(self, atol: float = 0.0) -> bool:
         return all(abs(complex(getattr(self, n)).imag) <= atol for n in LABELS)
+
+    def reorder(self, order: str) -> "ModuliPoint":
+        """The point whose slots a, b, c, d hold this point's values at the
+        labels ``order`` names, with l unchanged: ``reorder("cbad")`` swaps a
+        and c, so (3, 2, 1, 2.5) becomes (1, 2, 3, 2.5)."""
+        if sorted(order) != list(LABELS):
+            raise ValueError(f"order must name each of {LABELS} once, got {order!r}")
+        return ModuliPoint(*(getattr(self, x) for x in order), l=self.l)
 
     def replace(self, **kw) -> "ModuliPoint":
         data = {n: getattr(self, n) for n in LABELS}
@@ -177,15 +181,15 @@ def cross_ratio(a, b, c, d):
 
 
 def _checked_cross_ratio(m: ModuliPoint, order: str) -> complex:
-    """``cross_ratio`` of m's coordinates taken in ``order``, refusing a
-    coincident denominator pair."""
-    a, b, c, d = order
-    vals = {n: complex(getattr(m, n)) for n in LABELS}
+    """``cross_ratio`` of ``m.reorder(order)``, refusing a coincident
+    denominator pair."""
+    a, b, c, d = m.reorder(order).coords()
     tol = DEGENERACY_RTOL * m.scale()
-    for x, y in ((d, c), (b, a)):
-        if abs(vals[x] - vals[y]) < tol:
-            raise CoincidentModuliError((x, y))
-    return cross_ratio(vals[a], vals[b], vals[c], vals[d])
+    if abs(d - c) < tol:
+        raise CoincidentModuliError((order[3], order[2]))
+    if abs(b - a) < tol:
+        raise CoincidentModuliError((order[1], order[0]))
+    return cross_ratio(a, b, c, d)
 
 
 def mu_main(m: ModuliPoint) -> complex:
@@ -200,99 +204,3 @@ def lambda_proof(m: ModuliPoint) -> complex:
     a > d > b > c this variant is negative while mu lies in (0, 1).
     """
     return _checked_cross_ratio(m, "acbd")
-
-
-@dataclass(frozen=True)
-class Permutation4:
-    """A bijection of the coordinate labels {a, b, c, d}.
-
-    ``images`` lists the images of (a, b, c, d) in that order, so
-    ``Permutation4(("b", "a", "c", "d"))`` is the transposition (ab).
-    """
-
-    images: tuple[str, str, str, str]
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != sorted(LABELS):
-            raise ValueError(f"not a permutation of {LABELS}: {self.images}")
-
-    def __call__(self, label: str) -> str:
-        return self.images[LABELS.index(label)]
-
-    def compose(self, other: "Permutation4") -> "Permutation4":
-        """self after other: (self * other)(x) = self(other(x))."""
-        return Permutation4(tuple(self(other(x)) for x in LABELS))
-
-    def inverse(self) -> "Permutation4":
-        inv = {self(x): x for x in LABELS}
-        return Permutation4(tuple(inv[x] for x in LABELS))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.images == LABELS
-
-    @staticmethod
-    def identity() -> "Permutation4":
-        return Permutation4(LABELS)
-
-    @staticmethod
-    def from_cycles(notation: str) -> "Permutation4":
-        """Parse cycle notation such as "(ac)" or "(abd)(c)" or "(abdc)"."""
-        mapping = {x: x for x in LABELS}
-        text = notation.replace(" ", "")
-        if text in ("", "()", "e", "id"):
-            return Permutation4.identity()
-        depth = 0
-        cycles: list[str] = []
-        current = ""
-        for ch in text:
-            if ch == "(":
-                if depth:
-                    raise ValueError(f"bad cycle notation: {notation!r}")
-                depth, current = 1, ""
-            elif ch == ")":
-                depth = 0
-                if current:
-                    cycles.append(current)
-            else:
-                if not depth or ch not in LABELS:
-                    raise ValueError(f"bad cycle notation: {notation!r}")
-                current += ch
-        if depth:
-            raise ValueError(f"bad cycle notation: {notation!r}")
-        for cyc in cycles:
-            for i, x in enumerate(cyc):
-                mapping[x] = cyc[(i + 1) % len(cyc)]
-        return Permutation4(tuple(mapping[x] for x in LABELS))
-
-    def cycle_notation(self) -> str:
-        seen: set[str] = set()
-        parts = []
-        for start in LABELS:
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            nxt = self(start)
-            while nxt != start:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
-            if len(cyc) > 1:
-                parts.append("(" + "".join(cyc) + ")")
-        return "".join(parts) or "e"
-
-
-def all_permutations() -> list[Permutation4]:
-    """The 24 elements of the label group, in a fixed deterministic order."""
-    return [Permutation4(images) for images in sorted(_permutations(LABELS))]
-
-
-def apply_permutation(m: ModuliPoint, p: Permutation4) -> ModuliPoint:
-    """Relabel coordinates: the value at label x moves to label p(x).
-
-    The Casimir level is untouched.  For the swap (ac) applied to
-    (3, 2, 1, 2.5) this yields (1, 2, 3, 2.5).
-    """
-    new = {p(x): getattr(m, x) for x in LABELS}
-    return ModuliPoint(new["a"], new["b"], new["c"], new["d"], l=m.l)

@@ -531,13 +531,13 @@ def verify_confluence_product() -> dict:
     to minus the identity; the report maps each ordering to its product and
     whether it equals -I.
     """
-    mats = {"alpha1": _U, "alpha3": _LINV, "alpha2": _A}
     from itertools import permutations
 
     minus_i = np.array([[-1, 0], [0, -1]])
     out = {}
     for order in permutations(("alpha1", "alpha3", "alpha2")):
-        prod = mats[order[0]].as_array() @ mats[order[1]].as_array() @ mats[order[2]].as_array()
+        first, second, third = (ALPHA_STATED[label].as_array() for label in order)
+        prod = first @ second @ third
         out[" ".join(order)] = {
             "product": prod.tolist(),
             "is_minus_identity": bool(np.array_equal(prod, minus_i)),

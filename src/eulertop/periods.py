@@ -28,9 +28,7 @@ import numpy as np
 from .core import (
     CoincidentModuliError,
     DomainError,
-    LABELS,
     ModuliPoint,
-    apply_permutation,
     lambda_proof,
     mu_main,
 )
@@ -51,6 +49,14 @@ __all__ = [
 ]
 
 CYCLE_LABELS = ("sigma1_axis", "sigma3_axis", "gamma_hyperbolic", "tau")
+
+# The period classes as reorderings of one point: S1 = S(a,b,c,d),
+# S2 = S(b,a,c,d) and S3 = S(c,b,a,d), the values behind the axis families
+# p1, p2 and p3.
+_CLASS_ORDERS = {"S1": "abcd", "S2": "bacd", "S3": "cbad"}
+
+# Imaginary parts up to this times the point's scale count as real.
+_REAL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -117,17 +123,13 @@ def phi_prime(axis: str, m: ModuliPoint) -> PeriodValue:
     axis "p1" is S(a, b, c, d) itself; "p3" relabels to S(c, b, a, d);
     "p2" (the hyperbolic connecting family) is -i S(b, a, c, d).
     """
-    from .core import Permutation4
-
     if axis == "p1":
         return S_closed_form(m)
     if axis == "p3":
-        swapped = apply_permutation(m, Permutation4.from_cycles("(ac)"))
-        inner = S_closed_form(swapped)
+        inner = S_closed_form(m.reorder(_CLASS_ORDERS["S3"]))
         return PeriodValue(inner.value, "sigma3_axis", m, inner.branch_flagged)
     if axis == "p2":
-        swapped = apply_permutation(m, Permutation4.from_cycles("(ab)"))
-        inner = S_closed_form(swapped)
+        inner = S_closed_form(m.reorder(_CLASS_ORDERS["S2"]))
         return PeriodValue(-1j * inner.value, "gamma_hyperbolic", m, inner.branch_flagged)
     raise ValueError(f"axis must be 'p1', 'p2' or 'p3', got {axis!r}")
 
@@ -197,9 +199,9 @@ def tanh_sinh(g, lo: float, hi: float):
 # mirror images of each other under reversing all three).
 
 def _real_chamber_coords(m: ModuliPoint) -> tuple[float, float, float, float, float]:
-    a, b, c, d = m.coords()
-    if any(abs(z.imag) > 1e-12 * m.scale() for z in (a, b, c, d)):
+    if not m.is_real(_REAL_RTOL * m.scale()):
         raise DomainError("quadratures require a real moduli point")
+    a, b, c, d = m.coords()
     a, b, c, d = a.real, b.real, c.real, d.real
     s1, s2, s3 = np.sign([a - d, d - b, b - c])
     if not (s1 == s2 == s3) or s1 == 0.0:
@@ -296,25 +298,13 @@ def verify_connection_identity(m: ModuliPoint) -> float:
     Vanishes identically (the three are values of one period lattice); the
     returned residual is limited only by rounding.
     """
-    from .core import Permutation4
-
-    s1 = S_closed_form(m).value
-    s2 = S_closed_form(apply_permutation(m, Permutation4.from_cycles("(ab)"))).value
-    s3 = S_closed_form(apply_permutation(m, Permutation4.from_cycles("(ac)"))).value
+    s1, s2, s3 = (S_closed_form(m.reorder(order)).value for order in _CLASS_ORDERS.values())
     return abs(s1 + s2 - s3)
-
-
-_CLASS_OF_PARTNER = {"a": "S1", "b": "S2", "c": "S3"}
-_CLASS_REPRESENTATIVE = {
-    "S1": ("a", "b", "c", "d"),
-    "S2": ("b", "a", "c", "d"),
-    "S3": ("c", "b", "a", "d"),
-}
 
 
 @dataclass(frozen=True)
 class SymmetryRow:
-    order: tuple[str, str, str, str]
+    order: str
     value: complex
     class_key: str
     deviation: float
@@ -360,22 +350,26 @@ def verify_symmetries(m: ModuliPoint, rtol: float = 1e-9) -> SymmetryReport:
     by more than rtol (relatively); every flagged row must have crossed a
     branch cut on the way (``cut_resolved``), so the flag count is bounded
     by the number of cut-resolved rows.
+
+    The point must be real, to _REAL_RTOL of its scale, and is evaluated at
+    its real parts: off the axis, even by 1e-13, the principal square root
+    puts some orderings on the other sheet without crossing a cut.
     """
     from itertools import permutations
 
-    values = {n: complex(getattr(m, n)) for n in LABELS}
+    if not m.is_real(_REAL_RTOL * m.scale()):
+        raise DomainError("the covariance report requires a real moduli point")
+    real = ModuliPoint(*(z.real for z in m.coords()), l=m.l)
     reps: dict[str, complex] = {}
     raw = []
-    for order in permutations(LABELS):
-        point = ModuliPoint(values[order[0]], values[order[1]], values[order[2]], values[order[3]], l=m.l)
-        pv = S_closed_form(point)
-        # Slot pairing is {1,4} vs {2,3}; the class is named after the label
-        # sharing a slot pair with d.
-        idx = order.index("d")
-        partner = order[{0: 3, 3: 0, 1: 2, 2: 1}[idx]]
-        key = _CLASS_OF_PARTNER[partner]
+    for order in map("".join, permutations("abcd")):
+        pv = S_closed_form(real.reorder(order))
+        # Slot pairing is {1,4} vs {2,3}; the class is named after the first
+        # label of its representative, the one sharing a slot pair with d.
+        partner = order[3 - order.index("d")]
+        key = next(k for k, rep in _CLASS_ORDERS.items() if rep[0] == partner)
         raw.append((order, pv, key))
-        if order == _CLASS_REPRESENTATIVE[key]:
+        if order == _CLASS_ORDERS[key]:
             reps[key] = pv.value
 
     rows = []

@@ -568,13 +568,15 @@ def continue_frame(frame: SolutionFrame, zs: np.ndarray) -> SolutionFrame:
     nearest singular point.  The returned frame is based at zs[-1], and its
     branch_log adds the turns of the path around 0 and around 1.
 
-    Raises ValueError if zs is not a non-empty 1-D array starting at the
-    base point, PathTooCloseError if any point sits closer than 1e-5 to
+    Raises ValueError if zs is not a non-empty 1-D array of finite points
+    starting at the base point, PathTooCloseError if any point sits closer than 1e-5 to
     z = 0 or z = 1, and ContinuationStallError if sub-stepping collapses.
     """
     zs = np.asarray(zs, dtype=complex)
     if zs.ndim != 1 or len(zs) == 0:
         raise ValueError(f"a path is a non-empty 1-D array of points, got shape {zs.shape}")
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("a path's points must be finite")
     if abs(zs[0] - frame.base_point) > 1e-9:
         raise ValueError(
             f"path starts at {complex(zs[0])}, frame is based at {frame.base_point}"

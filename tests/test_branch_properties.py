@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulertop.core import ModuliPoint
+from eulertop.core import CoincidentModuliError, ModuliPoint
 from eulertop.periods import S_closed_form
 from eulertop.special import (
     BranchCutError,
@@ -139,3 +139,25 @@ def test_closed_form_is_the_d_minus_i0_limit(c, gaps, l):
         m = ModuliPoint(*order, l=l)
         below = m.replace(d=m.d - 1j * eps(m.scale()))
         assert close(S_closed_form(m).value, S_closed_form(below).value)
+
+
+@PROPERTY
+@given(
+    c=st.floats(-3.0, 3.0),
+    gaps=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+    t=st.floats(0.0, 1.0),
+    im=st.one_of(st.just(0.0), st.tuples(spread(1e-6, 10.0), SIDES).map(lambda p: p[0] * p[1])),
+    l=spread(0.1, 10.0),
+)
+def test_three_term_identity_at_real_a_b_c(c, gaps, t, im, l):
+    # S(a,b,c,d) + S(b,a,c,d) = S(c,b,a,d) for real a > b > c, with d off the
+    # axis or real in (c - 5, a + 5), where S takes it at d - i0.
+    b = c + gaps[0]
+    a = b + gaps[1]
+    d = complex(c - 5.0 + t * (a - c + 10.0), im)
+    m = ModuliPoint(a, b, c, d, l=l)
+    try:
+        s1, s2, s3 = (S_closed_form(m.reorder(order)).value for order in ("abcd", "bacd", "cbad"))
+    except CoincidentModuliError:
+        return
+    assert abs(s1 + s2 - s3) <= 1e-11 * max(abs(s1), abs(s2), abs(s3))

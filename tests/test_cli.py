@@ -142,6 +142,15 @@ def test_period_rejects_nonpositive_reciprocal(capsys):
     assert err.startswith("error:") and "reciprocal" in err
 
 
+@pytest.mark.parametrize("flags", [("--abc", "3,3,1"), ("--abc", "3,2,2", "--axis", "p3")])
+def test_period_names_a_degenerate_abc(capsys, flags):
+    # Two equal reciprocals put the default grid on d = b; the error names the moments.
+    code, out, err = run(capsys, "period", *flags)
+    assert code == 1
+    assert out == ""
+    assert err == "error: moments of inertia must be pairwise distinct\n"
+
+
 def test_period_casimir_level_extremes(capsys):
     code, out, err = run(
         capsys, "period", "--grid-d", "2.5", "--grid-l", "1e-300,1e-100,1e100,1e300", "--format", "json",

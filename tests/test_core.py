@@ -1,4 +1,4 @@
-"""Moduli bookkeeping: inertia validation, chamber points, permutations."""
+"""Moduli bookkeeping: inertia validation, chamber points, relabelling."""
 
 import importlib
 import math
@@ -12,9 +12,6 @@ from eulertop.core import (
     DomainError,
     InertiaSpec,
     ModuliPoint,
-    Permutation4,
-    all_permutations,
-    apply_permutation,
     lambda_proof,
     moduli_from_mechanics,
     mu_main,
@@ -110,38 +107,21 @@ def test_mu_is_moebius_image_of_lambda(d):
     assert mu_main(m) == pytest.approx(lam / (lam - 1.0))
 
 
-def test_permutation_cycle_parsing():
-    p = Permutation4.from_cycles("(ac)")
-    assert p.images == ("c", "b", "a", "d")
-    assert p.cycle_notation() == "(ac)"
-    assert Permutation4.from_cycles("(abdc)").images == ("b", "d", "a", "c")
-    assert Permutation4(("a", "b", "c", "d")).cycle_notation() == "e"
-
-
-def test_permutation_group_structure():
-    perms = all_permutations()
-    assert len(perms) == 24
-    assert len({p.images for p in perms}) == 24
-    identity = Permutation4(("a", "b", "c", "d"))
-    for p in perms:
-        assert p.compose(p.inverse()).images == identity.images
-        # notation roundtrip
-        assert Permutation4.from_cycles(p.cycle_notation()).images == p.images
-
-
-def test_apply_permutation_swaps_slots():
+def test_reorder_swaps_slots():
     m = ModuliPoint(3, 2, 1, 2.5, 1.0)
-    swapped = apply_permutation(m, Permutation4.from_cycles("(ac)"))
+    swapped = m.reorder("cbad")
     assert swapped.coords() == pytest.approx((1.0, 2.0, 3.0, 2.5))
     assert swapped.l == m.l
 
 
-def test_apply_permutation_composes():
+def test_reorder_composes():
+    # Reordering by p and then by q is reordering by the labels of p that q names.
     m = ModuliPoint(3.0, 2.0, 1.0, 2.5, 2.0)
-    p = Permutation4.from_cycles("(ab)")
-    q = Permutation4.from_cycles("(cd)")
-    both = apply_permutation(apply_permutation(m, p), q)
-    assert both.coords() == apply_permutation(m, p.compose(q)).coords()
+    assert m.reorder("bacd").reorder("abdc").coords() == m.reorder("badc").coords()
+    assert m.reorder("bcad").reorder("bcad").coords() == m.reorder("cabd").coords()
+    for bad in ("abc", "abcc", "abce"):
+        with pytest.raises(ValueError):
+            m.reorder(bad)
 
 
 @pytest.mark.parametrize("name", [info.name for info in pkgutil.iter_modules(eulertop.__path__)])

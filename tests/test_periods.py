@@ -162,6 +162,14 @@ def test_symmetry_flags_are_cut_crossings():
     assert all(row.class_key != "S1" for row in rep.flagged_rows)
 
 
+def test_symmetries_take_real_points_only():
+    with pytest.raises(DomainError):
+        verify_symmetries(ModuliPoint(3, 2, 1, 2.5 + 0.3j, 1.0))
+    # Within the realness tolerance the point is taken on the axis.
+    near = verify_symmetries(ModuliPoint(3, 2, 1, 2.5 + 1e-13j, 1.0))
+    assert [row.value for row in near.rows] == [row.value for row in verify_symmetries(BASE).rows]
+
+
 def test_birkhoff_polynomials_exact():
     series = birkhoff_series(order=3)
     F = Fraction

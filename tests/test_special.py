@@ -321,6 +321,9 @@ def test_continuation_guards():
         continue_frame(frame, np.array([]))
     with pytest.raises(PathTooCloseError):
         continue_frame(frame, np.linspace(z0, 1e-9, 20))
+    for bad in (complex("nan"), complex("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            continue_frame(frame, np.array([z0, bad]))
 
 
 @pytest.mark.parametrize("basis_id,z", [("at0", 0.4 + 0.1j), ("at1", 0.9 - 0.3j), ("atInf", 1.6 + 1.1j)])
