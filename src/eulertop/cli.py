@@ -325,7 +325,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "flagged_count": sym.flagged_count,
         "cut_resolved_count": sym.cut_resolved_count,
         "flagged_rows": flagged,
-        "stabilizer": list(sym.stabilizer_generators),
+        "stabilizer": list(sym.stabilizer),
         "status": "pass" if sym_ok else "fail",
     }
     if not sym_ok:

@@ -319,8 +319,7 @@ class SymmetryReport:
     The orderings partition into three classes of eight by which label shares
     a slot pair with d (the class key); within a class, rows that stayed on
     the principal branch agree to rounding, and rows that crossed a cut are
-    flagged.  ``stabilizer_generators`` exhibits the order-8 stabilizer of
-    the identity's class.
+    flagged.  ``stabilizer`` lists the orderings in the identity's class.
     """
 
     moduli: ModuliPoint
@@ -329,7 +328,6 @@ class SymmetryReport:
     max_unflagged_deviation: float
     flagged_count: int
     cut_resolved_count: int
-    stabilizer_generators: tuple[str, str] = ("(bc)", "(abdc)")
 
     @property
     def class_sizes(self) -> dict:
@@ -337,6 +335,12 @@ class SymmetryReport:
         for row in self.rows:
             out[row.class_key] = out.get(row.class_key, 0) + 1
         return out
+
+    @property
+    def stabilizer(self) -> tuple[str, ...]:
+        """The orderings in the identity's class S1: the relabellings that
+        keep d paired with a, a group of order 8 under composition."""
+        return tuple(r.order for r in self.rows if r.class_key == "S1")
 
     @property
     def flagged_rows(self) -> tuple[SymmetryRow, ...]:

@@ -29,9 +29,6 @@ import numpy as np
 
 from .core import DomainError
 
-# scipy.integrate is imported only inside _ode_transport, the test oracle:
-# it is most of the package's import time.
-
 __all__ = [
     "BranchCutError",
     "ConnectionMatrix",
@@ -503,54 +500,6 @@ def _transport_germs(
         for m00, m01, m10, m11 in zip(*mats.reshape(4, -1).tolist()):
             rows = [(m00 * f + m01 * d, m10 * f + m11 * d) for f, d in rows]
     return np.array(rows, dtype=complex)
-
-
-def _ode_transport(zs: np.ndarray, germs: np.ndarray) -> np.ndarray:
-    """Test oracle for ``_transport_germs``: integrate the ODE along the
-    polyline with DOP853.  The library never calls it; the tests compare the
-    Taylor transport against it.
-
-    scipy's solvers want real systems, so the two germ rows are unpacked
-    into 8 real components.  The path is parameterized by arc index.
-    """
-    from scipy.integrate import solve_ivp
-
-    zs = np.asarray(zs, dtype=complex)
-    n = len(zs)
-
-    def z_of(t: float) -> tuple[complex, complex]:
-        i = min(int(t), n - 2)
-        frac = t - i
-        dz = zs[i + 1] - zs[i]
-        return zs[i] + frac * dz, dz
-
-    def rhs(t, y):
-        z, dz = z_of(t)
-        out = np.empty_like(y)
-        for k in range(2):
-            f = y[4 * k] + 1j * y[4 * k + 1]
-            fp = y[4 * k + 2] + 1j * y[4 * k + 3]
-            fpp = (f / 4.0 - (1.0 - 2.0 * z) * fp) / (z * (1.0 - z))
-            df = dz * fp
-            dfp = dz * fpp
-            out[4 * k], out[4 * k + 1] = df.real, df.imag
-            out[4 * k + 2], out[4 * k + 3] = dfp.real, dfp.imag
-        return out
-
-    y0 = np.empty(8)
-    for k in range(2):
-        f, fp = germs[k]
-        y0[4 * k], y0[4 * k + 1] = f.real, f.imag
-        y0[4 * k + 2], y0[4 * k + 3] = fp.real, fp.imag
-    sol = solve_ivp(rhs, (0.0, n - 1.0), y0, method="DOP853", rtol=1e-13, atol=1e-13, max_step=1.0)
-    if not sol.success:
-        raise ContinuationStallError(f"ODE transport failed: {sol.message}")
-    y = sol.y[:, -1]
-    out = np.empty((2, 2), dtype=complex)
-    for k in range(2):
-        out[k, 0] = y[4 * k] + 1j * y[4 * k + 1]
-        out[k, 1] = y[4 * k + 2] + 1j * y[4 * k + 3]
-    return out
 
 
 def _winding(zs: np.ndarray, s: float) -> float:

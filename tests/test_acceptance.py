@@ -97,7 +97,11 @@ def test_criterion_05_covariance_classes():
     # Flagged rows are the listed exceptions; everything else must sit on its
     # class representative.
     assert rep.max_unflagged_deviation < 1e-9
-    assert set(rep.stabilizer_generators) >= {"(bc)", "(abdc)"}
+    assert len(rep.stabilizer) == 8
+    assert {"acbd", "bdac"} <= set(rep.stabilizer)  # (bc) and (abdc)
+    m = ModuliPoint(*ABC, 2.5, 1.0)
+    images = {m.reorder(order).coords() for order in rep.stabilizer}
+    assert all(m.reorder(p).reorder(q).coords() in images for p in rep.stabilizer for q in rep.stabilizer)
     for row in rep.flagged_rows:
         print("  flagged ordering:", "".join(row.order), "->", row.value)
         assert row.cut_resolved

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -168,6 +169,34 @@ def test_simulate_horizon_is_bounded(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "characteristic times" in err
+
+
+@pytest.mark.parametrize("p0, casimir", [("1e200,1,1", "inf"), ("1e-200,1e-200,1e-200", "0.0")])
+def test_simulate_refuses_a_casimir_outside_the_float_range(capsys, p0, casimir):
+    # |p0|^2/2 overflows, or underflows to 0 for a moving state: either way
+    # no number printed would be right, so the run is refused up front.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "simulate", "--inertia", "1,2,3", "--p0", p0, "--t", "1", "--samples", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the Casimir L = |p|^2/2 of p0 = (") and f" is {casimir};" in err
+    assert err.count("\n") == 1
+
+
+def test_simulate_runs_the_zero_state(capsys):
+    code, out, err = run(capsys, "simulate", "--inertia", "1,2,3", "--p0", "0,0,0", "--t", "1", "--samples", "3")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,0,0,0,0,0", "0.5,0,0,0,0,0", "1,0,0,0,0,0"]
+
+
+def test_period_solver_failure_prints_only_its_error_line(capsys):
+    # At tol 1e-300 every step overflows the error norm; the stepper fails
+    # on a too-small step without a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "period", "--grid-d", "2.5", "--grid-l", "1", "--tol", "1e-300")
+    assert (code, out) == (1, "")
+    assert err == "error: integration failed: Required step size is less than spacing between numbers.\n"
 
 
 def test_verify_battery(capsys):
@@ -359,15 +388,18 @@ def test_separated_negative_value_reads_like_attached(capsys, flag, value, rest)
     assert "expected one argument" not in separated[2]
 
 
-def test_start_up_does_not_load_scipy_integrate():
-    # Only period and simulate integrate an ODE; the other commands must not
-    # pay for importing scipy.integrate, nor for concurrent.futures.
+def test_no_command_loads_scipy():
+    # The package integrates with its own stepper: no command, not even
+    # period or simulate, pays for importing scipy, nor for
+    # concurrent.futures.
     script = (
         "import sys\n"
         "import eulertop.cli as cli\n"
-        "for argv in (['monodromy', '--preset', 'alpha1'], ['verify'], ['series', '--n', '8']):\n"
+        "for argv in (['monodromy', '--preset', 'alpha1'], ['verify'], ['series', '--n', '8'],\n"
+        "             ['period', '--grid-d', '2.3,2.7', '--grid-l', '1'],\n"
+        "             ['simulate', '--inertia', '1,2,3', '--p0', '1,0.5,0.2', '--t', '2', '--samples', '5']):\n"
         "    assert cli.main(argv) == 0, argv\n"
-        "loaded = [m for m in ('scipy.integrate', 'concurrent.futures') if m in sys.modules]\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'concurrent.futures']\n"
         "print(loaded, file=sys.stderr)\n"
         "sys.exit(1 if loaded else 0)\n"
     )

@@ -2,12 +2,16 @@
 
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import DOP853, solve_ivp
 
 from eulertop.core import DomainError, InertiaSpec, ModuliPoint
 from eulertop.dynamics import (
     MAX_CHARACTERISTIC_TIMES,
+    IntegrationError,
     MomentumState,
     SeparatrixError,
     classify_equilibria,
@@ -16,6 +20,8 @@ from eulertop.dynamics import (
     integrate_orbit,
     orbit_period,
     orbit_periods,
+    _dop853,
+    _field,
 )
 from eulertop.periods import euler_period
 
@@ -159,3 +165,87 @@ def test_orbit_periods_batch_refuses_one_bad_row():
         orbit_periods([*good, chamber_state(2.0)], INERTIA)
     with pytest.raises(DomainError, match="equilibrium"):
         orbit_periods([good[0], MomentumState(0.0, 0.0, math.sqrt(2.0)), good[1]], INERTIA)
+
+
+def _step_beside_scipy(fun, y0, t_bound, rtol, atol):
+    """Step _dop853 and scipy's DOP853 together, asserting bit-identical t,
+    y, step sizes and dense output at interior points of every step.
+    Returns the number of steps and scipy's count of rhs evaluations."""
+    ref = DOP853(fun, 0.0, y0, t_bound, rtol=rtol, atol=atol)
+    every = np.arange(len(y0))[:, None]
+    t_old, steps = 0.0, 0
+    for t, y, dense in _dop853(fun, 0.0, y0, t_bound, rtol=rtol, atol=atol):
+        assert ref.step() is None
+        assert (t, t - t_old) == (ref.t, ref.step_size)
+        assert np.array_equal(y, ref.y)
+        times = t_old + np.array([0.1, 0.5, 0.9]) * (t - t_old)
+        at, want = dense(), ref.dense_output()
+        assert np.array_equal(at(times, every), want(times))
+        assert np.array_equal(at(times[1]), want(times[1]))
+        t_old, steps = t, steps + 1
+    assert ref.status == "finished" and t == t_bound
+    return steps, ref.nfev
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_dop853_steps_the_batched_system_like_scipy(n):
+    # orbit_periods' system and tolerances, on n random unit-sphere orbits.
+    rng = np.random.default_rng(n)
+    q0 = rng.normal(size=(3, n))
+    q0 /= np.linalg.norm(q0, axis=0)
+    reciprocals = INERTIA.reciprocals()
+    batch_tol = 0.5e-12 / math.sqrt(n)
+
+    def fun(t, y):
+        return (0.7 * _field(y.reshape(3, n), reciprocals)).ravel()
+    steps, _ = _step_beside_scipy(fun, q0.ravel(), 20.0, batch_tol, batch_tol)
+    assert steps > 10
+    # orbit_periods reads each row's three components at the row's own time.
+    t, _, dense = next(_dop853(fun, 0.0, q0.ravel(), 20.0, rtol=batch_tol, atol=batch_tol))
+    rows = np.arange(0, n, 3)
+    mid = t * rng.uniform(size=rows.size)
+    want = DOP853(fun, 0.0, q0.ravel(), 20.0, rtol=batch_tol, atol=batch_tol)
+    want.step()
+    picked = want.dense_output()(mid).reshape(3, n, rows.size)[:, rows, np.arange(rows.size)]
+    assert np.array_equal(dense()(mid, np.arange(3)[:, None] * n + rows), picked)
+
+
+def test_dop853_rejects_steps_like_scipy():
+    steps, nfev = _step_beside_scipy(lambda t, y: -50.0 * (y - np.cos(t)), np.array([0.0, 2.0]), 3.0, 1e-6, 1e-9)
+    # An accepted step costs 12 evaluations and the start 2; the rest are
+    # rejected steps.
+    assert nfev > 12 * steps + 2
+
+
+def test_dop853_clips_the_last_step_like_scipy():
+    steps, _ = _step_beside_scipy(lambda t, y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]), 1.2345, 1e-10, 1e-10)
+    assert steps >= 2
+
+
+def test_dop853_fails_on_a_too_small_step_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="less than spacing between numbers"):
+            for _ in _dop853(lambda t, y: np.array([y[1], -y[0]]), 0.0, np.array([1.0, 0.0]), 1.0, rtol=0.0, atol=1e-300):
+                pass
+
+
+@pytest.mark.parametrize("p0, t_end, samples", [
+    ((1.0, 0.5, 0.2), 10.0, 101), ((0.3, -1.2, 0.7), 200.0, 2001), ((0.0, 0.0, 0.0), 1.0, 5),
+])
+def test_integrate_orbit_matches_solve_ivp(p0, t_end, samples):
+    inertia = InertiaSpec(1.0, 2.0, 3.0)
+    reciprocals = inertia.reciprocals()
+    traj = integrate_orbit(MomentumState(*p0), inertia, t_end, n_samples=samples)
+    sol = solve_ivp(lambda t, p: _field(p, reciprocals), (0.0, t_end), np.array(p0), method="DOP853",
+                    rtol=1e-12, atol=1e-12, t_eval=np.linspace(0.0, t_end, samples))
+    assert np.array_equal(traj.t, sol.t)
+    assert np.array_equal(traj.p, sol.y.T)
+
+
+@pytest.mark.parametrize("p0", [(1e200, 1.0, 1.0), (1e-200, 1e-200, 1e-200), (math.nan, 1.0, 1.0)])
+def test_integrate_orbit_refuses_a_casimir_outside_the_float_range(p0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="Casimir"):
+            integrate_orbit(MomentumState(*p0), INERTIA, 1.0, n_samples=3)

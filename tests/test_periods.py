@@ -144,10 +144,21 @@ def test_symmetry_classes_partition():
     rep = verify_symmetries(BASE)
     assert rep.class_sizes == {"S1": 8, "S2": 8, "S3": 8}
     assert rep.max_unflagged_deviation < 1e-12
-    assert rep.stabilizer_generators == ("(bc)", "(abdc)")
+    assert len(rep.stabilizer) == 8
+    assert {"acbd", "bdac"} <= set(rep.stabilizer)  # (bc) and (abdc)
+    # A group: composing two of its relabellings gives a third.
+    images = {BASE.reorder(order).coords() for order in rep.stabilizer}
+    assert all(BASE.reorder(p).reorder(q).coords() in images for p in rep.stabilizer for q in rep.stabilizer)
     assert rep.class_values["S1"] == pytest.approx(S1, rel=1e-12)
     assert rep.class_values["S2"] == pytest.approx(S2, rel=1e-12)
     assert rep.class_values["S3"] == pytest.approx(S3, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [0.5, 1.5, 2.5, 3.5])
+def test_symmetry_stabilizer_is_read_from_the_rows(d):
+    # The identity's class keeps d paired with a, in every chamber.
+    rep = verify_symmetries(BASE.replace(d=d))
+    assert rep.stabilizer == ("abcd", "acbd", "badc", "bdac", "cadb", "cdab", "dbca", "dcba")
 
 
 def test_symmetry_flags_are_cut_crossings():

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from eulertop.special import (
     BranchCutError,
@@ -16,7 +17,6 @@ from eulertop.special import (
     connection,
     continue_frame,
     elliptic_K,
-    _ode_transport,
     gauss_ode_residual,
     hyper_series,
     phi_value,
@@ -237,6 +237,50 @@ def test_continuation_records_winding_and_monodromy():
     g1, g2 = out.values
     assert g1 == pytest.approx(f1, rel=1e-12)
     assert g2 == pytest.approx(f2 + 2j * np.pi * f1, rel=1e-12)
+
+
+def _ode_transport(zs: np.ndarray, germs: np.ndarray) -> np.ndarray:
+    """Oracle for ``_transport_germs``: integrate the ODE along the polyline
+    with scipy's DOP853, independent of the Taylor transport it checks.
+
+    scipy's solvers want real systems, so the two germ rows are unpacked
+    into 8 real components.  The path is parameterized by arc index.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    n = len(zs)
+
+    def z_of(t: float) -> tuple[complex, complex]:
+        i = min(int(t), n - 2)
+        frac = t - i
+        dz = zs[i + 1] - zs[i]
+        return zs[i] + frac * dz, dz
+
+    def rhs(t, y):
+        z, dz = z_of(t)
+        out = np.empty_like(y)
+        for k in range(2):
+            f = y[4 * k] + 1j * y[4 * k + 1]
+            fp = y[4 * k + 2] + 1j * y[4 * k + 3]
+            fpp = (f / 4.0 - (1.0 - 2.0 * z) * fp) / (z * (1.0 - z))
+            df = dz * fp
+            dfp = dz * fpp
+            out[4 * k], out[4 * k + 1] = df.real, df.imag
+            out[4 * k + 2], out[4 * k + 3] = dfp.real, dfp.imag
+        return out
+
+    y0 = np.empty(8)
+    for k in range(2):
+        f, fp = germs[k]
+        y0[4 * k], y0[4 * k + 1] = f.real, f.imag
+        y0[4 * k + 2], y0[4 * k + 3] = fp.real, fp.imag
+    sol = solve_ivp(rhs, (0.0, n - 1.0), y0, method="DOP853", rtol=1e-13, atol=1e-13, max_step=1.0)
+    assert sol.success, sol.message
+    y = sol.y[:, -1]
+    out = np.empty((2, 2), dtype=complex)
+    for k in range(2):
+        out[k, 0] = y[4 * k] + 1j * y[4 * k + 1]
+        out[k, 1] = y[4 * k + 2] + 1j * y[4 * k + 3]
+    return out
 
 
 def test_continuation_taylor_and_ode_agree():
