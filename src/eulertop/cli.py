@@ -394,8 +394,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_monodromy(args: argparse.Namespace) -> int:
     from .monodromy import (
-        ALPHA_PRESETS,
         GENERATOR_LABELS,
+        PRESETS,
         ModuliLoop,
         MonodromyError,
         loop_monodromy,
@@ -417,15 +417,15 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
             result = loop_monodromy(loop)
             out = {
                 "loop": loop.to_json_dict(),
-                "matrix": result.matrix.as_array().tolist(),
+                "matrix": result.matrix.tolist(),
                 "residual": result.residual,
             }
-        elif preset in ALPHA_PRESETS:
+        elif preset in PRESETS and preset not in GENERATOR_LABELS:
             result = preset_monodromy(preset)
             out = {
                 "preset": preset,
                 "frame": "engine (S3, S1)",
-                "matrix": result.matrix.as_array().tolist(),
+                "matrix": result.matrix.tolist(),
                 "residual": result.residual,
             }
         elif preset == "all-generators":
@@ -434,8 +434,8 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
                 cmp = numeric_vs_stated(label)
                 entries.append({
                     "generator": label,
-                    "stated": cmp.stated.as_array().tolist(),
-                    "computed": cmp.computed.as_array().tolist(),
+                    "stated": cmp.stated.tolist(),
+                    "computed": cmp.computed.tolist(),
                     "orientation": cmp.orientation,
                     "mismatch_count": cmp.mismatch_count,
                     "residual": cmp.float_residual,
@@ -452,7 +452,7 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
         else:
             print(f"error: unknown preset {preset!r}", file=sys.stderr)
             return 2
-    except (MonodromyError, ContinuationStallError, OSError, ValueError) as exc:
+    except (MonodromyError, ContinuationStallError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(_json_dump(out), args.out)
@@ -567,6 +567,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
+        return 1
+    except OSError as exc:  # such as an --out path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -80,9 +80,21 @@ def _field(p, reciprocals) -> np.ndarray:
 
 def _characteristic_time(l, reciprocals):
     """1/sqrt(2 l (a - c)(a - b)), a > b > c the sorted reciprocals: the time
-    an orbit at Casimir level l takes to turn by about a radian."""
+    an orbit at Casimir level l takes to turn by about a radian.  Raises
+    DomainError, naming the moments, where 2 l (a - c)(a - b) is not a
+    normal float."""
     a, b, c = sorted(reciprocals, reverse=True)
-    return 1.0 / np.sqrt(2.0 * l * (a - c) * (a - b))
+    with np.errstate(all="ignore"):
+        rate = np.asarray(2.0 * l * (a - c) * (a - b))
+    bad = ~((rate >= sys.float_info.min) & (rate <= sys.float_info.max))
+    if bad.any():
+        k = np.argmax(bad)
+        raise DomainError(
+            f"reciprocal moments a > b > c = {a!r}, {b!r}, {c!r} at Casimir L = {float(np.ravel(l)[k])!r} "
+            f"put 2 L (a - c)(a - b) = {float(rate.flat[k])!r}, which sets the orbit's time scale, "
+            "outside the normal float range"
+        )
+    return 1.0 / np.sqrt(rate)
 
 
 def conserved(p, inertia: InertiaSpec):
@@ -404,9 +416,10 @@ def integrate_orbit(
     the grid times the step has reached are read from its interpolant.
     Energy and Casimir are evaluated at every sample so drift is directly
     inspectable.  Raises DomainError before any work starts for a t_end
-    beyond MAX_CHARACTERISTIC_TIMES characteristic times, and for a nonzero
+    beyond MAX_CHARACTERISTIC_TIMES characteristic times, for a nonzero
     state whose Casimir L = |p|^2/2 overflows or lies below the smallest
-    normal float (sys.float_info.min), where it has no correct digits.
+    normal float (sys.float_info.min), where it has no correct digits, and
+    for moments whose characteristic time at L has no normal float.
     """
     if t_end <= 0.0:
         raise DomainError(f"t_end must be positive, got {t_end!r}")
@@ -452,10 +465,15 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     Returns are found after each step and refined together by bisection on
     the step's dense output, so memory stays proportional to N.
 
-    Raises DomainError at zero momentum or an equilibrium, SeparatrixError
-    when h is within a relative 1e-8 of the separatrix energy l/I2 (I2 the
-    middle moment; the period diverges there), and IntegrationError if the
-    solver fails or an orbit does not return within MAX_CHARACTERISTIC_TIMES.
+    Oracle: this is the ODE route of the three period routes, independent
+    of the closed form (``periods.S_closed_form``) and of the quadratures.
+
+    Raises DomainError at zero momentum, at an equilibrium, and where the
+    moments and l put the characteristic time or the speed on the unit
+    sphere outside the float range; SeparatrixError when h is within a
+    relative 1e-8 of the separatrix energy l/I2 (I2 the middle moment; the
+    period diverges there); and IntegrationError if the solver fails or an
+    orbit does not return within MAX_CHARACTERISTIC_TIMES.
     """
     p0 = np.array([s.as_array() for s in states]).reshape(-1, 3).T
     n = p0.shape[1]
@@ -468,19 +486,25 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     # Orbit k runs on the unit sphere, q = p / sqrt(2 l_k), in its own
     # characteristic time, where the field is _field(q) / sqrt((a - c)(a - b)):
     # l enters only through t_char.
+    t_char = _characteristic_time(l, reciprocals)
+    t_unit = _characteristic_time(0.5, reciprocals)  # on the unit sphere, 2 l = 1
+    a, b, c = sorted(reciprocals, reverse=True)
     q0 = p0 / np.sqrt(2.0 * l)
     f0 = _field(q0, reciprocals)
-    speed = np.linalg.norm(f0, axis=0)
+    with np.errstate(over="ignore"):
+        speed = np.linalg.norm(f0, axis=0)
+    if not np.all(np.isfinite(speed)):
+        raise DomainError(
+            f"reciprocal moments a > b > c = {a!r}, {b!r}, {c!r} put the speed on the unit sphere, "
+            "of the order of a - c, outside the float range"
+        )
     if np.any(speed < 1e-13 * max(reciprocals)):
         raise DomainError("initial condition is an equilibrium; the orbit is a point")
-    a, b, c = sorted(reciprocals, reverse=True)
     h_sep = b * l
     near = np.abs(h - h_sep) < SEPARATRIX_RTOL * np.abs(h_sep)
     if near.any():
         k = np.argmax(near)
         raise SeparatrixError(f"energy h = {float(h[k])!r} is within 1e-8 of the separatrix value {float(h_sep[k])!r}")
-    t_char = _characteristic_time(l, reciprocals)
-    t_unit = _characteristic_time(0.5, reciprocals)  # on the unit sphere, 2 l = 1
     normal = f0 / speed
 
     def section(q, rows=slice(None)):

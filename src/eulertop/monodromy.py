@@ -10,8 +10,9 @@ frames.
 
 Frames and bases.  The engine's working frame is (S3, S1) = (S(c,b,a,d),
 S(a,b,c,d)); stated generator matrices live in the (S1, S3) frame, one swap
-away.  All matrices act on column vectors of frame values, and loops are
-counterclockwise for positive winding.
+away, and the swap reverses both rows and columns.  All matrices act on
+column vectors of frame values, and loops are counterclockwise for positive
+winding.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
@@ -27,12 +29,12 @@ from .core import LABELS, cross_ratio
 from .special import _local_frame, _transport_germs
 
 __all__ = [
-    "ALPHA_PRESETS",
     "GENERATOR_LABELS",
     "IntegerMatrix2",
     "ModuliLoop",
     "MonodromyError",
     "MonodromyResult",
+    "PRESETS",
     "chamber_basepoint",
     "generator_matrix",
     "loop_monodromy",
@@ -42,8 +44,6 @@ __all__ = [
     "verify_braid_relations",
     "verify_confluence_product",
 ]
-
-GENERATOR_LABELS = ("h12", "h13", "h14", "h23", "h24", "h34")
 
 # Base chamber point for all preset loops.  The non-energy coordinates are
 # pushed slightly below the real axis so that no cross-ratio sample is ever
@@ -69,14 +69,14 @@ class MonodromyError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegerMatrix2:
-    """A 2x2 integer matrix with unit determinant."""
+    """A 2x2 integer matrix with unit determinant; its algebra is exact."""
 
     entries: tuple[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self) -> None:
         (p, q), (r, s) = self.entries
         for x in (p, q, r, s):
-            if not isinstance(x, (int, np.integer)):
+            if not isinstance(x, Integral):
                 raise ValueError(f"entries must be ints, got {x!r}")
         if p * s - q * r != 1:
             raise ValueError(f"determinant must be +1, got {p * s - q * r}")
@@ -84,8 +84,17 @@ class IntegerMatrix2:
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=int)
 
+    def tolist(self) -> list[list[int]]:
+        return [list(row) for row in self.entries]
+
     def __matmul__(self, other: "IntegerMatrix2") -> "IntegerMatrix2":
-        return IntegerMatrix2.from_array(self.as_array() @ other.as_array())
+        (p, q), (r, s) = self.entries
+        (w, x), (y, z) = other.entries
+        return IntegerMatrix2(((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z)))
+
+    def __neg__(self) -> "IntegerMatrix2":
+        (p, q), (r, s) = self.entries
+        return IntegerMatrix2(((-p, -q), (-r, -s)))
 
     def inverse(self) -> "IntegerMatrix2":
         (p, q), (r, s) = self.entries
@@ -145,7 +154,7 @@ class ModuliLoop:
         expected = set(LABELS) - {self.move}
         if set(self.frozen) != expected:
             raise ValueError(f"frozen must have keys {sorted(expected)}, got {sorted(self.frozen)}")
-        if not (isinstance(self.winding, (int, np.integer)) and self.winding != 0):
+        if not (isinstance(self.winding, Integral) and self.winding != 0):
             raise ValueError(f"winding must be a nonzero integer, got {self.winding!r}")
         if abs(self.winding) > MAX_WINDING:
             raise ValueError(f"|winding| must be at most {MAX_WINDING}, got {self.winding!r}")
@@ -424,56 +433,33 @@ _U = IntegerMatrix2(((1, 2), (0, 1)))
 _A = IntegerMatrix2(((-1, 2), (-2, 3)))
 _LINV = IntegerMatrix2(((1, 0), (-2, 1)))
 
-# Local monodromies around the three finite singular values of the
-# cross-ratio, in the engine frame (S3, S1), realized by coordinate loops.
-ALPHA_PRESETS = {
-    "alpha1": ("a", "d", 1),   # cross-ratio circles 0
-    "alpha2": ("d", "b", 1),   # cross-ratio circles infinity
-    "alpha3": ("d", "c", 1),   # cross-ratio circles 1 (after rescaling)
+# Every preset as label -> (move, around, stated matrix); each loop winds
+# once, counterclockwise.  The alphas are the local monodromies around the
+# three finite singular values of the cross-ratio, stated and reported in
+# the engine frame (S3, S1).  The six line generators h_ij are stated and
+# reported in the (S1, S3) frame.  The h13 approach must cross the line of
+# the blocking coordinate b; the downward bow in _approach_points fixes
+# which side, and that choice is what reproduces the stated matrix.
+PRESETS = {
+    "alpha1": ("a", "d", _U),     # cross-ratio circles 0
+    "alpha2": ("d", "b", _A),     # cross-ratio circles infinity
+    "alpha3": ("d", "c", _LINV),  # cross-ratio circles 1 (after rescaling)
+    "h12": ("b", "a", _U),
+    "h13": ("c", "a", _A),
+    "h14": ("d", "a", _LINV),
+    "h23": ("b", "c", _LINV),
+    "h24": ("b", "d", _A),
+    "h34": ("c", "d", _U),
 }
 
-ALPHA_STATED = {
-    "alpha1": _U,
-    "alpha2": _A,
-    "alpha3": _LINV,
-}
-
-# Stated monodromy of the six line generators in the (S1, S3) frame.
-GENERATOR_STATED = {
-    "h12": _U,
-    "h34": _U,
-    "h13": _A,
-    "h24": _A,
-    "h14": _LINV,
-    "h23": _LINV,
-}
-
-# Loop realizations as (move, around, winding).  The h13 approach must
-# cross the line of the blocking coordinate b; the downward bow in
-# _approach_points fixes which side, and that choice is what reproduces the
-# stated matrix.
-GENERATOR_PRESETS = {
-    "h12": ("b", "a", 1),
-    "h34": ("c", "d", 1),
-    "h24": ("b", "d", 1),
-    "h14": ("d", "a", 1),
-    "h23": ("b", "c", 1),
-    "h13": ("c", "a", 1),
-}
-
-# The engine works in (S3, S1); stated matrices use (S1, S3).
-_FRAME_SWAP = np.array([[0, 1], [1, 0]])
-
-
-def _to_stated_frame(m: IntegerMatrix2) -> IntegerMatrix2:
-    return IntegerMatrix2.from_array(_FRAME_SWAP @ m.as_array() @ _FRAME_SWAP)
+GENERATOR_LABELS = tuple(label for label in PRESETS if label.startswith("h"))
 
 
 def generator_matrix(label: str) -> IntegerMatrix2:
     """The stated monodromy matrix of one line generator, (S1, S3) frame."""
-    if label not in GENERATOR_STATED:
-        raise ValueError(f"label must be one of {sorted(GENERATOR_STATED)}, got {label!r}")
-    return GENERATOR_STATED[label]
+    if label not in GENERATOR_LABELS:
+        raise ValueError(f"label must be one of {list(GENERATOR_LABELS)}, got {label!r}")
+    return PRESETS[label][2]
 
 
 def preset_monodromy(label: str) -> MonodromyResult:
@@ -482,14 +468,15 @@ def preset_monodromy(label: str) -> MonodromyResult:
     Accepts alpha1/alpha2/alpha3 (reported in the engine frame) and the six
     generator labels (reported in the stated (S1, S3) frame).
     """
-    if label in ALPHA_PRESETS:
-        return loop_monodromy(preset_loop(*ALPHA_PRESETS[label]))
-    if label in GENERATOR_PRESETS:
-        got = loop_monodromy(preset_loop(*GENERATOR_PRESETS[label]))
-        return MonodromyResult(
-            _to_stated_frame(got.matrix), _FRAME_SWAP @ got.raw @ _FRAME_SWAP, got.residual
-        )
-    raise ValueError(f"unknown preset {label!r}")
+    if label not in PRESETS:
+        raise ValueError(f"unknown preset {label!r}")
+    move, around, _ = PRESETS[label]
+    got = loop_monodromy(preset_loop(move, around))
+    if label not in GENERATOR_LABELS:
+        return got
+    # Swapping the frame reverses both rows and columns, exactly.
+    (p, q), (r, s) = got.matrix.entries
+    return MonodromyResult(IntegerMatrix2(((s, r), (q, p))), got.raw[::-1, ::-1], got.residual)
 
 
 @dataclass(frozen=True)
@@ -511,14 +498,16 @@ def numeric_vs_stated(label: str) -> ComparisonReport:
     which orientation matched; mismatch_count counts differing entries for
     the better orientation.
     """
-    stated = ALPHA_STATED[label] if label in ALPHA_PRESETS else generator_matrix(label)
     got = preset_monodromy(label)
-    computed, resid = got.matrix, got.residual
-    direct = int(np.sum(computed.as_array() != stated.as_array()))
-    inverse = int(np.sum(computed.inverse().as_array() != stated.as_array()))
+    stated = PRESETS[label][2]
+
+    def mismatches(m: IntegerMatrix2) -> int:
+        return sum(x != y for row, want in zip(m.entries, stated.entries) for x, y in zip(row, want))
+
+    direct, inverse = mismatches(got.matrix), mismatches(got.matrix.inverse())
     if direct <= inverse:
-        return ComparisonReport(label, stated, computed, +1, direct, resid)
-    return ComparisonReport(label, stated, computed, -1, inverse, resid)
+        return ComparisonReport(label, stated, got.matrix, +1, direct, got.residual)
+    return ComparisonReport(label, stated, got.matrix, -1, inverse, got.residual)
 
 
 # ----------------------------------------------------------------------
@@ -533,14 +522,13 @@ def verify_confluence_product() -> dict:
     """
     from itertools import permutations
 
-    minus_i = np.array([[-1, 0], [0, -1]])
     out = {}
     for order in permutations(("alpha1", "alpha3", "alpha2")):
-        first, second, third = (ALPHA_STATED[label].as_array() for label in order)
+        first, second, third = (PRESETS[label][2] for label in order)
         prod = first @ second @ third
         out[" ".join(order)] = {
             "product": prod.tolist(),
-            "is_minus_identity": bool(np.array_equal(prod, minus_i)),
+            "is_minus_identity": prod == -IntegerMatrix2.identity(),
         }
     return out
 
@@ -561,14 +549,13 @@ BRAID_RELATIONS = {
 CENTER_WORD = ("h13", "h12", "h23", "h34", "h24", "h14")
 
 
-def _word_product(word) -> np.ndarray:
-    acc = np.eye(2, dtype=int)
+def _word_product(word) -> IntegerMatrix2:
+    acc = IntegerMatrix2.identity()
     for token in word:
         if token.endswith("^-1"):
-            m = generator_matrix(token[:-3]).inverse()
+            acc = acc @ generator_matrix(token[:-3]).inverse()
         else:
-            m = generator_matrix(token)
-        acc = acc @ m.as_array()
+            acc = acc @ generator_matrix(token)
     return acc
 
 
@@ -584,11 +571,9 @@ def verify_braid_relations() -> dict:
     for name, words in BRAID_RELATIONS.items():
         prods = [_word_product(w) for w in words]
         first = prods[0]
-        if all(np.array_equal(p, first) for p in prods[1:]):
+        if all(p == first for p in prods[1:]):
             status = "exact"
-        elif all(
-            np.array_equal(p, first) or np.array_equal(p, -first) for p in prods[1:]
-        ):
+        elif all(p in (first, -first) for p in prods[1:]):
             status = "up_to_sign"
         else:
             status = "fail"
@@ -601,6 +586,6 @@ def verify_braid_relations() -> dict:
     report["center"] = {
         "word": " ".join(CENTER_WORD),
         "product": center.tolist(),
-        "is_minus_identity": bool(np.array_equal(center, -np.eye(2, dtype=int))),
+        "is_minus_identity": center == -IntegerMatrix2.identity(),
     }
     return report

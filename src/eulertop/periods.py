@@ -29,8 +29,8 @@ from .core import (
     CoincidentModuliError,
     DomainError,
     ModuliPoint,
+    cross_ratio,
     lambda_proof,
-    mu_main,
 )
 from .special import DivergenceError, _on_cut, _sqrt_sided, elliptic_K
 
@@ -78,6 +78,17 @@ class PeriodValue:
             raise ValueError(f"cycle_label must be one of {CYCLE_LABELS}")
 
 
+def _unit(m: ModuliPoint) -> float:
+    """The power of two that S(m) is evaluated in: 1 up to a scale of 2**300,
+    else the one that brings the scale back to 2**300.
+
+    S is homogeneous of degree -1 in (a, b, c, d), and dividing by a power
+    of two is exact, so S(m) is S(m / unit) / unit, and no product of three
+    coordinate differences overflows on the way.
+    """
+    return 2.0 ** max(0, math.frexp(m.scale())[1] - 300)
+
+
 def _d_side(dq_dd: complex) -> int:
     """The side q takes at d - i0: under d -> d - i delta, q picks up
     -i delta dq/dd."""
@@ -91,7 +102,6 @@ def S_closed_form(m: ModuliPoint) -> PeriodValue:
     (d - b)(c - a) = 0 puts K at its logarithmic singularity; both raise.
     The coincidences d = a and b = c are regular (mu = 0) and allowed.
     """
-    a, b, c, d = m.coords()
     pairs = m.coincident_pairs()
     for x, y in (("c", "d"), ("a", "b")):
         if (x, y) in pairs:
@@ -102,7 +112,11 @@ def S_closed_form(m: ModuliPoint) -> PeriodValue:
                 (x, y), f"K argument hits 1 where {y} = {x}: S diverges logarithmically"
             )
 
-    mu = mu_main(m)
+    # Scaled part by part: complex / float can flip the sign of a zero part.
+    unit = _unit(m)
+    a, b, c, d = (complex(z.real / unit, z.imag / unit) for z in m.coords())
+    # Coincident pairs c, d and a, b were refused above, as mu_main would.
+    mu = cross_ratio(a, b, c, d)
     # Both cuts are taken at d - i0; elliptic_K ignores the side off its cut.
     dmu_dd = (b - c) * (a - c) / ((b - a) * (d - c) ** 2)
     try:
@@ -114,7 +128,7 @@ def S_closed_form(m: ModuliPoint) -> PeriodValue:
     flagged = _on_cut(1.0 - mu) or _on_cut(radicand)
 
     value = -math.sqrt(2.0 / m.l) / (3.0 * math.pi) * kval / root
-    return PeriodValue(value, "sigma1_axis", m, flagged)
+    return PeriodValue(complex(value.real / unit, value.imag / unit), "sigma1_axis", m, flagged)
 
 
 def phi_prime(axis: str, m: ModuliPoint) -> PeriodValue:
@@ -221,8 +235,13 @@ def quadrature_sigma_integral(m: ModuliPoint, s: float = 0.0) -> PeriodValue:
     so s is a pure consistency dial:
 
         S = -(1/pi) [(1 - s) I1 + s I2].
+
+    Oracle for ``S_closed_form``: the quadrature route of the three period
+    routes, sharing no code with the AGM or the ODE route.
     """
+    unit = _unit(m)
     a, b, c, d, l = _real_chamber_coords(m)
+    a, b, c, d = a / unit, b / unit, c / unit, d / unit
 
     # The arcs are integrated on the sphere with 2 l = 1; l enters only as
     # the prefactor 1/sqrt(2 l).
@@ -247,7 +266,7 @@ def quadrature_sigma_integral(m: ModuliPoint, s: float = 0.0) -> PeriodValue:
     # An arc of weight 0 is not integrated.
     i1 = tanh_sinh(g1, -P, P) / 3.0 if s != 1.0 else 0.0
     i2 = tanh_sinh(g2, -P3, P3) / 3.0 if s != 0.0 else 0.0
-    value = -((1.0 - s) * i1 + s * i2) / (math.pi * math.sqrt(2.0 * l))
+    value = -((1.0 - s) * i1 + s * i2) / (math.pi * math.sqrt(2.0 * l)) / unit
     return PeriodValue(value, "sigma1_axis", m)
 
 
@@ -263,6 +282,8 @@ def quadrature_tau_integral(m: ModuliPoint) -> PeriodValue:
         value = -(2 / (2 pi)) * pref * (J2 - i J1),
 
     which lands on S(c, b, a, d) = S1 + S2 evaluated at d - i0.
+
+    Oracle for ``S_closed_form`` on the connecting cycle: it never calls K.
     """
     a, b, c, d, l = _real_chamber_coords(m)
     lam = lambda_proof(m).real
@@ -319,15 +340,17 @@ class SymmetryReport:
     The orderings partition into three classes of eight by which label shares
     a slot pair with d (the class key); within a class, rows that stayed on
     the principal branch agree to rounding, and rows that crossed a cut are
-    flagged.  ``stabilizer`` lists the orderings in the identity's class.
+    flagged.  Every summary is read from the rows; ``stabilizer`` lists the
+    orderings in the identity's class.
     """
 
     moduli: ModuliPoint
     rows: tuple[SymmetryRow, ...]
-    class_values: dict
-    max_unflagged_deviation: float
-    flagged_count: int
-    cut_resolved_count: int
+
+    @property
+    def class_values(self) -> dict:
+        """Each class's value, that of its representative ordering."""
+        return {r.class_key: r.value for r in self.rows if r.order == _CLASS_ORDERS[r.class_key]}
 
     @property
     def class_sizes(self) -> dict:
@@ -335,6 +358,18 @@ class SymmetryReport:
         for row in self.rows:
             out[row.class_key] = out.get(row.class_key, 0) + 1
         return out
+
+    @property
+    def max_unflagged_deviation(self) -> float:
+        return max([0.0] + [r.deviation for r in self.rows if not r.flagged])
+
+    @property
+    def flagged_count(self) -> int:
+        return len(self.flagged_rows)
+
+    @property
+    def cut_resolved_count(self) -> int:
+        return sum(r.cut_resolved for r in self.rows)
 
     @property
     def stabilizer(self) -> tuple[str, ...]:
@@ -377,9 +412,6 @@ def verify_symmetries(m: ModuliPoint, rtol: float = 1e-9) -> SymmetryReport:
             reps[key] = pv.value
 
     rows = []
-    max_dev = 0.0
-    flagged_count = 0
-    cut_count = 0
     for order, pv, key in raw:
         rep = reps[key]
         dev = abs(pv.value - rep) / max(abs(rep), 1e-300)
@@ -388,14 +420,5 @@ def verify_symmetries(m: ModuliPoint, rtol: float = 1e-9) -> SymmetryReport:
             raise AssertionError(
                 f"ordering {order} deviates without crossing a cut; branch bookkeeping is broken"
             )
-        if flagged:
-            flagged_count += 1
-        if pv.branch_flagged:
-            cut_count += 1
-        if not flagged:
-            max_dev = max(max_dev, dev)
         rows.append(SymmetryRow(order, pv.value, key, dev, pv.branch_flagged, flagged))
-
-    return SymmetryReport(
-        m, tuple(rows), reps, max_dev, flagged_count, cut_count
-    )
+    return SymmetryReport(m, tuple(rows))

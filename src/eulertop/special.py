@@ -233,6 +233,10 @@ def phi_value(name: str, z: complex, side: int = +1) -> complex:
     resolves every branch cut the evaluation crosses (the cuts of the three
     holomorphic members jointly cover the real axis outside (0, 1)).
     The logarithmic companions are only provided inside their series disc.
+
+    Oracle pair: the holomorphic members come from the global K (the AGM),
+    the companions from ``_local_frame``'s local series.  The two share no
+    code, so the connection formulas between them check each other.
     """
     z = complex(z)
     _check_side(side, "phi_value needs a side" + _SIDE_HINT)
@@ -295,7 +299,8 @@ def basis_eval(basis_id: str, z: complex) -> SolutionFrame:
 
 def _local_frame(basis_id: str, z: complex, side: int | None) -> SolutionFrame:
     """``basis_eval`` with the prefactors' cut resolved by ``side``; the one
-    caller of the series.  Errors come in the order region, divergence, cut."""
+    caller of the series.  Errors come in the order region, divergence, cut.
+    The local-series side of the oracle pair with ``phi_value``'s global K."""
     z = complex(z)
     # Im(1 - z) = Im(-z) = -Im z: the prefactors of at1 and atInf take the
     # opposite side.
@@ -469,7 +474,9 @@ def _transport_germs(
     Steps never exceed _STEP_FRACTION times the distance to the nearest of
     the singular points {0, 1}, nor fall below min_step.  The step nodes are
     laid out first; then the steps' transition matrices are built a block at
-    a time and applied to the rows in path order.
+    a time and applied to the rows in path order.  Its oracle is the
+    test-only ``_ode_transport`` in ``tests/test_special.py``, which
+    integrates the same ODE with scipy instead.
     """
     z = complex(zs[0])
     nodes = [z]

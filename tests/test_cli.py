@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +184,22 @@ def test_simulate_refuses_a_casimir_outside_the_float_range(capsys, p0, casimir)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, moments", [
+    (("period", "--abc", "1e155,1,0.5", "--grid-d", "5e154"), "a > b > c = 1e+155, 1.0, 0.5"),
+    (("simulate", "--inertia", "1e-300,1,2", "--p0", "1,1,1", "--t", "1e-300", "--samples", "3"),
+     "a > b > c = 9.999999999999999e+299, 1.0, 0.5"),
+])
+def test_extreme_moments_print_one_error_line_naming_them(capsys, argv, moments):
+    # 2 L (a - c)(a - b) overflows: once a complex-power OverflowError in the
+    # closed form, once a numpy warning and "(0 time units)".
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: reciprocal moments {moments} at Casimir L = ")
+    assert "outside the normal float range" in err and err.count("\n") == 1
+
+
 def test_simulate_runs_the_zero_state(capsys):
     code, out, err = run(capsys, "simulate", "--inertia", "1,2,3", "--p0", "0,0,0", "--t", "1", "--samples", "3")
     assert code == 0
@@ -261,6 +278,32 @@ def test_monodromy_table_presets(capsys, preset):
     code, out, err = run(capsys, "monodromy", "--preset", preset)
     assert code == 0
     assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("preset", ["confluence", "braid"])
+def test_monodromy_table_presets_match_the_reference_files(capsys, preset):
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / f"{preset}.json"
+    code, out, err = run(capsys, "monodromy", "--preset", preset)
+    assert code == 0
+    assert out == reference.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ("series",),
+    ("monodromy", "--preset", "braid"),
+    ("verify", "--format", "csv"),
+    ("simulate", "--inertia", "1,2,3", "--p0", "1,1,1", "--t", "1", "--samples", "3"),
+    ("period", "--grid-d", "2.5"),
+])
+@pytest.mark.parametrize("target", ["missing-dir/out.txt", "."])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, argv, target):
+    # A path in a missing directory, or a directory itself; verify's
+    # branch-flag warnings come before the error line.
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err.endswith(f"'{path}'\n") and err.count("error:") == 1
+    assert err.splitlines()[-1].startswith("error: [Errno ")
 
 
 def test_monodromy_loop_transport_stall(tmp_path, capsys):

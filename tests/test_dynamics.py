@@ -144,6 +144,21 @@ def test_orbit_period_equilibrium_refusal():
         orbit_period(MomentumState(0.0, 0.0, 0.0), INERTIA)
 
 
+@pytest.mark.parametrize("reciprocals, p0, message", [
+    # 2 L (a - c)(a - b) overflows, or underflows below the normal floats.
+    ((1e155, 1.0, 0.5), (1.0, 0.0, 1.0), "2 L \\(a - c\\)\\(a - b\\) = inf"),
+    ((3.0, 2.0, 1.0), (1e-160, 0.0, 1e-160), "2 L \\(a - c\\)\\(a - b\\) = 4e-320"),
+    # The time scale is fine, but |f| on the unit sphere, about (b - c)/2, is not.
+    ((3e155, 2.997e155, 1.0), (0.0, 1e-3, 1e-3), "speed on the unit sphere"),
+])
+def test_orbit_periods_refuse_moments_outside_the_float_range(reciprocals, p0, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message) as info:
+            orbit_periods([MomentumState(*p0)], InertiaSpec.from_reciprocals(*reciprocals))
+    assert f"a > b > c = {reciprocals[0]!r}" in str(info.value)
+
+
 def test_orbit_periods_batch_matches_closed_form():
     # Both families, l from 1e-300 to 1e300, rows at 1e-4 of the separatrix
     # gap, and one state flowed off the p2 = 0 plane, all in one call, in

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_branch_properties import PROPERTY
 
 from eulertop.monodromy import (
-    ALPHA_STATED,
     GENERATOR_LABELS,
     MAX_WINDING,
+    PRESETS,
     IntegerMatrix2,
     ModuliLoop,
     MonodromyError,
@@ -42,6 +45,28 @@ def test_integer_matrix_algebra():
     assert IntegerMatrix2.identity().entries == ((1, 0), (0, 1))
     back = IntegerMatrix2.from_array(np.array(U))
     assert back.entries == U
+
+
+# The letters U and L and their inverses as numpy int matrices, written out
+# so that numpy's products do not rely on IntegerMatrix2.inverse.
+NUMPY_LETTERS = {
+    "U": np.array(U), "U^-1": np.array(((1, -2), (0, 1))),
+    "L": np.array(((1, 0), (2, 1))), "L^-1": np.array(L_INV),
+}
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(sorted(NUMPY_LETTERS)), max_size=16))
+def test_integer_matrix_algebra_equals_numpy_int_products(word):
+    exact, ref = IntegerMatrix2.identity(), np.eye(2, dtype=int)
+    for token in word:
+        letter = IntegerMatrix2(U if token[0] == "U" else ((1, 0), (2, 1)))
+        exact = exact @ (letter.inverse() if token.endswith("^-1") else letter)
+        ref = ref @ NUMPY_LETTERS[token]
+    assert exact.tolist() == ref.tolist()
+    assert (-exact).tolist() == (-ref).tolist()
+    assert (exact.inverse().as_array() @ ref).tolist() == [[1, 0], [0, 1]]
+    assert (ref @ exact.inverse().as_array()).tolist() == [[1, 0], [0, 1]]
 
 
 def test_chamber_basepoint_layout():
@@ -127,7 +152,8 @@ def test_alpha_monodromies(label, entries):
 
 
 def test_alpha_comparison_reports():
-    for label, stated in ALPHA_STATED.items():
+    for label in ("alpha1", "alpha2", "alpha3"):
+        stated = PRESETS[label][2]
         report = numeric_vs_stated(label)
         assert report.mismatch_count == 0
         assert report.orientation == +1

@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,6 +117,24 @@ def test_sigma_quadrature_matches_closed_form(s):
 def test_sigma_quadrature_reversed_chamber():
     got = quadrature_sigma_integral(ModuliPoint(1, 2, 3, 1.2, 1.0))
     assert got.value == pytest.approx(S_REVERSED, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e300])
+def test_closed_form_and_sigma_quadrature_at_extreme_scale(scale):
+    # S is homogeneous of degree -1; unscaled, (d - c)**2 overflows here.
+    m = ModuliPoint(3.0 * scale, 2.0 * scale, 1.0 * scale, 2.5 * scale)
+    assert S_closed_form(m).value == pytest.approx(S1 / scale, rel=1e-14, abs=0.0)
+    assert quadrature_sigma_integral(m).value == pytest.approx(S1 / scale, rel=1e-13, abs=0.0)
+
+
+def test_closed_form_at_widely_spread_moments():
+    a, b, c, d = (mpmath.mpf(x) for x in (1e155, 1, 0.5, 5e154))
+    with mpmath.workdps(30):
+        mu = (d - a) * (b - c) / ((d - c) * (b - a))
+        want = float(-mpmath.sqrt(2) / (3 * mpmath.pi) * mpmath.ellipk(mu) / mpmath.sqrt((d - c) * (a - b)))
+    m = ModuliPoint(1e155, 1.0, 0.5, 5e154)
+    assert S_closed_form(m).value == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert quadrature_sigma_integral(m).value == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_sigma_quadrature_needs_real_chamber():
