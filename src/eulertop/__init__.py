@@ -5,12 +5,18 @@ The package is organized in layers, and each public name is imported from
 the module that defines it:
 
 - ``core``: moduli-space value types and cross-ratio conventions
-- ``dynamics``: the momentum equations, orbits, and measured periods
-- ``special``: elliptic integrals, hypergeometric bases, continuation
+- ``special``: elliptic integrals and the hypergeometric bases, as scalars
 - ``periods``: the closed-form period, quadrature routes, identity checks
 - ``birkhoff``: the exact rational series of the inverse normal form
-- ``monodromy``: integer monodromy matrices of moduli-space loops
+- ``lattice``: the stated integer monodromy matrices and their algebra
+- ``dynamics``: the momentum equations, orbits, and measured periods
+- ``monodromy``: connection matrices, continuation along paths, and the
+  integer monodromy matrices of moduli-space loops
 - ``cli``: the ``eulertop`` command
+
+Only ``dynamics`` and ``monodromy`` compute with arrays, and only they
+import numpy; the other layers are scalar, exact or integer code, so a
+command that needs none of the two never loads it.
 """
 
 __version__ = "0.1.0"

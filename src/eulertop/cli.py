@@ -30,7 +30,8 @@ from . import __version__
 from .core import DomainError, InertiaSpec, ModuliPoint
 
 # Each command imports the layers it runs when it starts, so none pays for a
-# layer it does not use: ``--version`` and ``series`` never load numpy.
+# layer it does not use: only ``simulate``, ``period`` and the loop presets
+# of ``monodromy`` load numpy.
 
 __all__ = ["main", "build_parser"]
 
@@ -281,10 +282,8 @@ def cmd_period(args: argparse.Namespace) -> int:
 # verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .birkhoff import birkhoff_series
-    from .monodromy import verify_confluence_product
+    from .lattice import verify_confluence_product
     from .periods import verify_connection_identity, verify_symmetries
     from .special import elliptic_K
 
@@ -338,7 +337,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
 
     # Modular identity of K across the lambda -> lambda/(lambda-1) map.
-    lams = np.linspace(-5.0, 0.5, 101)
+    # The 101 points of numpy's linspace(-5.0, 0.5, 101), bit for bit.
+    lams = [-5.0 + i * 0.055 for i in range(100)] + [0.5]
     worst_modular = 0.0
     for lam in lams:
         lhs = elliptic_K(lam / (lam - 1.0))
@@ -393,14 +393,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # monodromy
 
 def cmd_monodromy(args: argparse.Namespace) -> int:
-    from .monodromy import (
+    # The braid and confluence presets multiply stated integer matrices
+    # only; the numeric engine, and numpy with it, loads for the loops.
+    from .lattice import (
         GENERATOR_LABELS,
         PRESETS,
-        ModuliLoop,
         MonodromyError,
-        loop_monodromy,
-        numeric_vs_stated,
-        preset_monodromy,
         verify_braid_relations,
         verify_confluence_product,
     )
@@ -412,6 +410,8 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
         return 2
     try:
         if loop_file:
+            from .monodromy import ModuliLoop, loop_monodromy
+
             with open(loop_file, "r", encoding="utf-8") as fh:
                 loop = ModuliLoop.from_json_dict(json.load(fh))
             result = loop_monodromy(loop)
@@ -421,6 +421,8 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
                 "residual": result.residual,
             }
         elif preset in PRESETS and preset not in GENERATOR_LABELS:
+            from .monodromy import preset_monodromy
+
             result = preset_monodromy(preset)
             out = {
                 "preset": preset,
@@ -429,6 +431,8 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
                 "residual": result.residual,
             }
         elif preset == "all-generators":
+            from .monodromy import numeric_vs_stated
+
             entries = []
             for label in GENERATOR_LABELS:
                 cmp = numeric_vs_stated(label)

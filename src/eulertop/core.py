@@ -126,14 +126,17 @@ class ModuliPoint:
         return (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
 
     def scale(self) -> float:
-        return max(1.0, *(abs(complex(getattr(self, n))) for n in LABELS))
+        """The largest |coordinate|: coincidence and reality tolerances are
+        relative to it, so a point and its multiples are treated alike."""
+        return max(abs(z) for z in self.coords())
 
     def coincident_pairs(self) -> list[tuple[str, str]]:
-        """All label pairs closer than DEGENERACY_RTOL * scale, in a fixed order."""
+        """All label pairs at most DEGENERACY_RTOL * scale apart, in a fixed
+        order; where all four coordinates are equal, zero included, every pair."""
         tol = DEGENERACY_RTOL * self.scale()
         found = []
         for x, y in (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")):
-            if abs(complex(getattr(self, x)) - complex(getattr(self, y))) < tol:
+            if abs(complex(getattr(self, x)) - complex(getattr(self, y))) <= tol:
                 found.append((x, y))
         return found
 
@@ -185,9 +188,9 @@ def _checked_cross_ratio(m: ModuliPoint, order: str) -> complex:
     denominator pair."""
     a, b, c, d = m.reorder(order).coords()
     tol = DEGENERACY_RTOL * m.scale()
-    if abs(d - c) < tol:
+    if abs(d - c) <= tol:
         raise CoincidentModuliError((order[3], order[2]))
-    if abs(b - a) < tol:
+    if abs(b - a) <= tol:
         raise CoincidentModuliError((order[1], order[0]))
     return cross_ratio(a, b, c, d)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,6 +196,9 @@ _A = _rows((16, 16), (
 ))
 _B = _A[12, :12]
 
+# Each stage's node and weights, (c_s, A[s, :s]), sliced once.
+_STAGES = tuple((_C[s], _A[s, :s]) for s in range(16))
+
 # The two error estimators, as weights of stages 0..12: the 5th-order one
 # directly, the 3rd-order one as b minus the weights bhh of a 3rd-order
 # solution.
@@ -270,8 +274,10 @@ def _error_norm(K, h, scale) -> float:
     3rd-order estimate is much smaller than the 5th-order one."""
     err5 = np.dot(K.T, _E5) / scale
     err3 = np.dot(K.T, _E3) / scale
-    err5_2 = np.linalg.norm(err5) ** 2
-    err3_2 = np.linalg.norm(err3) ** 2
+    # np.linalg.norm's own operations, without its per-call checks: the
+    # squares keep the bits scipy's DOP853 computes.
+    err5_2 = np.sqrt(err5.dot(err5)) ** 2
+    err3_2 = np.sqrt(err3.dot(err3)) ** 2
     if err5_2 == 0 and err3_2 == 0:
         return 0.0
     return np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
@@ -281,9 +287,10 @@ def _dop853(fun, t0, y0, t_bound, *, rtol, atol):
     """Integrate y' = fun(t, y) from t0 forward to t_bound with DOP853.
 
     Yields ``(t, y, dense)`` after each accepted step; the last step is cut
-    to end on t_bound.  ``dense()`` builds the step's interpolant
-    ``at(t, rows)``, the components ``rows`` of y at times t in the step
-    (broadcast against each other); it is valid until the generator resumes.
+    to end on t_bound.  ``dense()`` builds the step's interpolant, a
+    ``_StepInterpolant`` ``at``; ``at(t, rows)`` gives the components
+    ``rows`` of y at times t in the step (broadcast against each other).
+    ``dense()`` must be called before the generator resumes.
     A step is accepted when the scaled error norm is below 1, the scale of a
     component being atol + rtol max(|y_i| before, |y_i| after); rtol is
     raised to 100 machine epsilons if below.  Raises IntegrationError when
@@ -310,8 +317,8 @@ def _dop853(fun, t0, y0, t_bound, *, rtol, atol):
             h_abs = np.abs(h)
             with np.errstate(all="ignore"):
                 K[0] = f
-                for s in range(1, 12):
-                    K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+                for s, (c, a) in enumerate(_STAGES[1:12], 1):
+                    K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
                 y_new = y + h * np.dot(K[:12].T, _B)
                 K[12] = f_new = fun(t + h, y_new)
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -326,29 +333,49 @@ def _dop853(fun, t0, y0, t_bound, *, rtol, atol):
         yield t, y, lambda: _interpolant(fun, t_old, t, y_old, y, f_old, f, K)
 
 
-def _interpolant(fun, t_old, t, y_old, y, f_old, f, K):
-    """DOP853's 7th-order dense output over the step from t_old to t."""
+class _StepInterpolant(NamedTuple):
+    """DOP853's 7th-order dense output over the step of length h from t_old:
+    the coefficients F (7, n) of a polynomial in x = (t - t_old) / h, and
+    the state y_old at the step's start."""
+
+    t_old: float
+    h: float
+    F: np.ndarray
+    y_old: np.ndarray
+
+    def __call__(self, times, rows=slice(None)) -> np.ndarray:
+        return _dense_output(self.F, self.y_old, (np.asarray(times) - self.t_old) / self.h, rows)
+
+
+def _interpolant(fun, t_old, t, y_old, y, f_old, f, K) -> _StepInterpolant:
+    """The dense output of the step from t_old to t."""
     h = t - t_old
-    for s in range(13, 16):
-        K[s] = fun(t_old + _C[s] * h, y_old + np.dot(K[:s].T, _A[s, :s]) * h)
+    for s, (c, a) in enumerate(_STAGES[13:], 13):
+        K[s] = fun(t_old + c * h, y_old + np.dot(K[:s].T, a) * h)
     delta = y - y_old
     F = np.empty((7, y.size))
     F[0] = delta
     F[1] = h * f_old - delta
     F[2] = 2 * delta - h * (f + f_old)
     F[3:] = h * np.dot(_D, K)
+    return _StepInterpolant(t_old, h, F, y_old)
 
-    def at(times, rows=slice(None)):
-        # A Horner scheme in x and 1 - x, alternating.
-        x = (np.asarray(times) - t_old) / h
-        out = np.zeros(np.broadcast_shapes(np.shape(x), y_old[rows].shape))
-        for i, coeff in enumerate(F[::-1]):
-            out += coeff[rows]
-            out *= x if i % 2 == 0 else 1 - x
-        out += y_old[rows]
-        return out
 
-    return at
+def _dense_output(F, y_old, x, rows):
+    """The dense output at x = (t - t_old) / h: y_old plus a Horner scheme
+    in x and 1 - x, alternating, over the coefficients F[6], ..., F[0].
+
+    Each F[i] and y_old are read at the index ``rows``, broadcast against x.
+    When they hold many steps on a last axis, ``rows`` picks each sample's
+    step as well, so one call serves all of them, gathering one coefficient
+    at a time.
+    """
+    out = np.zeros(np.broadcast_shapes(np.shape(x), y_old[rows].shape))
+    for i, coeff in enumerate(F[::-1]):
+        out += coeff[rows]
+        out *= x if i % 2 == 0 else 1 - x
+    out += y_old[rows]
+    return out
 
 
 @dataclass(frozen=True)
@@ -412,8 +439,9 @@ def integrate_orbit(
 ) -> Trajectory:
     """Integrate the momentum equations to t_end with an adaptive RK8(5,3).
 
-    Samples are taken on a uniform grid via dense output: after each step,
-    the grid times the step has reached are read from its interpolant.
+    Samples are taken on a uniform grid via dense output: each step that
+    reaches grid times keeps its interpolant's coefficients, and the samples
+    of up to _DENSE_BLOCK such steps are evaluated together.
     Energy and Casimir are evaluated at every sample so drift is directly
     inspectable.  Raises DomainError before any work starts for a t_end
     beyond MAX_CHARACTERISTIC_TIMES characteristic times, for a nonzero
@@ -439,18 +467,34 @@ def integrate_orbit(
             f"({t_max:.6g} time units) of this orbit"
         )
     t_eval = np.linspace(0.0, t_end, n_samples)
-    all_rows = np.arange(3)[:, None]
-    ts, ps = [], []
-    done = 0
+    p = np.empty((3, n_samples))
+    block, first, done = [], 0, 0
     for t, _, dense in _dop853(lambda t, p: _field(p, reciprocals), 0.0, p0, float(t_end), rtol=tol, atol=tol):
-        reached = np.searchsorted(t_eval, t, side="right")
+        reached = int(np.searchsorted(t_eval, t, side="right"))
         if reached > done:
-            ts.append(t_eval[done:reached])
-            ps.append(dense()(ts[-1], all_rows))
+            block.append((*dense(), reached - done))
             done = reached
-    t, p = np.hstack(ts), np.hstack(ps)
+            # The last step ends on t_end, the last sample.
+            if len(block) == _DENSE_BLOCK or done == n_samples:
+                p[:, first:done] = _sample_steps(block, t_eval[first:done])
+                block, first = [], done
     H, L = conserved(p, inertia)
-    return Trajectory(t, p.T, H, L)
+    return Trajectory(t_eval, p.T, H, L)
+
+
+# Sampled steps whose dense output integrate_orbit evaluates in one pass;
+# bounds the coefficients it holds however many steps an orbit takes.
+_DENSE_BLOCK = 256
+
+
+def _sample_steps(steps, times) -> np.ndarray:
+    """The states (3, len(times)) at ``times`` from the dense output of
+    consecutive steps: ``steps`` holds each step's ``_StepInterpolant``
+    fields followed by its number of samples, in order."""
+    t_old, h, F, y_old, counts = zip(*steps)
+    step = np.repeat(np.arange(len(steps)), counts)
+    x = (times - np.array(t_old)[step]) / np.array(h)[step]
+    return _dense_output(np.stack(F, axis=-1), np.stack(y_old, axis=-1), x, (slice(None), step))
 
 
 def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.ndarray:

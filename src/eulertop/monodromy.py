@@ -8,6 +8,14 @@ cross-ratio, keeps the square-root prefactors continuous, and extracts the
 matrix from an over-determined solve against two independently seeded start
 frames.
 
+This module also holds the continuation engine of the hypergeometric
+equation: the exact connection matrices between the local bases of
+``special``, Taylor transport of germs along a path given as a 1-D array of
+points (followed as a polyline; its winding is read from the points), and
+``continue_frame``, which carries a whole ``SolutionFrame`` along such a
+path.  The stated integer matrices the loops are compared with, and their
+exact algebra, live in ``lattice``.
+
 Frames and bases.  The engine's working frame is (S3, S1) = (S(c,b,a,d),
 S(a,b,c,d)); stated generator matrices live in the (S1, S3) frame, one swap
 away, and the swap reverses both rows and columns.  All matrices act on
@@ -26,23 +34,27 @@ from typing import Iterable
 import numpy as np
 
 from .core import LABELS, cross_ratio
-from .special import _local_frame, _transport_germs
+from .lattice import GENERATOR_LABELS, PRESETS, IntegerMatrix2, MonodromyError
+from .special import (
+    BASIS_IDS,
+    LOG16,
+    ContinuationStallError,
+    PathTooCloseError,
+    SolutionFrame,
+    _local_frame,
+)
 
 __all__ = [
-    "GENERATOR_LABELS",
-    "IntegerMatrix2",
+    "ConnectionMatrix",
     "ModuliLoop",
-    "MonodromyError",
     "MonodromyResult",
-    "PRESETS",
     "chamber_basepoint",
-    "generator_matrix",
+    "connection",
+    "continue_frame",
     "loop_monodromy",
     "numeric_vs_stated",
     "preset_loop",
     "preset_monodromy",
-    "verify_braid_relations",
-    "verify_confluence_product",
 ]
 
 # Base chamber point for all preset loops.  The non-energy coordinates are
@@ -63,58 +75,214 @@ MAX_WINDING = 16
 MAX_START_DISTANCE = 64.0
 
 
-class MonodromyError(RuntimeError):
-    """Monodromy extraction failed (residual too large or det not +1)."""
-
+# ----------------------------------------------------------------------
+# Exact connection matrices.  connection(x, y).matrix expresses the basis of
+# x as combinations of the basis of y: values_x = M @ values_y, valid where
+# both bases are defined (atInf blocks use the upper half-plane sheet).
 
 @dataclass(frozen=True)
-class IntegerMatrix2:
-    """A 2x2 integer matrix with unit determinant; its algebra is exact."""
+class ConnectionMatrix:
+    matrix: np.ndarray
+    from_basis: str
+    to_basis: str
 
-    entries: tuple[tuple[int, int], tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        (p, q), (r, s) = self.entries
-        for x in (p, q, r, s):
-            if not isinstance(x, Integral):
-                raise ValueError(f"entries must be ints, got {x!r}")
-        if p * s - q * r != 1:
-            raise ValueError(f"determinant must be +1, got {p * s - q * r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=int)
-
-    def tolist(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
-    def __matmul__(self, other: "IntegerMatrix2") -> "IntegerMatrix2":
-        (p, q), (r, s) = self.entries
-        (w, x), (y, z) = other.entries
-        return IntegerMatrix2(((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z)))
-
-    def __neg__(self) -> "IntegerMatrix2":
-        (p, q), (r, s) = self.entries
-        return IntegerMatrix2(((-p, -q), (-r, -s)))
-
-    def inverse(self) -> "IntegerMatrix2":
-        (p, q), (r, s) = self.entries
-        return IntegerMatrix2(((s, -q), (-r, p)))
-
-    @property
-    def trace(self) -> int:
-        return self.entries[0][0] + self.entries[1][1]
-
-    @staticmethod
-    def from_array(arr) -> "IntegerMatrix2":
-        a = np.asarray(arr)
-        return IntegerMatrix2(
-            ((int(round(a[0, 0])), int(round(a[0, 1]))),
-             (int(round(a[1, 0])), int(round(a[1, 1])))),
+def _conn_block(from_basis: str, to_basis: str) -> np.ndarray:
+    L = LOG16
+    if from_basis == to_basis:
+        return np.eye(2, dtype=complex)
+    if (from_basis, to_basis) == ("at0", "at1"):
+        return np.array(
+            [[L / math.pi, -1.0 / math.pi],
+             [(L * L - math.pi ** 2) / math.pi, -L / math.pi]],
+            dtype=complex,
         )
+    if (from_basis, to_basis) == ("at0", "atInf"):
+        return np.array(
+            [[L / math.pi, 1.0 / math.pi],
+             [(L * (L + 1j * math.pi) - math.pi ** 2) / math.pi, (L + 1j * math.pi) / math.pi]],
+            dtype=complex,
+        )
+    if (from_basis, to_basis) == ("at1", "at0"):
+        return np.linalg.inv(_conn_block("at0", "at1"))
+    if (from_basis, to_basis) == ("atInf", "at0"):
+        return np.linalg.inv(_conn_block("at0", "atInf"))
+    if (from_basis, to_basis) == ("at1", "atInf"):
+        return _conn_block("at1", "at0") @ _conn_block("at0", "atInf")
+    if (from_basis, to_basis) == ("atInf", "at1"):
+        return _conn_block("atInf", "at0") @ _conn_block("at0", "at1")
+    raise ValueError(f"no connection between {from_basis!r} and {to_basis!r}")
 
-    @staticmethod
-    def identity() -> "IntegerMatrix2":
-        return IntegerMatrix2(((1, 0), (0, 1)))
+
+def connection(from_basis: str, to_basis: str) -> ConnectionMatrix:
+    """Exact connection matrix between two of the local bases.
+
+    The matrix satisfies values_from = matrix @ values_to pointwise in the
+    common domain of the two bases; entries are exact in pi and log 16.
+    Blocks involving atInf are the upper half-plane (Im z > 0) sheet; the
+    lower sheet is the complex conjugate.
+    """
+    for b in (from_basis, to_basis):
+        if b not in BASIS_IDS:
+            raise ValueError(f"connection is defined between at0/at1/atInf, got {b!r}")
+    return ConnectionMatrix(_conn_block(from_basis, to_basis), from_basis, to_basis)
+
+
+# ----------------------------------------------------------------------
+# Germ transport.  A germ is a (value, derivative) pair of one solution at an
+# ordinary point.  The equation is linear, so one Taylor step from z0 to
+# z0 + h maps every germ by the same 2x2 transition matrix; a path is the
+# ordered product of its steps' matrices.
+
+# Taylor terms per step.  Steps are at most 0.35 of the distance to the
+# nearest singular point, so the truncated tail is below 0.35**64 relative.
+_TAYLOR_TERMS = 64
+
+# Steps whose matrices are built together; bounds the kernel's memory
+# (about 6 MB) however long the path is.
+_STEP_BLOCK = 2048
+
+# A Taylor step reaches at most this share of the distance to 0 or 1.
+_STEP_FRACTION = 0.35
+
+# continue_frame refuses a path within 10 * _FRAME_MIN_STEP of a singular
+# point and takes no Taylor step below it.
+_FRAME_MIN_STEP = 1e-6
+
+
+def _step_matrices(z0: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Transition matrices of the Taylor steps z0[k] -> z0[k] + h[k].
+
+    Returns shape (2, 2, N): column j of step k is the (value, derivative)
+    germ at z0[k] + h[k] of the solution whose germ at z0[k] is the unit
+    vector e_j.  Both unit germs run through the Taylor recurrence of the
+    equation together, for all steps at once, and each sum adds its terms
+    smallest first (n = 63 down to 0).
+
+    The coefficients a_n grow like dist**-n, so they are carried as a_n r**n
+    and the powers as (h / r)**n, with r the power of two just above |h|.
+    Scaling by a power of two is exact, so the terms a_n h**n come out as if
+    unscaled, but neither factor overflows or underflows near 0 or 1.
+    """
+    z0 = np.asarray(z0, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    r = np.ldexp(1.0, np.frexp(np.abs(h))[1])
+    s = z0 * (1.0 - z0)
+    t = 1.0 - 2.0 * z0
+    a = np.zeros((_TAYLOR_TERMS, 2, len(z0)), dtype=complex)
+    a[0, 0] = 1.0
+    a[1, 1] = r
+    for n in range(_TAYLOR_TERMS - 2):
+        a[n + 2] = ((n + 0.5) ** 2 * (r * r * a[n]) - t * (n + 1) ** 2 * (r * a[n + 1])) / (s * (n + 2) * (n + 1))
+    powers = (h / r) ** np.arange(_TAYLOR_TERMS)[:, None]
+    out = np.zeros((2, 2, len(z0)), dtype=complex)
+    for n in range(_TAYLOR_TERMS - 1, -1, -1):
+        out[0] += a[n] * powers[n]
+        if n:
+            out[1] += n * a[n] * powers[n - 1]
+    out[1] /= r
+    return out
+
+
+def _transport_germs(
+    zs: np.ndarray,
+    germs: np.ndarray,
+    *,
+    min_step: float = _FRAME_MIN_STEP,
+) -> np.ndarray:
+    """Transport germ rows along the polyline zs, sub-stepping as needed.
+
+    Steps never exceed _STEP_FRACTION times the distance to the nearest of
+    the singular points {0, 1}, nor fall below min_step.  The step nodes are
+    laid out first; then the steps' transition matrices are built a block at
+    a time and applied to the rows in path order.  Its oracle is the
+    test-only ``_ode_transport`` in ``tests/test_special.py``, which
+    integrates the same ODE with scipy instead.
+    """
+    z = complex(zs[0])
+    nodes = [z]
+    for target in zs[1:]:
+        target = complex(target)
+        guard = 0
+        while z != target:
+            dist = min(abs(z), abs(z - 1.0))
+            allowed = _STEP_FRACTION * dist
+            if allowed < min_step:
+                raise ContinuationStallError(
+                    f"step size collapsed to {allowed:.3g} near z = {z:.6g}"
+                )
+            gap = target - z
+            if abs(gap) <= allowed:
+                z = target
+            else:
+                z = z + gap * (allowed / abs(gap))
+            nodes.append(z)
+            guard += 1
+            if guard > 100000:
+                raise ContinuationStallError("sub-stepping did not terminate")
+    path = np.array(nodes, dtype=complex)
+    rows = np.asarray(germs, dtype=complex).tolist()
+    for lo in range(0, len(path) - 1, _STEP_BLOCK):
+        block = path[lo:lo + _STEP_BLOCK + 1]
+        mats = _step_matrices(block[:-1], np.diff(block))
+        for m00, m01, m10, m11 in zip(*mats.reshape(4, -1).tolist()):
+            rows = [(m00 * f + m01 * d, m10 * f + m11 * d) for f, d in rows]
+    return np.array(rows, dtype=complex)
+
+
+def _winding(zs: np.ndarray, s: float) -> float:
+    """Turns of the polyline zs around s.  A straight segment that misses s
+    sweeps exactly the principal angle between its ends, seen from s."""
+    return float(np.sum(np.angle((zs[1:] - s) / (zs[:-1] - s)))) / (2.0 * math.pi)
+
+
+def continue_frame(frame: SolutionFrame, zs: np.ndarray) -> SolutionFrame:
+    """Analytically continue a solution frame along the polyline through
+    the points zs, which must start at the frame's base point.
+
+    The frame's two solutions are transported as (value, derivative) germs by
+    Taylor recentering, with steps capped at 0.35 times the distance to the
+    nearest singular point.  The returned frame is based at zs[-1], and its
+    branch_log adds the turns of the path around 0 and around 1.
+
+    Raises ValueError if zs is not a non-empty 1-D array of finite points
+    starting at the base point, PathTooCloseError if any point sits closer than 1e-5 to
+    z = 0 or z = 1, and ContinuationStallError if sub-stepping collapses.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    if zs.ndim != 1 or len(zs) == 0:
+        raise ValueError(f"a path is a non-empty 1-D array of points, got shape {zs.shape}")
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("a path's points must be finite")
+    if abs(zs[0] - frame.base_point) > 1e-9:
+        raise ValueError(
+            f"path starts at {complex(zs[0])}, frame is based at {frame.base_point}"
+        )
+    dist = np.minimum(np.abs(zs), np.abs(zs - 1.0))
+    if float(dist.min()) < 10.0 * _FRAME_MIN_STEP:
+        raise PathTooCloseError(
+            f"path passes within {dist.min():.3g} of a singular point; "
+            f"margin must exceed {10.0 * _FRAME_MIN_STEP:.3g}"
+        )
+    germs = np.array(
+        [[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]],
+        dtype=complex,
+    )
+    new_germs = _transport_germs(zs, germs)
+    log = dict(frame.branch_log)
+    log["around0"] = log.get("around0", 0.0) + _winding(zs, 0.0)
+    log["around1"] = log.get("around1", 0.0) + _winding(zs, 1.0)
+    return SolutionFrame(
+        frame.basis_id,
+        (complex(new_germs[0, 0]), complex(new_germs[1, 0])),
+        complex(zs[-1]),
+        (complex(new_germs[0, 1]), complex(new_germs[1, 1])),
+        log,
+    )
+
+
+# ----------------------------------------------------------------------
+# Loops in moduli space and the matrices they produce.
 
 
 @dataclass(frozen=True)
@@ -426,42 +594,6 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
     return MonodromyResult(IntegerMatrix2.from_array(rounded), raw, resid)
 
 
-# ----------------------------------------------------------------------
-# Stated matrices and the loop realizations that produce them.
-
-_U = IntegerMatrix2(((1, 2), (0, 1)))
-_A = IntegerMatrix2(((-1, 2), (-2, 3)))
-_LINV = IntegerMatrix2(((1, 0), (-2, 1)))
-
-# Every preset as label -> (move, around, stated matrix); each loop winds
-# once, counterclockwise.  The alphas are the local monodromies around the
-# three finite singular values of the cross-ratio, stated and reported in
-# the engine frame (S3, S1).  The six line generators h_ij are stated and
-# reported in the (S1, S3) frame.  The h13 approach must cross the line of
-# the blocking coordinate b; the downward bow in _approach_points fixes
-# which side, and that choice is what reproduces the stated matrix.
-PRESETS = {
-    "alpha1": ("a", "d", _U),     # cross-ratio circles 0
-    "alpha2": ("d", "b", _A),     # cross-ratio circles infinity
-    "alpha3": ("d", "c", _LINV),  # cross-ratio circles 1 (after rescaling)
-    "h12": ("b", "a", _U),
-    "h13": ("c", "a", _A),
-    "h14": ("d", "a", _LINV),
-    "h23": ("b", "c", _LINV),
-    "h24": ("b", "d", _A),
-    "h34": ("c", "d", _U),
-}
-
-GENERATOR_LABELS = tuple(label for label in PRESETS if label.startswith("h"))
-
-
-def generator_matrix(label: str) -> IntegerMatrix2:
-    """The stated monodromy matrix of one line generator, (S1, S3) frame."""
-    if label not in GENERATOR_LABELS:
-        raise ValueError(f"label must be one of {list(GENERATOR_LABELS)}, got {label!r}")
-    return PRESETS[label][2]
-
-
 def preset_monodromy(label: str) -> MonodromyResult:
     """Compute the monodromy of a preset loop realization numerically.
 
@@ -508,84 +640,3 @@ def numeric_vs_stated(label: str) -> ComparisonReport:
     if direct <= inverse:
         return ComparisonReport(label, stated, got.matrix, +1, direct, got.residual)
     return ComparisonReport(label, stated, got.matrix, -1, inverse, got.residual)
-
-
-# ----------------------------------------------------------------------
-# Structure checks on the stated matrices.
-
-def verify_confluence_product() -> dict:
-    """Products of the three local matrices in all six orderings.
-
-    The confluence constraint makes the product over one cyclic class equal
-    to minus the identity; the report maps each ordering to its product and
-    whether it equals -I.
-    """
-    from itertools import permutations
-
-    out = {}
-    for order in permutations(("alpha1", "alpha3", "alpha2")):
-        first, second, third = (PRESETS[label][2] for label in order)
-        prod = first @ second @ third
-        out[" ".join(order)] = {
-            "product": prod.tolist(),
-            "is_minus_identity": prod == -IntegerMatrix2.identity(),
-        }
-    return out
-
-
-# Relations of the planar braid presentation, as words in the generators.
-# Each relation lists words that must agree; "1" marks the center relation
-# whose word is reported rather than asserted.
-BRAID_RELATIONS = {
-    "R1": (("h12", "h23", "h13"), ("h23", "h13", "h12"), ("h13", "h12", "h23")),
-    "R2": (("h23", "h34", "h24"), ("h34", "h24", "h23"), ("h24", "h23", "h34")),
-    "R3": (("h12", "h24", "h14"), ("h24", "h14", "h12"), ("h14", "h12", "h24")),
-    "R4": (("h34", "h14", "h13"), ("h14", "h13", "h34"), ("h13", "h34", "h14")),
-    "R5": (("h12", "h34"), ("h34", "h12")),
-    "R6": (("h13", "h23^-1", "h24", "h23"), ("h23^-1", "h24", "h23", "h13")),
-    "R7": (("h23", "h14"), ("h14", "h23")),
-}
-
-CENTER_WORD = ("h13", "h12", "h23", "h34", "h24", "h14")
-
-
-def _word_product(word) -> IntegerMatrix2:
-    acc = IntegerMatrix2.identity()
-    for token in word:
-        if token.endswith("^-1"):
-            acc = acc @ generator_matrix(token[:-3]).inverse()
-        else:
-            acc = acc @ generator_matrix(token)
-    return acc
-
-
-def verify_braid_relations() -> dict:
-    """Evaluate the braid relations on the stated per-generator matrices.
-
-    The stated table records each generator's conjugacy class, not a strict
-    homomorphism on the presentation, so some relations fail under naive
-    substitution; the report classifies each as exact, up_to_sign, or fail,
-    and reports the center word's product without asserting it.
-    """
-    report: dict = {}
-    for name, words in BRAID_RELATIONS.items():
-        prods = [_word_product(w) for w in words]
-        first = prods[0]
-        if all(p == first for p in prods[1:]):
-            status = "exact"
-        elif all(p in (first, -first) for p in prods[1:]):
-            status = "up_to_sign"
-        else:
-            status = "fail"
-        report[name] = {
-            "status": status,
-            "words": [" ".join(w) for w in words],
-            "products": [p.tolist() for p in prods],
-        }
-    center = _word_product(CENTER_WORD)
-    report["center"] = {
-        "word": " ".join(CENTER_WORD),
-        "product": center.tolist(),
-        "is_minus_identity": center == -IntegerMatrix2.identity(),
-    }
-    return report

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     CoincidentModuliError,
     DomainError,
@@ -194,13 +192,13 @@ def tanh_sinh(g, lo: float, hi: float):
             total += w * g(x, dlo, dhi)
         return total
 
+    # The nodes are dyadic, so each is exact: -T_MAX + i h on the first
+    # level, and the odd multiples -T_MAX + (2i + 1) h it adds on each later one.
     h = 1.0
-    ts = np.arange(-_TANH_SINH_T_MAX, _TANH_SINH_T_MAX + 0.5 * h, h)
-    acc = h * sum_at(ts)
+    acc = h * sum_at(-_TANH_SINH_T_MAX + i * h for i in range(int(2.0 * _TANH_SINH_T_MAX / h) + 1))
     for _ in range(_TANH_SINH_LEVELS):
         h *= 0.5
-        new_ts = np.arange(-_TANH_SINH_T_MAX + h, _TANH_SINH_T_MAX, 2.0 * h)
-        new = 0.5 * acc + h * sum_at(new_ts)
+        new = 0.5 * acc + h * sum_at(-_TANH_SINH_T_MAX + (2 * i + 1) * h for i in range(int(_TANH_SINH_T_MAX / h)))
         if abs(new - acc) <= _TANH_SINH_TOL * max(abs(new), 1e-300):
             return new
         acc = new
@@ -217,8 +215,8 @@ def _real_chamber_coords(m: ModuliPoint) -> tuple[float, float, float, float, fl
         raise DomainError("quadratures require a real moduli point")
     a, b, c, d = m.coords()
     a, b, c, d = a.real, b.real, c.real, d.real
-    s1, s2, s3 = np.sign([a - d, d - b, b - c])
-    if not (s1 == s2 == s3) or s1 == 0.0:
+    gaps = (a - d, d - b, b - c)
+    if not (all(g > 0.0 for g in gaps) or all(g < 0.0 for g in gaps)):
         raise DomainError(
             "moduli point must lie in an elliptic chamber "
             "(a > d > b > c or its full reversal)"

@@ -1,5 +1,5 @@
-"""Elliptic integrals, the (1/2, 1/2, 1) hypergeometric basis, and analytic
-continuation of solution frames.
+"""Elliptic integrals, the (1/2, 1/2, 1) hypergeometric basis, and the
+scalar kernels behind both.
 
 Everything here concerns the hypergeometric equation
 
@@ -7,11 +7,11 @@ Everything here concerns the hypergeometric equation
 
 whose solution space is spanned near z = 0 by F(z) = (2/pi) K(z) and the
 logarithmic companion F(z) log z + Fstar(z).  Bases attached to the three
-singular points 0, 1, infinity are provided, together with the exact
-connection matrices between them and a branch-aware continuation engine that
-transports value/derivative germs along paths in the z plane.  A path is a
-1-D array of points, followed as a polyline; its winding is read from the
-points.
+singular points 0, 1, infinity are provided as scalar evaluators.  The
+connection matrices between them and the continuation of solution frames
+along paths are array code and live in ``monodromy``; the errors a
+continuation raises are defined here, so a caller can catch them without
+loading numpy.  This module does not import numpy.
 
 Branch conventions.  All cut-sensitive evaluations take a ``side`` argument
 with the meaning "sign of an infinitesimal imaginary part added to the
@@ -25,21 +25,16 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import DomainError
 
 __all__ = [
     "BranchCutError",
-    "ConnectionMatrix",
     "ContinuationStallError",
     "DivergenceError",
     "PathTooCloseError",
     "RegionError",
     "SolutionFrame",
     "basis_eval",
-    "connection",
-    "continue_frame",
     "elliptic_K",
     "gauss_ode_residual",
     "hyper_series",
@@ -95,14 +90,19 @@ class ContinuationStallError(RuntimeError):
 # Elliptic integral of the first kind, parameter (not modulus) convention:
 # K(m) = integral_0^1 dx / sqrt((1 - x^2)(1 - m x^2)).
 
-def _agm_K(m: complex) -> complex:
-    """AGM iteration with the branch-optimal square root at each step.
+def _agm(m: complex) -> tuple[complex, complex]:
+    """K(m) and E(m) from one AGM iteration, with the branch-optimal square
+    root at each step.
 
-    For real m > 1 the principal square root of 1 - m makes this the limit
-    from the lower half-plane (the m - i0 value); sided callers rely on that.
+    K = pi / (2 M), M the limit of the means of 1 and sqrt(1 - m), and
+    E = K (1 - sum_n 2**(n - 1) c_n**2), c_0**2 = m and c_(n+1) the half
+    difference of the n-th pair of means (DLMF 19.8.6).  For real m > 1 the
+    principal square root of 1 - m makes both the limit from the lower
+    half-plane (the m - i0 value); sided callers rely on that.
     """
     x = complex(1.0, 0.0)
     y = cmath.sqrt(1.0 - m)
+    weight, csum = 0.5, 0.5 * m
     for _ in range(64):
         if abs(x - y) <= 1e-17 * abs(x):
             break
@@ -113,8 +113,15 @@ def _agm_K(m: complex) -> complex:
         ds, dd = abs(x1 + y1), abs(x1 - y1)
         if dd > ds or (dd == ds and (y1 / x1).imag < 0.0):
             y1 = -y1
+        weight *= 2.0
+        c = 0.5 * (x - y)
+        # Below this, c is rounding noise that the doubling weight would
+        # amplify; the true terms it drops are below 1e-20 of E.
+        if abs(c) > 1e-12 * abs(x):
+            csum += weight * c * c
         x, y = x1, y1
-    return math.pi / (2.0 * x)
+    k = math.pi / (2.0 * x)
+    return k, k * (1.0 - csum)
 
 
 def elliptic_K(m: complex, side: int | None = None) -> complex:
@@ -139,13 +146,13 @@ def elliptic_K(m: complex, side: int | None = None) -> complex:
     if abs(m - 1.0) < 1e-15:
         raise DivergenceError("K(m) diverges logarithmically at m = 1")
     if not _on_cut(1.0 - m):
-        return _agm_K(m)
+        return _agm(m)[0]
     _check_side(side, f"K evaluated on the branch cut [1, inf) at m = {m.real}" + _SIDE_HINT)
     # Sided values from the reciprocal-parameter identity:
     # K(m +/- i0) = (K(1/m) +/- i K(1 - 1/m)) / sqrt(m).
     x = m.real
-    k_inv = _agm_K(1.0 / x)
-    k_comp = _agm_K(1.0 - 1.0 / x)
+    k_inv = _agm(1.0 / x)[0]
+    k_comp = _agm(1.0 - 1.0 / x)[0]
     return (k_inv + side * 1j * k_comp) / math.sqrt(x)
 
 
@@ -158,6 +165,9 @@ def elliptic_K(m: complex, side: int | None = None) -> complex:
 _SERIES_RTOL = 1e-17
 _SERIES_MAX_TERMS = 4000
 
+# hyper_series sums the series up to this |z|; beyond it, closed forms.
+_SERIES_RADIUS = 0.99
+
 
 def _certified(acc: complex, term_mag: float, q: float) -> bool:
     # Certified stop: last term below the relative floor AND the geometric
@@ -167,16 +177,26 @@ def _certified(acc: complex, term_mag: float, q: float) -> bool:
 
 
 def hyper_series(z: complex) -> tuple[complex, complex, complex, complex]:
-    """F, F', Fstar, Fstar' on |z| < 1 from one pass over the shared terms.
+    """F, F', Fstar, Fstar' on |z| < 1.
 
-    F = sum c_n^2 z^n (= (2/pi) K(z)) and Fstar = 4 sum c_n^2 h_n z^n.  Each
-    of the four sums stops growing at its own certified term, so it carries
-    exactly the terms it would carry if summed alone.
+    F = sum c_n^2 z^n (= (2/pi) K(z)) and Fstar = 4 sum c_n^2 h_n z^n.  Up
+    to |z| = 0.99 they are summed by ``_series_sums``; where its sums do not
+    certify (most of 0.9885 < |z| <= 0.99), and beyond 0.99, where the
+    series would need thousands of terms, ``_hyper_closed`` gives them.
     """
     z = complex(z)
     q = abs(z)
     if q >= 1.0:
         raise RegionError(f"hypergeometric series requires |z| < 1, got |z| = {q:.6g}")
+    sums = _series_sums(z, q) if q <= _SERIES_RADIUS else None
+    return _hyper_closed(z) if sums is None else sums
+
+
+def _series_sums(z: complex, q: float) -> tuple[complex, complex, complex, complex] | None:
+    """The four series at z, |z| = q, from one pass over the shared terms,
+    or None if a sum has not certified within _SERIES_MAX_TERMS terms.  Each
+    sum stops growing at its own certified term, so it carries exactly the
+    terms it would carry if summed alone."""
     sums = [1.0 + 0.0j, 0.0j, 0.0j, 0.0j]
     live = [0, 1, 2, 3]
     cn2, hn, zprev = 1.0, 0.0, 1.0 + 0.0j
@@ -192,7 +212,30 @@ def hyper_series(z: complex) -> tuple[complex, complex, complex, complex]:
         if not live:
             return tuple(sums)
         zprev = zn
-    raise RegionError(f"hypergeometric series did not certify convergence at |z| = {q:.6g}")
+    return None
+
+
+def _hyper_closed(z: complex) -> tuple[complex, complex, complex, complex]:
+    """``hyper_series``' four values from K and E, near |z| = 1:
+
+        F = (2/pi) K(z),   Fstar = 4 log 2 F - 2 K(1 - z) - F log z,
+
+    and the derivatives from dK/dm = (E - (1 - m) K) / (2 m (1 - m))
+    (DLMF 19.4.1), with E from the AGM that gives K (DLMF 19.8.6).  E at
+    1 - z comes from Legendre's relation E K' + E' K - K K' = pi/2 (primes
+    at 1 - z, DLMF 19.7.1), so it shares the side of K(1 - z).  On (-1, 0)
+    K(1 - z) and log z are both on their cuts; Fstar is analytic there,
+    and taking both from above gives its value.
+    """
+    k, e = _agm(z)
+    kc = elliptic_K(1.0 - z, side=-1)  # the side of 1 - z when z is taken from above
+    lg = _log_sided(z, +1)
+    ec = (0.5 * math.pi + k * kc - e * kc) / k
+    f = (2.0 / math.pi) * k
+    fd = (2.0 / math.pi) * (e - (1.0 - z) * k) / (2.0 * z * (1.0 - z))
+    fs = LOG16 * f - 2.0 * kc - f * lg
+    fsd = LOG16 * fd + (ec - z * kc) / (z * (1.0 - z)) - fd * lg - f / z
+    return f, fd, fs, fsd
 
 
 # ----------------------------------------------------------------------
@@ -352,212 +395,6 @@ def _local_frame(basis_id: str, z: complex, side: int | None) -> SolutionFrame:
             "atInf", (v1, v2), z, (d1, d2), {"around0": 0.0, "around1": 0.0}
         )
     raise ValueError(f"basis_id must be one of {BASIS_IDS}, got {basis_id!r}")
-
-
-# ----------------------------------------------------------------------
-# Exact connection matrices.  connection(x, y).matrix expresses the basis of
-# x as combinations of the basis of y: values_x = M @ values_y, valid where
-# both bases are defined (atInf blocks use the upper half-plane sheet).
-
-@dataclass(frozen=True)
-class ConnectionMatrix:
-    matrix: np.ndarray
-    from_basis: str
-    to_basis: str
-
-
-def _conn_block(from_basis: str, to_basis: str) -> np.ndarray:
-    L = LOG16
-    if from_basis == to_basis:
-        return np.eye(2, dtype=complex)
-    if (from_basis, to_basis) == ("at0", "at1"):
-        return np.array(
-            [[L / math.pi, -1.0 / math.pi],
-             [(L * L - math.pi ** 2) / math.pi, -L / math.pi]],
-            dtype=complex,
-        )
-    if (from_basis, to_basis) == ("at0", "atInf"):
-        return np.array(
-            [[L / math.pi, 1.0 / math.pi],
-             [(L * (L + 1j * math.pi) - math.pi ** 2) / math.pi, (L + 1j * math.pi) / math.pi]],
-            dtype=complex,
-        )
-    if (from_basis, to_basis) == ("at1", "at0"):
-        return np.linalg.inv(_conn_block("at0", "at1"))
-    if (from_basis, to_basis) == ("atInf", "at0"):
-        return np.linalg.inv(_conn_block("at0", "atInf"))
-    if (from_basis, to_basis) == ("at1", "atInf"):
-        return _conn_block("at1", "at0") @ _conn_block("at0", "atInf")
-    if (from_basis, to_basis) == ("atInf", "at1"):
-        return _conn_block("atInf", "at0") @ _conn_block("at0", "at1")
-    raise ValueError(f"no connection between {from_basis!r} and {to_basis!r}")
-
-
-def connection(from_basis: str, to_basis: str) -> ConnectionMatrix:
-    """Exact connection matrix between two of the local bases.
-
-    The matrix satisfies values_from = matrix @ values_to pointwise in the
-    common domain of the two bases; entries are exact in pi and log 16.
-    Blocks involving atInf are the upper half-plane (Im z > 0) sheet; the
-    lower sheet is the complex conjugate.
-    """
-    for b in (from_basis, to_basis):
-        if b not in BASIS_IDS:
-            raise ValueError(f"connection is defined between at0/at1/atInf, got {b!r}")
-    return ConnectionMatrix(_conn_block(from_basis, to_basis), from_basis, to_basis)
-
-
-# ----------------------------------------------------------------------
-# Germ transport.  A germ is a (value, derivative) pair of one solution at an
-# ordinary point.  The equation is linear, so one Taylor step from z0 to
-# z0 + h maps every germ by the same 2x2 transition matrix; a path is the
-# ordered product of its steps' matrices.
-
-# Taylor terms per step.  Steps are at most 0.35 of the distance to the
-# nearest singular point, so the truncated tail is below 0.35**64 relative.
-_TAYLOR_TERMS = 64
-
-# Steps whose matrices are built together; bounds the kernel's memory
-# (about 6 MB) however long the path is.
-_STEP_BLOCK = 2048
-
-# A Taylor step reaches at most this share of the distance to 0 or 1.
-_STEP_FRACTION = 0.35
-
-# continue_frame refuses a path within 10 * _FRAME_MIN_STEP of a singular
-# point and takes no Taylor step below it.
-_FRAME_MIN_STEP = 1e-6
-
-
-def _step_matrices(z0: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Transition matrices of the Taylor steps z0[k] -> z0[k] + h[k].
-
-    Returns shape (2, 2, N): column j of step k is the (value, derivative)
-    germ at z0[k] + h[k] of the solution whose germ at z0[k] is the unit
-    vector e_j.  Both unit germs run through the Taylor recurrence of the
-    equation together, for all steps at once, and each sum adds its terms
-    smallest first (n = 63 down to 0).
-
-    The coefficients a_n grow like dist**-n, so they are carried as a_n r**n
-    and the powers as (h / r)**n, with r the power of two just above |h|.
-    Scaling by a power of two is exact, so the terms a_n h**n come out as if
-    unscaled, but neither factor overflows or underflows near 0 or 1.
-    """
-    z0 = np.asarray(z0, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    r = np.ldexp(1.0, np.frexp(np.abs(h))[1])
-    s = z0 * (1.0 - z0)
-    t = 1.0 - 2.0 * z0
-    a = np.zeros((_TAYLOR_TERMS, 2, len(z0)), dtype=complex)
-    a[0, 0] = 1.0
-    a[1, 1] = r
-    for n in range(_TAYLOR_TERMS - 2):
-        a[n + 2] = ((n + 0.5) ** 2 * (r * r * a[n]) - t * (n + 1) ** 2 * (r * a[n + 1])) / (s * (n + 2) * (n + 1))
-    powers = (h / r) ** np.arange(_TAYLOR_TERMS)[:, None]
-    out = np.zeros((2, 2, len(z0)), dtype=complex)
-    for n in range(_TAYLOR_TERMS - 1, -1, -1):
-        out[0] += a[n] * powers[n]
-        if n:
-            out[1] += n * a[n] * powers[n - 1]
-    out[1] /= r
-    return out
-
-
-def _transport_germs(
-    zs: np.ndarray,
-    germs: np.ndarray,
-    *,
-    min_step: float = _FRAME_MIN_STEP,
-) -> np.ndarray:
-    """Transport germ rows along the polyline zs, sub-stepping as needed.
-
-    Steps never exceed _STEP_FRACTION times the distance to the nearest of
-    the singular points {0, 1}, nor fall below min_step.  The step nodes are
-    laid out first; then the steps' transition matrices are built a block at
-    a time and applied to the rows in path order.  Its oracle is the
-    test-only ``_ode_transport`` in ``tests/test_special.py``, which
-    integrates the same ODE with scipy instead.
-    """
-    z = complex(zs[0])
-    nodes = [z]
-    for target in zs[1:]:
-        target = complex(target)
-        guard = 0
-        while z != target:
-            dist = min(abs(z), abs(z - 1.0))
-            allowed = _STEP_FRACTION * dist
-            if allowed < min_step:
-                raise ContinuationStallError(
-                    f"step size collapsed to {allowed:.3g} near z = {z:.6g}"
-                )
-            gap = target - z
-            if abs(gap) <= allowed:
-                z = target
-            else:
-                z = z + gap * (allowed / abs(gap))
-            nodes.append(z)
-            guard += 1
-            if guard > 100000:
-                raise ContinuationStallError("sub-stepping did not terminate")
-    path = np.array(nodes, dtype=complex)
-    rows = np.asarray(germs, dtype=complex).tolist()
-    for lo in range(0, len(path) - 1, _STEP_BLOCK):
-        block = path[lo:lo + _STEP_BLOCK + 1]
-        mats = _step_matrices(block[:-1], np.diff(block))
-        for m00, m01, m10, m11 in zip(*mats.reshape(4, -1).tolist()):
-            rows = [(m00 * f + m01 * d, m10 * f + m11 * d) for f, d in rows]
-    return np.array(rows, dtype=complex)
-
-
-def _winding(zs: np.ndarray, s: float) -> float:
-    """Turns of the polyline zs around s.  A straight segment that misses s
-    sweeps exactly the principal angle between its ends, seen from s."""
-    return float(np.sum(np.angle((zs[1:] - s) / (zs[:-1] - s)))) / (2.0 * math.pi)
-
-
-def continue_frame(frame: SolutionFrame, zs: np.ndarray) -> SolutionFrame:
-    """Analytically continue a solution frame along the polyline through
-    the points zs, which must start at the frame's base point.
-
-    The frame's two solutions are transported as (value, derivative) germs by
-    Taylor recentering, with steps capped at 0.35 times the distance to the
-    nearest singular point.  The returned frame is based at zs[-1], and its
-    branch_log adds the turns of the path around 0 and around 1.
-
-    Raises ValueError if zs is not a non-empty 1-D array of finite points
-    starting at the base point, PathTooCloseError if any point sits closer than 1e-5 to
-    z = 0 or z = 1, and ContinuationStallError if sub-stepping collapses.
-    """
-    zs = np.asarray(zs, dtype=complex)
-    if zs.ndim != 1 or len(zs) == 0:
-        raise ValueError(f"a path is a non-empty 1-D array of points, got shape {zs.shape}")
-    if not np.all(np.isfinite(zs)):
-        raise ValueError("a path's points must be finite")
-    if abs(zs[0] - frame.base_point) > 1e-9:
-        raise ValueError(
-            f"path starts at {complex(zs[0])}, frame is based at {frame.base_point}"
-        )
-    dist = np.minimum(np.abs(zs), np.abs(zs - 1.0))
-    if float(dist.min()) < 10.0 * _FRAME_MIN_STEP:
-        raise PathTooCloseError(
-            f"path passes within {dist.min():.3g} of a singular point; "
-            f"margin must exceed {10.0 * _FRAME_MIN_STEP:.3g}"
-        )
-    germs = np.array(
-        [[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]],
-        dtype=complex,
-    )
-    new_germs = _transport_germs(zs, germs)
-    log = dict(frame.branch_log)
-    log["around0"] = log.get("around0", 0.0) + _winding(zs, 0.0)
-    log["around1"] = log.get("around1", 0.0) + _winding(zs, 1.0)
-    return SolutionFrame(
-        frame.basis_id,
-        (complex(new_germs[0, 0]), complex(new_germs[1, 0])),
-        complex(zs[-1]),
-        (complex(new_germs[0, 1]), complex(new_germs[1, 1])),
-        log,
-    )
 
 
 # ----------------------------------------------------------------------

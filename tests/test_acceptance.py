@@ -14,12 +14,8 @@ import pytest
 from eulertop.birkhoff import birkhoff_series
 from eulertop.core import InertiaSpec, ModuliPoint
 from eulertop.dynamics import MomentumState, integrate_orbit, orbit_period
-from eulertop.monodromy import (
-    GENERATOR_LABELS,
-    numeric_vs_stated,
-    preset_monodromy,
-    verify_confluence_product,
-)
+from eulertop.lattice import GENERATOR_LABELS, verify_confluence_product
+from eulertop.monodromy import numeric_vs_stated, preset_monodromy
 from eulertop.periods import (
     S_closed_form,
     quadrature_sigma_integral,

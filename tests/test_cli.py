@@ -95,6 +95,19 @@ def test_period_grid_is_bounded(capsys):
     assert "--grid-d" in err and "--grid-l" in err and str(cli.MAX_GRID_ROWS) in err
 
 
+@pytest.mark.parametrize("axis", ["p1", "p3"])
+def test_period_at_a_tiny_scale(capsys, axis):
+    # Coincidence is judged relative to the point's own size, so moments of
+    # order 1e20 are a regular chamber, and the three routes agree.
+    code, out, err = run(capsys, "period", "--abc", "3e-20,2e-20,1e-20", "--axis", axis, "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 5
+    for row in rows:
+        assert row["dev_quad"] <= 1e-7 and row["dev_ode"] <= 1e-7
+        assert 1e19 < abs(row["S_closed"]) < 1e20
+
+
 def test_period_p3_family(capsys):
     code, out, err = run(
         capsys, "period", "--abc", "3,2,1", "--grid-d", "1.2", "--grid-l", "1",
@@ -272,7 +285,7 @@ def test_monodromy_loop_file_missing_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("preset", ["confluence", "braid"])
 def test_monodromy_table_presets(capsys, preset):
-    from eulertop.monodromy import verify_braid_relations, verify_confluence_product
+    from eulertop.lattice import verify_braid_relations, verify_confluence_product
 
     expected = {"orderings": verify_confluence_product()} if preset == "confluence" else verify_braid_relations()
     code, out, err = run(capsys, "monodromy", "--preset", preset)
@@ -467,6 +480,27 @@ def test_version_and_series_do_not_load_numpy():
         "    assert exc.code == 0, exc.code\n"
         "assert cli.main(['series', '--n', '32', '--s', '1/3', '--z', '0.05']) == 0\n"
         "sys.exit('numpy' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_light_commands_do_not_load_numpy():
+    # verify and the braid and confluence presets are scalar and integer
+    # work; neither they nor the layers they import may pay for numpy.
+    script = (
+        "import sys\n"
+        "import eulertop.special, eulertop.periods, eulertop.lattice\n"
+        "assert 'numpy' not in sys.modules, 'importing the layers loaded numpy'\n"
+        "import eulertop.cli as cli\n"
+        "for argv in (['verify'], ['monodromy', '--preset', 'braid'], ['monodromy', '--preset', 'confluence']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

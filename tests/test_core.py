@@ -1,8 +1,10 @@
 """Moduli bookkeeping: inertia validation, chamber points, relabelling."""
 
+import ast
 import importlib
 import math
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +81,25 @@ def test_moduli_coincident_pairs_and_replace():
     assert m.coords() == pytest.approx((3.0, 2.0, 1.0, 2.7))
 
 
+def test_coincidence_is_relative_to_the_points_size():
+    # A point and its multiples are treated alike, however small they are.
+    tiny = ModuliPoint(3e-20, 2e-20, 1e-20, 2.5e-20)
+    assert tiny.scale() == 3e-20
+    assert tiny.coincident_pairs() == []
+    assert mu_main(tiny) == pytest.approx(mu_main(ModuliPoint(3, 2, 1, 2.5)), rel=1e-15)
+    assert ModuliPoint(3e-20, 2e-20, 2e-20, 2.5e-20).coincident_pairs() == [("b", "c")]
+
+
+@pytest.mark.parametrize("value", [0.0, 2.0, 1e-300])
+def test_a_point_with_four_equal_coordinates_is_refused(value):
+    m = ModuliPoint(value, value, value, value)
+    assert len(m.coincident_pairs()) == 6
+    with pytest.raises(CoincidentModuliError):
+        mu_main(m)
+    with pytest.raises(CoincidentModuliError):
+        lambda_proof(m)
+
+
 def test_cross_ratio_on_equal_energy_line():
     # d = b puts the main variant at 1; the proof variant degenerates there.
     m = ModuliPoint(3, 2, 1, 2.0, 1.0)
@@ -122,6 +143,38 @@ def test_reorder_composes():
     for bad in ("abc", "abcc", "abce"):
         with pytest.raises(ValueError):
             m.reorder(bad)
+
+
+def _import_time_imports(tree: ast.Module):
+    """(module, level) of each import that runs when the module is imported:
+    every import statement outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, 0) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or "", node.level
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_dynamics_and_monodromy_load_numpy_on_import():
+    # The layers are kept apart so that a command loads numpy only where it
+    # computes with arrays.  A module loads numpy when it, or a package
+    # module it imports, imports numpy outside a function.
+    src = Path(eulertop.__file__).parent
+    imports = {
+        path.stem: set(_import_time_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in src.glob("*.py")
+    }
+    loads = {name for name, found in imports.items() if any(m.split(".")[0] == "numpy" for m, _ in found)}
+    local = {name: {m.split(".")[0] for m, level in found if level == 1} for name, found in imports.items()}
+    while more := {name for name, deps in local.items() if deps & loads} - loads:
+        loads |= more
+    assert loads == {"dynamics", "monodromy"}
 
 
 @pytest.mark.parametrize("name", [info.name for info in pkgutil.iter_modules(eulertop.__path__)])

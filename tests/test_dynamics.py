@@ -258,6 +258,31 @@ def test_integrate_orbit_matches_solve_ivp(p0, t_end, samples):
     assert np.array_equal(traj.p, sol.y.T)
 
 
+@pytest.mark.parametrize("samples", [1, 5, 2001, 20001])
+def test_integrate_orbit_samples_like_each_steps_interpolant(samples):
+    # The reference reads each step's samples from that step's own
+    # interpolant as the step ends; integrate_orbit evaluates them in blocks
+    # after the steps, and must give the same bits.  Over about 1,900 steps
+    # the larger counts fill more than one block.
+    inertia = InertiaSpec(1.6854392932156403, 0.9288621276165752, 0.3212160890504273)
+    p0 = np.array([1.1846703691020275, 0.36118512848764794, 1.1015098068379459])
+    t_end = 108.37877678873703
+    reciprocals = inertia.reciprocals()
+    traj = integrate_orbit(MomentumState(*p0), inertia, t_end, n_samples=samples)
+    t_eval = np.linspace(0.0, t_end, samples)
+    want, done, step_ends = [], 0, {0.0}
+    for t, _, dense in _dop853(lambda t, p: _field(p, reciprocals), 0.0, p0, t_end, rtol=1e-12, atol=1e-12):
+        step_ends.add(t)
+        reached = np.searchsorted(t_eval, t, side="right")
+        if reached > done:
+            want.append(dense()(t_eval[done:reached], np.arange(3)[:, None]))
+            done = reached
+    assert np.array_equal(traj.t, t_eval)
+    assert np.array_equal(traj.p, np.hstack(want).T)
+    # Samples on step ends: t = 0 starts the first step, t_end ends the last.
+    assert {t_eval[0], t_eval[-1]} <= step_ends
+
+
 @pytest.mark.parametrize("p0", [(1e200, 1.0, 1.0), (1e-200, 1e-200, 1e-200), (math.nan, 1.0, 1.0)])
 def test_integrate_orbit_refuses_a_casimir_outside_the_float_range(p0):
     with warnings.catch_warnings():

@@ -6,21 +6,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_branch_properties import PROPERTY
 
-from eulertop.monodromy import (
+from eulertop.lattice import (
     GENERATOR_LABELS,
-    MAX_WINDING,
     PRESETS,
     IntegerMatrix2,
-    ModuliLoop,
     MonodromyError,
-    chamber_basepoint,
     generator_matrix,
+    verify_braid_relations,
+    verify_confluence_product,
+)
+from eulertop.monodromy import (
+    MAX_WINDING,
+    ModuliLoop,
+    chamber_basepoint,
     loop_monodromy,
     numeric_vs_stated,
     preset_loop,
     preset_monodromy,
-    verify_braid_relations,
-    verify_confluence_product,
 )
 
 U = ((1, 2), (0, 1))

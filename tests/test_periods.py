@@ -78,6 +78,12 @@ def test_closed_form_singular_pairs():
         S_closed_form(ModuliPoint(3, 2, 1, 2.0, 1.0))  # d = b: divergence
 
 
+@pytest.mark.parametrize("value", [0.0, 2.0, 1e-300])
+def test_closed_form_refuses_four_equal_coordinates(value):
+    with pytest.raises(CoincidentModuliError):
+        S_closed_form(ModuliPoint(value, value, value, value))
+
+
 def test_phi_prime_axes():
     assert phi_prime("p1", BASE).value == pytest.approx(S1, rel=1e-14)
     p2 = phi_prime("p2", BASE)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from eulertop.monodromy import _step_matrices, _transport_germs, connection, continue_frame
 from eulertop.special import (
     BranchCutError,
     DivergenceError,
@@ -14,14 +15,10 @@ from eulertop.special import (
     PathTooCloseError,
     RegionError,
     basis_eval,
-    connection,
-    continue_frame,
     elliptic_K,
     gauss_ode_residual,
     hyper_series,
     phi_value,
-    _step_matrices,
-    _transport_germs,
 )
 
 # Frozen reference values (AGM / series, cross-checked against scipy.special).
@@ -121,6 +118,29 @@ def test_hyper_series_matches_mpmath(z):
 
     with mpmath.workdps(30):
         w = mp.mpc(z)
+        want = (f(w), mp.hyp2f1(1.5, 1.5, 2, w) / 4, fstar(w), mp.diff(fstar, w))
+        for got, ref in zip(hyper_series(z), want):
+            assert abs(got - complex(ref)) <= 1e-13 * abs(complex(ref))
+
+
+@pytest.mark.parametrize(
+    "z", [0.995, 0.999, -0.999, 0.999 + 0.01j, -0.99, 0.99j, -0.3 + 0.95j, 0.9999, -0.995 - 0.05j]
+)
+def test_hyper_series_near_the_unit_circle_matches_mpmath(z):
+    # Where the series does not certify (most of 0.9885 < |z| <= 0.99) and
+    # beyond |z| = 0.99, the four values come from closed forms in K and E.
+    mp = mpmath.mp
+
+    def f(x):
+        return mp.hyp2f1(0.5, 0.5, 1, x)
+
+    def fstar(x):
+        return (4 * mp.log(2) - mp.log(x)) * f(x) - mp.pi * f(1 - x)
+
+    with mpmath.workdps(30):
+        # Fstar is analytic across (-1, 0); its formula's log and f(1 - x)
+        # are cut there, so the oracle evaluates a hair above the axis.
+        w = mp.mpc(z) + (mp.mpc(0, 1e-40) if z.imag == 0 and z.real < 0 else 0)
         want = (f(w), mp.hyp2f1(1.5, 1.5, 2, w) / 4, fstar(w), mp.diff(fstar, w))
         for got, ref in zip(hyper_series(z), want):
             assert abs(got - complex(ref)) <= 1e-13 * abs(complex(ref))
