@@ -14,9 +14,9 @@ the module that defines it:
   integer monodromy matrices of moduli-space loops
 - ``cli``: the ``eulertop`` command
 
-Only ``dynamics`` and ``monodromy`` compute with arrays, and only they
-import numpy; the other layers are scalar, exact or integer code, so a
-command that needs none of the two never loads it.
+Only ``dynamics`` computes with arrays, and only it imports numpy; the
+other layers are scalar, exact or integer code, so a command that does not
+integrate orbits never loads it.
 """
 
 __version__ = "0.1.0"

@@ -30,8 +30,7 @@ from . import __version__
 from .core import DomainError, InertiaSpec, ModuliPoint
 
 # Each command imports the layers it runs when it starts, so none pays for a
-# layer it does not use: only ``simulate``, ``period`` and the loop presets
-# of ``monodromy`` load numpy.
+# layer it does not use: only ``simulate`` and ``period`` load numpy.
 
 __all__ = ["main", "build_parser"]
 
@@ -394,7 +393,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_monodromy(args: argparse.Namespace) -> int:
     # The braid and confluence presets multiply stated integer matrices
-    # only; the numeric engine, and numpy with it, loads for the loops.
+    # only; the scalar germ transport of ``monodromy`` loads for the loops.
     from .lattice import (
         GENERATOR_LABELS,
         PRESETS,

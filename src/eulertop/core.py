@@ -179,7 +179,7 @@ def moduli_from_mechanics(inertia: InertiaSpec, l: float, h: float) -> ModuliPoi
 
 
 def cross_ratio(a, b, c, d):
-    """(d-a)(b-c) / ((d-c)(b-a)) of complex scalars or numpy arrays, unchecked."""
+    """(d-a)(b-c) / ((d-c)(b-a)) of complex scalars, unchecked."""
     return (d - a) * (b - c) / ((d - c) * (b - a))
 
 

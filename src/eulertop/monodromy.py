@@ -10,11 +10,15 @@ frames.
 
 This module also holds the continuation engine of the hypergeometric
 equation: the exact connection matrices between the local bases of
-``special``, Taylor transport of germs along a path given as a 1-D array of
+``special``, Taylor transport of germs along a path given as a sequence of
 points (followed as a polyline; its winding is read from the points), and
 ``continue_frame``, which carries a whole ``SolutionFrame`` along such a
 path.  The stated integer matrices the loops are compared with, and their
 exact algebra, live in ``lattice``.
+
+Everything here is scalar Python (``math``, ``cmath``, lists and tuples), so
+this module does not import numpy; a 2x2 matrix is a tuple of two row
+tuples.
 
 Frames and bases.  The engine's working frame is (S3, S1) = (S(c,b,a,d),
 S(a,b,c,d)); stated generator matrices live in the (S1, S3) frame, one swap
@@ -29,9 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .core import LABELS, cross_ratio
 from .lattice import GENERATOR_LABELS, PRESETS, IntegerMatrix2, MonodromyError
@@ -57,6 +59,9 @@ __all__ = [
     "preset_monodromy",
 ]
 
+# A 2x2 matrix, or a pair of (value, derivative) germs, as two row tuples.
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+
 # Base chamber point for all preset loops.  The non-energy coordinates are
 # pushed slightly below the real axis so that no cross-ratio sample is ever
 # exactly on a cut; d stays real, matching the d - i0 convention of the
@@ -75,6 +80,18 @@ MAX_WINDING = 16
 MAX_START_DISTANCE = 64.0
 
 
+def _matmul(m: Matrix2, n: Matrix2) -> Matrix2:
+    (p, q), (r, s) = m
+    (w, x), (y, z) = n
+    return ((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z))
+
+
+def _inverse(m: Matrix2) -> Matrix2:
+    (p, q), (r, s) = m
+    det = p * s - q * r
+    return ((s / det, -q / det), (-r / det, p / det))
+
+
 # ----------------------------------------------------------------------
 # Exact connection matrices.  connection(x, y).matrix expresses the basis of
 # x as combinations of the basis of y: values_x = M @ values_y, valid where
@@ -82,35 +99,33 @@ MAX_START_DISTANCE = 64.0
 
 @dataclass(frozen=True)
 class ConnectionMatrix:
-    matrix: np.ndarray
+    matrix: Matrix2
     from_basis: str
     to_basis: str
 
 
-def _conn_block(from_basis: str, to_basis: str) -> np.ndarray:
+def _conn_block(from_basis: str, to_basis: str) -> Matrix2:
     L = LOG16
     if from_basis == to_basis:
-        return np.eye(2, dtype=complex)
+        return ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
     if (from_basis, to_basis) == ("at0", "at1"):
-        return np.array(
-            [[L / math.pi, -1.0 / math.pi],
-             [(L * L - math.pi ** 2) / math.pi, -L / math.pi]],
-            dtype=complex,
+        return (
+            (complex(L / math.pi), complex(-1.0 / math.pi)),
+            (complex((L * L - math.pi ** 2) / math.pi), complex(-L / math.pi)),
         )
     if (from_basis, to_basis) == ("at0", "atInf"):
-        return np.array(
-            [[L / math.pi, 1.0 / math.pi],
-             [(L * (L + 1j * math.pi) - math.pi ** 2) / math.pi, (L + 1j * math.pi) / math.pi]],
-            dtype=complex,
+        return (
+            (complex(L / math.pi), complex(1.0 / math.pi)),
+            ((L * (L + 1j * math.pi) - math.pi ** 2) / math.pi, (L + 1j * math.pi) / math.pi),
         )
     if (from_basis, to_basis) == ("at1", "at0"):
-        return np.linalg.inv(_conn_block("at0", "at1"))
+        return _inverse(_conn_block("at0", "at1"))
     if (from_basis, to_basis) == ("atInf", "at0"):
-        return np.linalg.inv(_conn_block("at0", "atInf"))
+        return _inverse(_conn_block("at0", "atInf"))
     if (from_basis, to_basis) == ("at1", "atInf"):
-        return _conn_block("at1", "at0") @ _conn_block("at0", "atInf")
+        return _matmul(_conn_block("at1", "at0"), _conn_block("at0", "atInf"))
     if (from_basis, to_basis) == ("atInf", "at1"):
-        return _conn_block("atInf", "at0") @ _conn_block("at0", "at1")
+        return _matmul(_conn_block("atInf", "at0"), _conn_block("at0", "at1"))
     raise ValueError(f"no connection between {from_basis!r} and {to_basis!r}")
 
 
@@ -134,109 +149,130 @@ def connection(from_basis: str, to_basis: str) -> ConnectionMatrix:
 # z0 + h maps every germ by the same 2x2 transition matrix; a path is the
 # ordered product of its steps' matrices.
 
-# Taylor terms per step.  Steps are at most 0.35 of the distance to the
-# nearest singular point, so the truncated tail is below 0.35**64 relative.
-_TAYLOR_TERMS = 64
-
-# Steps whose matrices are built together; bounds the kernel's memory
-# (about 6 MB) however long the path is.
-_STEP_BLOCK = 2048
-
 # A Taylor step reaches at most this share of the distance to 0 or 1.
 _STEP_FRACTION = 0.35
+
+# The most Taylor terms a step sums: the order rule's value at a step of
+# _STEP_FRACTION is 41, so the cap only guards against a longer step.
+_TAYLOR_TERMS = 64
+
+# log of the relative truncation a step's order aims at.
+_LOG_TAIL = math.log(2.0 ** -56)
+
+# The recurrence's factors (n + 1/2)**2 / ((n + 2)(n + 1)) and
+# (n + 1)**2 / ((n + 2)(n + 1)), by n.
+_RECURRENCE = tuple(
+    ((n + 0.5) ** 2 / ((n + 2) * (n + 1)), (n + 1) / (n + 2)) for n in range(_TAYLOR_TERMS - 2)
+)
 
 # continue_frame refuses a path within 10 * _FRAME_MIN_STEP of a singular
 # point and takes no Taylor step below it.
 _FRAME_MIN_STEP = 1e-6
 
+# A loop's transport takes no Taylor step below this.  A loop whose
+# cross-ratio path comes within _LOOP_MIN_STEP / _STEP_FRACTION of 0 or 1
+# would need one, so it is refused before the transport starts.
+_LOOP_MIN_STEP = 1e-12
 
-def _step_matrices(z0: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Transition matrices of the Taylor steps z0[k] -> z0[k] + h[k].
 
-    Returns shape (2, 2, N): column j of step k is the (value, derivative)
-    germ at z0[k] + h[k] of the solution whose germ at z0[k] is the unit
-    vector e_j.  Both unit germs run through the Taylor recurrence of the
-    equation together, for all steps at once, and each sum adds its terms
-    smallest first (n = 63 down to 0).
+def _step_matrices(z0: complex, h: complex) -> tuple[complex, complex, complex, complex]:
+    """Transition matrix (m00, m01, m10, m11) of the Taylor step z0 -> z0 + h.
+
+    Column j is the (value, derivative) germ at z0 + h of the solution whose
+    germ at z0 is the unit vector e_j; both run through the Taylor recurrence
+    of the equation together.  The step needs 0 < |h| < dist, the distance
+    from z0 to the nearer of 0 and 1.
+
+    Order rule: the step sums n = min(64, ceil(log 2**-56 / log(|h|/dist)) + 4)
+    terms.  The terms fall off like (|h|/dist)**k, so the first one left
+    out is about 2**-56 (|h|/dist)**4 of the leading one: 41 terms at a step
+    of _STEP_FRACTION, 6 at a step of 1e-10 dist.  Value and derivative are
+    summed by Horner's rule.
 
     The coefficients a_n grow like dist**-n, so they are carried as a_n r**n
     and the powers as (h / r)**n, with r the power of two just above |h|.
     Scaling by a power of two is exact, so the terms a_n h**n come out as if
     unscaled, but neither factor overflows or underflows near 0 or 1.
     """
-    z0 = np.asarray(z0, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    r = np.ldexp(1.0, np.frexp(np.abs(h))[1])
+    size = abs(h)
+    dist = min(abs(z0), abs(z0 - 1.0))
+    n = min(_TAYLOR_TERMS, math.ceil(_LOG_TAIL / math.log(size / dist)) + 4)
+    r = math.ldexp(1.0, math.frexp(size)[1])
     s = z0 * (1.0 - z0)
-    t = 1.0 - 2.0 * z0
-    a = np.zeros((_TAYLOR_TERMS, 2, len(z0)), dtype=complex)
-    a[0, 0] = 1.0
-    a[1, 1] = r
-    for n in range(_TAYLOR_TERMS - 2):
-        a[n + 2] = ((n + 0.5) ** 2 * (r * r * a[n]) - t * (n + 1) ** 2 * (r * a[n + 1])) / (s * (n + 2) * (n + 1))
-    powers = (h / r) ** np.arange(_TAYLOR_TERMS)[:, None]
-    out = np.zeros((2, 2, len(z0)), dtype=complex)
-    for n in range(_TAYLOR_TERMS - 1, -1, -1):
-        out[0] += a[n] * powers[n]
-        if n:
-            out[1] += n * a[n] * powers[n - 1]
-    out[1] /= r
-    return out
+    e = r * r / s
+    f = (1.0 - 2.0 * z0) * r / s
+    u = [1.0 + 0j, 0j]
+    v = [0j, complex(r)]
+    for k, (alpha, beta) in enumerate(_RECURRENCE[: n - 2]):
+        p, q = alpha * e, beta * f
+        u.append(p * u[k] - q * u[k + 1])
+        v.append(p * v[k] - q * v[k + 1])
+    x = h / r
+    u_val, v_val, u_der, v_der = u[-1], v[-1], 0j, 0j
+    for k in range(n - 2, -1, -1):
+        u_der = u_der * x + u_val
+        v_der = v_der * x + v_val
+        u_val = u_val * x + u[k]
+        v_val = v_val * x + v[k]
+    return u_val, v_val, u_der / r, v_der / r
 
 
 def _transport_germs(
-    zs: np.ndarray,
-    germs: np.ndarray,
+    zs: Sequence[complex],
+    germs: Iterable[tuple[complex, complex]],
     *,
     min_step: float = _FRAME_MIN_STEP,
-) -> np.ndarray:
-    """Transport germ rows along the polyline zs, sub-stepping as needed.
+) -> tuple[tuple[complex, complex], ...]:
+    """Transport germ rows (value, derivative) along the polyline zs.
 
-    Steps never exceed _STEP_FRACTION times the distance to the nearest of
-    the singular points {0, 1}, nor fall below min_step.  The step nodes are
-    laid out first; then the steps' transition matrices are built a block at
-    a time and applied to the rows in path order.  Its oracle is the
-    test-only ``_ode_transport`` in ``tests/test_special.py``, which
-    integrates the same ODE with scipy instead.
+    Step rule: a step from node z reaches at most _STEP_FRACTION times the
+    distance from z to the nearer of 0 and 1.  It jumps to the farthest
+    later sample such that every sample up to that one lies within this
+    reach; the reach is a disc, which is convex and holds neither 0 nor 1,
+    so the chord continues the germs as the polyline would.  If the next
+    sample is already out of reach, the step goes that far toward it.  A
+    reach below min_step raises ContinuationStallError.
+
+    Each step's matrix (``_step_matrices``) is applied to the rows as soon
+    as it is built.  Its oracle is the test-only ``_ode_transport`` in
+    ``tests/test_special.py``, which integrates the same ODE with scipy
+    instead.
     """
-    z = complex(zs[0])
-    nodes = [z]
-    for target in zs[1:]:
-        target = complex(target)
-        guard = 0
-        while z != target:
-            dist = min(abs(z), abs(z - 1.0))
-            allowed = _STEP_FRACTION * dist
-            if allowed < min_step:
-                raise ContinuationStallError(
-                    f"step size collapsed to {allowed:.3g} near z = {z:.6g}"
-                )
-            gap = target - z
-            if abs(gap) <= allowed:
-                z = target
-            else:
-                z = z + gap * (allowed / abs(gap))
-            nodes.append(z)
-            guard += 1
-            if guard > 100000:
+    points = [complex(z) for z in zs]
+    rows = [(complex(f), complex(d)) for f, d in germs]
+    z = points[0]
+    i, last, partial = 0, len(points) - 1, 0
+    while i < last:
+        allowed = _STEP_FRACTION * min(abs(z), abs(z - 1.0))
+        if allowed < min_step:
+            raise ContinuationStallError(
+                f"step size collapsed to {allowed:.3g} near z = {z:.6g}"
+            )
+        gap = points[i + 1] - z
+        if abs(gap) > allowed:
+            target = z + gap * (allowed / abs(gap))
+            partial += 1
+            if partial > 100000:
                 raise ContinuationStallError("sub-stepping did not terminate")
-    path = np.array(nodes, dtype=complex)
-    rows = np.asarray(germs, dtype=complex).tolist()
-    for lo in range(0, len(path) - 1, _STEP_BLOCK):
-        block = path[lo:lo + _STEP_BLOCK + 1]
-        mats = _step_matrices(block[:-1], np.diff(block))
-        for m00, m01, m10, m11 in zip(*mats.reshape(4, -1).tolist()):
+        else:
+            i += 1
+            while i < last and abs(points[i + 1] - z) <= allowed:
+                i += 1
+            target, partial = points[i], 0
+        if target != z:
+            m00, m01, m10, m11 = _step_matrices(z, target - z)
             rows = [(m00 * f + m01 * d, m10 * f + m11 * d) for f, d in rows]
-    return np.array(rows, dtype=complex)
+        z = target
+    return tuple(rows)
 
 
-def _winding(zs: np.ndarray, s: float) -> float:
+def _winding(zs: Sequence[complex], s: float) -> float:
     """Turns of the polyline zs around s.  A straight segment that misses s
     sweeps exactly the principal angle between its ends, seen from s."""
-    return float(np.sum(np.angle((zs[1:] - s) / (zs[:-1] - s)))) / (2.0 * math.pi)
+    return math.fsum(cmath.phase((q - s) / (p - s)) for p, q in zip(zs, zs[1:])) / (2.0 * math.pi)
 
 
-def continue_frame(frame: SolutionFrame, zs: np.ndarray) -> SolutionFrame:
+def continue_frame(frame: SolutionFrame, zs: Iterable[complex]) -> SolutionFrame:
     """Analytically continue a solution frame along the polyline through
     the points zs, which must start at the frame's base point.
 
@@ -245,40 +281,34 @@ def continue_frame(frame: SolutionFrame, zs: np.ndarray) -> SolutionFrame:
     nearest singular point.  The returned frame is based at zs[-1], and its
     branch_log adds the turns of the path around 0 and around 1.
 
-    Raises ValueError if zs is not a non-empty 1-D array of finite points
+    Raises ValueError if zs is not a non-empty 1-D sequence of finite points
     starting at the base point, PathTooCloseError if any point sits closer than 1e-5 to
     z = 0 or z = 1, and ContinuationStallError if sub-stepping collapses.
     """
-    zs = np.asarray(zs, dtype=complex)
-    if zs.ndim != 1 or len(zs) == 0:
-        raise ValueError(f"a path is a non-empty 1-D array of points, got shape {zs.shape}")
-    if not np.all(np.isfinite(zs)):
+    try:
+        points = [complex(z) for z in zs]
+    except (TypeError, ValueError):
+        points = []
+    if not points:
+        raise ValueError("a path is a non-empty 1-D sequence of points")
+    if not all(cmath.isfinite(z) for z in points):
         raise ValueError("a path's points must be finite")
-    if abs(zs[0] - frame.base_point) > 1e-9:
+    if abs(points[0] - frame.base_point) > 1e-9:
         raise ValueError(
-            f"path starts at {complex(zs[0])}, frame is based at {frame.base_point}"
+            f"path starts at {points[0]}, frame is based at {frame.base_point}"
         )
-    dist = np.minimum(np.abs(zs), np.abs(zs - 1.0))
-    if float(dist.min()) < 10.0 * _FRAME_MIN_STEP:
+    dist = min(min(abs(z), abs(z - 1.0)) for z in points)
+    if dist < 10.0 * _FRAME_MIN_STEP:
         raise PathTooCloseError(
-            f"path passes within {dist.min():.3g} of a singular point; "
+            f"path passes within {dist:.3g} of a singular point; "
             f"margin must exceed {10.0 * _FRAME_MIN_STEP:.3g}"
         )
-    germs = np.array(
-        [[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]],
-        dtype=complex,
-    )
-    new_germs = _transport_germs(zs, germs)
+    germs = ((frame.values[0], frame.derivs[0]), (frame.values[1], frame.derivs[1]))
+    (v0, d0), (v1, d1) = _transport_germs(points, germs)
     log = dict(frame.branch_log)
-    log["around0"] = log.get("around0", 0.0) + _winding(zs, 0.0)
-    log["around1"] = log.get("around1", 0.0) + _winding(zs, 1.0)
-    return SolutionFrame(
-        frame.basis_id,
-        (complex(new_germs[0, 0]), complex(new_germs[1, 0])),
-        complex(zs[-1]),
-        (complex(new_germs[0, 1]), complex(new_germs[1, 1])),
-        log,
-    )
+    log["around0"] = log.get("around0", 0.0) + _winding(points, 0.0)
+    log["around1"] = log.get("around1", 0.0) + _winding(points, 1.0)
+    return SolutionFrame(frame.basis_id, (v0, v1), points[-1], (d0, d1), log)
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +462,14 @@ def preset_loop(move: str, around: str, winding: int = 1, *, radius: float = 0.2
     )
 
 
-def _approach_points(start: complex, entry: complex, frozen: Iterable[complex]) -> np.ndarray:
+def _spaced(stop: float, n: int) -> list[float]:
+    """n evenly spaced values from 0 to stop, both included (n >= 2), each
+    k * step with step = stop / (n - 1), and stop itself last."""
+    step = stop / (n - 1)
+    return [k * step for k in range(n - 1)] + [stop]
+
+
+def _approach_points(start: complex, entry: complex, frozen: Iterable[complex]) -> list[complex]:
     """Path from the basepoint to the circle entry.
 
     A straight chord unless it collides with a frozen coordinate, in which
@@ -441,56 +478,72 @@ def _approach_points(start: complex, entry: complex, frozen: Iterable[complex]) 
     the chord already chose.
     """
     chord = entry - start
-    n = max(48, int(48 * abs(chord) / 0.5) + 1)
-    t = np.linspace(0.0, 1.0, n)
-    points = start + t * chord
+    t = _spaced(1.0, max(48, int(48 * abs(chord) / 0.5) + 1))
     blocked = False
     for value in frozen:
         w = (complex(value) - start) / chord
         if 0.02 < w.real < 0.98 and abs(w.imag) * abs(chord) < 1e-4:
             blocked = True
-    if blocked:
-        control = 0.5 * (start + entry) - 0.04j
-        points = (1 - t) ** 2 * start + 2 * t * (1 - t) * control + t**2 * entry
-        for value in frozen:
-            if float(np.min(np.abs(points - value))) < 1e-4:
-                raise MonodromyError(
-                    f"approach path cannot clear the frozen coordinate {value}"
-                )
+    if not blocked:
+        return [start + s * chord for s in t]
+    control = 0.5 * (start + entry) - 0.04j
+    points = [(1 - s) ** 2 * start + 2 * s * (1 - s) * control + s**2 * entry for s in t]
+    for value in frozen:
+        if min(abs(p - value) for p in points) < 1e-4:
+            raise MonodromyError(
+                f"approach path cannot clear the frozen coordinate {value}"
+            )
     return points
 
 
-def _loop_point_samples(loop: ModuliLoop, start_shift: complex = 0.0j) -> np.ndarray:
+def _loop_point_samples(loop: ModuliLoop, start_shift: complex = 0.0j) -> list[complex]:
     """Sample the mover's path: radial approach, circle(s), and return."""
     center = complex(loop.center)
     start = loop.effective_start() + start_shift
     # Enter the circle where the radial ray from the start hits it, so the
     # approach never pierces the disc.
     theta0 = math.atan2((start - center).imag, (start - center).real)
-    entry = center + loop.radius * np.exp(1j * theta0)
+    entry = center + loop.radius * cmath.exp(1j * theta0)
     approach = _approach_points(start, entry, loop.frozen.values())
-    n_arc = _SAMPLES_PER_TURN * abs(loop.winding)
-    theta = theta0 + np.linspace(0.0, 2.0 * math.pi * loop.winding, n_arc + 1)
-    circle = center + loop.radius * np.exp(1j * theta)
-    return np.concatenate([approach, circle[1:], approach[::-1][1:]])
+    turns = _spaced(2.0 * math.pi * loop.winding, _SAMPLES_PER_TURN * abs(loop.winding) + 1)
+    circle = [center + loop.radius * cmath.exp(1j * (theta0 + t)) for t in turns[1:]]
+    return approach + circle + approach[-2::-1]
 
 
-def _coordinates(loop: ModuliLoop, mover) -> list:
-    """a, b, c, d with the mover's value (a point or a sample array) in its
-    slot and the frozen values as scalars."""
-    return [mover if name == loop.move else complex(loop.frozen[name]) for name in LABELS]
+def _coordinates(loop: ModuliLoop, mover: complex) -> tuple[complex, complex, complex, complex]:
+    """a, b, c, d with the mover's value in its slot."""
+    return tuple(mover if name == loop.move else complex(loop.frozen[name]) for name in LABELS)
 
 
-def _continuous_sqrt(values: np.ndarray) -> np.ndarray:
+def _continuous_sqrt(values: Iterable[complex]) -> list[complex]:
     """Square root along a path, branch chosen by continuity from sample 0:
-    each root's sign is the product of the flips up to it."""
-    r = np.sqrt(values)
-    flips = np.abs(r[1:] - r[:-1]) > np.abs(r[1:] + r[:-1])
-    negated = np.concatenate([[False], np.logical_xor.accumulate(flips)])
-    return np.where(negated, -r, r)
+    each root's sign is the product of the flips of the principal roots up
+    to it."""
+    out, prev, negated = [], None, False
+    for w in values:
+        r = cmath.sqrt(w)
+        if prev is not None and abs(r - prev) > abs(r + prev):
+            negated = not negated
+        out.append(-r if negated else r)
+        prev = r
+    return out
 
 
-def _seed_germs(mu0: complex) -> np.ndarray:
+def _closest_approach(zs: Sequence[complex]) -> float:
+    """Distance from the polyline zs to the nearer of 0 and 1."""
+    best = min(min(abs(z), abs(z - 1.0)) for z in zs)
+    for p, q in zip(zs, zs[1:]):
+        d = q - p
+        length2 = d.real * d.real + d.imag * d.imag
+        for s in (0.0, 1.0):
+            # The foot of the perpendicular from s, where it falls inside.
+            t = ((s - p) * d.conjugate()).real / length2 if length2 else 0.0
+            if 0.0 < t < 1.0:
+                best = min(best, abs(p + t * d - s))
+    return best
+
+
+def _seed_germs(mu0: complex) -> Matrix2:
     """Germs (value, d/dmu) of the numerator solutions at the basepoint.
 
     Row 0 belongs to S3's numerator (the atInf member, re-expressed through
@@ -502,59 +555,82 @@ def _seed_germs(mu0: complex) -> np.ndarray:
     sgn = 1.0 if mu0.imag > 0.0 else -1.0
     at0 = _local_frame("at0", mu0, sgn)
     at1 = _local_frame("at1", mu0, sgn)
-    g1 = np.array([at0.values[0], at0.derivs[0]])
-    g3 = np.array([at1.values[0], at1.derivs[0]])
-    g5 = sgn * 1j * g1 + g3
-    return np.vstack([g5, g1])
+    g1 = (at0.values[0], at0.derivs[0])
+    g5 = tuple(sgn * 1j * x + y for x, y in zip(g1, (at1.values[0], at1.derivs[0])))
+    return g5, g1
 
 
-def _transport_block(coords: list, germs: np.ndarray):
-    """Transport germs and prefactors along a loop's samples.
-
-    ``coords`` is a, b, c, d from ``_coordinates`` with the mover's sample
-    array.  Returns the continued germs together with the start and end
+def _loop_path(loop: ModuliLoop, start_shift: complex):
+    """The cross-ratio polyline of a loop's samples, with the start and end
     values of the two square-root prefactors sqrt(R2), sqrt(R1), where
     R1 = (d - c)(a - b) and R2 = (d - c)(b - a); the roots are continued
     by closeness so sign flips under full turns are captured.
+
+    Raises MonodromyError if the polyline passes so close to 0 or 1 that the
+    transport would stall there.
     """
-    a, b, c, d = coords
-    mu = cross_ratio(a, b, c, d)
-    r1 = _continuous_sqrt((d - c) * (a - b))
-    r2 = _continuous_sqrt((d - c) * (b - a))
-    new_germs = _transport_germs(mu, germs, min_step=1e-12)
-    return new_germs, (r2[0], r1[0]), (r2[-1], r1[-1])
+    coords = [_coordinates(loop, z) for z in _loop_point_samples(loop, start_shift)]
+    mu = [cross_ratio(*point) for point in coords]
+    closest = _closest_approach(mu)
+    if closest < _LOOP_MIN_STEP / _STEP_FRACTION:
+        raise MonodromyError(
+            f"the loop's cross-ratio path passes within {closest:.3g} of a singular point; "
+            f"the germ transport needs {_LOOP_MIN_STEP / _STEP_FRACTION:.3g}"
+        )
+    r1 = _continuous_sqrt([(d - c) * (a - b) for a, b, c, d in coords])
+    r2 = _continuous_sqrt([(d - c) * (b - a) for a, b, c, d in coords])
+    return mu, (r2[0], r1[0]), (r2[-1], r1[-1])
 
 
-def _frame_vectors(germs: np.ndarray, roots: tuple) -> np.ndarray:
-    """Column-stack the two period germs S3, S1 including their prefactors."""
-    r2, r1 = roots
-    s3 = germs[0] / r2
-    s1 = germs[1] / r1
-    return np.column_stack([s3, s1])
+def _frame_vectors(germs: Matrix2, roots: tuple[complex, complex]) -> Matrix2:
+    """The two period germs S3, S1, prefactors included, as the columns of
+    a (value row, derivative row) matrix."""
+    (s3, s3d), (s1, s1d) = (tuple(x / root for x in g) for g, root in zip(germs, roots))
+    return (s3, s1), (s3d, s1d)
 
 
-def _extract_matrix(starts: list, ends: list) -> tuple[np.ndarray, float]:
+def _extract_matrix(starts: list, ends: list) -> tuple[Matrix2, float]:
     """Solve end = start @ M^T for M over stacked frames, least squares.
 
-    Each element of starts/ends is a 2x2 array whose columns are the frame
+    Each element of starts/ends is a 2x2 matrix whose columns are the frame
     vectors (S3, S1) as (value, derivative) germs.  The monodromy acts by
     S_i -> sum_j M_ij S_j, i.e. columns transform by M^T on the right.
+    A @ X = B, with A and B the stacked frames and X = M^T, is solved by the
+    QR factorization of A's two columns.  Also returns the largest entry of
+    A @ X - B.
     """
-    A = np.vstack(starts)          # (2k, 2): rows are germ components
-    B = np.vstack(ends)
-    # Solve A @ X = B with X = M^T.
-    X, *_ = np.linalg.lstsq(A, B, rcond=None)
-    resid = float(np.max(np.abs(A @ X - B)))
-    return X.T, resid
+    A = [row for frame in starts for row in frame]
+    B = [row for frame in ends for row in frame]
+
+    def dot(q, y):  # q^H y
+        return sum(a.conjugate() * b for a, b in zip(q, y))
+
+    a0, a1 = [row[0] for row in A], [row[1] for row in A]
+    r00 = math.hypot(*map(abs, a0))
+    q0 = [x / r00 for x in a0]
+    r01 = dot(q0, a1)
+    w = [y - r01 * q for y, q in zip(a1, q0)]
+    r11 = math.hypot(*map(abs, w))
+    q1 = [x / r11 for x in w]
+    # Column j of X, solved for the column j of B, is row j of M.
+    X = []
+    for j in range(2):
+        b = [row[j] for row in B]
+        x1 = dot(q1, b) / r11
+        X.append(((dot(q0, b) - r01 * x1) / r00, x1))
+    resid = max(
+        abs(p * x0 + q * x1 - b[j]) for (p, q), b in zip(A, B) for j, (x0, x1) in enumerate(X)
+    )
+    return (X[0], X[1]), resid
 
 
 @dataclass(frozen=True)
 class MonodromyResult:
-    """An extracted monodromy: the integer matrix, the float matrix it was
+    """An extracted monodromy: the integer matrix, the complex matrix it was
     rounded from, and the extraction residual."""
 
     matrix: IntegerMatrix2
-    raw: np.ndarray
+    raw: Matrix2
     residual: float
 
 
@@ -569,29 +645,25 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
 
     Two start frames seeded at independently scaled basepoint offsets make
     the linear extraction over-determined; disagreement shows up in the
-    residual.  The result must round to integers within 1e-6 and have unit
-    determinant, else MonodromyError.
+    residual.  Both cross-ratio paths are built, and checked for clearance
+    from 0 and 1, before either is transported.  The result must round to
+    integers within 1e-6 and have unit determinant, else MonodromyError.
     """
     starts, ends = [], []
-    for shift in (0.0j, _SECOND_FRAME_SHIFT):
-        zs = _loop_point_samples(loop, start_shift=shift)
-        germs = _seed_germs(complex(cross_ratio(*_coordinates(loop, zs[0]))))
-        new_germs, roots0, roots1 = _transport_block(_coordinates(loop, zs), germs)
+    for mu, roots0, roots1 in [_loop_path(loop, shift) for shift in (0.0j, _SECOND_FRAME_SHIFT)]:
+        germs = _seed_germs(mu[0])
         starts.append(_frame_vectors(germs, roots0))
-        ends.append(_frame_vectors(new_germs, roots1))
+        ends.append(_frame_vectors(_transport_germs(mu, germs, min_step=_LOOP_MIN_STEP), roots1))
     raw, lsq_resid = _extract_matrix(starts, ends)
-    rounded = np.round(raw.real)
-    resid = max(
-        float(np.max(np.abs(raw - rounded))), lsq_resid
-    )
+    (p, q), (r, s) = rounded = tuple(tuple(round(x.real) for x in row) for row in raw)
+    resid = max(lsq_resid, *(abs(x - k) for row, ks in zip(raw, rounded) for x, k in zip(row, ks)))
     if resid > _EXTRACTION_TOL:
         raise MonodromyError(
             f"monodromy entries are not integral: residual {resid:.3g} exceeds {_EXTRACTION_TOL}"
         )
-    det = rounded[0, 0] * rounded[1, 1] - rounded[0, 1] * rounded[1, 0]
-    if abs(det - 1.0) > 0.5:
-        raise MonodromyError(f"monodromy determinant is {det}, expected +1")
-    return MonodromyResult(IntegerMatrix2.from_array(rounded), raw, resid)
+    if p * s - q * r != 1:
+        raise MonodromyError(f"monodromy determinant is {p * s - q * r}, expected +1")
+    return MonodromyResult(IntegerMatrix2(rounded), raw, resid)
 
 
 def preset_monodromy(label: str) -> MonodromyResult:
@@ -608,7 +680,8 @@ def preset_monodromy(label: str) -> MonodromyResult:
         return got
     # Swapping the frame reverses both rows and columns, exactly.
     (p, q), (r, s) = got.matrix.entries
-    return MonodromyResult(IntegerMatrix2(((s, r), (q, p))), got.raw[::-1, ::-1], got.residual)
+    raw = tuple(row[::-1] for row in got.raw[::-1])
+    return MonodromyResult(IntegerMatrix2(((s, r), (q, p))), raw, got.residual)
 
 
 @dataclass(frozen=True)

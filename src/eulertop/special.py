@@ -9,9 +9,8 @@ whose solution space is spanned near z = 0 by F(z) = (2/pi) K(z) and the
 logarithmic companion F(z) log z + Fstar(z).  Bases attached to the three
 singular points 0, 1, infinity are provided as scalar evaluators.  The
 connection matrices between them and the continuation of solution frames
-along paths are array code and live in ``monodromy``; the errors a
-continuation raises are defined here, so a caller can catch them without
-loading numpy.  This module does not import numpy.
+along paths live in ``monodromy``; the errors a continuation raises are
+defined here.  This module does not import numpy.
 
 Branch conventions.  All cut-sensitive evaluations take a ``side`` argument
 with the meaning "sign of an infinitesimal imaginary part added to the
@@ -98,7 +97,9 @@ def _agm(m: complex) -> tuple[complex, complex]:
     E = K (1 - sum_n 2**(n - 1) c_n**2), c_0**2 = m and c_(n+1) the half
     difference of the n-th pair of means (DLMF 19.8.6).  For real m > 1 the
     principal square root of 1 - m makes both the limit from the lower
-    half-plane (the m - i0 value); sided callers rely on that.
+    half-plane (the m - i0 value); sided callers rely on that.  The loop
+    stops when the means agree to 1e-17 or an iteration leaves them
+    unchanged.
     """
     x = complex(1.0, 0.0)
     y = cmath.sqrt(1.0 - m)
@@ -119,6 +120,10 @@ def _agm(m: complex) -> tuple[complex, complex]:
         # amplify; the true terms it drops are below 1e-20 of E.
         if abs(c) > 1e-12 * abs(x):
             csum += weight * c * c
+        # Rounding can hold the means an ulp or so apart for good; every
+        # later iteration would repeat this one.
+        if (x1, y1) == (x, y):
+            break
         x, y = x1, y1
     k = math.pi / (2.0 * x)
     return k, k * (1.0 - csum)

@@ -321,7 +321,8 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys, argv, target):
 
 def test_monodromy_loop_transport_stall(tmp_path, capsys):
     # A circle of radius 1e-13 around d: the germ transport's step size
-    # collapses, which the command reports as an error, not a traceback.
+    # would collapse, so the loop is refused before the transport, with an
+    # error that names how close its cross-ratio path comes, not a traceback.
     loop_file = tmp_path / "loop.json"
     loop_file.write_text(json.dumps({
         "move": "a", "center": [2.5, 0], "radius": 1e-13, "winding": 1,
@@ -330,7 +331,35 @@ def test_monodromy_loop_transport_stall(tmp_path, capsys):
     code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
     assert code == 1
     assert out == ""
-    assert err.startswith("error:") and "step size collapsed" in err
+    assert err.startswith("error:") and "passes within 1.33e-13 of a singular point" in err
+
+
+def _loop_round_b(radius):
+    # d circles b at the given radius; at radius 1 it would pass through a,
+    # where the cross-ratio reaches 0.
+    return {
+        "move": "d", "center": [2.0, 0.0], "radius": radius, "winding": 1,
+        "frozen": {"a": [3.0, 0.0], "b": [2.0, 0.0], "c": [1.0, -0.001]}, "start": [2.5, 0.0],
+    }
+
+
+def test_monodromy_loop_reaching_a_singular_point_is_refused_first(tmp_path, capsys):
+    # The transport would stall after about its whole run; the cross-ratio
+    # path is checked before it starts.
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps(_loop_round_b(0.9999999999999)))
+    code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the loop's cross-ratio path passes within ")
+    assert err.count("error:") == 1
+
+
+def test_monodromy_loop_near_a_singular_point_runs(tmp_path, capsys):
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps(_loop_round_b(0.9)))
+    code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
+    assert code == 0
+    assert json.loads(out)["matrix"] == [[3, 2], [-2, -1]]
 
 
 def test_monodromy_flag_conflicts(capsys):
@@ -490,15 +519,19 @@ def test_version_and_series_do_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_light_commands_do_not_load_numpy():
-    # verify and the braid and confluence presets are scalar and integer
-    # work; neither they nor the layers they import may pay for numpy.
+def test_light_commands_do_not_load_numpy(tmp_path):
+    # verify and every monodromy command are scalar and integer work;
+    # neither they nor the layers they import may pay for numpy.
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps(_loop_round_b(0.9)))
     script = (
         "import sys\n"
-        "import eulertop.special, eulertop.periods, eulertop.lattice\n"
+        "import eulertop.special, eulertop.periods, eulertop.lattice, eulertop.monodromy\n"
         "assert 'numpy' not in sys.modules, 'importing the layers loaded numpy'\n"
         "import eulertop.cli as cli\n"
-        "for argv in (['verify'], ['monodromy', '--preset', 'braid'], ['monodromy', '--preset', 'confluence']):\n"
+        "for argv in (['verify'], ['monodromy', '--preset', 'braid'], ['monodromy', '--preset', 'confluence'],\n"
+        "             ['monodromy', '--preset', 'alpha1'], ['monodromy', '--preset', 'all-generators'],\n"
+        f"             ['monodromy', '--loop', {str(loop_file)!r}]):\n"
         "    assert cli.main(argv) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n"
     )

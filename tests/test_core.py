@@ -161,7 +161,7 @@ def _import_time_imports(tree: ast.Module):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def test_only_dynamics_and_monodromy_load_numpy_on_import():
+def test_only_dynamics_loads_numpy_on_import():
     # The layers are kept apart so that a command loads numpy only where it
     # computes with arrays.  A module loads numpy when it, or a package
     # module it imports, imports numpy outside a function.
@@ -174,7 +174,7 @@ def test_only_dynamics_and_monodromy_load_numpy_on_import():
     local = {name: {m.split(".")[0] for m, level in found if level == 1} for name, found in imports.items()}
     while more := {name for name, deps in local.items() if deps & loads} - loads:
         loads |= more
-    assert loads == {"dynamics", "monodromy"}
+    assert loads == {"dynamics"}
 
 
 @pytest.mark.parametrize("name", [info.name for info in pkgutil.iter_modules(eulertop.__path__)])

@@ -1,12 +1,19 @@
 """Elliptic integrals, hypergeometric bases, connection matrices, continuation."""
 
+import cmath
 import math
+import random
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from test_branch_properties import PROPERTY
 
+from eulertop import monodromy, special
 from eulertop.monodromy import _step_matrices, _transport_germs, connection, continue_frame
 from eulertop.special import (
     BranchCutError,
@@ -53,6 +60,53 @@ def test_elliptic_K_real_values():
 def test_elliptic_K_complex_argument():
     got = elliptic_K(0.3 + 0.4j)
     assert got == pytest.approx(1.6502419256419398 + 0.20951070412398679j, rel=1e-13)
+
+
+def _agm_stopping_on_the_means_only(m):
+    # special._agm's loop as it was before it also stopped on an iteration
+    # that leaves the pair of means unchanged.
+    x = complex(1.0, 0.0)
+    y = cmath.sqrt(1.0 - m)
+    weight, csum = 0.5, 0.5 * m
+    for _ in range(64):
+        if abs(x - y) <= 1e-17 * abs(x):
+            break
+        x1 = 0.5 * (x + y)
+        y1 = cmath.sqrt(x * y)
+        ds, dd = abs(x1 + y1), abs(x1 - y1)
+        if dd > ds or (dd == ds and (y1 / x1).imag < 0.0):
+            y1 = -y1
+        weight *= 2.0
+        c = 0.5 * (x - y)
+        if abs(c) > 1e-12 * abs(x):
+            csum += weight * c * c
+        x, y = x1, y1
+    k = math.pi / (2.0 * x)
+    return k, k * (1.0 - csum)
+
+
+def test_agm_stop_on_a_repeated_pair_keeps_K_and_E_bit_identical():
+    # About a quarter of the real m in (-5, 1) settle on a fixed pair of
+    # means an ulp or so apart; the old loop ran on to 64 iterations there.
+    rng = random.Random(14)
+    points = (
+        [0.5, 3 + 0.1j]
+        + [rng.uniform(-5.0, 1.0) for _ in range(1000)]
+        + [complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) for _ in range(1000)]
+        + [rng.uniform(1.0, 50.0) for _ in range(500)]
+    )
+    for m in points:
+        assert repr(special._agm(m)) == repr(_agm_stopping_on_the_means_only(m)), m
+
+
+@pytest.mark.parametrize("m", [0.5, 3 + 0.1j])
+def test_agm_stops_where_the_means_settle(m):
+    # One square root before the loop and one per iteration.
+    calls = []
+    sqrt = cmath.sqrt
+    with mock.patch.object(special.cmath, "sqrt", lambda w: calls.append(w) or sqrt(w)):
+        special._agm(m)
+    assert len(calls) - 1 <= 8
 
 
 def test_elliptic_K_diverges_at_one():
@@ -227,10 +281,10 @@ def test_connection_at0_atInf_via_continuation():
 
 
 def test_connection_inverse_and_composition():
-    ab = connection("at0", "at1").matrix
-    ba = connection("at1", "at0").matrix
+    ab = np.array(connection("at0", "at1").matrix)
+    ba = np.array(connection("at1", "at0").matrix)
     np.testing.assert_allclose(ab @ ba, np.eye(2), rtol=0, atol=1e-14)
-    composed = connection("at1", "at0").matrix @ connection("at0", "atInf").matrix
+    composed = np.array(connection("at1", "at0").matrix) @ np.array(connection("at0", "atInf").matrix)
     np.testing.assert_allclose(connection("at1", "atInf").matrix, composed, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         connection("at0", "period")
@@ -313,6 +367,47 @@ def test_continuation_taylor_and_ode_agree():
         assert abs(u - v) / max(1.0, abs(u)) < 1e-8
 
 
+def _clearance(zs):
+    # Distance from the polyline zs to the nearer of 0 and 1.
+    p, d = zs[:-1], np.diff(zs)
+    out = np.inf
+    for s in (0.0, 1.0):
+        t = np.clip(((s - p) * d.conj()).real / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
+        out = min(out, float(np.min(np.abs(p + t * d - s))))
+    return out
+
+
+@settings(PROPERTY, max_examples=15)
+@given(
+    around=st.sampled_from([0.0, 1.0, 0.5]),
+    size=st.floats(0.0, 1.0),
+    angle=st.floats(-math.pi, math.pi),
+    tail=st.floats(0.0, 1.0),
+)
+def test_merged_steps_match_the_ode_and_stay_in_reach(around, size, angle, tail):
+    # A lasso round 0, round 1, or round both (center 1/2), sampled at a
+    # tenth of its radius, so most steps span several samples.  Its
+    # tail runs out along the radius, and the whole polyline keeps at least
+    # 1e-3 from 0 and 1.
+    if around == 0.5:
+        radius = 0.501 + 1.5 * size
+    else:
+        radius = 1e-3 + 0.9 * size
+    entry = around + radius * np.exp(1j * angle)
+    z0 = around + (1.0 + tail) * radius * np.exp(1j * angle)
+    zs = _lasso(z0, around, entry, spacing=0.1 * radius)
+    assume(_clearance(zs) >= 1e-3)
+    germs = np.eye(2, dtype=complex)
+    with mock.patch.object(monodromy, "_step_matrices", wraps=monodromy._step_matrices) as steps:
+        taylor = np.array(_transport_germs(zs, germs))
+    ode = _ode_transport(zs, germs)
+    assert np.max(np.abs(taylor - ode) / np.maximum(1.0, np.abs(taylor))) < 1e-8
+    assert steps.call_count < len(zs) - 1
+    for (z, h), _ in steps.call_args_list:
+        # The slack is the rounding of the node z + h near z = 1.
+        assert abs(h) <= monodromy._STEP_FRACTION * min(abs(z), abs(z - 1.0)) + 1e-15, (z, h)
+
+
 def _per_germ_taylor_step(z0, f0, f1, h, nterms=64):
     # One germ at a time: the Taylor recurrence of the equation from (f0, f1)
     # at z0, summed at z0 + h.
@@ -331,20 +426,19 @@ def test_step_matrices_match_per_germ_taylor_sum():
     z0 = np.array([0.02 + 0.01j, 0.97 - 0.02j, 0.3 + 0.2j, -0.4 + 0.1j, 1.5 - 0.7j, 0.5 + 0.5j])
     dist = np.minimum(np.abs(z0), np.abs(z0 - 1.0))
     h = np.array([0.35, 0.35, 0.2, 0.35, 0.1, 0.3]) * dist * np.exp(1j * np.array([0.3, 2.0, -1.2, 3.0, 0.7, -2.5]))
-    mats = _step_matrices(z0, h)
-    assert mats.shape == (2, 2, len(z0))
     for k in range(len(z0)):
+        mat = np.reshape(_step_matrices(complex(z0[k]), complex(h[k])), (2, 2))
         for j, (f0, f1) in enumerate(((1.0, 0.0), (0.0, 1.0))):
             want = np.array(_per_germ_taylor_step(z0[k], f0, f1, h[k]))
-            got = mats[:, j, k]
+            got = mat[:, j]
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("z0,turns", [(0.3 + 0.2j, 1), (-0.4 + 0.1j, 1), (0.05 - 0.02j, -6)])
 def test_transport_around_zero_is_the_exact_at0_monodromy(z0, turns):
     # Around z = 0 only, F comes back unchanged and F log z + Fstar gains
-    # 2 pi i F per turn, in value and derivative alike.  Six turns take more
-    # steps than one block of step matrices.
+    # 2 pi i F per turn, in value and derivative alike.  Six turns near
+    # z = 0 chain about a hundred steps.
     frame = basis_eval("at0", z0)
     theta = np.angle(z0) + np.linspace(0.0, 2.0 * np.pi * turns, 400 * abs(turns) + 1)
     out = continue_frame(frame, abs(z0) * np.exp(1j * theta))
@@ -371,7 +465,7 @@ def test_transport_close_to_a_singular_point(end):
     # Taylor coefficients grow like dist**-n; the kernel must stay finite
     # where monodromy paths are allowed to go (steps down to 1e-12).
     frame = basis_eval("at0", 0.5)
-    got = _transport_germs(np.array([0.5, end]), _germs(frame), min_step=1e-12)
+    got = np.array(_transport_germs(np.array([0.5, end]), _germs(frame), min_step=1e-12))
     want = basis_eval("at0", end)
     np.testing.assert_allclose(got[:, 0], want.values, rtol=1e-13)
 
