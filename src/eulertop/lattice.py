@@ -7,9 +7,9 @@ built from it alone: the confluence product of the local matrices and the
 braid relations of the generators.  ``monodromy`` realizes the same labels
 as loops in moduli space and compares the numbers it finds with this table.
 
-Everything here is integer arithmetic, so this module does not import
-numpy, and a caller can catch ``MonodromyError`` without loading the
-numeric engine.
+Everything here is integer arithmetic on tuples, so this module imports
+no numeric library, and a caller can catch ``MonodromyError`` without
+loading the numeric engine.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ class IntegerMatrix2:
         if p * s - q * r != 1:
             raise ValueError(f"determinant must be +1, got {p * s - q * r}")
 
-    def as_array(self):
-        """The entries as a numpy int array; numpy is loaded only here."""
-        import numpy as np
-
-        return np.array(self.entries, dtype=int)
-
     def tolist(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
@@ -74,14 +68,6 @@ class IntegerMatrix2:
     @property
     def trace(self) -> int:
         return self.entries[0][0] + self.entries[1][1]
-
-    @staticmethod
-    def from_array(arr) -> "IntegerMatrix2":
-        """The nearest integers to a 2x2 array or nested sequence of reals."""
-        return IntegerMatrix2(
-            ((int(round(arr[0][0])), int(round(arr[0][1]))),
-             (int(round(arr[1][0])), int(round(arr[1][1])))),
-        )
 
     @staticmethod
     def identity() -> "IntegerMatrix2":

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Sequence
 
-from .core import LABELS, cross_ratio
+from .core import LABELS, CoincidentModuliError, ModuliPoint, cross_ratio
 from .lattice import GENERATOR_LABELS, PRESETS, IntegerMatrix2, MonodromyError
 from .special import (
     BASIS_IDS,
@@ -47,7 +47,6 @@ from .special import (
 )
 
 __all__ = [
-    "ConnectionMatrix",
     "ModuliLoop",
     "MonodromyResult",
     "chamber_basepoint",
@@ -93,16 +92,9 @@ def _inverse(m: Matrix2) -> Matrix2:
 
 
 # ----------------------------------------------------------------------
-# Exact connection matrices.  connection(x, y).matrix expresses the basis of
-# x as combinations of the basis of y: values_x = M @ values_y, valid where
-# both bases are defined (atInf blocks use the upper half-plane sheet).
-
-@dataclass(frozen=True)
-class ConnectionMatrix:
-    matrix: Matrix2
-    from_basis: str
-    to_basis: str
-
+# Exact connection matrices.  connection(x, y) expresses the basis of x as
+# combinations of the basis of y: values_x = M @ values_y, valid where both
+# bases are defined (atInf blocks use the upper half-plane sheet).
 
 def _conn_block(from_basis: str, to_basis: str) -> Matrix2:
     L = LOG16
@@ -129,8 +121,9 @@ def _conn_block(from_basis: str, to_basis: str) -> Matrix2:
     raise ValueError(f"no connection between {from_basis!r} and {to_basis!r}")
 
 
-def connection(from_basis: str, to_basis: str) -> ConnectionMatrix:
-    """Exact connection matrix between two of the local bases.
+def connection(from_basis: str, to_basis: str) -> Matrix2:
+    """Exact connection matrix between two of the local bases, as two row
+    tuples.
 
     The matrix satisfies values_from = matrix @ values_to pointwise in the
     common domain of the two bases; entries are exact in pi and log 16.
@@ -140,7 +133,7 @@ def connection(from_basis: str, to_basis: str) -> ConnectionMatrix:
     for b in (from_basis, to_basis):
         if b not in BASIS_IDS:
             raise ValueError(f"connection is defined between at0/at1/atInf, got {b!r}")
-    return ConnectionMatrix(_conn_block(from_basis, to_basis), from_basis, to_basis)
+    return _conn_block(from_basis, to_basis)
 
 
 # ----------------------------------------------------------------------
@@ -165,14 +158,10 @@ _RECURRENCE = tuple(
     ((n + 0.5) ** 2 / ((n + 2) * (n + 1)), (n + 1) / (n + 2)) for n in range(_TAYLOR_TERMS - 2)
 )
 
-# continue_frame refuses a path within 10 * _FRAME_MIN_STEP of a singular
-# point and takes no Taylor step below it.
-_FRAME_MIN_STEP = 1e-6
-
-# A loop's transport takes no Taylor step below this.  A loop whose
-# cross-ratio path comes within _LOOP_MIN_STEP / _STEP_FRACTION of 0 or 1
-# would need one, so it is refused before the transport starts.
-_LOOP_MIN_STEP = 1e-12
+# The transport takes no Taylor step below this.  A polyline that comes
+# within _MIN_STEP / _STEP_FRACTION of 0 or 1 would need one, so it is
+# refused before the first step.
+_MIN_STEP = 1e-12
 
 
 def _step_matrices(z0: complex, h: complex) -> tuple[complex, complex, complex, complex]:
@@ -217,21 +206,39 @@ def _step_matrices(z0: complex, h: complex) -> tuple[complex, complex, complex, 
     return u_val, v_val, u_der / r, v_der / r
 
 
+def _closest_approach(zs: Sequence[complex]) -> float:
+    """Distance from the polyline zs to the nearer of 0 and 1."""
+    best = min(min(abs(z), abs(z - 1.0)) for z in zs)
+    for p, q in zip(zs, zs[1:]):
+        d = q - p
+        length2 = d.real * d.real + d.imag * d.imag
+        for s in (0.0, 1.0):
+            # The foot of the perpendicular from s, where it falls inside.
+            t = ((s - p) * d.conjugate()).real / length2 if length2 else 0.0
+            if 0.0 < t < 1.0:
+                best = min(best, abs(p + t * d - s))
+    return best
+
+
 def _transport_germs(
-    zs: Sequence[complex],
-    germs: Iterable[tuple[complex, complex]],
-    *,
-    min_step: float = _FRAME_MIN_STEP,
+    zs: Sequence[complex], germs: Iterable[tuple[complex, complex]]
 ) -> tuple[tuple[complex, complex], ...]:
     """Transport germ rows (value, derivative) along the polyline zs.
+
+    Path gate: a polyline, segments included, that comes within
+    _MIN_STEP / _STEP_FRACTION (about 2.86e-12) of 0 or 1 raises
+    PathTooCloseError before the first step.  This is the one clearance
+    rule for every path the engine follows.
 
     Step rule: a step from node z reaches at most _STEP_FRACTION times the
     distance from z to the nearer of 0 and 1.  It jumps to the farthest
     later sample such that every sample up to that one lies within this
     reach; the reach is a disc, which is convex and holds neither 0 nor 1,
     so the chord continues the germs as the polyline would.  If the next
-    sample is already out of reach, the step goes that far toward it.  A
-    reach below min_step raises ContinuationStallError.
+    sample is already out of reach, the step goes that far toward it.
+    Every node lies on the polyline, so after the gate no reach falls below
+    _MIN_STEP; a reach that still does, or sub-stepping that does not end,
+    raises ContinuationStallError.
 
     Each step's matrix (``_step_matrices``) is applied to the rows as soon
     as it is built.  Its oracle is the test-only ``_ode_transport`` in
@@ -239,12 +246,19 @@ def _transport_germs(
     instead.
     """
     points = [complex(z) for z in zs]
+    bound = _MIN_STEP / _STEP_FRACTION
+    closest = _closest_approach(points)
+    if closest < bound:
+        raise PathTooCloseError(
+            f"the path passes within {closest:.3g} of a singular point; "
+            f"the germ transport needs {bound:.3g}"
+        )
     rows = [(complex(f), complex(d)) for f, d in germs]
     z = points[0]
     i, last, partial = 0, len(points) - 1, 0
     while i < last:
         allowed = _STEP_FRACTION * min(abs(z), abs(z - 1.0))
-        if allowed < min_step:
+        if allowed < _MIN_STEP:
             raise ContinuationStallError(
                 f"step size collapsed to {allowed:.3g} near z = {z:.6g}"
             )
@@ -282,8 +296,9 @@ def continue_frame(frame: SolutionFrame, zs: Iterable[complex]) -> SolutionFrame
     branch_log adds the turns of the path around 0 and around 1.
 
     Raises ValueError if zs is not a non-empty 1-D sequence of finite points
-    starting at the base point, PathTooCloseError if any point sits closer than 1e-5 to
-    z = 0 or z = 1, and ContinuationStallError if sub-stepping collapses.
+    starting at the base point, and PathTooCloseError if the polyline, its
+    segments included, passes within 1e-12 / 0.35 (about 2.86e-12) of
+    z = 0 or z = 1.
     """
     try:
         points = [complex(z) for z in zs]
@@ -296,12 +311,6 @@ def continue_frame(frame: SolutionFrame, zs: Iterable[complex]) -> SolutionFrame
     if abs(points[0] - frame.base_point) > 1e-9:
         raise ValueError(
             f"path starts at {points[0]}, frame is based at {frame.base_point}"
-        )
-    dist = min(min(abs(z), abs(z - 1.0)) for z in points)
-    if dist < 10.0 * _FRAME_MIN_STEP:
-        raise PathTooCloseError(
-            f"path passes within {dist:.3g} of a singular point; "
-            f"margin must exceed {10.0 * _FRAME_MIN_STEP:.3g}"
         )
     germs = ((frame.values[0], frame.derivs[0]), (frame.values[1], frame.derivs[1]))
     (v0, d0), (v1, d1) = _transport_germs(points, germs)
@@ -337,6 +346,10 @@ class ModuliLoop:
         Where the mover begins and ends, at most ``MAX_START_DISTANCE``
         from the center.  Defaults to a point on the ray from the center
         through theta = 0, two radii out.
+
+    Every value must be finite, and no two of the four coordinates at the
+    start may coincide (``ModuliPoint.coincident_pairs``); a bad value
+    raises ValueError naming its key or pair.
     """
 
     move: str
@@ -356,6 +369,11 @@ class ModuliLoop:
             raise ValueError(f"winding must be a nonzero integer, got {self.winding!r}")
         if abs(self.winding) > MAX_WINDING:
             raise ValueError(f"|winding| must be at most {MAX_WINDING}, got {self.winding!r}")
+        values = {"center": self.center, "radius": self.radius, "start": self.start}
+        values.update((f"frozen.{k}", v) for k, v in self.frozen.items())
+        for key, value in values.items():
+            if value is not None and not cmath.isfinite(complex(value)):
+                raise ValueError(f"loop key {key!r} must be finite, got {value!r}")
         if self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         distance = abs(self.effective_start() - complex(self.center))
@@ -363,6 +381,10 @@ class ModuliLoop:
             raise ValueError(
                 f"start must lie within {MAX_START_DISTANCE:g} of the center, got distance {distance:.6g}"
             )
+        pairs = ModuliPoint(*_coordinates(self, self.effective_start())).coincident_pairs()
+        if pairs:
+            x, y = pairs[0]
+            raise CoincidentModuliError(pairs[0], f"the loop starts on the discriminant: coordinates {x} = {y}")
         # The circle may enclose at most the frozen coordinate at its center;
         # every other frozen value must stay strictly outside.
         others = [
@@ -400,7 +422,7 @@ class ModuliLoop:
     @staticmethod
     def from_json_dict(data: dict) -> "ModuliLoop":
         """Read a loop from its JSON form; a missing or ill-typed key raises
-        ValueError naming the key."""
+        ValueError naming the key.  Values are checked by ``__post_init__``."""
         if not isinstance(data, dict):
             raise ValueError(f"a loop must be a JSON object, got {type(data).__name__}")
         missing = [k for k in ("move", "center", "radius", "winding", "frozen") if k not in data]
@@ -409,22 +431,16 @@ class ModuliLoop:
 
         def _c(key, v):
             try:
-                z = complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-                finite = cmath.isfinite(z)
+                return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
             except (TypeError, ValueError, IndexError):
-                finite = False
-            if not finite:
-                raise ValueError(f"loop key {key!r} must be a finite number or [re, im] pair, got {v!r}")
-            return z
+                raise ValueError(f"loop key {key!r} must be a number or [re, im] pair, got {v!r}") from None
 
         if not isinstance(data["frozen"], dict):
             raise ValueError(f"loop key 'frozen' must be an object of coordinates, got {data['frozen']!r}")
         try:
             radius = float(data["radius"])
         except (TypeError, ValueError):
-            radius = math.nan
-        if not math.isfinite(radius):
-            raise ValueError(f"loop key 'radius' must be a finite number, got {data['radius']!r}")
+            raise ValueError(f"loop key 'radius' must be a number, got {data['radius']!r}") from None
         return ModuliLoop(
             move=data["move"],
             center=_c("center", data["center"]),
@@ -529,20 +545,6 @@ def _continuous_sqrt(values: Iterable[complex]) -> list[complex]:
     return out
 
 
-def _closest_approach(zs: Sequence[complex]) -> float:
-    """Distance from the polyline zs to the nearer of 0 and 1."""
-    best = min(min(abs(z), abs(z - 1.0)) for z in zs)
-    for p, q in zip(zs, zs[1:]):
-        d = q - p
-        length2 = d.real * d.real + d.imag * d.imag
-        for s in (0.0, 1.0):
-            # The foot of the perpendicular from s, where it falls inside.
-            t = ((s - p) * d.conjugate()).real / length2 if length2 else 0.0
-            if 0.0 < t < 1.0:
-                best = min(best, abs(p + t * d - s))
-    return best
-
-
 def _seed_germs(mu0: complex) -> Matrix2:
     """Germs (value, d/dmu) of the numerator solutions at the basepoint.
 
@@ -565,18 +567,9 @@ def _loop_path(loop: ModuliLoop, start_shift: complex):
     values of the two square-root prefactors sqrt(R2), sqrt(R1), where
     R1 = (d - c)(a - b) and R2 = (d - c)(b - a); the roots are continued
     by closeness so sign flips under full turns are captured.
-
-    Raises MonodromyError if the polyline passes so close to 0 or 1 that the
-    transport would stall there.
     """
     coords = [_coordinates(loop, z) for z in _loop_point_samples(loop, start_shift)]
     mu = [cross_ratio(*point) for point in coords]
-    closest = _closest_approach(mu)
-    if closest < _LOOP_MIN_STEP / _STEP_FRACTION:
-        raise MonodromyError(
-            f"the loop's cross-ratio path passes within {closest:.3g} of a singular point; "
-            f"the germ transport needs {_LOOP_MIN_STEP / _STEP_FRACTION:.3g}"
-        )
     r1 = _continuous_sqrt([(d - c) * (a - b) for a, b, c, d in coords])
     r2 = _continuous_sqrt([(d - c) * (b - a) for a, b, c, d in coords])
     return mu, (r2[0], r1[0]), (r2[-1], r1[-1])
@@ -645,15 +638,18 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
 
     Two start frames seeded at independently scaled basepoint offsets make
     the linear extraction over-determined; disagreement shows up in the
-    residual.  Both cross-ratio paths are built, and checked for clearance
-    from 0 and 1, before either is transported.  The result must round to
-    integers within 1e-6 and have unit determinant, else MonodromyError.
+    residual.  Each cross-ratio path is checked for clearance from 0 and 1
+    when its own transport starts, so the second path's check comes after
+    the first path's transport; a path too close raises PathTooCloseError.
+    The result must round to integers within 1e-6 and have unit
+    determinant, else MonodromyError.
     """
     starts, ends = [], []
-    for mu, roots0, roots1 in [_loop_path(loop, shift) for shift in (0.0j, _SECOND_FRAME_SHIFT)]:
+    for shift in (0.0j, _SECOND_FRAME_SHIFT):
+        mu, roots0, roots1 = _loop_path(loop, shift)
         germs = _seed_germs(mu[0])
         starts.append(_frame_vectors(germs, roots0))
-        ends.append(_frame_vectors(_transport_germs(mu, germs, min_step=_LOOP_MIN_STEP), roots1))
+        ends.append(_frame_vectors(_transport_germs(mu, germs), roots1))
     raw, lsq_resid = _extract_matrix(starts, ends)
     (p, q), (r, s) = rounded = tuple(tuple(round(x.real) for x in row) for row in raw)
     resid = max(lsq_resid, *(abs(x - k) for row, ks in zip(raw, rounded) for x, k in zip(row, ks)))

@@ -350,8 +350,21 @@ def test_monodromy_loop_reaching_a_singular_point_is_refused_first(tmp_path, cap
     loop_file.write_text(json.dumps(_loop_round_b(0.9999999999999)))
     code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
     assert (code, out) == (1, "")
-    assert err.startswith("error: the loop's cross-ratio path passes within ")
+    assert err.startswith("error: the path passes within ")
     assert err.count("error:") == 1
+
+
+def test_monodromy_loop_starting_on_the_discriminant_is_refused(tmp_path, capsys):
+    # Frozen c and d both at 2.5: the cross-ratio's denominator vanishes at
+    # the start, so the loop is refused while it is built.
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps({
+        "move": "a", "center": [2.5, 0.0], "radius": 0.2, "winding": 1,
+        "frozen": {"b": [2.0, -0.001], "c": [2.5, 0.0], "d": [2.5, 0.0]}, "start": [3.0, -0.001],
+    }))
+    code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
+    assert (code, out) == (1, "")
+    assert err == "error: the loop starts on the discriminant: coordinates c = d\n"
 
 
 def test_monodromy_loop_near_a_singular_point_runs(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Integer monodromy: loop engine, stated generators, braid bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_branch_properties import PROPERTY
 
+from eulertop.core import CoincidentModuliError
 from eulertop.lattice import (
     GENERATOR_LABELS,
     PRESETS,
@@ -45,8 +48,6 @@ def test_integer_matrix_algebra():
     assert linv.inverse().entries == ((1, 0), (2, 1))
     assert IntegerMatrix2(A).trace == 2
     assert IntegerMatrix2.identity().entries == ((1, 0), (0, 1))
-    back = IntegerMatrix2.from_array(np.array(U))
-    assert back.entries == U
 
 
 # The letters U and L and their inverses as numpy int matrices, written out
@@ -67,8 +68,8 @@ def test_integer_matrix_algebra_equals_numpy_int_products(word):
         ref = ref @ NUMPY_LETTERS[token]
     assert exact.tolist() == ref.tolist()
     assert (-exact).tolist() == (-ref).tolist()
-    assert (exact.inverse().as_array() @ ref).tolist() == [[1, 0], [0, 1]]
-    assert (ref @ exact.inverse().as_array()).tolist() == [[1, 0], [0, 1]]
+    assert (np.array(exact.inverse().entries) @ ref).tolist() == [[1, 0], [0, 1]]
+    assert (ref @ np.array(exact.inverse().entries)).tolist() == [[1, 0], [0, 1]]
 
 
 def test_chamber_basepoint_layout():
@@ -89,6 +90,25 @@ def test_loop_validation():
     with pytest.raises(ValueError, match="keys"):
         ModuliLoop(move="a", center=frozen["d"], radius=0.2, winding=1,
                    frozen={"b": frozen["b"]})
+
+
+@pytest.mark.parametrize("key", ["center", "radius", "start", "frozen.b"])
+def test_loop_values_must_be_finite(key):
+    # From Python as from a loop file, a nan is refused while the loop is
+    # built, with an error naming its key.
+    loop, nan = preset_loop("a", "d"), float("nan")
+    change = {"frozen": {**loop.frozen, "b": nan}} if key == "frozen.b" else {key: nan}
+    with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+        dataclasses.replace(loop, **change)
+
+
+@pytest.mark.parametrize("frozen,pair", [({"c": [2.5, 0.0]}, "c = d"), ({"b": [1.0, -0.001]}, "b = c")])
+def test_loop_start_with_coincident_coordinates_is_refused(frozen, pair):
+    # Two coordinates equal at the start put it on the discriminant.
+    data = preset_loop("a", "d").to_json_dict()
+    data["frozen"].update(frozen)
+    with pytest.raises(CoincidentModuliError, match=pair):
+        ModuliLoop.from_json_dict(data)
 
 
 @pytest.mark.parametrize("winding", [1.7, MAX_WINDING + 1, -MAX_WINDING - 1])
@@ -167,7 +187,7 @@ def test_winding_is_a_homomorphism():
     for k in (-1, 2):
         got = loop_monodromy(preset_loop("a", "d", winding=k)).matrix
         want = np.linalg.matrix_power(u, k) if k >= 0 else np.linalg.inv(u)
-        np.testing.assert_array_equal(got.as_array(), np.rint(want).astype(int))
+        np.testing.assert_array_equal(np.array(got.entries), np.rint(want).astype(int))
 
 
 def test_monodromy_is_homotopy_invariant():
@@ -196,7 +216,7 @@ def test_generators_match_stated_up_to_orientation(label):
     assert report.mismatch_count == 0
     assert report.orientation == -1
     assert report.float_residual < 1e-6
-    computed = report.computed.as_array()
+    computed = np.array(report.computed.entries)
     assert round(abs(np.linalg.det(computed))) == 1
 
 

@@ -181,8 +181,7 @@ def test_hyper_series_matches_mpmath(z):
     "z", [0.995, 0.999, -0.999, 0.999 + 0.01j, -0.99, 0.99j, -0.3 + 0.95j, 0.9999, -0.995 - 0.05j]
 )
 def test_hyper_series_near_the_unit_circle_matches_mpmath(z):
-    # Where the series does not certify (most of 0.9885 < |z| <= 0.99) and
-    # beyond |z| = 0.99, the four values come from closed forms in K and E.
+    # Beyond |z| = 0.985 the four values come from closed forms in K and E.
     mp = mpmath.mp
 
     def f(x):
@@ -198,6 +197,24 @@ def test_hyper_series_near_the_unit_circle_matches_mpmath(z):
         want = (f(w), mp.hyp2f1(1.5, 1.5, 2, w) / 4, fstar(w), mp.diff(fstar, w))
         for got, ref in zip(hyper_series(z), want):
             assert abs(got - complex(ref)) <= 1e-13 * abs(complex(ref))
+
+
+@pytest.mark.parametrize("radius", [0.986, 0.989])
+def test_hyper_series_beyond_the_series_radius_matches_mpmath(radius):
+    # Just beyond _SERIES_RADIUS, where the series would still certify at
+    # some angles, the closed forms answer at all of them.
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        for k in range(72):
+            z = radius * cmath.exp(2j * math.pi * k / 72)
+            w = mp.mpc(z)
+            f, fd = mp.hyp2f1(0.5, 0.5, 1, w), mp.hyp2f1(1.5, 1.5, 2, w) / 4
+            g, gd = mp.hyp2f1(0.5, 0.5, 1, 1 - w), mp.hyp2f1(1.5, 1.5, 2, 1 - w) / 4
+            lg = 4 * mp.log(2) - mp.log(w)
+            # Fstar = (4 log 2 - log z) F(z) - pi F(1 - z), and its derivative.
+            want = (f, fd, lg * f - mp.pi * g, lg * fd - f / w + mp.pi * gd)
+            for got, ref in zip(hyper_series(z), want):
+                assert abs(got - complex(ref)) <= 1e-13 * abs(complex(ref)), (z, got, ref)
 
 
 @pytest.mark.parametrize(
@@ -256,7 +273,7 @@ def test_basis_derivatives_match_finite_differences():
 
 def test_connection_at0_at1_pointwise():
     z = 0.5 + 0.2j
-    M = connection("at0", "at1").matrix
+    M = connection("at0", "at1")
     vf = np.array(basis_eval("at0", z).values)
     vt = np.array(basis_eval("at1", z).values)
     np.testing.assert_allclose(vf, M @ vt, rtol=0, atol=1e-13)
@@ -265,7 +282,7 @@ def test_connection_at0_at1_pointwise():
 
 def test_connection_at1_atInf_pointwise_upper_sheet():
     z = 1.2 + 0.8j
-    M = connection("at1", "atInf").matrix
+    M = connection("at1", "atInf")
     vf = np.array(basis_eval("at1", z).values)
     vt = np.array(basis_eval("atInf", z).values)
     np.testing.assert_allclose(vf, M @ vt, rtol=0, atol=1e-13)
@@ -276,16 +293,16 @@ def test_connection_at0_atInf_via_continuation():
     # so transport the at0 frame across the unit circle and compare there.
     z0, z1 = 0.5 + 0.3j, 1.2 + 0.8j
     got = continue_frame(basis_eval("at0", z0), np.linspace(z0, z1, 50))
-    want = connection("at0", "atInf").matrix @ np.array(basis_eval("atInf", z1).values)
+    want = connection("at0", "atInf") @ np.array(basis_eval("atInf", z1).values)
     np.testing.assert_allclose(np.array(got.values), want, rtol=0, atol=1e-12)
 
 
 def test_connection_inverse_and_composition():
-    ab = np.array(connection("at0", "at1").matrix)
-    ba = np.array(connection("at1", "at0").matrix)
+    ab = np.array(connection("at0", "at1"))
+    ba = np.array(connection("at1", "at0"))
     np.testing.assert_allclose(ab @ ba, np.eye(2), rtol=0, atol=1e-14)
-    composed = np.array(connection("at1", "at0").matrix) @ np.array(connection("at0", "atInf").matrix)
-    np.testing.assert_allclose(connection("at1", "atInf").matrix, composed, rtol=0, atol=1e-14)
+    composed = np.array(connection("at1", "at0")) @ np.array(connection("at0", "atInf"))
+    np.testing.assert_allclose(connection("at1", "atInf"), composed, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         connection("at0", "period")
 
@@ -463,9 +480,9 @@ def test_continue_frame_transports_with_the_kernel():
 @pytest.mark.parametrize("end", [1e-6, 1e-9])
 def test_transport_close_to_a_singular_point(end):
     # Taylor coefficients grow like dist**-n; the kernel must stay finite
-    # where monodromy paths are allowed to go (steps down to 1e-12).
+    # wherever the path gate lets a path go (steps down to 1e-12).
     frame = basis_eval("at0", 0.5)
-    got = np.array(_transport_germs(np.array([0.5, end]), _germs(frame), min_step=1e-12))
+    got = np.array(_transport_germs(np.array([0.5, end]), _germs(frame)))
     want = basis_eval("at0", end)
     np.testing.assert_allclose(got[:, 0], want.values, rtol=1e-13)
 
@@ -478,10 +495,52 @@ def test_continuation_guards():
     with pytest.raises(ValueError, match="non-empty 1-D"):
         continue_frame(frame, np.array([]))
     with pytest.raises(PathTooCloseError):
-        continue_frame(frame, np.linspace(z0, 1e-9, 20))
+        continue_frame(frame, np.linspace(z0, 1e-13, 20))
     for bad in (complex("nan"), complex("inf")):
         with pytest.raises(ValueError, match="finite"):
             continue_frame(frame, np.array([z0, bad]))
+
+
+@pytest.mark.parametrize("end", [-0.5 + 1e-8j, -0.5 + 1e-11j])
+def test_continue_frame_along_a_chord_that_grazes_zero(end):
+    # Both samples are 0.5 from 0, but the chord between them passes
+    # Im(end) / 2 above it; the clearance rule reads the segment, not the
+    # samples, and the transport follows the chord past 0.
+    got = continue_frame(basis_eval("at0", 0.5), [0.5, end])
+    np.testing.assert_allclose(_germs(got), _germs(basis_eval("at0", end)), rtol=1e-13)
+
+
+# Closer than this to 0 or 1, the scipy oracle _ode_transport loses digits
+# (about 2e-9 at 3e-7) and then fails to step.
+_ODE_REACH = 1e-5
+
+
+@PROPERTY
+@given(
+    singular=st.sampled_from([0.0, 1.0]),
+    gap=st.floats(-14.0, -1.0),
+    angle=st.floats(-math.pi, math.pi),
+    before=st.floats(0.05, 1.0),
+    after=st.floats(0.05, 1.0),
+    extra=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False), max_size=2),
+)
+def test_continue_frame_refuses_exactly_the_paths_too_close(singular, gap, angle, before, after, extra):
+    # A segment that passes 10**gap from 0 or 1, at any angle, then up to
+    # two more points within 1 of 1/2.
+    u = cmath.exp(1j * angle)
+    foot = singular + 1j * u * 10.0**gap
+    zs = [foot - before * u, foot + after * u] + [0.5 + w for w in extra]
+    frame = special.SolutionFrame("at0", (1.0 + 0j, 0j), zs[0], (0j, 1.0 + 0j))
+    closest = monodromy._closest_approach(zs)
+    if closest < monodromy._MIN_STEP / monodromy._STEP_FRACTION:
+        with pytest.raises(PathTooCloseError, match="the path passes within"):
+            continue_frame(frame, zs)
+        return
+    taylor = _germs(continue_frame(frame, zs))
+    assert np.all(np.isfinite(taylor))
+    if closest >= _ODE_REACH:
+        ode = _ode_transport(zs, np.eye(2, dtype=complex))
+        assert np.max(np.abs(taylor - ode) / np.maximum(1.0, np.abs(taylor))) < 1e-8
 
 
 @pytest.mark.parametrize("basis_id,z", [("at0", 0.4 + 0.1j), ("at1", 0.9 - 0.3j), ("atInf", 1.6 + 1.1j)])
