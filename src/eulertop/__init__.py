@@ -12,6 +12,7 @@ the module that defines it:
 - ``dynamics``: the momentum equations, orbits, and measured periods
 - ``monodromy``: connection matrices, continuation along paths, and the
   integer monodromy matrices of moduli-space loops
+- ``verify``: the check battery, one table of checks run into one report
 - ``cli``: the ``eulertop`` command
 
 Only ``dynamics`` computes with arrays, and only it imports numpy; the

@@ -4,14 +4,12 @@ Subcommands
 -----------
 simulate    integrate an orbit and emit t, p1, p2, p3, H, L as CSV
 period      compare closed-form, quadrature, and ODE periods on a grid
-verify      run the identity/covariance/structure check battery
+verify      render the check report of ``eulertop.verify`` as JSON or CSV
 monodromy   compute loop monodromies (presets or a loop JSON file)
 series      emit the exact rational normal-form series
 
-Every subcommand takes --out and --config; --tol goes to simulate, period and
-verify, --format to period and verify.  Numbers must be finite, and counts
-are bounded before any work starts.  ``period`` finds the ODE periods of all
-its grid rows in one batched integration.  Values from a config file become
+Every subcommand takes --out and --config.  Numbers must be finite, and
+counts are bounded before any work starts.  Values from a config file become
 the subcommand's defaults, so precedence is flags over config file over
 built-in defaults.  All floats are printed with 17 significant digits so
 outputs are byte-reproducible.
@@ -37,11 +35,6 @@ __all__ = ["main", "build_parser"]
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _fmt_complex(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 # Bounds checked before any work is allocated.  The batched ODE solve of
@@ -281,111 +274,21 @@ def cmd_period(args: argparse.Namespace) -> int:
 # verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .birkhoff import birkhoff_series
-    from .lattice import verify_confluence_product
-    from .periods import verify_connection_identity, verify_symmetries
-    from .special import elliptic_K
+    from .verify import CHECKS, verify_report
 
-    tol = args.tol
-    report: dict = {}
-    failures: list[str] = []
-
-    # Three-term identity on a d, l grid in the chamber.
-    grid = []
-    for l in (0.5, 1.0, 2.0, 4.0, 8.0):
-        for d in (2.1, 2.3, 2.5, 2.7, 2.9):
-            m = ModuliPoint(3.0, 2.0, 1.0, d, l=l)
-            grid.append({"d": d, "l": l, "residual": verify_connection_identity(m)})
-    worst_identity = max(r["residual"] for r in grid)
-    report["connection_identity"] = {
-        "rows": grid,
-        "max_residual": worst_identity,
-        "tol": tol,
-        "status": "pass" if worst_identity < tol else "fail",
-    }
-    if worst_identity >= tol:
-        failures.append("connection_identity")
-
-    # Covariance classes at the base point.
-    sym = verify_symmetries(ModuliPoint(3.0, 2.0, 1.0, 2.5))
-    flagged = [
-        {"order": list(r.order), "value": _fmt_complex(r.value), "class": r.class_key}
-        for r in sym.flagged_rows
-    ]
-    sym_ok = (
-        len(sym.class_sizes) == 3
-        and sym.max_unflagged_deviation < 1e-9
-        and sym.flagged_count <= sym.cut_resolved_count
-    )
-    report["covariance"] = {
-        "class_sizes": sym.class_sizes,
-        "max_unflagged_deviation": sym.max_unflagged_deviation,
-        "flagged_count": sym.flagged_count,
-        "cut_resolved_count": sym.cut_resolved_count,
-        "flagged_rows": flagged,
-        "stabilizer": list(sym.stabilizer),
-        "status": "pass" if sym_ok else "fail",
-    }
-    if not sym_ok:
-        failures.append("covariance")
-    for row in flagged:
-        print(
-            f"warning: branch-flagged ordering {''.join(row['order'])} "
-            f"in class {row['class']}",
-            file=sys.stderr,
-        )
-
-    # Modular identity of K across the lambda -> lambda/(lambda-1) map.
-    # The 101 points of numpy's linspace(-5.0, 0.5, 101), bit for bit.
-    lams = [-5.0 + i * 0.055 for i in range(100)] + [0.5]
-    worst_modular = 0.0
-    for lam in lams:
-        lhs = elliptic_K(lam / (lam - 1.0))
-        rhs = math.sqrt(1.0 - lam) * elliptic_K(lam)
-        worst_modular = max(worst_modular, abs(lhs - rhs))
-    report["modular_identity"] = {
-        "points": 101,
-        "max_abs_error": worst_modular,
-        "status": "pass" if worst_modular < 1e-10 else "fail",
-    }
-    if worst_modular >= 1e-10:
-        failures.append("modular_identity")
-
-    # Palindromic structure of the exact series.
-    series = birkhoff_series(order=12)
-    palins = {n: series.is_palindromic(n) for n in range(13)}
-    pal_ok = all(palins.values())
-    report["series_palindromes"] = {
-        "orders": palins,
-        "status": "pass" if pal_ok else "fail",
-    }
-    if not pal_ok:
-        failures.append("series_palindromes")
-
-    # Confluence product of the stated local matrices.
-    conf = verify_confluence_product()
-    conf_ok = any(v["is_minus_identity"] for v in conf.values())
-    report["confluence"] = {
-        "orderings": conf,
-        "status": "pass" if conf_ok else "fail",
-    }
-    if not conf_ok:
-        failures.append("confluence")
-
-    report["status"] = "fail" if failures else "pass"
-    report["failures"] = failures
-
+    report = verify_report(args.tol)
+    for row in report["covariance"]["flagged_rows"]:
+        print(f"warning: branch-flagged ordering {''.join(row['order'])} in class {row['class']}", file=sys.stderr)
     if args.format == "csv":
         lines = ["check,value,status"]
-        lines.append(f"connection_identity,{_fmt(worst_identity)},{report['connection_identity']['status']}")
-        lines.append(f"covariance,{_fmt(sym.max_unflagged_deviation)},{report['covariance']['status']}")
-        lines.append(f"modular_identity,{_fmt(worst_modular)},{report['modular_identity']['status']}")
-        lines.append(f"series_palindromes,{int(pal_ok)},{report['series_palindromes']['status']}")
-        lines.append(f"confluence,{int(conf_ok)},{report['confluence']['status']}")
+        for name, (_, field) in CHECKS.items():
+            check = report[name]
+            value = _fmt(check[field]) if field else int(check["status"] == "pass")
+            lines.append(f"{name},{value},{check['status']}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(_json_dump(report), args.out)
-    return 1 if failures else 0
+    return 1 if report["failures"] else 0
 
 
 # ----------------------------------------------------------------------
@@ -394,13 +297,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_monodromy(args: argparse.Namespace) -> int:
     # The braid and confluence presets multiply stated integer matrices
     # only; the scalar germ transport of ``monodromy`` loads for the loops.
-    from .lattice import (
-        GENERATOR_LABELS,
-        PRESETS,
-        MonodromyError,
-        verify_braid_relations,
-        verify_confluence_product,
-    )
+    from .lattice import GENERATOR_LABELS, PRESETS, MonodromyError
+    from .lattice import verify_braid_relations, verify_confluence_product
     from .special import ContinuationStallError
 
     preset, loop_file = args.preset, args.loop
@@ -414,21 +312,13 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
             with open(loop_file, "r", encoding="utf-8") as fh:
                 loop = ModuliLoop.from_json_dict(json.load(fh))
             result = loop_monodromy(loop)
-            out = {
-                "loop": loop.to_json_dict(),
-                "matrix": result.matrix.tolist(),
-                "residual": result.residual,
-            }
+            out = {"loop": loop.to_json_dict(), "matrix": result.matrix.tolist(), "residual": result.residual}
         elif preset in PRESETS and preset not in GENERATOR_LABELS:
             from .monodromy import preset_monodromy
 
             result = preset_monodromy(preset)
-            out = {
-                "preset": preset,
-                "frame": "engine (S3, S1)",
-                "matrix": result.matrix.tolist(),
-                "residual": result.residual,
-            }
+            out = {"preset": preset, "frame": "engine (S3, S1)"}
+            out.update(matrix=result.matrix.tolist(), residual=result.residual)
         elif preset == "all-generators":
             from .monodromy import numeric_vs_stated
 

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 from typing import Iterable, Sequence
 
-from .core import LABELS, CoincidentModuliError, ModuliPoint, cross_ratio
+from .core import DEGENERACY_RTOL, LABELS, CoincidentModuliError, ModuliPoint, cross_ratio
 from .lattice import GENERATOR_LABELS, PRESETS, IntegerMatrix2, MonodromyError
 from .special import (
     BASIS_IDS,
@@ -381,18 +381,16 @@ class ModuliLoop:
             raise ValueError(
                 f"start must lie within {MAX_START_DISTANCE:g} of the center, got distance {distance:.6g}"
             )
-        pairs = ModuliPoint(*_coordinates(self, self.effective_start())).coincident_pairs()
+        point = ModuliPoint(*_coordinates(self, self.effective_start()))
+        pairs = point.coincident_pairs()
         if pairs:
             x, y = pairs[0]
             raise CoincidentModuliError(pairs[0], f"the loop starts on the discriminant: coordinates {x} = {y}")
-        # The circle may enclose at most the frozen coordinate at its center;
-        # every other frozen value must stay strictly outside.
-        others = [
-            abs(complex(v) - complex(self.center))
-            for v in self.frozen.values()
-            if abs(complex(v) - complex(self.center)) > 1e-9
-        ]
-        clearance = min(others) if others else math.inf
+        # The circle may enclose at most the frozen coordinate at its center,
+        # to DEGENERACY_RTOL of the start's scale; every other frozen value
+        # must stay strictly outside.
+        distances = [abs(complex(v) - complex(self.center)) for v in self.frozen.values()]
+        clearance = min((x for x in distances if x > DEGENERACY_RTOL * point.scale()), default=math.inf)
         if self.radius >= clearance:
             raise ValueError(
                 f"radius {self.radius} reaches another frozen coordinate "
@@ -643,7 +641,23 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
     the first path's transport; a path too close raises PathTooCloseError.
     The result must round to integers within 1e-6 and have unit
     determinant, else MonodromyError.
+
+    The loop is evaluated after dividing every coordinate and the radius by
+    the exact power of two 2**(e - 2), e the frexp exponent of the start's
+    largest coordinate.  The cross-ratio is scale-free and the prefactor
+    roots share one factor, which cancels; absolute offsets such as
+    _SECOND_FRAME_SHIFT then keep their meaning at every scale.
     """
+    exponent = 2 - math.frexp(ModuliPoint(*_coordinates(loop, loop.effective_start())).scale())[1]
+
+    def unit(z: complex) -> complex:
+        z = complex(z)
+        return complex(math.ldexp(z.real, exponent), math.ldexp(z.imag, exponent))
+
+    frozen = {k: unit(v) for k, v in loop.frozen.items()}
+    start = None if loop.start is None else unit(loop.start)
+    radius = math.ldexp(loop.radius, exponent)
+    loop = replace(loop, center=unit(loop.center), radius=radius, frozen=frozen, start=start)
     starts, ends = [], []
     for shift in (0.0j, _SECOND_FRAME_SHIFT):
         mu, roots0, roots1 = _loop_path(loop, shift)

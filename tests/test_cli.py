@@ -242,6 +242,36 @@ def test_verify_battery(capsys):
     assert report["confluence"]["status"] == "pass"
 
 
+def test_verify_report_is_what_verify_prints(capsys):
+    from eulertop.verify import verify_report
+
+    code, out, err = run(capsys, "verify")
+    assert code == 0
+    # Through JSON, which writes the palindrome check's int order keys as strings.
+    assert json.loads(out) == json.loads(json.dumps(verify_report()))
+
+
+def test_verify_csv_statuses_are_the_report_statuses(capsys):
+    from eulertop.verify import CHECKS, verify_report
+
+    code, out, err = run(capsys, "verify", "--format", "csv")
+    assert code == 0
+    report = verify_report()
+    rows = [line.split(",") for line in out.splitlines()]
+    assert rows[0] == ["check", "value", "status"]
+    assert [(name, status) for name, _, status in rows[1:]] == [(name, report[name]["status"]) for name in CHECKS]
+
+
+def test_verify_fails_below_the_identity_residual(capsys):
+    code, out, err = run(capsys, "verify", "--tol", "1e-17")
+    assert code == 1
+    report = json.loads(out)
+    assert (report["status"], report["failures"]) == ("fail", ["connection_identity"])
+    code, out, err = run(capsys, "verify", "--tol", "1e-17", "--format", "csv")
+    assert code == 1
+    assert out.splitlines()[1] == "connection_identity,7.8504622934188758e-17,fail"
+
+
 def test_monodromy_preset_alpha(capsys):
     code, out, err = run(capsys, "monodromy", "--preset", "alpha1")
     assert code == 0
@@ -266,6 +296,21 @@ def test_monodromy_loop_file(tmp_path, capsys):
     code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
     assert code == 0
     assert json.loads(out)["matrix"] == [[1, 4], [0, 1]]
+
+
+@pytest.mark.parametrize("factor", [1e-100, 1e-300])
+def test_monodromy_loop_file_at_a_tiny_scale(tmp_path, capsys, factor):
+    # The loop is evaluated at a scale of 2 to 4: at 1e-100 the residual
+    # used to grow with 1/scale, and at 1e-300 the cross-ratio underflowed.
+    from test_monodromy import _scaled_loop_dict
+
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps(_scaled_loop_dict(factor)))
+    code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["matrix"] == [[1, 2], [0, 1]]
+    assert payload["residual"] < 1e-13
 
 
 def test_monodromy_missing_loop_file(tmp_path, capsys):
@@ -539,7 +584,7 @@ def test_light_commands_do_not_load_numpy(tmp_path):
     loop_file.write_text(json.dumps(_loop_round_b(0.9)))
     script = (
         "import sys\n"
-        "import eulertop.special, eulertop.periods, eulertop.lattice, eulertop.monodromy\n"
+        "import eulertop.special, eulertop.periods, eulertop.lattice, eulertop.monodromy, eulertop.verify\n"
         "assert 'numpy' not in sys.modules, 'importing the layers loaded numpy'\n"
         "import eulertop.cli as cli\n"
         "for argv in (['verify'], ['monodromy', '--preset', 'braid'], ['monodromy', '--preset', 'confluence'],\n"

@@ -92,6 +92,35 @@ def test_loop_validation():
                    frozen={"b": frozen["b"]})
 
 
+def _scaled_loop_dict(factor, radius=0.2):
+    # The preset loop of a around d with every coordinate and the radius
+    # multiplied by factor.
+    def times(pair):
+        return [x * factor for x in pair]
+
+    data = preset_loop("a", "d").to_json_dict()
+    data.update(center=times(data["center"]), start=times(data["start"]), radius=radius * factor,
+                frozen={k: times(v) for k, v in data["frozen"].items()})
+    return data
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e-100])
+def test_loop_clearance_is_relative_to_the_loop_scale(factor):
+    # At radius 0.6 the circle around d reaches b, 0.5 away; at every scale
+    # the loop is refused up front, not after its transport.
+    with pytest.raises(ValueError, match="reaches another frozen coordinate"):
+        ModuliLoop.from_json_dict(_scaled_loop_dict(factor, radius=0.6))
+
+
+@pytest.mark.parametrize("factor", [2.0 ** -1000, 2.0 ** -40, 2.0, 2.0 ** 5])
+def test_loop_monodromy_is_evaluated_at_one_scale(factor):
+    # Every loop is brought to a scale of 2 to 4 by an exact power of two,
+    # so the preset loop multiplied by one gives bit-identical numbers.
+    want = loop_monodromy(preset_loop("a", "d"))
+    got = loop_monodromy(ModuliLoop.from_json_dict(_scaled_loop_dict(factor)))
+    assert (got.matrix, got.raw, got.residual) == (want.matrix, want.raw, want.residual)
+
+
 @pytest.mark.parametrize("key", ["center", "radius", "start", "frozen.b"])
 def test_loop_values_must_be_finite(key):
     # From Python as from a loop file, a nan is refused while the loop is
