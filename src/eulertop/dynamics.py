@@ -10,6 +10,18 @@ which preserves the energy H = (1/2) sum p_i^2 / I_i and the Casimir
 L = (1/2) |p|^2.  Orbits are intersections of an energy ellipsoid with a
 momentum sphere; away from the separatrix they are closed and their periods
 are what ``orbit_periods`` measures, all orbits in one integration.
+
+The classical solution of the Euler top (Whittaker) gives the component
+along the circled axis as a Jacobi ``dn`` and the other two as an ``sn``
+and a ``cn``, so the zeros of those two alternate a quarter period apart.
+``orbit_periods`` therefore integrates each orbit only until it has seen
+two consecutive such zeros, and returns four times the time between them;
+it uses nothing of that solution but the symmetry, and nothing of the
+orbit but the vector field.  Since the measured interval is multiplied by
+four, the solver runs at a quarter of the tolerance that a full period
+would get.  Each zero keeps only its component's dense output over its
+step, so the memory held is proportional to the number of orbits, and all
+zeros are refined together by bisection once the stepping stops.
 """
 
 from __future__ import annotations
@@ -500,24 +512,38 @@ def _sample_steps(steps, times) -> np.ndarray:
 def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.ndarray:
     """Periods of the closed orbits through ``states``, in one integration.
 
-    Orbit k's Poincare section is the plane through its start point, normal
-    to the flow there; its period is its first return to that plane in the
-    same direction.  All orbits run as one 3N-dimensional DOP853 system,
-    orbit k scaled to the unit sphere and in its own characteristic time
+    An orbit above the separatrix energy (h > b l, b the middle reciprocal)
+    circles the axis of the largest reciprocal, one below it the axis of the
+    smallest.  In the classical solution of the Euler top the circled
+    component is a ``dn`` and the other two are an ``sn`` and a ``cn``, so
+    their zeros alternate a quarter period apart; the period is four times
+    the time between two consecutive zeros of those two components.  A
+    component that is exactly 0 at the start counts as a zero at t = 0.
+
+    All orbits run as one 3N-dimensional DOP853 system, orbit k scaled to
+    the unit sphere and in its own characteristic time
     1/sqrt(2 l_k (a - c)(a - b)), a > b > c the sorted reciprocals, so all
-    turn at a comparable rate and l_k scales only the returned period.
-    Returns are found after each step and refined together by bisection on
-    the step's dense output, so memory stays proportional to N.
+    turn at a comparable rate and l_k scales only the returned period.  The
+    solver's atol and rtol are each tol / (8 sqrt(N)): sqrt(N) because it
+    bounds the RMS error over all 3N components, 2 to split the allowance
+    between atol and rtol, and 4 because the period is four times the
+    measured interval.  The stepping stops once every orbit has two zeros;
+    a step that passes zeros of both components counts both.  Each sign
+    change keeps only that component's 7 dense-output coefficients and its
+    value at the step's start, so memory stays proportional to N, and all
+    of them are refined together by bisection after the last step, to
+    adjacent floats.
 
     Oracle: this is the ODE route of the three period routes, independent
     of the closed form (``periods.S_closed_form``) and of the quadratures.
+    It uses only the vector field.
 
     Raises DomainError at zero momentum, at an equilibrium, and where the
     moments and l put the characteristic time or the speed on the unit
     sphere outside the float range; SeparatrixError when h is within a
     relative 1e-8 of the separatrix energy l/I2 (I2 the middle moment; the
     period diverges there); and IntegrationError if the solver fails or an
-    orbit does not return within MAX_CHARACTERISTIC_TIMES.
+    orbit does not turn a quarter within MAX_CHARACTERISTIC_TIMES.
     """
     p0 = np.array([s.as_array() for s in states]).reshape(-1, 3).T
     n = p0.shape[1]
@@ -534,9 +560,8 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     t_unit = _characteristic_time(0.5, reciprocals)  # on the unit sphere, 2 l = 1
     a, b, c = sorted(reciprocals, reverse=True)
     q0 = p0 / np.sqrt(2.0 * l)
-    f0 = _field(q0, reciprocals)
     with np.errstate(over="ignore"):
-        speed = np.linalg.norm(f0, axis=0)
+        speed = np.linalg.norm(_field(q0, reciprocals), axis=0)
     if not np.all(np.isfinite(speed)):
         raise DomainError(
             f"reciprocal moments a > b > c = {a!r}, {b!r}, {c!r} put the speed on the unit sphere, "
@@ -549,49 +574,59 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     if near.any():
         k = np.argmax(near)
         raise SeparatrixError(f"energy h = {float(h[k])!r} is within 1e-8 of the separatrix value {float(h_sep[k])!r}")
-    normal = f0 / speed
+    # Row k circles the axis of the largest reciprocal when h > b l, else
+    # that of the smallest, and watches the other two components.
+    above = h > h_sep
+    watched = np.ones((3, n), dtype=bool)
+    watched[reciprocals.index(max(reciprocals)), above] = False
+    watched[reciprocals.index(min(reciprocals)), ~above] = False
 
-    def section(q, rows=slice(None)):
-        # How far each row's q (3, rows) lies past its section plane.
-        return np.sum((q - q0[:, rows]) * normal[:, rows], axis=0)
-
-    # A step passes when the RMS of all 3N scaled errors is at most 1; with
-    # tol / sqrt(N), no orbit is held looser than if it were solved alone.
-    # atol and rtol are each half of that, so a component's allowance
-    # atol + rtol |q_i| stays below it on the unit sphere, relative to the
-    # orbit's size whatever l is.
-    batch_tol = 0.5 * tol / math.sqrt(n)
+    # On the unit sphere a component's allowance atol + rtol |q_i| stays
+    # below 2 batch_tol, relative to the orbit's size whatever l is.
+    batch_tol = 0.125 * tol / math.sqrt(n)
     steps = _dop853(
         lambda tau, y: (t_unit * _field(y.reshape(3, n), reciprocals)).ravel(),
         0.0, q0.ravel(), MAX_CHARACTERISTIC_TIMES, rtol=batch_tol, atol=batch_tol,
     )
-    period = np.full(n, np.nan)
-    g_old = np.zeros(n)
-    t_old = 0.0
+    # The watched components still without a zero; one that is 0 at the
+    # start has its zero at t = 0.  For each other one, once its sign
+    # changes: the step's ends, and the component's dense output over the
+    # step, its coefficients and its value at the step's start.
+    pending = watched & (q0 != 0.0)
+    crossing = np.flatnonzero(pending)
+    t_start, t_end, start = np.zeros(3 * n), np.zeros(3 * n), np.zeros(3 * n)
+    F = np.zeros((7, 3 * n))
+    t_old, y_old = 0.0, q0
     for t, y, dense in steps:
-        g = section(y.reshape(3, n))
-        rows = np.flatnonzero(np.isnan(period) & (g_old < 0.0) & (g >= 0.0))
-        g_old = g
-        if rows.size:
+        y = y.reshape(3, n)
+        # A pending component is nonzero at the step's start.
+        changed = pending & ((y == 0.0) | ((y < 0.0) != (y_old < 0.0)))
+        if changed.any():
+            flat = np.flatnonzero(changed)
             at = dense()
-            # Row j's three components, each read at row j's own time.
-            components = np.arange(3)[:, None] * n + rows
-            lo, hi = np.full(rows.size, t_old), np.full(rows.size, t)
-            while np.any(np.nextafter(lo, hi) < hi):
-                mid = 0.5 * (lo + hi)
-                below = section(at(mid, components), rows) < 0.0
-                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-            period[rows] = hi
-            if not np.isnan(period).any():
+            t_start[flat], t_end[flat], F[:, flat], start[flat] = t_old, t, at.F[:, flat], at.y_old[flat]
+            pending &= ~changed
+            if not pending.any():
                 break
-        t_old = t
+        t_old, y_old = t, y
     else:
-        t_max = MAX_CHARACTERISTIC_TIMES * t_char[np.argmax(np.isnan(period))]
+        t_max = MAX_CHARACTERISTIC_TIMES * t_char[np.argmax(pending.any(axis=0))]
         raise IntegrationError(
-            f"orbit did not return to the section within {t_max:.3g} time units; "
+            f"orbit did not turn a quarter within {t_max:.3g} time units; "
             "the initial condition may be exponentially close to the separatrix"
         )
-    return period * t_char
+    t_start, t_end, F, start = t_start[crossing], t_end[crossing], F[:, crossing], start[crossing]
+    lo, hi, step = t_start, t_end, t_end - t_start
+    while np.any(np.nextafter(lo, hi) < hi):
+        mid = 0.5 * (lo + hi)
+        value = _dense_output(F, start, (mid - t_start) / step, slice(None))
+        before = (value != 0.0) & ((value < 0.0) == (start < 0.0))
+        lo, hi = np.where(before, mid, lo), np.where(before, hi, mid)
+    # The first zeros of each row's two watched components are consecutive.
+    zero = np.zeros(3 * n)
+    zero[crossing] = hi
+    zero = zero.reshape(3, n).T[watched.T].reshape(n, 2)
+    return 4.0 * np.abs(zero[:, 1] - zero[:, 0]) * t_char
 
 
 def orbit_period(state: MomentumState, inertia: InertiaSpec, *, tol: float = 1e-12) -> float:

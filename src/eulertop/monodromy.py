@@ -71,9 +71,9 @@ PEER_OFFSET = -1e-3j
 _EXTRACTION_TOL = 1e-6
 
 # Transport samples on each turn of a loop's circle, the largest |winding|
-# a loop may ask for, and the farthest its start may lie from the center:
-# the approach path takes 96 samples per unit of distance, so about 6,100
-# at this bound.
+# a loop may ask for, and the farthest its start may lie from the center in
+# the loop's unit (``_unit_exponent``): the approach path takes 96 samples
+# per unit of distance, so about 6,100 at this bound.
 _SAMPLES_PER_TURN = 256
 MAX_WINDING = 16
 MAX_START_DISTANCE = 64.0
@@ -344,8 +344,9 @@ class ModuliLoop:
         Values of the three non-moving coordinates.
     start : complex, optional
         Where the mover begins and ends, at most ``MAX_START_DISTANCE``
-        from the center.  Defaults to a point on the ray from the center
-        through theta = 0, two radii out.
+        from the center in the loop's unit, the power of two that
+        ``loop_monodromy`` divides by (``_unit_exponent``).  Defaults to a
+        point on the ray from the center through theta = 0, two radii out.
 
     Every value must be finite, and no two of the four coordinates at the
     start may coincide (``ModuliPoint.coincident_pairs``); a bad value
@@ -376,10 +377,12 @@ class ModuliLoop:
                 raise ValueError(f"loop key {key!r} must be finite, got {value!r}")
         if self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
-        distance = abs(self.effective_start() - complex(self.center))
+        exponent = _unit_exponent(self)
+        distance = math.ldexp(abs(self.effective_start() - complex(self.center)), exponent)
         if not distance <= MAX_START_DISTANCE:
             raise ValueError(
-                f"start must lie within {MAX_START_DISTANCE:g} of the center, got distance {distance:.6g}"
+                f"start must lie within {MAX_START_DISTANCE:g} of the center in the loop's unit "
+                f"2**{-exponent}, got distance {distance:.6g}"
             )
         point = ModuliPoint(*_coordinates(self, self.effective_start()))
         pairs = point.coincident_pairs()
@@ -524,6 +527,13 @@ def _loop_point_samples(loop: ModuliLoop, start_shift: complex = 0.0j) -> list[c
     return approach + circle + approach[-2::-1]
 
 
+def _unit_exponent(loop: ModuliLoop) -> int:
+    """The exponent 2 - e that divides a length by the loop's unit 2**(e - 2)
+    through ``math.ldexp``, e the frexp exponent of the start's largest
+    |coordinate|: in that unit the largest lies in [2, 4)."""
+    return 2 - math.frexp(ModuliPoint(*_coordinates(loop, loop.effective_start())).scale())[1]
+
+
 def _coordinates(loop: ModuliLoop, mover: complex) -> tuple[complex, complex, complex, complex]:
     """a, b, c, d with the mover's value in its slot."""
     return tuple(mover if name == loop.move else complex(loop.frozen[name]) for name in LABELS)
@@ -643,12 +653,11 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
     determinant, else MonodromyError.
 
     The loop is evaluated after dividing every coordinate and the radius by
-    the exact power of two 2**(e - 2), e the frexp exponent of the start's
-    largest coordinate.  The cross-ratio is scale-free and the prefactor
-    roots share one factor, which cancels; absolute offsets such as
-    _SECOND_FRAME_SHIFT then keep their meaning at every scale.
+    its unit (``_unit_exponent``).  The cross-ratio is scale-free and the
+    prefactor roots share one factor, which cancels; absolute offsets such
+    as _SECOND_FRAME_SHIFT then keep their meaning at every scale.
     """
-    exponent = 2 - math.frexp(ModuliPoint(*_coordinates(loop, loop.effective_start())).scale())[1]
+    exponent = _unit_exponent(loop)
 
     def unit(z: complex) -> complex:
         z = complex(z)

@@ -20,6 +20,7 @@ inverse Birkhoff normal form lives in ``birkhoff``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,45 +161,57 @@ _TANH_SINH_LEVELS = 8
 _TANH_SINH_T_MAX = 4.5
 
 
+@functools.cache
+def _tanh_sinh_nodes(level: int) -> tuple[tuple[bool, float, float, float], ...]:
+    """The nodes that level ``level`` adds, on (-1, 1), built once per process.
+
+    Each node is (upper, near, far, weight): whether it lies nearer the upper
+    endpoint, its distances to the nearer and the farther endpoint, and its
+    weight, all per unit half-width.  The nodes in t are dyadic, so each is
+    exact: -T_MAX + i h on level 0, where h = 1, and the odd multiples
+    -T_MAX + (2i + 1) h that each later level adds, h = 2**-level.
+    """
+    h = 2.0 ** -level
+    if level == 0:
+        ts = [-_TANH_SINH_T_MAX + i * h for i in range(int(2.0 * _TANH_SINH_T_MAX / h) + 1)]
+    else:
+        ts = [-_TANH_SINH_T_MAX + (2 * i + 1) * h for i in range(int(_TANH_SINH_T_MAX / h))]
+    nodes = []
+    for t in ts:
+        w = 0.5 * math.pi * math.sinh(t)
+        e2 = math.exp(-2.0 * abs(w))
+        sech2 = (2.0 * math.sqrt(e2) / (1.0 + e2)) ** 2
+        nodes.append((t >= 0.0, 2.0 * e2 / (1.0 + e2), 2.0 / (1.0 + e2), 0.5 * math.pi * math.cosh(t) * sech2))
+    return tuple(nodes)
+
+
 def tanh_sinh(g, lo: float, hi: float):
     """Tanh-sinh quadrature of g over (lo, hi) for inverse-sqrt endpoints.
 
     The integrand is called as g(x, dist_lo, dist_hi) where the distances to
     the endpoints are computed in a cancellation-free way, so dividing by
-    their square roots stays accurate all the way into the corners.
+    their square roots stays accurate all the way into the corners.  The
+    nodes come from one table per process, scaled by the half-width.
     """
-    mid = 0.5 * (lo + hi)
     hal = 0.5 * (hi - lo)
 
-    def node(t: float):
-        w = 0.5 * math.pi * math.sinh(t)
-        e2 = math.exp(-2.0 * abs(w))
-        near = hal * 2.0 * e2 / (1.0 + e2)   # distance to the nearer endpoint
-        far = hal * 2.0 / (1.0 + e2)
-        sech2 = (2.0 * math.sqrt(e2) / (1.0 + e2)) ** 2
-        weight = hal * 0.5 * math.pi * math.cosh(t) * sech2
-        if t >= 0.0:
-            x = hi - near
-            return x, far, near, weight
-        x = lo + near
-        return x, near, far, weight
-
-    def sum_at(ts):
+    def sum_at(level):
         total = 0.0
-        for t in ts:
-            x, dlo, dhi, w = node(t)
-            if dlo == 0.0 or dhi == 0.0:
+        for upper, near, far, weight in _tanh_sinh_nodes(level):
+            near, far = hal * near, hal * far
+            if near == 0.0:
                 continue  # beyond double precision: contribution underflows
-            total += w * g(x, dlo, dhi)
+            if upper:
+                total += hal * weight * g(hi - near, far, near)
+            else:
+                total += hal * weight * g(lo + near, near, far)
         return total
 
-    # The nodes are dyadic, so each is exact: -T_MAX + i h on the first
-    # level, and the odd multiples -T_MAX + (2i + 1) h it adds on each later one.
     h = 1.0
-    acc = h * sum_at(-_TANH_SINH_T_MAX + i * h for i in range(int(2.0 * _TANH_SINH_T_MAX / h) + 1))
-    for _ in range(_TANH_SINH_LEVELS):
+    acc = h * sum_at(0)
+    for level in range(1, _TANH_SINH_LEVELS + 1):
         h *= 0.5
-        new = 0.5 * acc + h * sum_at(-_TANH_SINH_T_MAX + (2 * i + 1) * h for i in range(int(_TANH_SINH_T_MAX / h)))
+        new = 0.5 * acc + h * sum_at(level)
         if abs(new - acc) <= _TANH_SINH_TOL * max(abs(new), 1e-300):
             return new
         acc = new

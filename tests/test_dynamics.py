@@ -4,10 +4,14 @@ import math
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 
+from eulertop import dynamics
 from eulertop.core import DomainError, InertiaSpec, ModuliPoint
 from eulertop.dynamics import (
     MAX_CHARACTERISTIC_TIMES,
@@ -20,10 +24,12 @@ from eulertop.dynamics import (
     integrate_orbit,
     orbit_period,
     orbit_periods,
+    _characteristic_time,
     _dop853,
     _field,
 )
 from eulertop.periods import euler_period
+from test_branch_properties import PROPERTY
 
 INERTIA = InertiaSpec(1 / 3, 1 / 2, 1.0)
 
@@ -123,7 +129,8 @@ def test_orbit_period_is_phase_independent():
 
 
 def test_orbit_period_other_family():
-    # Same section construction mirrored into the p3-rotation regime.
+    # Below the separatrix energy the orbit circles the p3 axis; the zeros
+    # of p1 and p2 then mark its quarter periods.
     state = chamber_state(1.5)
     period = orbit_period(state, INERTIA)
     want = euler_period(ModuliPoint(3, 2, 1, 1.5, 1.0), axis="p3")
@@ -172,6 +179,103 @@ def test_orbit_periods_batch_matches_closed_form():
     got = orbit_periods(states, INERTIA)
     want = [euler_period(ModuliPoint(3, 2, 1, d, l), axis=axis) for d, l, axis in rows]
     np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+def _reference_period(p, reciprocals) -> float:
+    """The period through p from mpmath at p's own energy ratio d = h/l:
+    T = 2 sqrt(2/l) K(mu) / sqrt((d - c)(a - b)), a > b > c the sorted
+    reciprocals, relabelled a <-> c below the separatrix d = b."""
+    with mpmath.workdps(40):
+        p = [mpmath.mpf(x) for x in p]
+        r = [mpmath.mpf(x) for x in reciprocals]
+        l = sum(x * x for x in p) / 2
+        d = sum(ri * x * x for ri, x in zip(r, p)) / (2 * l)
+        a, b, c = sorted(r, reverse=True)
+        if d < b:
+            a, c = c, a
+        mu = (d - a) * (b - c) / ((d - c) * (b - a))
+        return float(2 * mpmath.sqrt(2 / l) * mpmath.ellipk(mu) / mpmath.sqrt((d - c) * (a - b)))
+
+
+@PROPERTY
+@given(
+    axis=st.sampled_from(["p1", "p3"]),
+    near_axis=st.booleans(),
+    log_distance=st.floats(-4.0, math.log10(0.5)),
+    log_l=st.floats(-300.0, 300.0),
+    start=st.sampled_from(["p2 = 0", "other zero plane", "flowed"]),
+    turn=st.floats(0.01, 0.99),
+)
+def test_orbit_period_matches_mpmath_at_its_own_energy(axis, near_axis, log_distance, log_l, start, turn):
+    # Distances of 1e-4 to 1 - 1e-4 of the gap from the separatrix, starts on
+    # either zero plane or flowed off them; the reference is taken at the
+    # energy of the state actually passed, so only the ODE route is tested.
+    a, b, c = INERTIA.reciprocals()
+    gap, sign = (a - b, 1.0) if axis == "p1" else (b - c, -1.0)
+    distance = 10.0 ** log_distance
+    d = b + sign * gap * (1.0 - distance if near_axis else distance)
+    l = 10.0 ** log_l
+    if start == "other zero plane":
+        # p3 = 0 on a p1 orbit, p1 = 0 on a p3 orbit: the circled component
+        # k, of reciprocal r, and p2 share the unit sphere.
+        r, k = (a, 0) if axis == "p1" else (c, 2)
+        q = [0.0, math.sqrt((r - d) / (r - b)), 0.0]
+        q[k] = math.sqrt((d - b) / (r - b))
+    else:
+        q = [math.sqrt((d - c) / (a - c)), 0.0, math.sqrt((a - d) / (a - c))]
+    if start == "flowed":
+        # Flowed on the unit sphere, then scaled, so the flow is accurate at any l.
+        period = euler_period(ModuliPoint(a, b, c, d, 0.5), axis=axis)
+        q = list(integrate_orbit(MomentumState(*q), INERTIA, turn * period, n_samples=2).p[-1])
+    p = [math.sqrt(2.0 * l) * x for x in q]
+    got = orbit_period(MomentumState(*p), INERTIA)
+    assert got == pytest.approx(_reference_period(p, INERTIA.reciprocals()), rel=1e-11)
+
+
+def test_orbit_periods_stop_within_a_step_of_the_longest_quarter(monkeypatch):
+    # Rows on p2 = 0 start on a zero, so the solve ends in the step that
+    # passes a quarter of the longest period, in characteristic time.
+    ends = []
+
+    def recording(*args, **kwargs):
+        for step in _dop853(*args, **kwargs):
+            ends.append(step[0])
+            yield step
+
+    monkeypatch.setattr(dynamics, "_dop853", recording)
+    rows = [(2.5, 1.0, "p1"), (2.0001, 7.0, "p1"), (2.9, 0.05, "p1"), (1.5, 0.3, "p3"), (1.9999, 1.0, "p3")]
+    orbit_periods([chamber_state(d, l) for d, l, _ in rows], INERTIA)
+    quarter = max(
+        euler_period(ModuliPoint(3, 2, 1, d, l), axis=axis) / _characteristic_time(l, INERTIA.reciprocals())
+        for d, l, axis in rows
+    ) / 4.0
+    assert ends[-2] < quarter <= ends[-1]
+
+
+def test_orbit_periods_count_both_zeros_a_step_passes(monkeypatch):
+    # At a loose tolerance one step passes a zero of each watched component,
+    # on an orbit of each family.  Both count, so each period still comes
+    # from two consecutive zeros, not from zeros half a period apart.
+    rows = [(2.9, "p1"), (1.1, "p3")]
+    periods = [euler_period(ModuliPoint(3, 2, 1, d, 0.5), axis=axis) for d, axis in rows]
+    states = [
+        MomentumState(*integrate_orbit(chamber_state(d, 0.5), INERTIA, period / 8, n_samples=2).p[-1])
+        for (d, _), period in zip(rows, periods)
+    ]
+    ends = []
+
+    def recording(*args, **kwargs):
+        for step in _dop853(*args, **kwargs):
+            ends.append(step[1].reshape(3, -1))
+            yield step
+
+    monkeypatch.setattr(dynamics, "_dop853", recording)
+    got = orbit_periods(states, INERTIA, tol=1e-3)
+    signs = np.sign([np.array([s.as_array() for s in states]).T, *ends])
+    flips = signs[1:] != signs[:-1]
+    # Row 0 watches p2 and p3, row 1 p1 and p2.
+    assert np.any(flips[:, 1, 0] & flips[:, 2, 0]) and np.any(flips[:, 0, 1] & flips[:, 1, 1])
+    np.testing.assert_allclose(got, periods, rtol=1e-3)
 
 
 def test_orbit_periods_batch_refuses_one_bad_row():

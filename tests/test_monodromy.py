@@ -112,13 +112,28 @@ def test_loop_clearance_is_relative_to_the_loop_scale(factor):
         ModuliLoop.from_json_dict(_scaled_loop_dict(factor, radius=0.6))
 
 
-@pytest.mark.parametrize("factor", [2.0 ** -1000, 2.0 ** -40, 2.0, 2.0 ** 5])
+@pytest.mark.parametrize("factor", [2.0 ** -1000, 2.0 ** -40, 2.0, 2.0 ** 5, 2.0 ** 1000])
 def test_loop_monodromy_is_evaluated_at_one_scale(factor):
     # Every loop is brought to a scale of 2 to 4 by an exact power of two,
     # so the preset loop multiplied by one gives bit-identical numbers.
     want = loop_monodromy(preset_loop("a", "d"))
     got = loop_monodromy(ModuliLoop.from_json_dict(_scaled_loop_dict(factor)))
     assert (got.matrix, got.raw, got.residual) == (want.matrix, want.raw, want.residual)
+
+
+@pytest.mark.parametrize("factor", [1.0, 200.0, 1e100])
+def test_loop_start_distance_is_relative_to_the_loop_scale(factor):
+    # The start lies about 0.5 * factor from the center, beyond an absolute
+    # MAX_START_DISTANCE for the larger factors, but about 0.5 in the loop's
+    # own unit.
+    got = loop_monodromy(ModuliLoop.from_json_dict(_scaled_loop_dict(factor)))
+    assert got.matrix.entries == ((1, 2), (0, 1))
+    assert got.residual < 1e-13
+    # A start 200 units from the center is refused at every scale.
+    far = _scaled_loop_dict(factor)
+    far["center"] = [200.0 * factor, 0.0]
+    with pytest.raises(ValueError, match="start must lie within 64 of the center"):
+        ModuliLoop.from_json_dict(far)
 
 
 @pytest.mark.parametrize("key", ["center", "radius", "start", "frozen.b"])
@@ -152,7 +167,7 @@ def test_loop_file_winding_is_bounded(winding):
 @pytest.mark.parametrize("key,value", [
     ("move", None), ("center", None), ("radius", None), ("winding", None), ("frozen", None),
     ("move", ["a"]), ("center", "x"), ("radius", "abc"), ("radius", [0.2, 0.0]),
-    ("winding", "1"), ("frozen", [2.0, 1.0]), ("start", [3.0, "q"]), ("start", [1e6, 0.0]),
+    ("winding", "1"), ("frozen", [2.0, 1.0]), ("start", [3.0, "q"]),
 ])
 def test_loop_file_missing_or_ill_typed_key(key, value):
     # None stands for a missing key; every error names the key it is about.

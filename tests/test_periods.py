@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -25,6 +28,7 @@ from eulertop.periods import (
     tanh_sinh,
     verify_connection_identity,
     verify_symmetries,
+    _tanh_sinh_nodes,
 )
 
 BASE = ModuliPoint(3, 2, 1, 2.5, 1.0)
@@ -110,6 +114,25 @@ def test_tanh_sinh_endpoint_singularity():
 def test_tanh_sinh_smooth_integrand():
     val = tanh_sinh(lambda x, dlo, dhi: math.exp(x), 0.0, 2.0)
     assert val == pytest.approx(math.exp(2.0) - 1.0, rel=1e-13)
+
+
+def test_tanh_sinh_node_table_is_built_on_first_use_and_reused():
+    # Importing the module builds no node; the first call builds the levels
+    # it reaches, and a call on another interval scales the same table.
+    script = "import sys\nimport eulertop.periods as p\nsys.exit(p._tanh_sinh_nodes.cache_info().currsize)\n"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    _tanh_sinh_nodes.cache_clear()
+    arcsine = lambda x, dlo, dhi: 1.0 / math.sqrt(dlo * dhi)
+    assert tanh_sinh(arcsine, 0.0, 1.0) == pytest.approx(math.pi, rel=1e-13)
+    built = _tanh_sinh_nodes.cache_info()
+    assert built.misses > 0
+    assert tanh_sinh(arcsine, -3.0, 5.0) == pytest.approx(math.pi, rel=1e-13)
+    again = _tanh_sinh_nodes.cache_info()
+    assert again.misses == built.misses and again.hits > built.hits
 
 
 @pytest.mark.parametrize("s", [0.0, 1.0])
