@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError
+from .core import DomainError, ldexp, unit_exponent
 
 __all__ = [
     "MAX_SERIES_ORDER",
@@ -123,12 +123,14 @@ def birkhoff_normalization(a: float, b: float, c: float, l: float = 1.0) -> floa
     """Prefactor C with S(b, a, c, d(Z)) = C * sum P_n(s) Z^n.
 
     Valid where (b - c)(b - a) > 0, i.e. b is an extreme reciprocal; then
-    C = -sqrt(2/l) / (6 sqrt((b - c)(b - a))).
+    C = -sqrt(2/l) / (6 sqrt((b - c)(b - a))), evaluated at unit scale.
     """
+    k, j = unit_exponent(max(abs(a), abs(b), abs(c))), unit_exponent(l) // 2
+    a, b, c = (math.ldexp(x, k) for x in (a, b, c))
     rad = (b - c) * (b - a)
     if rad <= 0.0:
         raise DomainError("normalization needs (b - c)(b - a) > 0")
-    return -math.sqrt(2.0 / l) / (6.0 * math.sqrt(rad))
+    return ldexp(-math.sqrt(2.0 / math.ldexp(l, 2 * j)) / (6.0 * math.sqrt(rad)), k + j)
 
 
 def birkhoff_d_of_z(a: float, b: float, c: float, z: float) -> float:

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .core import DomainError, InertiaSpec, ModuliPoint
+from .core import DomainError, InertiaSpec, ModuliPoint, ldexp
 
 # Each command imports the layers it runs when it starts, so none pays for a
 # layer it does not use: only ``simulate`` and ``period`` load numpy.
@@ -233,12 +233,15 @@ def cmd_period(args: argparse.Namespace) -> int:
                     f"grid point d = {d} sits on the separatrix (d = b); "
                     "the rotation period diverges there"
                 )
-        routes = [_closed_and_quadrature(ModuliPoint(a, b, c, d, l=l), args.axis) for d, l in grid]
-        # ODE route: the orbit with p2 = 0 on the matching oval, all rows in one solve.
-        states = [
-            MomentumState(math.sqrt(abs(2.0 * l * (d - c) / (a - c))), 0.0, math.sqrt(abs(2.0 * l * (a - d) / (a - c))))
-            for d, l in grid
-        ]
+        points = [ModuliPoint(a, b, c, d, l=l) for d, l in grid]
+        routes = [_closed_and_quadrature(m, args.axis) for m in points]
+        # ODE route: the orbit with p2 = 0 on the matching oval, all rows in
+        # one solve, each formed at the level l * 4**j in [1, 4) and scaled back.
+        states = []
+        for m in points:
+            u, _, j = m.at_unit_scale()
+            p1, p3 = (ldexp(math.sqrt(abs(2.0 * u.l * x / (a - c))), -j) for x in (m.d - c, a - m.d))
+            states.append(MomentumState(p1, 0.0, p3))
         periods = orbit_periods(states, inertia, tol=min(1e-12, tol))
     except (DomainError, SeparatrixError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

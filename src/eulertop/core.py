@@ -30,8 +30,10 @@ __all__ = [
     "ModuliPoint",
     "cross_ratio",
     "lambda_proof",
+    "ldexp",
     "moduli_from_mechanics",
     "mu_main",
+    "unit_exponent",
 ]
 
 LABELS = ("a", "b", "c", "d")
@@ -53,6 +55,20 @@ class CoincidentModuliError(DomainError):
         if message is None:
             message = f"moduli coordinates {self.pair[0]} = {self.pair[1]}: point is on the discriminant"
         super().__init__(message)
+
+
+def unit_exponent(x: float) -> int:
+    """The k that puts x * 2**k in [2, 4), for a finite x > 0."""
+    return 2 - math.frexp(x)[1]
+
+
+def ldexp(z, k: int):
+    """z * 2**k for a float or complex z, part by part so zeros keep their
+    sign: exact unless subnormal.  DomainError outside the float range."""
+    try:
+        return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) if isinstance(z, complex) else math.ldexp(z, k)
+    except OverflowError:
+        raise DomainError(f"{z!r} * 2**{k} is outside the float range") from None
 
 
 @dataclass(frozen=True)
@@ -130,6 +146,13 @@ class ModuliPoint:
         relative to it, so a point and its multiples are treated alike."""
         return max(abs(z) for z in self.coords())
 
+    def at_unit_scale(self) -> tuple["ModuliPoint", int, int]:
+        """(u, k, j): u has this point's coordinates times 2**k, the largest
+        |coordinate| in [2, 4), and the level u.l = l * 4**j in [1, 4).  S is
+        homogeneous, so S(self) = S(u) * 2**(k + j); cross-ratios are equal."""
+        k, j = unit_exponent(self.scale()), unit_exponent(self.l) // 2
+        return ModuliPoint(*(ldexp(z, k) for z in self.coords()), l=math.ldexp(self.l, 2 * j)), k, j
+
     def coincident_pairs(self) -> list[tuple[str, str]]:
         """All label pairs at most DEGENERACY_RTOL * scale apart, in a fixed
         order; where all four coordinates are equal, zero included, every pair."""
@@ -184,10 +207,11 @@ def cross_ratio(a, b, c, d):
 
 
 def _checked_cross_ratio(m: ModuliPoint, order: str) -> complex:
-    """``cross_ratio`` of ``m.reorder(order)``, refusing a coincident
-    denominator pair."""
-    a, b, c, d = m.reorder(order).coords()
-    tol = DEGENERACY_RTOL * m.scale()
+    """``cross_ratio`` of ``m.reorder(order)`` at unit scale, refusing a
+    coincident denominator pair."""
+    u = m.at_unit_scale()[0]
+    a, b, c, d = u.reorder(order).coords()
+    tol = DEGENERACY_RTOL * u.scale()
     if abs(d - c) <= tol:
         raise CoincidentModuliError((order[3], order[2]))
     if abs(b - a) <= tol:

@@ -29,11 +29,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, InertiaSpec
+from .core import DomainError, InertiaSpec, unit_exponent
 
 __all__ = [
     "Equilibrium",
@@ -91,23 +90,27 @@ def _field(p, reciprocals) -> np.ndarray:
     return np.array([-(b - c) * p[1] * p[2], -(c - a) * p[2] * p[0], -(a - b) * p[0] * p[1]])
 
 
-def _characteristic_time(l, reciprocals):
-    """1/sqrt(2 l (a - c)(a - b)), a > b > c the sorted reciprocals: the time
-    an orbit at Casimir level l takes to turn by about a radian.  Raises
-    DomainError, naming the moments, where 2 l (a - c)(a - b) is not a
-    normal float."""
+def _characteristic_time(l, reciprocals, k=0):
+    """2**k / sqrt(2 l (a - c)(a - b)), a > b > c the sorted reciprocals: the
+    time an orbit at Casimir level L = l / 4**k takes to turn by about a
+    radian.  Raises DomainError, naming the moments and L, where
+    2 l (a - c)(a - b) or the time is not a normal float."""
     a, b, c = sorted(reciprocals, reverse=True)
     with np.errstate(all="ignore"):
         rate = np.asarray(2.0 * l * (a - c) * (a - b))
-    bad = ~((rate >= sys.float_info.min) & (rate <= sys.float_info.max))
-    if bad.any():
-        k = np.argmax(bad)
-        raise DomainError(
-            f"reciprocal moments a > b > c = {a!r}, {b!r}, {c!r} at Casimir L = {float(np.ravel(l)[k])!r} "
-            f"put 2 L (a - c)(a - b) = {float(rate.flat[k])!r}, which sets the orbit's time scale, "
-            "outside the normal float range"
-        )
-    return 1.0 / np.sqrt(rate)
+        t = np.ldexp(1.0 / np.sqrt(rate), k)
+        lo, hi = sys.float_info.min, sys.float_info.max
+        bad = ~((lo <= rate) & (rate <= hi) & (lo <= t) & (t <= hi))
+        if bad.any():
+            i = np.argmax(bad)
+            level, k = float(np.ravel(l)[i]), int(np.ravel(k)[i])
+            scaled = f" at L * 4**{k} = {level!r}" if k else ""
+            raise DomainError(
+                f"reciprocal moments a > b > c = {a!r}, {b!r}, {c!r} at Casimir L = {float(np.ldexp(level, -2 * k))!r} "
+                f"put 2 L (a - c)(a - b) = {float(rate.flat[i])!r}{scaled}, or the orbit's time scale, "
+                f"{float(np.ravel(t)[i])!r}, outside the normal float range"
+            )
+    return t
 
 
 def conserved(p, inertia: InertiaSpec):
@@ -299,9 +302,10 @@ def _dop853(fun, t0, y0, t_bound, *, rtol, atol):
     """Integrate y' = fun(t, y) from t0 forward to t_bound with DOP853.
 
     Yields ``(t, y, dense)`` after each accepted step; the last step is cut
-    to end on t_bound.  ``dense()`` builds the step's interpolant, a
-    ``_StepInterpolant`` ``at``; ``at(t, rows)`` gives the components
-    ``rows`` of y at times t in the step (broadcast against each other).
+    to end on t_bound.  ``dense()`` returns the step's dense output
+    ``(t_old, h, F, y_old)``: the step of length h from t_old, the
+    coefficients F (7, n) of a polynomial in x = (t - t_old) / h that
+    ``_dense_output`` evaluates, and the state y_old at the step's start.
     ``dense()`` must be called before the generator resumes.
     A step is accepted when the scaled error norm is below 1, the scale of a
     component being atol + rtol max(|y_i| before, |y_i| after); rtol is
@@ -345,21 +349,7 @@ def _dop853(fun, t0, y0, t_bound, *, rtol, atol):
         yield t, y, lambda: _interpolant(fun, t_old, t, y_old, y, f_old, f, K)
 
 
-class _StepInterpolant(NamedTuple):
-    """DOP853's 7th-order dense output over the step of length h from t_old:
-    the coefficients F (7, n) of a polynomial in x = (t - t_old) / h, and
-    the state y_old at the step's start."""
-
-    t_old: float
-    h: float
-    F: np.ndarray
-    y_old: np.ndarray
-
-    def __call__(self, times, rows=slice(None)) -> np.ndarray:
-        return _dense_output(self.F, self.y_old, (np.asarray(times) - self.t_old) / self.h, rows)
-
-
-def _interpolant(fun, t_old, t, y_old, y, f_old, f, K) -> _StepInterpolant:
+def _interpolant(fun, t_old, t, y_old, y, f_old, f, K) -> tuple:
     """The dense output of the step from t_old to t."""
     h = t - t_old
     for s, (c, a) in enumerate(_STAGES[13:], 13):
@@ -370,7 +360,7 @@ def _interpolant(fun, t_old, t, y_old, y, f_old, f, K) -> _StepInterpolant:
     F[1] = h * f_old - delta
     F[2] = 2 * delta - h * (f + f_old)
     F[3:] = h * np.dot(_D, K)
-    return _StepInterpolant(t_old, h, F, y_old)
+    return t_old, h, F, y_old
 
 
 def _dense_output(F, y_old, x, rows):
@@ -501,8 +491,8 @@ _DENSE_BLOCK = 256
 
 def _sample_steps(steps, times) -> np.ndarray:
     """The states (3, len(times)) at ``times`` from the dense output of
-    consecutive steps: ``steps`` holds each step's ``_StepInterpolant``
-    fields followed by its number of samples, in order."""
+    consecutive steps: ``steps`` holds each step's dense output followed by
+    its number of samples, in order."""
     t_old, h, F, y_old, counts = zip(*steps)
     step = np.repeat(np.arange(len(steps)), counts)
     x = (times - np.array(t_old)[step]) / np.array(h)[step]
@@ -550,16 +540,20 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     if n == 0:
         return np.empty(0)
     reciprocals = inertia.reciprocals()
-    h, l = conserved(p0, inertia)
+    # Row k is multiplied by 2**e_k, its largest component in [2, 4), before
+    # h and l are formed: exact, and in range for every finite state.
+    e = np.array([unit_exponent(x) for x in np.abs(p0).max(axis=0)])
+    p = np.ldexp(p0, e)
+    h, l = conserved(p, inertia)
     if np.any(l <= 0.0):
         raise DomainError("zero momentum has no orbit")
     # Orbit k runs on the unit sphere, q = p / sqrt(2 l_k), in its own
     # characteristic time, where the field is _field(q) / sqrt((a - c)(a - b)):
     # l enters only through t_char.
-    t_char = _characteristic_time(l, reciprocals)
+    t_char = _characteristic_time(l, reciprocals, e)
     t_unit = _characteristic_time(0.5, reciprocals)  # on the unit sphere, 2 l = 1
     a, b, c = sorted(reciprocals, reverse=True)
-    q0 = p0 / np.sqrt(2.0 * l)
+    q0 = p / np.sqrt(2.0 * l)
     with np.errstate(over="ignore"):
         speed = np.linalg.norm(_field(q0, reciprocals), axis=0)
     if not np.all(np.isfinite(speed)):
@@ -573,7 +567,9 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     near = np.abs(h - h_sep) < SEPARATRIX_RTOL * np.abs(h_sep)
     if near.any():
         k = np.argmax(near)
-        raise SeparatrixError(f"energy h = {float(h[k])!r} is within 1e-8 of the separatrix value {float(h_sep[k])!r}")
+        with np.errstate(over="ignore"):
+            h, h_sep = (float(np.ldexp(x[k], -2 * e[k])) for x in (h, h_sep))
+        raise SeparatrixError(f"energy h = {h!r} is within 1e-8 of the separatrix value {h_sep!r}")
     # Row k circles the axis of the largest reciprocal when h > b l, else
     # that of the smallest, and watches the other two components.
     above = h > h_sep
@@ -603,8 +599,8 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
         changed = pending & ((y == 0.0) | ((y < 0.0) != (y_old < 0.0)))
         if changed.any():
             flat = np.flatnonzero(changed)
-            at = dense()
-            t_start[flat], t_end[flat], F[:, flat], start[flat] = t_old, t, at.F[:, flat], at.y_old[flat]
+            _, _, F_step, y_step = dense()
+            t_start[flat], t_end[flat], F[:, flat], start[flat] = t_old, t, F_step[:, flat], y_step[flat]
             pending &= ~changed
             if not pending.any():
                 break

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from numbers import Integral
 from typing import Iterable, Sequence
 
-from .core import DEGENERACY_RTOL, LABELS, CoincidentModuliError, ModuliPoint, cross_ratio
+from .core import DEGENERACY_RTOL, LABELS, CoincidentModuliError, ModuliPoint, cross_ratio, ldexp, unit_exponent
 from .lattice import GENERATOR_LABELS, PRESETS, IntegerMatrix2, MonodromyError
 from .special import (
     BASIS_IDS,
@@ -72,7 +72,7 @@ _EXTRACTION_TOL = 1e-6
 
 # Transport samples on each turn of a loop's circle, the largest |winding|
 # a loop may ask for, and the farthest its start may lie from the center in
-# the loop's unit (``_unit_exponent``): the approach path takes 96 samples
+# the loop's unit (see ``loop_monodromy``): the approach path takes 96 samples
 # per unit of distance, so about 6,100 at this bound.
 _SAMPLES_PER_TURN = 256
 MAX_WINDING = 16
@@ -345,7 +345,7 @@ class ModuliLoop:
     start : complex, optional
         Where the mover begins and ends, at most ``MAX_START_DISTANCE``
         from the center in the loop's unit, the power of two that
-        ``loop_monodromy`` divides by (``_unit_exponent``).  Defaults to a
+        ``loop_monodromy`` divides by.  Defaults to a
         point on the ray from the center through theta = 0, two radii out.
 
     Every value must be finite, and no two of the four coordinates at the
@@ -377,14 +377,14 @@ class ModuliLoop:
                 raise ValueError(f"loop key {key!r} must be finite, got {value!r}")
         if self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
-        exponent = _unit_exponent(self)
-        distance = math.ldexp(abs(self.effective_start() - complex(self.center)), exponent)
+        point = ModuliPoint(*_coordinates(self, self.effective_start()))
+        exponent = unit_exponent(point.scale())
+        distance = ldexp(abs(self.effective_start() - complex(self.center)), exponent)
         if not distance <= MAX_START_DISTANCE:
             raise ValueError(
                 f"start must lie within {MAX_START_DISTANCE:g} of the center in the loop's unit "
                 f"2**{-exponent}, got distance {distance:.6g}"
             )
-        point = ModuliPoint(*_coordinates(self, self.effective_start()))
         pairs = point.coincident_pairs()
         if pairs:
             x, y = pairs[0]
@@ -527,13 +527,6 @@ def _loop_point_samples(loop: ModuliLoop, start_shift: complex = 0.0j) -> list[c
     return approach + circle + approach[-2::-1]
 
 
-def _unit_exponent(loop: ModuliLoop) -> int:
-    """The exponent 2 - e that divides a length by the loop's unit 2**(e - 2)
-    through ``math.ldexp``, e the frexp exponent of the start's largest
-    |coordinate|: in that unit the largest lies in [2, 4)."""
-    return 2 - math.frexp(ModuliPoint(*_coordinates(loop, loop.effective_start())).scale())[1]
-
-
 def _coordinates(loop: ModuliLoop, mover: complex) -> tuple[complex, complex, complex, complex]:
     """a, b, c, d with the mover's value in its slot."""
     return tuple(mover if name == loop.move else complex(loop.frozen[name]) for name in LABELS)
@@ -652,21 +645,16 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
     The result must round to integers within 1e-6 and have unit
     determinant, else MonodromyError.
 
-    The loop is evaluated after dividing every coordinate and the radius by
-    its unit (``_unit_exponent``).  The cross-ratio is scale-free and the
-    prefactor roots share one factor, which cancels; absolute offsets such
-    as _SECOND_FRAME_SHIFT then keep their meaning at every scale.
+    The loop is evaluated with every coordinate and the radius times 2**k,
+    k the ``unit_exponent`` of the start's scale.  The cross-ratio is
+    scale-free and the prefactor roots share one factor, which cancels;
+    absolute offsets such as _SECOND_FRAME_SHIFT then keep their meaning.
     """
-    exponent = _unit_exponent(loop)
-
-    def unit(z: complex) -> complex:
-        z = complex(z)
-        return complex(math.ldexp(z.real, exponent), math.ldexp(z.imag, exponent))
-
-    frozen = {k: unit(v) for k, v in loop.frozen.items()}
-    start = None if loop.start is None else unit(loop.start)
-    radius = math.ldexp(loop.radius, exponent)
-    loop = replace(loop, center=unit(loop.center), radius=radius, frozen=frozen, start=start)
+    k = unit_exponent(ModuliPoint(*_coordinates(loop, loop.effective_start())).scale())
+    frozen = {x: ldexp(complex(v), k) for x, v in loop.frozen.items()}
+    start = None if loop.start is None else ldexp(complex(loop.start), k)
+    center, radius = ldexp(complex(loop.center), k), ldexp(loop.radius, k)
+    loop = replace(loop, center=center, radius=radius, frozen=frozen, start=start)
     starts, ends = [], []
     for shift in (0.0j, _SECOND_FRAME_SHIFT):
         mu, roots0, roots1 = _loop_path(loop, shift)

@@ -30,6 +30,7 @@ from .core import (
     ModuliPoint,
     cross_ratio,
     lambda_proof,
+    ldexp,
 )
 from .special import DivergenceError, _on_cut, _sqrt_sided, elliptic_K
 
@@ -77,17 +78,6 @@ class PeriodValue:
             raise ValueError(f"cycle_label must be one of {CYCLE_LABELS}")
 
 
-def _unit(m: ModuliPoint) -> float:
-    """The power of two that S(m) is evaluated in: 1 up to a scale of 2**300,
-    else the one that brings the scale back to 2**300.
-
-    S is homogeneous of degree -1 in (a, b, c, d), and dividing by a power
-    of two is exact, so S(m) is S(m / unit) / unit, and no product of three
-    coordinate differences overflows on the way.
-    """
-    return 2.0 ** max(0, math.frexp(m.scale())[1] - 300)
-
-
 def _d_side(dq_dd: complex) -> int:
     """The side q takes at d - i0: under d -> d - i delta, q picks up
     -i delta dq/dd."""
@@ -100,6 +90,7 @@ def S_closed_form(m: ModuliPoint) -> PeriodValue:
     Singular loci: (d - c)(b - a) = 0 makes the cross-ratio undefined and
     (d - b)(c - a) = 0 puts K at its logarithmic singularity; both raise.
     The coincidences d = a and b = c are regular (mu = 0) and allowed.
+    Evaluated at ``m.at_unit_scale()`` and scaled back by 2**(k + j).
     """
     pairs = m.coincident_pairs()
     for x, y in (("c", "d"), ("a", "b")):
@@ -111,9 +102,8 @@ def S_closed_form(m: ModuliPoint) -> PeriodValue:
                 (x, y), f"K argument hits 1 where {y} = {x}: S diverges logarithmically"
             )
 
-    # Scaled part by part: complex / float can flip the sign of a zero part.
-    unit = _unit(m)
-    a, b, c, d = (complex(z.real / unit, z.imag / unit) for z in m.coords())
+    u, k, j = m.at_unit_scale()
+    a, b, c, d = u.coords()
     # Coincident pairs c, d and a, b were refused above, as mu_main would.
     mu = cross_ratio(a, b, c, d)
     # Both cuts are taken at d - i0; elliptic_K ignores the side off its cut.
@@ -126,8 +116,8 @@ def S_closed_form(m: ModuliPoint) -> PeriodValue:
     root = _sqrt_sided(radicand, _d_side(a - b))
     flagged = _on_cut(1.0 - mu) or _on_cut(radicand)
 
-    value = -math.sqrt(2.0 / m.l) / (3.0 * math.pi) * kval / root
-    return PeriodValue(complex(value.real / unit, value.imag / unit), "sigma1_axis", m, flagged)
+    value = -math.sqrt(2.0 / u.l) / (3.0 * math.pi) * kval / root
+    return PeriodValue(ldexp(value, k + j), "sigma1_axis", m, flagged)
 
 
 def phi_prime(axis: str, m: ModuliPoint) -> PeriodValue:
@@ -250,9 +240,8 @@ def quadrature_sigma_integral(m: ModuliPoint, s: float = 0.0) -> PeriodValue:
     Oracle for ``S_closed_form``: the quadrature route of the three period
     routes, sharing no code with the AGM or the ODE route.
     """
-    unit = _unit(m)
-    a, b, c, d, l = _real_chamber_coords(m)
-    a, b, c, d = a / unit, b / unit, c / unit, d / unit
+    u, k, j = m.at_unit_scale()
+    a, b, c, d, l = _real_chamber_coords(u)
 
     # The arcs are integrated on the sphere with 2 l = 1; l enters only as
     # the prefactor 1/sqrt(2 l).
@@ -277,8 +266,8 @@ def quadrature_sigma_integral(m: ModuliPoint, s: float = 0.0) -> PeriodValue:
     # An arc of weight 0 is not integrated.
     i1 = tanh_sinh(g1, -P, P) / 3.0 if s != 1.0 else 0.0
     i2 = tanh_sinh(g2, -P3, P3) / 3.0 if s != 0.0 else 0.0
-    value = -((1.0 - s) * i1 + s * i2) / (math.pi * math.sqrt(2.0 * l)) / unit
-    return PeriodValue(value, "sigma1_axis", m)
+    value = -((1.0 - s) * i1 + s * i2) / (math.pi * math.sqrt(2.0 * l))
+    return PeriodValue(ldexp(value, k + j), "sigma1_axis", m)
 
 
 def quadrature_tau_integral(m: ModuliPoint) -> PeriodValue:
@@ -296,8 +285,9 @@ def quadrature_tau_integral(m: ModuliPoint) -> PeriodValue:
 
     Oracle for ``S_closed_form`` on the connecting cycle: it never calls K.
     """
-    a, b, c, d, l = _real_chamber_coords(m)
-    lam = lambda_proof(m).real
+    u, k, j = m.at_unit_scale()
+    a, b, c, d, l = _real_chamber_coords(u)
+    lam = lambda_proof(u).real
     if lam >= 0.0:
         raise DomainError(f"connecting cycle needs lambda < 0, got {lam!r}")
     ustar = 1.0 / math.sqrt(1.0 - lam)
@@ -318,7 +308,7 @@ def quadrature_tau_integral(m: ModuliPoint) -> PeriodValue:
 
     pref = 2.0 / (3.0 * math.sqrt(2.0 * l * abs(a - c) * abs(d - b)))
     value = -pref * (j2 - 1j * j1) / math.pi
-    return PeriodValue(value, "tau", m)
+    return PeriodValue(ldexp(value, k + j), "tau", m)
 
 
 # ----------------------------------------------------------------------

@@ -201,10 +201,12 @@ def test_simulate_refuses_a_casimir_outside_the_float_range(capsys, p0, casimir)
     (("period", "--abc", "1e155,1,0.5", "--grid-d", "5e154"), "a > b > c = 1e+155, 1.0, 0.5"),
     (("simulate", "--inertia", "1e-300,1,2", "--p0", "1,1,1", "--t", "1e-300", "--samples", "3"),
      "a > b > c = 9.999999999999999e+299, 1.0, 0.5"),
+    (("period", "--abc=3e-160,2e-160,1e-160"), "a > b > c = 3e-160, 2e-160, 1e-160"),
 ])
 def test_extreme_moments_print_one_error_line_naming_them(capsys, argv, moments):
-    # 2 L (a - c)(a - b) overflows: once a complex-power OverflowError in the
-    # closed form, once a numpy warning and "(0 time units)".
+    # 2 L (a - c)(a - b), which sets the orbit's time scale, overflows or
+    # underflows: the closed form and the quadrature compute at unit scale,
+    # and the ODE route refuses in one line naming the moments.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, *argv)

@@ -25,6 +25,7 @@ from eulertop.dynamics import (
     orbit_period,
     orbit_periods,
     _characteristic_time,
+    _dense_output,
     _dop853,
     _field,
 )
@@ -152,11 +153,14 @@ def test_orbit_period_equilibrium_refusal():
 
 
 @pytest.mark.parametrize("reciprocals, p0, message", [
-    # 2 L (a - c)(a - b) overflows, or underflows below the normal floats.
-    ((1e155, 1.0, 0.5), (1.0, 0.0, 1.0), "2 L \\(a - c\\)\\(a - b\\) = inf"),
-    ((3.0, 2.0, 1.0), (1e-160, 0.0, 1e-160), "2 L \\(a - c\\)\\(a - b\\) = 4e-320"),
-    # The time scale is fine, but |f| on the unit sphere, about (b - c)/2, is not.
-    ((3e155, 2.997e155, 1.0), (0.0, 1e-3, 1e-3), "speed on the unit sphere"),
+    # 2 L (a - c)(a - b) overflows, or underflows below the normal floats, at
+    # the level each row is scaled to, its largest component in [2, 4); the
+    # refusal names the caller's L.
+    ((1e155, 1.0, 0.5), (1.0, 0.0, 1.0), "2 L \\(a - c\\)\\(a - b\\) = inf at L \\* 4\\*\\*1 = 4.0"),
+    ((3e-160, 2e-160, 1e-160), (1.0, 0.0, 2.0), "2 L \\(a - c\\)\\(a - b\\) = 1e-319, or"),
+    # The time scale is fine, but |f| on the unit sphere, about (a - c)/2, is not.
+    ((3e154, 2.98e154, 1.0), (1.0, 0.0, 1.0), "speed on the unit sphere"),
+    ((3e155, 2.997e155, 1.0), (0.0, 1e-3, 1e-3), "L = 1e-06 put 2 L \\(a - c\\)\\(a - b\\) = inf at L \\* 4\\*\\*11 = "),
 ])
 def test_orbit_periods_refuse_moments_outside_the_float_range(reciprocals, p0, message):
     with warnings.catch_warnings():
@@ -164,6 +168,17 @@ def test_orbit_periods_refuse_moments_outside_the_float_range(reciprocals, p0, m
         with pytest.raises(DomainError, match=message) as info:
             orbit_periods([MomentumState(*p0)], InertiaSpec.from_reciprocals(*reciprocals))
     assert f"a > b > c = {reciprocals[0]!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("p0", [(1e-160, 0.0, 2e-160), (1e200, 0.0, 2e200)])
+def test_orbit_periods_take_states_whose_casimir_is_outside_the_float_range(p0):
+    # |p0|^2 / 2 underflows or overflows; each row is scaled by a power of two
+    # before its invariants are formed.  (1e-160, 0, 1e-160) would sit on the
+    # separatrix, d = (3 + 1) / 2 = b.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = orbit_period(MomentumState(*p0), INERTIA)
+    assert got == pytest.approx(_reference_period(p0, INERTIA.reciprocals()), rel=1e-11)
 
 
 def test_orbit_periods_batch_matches_closed_form():
@@ -286,6 +301,12 @@ def test_orbit_periods_batch_refuses_one_bad_row():
         orbit_periods([good[0], MomentumState(0.0, 0.0, math.sqrt(2.0)), good[1]], INERTIA)
 
 
+def _at(step, times, rows=slice(None)):
+    """A step's dense output ``(t_old, h, F, y_old)`` at ``times``."""
+    t_old, h, F, y_old = step
+    return _dense_output(F, y_old, (np.asarray(times) - t_old) / h, rows)
+
+
 def _step_beside_scipy(fun, y0, t_bound, rtol, atol):
     """Step _dop853 and scipy's DOP853 together, asserting bit-identical t,
     y, step sizes and dense output at interior points of every step.
@@ -299,8 +320,8 @@ def _step_beside_scipy(fun, y0, t_bound, rtol, atol):
         assert np.array_equal(y, ref.y)
         times = t_old + np.array([0.1, 0.5, 0.9]) * (t - t_old)
         at, want = dense(), ref.dense_output()
-        assert np.array_equal(at(times, every), want(times))
-        assert np.array_equal(at(times[1]), want(times[1]))
+        assert np.array_equal(_at(at, times, every), want(times))
+        assert np.array_equal(_at(at, times[1]), want(times[1]))
         t_old, steps = t, steps + 1
     assert ref.status == "finished" and t == t_bound
     return steps, ref.nfev
@@ -326,7 +347,7 @@ def test_dop853_steps_the_batched_system_like_scipy(n):
     want = DOP853(fun, 0.0, q0.ravel(), 20.0, rtol=batch_tol, atol=batch_tol)
     want.step()
     picked = want.dense_output()(mid).reshape(3, n, rows.size)[:, rows, np.arange(rows.size)]
-    assert np.array_equal(dense()(mid, np.arange(3)[:, None] * n + rows), picked)
+    assert np.array_equal(_at(dense(), mid, np.arange(3)[:, None] * n + rows), picked)
 
 
 def test_dop853_rejects_steps_like_scipy():
@@ -379,7 +400,7 @@ def test_integrate_orbit_samples_like_each_steps_interpolant(samples):
         step_ends.add(t)
         reached = np.searchsorted(t_eval, t, side="right")
         if reached > done:
-            want.append(dense()(t_eval[done:reached], np.arange(3)[:, None]))
+            want.append(_at(dense(), t_eval[done:reached], np.arange(3)[:, None]))
             done = reached
     assert np.array_equal(traj.t, t_eval)
     assert np.array_equal(traj.p, np.hstack(want).T)

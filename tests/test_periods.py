@@ -11,6 +11,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eulertop.birkhoff import (
     PrecisionError,
@@ -18,7 +20,7 @@ from eulertop.birkhoff import (
     birkhoff_normalization,
     birkhoff_series,
 )
-from eulertop.core import CoincidentModuliError, DomainError, ModuliPoint
+from eulertop.core import CoincidentModuliError, DomainError, ModuliPoint, ldexp, lambda_proof, mu_main
 from eulertop.periods import (
     S_closed_form,
     euler_period,
@@ -30,6 +32,7 @@ from eulertop.periods import (
     verify_symmetries,
     _tanh_sinh_nodes,
 )
+from test_branch_properties import PROPERTY
 
 BASE = ModuliPoint(3, 2, 1, 2.5, 1.0)
 
@@ -154,6 +157,45 @@ def test_closed_form_and_sigma_quadrature_at_extreme_scale(scale):
     m = ModuliPoint(3.0 * scale, 2.0 * scale, 1.0 * scale, 2.5 * scale)
     assert S_closed_form(m).value == pytest.approx(S1 / scale, rel=1e-14, abs=0.0)
     assert quadrature_sigma_integral(m).value == pytest.approx(S1 / scale, rel=1e-13, abs=0.0)
+
+
+@PROPERTY
+@given(
+    gaps=st.tuples(*[st.floats(0.01, 1.0)] * 4),
+    l=st.floats(0.25, 4.0),
+    k=st.integers(-1000, 1000),
+    j=st.integers(-500, 500),
+)
+def test_homogeneous_values_scale_exactly_by_powers_of_two(gaps, l, k, j):
+    # Moduli times 2**k divide S, both quadratures and the Birkhoff prefactor
+    # by 2**k, and l times 4**j divides them by 2**j, exactly: every one is
+    # evaluated at the same unit-scale point.  The cross-ratios stay.
+    c = gaps[0]
+    b = c + gaps[1]
+    d = b + gaps[2]
+    a = d + gaps[3]
+    m = ModuliPoint(a, b, c, d, l)
+    scaled = ModuliPoint(*(math.ldexp(x, k) for x in (a, b, c, d)), l)
+    level = m.replace(l=math.ldexp(l, 2 * j))
+    values = [
+        lambda p: S_closed_form(p).value,
+        lambda p: quadrature_sigma_integral(p).value,
+        lambda p: quadrature_tau_integral(p).value,
+        lambda p: birkhoff_normalization(p.b.real, p.a.real, p.c.real, p.l),
+    ]
+    for value in values:
+        assert value(scaled) == ldexp(value(m), -k)
+        assert value(level) == ldexp(value(m), -j)
+    for ratio in (mu_main, lambda_proof):
+        assert ratio(scaled) == ratio(m)
+
+
+@pytest.mark.parametrize("route", [S_closed_form, quadrature_sigma_integral, quadrature_tau_integral])
+def test_values_beyond_the_float_range_are_refused(route):
+    # S is about 0.2 / 1e-310 here: evaluated at unit scale, it cannot be
+    # scaled back.
+    with pytest.raises(DomainError, match="outside the float range"):
+        route(ModuliPoint(3e-310, 2e-310, 1e-310, 2.5e-310))
 
 
 def test_closed_form_at_widely_spread_moments():
