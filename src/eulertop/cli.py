@@ -37,9 +37,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# Bounds checked before any work is allocated.  The batched ODE solve of
+# Bound checked before any work is allocated.  The batched ODE solve of
 # period holds about 13 x 3 floats for each grid row.
-MAX_SAMPLES = 100001
 MAX_GRID_ROWS = 4096
 
 
@@ -63,6 +62,8 @@ def _positive(text: str) -> float:
 
 
 def _samples(text: str) -> int:
+    from .dynamics import MAX_SAMPLES  # imported here: dynamics loads numpy
+
     value = int(text)  # argparse reports a ValueError as an invalid value
     if not 2 <= value <= MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"must be from 2 to {MAX_SAMPLES}, got {text!r}")
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p0", required=True, type=_triple, help="initial momentum p1,p2,p3")
     p_sim.add_argument("--t", required=True, type=_positive, help="integration time")
     p_sim.add_argument("--samples", type=_samples, default=2001,
-                       help=f"output sample count, 2 to {MAX_SAMPLES} (default %(default)s)")
+                       help="output sample count, at least 2 (default %(default)s)")
     p_sim.add_argument("--tol", type=_positive, default=1e-12, help="integrator tolerance (default %(default)s)")
     p_sim.set_defaults(func=cmd_simulate)
 

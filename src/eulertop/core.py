@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 __all__ = [
     "CoincidentModuliError",
@@ -33,10 +34,12 @@ __all__ = [
     "ldexp",
     "moduli_from_mechanics",
     "mu_main",
+    "require_positive",
     "unit_exponent",
 ]
 
 LABELS = ("a", "b", "c", "d")
+_PAIRS = tuple(combinations(LABELS, 2))  # (a, b), (a, c), ..., (c, d)
 
 # Scale-aware coincidence threshold: pairs closer than this (relative to the
 # largest coordinate) are treated as sitting on the discriminant.
@@ -55,6 +58,13 @@ class CoincidentModuliError(DomainError):
         if message is None:
             message = f"moduli coordinates {self.pair[0]} = {self.pair[1]}: point is on the discriminant"
         super().__init__(message)
+
+
+def require_positive(name: str, value):
+    """``value`` if it is a finite int or float above zero, else DomainError naming it."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def unit_exponent(x: float) -> int:
@@ -87,9 +97,7 @@ class InertiaSpec:
 
     def __post_init__(self) -> None:
         for name in ("I1", "I2", "I3"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value <= 0.0:
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
+            require_positive(name, getattr(self, name))
         if self.I1 == self.I2 or self.I2 == self.I3 or self.I1 == self.I3:
             raise DomainError("moments of inertia must be pairwise distinct")
 
@@ -106,8 +114,7 @@ class InertiaSpec:
     def from_reciprocals(a: float, b: float, c: float) -> "InertiaSpec":
         """The moments (1/a, 1/b, 1/c); each reciprocal must be positive and finite."""
         for name, value in (("a", a), ("b", b), ("c", c)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value <= 0.0:
-                raise DomainError(f"reciprocal moment {name} must be positive and finite, got {value!r}")
+            require_positive(f"reciprocal moment {name}", value)
         return InertiaSpec(1.0 / a, 1.0 / b, 1.0 / c)
 
 
@@ -127,8 +134,7 @@ class ModuliPoint:
     l: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.l, (int, float)) and math.isfinite(self.l)) or self.l <= 0.0:
-            raise DomainError(f"Casimir level l must be positive, got {self.l!r}")
+        require_positive("Casimir level l", self.l)
         for name in LABELS:
             z = complex(getattr(self, name))
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -157,17 +163,10 @@ class ModuliPoint:
         """All label pairs at most DEGENERACY_RTOL * scale apart, in a fixed
         order; where all four coordinates are equal, zero included, every pair."""
         tol = DEGENERACY_RTOL * self.scale()
-        found = []
-        for x, y in (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")):
-            if abs(complex(getattr(self, x)) - complex(getattr(self, y))) <= tol:
-                found.append((x, y))
-        return found
+        return [(x, y) for x, y in _PAIRS if abs(complex(getattr(self, x)) - complex(getattr(self, y))) <= tol]
 
     def distance_to_discriminant(self) -> float:
-        return min(
-            abs(complex(getattr(self, x)) - complex(getattr(self, y)))
-            for x, y in (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d"))
-        )
+        return min(abs(complex(getattr(self, x)) - complex(getattr(self, y))) for x, y in _PAIRS)
 
     def is_real(self, atol: float = 0.0) -> bool:
         return all(abs(complex(getattr(self, n)).imag) <= atol for n in LABELS)
@@ -195,8 +194,7 @@ def moduli_from_mechanics(inertia: InertiaSpec, l: float, h: float) -> ModuliPoi
     ``coincident_pairs`` and rejected only by operations that are actually
     singular there.
     """
-    if not (isinstance(l, (int, float)) and math.isfinite(l)) or l <= 0.0:
-        raise DomainError(f"Casimir level l must be positive, got {l!r}")
+    require_positive("Casimir level l", l)
     a, b, c = inertia.reciprocals()
     return ModuliPoint(a, b, c, h / l, l=float(l))
 

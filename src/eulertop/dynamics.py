@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, InertiaSpec, unit_exponent
+from .core import DomainError, InertiaSpec, require_positive, unit_exponent
 
 __all__ = [
     "Equilibrium",
@@ -55,6 +55,9 @@ SEPARATRIX_RTOL = 1e-8
 # An orbit that has not returned within this many characteristic times is
 # refused; near the separatrix the period grows like the log of the distance.
 MAX_CHARACTERISTIC_TIMES = 1e4
+
+# integrate_orbit refuses more samples than this before allocating them.
+MAX_SAMPLES = 100001
 
 
 class SeparatrixError(DomainError):
@@ -90,26 +93,36 @@ def _field(p, reciprocals) -> np.ndarray:
     return np.array([-(b - c) * p[1] * p[2], -(c - a) * p[2] * p[0], -(a - b) * p[0] * p[1]])
 
 
-def _characteristic_time(l, reciprocals, k=0):
+def _normal(x: float) -> bool:
+    return sys.float_info.min <= x <= sys.float_info.max
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x * 2**k for x >= 0, inf where that overflows."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
+
+
+def _characteristic_time(l: float, reciprocals, k: int = 0) -> float:
     """2**k / sqrt(2 l (a - c)(a - b)), a > b > c the sorted reciprocals: the
     time an orbit at Casimir level L = l / 4**k takes to turn by about a
     radian.  Raises DomainError, naming the moments and L, where
-    2 l (a - c)(a - b) or the time is not a normal float."""
+    2 l (a - c)(a - b) or the time is not a normal float; L is named as
+    l * 4**-k where it is not a normal float itself."""
     a, b, c = sorted(reciprocals, reverse=True)
-    with np.errstate(all="ignore"):
-        rate = np.asarray(2.0 * l * (a - c) * (a - b))
-        t = np.ldexp(1.0 / np.sqrt(rate), k)
-        lo, hi = sys.float_info.min, sys.float_info.max
-        bad = ~((lo <= rate) & (rate <= hi) & (lo <= t) & (t <= hi))
-        if bad.any():
-            i = np.argmax(bad)
-            level, k = float(np.ravel(l)[i]), int(np.ravel(k)[i])
-            scaled = f" at L * 4**{k} = {level!r}" if k else ""
-            raise DomainError(
-                f"reciprocal moments a > b > c = {a!r}, {b!r}, {c!r} at Casimir L = {float(np.ldexp(level, -2 * k))!r} "
-                f"put 2 L (a - c)(a - b) = {float(rate.flat[i])!r}{scaled}, or the orbit's time scale, "
-                f"{float(np.ravel(t)[i])!r}, outside the normal float range"
-            )
+    rate = 2.0 * l * (a - c) * (a - b)
+    t = _ldexp(1.0 / math.sqrt(rate), k) if rate else math.inf
+    if not (_normal(rate) and _normal(t)):
+        level = _ldexp(l, -2 * k)
+        caller = repr(level) if _normal(level) else f"{l!r} * 4**{-k}"
+        scaled = f" at L * 4**{k} = {l!r}" if k else ""
+        raise DomainError(
+            f"reciprocal moments a > b > c = {a!r}, {b!r}, {c!r} at Casimir L = {caller} "
+            f"put 2 L (a - c)(a - b) = {rate!r}{scaled}, or the orbit's time scale, "
+            f"{t!r}, outside the normal float range"
+        )
     return t
 
 
@@ -394,8 +407,7 @@ def classify_equilibria(inertia: InertiaSpec, l: float) -> list[Equilibrium]:
     are elliptic, whatever the ordering of the moments in ``inertia``.
     Returned in the fixed order p1+, p1-, p2+, p2-, p3+, p3-.
     """
-    if l <= 0.0:
-        raise DomainError(f"Casimir level l must be positive, got {l!r}")
+    require_positive("Casimir level l", l)
     moments = (inertia.I1, inertia.I2, inertia.I3)
     middle = sorted(moments)[1]
     r = math.sqrt(2.0 * l)
@@ -420,15 +432,16 @@ class Trajectory:
 
     @property
     def drift_h(self) -> float:
-        h0 = self.H[0]
-        scale = abs(h0) if h0 != 0.0 else 1.0
-        return float(np.max(np.abs(self.H - h0)) / scale)
+        return _drift(self.H)
 
     @property
     def drift_l(self) -> float:
-        l0 = self.L[0]
-        scale = abs(l0) if l0 != 0.0 else 1.0
-        return float(np.max(np.abs(self.L - l0)) / scale)
+        return _drift(self.L)
+
+
+def _drift(x) -> float:
+    """The largest |x - x[0]|, relative to |x[0]| unless that is 0."""
+    return float(np.max(np.abs(x - x[0])) / (abs(x[0]) or 1.0))
 
 
 def integrate_orbit(
@@ -445,21 +458,24 @@ def integrate_orbit(
     reaches grid times keeps its interpolant's coefficients, and the samples
     of up to _DENSE_BLOCK such steps are evaluated together.
     Energy and Casimir are evaluated at every sample so drift is directly
-    inspectable.  Raises DomainError before any work starts for a t_end
-    beyond MAX_CHARACTERISTIC_TIMES characteristic times, for a nonzero
-    state whose Casimir L = |p|^2/2 overflows or lies below the smallest
-    normal float (sys.float_info.min), where it has no correct digits, and
-    for moments whose characteristic time at L has no normal float.
+    inspectable.  Raises DomainError before any work starts for a t_end or
+    tol not finite and above zero, for n_samples outside [1, MAX_SAMPLES],
+    for a t_end beyond MAX_CHARACTERISTIC_TIMES characteristic times, for a
+    nonzero state whose Casimir L = |p|^2/2 overflows or lies below the
+    smallest normal float (sys.float_info.min), where it has no correct
+    digits, and for moments whose characteristic time at L has no normal float.
     """
-    if t_end <= 0.0:
-        raise DomainError(f"t_end must be positive, got {t_end!r}")
+    require_positive("t_end", t_end)
+    require_positive("tol", tol)
+    if not (isinstance(n_samples, (int, np.integer)) and 1 <= n_samples <= MAX_SAMPLES):
+        raise DomainError(f"n_samples must be an integer from 1 to {MAX_SAMPLES}, got {n_samples!r}")
     reciprocals = inertia.reciprocals()
     p0 = state.as_array()
     with np.errstate(over="ignore"):
-        _, l = conserved(p0, inertia)
-    if p0.any() and not sys.float_info.min <= l <= sys.float_info.max:
+        l = float(conserved(p0, inertia)[1])
+    if p0.any() and not _normal(l):
         raise DomainError(
-            f"the Casimir L = |p|^2/2 of p0 = {tuple(p0.tolist())} is {float(l)!r}; a nonzero state needs it "
+            f"the Casimir L = |p|^2/2 of p0 = {tuple(p0.tolist())} is {l!r}; a nonzero state needs it "
             f"in [{sys.float_info.min!r}, {sys.float_info.max!r}]"
         )
     t_max = MAX_CHARACTERISTIC_TIMES * _characteristic_time(l, reciprocals) if l > 0.0 else math.inf
@@ -528,13 +544,15 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     of the closed form (``periods.S_closed_form``) and of the quadratures.
     It uses only the vector field.
 
-    Raises DomainError at zero momentum, at an equilibrium, and where the
+    Raises DomainError for a tol that is not a finite number above zero, at
+    zero momentum, at an equilibrium, and where the
     moments and l put the characteristic time or the speed on the unit
     sphere outside the float range; SeparatrixError when h is within a
     relative 1e-8 of the separatrix energy l/I2 (I2 the middle moment; the
     period diverges there); and IntegrationError if the solver fails or an
     orbit does not turn a quarter within MAX_CHARACTERISTIC_TIMES.
     """
+    require_positive("tol", tol)
     p0 = np.array([s.as_array() for s in states]).reshape(-1, 3).T
     n = p0.shape[1]
     if n == 0:
@@ -550,7 +568,7 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     # Orbit k runs on the unit sphere, q = p / sqrt(2 l_k), in its own
     # characteristic time, where the field is _field(q) / sqrt((a - c)(a - b)):
     # l enters only through t_char.
-    t_char = _characteristic_time(l, reciprocals, e)
+    t_char = np.array([_characteristic_time(x, reciprocals, k) for x, k in zip(l.tolist(), e.tolist())])
     t_unit = _characteristic_time(0.5, reciprocals)  # on the unit sphere, 2 l = 1
     a, b, c = sorted(reciprocals, reverse=True)
     q0 = p / np.sqrt(2.0 * l)
@@ -567,8 +585,7 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     near = np.abs(h - h_sep) < SEPARATRIX_RTOL * np.abs(h_sep)
     if near.any():
         k = np.argmax(near)
-        with np.errstate(over="ignore"):
-            h, h_sep = (float(np.ldexp(x[k], -2 * e[k])) for x in (h, h_sep))
+        h, h_sep = (_ldexp(float(x[k]), -2 * int(e[k])) for x in (h, h_sep))
         raise SeparatrixError(f"energy h = {h!r} is within 1e-8 of the separatrix value {h_sep!r}")
     # Row k circles the axis of the largest reciprocal when h > b l, else
     # that of the smallest, and watches the other two components.

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Iterable, Sequence
 
@@ -359,6 +359,8 @@ class ModuliLoop:
     winding: int
     frozen: dict
     start: complex | None = None
+    # The unit_exponent of the start's scale, set by __post_init__.
+    _unit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.move not in LABELS:
@@ -378,12 +380,12 @@ class ModuliLoop:
         if self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         point = ModuliPoint(*_coordinates(self, self.effective_start()))
-        exponent = unit_exponent(point.scale())
-        distance = ldexp(abs(self.effective_start() - complex(self.center)), exponent)
+        object.__setattr__(self, "_unit", unit_exponent(point.scale()))
+        distance = ldexp(abs(self.effective_start() - complex(self.center)), self._unit)
         if not distance <= MAX_START_DISTANCE:
             raise ValueError(
                 f"start must lie within {MAX_START_DISTANCE:g} of the center in the loop's unit "
-                f"2**{-exponent}, got distance {distance:.6g}"
+                f"2**{-self._unit}, got distance {distance:.6g}"
             )
         pairs = point.coincident_pairs()
         if pairs:
@@ -650,7 +652,7 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
     scale-free and the prefactor roots share one factor, which cancels;
     absolute offsets such as _SECOND_FRAME_SHIFT then keep their meaning.
     """
-    k = unit_exponent(ModuliPoint(*_coordinates(loop, loop.effective_start())).scale())
+    k = loop._unit
     frozen = {x: ldexp(complex(v), k) for x, v in loop.frozen.items()}
     start = None if loop.start is None else ldexp(complex(loop.start), k)
     center, radius = ldexp(complex(loop.center), k), ldexp(loop.radius, k)

@@ -393,17 +393,18 @@ def verify_symmetries(m: ModuliPoint, rtol: float = 1e-9) -> SymmetryReport:
 
     The point must be real, to _REAL_RTOL of its scale, and is evaluated at
     its real parts: off the axis, even by 1e-13, the principal square root
-    puts some orderings on the other sheet without crossing a cut.
+    puts some orderings on the other sheet without crossing a cut.  Rows
+    are compared at ``at_unit_scale()``, their values then scaled back.
     """
     from itertools import permutations
 
     if not m.is_real(_REAL_RTOL * m.scale()):
         raise DomainError("the covariance report requires a real moduli point")
-    real = ModuliPoint(*(z.real for z in m.coords()), l=m.l)
+    u, k, j = ModuliPoint(*(z.real for z in m.coords()), l=m.l).at_unit_scale()
     reps: dict[str, complex] = {}
     raw = []
     for order in map("".join, permutations("abcd")):
-        pv = S_closed_form(real.reorder(order))
+        pv = S_closed_form(u.reorder(order))
         # Slot pairing is {1,4} vs {2,3}; the class is named after the first
         # label of its representative, the one sharing a slot pair with d.
         partner = order[3 - order.index("d")]
@@ -415,11 +416,11 @@ def verify_symmetries(m: ModuliPoint, rtol: float = 1e-9) -> SymmetryReport:
     rows = []
     for order, pv, key in raw:
         rep = reps[key]
-        dev = abs(pv.value - rep) / max(abs(rep), 1e-300)
+        dev = abs(pv.value - rep) / abs(rep)
         flagged = dev > rtol
         if flagged and not pv.branch_flagged:
             raise AssertionError(
                 f"ordering {order} deviates without crossing a cut; branch bookkeeping is broken"
             )
-        rows.append(SymmetryRow(order, pv.value, key, dev, pv.branch_flagged, flagged))
+        rows.append(SymmetryRow(order, ldexp(pv.value, k + j), key, dev, pv.branch_flagged, flagged))
     return SymmetryReport(m, tuple(rows))

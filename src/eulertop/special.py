@@ -330,7 +330,7 @@ class SolutionFrame:
     basis_id: str
     values: tuple[complex, complex]
     base_point: complex
-    derivs: tuple[complex, complex] = (0.0j, 0.0j)
+    derivs: tuple[complex, complex]
     branch_log: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -356,36 +356,18 @@ def _local_frame(basis_id: str, z: complex, side: int | None) -> SolutionFrame:
     # Im(1 - z) = Im(-z) = -Im z: the prefactors of at1 and atInf take the
     # opposite side.
     flip = None if side is None else -side
-    if basis_id == "at0":
-        if abs(z) >= 1.0:
-            raise RegionError(f"at0 basis requires |z| < 1, got |z| = {abs(z):.6g}")
-        if abs(z) < 1e-300:
-            raise DivergenceError("the logarithmic solution at z = 0 diverges; evaluate off the puncture")
-        lg = _log_sided(z, side)
-        f, fd, fs, fsd = hyper_series(z)
-        return SolutionFrame(
-            "at0",
-            (f, f * lg + fs),
-            z,
-            (fd, fd * lg + f / z + fsd),
-            {"around0": 0.0, "around1": 0.0},
-        )
-    if basis_id == "at1":
-        w = 1.0 - z
+    if basis_id in ("at0", "at1"):
+        # at1 is at0 in w = 1 - z, with d/dz = -d/dw.
+        point, w, var, w_side = (0, z, "z", side) if basis_id == "at0" else (1, 1.0 - z, "1 - z", flip)
         if abs(w) >= 1.0:
-            raise RegionError(f"at1 basis requires |1 - z| < 1, got {abs(w):.6g}")
+            raise RegionError(f"{basis_id} basis requires |{var}| < 1, got |{var}| = {abs(w):.6g}")
         if abs(w) < 1e-300:
-            raise DivergenceError("the logarithmic solution at z = 1 diverges; evaluate off the puncture")
-        lg = _log_sided(w, flip)
+            raise DivergenceError(f"the logarithmic solution at z = {point} diverges; evaluate off the puncture")
+        lg = _log_sided(w, w_side)
         f, fd, fs, fsd = hyper_series(w)
-        # d/dz = -d/dw throughout.
-        return SolutionFrame(
-            "at1",
-            (f, f * lg + fs),
-            z,
-            (-fd, -(fd * lg + f / w + fsd)),
-            {"around0": 0.0, "around1": 0.0},
-        )
+        d0, d1 = fd, fd * lg + f / w + fsd
+        derivs = (-d0, -d1) if point else (d0, d1)
+        return SolutionFrame(basis_id, (f, f * lg + fs), z, derivs, {"around0": 0.0, "around1": 0.0})
     if basis_id == "atInf":
         if abs(z) <= 1.0:
             raise RegionError(f"atInf basis requires |z| > 1, got |z| = {abs(z):.6g}")
@@ -399,9 +381,7 @@ def _local_frame(basis_id: str, z: complex, side: int | None) -> SolutionFrame:
         dw = -1.0 / (z * z)
         d1 = (fd * dw) / rt - 0.5 * f / (rt * z)
         d2 = (fd * dw * lg + f / z - fsd * dw) / rt - 0.5 * (f * lg - fs) / (rt * z)
-        return SolutionFrame(
-            "atInf", (v1, v2), z, (d1, d2), {"around0": 0.0, "around1": 0.0}
-        )
+        return SolutionFrame("atInf", (v1, v2), z, (d1, d2), {"around0": 0.0, "around1": 0.0})
     raise ValueError(f"basis_id must be one of {BASIS_IDS}, got {basis_id!r}")
 
 

@@ -4,6 +4,7 @@ import ast
 import importlib
 import math
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,19 @@ from eulertop.core import (
     lambda_proof,
     moduli_from_mechanics,
     mu_main,
+    require_positive,
 )
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), -float("inf"), "1", None, 1j])
+def test_the_positive_gate_refuses_anything_but_a_finite_number_above_zero(value):
+    with pytest.raises(DomainError, match=f"^{re.escape(f'width must be positive and finite, got {value!r}')}$"):
+        require_positive("width", value)
+
+
+@pytest.mark.parametrize("value", [5e-324, 1, 2.5, 1.7e308])
+def test_the_positive_gate_passes_its_value_through(value):
+    assert require_positive("width", value) is value
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """Rigid-body vector field, invariants, equilibria, and return times."""
 
 import math
-
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -72,6 +72,12 @@ def test_conserved_values():
     assert l == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("l", [0.0, -1.0, math.nan, math.inf])
+def test_classify_equilibria_refuses_a_level_that_is_not_positive_and_finite(l):
+    with pytest.raises(DomainError, match="Casimir level l must be positive and finite"):
+        classify_equilibria(INERTIA, l)
+
+
 def test_classify_equilibria_axes_and_stability():
     eqs = classify_equilibria(INERTIA, 1.0)
     assert len(eqs) == 6
@@ -104,6 +110,38 @@ def test_integrate_orbit_rejects_bad_horizon():
     # The characteristic time 1/sqrt(2 l (a - c)(a - b)) is 1/2 here.
     with pytest.raises(DomainError, match="characteristic times"):
         integrate_orbit(chamber_state(2.5), INERTIA, 1.001 * MAX_CHARACTERISTIC_TIMES / 2.0, n_samples=3)
+
+
+@pytest.mark.parametrize("t_end, kw, message", [
+    (math.nan, {}, "t_end must be positive and finite, got nan"),
+    (math.inf, {}, "t_end must be positive and finite, got inf"),
+    (1.0, {"tol": -1.0}, "tol must be positive and finite, got -1.0"),
+    (1.0, {"tol": math.nan}, "tol must be positive and finite, got nan"),
+    (1.0, {"n_samples": 0}, "n_samples must be an integer from 1 to 100001, got 0"),
+    (1.0, {"n_samples": dynamics.MAX_SAMPLES + 1}, "n_samples must be an integer from 1 to 100001, got 100002"),
+    (1.0, {"n_samples": 2.0}, "n_samples must be an integer"),
+])
+def test_integrate_orbit_refuses_bad_scalars_before_any_work(t_end, kw, message):
+    # Refused before the stepper runs: a nan t_end would leave the samples
+    # unfilled, and a negative tol would step at the wrong tolerance.
+    with mock.patch.object(dynamics, "_dop853", side_effect=AssertionError("integrated")):
+        with pytest.raises(DomainError, match=message):
+            integrate_orbit(MomentumState(1.0, 0.5, 0.2), InertiaSpec(1, 2, 3), t_end, **kw)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_orbit_periods_refuse_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        orbit_period(MomentumState(1.0, 0.5, 0.2), InertiaSpec(1, 2, 3), tol=tol)
+
+
+def test_characteristic_time_names_an_underflowing_level_at_its_scale():
+    # The caller's L, about 4.4 * 4**-1063, is below every float: the
+    # refusal names the scaled level and its power of four.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"at Casimir L = 4\.39\d* \* 4\*\*-1063 put .* at L \* 4\*\*1063 = 4\.39"):
+            orbit_period(MomentumState(3e-320, 0.0, 5e-324), INERTIA)
 
 
 @pytest.mark.parametrize("d", [2.1, 2.5, 2.9])

@@ -263,6 +263,16 @@ def test_symmetry_flags_are_cut_crossings():
     assert all(row.class_key != "S1" for row in rep.flagged_rows)
 
 
+@pytest.mark.parametrize("k", [1000, -1000])
+def test_symmetry_report_is_scale_free(k):
+    # The rows are compared at unit scale: the deviations and flags are those
+    # of the unscaled point, and each value is its S times 2**-k exactly.
+    s = 2.0**k
+    rep, base = verify_symmetries(ModuliPoint(3 * s, 2 * s, s, 2.5 * s, 1.0)), verify_symmetries(BASE)
+    assert [(r.deviation, r.flagged) for r in rep.rows] == [(r.deviation, r.flagged) for r in base.rows]
+    assert [r.value for r in rep.rows] == [ldexp(r.value, -k) for r in base.rows]
+
+
 def test_symmetries_take_real_points_only():
     with pytest.raises(DomainError):
         verify_symmetries(ModuliPoint(3, 2, 1, 2.5 + 0.3j, 1.0))

@@ -260,6 +260,24 @@ def test_basis_eval_regions_are_strict():
         basis_eval("period", 0.3)
 
 
+@PROPERTY
+@given(w=st.complex_numbers(min_magnitude=1e-300, max_magnitude=0.999, allow_nan=False, allow_infinity=False))
+def test_at1_is_at0_at_one_minus_z(w):
+    # The basis at 1 is the basis at 0 under z -> 1 - z, bit for bit (repr
+    # tells the zeros' signs apart), with d/dz = -d/dw.
+    z = 1.0 - w
+    assume(1e-300 <= abs(1.0 - z) < 1.0 and not special._on_cut(1.0 - z))
+    at1, at0 = basis_eval("at1", z), basis_eval("at0", 1.0 - z)
+    assert repr(at1.values) == repr(at0.values)
+    assert repr(at1.derivs) == repr((-at0.derivs[0], -at0.derivs[1]))
+
+
+def test_solution_frame_needs_its_derivatives():
+    # Without germs continue_frame would transport zero derivatives.
+    with pytest.raises(TypeError):
+        special.SolutionFrame("at0", (1.0 + 0j, 0j), 0.5)
+
+
 def test_basis_derivatives_match_finite_differences():
     for basis_id, z in [("at0", 0.3 + 0.2j), ("at1", 0.8 + 0.25j), ("atInf", 1.4 + 0.9j)]:
         frame = basis_eval(basis_id, z)
