@@ -15,6 +15,7 @@ module does not import numpy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,8 +33,8 @@ __all__ = [
 MAX_SERIES_ORDER = 32
 
 
-class PrecisionError(ValueError):
-    """Requested series order is outside the supported range 0..32."""
+class PrecisionError(DomainError):
+    """Requested series order is not an int in the supported range 0..32."""
 
 
 def _birkhoff_poly(n: int) -> tuple:
@@ -49,27 +50,21 @@ class SeriesCoefficients:
     """Exact series data for the inverse normal-form derivative.
 
     ``polys[n]`` lists the Fraction coefficients of P_n(s), constant term
-    first.  The numeric shape ratio s = r^2 is carried along so the series
-    can be evaluated, but the polynomials themselves are s-independent.
+    first.  The polynomials do not depend on the shape ratio s = r^2, so s is
+    an argument of the evaluators, not part of the series.
     """
 
     order: int
     polys: tuple
-    s: float | None = None
 
-    def pn(self, n: int) -> tuple:
-        return self.polys[n]
-
-    def pn_value(self, n: int, s=None):
-        sval = self.s if s is None else s
-        if sval is None:
-            raise ValueError("no shape ratio s given")
-        if isinstance(sval, Fraction):
-            acc = Fraction(0)
-        else:
-            acc = 0.0
+    def pn_value(self, n: int, s):
+        """P_n(s): a Fraction at a Fraction s, a float at a float s; DomainError
+        where the float value is not finite."""
+        acc = 0 * s
         for coef in reversed(self.polys[n]):
-            acc = acc * sval + coef
+            acc = acc * s + coef
+        if not abs(acc) < math.inf:
+            raise DomainError(f"P_{n}(s) at s = {s!r} is not a finite float; give s as p/q for exact values")
         return acc
 
     def is_palindromic(self, n: int) -> bool:
@@ -83,7 +78,12 @@ class SeriesCoefficients:
         coeffs = [float(x) for x in reversed(self.polys[n])]
         return np.roots(coeffs)
 
-    def evaluate(self, z: complex, s=None) -> complex:
+    def evaluate(self, z: complex, s) -> complex:
+        """The truncated sum of P_n(s) z^n, on the disc |z| < Z* = 1/(4 max(1, |s|))
+        where the series converges; DomainError outside it."""
+        zstar = 1 / (4 * max(1, abs(s)))
+        if not abs(z) < zstar:
+            raise DomainError(f"z = {z!r} is outside the disc |z| < Z* = {float(zstar)!r} of the series at s = {s}")
         acc = 0.0 + 0.0j
         for n in reversed(range(self.order + 1)):
             acc = acc * z + complex(self.pn_value(n, s))
@@ -96,27 +96,16 @@ class SeriesCoefficients:
         }
 
 
-def birkhoff_series(s: float | Fraction | None = None, order: int = 12) -> SeriesCoefficients:
-    """Exact series of the inverse Birkhoff normal form derivative.
-
-    Parameters
-    ----------
-    s : float or Fraction, optional
-        Shape ratio r^2 = (a - b)/(c - b); optional because the polynomials
-        do not depend on it.
-    order : int
-        Highest Z power, from 0 up to the supported bound
-        ``MAX_SERIES_ORDER`` = 32.
-    """
-    if not (0 <= order <= MAX_SERIES_ORDER):
-        raise PrecisionError(
-            f"order must be between 0 and {MAX_SERIES_ORDER}, got {order!r}"
-        )
-    polys = tuple(_birkhoff_poly(n) for n in range(order + 1))
-    sval = None
-    if s is not None:
-        sval = s if isinstance(s, Fraction) else float(s)
-    return SeriesCoefficients(order, polys, sval)
+def birkhoff_series(order: int = 12) -> SeriesCoefficients:
+    """Exact series of the inverse Birkhoff normal form derivative, through
+    Z**order for an int order from 0 up to ``MAX_SERIES_ORDER`` = 32."""
+    try:
+        in_range = 0 <= operator.index(order) <= MAX_SERIES_ORDER
+    except TypeError:
+        raise PrecisionError(f"order must be an int, got {order!r}") from None
+    if not in_range:
+        raise PrecisionError(f"order must be between 0 and {MAX_SERIES_ORDER}, got {order!r}")
+    return SeriesCoefficients(order, tuple(_birkhoff_poly(n) for n in range(order + 1)))
 
 
 def birkhoff_normalization(a: float, b: float, c: float, l: float = 1.0) -> float:

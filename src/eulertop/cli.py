@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .core import DomainError, InertiaSpec, ModuliPoint, ldexp
+from .core import ComputationError, DomainError, InertiaSpec, ModuliPoint, ldexp
 
 # Each command imports the layers it runs when it starts, so none pays for a
 # layer it does not use: only ``simulate`` and ``period`` load numpy.
@@ -170,22 +170,17 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ----------------------------------------------------------------------
 # simulate
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .dynamics import IntegrationError, MomentumState, integrate_orbit
+    from .dynamics import MomentumState, integrate_orbit
 
-    try:
-        inertia = InertiaSpec(*args.inertia)
-        p0 = MomentumState(*args.p0)
-        traj = integrate_orbit(p0, inertia, args.t, tol=args.tol, n_samples=args.samples)
-    except (IntegrationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inertia = InertiaSpec(*args.inertia)
+    traj = integrate_orbit(MomentumState(*args.p0), inertia, args.t, tol=args.tol, n_samples=args.samples)
     lines = ["t,p1,p2,p3,H,L"]
     for i in range(len(traj.t)):
         row = [traj.t[i], *traj.p[i], traj.H[i], traj.L[i]]
@@ -211,7 +206,7 @@ def _closed_and_quadrature(m: ModuliPoint, axis: str) -> tuple[complex, complex]
 
 
 def cmd_period(args: argparse.Namespace) -> int:
-    from .dynamics import SEPARATRIX_RTOL, IntegrationError, MomentumState, SeparatrixError, orbit_periods
+    from .dynamics import SEPARATRIX_RTOL, MomentumState, orbit_periods
 
     a, b, c = args.abc
     tol = args.tol
@@ -224,29 +219,25 @@ def cmd_period(args: argparse.Namespace) -> int:
         print(f"error: --grid-d and --grid-l make more than {MAX_GRID_ROWS} rows", file=sys.stderr)
         return 2
     grid = [(d, l) for l in args.grid_l for d in grid_d]
-    try:
-        # A degenerate --abc is named before the grid it puts on d = b.
-        inertia = InertiaSpec.from_reciprocals(a, b, c)
-        # Refuse separatrix grid points up front; the period diverges there.
-        for d, _ in grid:
-            if abs(d - b) < SEPARATRIX_RTOL * abs(b):
-                raise DomainError(
-                    f"grid point d = {d} sits on the separatrix (d = b); "
-                    "the rotation period diverges there"
-                )
-        points = [ModuliPoint(a, b, c, d, l=l) for d, l in grid]
-        routes = [_closed_and_quadrature(m, args.axis) for m in points]
-        # ODE route: the orbit with p2 = 0 on the matching oval, all rows in
-        # one solve, each formed at the level l * 4**j in [1, 4) and scaled back.
-        states = []
-        for m in points:
-            u, _, j = m.at_unit_scale()
-            p1, p3 = (ldexp(math.sqrt(abs(2.0 * u.l * x / (a - c))), -j) for x in (m.d - c, a - m.d))
-            states.append(MomentumState(p1, 0.0, p3))
-        periods = orbit_periods(states, inertia, tol=min(1e-12, tol))
-    except (DomainError, SeparatrixError, IntegrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # A degenerate --abc is named before the grid it puts on d = b.
+    inertia = InertiaSpec.from_reciprocals(a, b, c)
+    # Refuse separatrix grid points up front; the period diverges there.
+    for d, _ in grid:
+        if abs(d - b) < SEPARATRIX_RTOL * abs(b):
+            raise DomainError(
+                f"grid point d = {d} sits on the separatrix (d = b); "
+                "the rotation period diverges there"
+            )
+    points = [ModuliPoint(a, b, c, d, l=l) for d, l in grid]
+    routes = [_closed_and_quadrature(m, args.axis) for m in points]
+    # ODE route: the orbit with p2 = 0 on the matching oval, all rows in
+    # one solve, each formed at the level l * 4**j in [1, 4) and scaled back.
+    states = []
+    for m in points:
+        u, _, j = m.at_unit_scale()
+        p1, p3 = (ldexp(math.sqrt(abs(2.0 * u.l * x / (a - c))), -j) for x in (m.d - c, a - m.d))
+        states.append(MomentumState(p1, 0.0, p3))
+    periods = orbit_periods(states, inertia, tol=min(1e-12, tol))
     rows = []
     for (d, l), (closed, quad), t_orbit in zip(grid, routes, periods):
         s_ode = -float(t_orbit) / (6.0 * math.pi)
@@ -301,57 +292,51 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_monodromy(args: argparse.Namespace) -> int:
     # The braid and confluence presets multiply stated integer matrices
     # only; the scalar germ transport of ``monodromy`` loads for the loops.
-    from .lattice import GENERATOR_LABELS, PRESETS, MonodromyError
-    from .lattice import verify_braid_relations, verify_confluence_product
-    from .special import ContinuationStallError
+    from .lattice import GENERATOR_LABELS, PRESETS, verify_braid_relations, verify_confluence_product
 
     preset, loop_file = args.preset, args.loop
     if bool(preset) == bool(loop_file):
         print("error: give exactly one of --preset or --loop", file=sys.stderr)
         return 2
-    try:
-        if loop_file:
-            from .monodromy import ModuliLoop, loop_monodromy
+    if loop_file:
+        from .monodromy import ModuliLoop, loop_monodromy
 
-            with open(loop_file, "r", encoding="utf-8") as fh:
-                loop = ModuliLoop.from_json_dict(json.load(fh))
-            result = loop_monodromy(loop)
-            out = {"loop": loop.to_json_dict(), "matrix": result.matrix.tolist(), "residual": result.residual}
-        elif preset in PRESETS and preset not in GENERATOR_LABELS:
-            from .monodromy import preset_monodromy
+        with open(loop_file, "r", encoding="utf-8") as fh:
+            loop = ModuliLoop.from_json_dict(json.load(fh))
+        result = loop_monodromy(loop)
+        out = {"loop": loop.to_json_dict(), "matrix": result.matrix.tolist(), "residual": result.residual}
+    elif preset in PRESETS and preset not in GENERATOR_LABELS:
+        from .monodromy import preset_monodromy
 
-            result = preset_monodromy(preset)
-            out = {"preset": preset, "frame": "engine (S3, S1)"}
-            out.update(matrix=result.matrix.tolist(), residual=result.residual)
-        elif preset == "all-generators":
-            from .monodromy import numeric_vs_stated
+        result = preset_monodromy(preset)
+        out = {"preset": preset, "frame": "engine (S3, S1)"}
+        out.update(matrix=result.matrix.tolist(), residual=result.residual)
+    elif preset == "all-generators":
+        from .monodromy import numeric_vs_stated
 
-            entries = []
-            for label in GENERATOR_LABELS:
-                cmp = numeric_vs_stated(label)
-                entries.append({
-                    "generator": label,
-                    "stated": cmp.stated.tolist(),
-                    "computed": cmp.computed.tolist(),
-                    "orientation": cmp.orientation,
-                    "mismatch_count": cmp.mismatch_count,
-                    "residual": cmp.float_residual,
-                })
-            out = {
-                "frame": "stated (S1, S3)",
-                "generators": entries,
-                "all_match": all(e["mismatch_count"] == 0 for e in entries),
-            }
-        elif preset == "confluence":
-            out = {"orderings": verify_confluence_product()}
-        elif preset == "braid":
-            out = verify_braid_relations()
-        else:
-            print(f"error: unknown preset {preset!r}", file=sys.stderr)
-            return 2
-    except (MonodromyError, ContinuationStallError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        entries = []
+        for label in GENERATOR_LABELS:
+            cmp = numeric_vs_stated(label)
+            entries.append({
+                "generator": label,
+                "stated": cmp.stated.tolist(),
+                "computed": cmp.computed.tolist(),
+                "orientation": cmp.orientation,
+                "mismatch_count": cmp.mismatch_count,
+                "residual": cmp.float_residual,
+            })
+        out = {
+            "frame": "stated (S1, S3)",
+            "generators": entries,
+            "all_match": all(e["mismatch_count"] == 0 for e in entries),
+        }
+    elif preset == "confluence":
+        out = {"orderings": verify_confluence_product()}
+    elif preset == "braid":
+        out = verify_braid_relations()
+    else:
+        print(f"error: unknown preset {preset!r}", file=sys.stderr)
+        return 2
     _emit(_json_dump(out), args.out)
     return 0
 
@@ -365,17 +350,13 @@ def cmd_series(args: argparse.Namespace) -> int:
     if args.z is not None and args.s is None:
         print("error: --z needs --s: the series is evaluated at a shape ratio", file=sys.stderr)
         return 2
-    try:
-        series = birkhoff_series(s=args.s, order=args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    series = birkhoff_series(order=args.n)
     out = series.to_json_dict()
     if args.s is not None:
         out["s"] = str(args.s)
-        out["pn_at_s"] = [str(series.pn_value(n)) for n in range(series.order + 1)]
+        out["pn_at_s"] = [str(series.pn_value(n, args.s)) for n in range(series.order + 1)]
         if args.z is not None:
-            out["value_at_z"] = complex(series.evaluate(args.z)).real
+            out["value_at_z"] = series.evaluate(args.z, args.s).real
     _emit(_json_dump(out), args.out)
     return 0
 
@@ -465,7 +446,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 1
-    except OSError as exc:  # such as an --out path that cannot be written
+    # A refused input, a failed computation, or an OS error such as an --out
+    # path that cannot be written: one error line, exit 1.
+    except (ValueError, ComputationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

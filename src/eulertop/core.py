@@ -25,6 +25,7 @@ from itertools import combinations
 
 __all__ = [
     "CoincidentModuliError",
+    "ComputationError",
     "DomainError",
     "InertiaSpec",
     "LABELS",
@@ -48,6 +49,10 @@ DEGENERACY_RTOL = 1e-12
 
 class DomainError(ValueError):
     """Parameter combination outside an operation's domain."""
+
+
+class ComputationError(RuntimeError):
+    """A computation on valid input did not converge or failed its own check."""
 
 
 class CoincidentModuliError(DomainError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, InertiaSpec, require_positive, unit_exponent
+from .core import ComputationError, DomainError, InertiaSpec, ldexp, require_positive, unit_exponent
 
 __all__ = [
     "Equilibrium",
@@ -64,7 +64,7 @@ class SeparatrixError(DomainError):
     """Initial condition is on (or too near) the separatrix."""
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(ComputationError):
     """The ODE solver failed or did not close an orbit in time."""
 
 
@@ -410,7 +410,8 @@ def classify_equilibria(inertia: InertiaSpec, l: float) -> list[Equilibrium]:
     require_positive("Casimir level l", l)
     moments = (inertia.I1, inertia.I2, inertia.I3)
     middle = sorted(moments)[1]
-    r = math.sqrt(2.0 * l)
+    j = unit_exponent(l) // 2
+    r = ldexp(math.sqrt(2.0 * math.ldexp(l, 2 * j)), -j)  # at the level l * 4**j in [1, 4)
     out = []
     for k, mom in enumerate(moments):
         stability = "hyperbolic" if mom == middle else "elliptic"

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from numbers import Integral
 
+from .core import ComputationError
+
 __all__ = [
     "BRAID_RELATIONS",
     "CENTER_WORD",
@@ -31,7 +33,7 @@ __all__ = [
 ]
 
 
-class MonodromyError(RuntimeError):
+class MonodromyError(ComputationError):
     """Monodromy extraction failed (residual too large or det not +1)."""
 
 

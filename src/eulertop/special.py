@@ -24,7 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .core import DomainError
+from .core import ComputationError, DomainError
 
 __all__ = [
     "BranchCutError",
@@ -81,7 +81,7 @@ class PathTooCloseError(DomainError):
     """Continuation path passes too close to a singular point."""
 
 
-class ContinuationStallError(RuntimeError):
+class ContinuationStallError(ComputationError):
     """Continuation stepping stalled (required step below the minimum)."""
 
 

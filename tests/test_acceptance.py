@@ -153,7 +153,7 @@ def test_criterion_09_birkhoff_series():
     start = time.perf_counter()
     series = birkhoff_series(order=12)
     for n in range(13):
-        poly = series.pn(n)
+        poly = series.polys[n]
         assert all(isinstance(c, Fraction) for c in poly)
         assert tuple(reversed(poly)) == poly
     for n in range(1, 9):

@@ -453,6 +453,21 @@ def test_series_order_budget(capsys):
     assert "order" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--s", "1e200", "--z=0.1"), "error: P_2(s) at s = 1e+200 is not a finite float; give s as p/q for exact values\n"),
+    (("--s", "0.5", "--z", "1e300"), "error: z = 1e+300 is outside the disc |z| < Z* = 0.25 of the series at s = 0.5\n"),
+    (("--s", "3/7", "--z", "0.5"), "error: z = 0.5 is outside the disc |z| < Z* = 0.25 of the series at s = 3/7\n"),
+], ids=["huge-float-s", "huge-z", "z-past-the-radius"])
+def test_series_refuses_values_it_cannot_give(capsys, argv, message):
+    # Each used to print NaN, "inf" or a sum far past the radius of convergence.
+    assert run(capsys, "series", "--n", "32", *argv) == (1, "", message)
+
+
+def test_json_output_refuses_nan():
+    with pytest.raises(ValueError):
+        cli._json_dump({"x": float("nan")})
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"period": {"grid_d": "2.5"}, "tol": 1e-6}))

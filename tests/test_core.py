@@ -12,6 +12,7 @@ import pytest
 import eulertop
 from eulertop.core import (
     CoincidentModuliError,
+    ComputationError,
     DomainError,
     InertiaSpec,
     ModuliPoint,
@@ -195,3 +196,16 @@ def test_every_name_in_all_exists(name):
     # A deleted definition must leave its module's __all__ too.
     module = importlib.import_module(f"eulertop.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_every_error_is_a_refusal_or_a_failed_computation():
+    # The CLI prints one error line for either root; only a bad --config
+    # (a usage error, exit 2) has a class of its own.
+    errors = {
+        f"{name}.{cls.__name__}": cls
+        for name in (info.name for info in pkgutil.iter_modules(eulertop.__path__))
+        for cls in vars(importlib.import_module(f"eulertop.{name}")).values()
+        if isinstance(cls, type) and cls.__name__.endswith("Error") and cls.__module__ == f"eulertop.{name}"
+    }
+    assert len(errors) > 10
+    assert [k for k, cls in errors.items() if not issubclass(cls, (DomainError, ComputationError))] == ["cli.ConfigError"]

@@ -78,9 +78,19 @@ def test_classify_equilibria_refuses_a_level_that_is_not_positive_and_finite(l):
         classify_equilibria(INERTIA, l)
 
 
+@pytest.mark.parametrize("l", [1e308, 1.7e308, 5e-324])
+def test_classify_equilibria_at_the_ends_of_the_float_range(l):
+    # The radius sqrt(2 l) is formed at the level l * 4**j in [1, 4).
+    want = math.sqrt(2.0) * math.sqrt(l)
+    for e in classify_equilibria(INERTIA, l):
+        r = max(abs(x) for x in e.state.as_array())
+        assert math.isfinite(r) and abs(r - want) <= math.ulp(want)
+
+
 def test_classify_equilibria_axes_and_stability():
     eqs = classify_equilibria(INERTIA, 1.0)
     assert len(eqs) == 6
+    assert eqs[0].state.p1 == math.sqrt(2.0)
     by_axis = {}
     for e in eqs:
         by_axis.setdefault(e.axis, []).append(e)

@@ -284,10 +284,10 @@ def test_symmetries_take_real_points_only():
 def test_birkhoff_polynomials_exact():
     series = birkhoff_series(order=3)
     F = Fraction
-    assert series.pn(0) == (F(1),)
-    assert series.pn(1) == (F(1), F(1))
-    assert series.pn(2) == (F(9, 4), F(3, 2), F(9, 4))
-    assert series.pn(3) == (F(25, 4), F(15, 4), F(15, 4), F(25, 4))
+    assert series.polys[0] == (F(1),)
+    assert series.polys[1] == (F(1), F(1))
+    assert series.polys[2] == (F(9, 4), F(3, 2), F(9, 4))
+    assert series.polys[3] == (F(25, 4), F(15, 4), F(15, 4), F(25, 4))
 
 
 def test_birkhoff_series_pinned_through_max_order():
@@ -309,10 +309,27 @@ def test_birkhoff_palindromes_and_roots():
 
 
 def test_birkhoff_values_at_rational_shape():
-    series = birkhoff_series(s=Fraction(1, 3), order=3)
-    assert series.pn_value(1) == Fraction(4, 3)
-    assert series.pn_value(2) == Fraction(3)
-    assert series.pn_value(3) == Fraction(220, 27)
+    series, s = birkhoff_series(order=3), Fraction(1, 3)
+    assert series.pn_value(1, s) == Fraction(4, 3)
+    assert series.pn_value(2, s) == Fraction(3)
+    assert series.pn_value(3, s) == Fraction(220, 27)
+    # The same Horner loop gives a float at a float s.
+    assert series.pn_value(3, 1 / 3) == pytest.approx(220 / 27, rel=1e-15)
+    assert type(series.pn_value(3, 1 / 3)) is float
+
+
+def test_birkhoff_float_values_must_be_finite():
+    series = birkhoff_series(order=32)
+    with pytest.raises(DomainError, match=r"^P_2\(s\) at s = 1e\+200 is not a finite float; give s as p/q"):
+        series.pn_value(2, 1e200)
+    assert series.pn_value(32, Fraction(10**200)) > 0  # exact at p/q
+
+
+@pytest.mark.parametrize("s,z", [(Fraction(3, 7), 0.5), (0.5, 1e300), (5.0, 0.05), (-0.6, 0.25j), (0.5, math.nan)])
+def test_birkhoff_series_refuses_z_outside_its_disc(s, z):
+    # The disc is |z| < Z* = 1/(4 max(1, |s|)); past it the sum diverges.
+    with pytest.raises(DomainError, match=r"outside the disc \|z\| < Z\* = "):
+        birkhoff_series(order=32).evaluate(z, s)
 
 
 def test_birkhoff_order_budget():
@@ -320,6 +337,12 @@ def test_birkhoff_order_budget():
         birkhoff_series(order=33)
     with pytest.raises(PrecisionError):
         birkhoff_series(order=-1)
+
+
+@pytest.mark.parametrize("order", [2.5, 3.0, "3", None])
+def test_birkhoff_order_must_be_an_int(order):
+    with pytest.raises(PrecisionError, match="order must be an int"):
+        birkhoff_series(order=order)
 
 
 def test_birkhoff_normalization_values():
@@ -334,8 +357,17 @@ def test_birkhoff_series_matches_closed_form():
     a, b, c = 2.0, 1.0, 3.0
     s = (a - b) / (c - b)
     C = birkhoff_normalization(a, b, c)
-    series = birkhoff_series(s=s, order=12)
+    series = birkhoff_series(order=12)
     for z, tol in ((0.02, 1e-14), (0.05, 1e-9)):
         d = birkhoff_d_of_z(a, b, c, z)
         want = S_closed_form(ModuliPoint(b, a, c, d, 1.0)).value
-        assert C * series.evaluate(z) == pytest.approx(want, abs=tol)
+        assert C * series.evaluate(z, s) == pytest.approx(want, abs=tol)
+    # Both stable axes, b the smallest or the largest reciprocal, at s = 0.5,
+    # 0.5, 0.763 and 5: order 32 at a quarter of the radius Z* = 1/(4 max(1, |s|)).
+    series = birkhoff_series(order=32)
+    for a, b, c in ((2.0, 1.0, 3.0), (2.0, 3.0, 1.0), (1.4, 3.4, 0.78), (3.0, 0.5, 1.0)):
+        s = (a - b) / (c - b)
+        z = 0.25 / (4.0 * max(1.0, abs(s)))
+        for l in (0.5, 4.0):
+            want = S_closed_form(ModuliPoint(b, a, c, birkhoff_d_of_z(a, b, c, z), l)).value
+            assert birkhoff_normalization(a, b, c, l) * series.evaluate(z, s) == pytest.approx(want, rel=1e-14)
