@@ -60,11 +60,16 @@ class SeriesCoefficients:
     def pn_value(self, n: int, s):
         """P_n(s): a Fraction at a Fraction s, a float at a float s; DomainError
         where the float value is not finite."""
-        acc = 0 * s
-        for coef in reversed(self.polys[n]):
-            acc = acc * s + coef
+        acc = self._scaled_value(n, s, 1)
         if not abs(acc) < math.inf:
             raise DomainError(f"P_{n}(s) at s = {s!r} is not a finite float; give s as p/q for exact values")
+        return acc
+
+    def _scaled_value(self, n: int, s, half):
+        """P_n(s) half**n by Horner's rule in s half, exact for a power of two."""
+        acc, u = 0 * s, s * half
+        for j, coef in enumerate(reversed(self.polys[n])):
+            acc = acc * u + coef * half**j
         return acc
 
     def is_palindromic(self, n: int) -> bool:
@@ -80,13 +85,18 @@ class SeriesCoefficients:
 
     def evaluate(self, z: complex, s) -> complex:
         """The truncated sum of P_n(s) z^n, on the disc |z| < Z* = 1/(4 max(1, |s|))
-        where the series converges; DomainError outside it."""
+        where the series converges; DomainError outside it.  It sums P_n(s) / 2**(e n)
+        in 2**e z, 2**e >= max(1, |s|) from the bit lengths of |s| = p/q: since
+        |P_n(s)| <= 4**n max(1, |s|)**n nothing overflows, and e = 0 is the plain sum."""
         zstar = 1 / (4 * max(1, abs(s)))
         if not abs(z) < zstar:
             raise DomainError(f"z = {z!r} is outside the disc |z| < Z* = {float(zstar)!r} of the series at s = {s}")
+        p, q = abs(s).as_integer_ratio()
+        e = max(0, p.bit_length() - q.bit_length() + 1)
+        half, w = Fraction(1, 2**e), ldexp(z, e)
         acc = 0.0 + 0.0j
         for n in reversed(range(self.order + 1)):
-            acc = acc * z + complex(self.pn_value(n, s))
+            acc = acc * w + complex(self._scaled_value(n, s, half))
         return acc
 
     def to_json_dict(self) -> dict:

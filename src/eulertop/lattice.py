@@ -34,7 +34,7 @@ __all__ = [
 
 
 class MonodromyError(ComputationError):
-    """Monodromy extraction failed (residual too large or det not +1)."""
+    """A loop's monodromy failed, e.g. its frame disagrees with its crossing word."""
 
 
 @dataclass(frozen=True)

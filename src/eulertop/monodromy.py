@@ -2,11 +2,12 @@
 
 Loops move one coordinate of (a, b, c, d) around another while the remaining
 coordinates stay frozen; the two-dimensional space of periods comes back
-transformed by an integer matrix.  The engine transports value/derivative
-germs of the hypergeometric solutions along the induced path of the
-cross-ratio, keeps the square-root prefactors continuous, and extracts the
-matrix from an over-determined solve against two independently seeded start
-frames.
+transformed by an integer matrix.  That matrix is topological: the
+crossings of the induced cross-ratio path with the cuts (-inf, 0] and
+(1, inf) spell a word in two exact generators, and the sign flips of the
+square-root prefactors, kept continuous along the path, conjugate it into
+the period frame.  One frame of value/derivative germs, transported along
+the same path, checks the word numerically.
 
 This module also holds the continuation engine of the hypergeometric
 equation: the exact connection matrices between the local bases of
@@ -515,10 +516,10 @@ def _approach_points(start: complex, entry: complex, frozen: Iterable[complex]) 
     return points
 
 
-def _loop_point_samples(loop: ModuliLoop, start_shift: complex = 0.0j) -> list[complex]:
+def _loop_point_samples(loop: ModuliLoop) -> list[complex]:
     """Sample the mover's path: radial approach, circle(s), and return."""
     center = complex(loop.center)
-    start = loop.effective_start() + start_shift
+    start = loop.effective_start()
     # Enter the circle where the radial ray from the start hits it, so the
     # approach never pierces the disc.
     theta0 = math.atan2((start - center).imag, (start - center).real)
@@ -565,114 +566,100 @@ def _seed_germs(mu0: complex) -> Matrix2:
     return g5, g1
 
 
-def _loop_path(loop: ModuliLoop, start_shift: complex):
+def _loop_path(loop: ModuliLoop):
     """The cross-ratio polyline of a loop's samples, with the start and end
     values of the two square-root prefactors sqrt(R2), sqrt(R1), where
     R1 = (d - c)(a - b) and R2 = (d - c)(b - a); the roots are continued
     by closeness so sign flips under full turns are captured.
     """
-    coords = [_coordinates(loop, z) for z in _loop_point_samples(loop, start_shift)]
+    coords = [_coordinates(loop, z) for z in _loop_point_samples(loop)]
     mu = [cross_ratio(*point) for point in coords]
     r1 = _continuous_sqrt([(d - c) * (a - b) for a, b, c, d in coords])
     r2 = _continuous_sqrt([(d - c) * (b - a) for a, b, c, d in coords])
     return mu, (r2[0], r1[0]), (r2[-1], r1[-1])
 
 
-def _frame_vectors(germs: Matrix2, roots: tuple[complex, complex]) -> Matrix2:
-    """The two period germs S3, S1, prefactors included, as the columns of
-    a (value row, derivative row) matrix."""
-    (s3, s3d), (s1, s1d) = (tuple(x / root for x in g) for g, root in zip(germs, roots))
-    return (s3, s1), (s3d, s1d)
+# The crossing word.  F(m) = (2/pi) K(m) = 2F1(1/2, 1/2; 1; m) is cut along
+# [1, inf) and F(1 - mu) along (-inf, 0].  Carried along a path, the seed rows
+# g5 = F(1 - mu) + sigma i F(mu), g1 = F(mu), sigma = sign Im mu0, are T @ the
+# principal (g5, g1), T = I at the start.  T changes where the path crosses a
+# cut, by the jump K(m + i0) - K(m - i0) = 2i K(1 - m), m > 1, of the branch
+# it leaves.  Down through (-inf, 0] (counterclockwise about 0) 1 - mu crosses
+# (1, inf) upward: the continued F(1 - mu) is the principal one minus 2i F(mu)
+# and F(mu) does not jump, so T <- T @ [[1, -2i], [0, 1]].  Up through (1, inf)
+# (counterclockwise about 1) the continued F(mu) is g1 - 2i F(1 - mu), with
+# F(1 - mu) = g5 - sigma i g1 unjumped: g1 -> -2i g5 + (1 - 2 sigma) g1 and
+# g5 -> (1 + 2 sigma) g5 - 2i g1, so T <- T @ [[1 + 2 sigma, -2i], [-2i, 1 - 2 sigma]].
+# A crossing the other way multiplies by the inverse; (0, 1) is no cut.
 
-
-def _extract_matrix(starts: list, ends: list) -> tuple[Matrix2, float]:
-    """Solve end = start @ M^T for M over stacked frames, least squares.
-
-    Each element of starts/ends is a 2x2 matrix whose columns are the frame
-    vectors (S3, S1) as (value, derivative) germs.  The monodromy acts by
-    S_i -> sum_j M_ij S_j, i.e. columns transform by M^T on the right.
-    A @ X = B, with A and B the stacked frames and X = M^T, is solved by the
-    QR factorization of A's two columns.  Also returns the largest entry of
-    A @ X - B.
-    """
-    A = [row for frame in starts for row in frame]
-    B = [row for frame in ends for row in frame]
-
-    def dot(q, y):  # q^H y
-        return sum(a.conjugate() * b for a, b in zip(q, y))
-
-    a0, a1 = [row[0] for row in A], [row[1] for row in A]
-    r00 = math.hypot(*map(abs, a0))
-    q0 = [x / r00 for x in a0]
-    r01 = dot(q0, a1)
-    w = [y - r01 * q for y, q in zip(a1, q0)]
-    r11 = math.hypot(*map(abs, w))
-    q1 = [x / r11 for x in w]
-    # Column j of X, solved for the column j of B, is row j of M.
-    X = []
-    for j in range(2):
-        b = [row[j] for row in B]
-        x1 = dot(q1, b) / r11
-        X.append(((dot(q0, b) - r01 * x1) / r00, x1))
-    resid = max(
-        abs(p * x0 + q * x1 - b[j]) for (p, q), b in zip(A, B) for j, (x0, x1) in enumerate(X)
-    )
-    return (X[0], X[1]), resid
+def _word_matrix(mu: Sequence[complex], roots0: tuple[complex, complex],
+                 roots1: tuple[complex, complex]) -> Matrix2:
+    """Monodromy of the closed cross-ratio polyline mu in the engine frame,
+    from its chords' cut crossings; a sample with Im mu = 0 counts as above
+    the axis, so touching a cut without crossing it adds nothing.  With the
+    prefactor roots D = diag(sqrt(R2), sqrt(R1)) at the start and f D at the
+    end, f = diag(+-1), the matrix f D^-1 T D is T_ij roots0[j] / roots1[i]."""
+    sigma = 1 if mu[0].imag > 0.0 else -1
+    g0, g1 = ((1, -2j), (0, 1)), ((1 + 2 * sigma, -2j), (-2j, 1 - 2 * sigma))
+    word = ((1, 0), (0, 1))
+    for p, q in zip(mu, mu[1:]):
+        down = p.imag >= 0.0 > q.imag
+        if down or q.imag >= 0.0 > p.imag:
+            x = p.real + (q.real - p.real) * (p.imag / (p.imag - q.imag))
+            if x < 0.0:
+                word = _matmul(word, g0 if down else _inverse(g0))
+            elif x > 1.0:
+                word = _matmul(word, _inverse(g1) if down else g1)
+    return tuple(tuple(t * r / e for t, r in zip(row, roots0)) for row, e in zip(word, roots1))
 
 
 @dataclass(frozen=True)
 class MonodromyResult:
-    """An extracted monodromy: the integer matrix, the complex matrix it was
-    rounded from, and the extraction residual."""
+    """A loop's integer matrix (its crossing word), the complex matrix of the
+    one transported frame, and that frame's residual against the integer one."""
 
     matrix: IntegerMatrix2
     raw: Matrix2
     residual: float
 
 
-# Shift applied to the mover's start for the second frame; pushed further
-# into the lower half-plane so the basepoint stays on the same sheet, and
-# large enough to decorrelate rounding in the over-determined solve.
-_SECOND_FRAME_SHIFT = -3e-4 - 4e-4j
-
-
 def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
     """Monodromy matrix of one loop in the engine frame (S3, S1).
 
-    Two start frames seeded at independently scaled basepoint offsets make
-    the linear extraction over-determined; disagreement shows up in the
-    residual.  Each cross-ratio path is checked for clearance from 0 and 1
-    when its own transport starts, so the second path's check comes after
-    the first path's transport; a path too close raises PathTooCloseError.
-    The result must round to integers within 1e-6 and have unit
-    determinant, else MonodromyError.
+    ``matrix`` is the loop's crossing word (``_word_matrix``), rounded; a word
+    more than 1e-9 from an integer matrix of determinant +1 raises
+    MonodromyError.  One frame seeded at the basepoint is transported along
+    the same path: ``residual`` is the largest entry of |end - M @ start|,
+    and above 1e-6 raises MonodromyError; ``raw`` is end @ start^-1.  A path
+    too close to 0 or 1 raises PathTooCloseError before any step.
 
     The loop is evaluated with every coordinate and the radius times 2**k,
     k the ``unit_exponent`` of the start's scale.  The cross-ratio is
-    scale-free and the prefactor roots share one factor, which cancels;
-    absolute offsets such as _SECOND_FRAME_SHIFT then keep their meaning.
+    scale-free and the prefactor roots share one factor, which cancels, so
+    the residual is absolute at the loop's unit scale.
     """
     k = loop._unit
     frozen = {x: ldexp(complex(v), k) for x, v in loop.frozen.items()}
     start = None if loop.start is None else ldexp(complex(loop.start), k)
     center, radius = ldexp(complex(loop.center), k), ldexp(loop.radius, k)
     loop = replace(loop, center=center, radius=radius, frozen=frozen, start=start)
-    starts, ends = [], []
-    for shift in (0.0j, _SECOND_FRAME_SHIFT):
-        mu, roots0, roots1 = _loop_path(loop, shift)
-        germs = _seed_germs(mu[0])
-        starts.append(_frame_vectors(germs, roots0))
-        ends.append(_frame_vectors(_transport_germs(mu, germs), roots1))
-    raw, lsq_resid = _extract_matrix(starts, ends)
-    (p, q), (r, s) = rounded = tuple(tuple(round(x.real) for x in row) for row in raw)
-    resid = max(lsq_resid, *(abs(x - k) for row, ks in zip(raw, rounded) for x, k in zip(row, ks)))
+    mu, roots0, roots1 = _loop_path(loop)
+    germs = _seed_germs(mu[0])
+    # The period germs S3, S1 as rows, each numerator over its root.
+    first, last = (tuple(tuple(x / root for x in g) for g, root in zip(rows, roots))
+                   for rows, roots in ((germs, roots0), (_transport_germs(mu, germs), roots1)))
+    word = _word_matrix(mu, roots0, roots1)
+    (p, q), (r, s) = rounded = tuple(tuple(round(x.real) for x in row) for row in word)
+    if max(abs(x - n) for row, ns in zip(word, rounded) for x, n in zip(row, ns)) > 1e-9 or p * s - q * r != 1:
+        raise MonodromyError(f"the crossing word {word} is not an integer matrix of determinant +1")
+    predicted = _matmul(rounded, first)
+    resid = max(abs(x - y) for row, want in zip(last, predicted) for x, y in zip(row, want))
     if resid > _EXTRACTION_TOL:
         raise MonodromyError(
-            f"monodromy entries are not integral: residual {resid:.3g} exceeds {_EXTRACTION_TOL}"
+            f"the transported frame disagrees with the crossing word {rounded}: "
+            f"residual {resid:.3g} exceeds {_EXTRACTION_TOL}"
         )
-    if p * s - q * r != 1:
-        raise MonodromyError(f"monodromy determinant is {p * s - q * r}, expected +1")
-    return MonodromyResult(IntegerMatrix2(rounded), raw, resid)
+    return MonodromyResult(IntegerMatrix2(rounded), _matmul(last, _inverse(first)), resid)
 
 
 def preset_monodromy(label: str) -> MonodromyResult:

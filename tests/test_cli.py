@@ -463,6 +463,14 @@ def test_series_refuses_values_it_cannot_give(capsys, argv, message):
     assert run(capsys, "series", "--n", "32", *argv) == (1, "", message)
 
 
+def test_series_sums_a_huge_rational_shape_inside_its_disc(capsys):
+    # P_32(10**20) is about 1e660: summed unscaled it overflowed the float
+    # range, though the whole sum is about 1 + 1e-10.
+    code, out, err = run(capsys, "series", "--n", "32", "--s", "100000000000000000000/1", "--z", "1e-30")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value_at_z"] == 1.0000000001
+
+
 def test_json_output_refuses_nan():
     with pytest.raises(ValueError):
         cli._json_dump({"x": float("nan")})

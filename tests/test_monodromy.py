@@ -1,6 +1,8 @@
 """Integer monodromy: loop engine, stated generators, braid bookkeeping."""
 
+import cmath
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +28,10 @@ from eulertop.monodromy import (
     numeric_vs_stated,
     preset_loop,
     preset_monodromy,
+    _matmul,
+    _seed_germs,
+    _transport_germs,
+    _word_matrix,
 )
 
 U = ((1, 2), (0, 1))
@@ -241,6 +247,103 @@ def test_monodromy_is_homotopy_invariant():
     assert loop_monodromy(preset_loop("a", "d", radius=0.1)).matrix.entries == reference
     assert loop_monodromy(preset_loop("a", "d", radius=0.3)).matrix.entries == reference
     assert loop_monodromy(preset_loop("a", "d", offset_scale=2.0)).matrix.entries == reference
+
+
+# Closed cross-ratio polylines for the crossing word, all starting at
+# MU0 = 0.5 + 0.3i in the upper half-plane; the lower start is their mirror
+# image, which also reverses every orientation.
+MU0 = 0.5 + 0.3j
+
+
+def _circle(center, winding, start=MU0, samples=256):
+    # winding turns around center through start, ending exactly at start.
+    r, theta = abs(start - center), cmath.phase(start - center)
+    n = samples * abs(winding)
+    return [start] + [center + r * cmath.exp(1j * (theta + 2 * math.pi * winding * k / n))
+                      for k in range(1, n)] + [start]
+
+
+def _small_circle(center, radius):
+    # Straight in from MU0, once around a circle of the radius, straight back.
+    entry = center + radius * cmath.exp(1j * cmath.phase(MU0 - center))
+    return [MU0] + _circle(center, 1, entry)[:-1] + [entry, MU0]
+
+
+def _lemniscate(samples=512):
+    # A figure eight through 0.5, one lobe around 0 and one around 1, started
+    # at t0 just before its crossing point.
+    t0 = math.pi / 2 - 0.3
+    points = []
+    for k in range(samples + 1):
+        t = t0 + 2 * math.pi * k / samples
+        w = 0.7 / (1 + math.sin(t) ** 2)
+        points.append(complex(0.5 + w * math.cos(t), w * math.sin(t) * math.cos(t)))
+    points[-1] = points[0]
+    return points
+
+
+WORD_PATHS = {
+    **{f"around {c} x{w}": _circle(c, w) for c in (0, 1) for w in (1, -1, 2, -2)},
+    "sample on (-inf, 0]": [MU0, -0.5 + 0.3j, -0.5 + 0j, -0.5 - 0.3j, 0.5 - 0.3j, MU0],
+    "sample on (1, inf)": [MU0, 0.5 - 0.3j, 1.5 - 0.3j, 1.5 + 0j, 1.5 + 0.3j, MU0],
+    "touches (-inf, 0] from above": [MU0, -0.5 + 0j, 0.5 + 0.6j, MU0],
+    "touches (-inf, 0] from below": [MU0, 0.5 - 0.3j, -0.5 + 0j, -0.2 - 0.4j, 0.5 - 0.3j, MU0],
+    "touches (1, inf) from below": [MU0, 0.5 - 0.3j, 1.5 + 0j, 1.2 - 0.4j, 0.5 - 0.3j, MU0],
+    "figure eight": _lemniscate(),
+    **{f"radius {r:g} around {c}": _small_circle(c, r) for c in (0, 1) for r in (1e-9, 3e-12)},
+}
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("name", sorted(WORD_PATHS))
+def test_crossing_word_is_the_transport(name, sigma):
+    # Transported seed rows are T @ start, T the product of the exact
+    # generators at the path's cut crossings: an exact check also between
+    # the transport's clearance of 2.86e-12 and the band the ODE oracle
+    # reaches.
+    path = [z if sigma > 0 else z.conjugate() for z in WORD_PATHS[name]]
+    start = _seed_germs(path[0])
+    word = _word_matrix(path, (1.0, 1.0), (1.0, 1.0))
+    want = _matmul(word, start)
+    got = _transport_germs(path, start)
+    scale = max(abs(x) for row in want for x in row)
+    assert max(abs(x - y) for row, ref in zip(got, want) for x, y in zip(row, ref)) <= 1e-12 * scale
+    for row in word:
+        for x in row:
+            assert x == complex(round(x.real), round(x.imag))
+
+
+def test_crossing_word_generators():
+    # One counterclockwise turn around 0 and around 1 from each side: the
+    # generators of the derivation, exactly.
+    for sigma in (1, -1):
+        path = [z if sigma > 0 else z.conjugate() for z in _circle(0, sigma)]
+        assert _word_matrix(path, (1.0, 1.0), (1.0, 1.0)) == ((1, -2j), (0, 1))
+        path = [z if sigma > 0 else z.conjugate() for z in _circle(1, sigma)]
+        assert _word_matrix(path, (1.0, 1.0), (1.0, 1.0)) == ((1 + 2 * sigma, -2j), (-2j, 1 - 2 * sigma))
+
+
+def _power(m, k):
+    out = IntegerMatrix2.identity()
+    for _ in range(abs(k)):
+        out = out @ (m if k > 0 else m.inverse())
+    return out
+
+
+@PROPERTY
+@given(
+    pair=st.permutations("abcd").map(lambda p: p[:2]),
+    radius=st.floats(0.05, 0.45),
+    winding=st.integers(1, 3).flatmap(lambda w: st.sampled_from([w, -w])),
+)
+def test_loop_matrix_is_a_power_of_its_single_turn(pair, radius, winding):
+    # The word and the one transported frame agree on random loops at the
+    # standard basepoint, and w turns give the w-th power of one turn.
+    move, around = pair
+    once = loop_monodromy(preset_loop(move, around, radius=radius))
+    got = loop_monodromy(preset_loop(move, around, winding, radius=radius))
+    assert max(once.residual, got.residual) < 1e-10
+    assert got.matrix == _power(once.matrix, winding)
 
 
 def test_stated_generator_table():

@@ -332,6 +332,25 @@ def test_birkhoff_series_refuses_z_outside_its_disc(s, z):
         birkhoff_series(order=32).evaluate(z, s)
 
 
+@pytest.mark.parametrize("s,z", [
+    (Fraction(10**20), 1e-30), (Fraction(-10**20, 3), 2e-21j), (Fraction(10**400), 0.0),
+    (1e300, 1e-301), (Fraction(37, 10), 0.06), (-3.7, -0.05j), (Fraction(1, 3), 0.2),
+])
+def test_birkhoff_series_sum_is_the_exact_sum(s, z):
+    # The sum runs over P_n(s) / 2**(e n) in 2**e z: where P_n(s) leaves the
+    # float range it still gives the exact rational sum, rounded.
+    series = birkhoff_series(order=32)
+    zr, zi = Fraction(complex(z).real), Fraction(complex(z).imag)
+    re = im = Fraction(0)
+    pr, pi = Fraction(1), Fraction(0)  # z**n
+    for n in range(series.order + 1):
+        pn = series.pn_value(n, Fraction(s))
+        re, im = re + pn * pr, im + pn * pi
+        pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+    want = complex(float(re), float(im))
+    assert abs(series.evaluate(z, s) - want) <= 1e-14 * abs(want)
+
+
 def test_birkhoff_order_budget():
     with pytest.raises(PrecisionError):
         birkhoff_series(order=33)
