@@ -9,7 +9,9 @@ a rational polynomial of degree n.  The summand is symmetric under
 k <-> n - k, so every P_n is palindromic: P_n(1/s) s^n = P_n(s).
 
 The series is exact: it needs only Fractions and ``math.comb``, so this
-module does not import numpy.
+module does not import numpy.  Both evaluators run one exact Horner kernel
+and round at most once: ``pn_value`` gives P_n(s) as a Fraction, or rounded
+to a float at a float s, and ``evaluate`` rounds the exact truncated sum.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, ldexp, unit_exponent
+from .core import DomainError, ldexp, require_finite, require_positive, unit_exponent
 
 __all__ = [
     "MAX_SERIES_ORDER",
@@ -34,7 +36,23 @@ MAX_SERIES_ORDER = 32
 
 
 class PrecisionError(DomainError):
-    """Requested series order is not an int in the supported range 0..32."""
+    """A series order, or an index n into a series, is not an int in its range."""
+
+
+def _index(name: str, value, top: int) -> int:
+    """``value`` if it is an int in 0..top, else PrecisionError naming it."""
+    try:
+        in_range = 0 <= operator.index(value) <= top
+    except TypeError:
+        raise PrecisionError(f"{name} must be an int, got {value!r}") from None
+    if not in_range:
+        raise PrecisionError(f"{name} must be between 0 and {top}, got {value!r}")
+    return value
+
+
+def _exact(s) -> Fraction:
+    """The shape ratio s as a Fraction; DomainError where a float s is not finite."""
+    return Fraction(require_finite("shape ratio s", s) if isinstance(s, float) else s)
 
 
 def _birkhoff_poly(n: int) -> tuple:
@@ -58,46 +76,49 @@ class SeriesCoefficients:
     polys: tuple
 
     def pn_value(self, n: int, s):
-        """P_n(s): a Fraction at a Fraction s, a float at a float s; DomainError
-        where the float value is not finite."""
-        acc = self._scaled_value(n, s, 1)
-        if not abs(acc) < math.inf:
-            raise DomainError(f"P_{n}(s) at s = {s!r} is not a finite float; give s as p/q for exact values")
+        """P_n(s): the exact Fraction at a p/q s, and at a float s that value
+        rounded once; DomainError where the rounded value is not a finite float."""
+        value = self._exact_value(n, _exact(s))
+        try:
+            return float(value) if isinstance(s, float) else value
+        except OverflowError:
+            raise DomainError(f"P_{n}(s) at s = {s!r} is not a finite float; give s as p/q for exact values") from None
+
+    def _exact_value(self, n: int, x: Fraction) -> Fraction:
+        """P_n(x) by Horner's rule over ``polys[n]``: the one kernel of both evaluators."""
+        acc = Fraction(0)
+        for coef in reversed(self._poly(n)):
+            acc = acc * x + coef
         return acc
 
-    def _scaled_value(self, n: int, s, half):
-        """P_n(s) half**n by Horner's rule in s half, exact for a power of two."""
-        acc, u = 0 * s, s * half
-        for j, coef in enumerate(reversed(self.polys[n])):
-            acc = acc * u + coef * half**j
-        return acc
+    def _poly(self, n: int) -> tuple:
+        """``polys[n]`` for an n in 0..order; PrecisionError naming any other n."""
+        return self.polys[_index(f"n of the order-{self.order} series", n, self.order)]
 
     def is_palindromic(self, n: int) -> bool:
-        poly = self.polys[n]
+        poly = self._poly(n)
         return tuple(reversed(poly)) == poly
 
     def roots(self, n: int):
         """The roots of P_n(s) as a numpy array; numpy is loaded only here."""
         import numpy as np
 
-        coeffs = [float(x) for x in reversed(self.polys[n])]
+        coeffs = [float(x) for x in reversed(self._poly(n))]
         return np.roots(coeffs)
 
     def evaluate(self, z: complex, s) -> complex:
-        """The truncated sum of P_n(s) z^n, on the disc |z| < Z* = 1/(4 max(1, |s|))
-        where the series converges; DomainError outside it.  It sums P_n(s) / 2**(e n)
-        in 2**e z, 2**e >= max(1, |s|) from the bit lengths of |s| = p/q: since
-        |P_n(s)| <= 4**n max(1, |s|)**n nothing overflows, and e = 0 is the plain sum."""
-        zstar = 1 / (4 * max(1, abs(s)))
+        """The truncated sum of P_n(s) z^n on the disc |z| < Z* = 1/(4 max(1, |s|))
+        where the series converges, DomainError outside it: formed exactly at the
+        exact s and z, then rounded once.  Inside the disc |P_n(s) z^n| < 1."""
+        x = _exact(s)
+        zstar = 1 / (4 * max(1, abs(x)))
         if not abs(z) < zstar:
             raise DomainError(f"z = {z!r} is outside the disc |z| < Z* = {float(zstar)!r} of the series at s = {s}")
-        p, q = abs(s).as_integer_ratio()
-        e = max(0, p.bit_length() - q.bit_length() + 1)
-        half, w = Fraction(1, 2**e), ldexp(z, e)
-        acc = 0.0 + 0.0j
+        zr, zi = Fraction(complex(z).real), Fraction(complex(z).imag)
+        re = im = Fraction(0)
         for n in reversed(range(self.order + 1)):
-            acc = acc * w + complex(self._scaled_value(n, s, half))
-        return acc
+            re, im = re * zr - im * zi + self._exact_value(n, x), re * zi + im * zr
+        return complex(float(re), float(im))
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,12 +130,7 @@ class SeriesCoefficients:
 def birkhoff_series(order: int = 12) -> SeriesCoefficients:
     """Exact series of the inverse Birkhoff normal form derivative, through
     Z**order for an int order from 0 up to ``MAX_SERIES_ORDER`` = 32."""
-    try:
-        in_range = 0 <= operator.index(order) <= MAX_SERIES_ORDER
-    except TypeError:
-        raise PrecisionError(f"order must be an int, got {order!r}") from None
-    if not in_range:
-        raise PrecisionError(f"order must be between 0 and {MAX_SERIES_ORDER}, got {order!r}")
+    _index("order", order, MAX_SERIES_ORDER)
     return SeriesCoefficients(order, tuple(_birkhoff_poly(n) for n in range(order + 1)))
 
 
@@ -122,8 +138,12 @@ def birkhoff_normalization(a: float, b: float, c: float, l: float = 1.0) -> floa
     """Prefactor C with S(b, a, c, d(Z)) = C * sum P_n(s) Z^n.
 
     Valid where (b - c)(b - a) > 0, i.e. b is an extreme reciprocal; then
-    C = -sqrt(2/l) / (6 sqrt((b - c)(b - a))), evaluated at unit scale.
+    C = -sqrt(2/l) / (6 sqrt((b - c)(b - a))), evaluated at unit scale.  C
+    depends only on the differences of a, b, c, so their signs are free.
     """
+    for name, x in (("a", a), ("b", b), ("c", c)):
+        require_finite(name, x)
+    require_positive("Casimir level l", l)
     k, j = unit_exponent(max(abs(a), abs(b), abs(c))), unit_exponent(l) // 2
     a, b, c = (math.ldexp(x, k) for x in (a, b, c))
     rad = (b - c) * (b - a)
@@ -133,6 +153,11 @@ def birkhoff_normalization(a: float, b: float, c: float, l: float = 1.0) -> floa
 
 
 def birkhoff_d_of_z(a: float, b: float, c: float, z: float) -> float:
-    """The energy ratio d corresponding to normalized action Z."""
+    """The energy ratio d corresponding to normalized action Z; the shape
+    ratio s = (a - b)/(c - b) needs c != b."""
+    for name, x in (("a", a), ("b", b), ("c", c), ("Z", z)):
+        require_finite(name, x)
+    if c == b:
+        raise DomainError("d(Z) needs c != b: the shape ratio (a - b)/(c - b) is undefined")
     s = (a - b) / (c - b)
-    return b + 4.0 * s * (c - b) * z
+    return require_finite("d(Z)", b + 4.0 * s * (c - b) * z)

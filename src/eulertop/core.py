@@ -19,6 +19,7 @@ one it uses.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -35,6 +36,7 @@ __all__ = [
     "ldexp",
     "moduli_from_mechanics",
     "mu_main",
+    "require_finite",
     "require_positive",
     "unit_exponent",
 ]
@@ -63,6 +65,13 @@ class CoincidentModuliError(DomainError):
         if message is None:
             message = f"moduli coordinates {self.pair[0]} = {self.pair[1]}: point is on the discriminant"
         super().__init__(message)
+
+
+def require_finite(name: str, value):
+    """``value`` if it is a finite real or complex number, else DomainError naming it."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def require_positive(name: str, value):
@@ -141,9 +150,7 @@ class ModuliPoint:
     def __post_init__(self) -> None:
         require_positive("Casimir level l", self.l)
         for name in LABELS:
-            z = complex(getattr(self, name))
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise DomainError(f"coordinate {name} must be finite, got {z!r}")
+            require_finite(f"coordinate {name}", complex(getattr(self, name)))
 
     @property
     def h(self) -> complex:

@@ -1,9 +1,11 @@
 """Period values: closed form, quadratures, covariance, Birkhoff series."""
 
+import cmath
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -313,9 +315,22 @@ def test_birkhoff_values_at_rational_shape():
     assert series.pn_value(1, s) == Fraction(4, 3)
     assert series.pn_value(2, s) == Fraction(3)
     assert series.pn_value(3, s) == Fraction(220, 27)
-    # The same Horner loop gives a float at a float s.
+    # At a float s it is the exact value at that float, rounded once.
     assert series.pn_value(3, 1 / 3) == pytest.approx(220 / 27, rel=1e-15)
+    assert series.pn_value(3, 1 / 3) == float(series.pn_value(3, Fraction(1 / 3)))
     assert type(series.pn_value(3, 1 / 3)) is float
+
+
+@pytest.mark.parametrize("call", [
+    lambda series: series.pn_value(-1, 0.5),
+    lambda series: series.pn_value(13, 0.5),
+    lambda series: series.is_palindromic(-1),
+    lambda series: series.roots(13),
+], ids=["pn_value-1", "pn_value-13", "is_palindromic-1", "roots-13"])
+def test_birkhoff_series_index_must_lie_in_its_orders(call):
+    # Unchecked, polys[-1] would wrap to P_12 and n = 13 would end in an IndexError.
+    with pytest.raises(PrecisionError, match=r"^n of the order-12 series must be between 0 and 12, got (-1|13)$"):
+        call(birkhoff_series(order=12))
 
 
 def test_birkhoff_float_values_must_be_finite():
@@ -332,23 +347,45 @@ def test_birkhoff_series_refuses_z_outside_its_disc(s, z):
         birkhoff_series(order=32).evaluate(z, s)
 
 
+def _rounded_exact_sum(series, z, s) -> complex:
+    """sum_n P_n(s) z**n in Fractions from the coefficients, rounded once per part."""
+    x, zr, zi = Fraction(s), Fraction(complex(z).real), Fraction(complex(z).imag)
+    re = im = Fraction(0)
+    pr, pi = Fraction(1), Fraction(0)  # z**n
+    for poly in series.polys:
+        pn = sum(c * x**k for k, c in enumerate(poly))
+        re, im = re + pn * pr, im + pn * pi
+        pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+    return complex(float(re), float(im))
+
+
 @pytest.mark.parametrize("s,z", [
     (Fraction(10**20), 1e-30), (Fraction(-10**20, 3), 2e-21j), (Fraction(10**400), 0.0),
     (1e300, 1e-301), (Fraction(37, 10), 0.06), (-3.7, -0.05j), (Fraction(1, 3), 0.2),
 ])
 def test_birkhoff_series_sum_is_the_exact_sum(s, z):
-    # The sum runs over P_n(s) / 2**(e n) in 2**e z: where P_n(s) leaves the
-    # float range it still gives the exact rational sum, rounded.
+    # The sum is formed exactly and rounded once: it is the correctly rounded
+    # sum, even where P_n(s) itself leaves the float range.
     series = birkhoff_series(order=32)
-    zr, zi = Fraction(complex(z).real), Fraction(complex(z).imag)
-    re = im = Fraction(0)
-    pr, pi = Fraction(1), Fraction(0)  # z**n
-    for n in range(series.order + 1):
-        pn = series.pn_value(n, Fraction(s))
-        re, im = re + pn * pr, im + pn * pi
-        pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
-    want = complex(float(re), float(im))
-    assert abs(series.evaluate(z, s) - want) <= 1e-14 * abs(want)
+    assert series.evaluate(z, s) == _rounded_exact_sum(series, z, s)
+
+
+@PROPERTY
+@given(
+    order=st.integers(0, 32),
+    s=st.one_of(
+        st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+        st.floats(-1e3, 1e3),
+    ),
+    w=st.one_of(st.floats(-0.999, 0.999), st.builds(cmath.rect, st.floats(0.0, 0.999), st.floats(-math.pi, math.pi))),
+)
+def test_birkhoff_evaluators_round_the_exact_values_once(order, s, w):
+    series = birkhoff_series(order)
+    z = w / (4 * max(1, abs(s)))  # w Z*, real or complex
+    assert series.evaluate(z, s) == _rounded_exact_sum(series, z, s)
+    if isinstance(s, float):
+        for n, poly in enumerate(series.polys):
+            assert series.pn_value(n, s) == float(sum(c * Fraction(s) ** k for k, c in enumerate(poly)))
 
 
 def test_birkhoff_order_budget():
@@ -369,6 +406,27 @@ def test_birkhoff_normalization_values():
     assert birkhoff_normalization(2.0, 1.0, 3.0, l=4.0) == pytest.approx(-1.0 / 12.0, rel=1e-14)
     with pytest.raises(DomainError):
         birkhoff_normalization(3.0, 2.0, 1.0)
+    # C depends only on the differences of a, b, c, so their signs are free.
+    assert birkhoff_normalization(-2.0, -3.0, -1.0) == birkhoff_normalization(2.0, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: birkhoff_normalization(math.nan, 1.0, 3.0), "a must be finite, got nan"),
+    (lambda: birkhoff_normalization(math.inf, 1.0, 3.0), "a must be finite, got inf"),
+    (lambda: birkhoff_normalization(2.0, 1.0, 3.0, math.nan), "Casimir level l must be positive and finite, got nan"),
+    (lambda: birkhoff_normalization(2.0, 1.0, 3.0, -1.0), "Casimir level l must be positive and finite, got -1.0"),
+    (lambda: birkhoff_normalization(2.0, 1.0, 3.0, 0.0), "Casimir level l must be positive and finite, got 0.0"),
+    (lambda: birkhoff_d_of_z(2.0, 1.0, 1.0, 0.1), "d(Z) needs c != b"),
+    (lambda: birkhoff_d_of_z(2.0, 1.0, 3.0, math.nan), "Z must be finite, got nan"),
+    (lambda: birkhoff_d_of_z(2.0, -math.inf, 3.0, 0.1), "b must be finite, got -inf"),
+    (lambda: birkhoff_d_of_z(1e308, -1e308, 3.0, 0.2), "d(Z) must be finite, got inf"),
+    (lambda: birkhoff_series(3).evaluate(0.1, math.nan), "shape ratio s must be finite, got nan"),
+    (lambda: birkhoff_series(3).pn_value(1, -math.inf), "shape ratio s must be finite, got -inf"),
+], ids=["a-nan", "a-inf", "l-nan", "l-negative", "l-zero", "c-equals-b", "z-nan", "b-inf", "d-overflows", "evaluate-s-nan", "pn-s-inf"])
+def test_birkhoff_inputs_must_be_finite_and_in_domain(call, message):
+    # Each is refused by name, not answered with nan, -0.0 or a bare arithmetic error.
+    with pytest.raises(DomainError, match="^" + re.escape(message)):
+        call()
 
 
 def test_birkhoff_series_matches_closed_form():
