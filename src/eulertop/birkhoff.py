@@ -153,11 +153,15 @@ def birkhoff_normalization(a: float, b: float, c: float, l: float = 1.0) -> floa
 
 
 def birkhoff_d_of_z(a: float, b: float, c: float, z: float) -> float:
-    """The energy ratio d corresponding to normalized action Z; the shape
-    ratio s = (a - b)/(c - b) needs c != b."""
+    """The energy ratio d = b + 4 (a - b) Z of normalized action Z, formed
+    exactly and rounded once.  Refused where c = b: there the shape ratio
+    s = (a - b)/(c - b), and with it Z, is undefined."""
     for name, x in (("a", a), ("b", b), ("c", c), ("Z", z)):
         require_finite(name, x)
     if c == b:
         raise DomainError("d(Z) needs c != b: the shape ratio (a - b)/(c - b) is undefined")
-    s = (a - b) / (c - b)
-    return require_finite("d(Z)", b + 4.0 * s * (c - b) * z)
+    d = Fraction(b) + 4 * (Fraction(a) - Fraction(b)) * Fraction(z)
+    try:
+        return float(d)
+    except OverflowError:
+        raise DomainError(f"d(Z) is outside the float range at a = {a!r}, b = {b!r}, Z = {z!r}") from None

@@ -48,6 +48,9 @@ _PAIRS = tuple(combinations(LABELS, 2))  # (a, b), (a, c), ..., (c, d)
 # largest coordinate) are treated as sitting on the discriminant.
 DEGENERACY_RTOL = 1e-12
 
+# Imaginary parts up to this times the point's scale count as real.
+_REAL_RTOL = 1e-12
+
 
 class DomainError(ValueError):
     """Parameter combination outside an operation's domain."""
@@ -67,16 +70,24 @@ class CoincidentModuliError(DomainError):
         super().__init__(message)
 
 
+def _is_finite(value) -> bool:
+    """``cmath.isfinite``, False for an int beyond the float range."""
+    try:
+        return cmath.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def require_finite(name: str, value):
     """``value`` if it is a finite real or complex number, else DomainError naming it."""
-    if not cmath.isfinite(value):
+    if not _is_finite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def require_positive(name: str, value):
     """``value`` if it is a finite int or float above zero, else DomainError naming it."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    if not (isinstance(value, (int, float)) and _is_finite(value) and value > 0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return value
 
@@ -150,7 +161,7 @@ class ModuliPoint:
     def __post_init__(self) -> None:
         require_positive("Casimir level l", self.l)
         for name in LABELS:
-            require_finite(f"coordinate {name}", complex(getattr(self, name)))
+            require_finite(f"coordinate {name}", getattr(self, name))
 
     @property
     def h(self) -> complex:
@@ -180,8 +191,11 @@ class ModuliPoint:
     def distance_to_discriminant(self) -> float:
         return min(abs(complex(getattr(self, x)) - complex(getattr(self, y))) for x, y in _PAIRS)
 
-    def is_real(self, atol: float = 0.0) -> bool:
-        return all(abs(complex(getattr(self, n)).imag) <= atol for n in LABELS)
+    def is_real(self) -> bool:
+        """Whether every imaginary part is at most _REAL_RTOL times the scale:
+        a point and its multiples are treated alike."""
+        tol = _REAL_RTOL * self.scale()
+        return all(abs(z.imag) <= tol for z in self.coords())
 
     def reorder(self, order: str) -> "ModuliPoint":
         """The point whose slots a, b, c, d hold this point's values at the

@@ -36,7 +36,16 @@ from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Iterable, Sequence
 
-from .core import DEGENERACY_RTOL, LABELS, CoincidentModuliError, ModuliPoint, cross_ratio, ldexp, unit_exponent
+from .core import (
+    DEGENERACY_RTOL,
+    LABELS,
+    CoincidentModuliError,
+    ModuliPoint,
+    cross_ratio,
+    ldexp,
+    require_finite,
+    unit_exponent,
+)
 from .lattice import GENERATOR_LABELS, PRESETS, IntegerMatrix2, MonodromyError
 from .special import (
     BASIS_IDS,
@@ -376,8 +385,8 @@ class ModuliLoop:
         values = {"center": self.center, "radius": self.radius, "start": self.start}
         values.update((f"frozen.{k}", v) for k, v in self.frozen.items())
         for key, value in values.items():
-            if value is not None and not cmath.isfinite(complex(value)):
-                raise ValueError(f"loop key {key!r} must be finite, got {value!r}")
+            if value is not None:
+                require_finite(f"loop key {key!r}", value)
         if self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         point = ModuliPoint(*_coordinates(self, self.effective_start()))
@@ -436,6 +445,8 @@ class ModuliLoop:
         def _c(key, v):
             try:
                 return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+            except OverflowError:
+                raise ValueError(f"loop key {key!r} must be finite, got {v!r}") from None
             except (TypeError, ValueError, IndexError):
                 raise ValueError(f"loop key {key!r} must be a number or [re, im] pair, got {v!r}") from None
 
@@ -443,6 +454,8 @@ class ModuliLoop:
             raise ValueError(f"loop key 'frozen' must be an object of coordinates, got {data['frozen']!r}")
         try:
             radius = float(data["radius"])
+        except OverflowError:
+            raise ValueError(f"loop key 'radius' must be finite, got {data['radius']!r}") from None
         except (TypeError, ValueError):
             raise ValueError(f"loop key 'radius' must be a number, got {data['radius']!r}") from None
         return ModuliLoop(

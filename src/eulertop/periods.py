@@ -12,8 +12,8 @@ rotation period of the body on the orbit with energy ratio d is
 T = 6 pi |S| in the elliptic chambers.
 
 The module provides the closed form, two independent quadrature routes
-(a real arc decomposition for the elliptic cycles and a hyperbolic-arc
-decomposition for the connecting cycle), the three-term identity checker,
+(one real arc for the elliptic cycles and a hyperbolic-arc decomposition
+for the connecting cycle), the three-term identity checker,
 and the 24-fold covariance report.  The exact rational series of the
 inverse Birkhoff normal form lives in ``birkhoff``.
 """
@@ -55,8 +55,9 @@ CYCLE_LABELS = ("sigma1_axis", "sigma3_axis", "gamma_hyperbolic", "tau")
 # p1, p2 and p3.
 _CLASS_ORDERS = {"S1": "abcd", "S2": "bacd", "S3": "cbad"}
 
-# Imaginary parts up to this times the point's scale count as real.
-_REAL_RTOL = 1e-12
+# A covariance row deviating from its class representative by more than
+# this, relatively, is flagged: it must have crossed a branch cut.
+SYMMETRY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ def tanh_sinh(g, lo: float, hi: float):
 # mirror images of each other under reversing all three).
 
 def _real_chamber_coords(m: ModuliPoint) -> tuple[float, float, float, float, float]:
-    if not m.is_real(_REAL_RTOL * m.scale()):
+    if not m.is_real():
         raise DomainError("quadratures require a real moduli point")
     a, b, c, d = m.coords()
     a, b, c, d = a.real, b.real, c.real, d.real
@@ -227,15 +228,18 @@ def _real_chamber_coords(m: ModuliPoint) -> tuple[float, float, float, float, fl
     return a, b, c, d, m.l
 
 
-def quadrature_sigma_integral(m: ModuliPoint, s: float = 0.0) -> PeriodValue:
+def quadrature_sigma_integral(m: ModuliPoint) -> PeriodValue:
     """S on the elliptic family by real quadrature, bypassing K entirely.
 
-    The period integral splits into two arcs; ``s`` interpolates between the
-    p2-parameterized arc (s = 0) and the p3-parameterized arc (s = 1).  Both
-    evaluate to the same number (a sixth of the rotation number integral),
-    so s is a pure consistency dial:
+    The cycle is one arc in the p2 coordinate, p2 over (-P, P) with
+    P = sqrt((a - d)/(a - b)):
 
-        S = -(1/pi) [(1 - s) I1 + s I2].
+        S = -(1/(3 pi sqrt(2 l))) int dx / sqrt((a - b)(P^2 - x^2) Q(x)),
+
+    Q(x) = (d - c) - (b - c) x^2.  Toward the separatrix d -> b, Q tends to
+    zero only at the endpoints, where tanh-sinh places its nodes; the arc in
+    p3 would put that near-zero at its midpoint, between the nodes, and lose
+    digits there (7e-2 at 1e-6 of the gap).
 
     Oracle for ``S_closed_form``: the quadrature route of the three period
     routes, sharing no code with the AGM or the ODE route.
@@ -243,30 +247,16 @@ def quadrature_sigma_integral(m: ModuliPoint, s: float = 0.0) -> PeriodValue:
     u, k, j = m.at_unit_scale()
     a, b, c, d, l = _real_chamber_coords(u)
 
-    # The arcs are integrated on the sphere with 2 l = 1; l enters only as
+    # The arc is integrated on the sphere with 2 l = 1; l enters only as
     # the prefactor 1/sqrt(2 l).
-    # Arc in the p2 coordinate: p2 ranges over (-P, P).
     P = math.sqrt((a - d) / (a - b))
 
-    def g1(x, dlo, dhi):
-        # Q1 = (a - b)(P - x)(P + x), Q2 = (d - c) - (b - c) x^2;
-        # the product is positive in both chamber orientations.
-        q2 = (d - c) - (b - c) * x * x
-        prod = (a - b) * dlo * dhi * q2
-        return 1.0 / math.sqrt(prod)
+    def g(x, dlo, dhi):
+        # (a - b)(P - x)(P + x) Q(x) is positive in both chamber orientations.
+        q = (d - c) - (b - c) * x * x
+        return 1.0 / math.sqrt((a - b) * dlo * dhi * q)
 
-    # Arc in the p3 coordinate: p3 ranges over (-P3, P3).
-    P3 = math.sqrt((a - d) / (a - c))
-
-    def g2(x, dlo, dhi):
-        g1v = (d - b) + (b - c) * x * x
-        prod = (a - c) * dlo * dhi * g1v
-        return 1.0 / math.sqrt(prod)
-
-    # An arc of weight 0 is not integrated.
-    i1 = tanh_sinh(g1, -P, P) / 3.0 if s != 1.0 else 0.0
-    i2 = tanh_sinh(g2, -P3, P3) / 3.0 if s != 0.0 else 0.0
-    value = -((1.0 - s) * i1 + s * i2) / (math.pi * math.sqrt(2.0 * l))
+    value = -tanh_sinh(g, -P, P) / 3.0 / (math.pi * math.sqrt(2.0 * l))
     return PeriodValue(ldexp(value, k + j), "sigma1_axis", m)
 
 
@@ -383,22 +373,22 @@ class SymmetryReport:
         return tuple(r for r in self.rows if r.flagged)
 
 
-def verify_symmetries(m: ModuliPoint, rtol: float = 1e-9) -> SymmetryReport:
+def verify_symmetries(m: ModuliPoint) -> SymmetryReport:
     """Evaluate S on all 24 orderings and report the class structure.
 
     A row is flagged when its value deviates from its class representative
-    by more than rtol (relatively); every flagged row must have crossed a
-    branch cut on the way (``cut_resolved``), so the flag count is bounded
-    by the number of cut-resolved rows.
+    by more than ``SYMMETRY_RTOL`` (relatively); every flagged row must have
+    crossed a branch cut on the way (``cut_resolved``), so the flag count is
+    bounded by the number of cut-resolved rows.
 
-    The point must be real, to _REAL_RTOL of its scale, and is evaluated at
+    The point must be real (``ModuliPoint.is_real``) and is evaluated at
     its real parts: off the axis, even by 1e-13, the principal square root
     puts some orderings on the other sheet without crossing a cut.  Rows
     are compared at ``at_unit_scale()``, their values then scaled back.
     """
     from itertools import permutations
 
-    if not m.is_real(_REAL_RTOL * m.scale()):
+    if not m.is_real():
         raise DomainError("the covariance report requires a real moduli point")
     u, k, j = ModuliPoint(*(z.real for z in m.coords()), l=m.l).at_unit_scale()
     reps: dict[str, complex] = {}
@@ -417,7 +407,7 @@ def verify_symmetries(m: ModuliPoint, rtol: float = 1e-9) -> SymmetryReport:
     for order, pv, key in raw:
         rep = reps[key]
         dev = abs(pv.value - rep) / abs(rep)
-        flagged = dev > rtol
+        flagged = dev > SYMMETRY_RTOL
         if flagged and not pv.branch_flagged:
             raise AssertionError(
                 f"ordering {order} deviates without crossing a cut; branch bookkeeping is broken"

@@ -389,15 +389,14 @@ def _local_frame(basis_id: str, z: complex, side: int | None) -> SolutionFrame:
 # Finite-difference residual of the defining equation, used to certify that
 # evaluated functions actually solve it.
 
-def gauss_ode_residual(func, z: complex, h: float | None = None) -> complex:
+def gauss_ode_residual(func, z: complex) -> complex:
     """Residual of z(1-z) f'' + (1-2z) f' - f/4 at z for a callable f.
 
-    Uses 4th-order centered stencils; the default step 2e-3 (scaled by |z|)
+    Uses 4th-order centered stencils with step 2e-3 max(1, |z|), which
     balances truncation against rounding in the second difference.
     """
     z = complex(z)
-    if h is None:
-        h = 2e-3 * max(1.0, abs(z))
+    h = 2e-3 * max(1.0, abs(z))
     f0 = func(z)
     f1p, f1m = func(z + h), func(z - h)
     f2p, f2m = func(z + 2 * h), func(z - 2 * h)

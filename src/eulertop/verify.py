@@ -15,7 +15,7 @@ from typing import Callable
 from .birkhoff import birkhoff_series
 from .core import ModuliPoint
 from .lattice import verify_confluence_product
-from .periods import verify_connection_identity, verify_symmetries
+from .periods import SYMMETRY_RTOL, verify_connection_identity, verify_symmetries
 from .special import elliptic_K
 
 __all__ = ["CHECKS", "verify_report"]
@@ -33,8 +33,9 @@ def _connection_identity(tol: float) -> tuple[dict, bool]:
 
 
 def _covariance(tol: float) -> tuple[dict, bool]:
-    """Three covariance classes at the base point, unflagged rows within 1e-9
-    of their class, and no more flagged rows than rows that crossed a cut."""
+    """Three covariance classes at the base point, unflagged rows within the
+    flag threshold ``SYMMETRY_RTOL`` of their class, and no more flagged rows
+    than rows that crossed a cut."""
     sym = verify_symmetries(ModuliPoint(3.0, 2.0, 1.0, 2.5))
     fields = {
         "class_sizes": sym.class_sizes,
@@ -47,7 +48,7 @@ def _covariance(tol: float) -> tuple[dict, bool]:
         ],
         "stabilizer": list(sym.stabilizer),
     }
-    ok = len(sym.class_sizes) == 3 and sym.max_unflagged_deviation < 1e-9
+    ok = len(sym.class_sizes) == 3 and sym.max_unflagged_deviation < SYMMETRY_RTOL
     return fields, ok and sym.flagged_count <= sym.cut_resolved_count
 
 

@@ -88,7 +88,7 @@ def test_criterion_04_imaginary_modulus_identity():
 
 def test_criterion_05_covariance_classes():
     start = time.perf_counter()
-    rep = verify_symmetries(ModuliPoint(*ABC, 2.5, 1.0), rtol=1e-9)
+    rep = verify_symmetries(ModuliPoint(*ABC, 2.5, 1.0))
     assert rep.class_sizes == {"S1": 8, "S2": 8, "S3": 8}
     # Flagged rows are the listed exceptions; everything else must sit on its
     # class representative.

@@ -330,6 +330,19 @@ def test_monodromy_loop_file_missing_key(tmp_path, capsys):
     assert err.startswith("error:") and "'move'" in err
 
 
+def test_monodromy_loop_file_radius_beyond_the_float_range(tmp_path, capsys):
+    # A JSON int too large for a float is refused by name, not a traceback.
+    from eulertop.monodromy import preset_loop
+
+    data = preset_loop("a", "d").to_json_dict()
+    data["radius"] = 10**400
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: loop key 'radius' must be finite") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("preset", ["confluence", "braid"])
 def test_monodromy_table_presets(capsys, preset):
     from eulertop.lattice import verify_braid_relations, verify_confluence_product

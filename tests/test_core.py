@@ -23,7 +23,9 @@ from eulertop.core import (
 )
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), -float("inf"), "1", None, 1j])
+@pytest.mark.parametrize("value", [
+    0.0, -1.0, float("nan"), float("inf"), -float("inf"), "1", None, 1j, pytest.param(10**400, id="int-beyond-float"),
+])
 def test_the_positive_gate_refuses_anything_but_a_finite_number_above_zero(value):
     with pytest.raises(DomainError, match=f"^{re.escape(f'width must be positive and finite, got {value!r}')}$"):
         require_positive("width", value)
@@ -36,7 +38,8 @@ def test_the_positive_gate_passes_its_value_through(value):
 
 @pytest.mark.parametrize(
     "moments",
-    [(0.0, 1.0, 2.0), (-1.0, 2.0, 3.0), (1.0, float("nan"), 2.0), (1.0, float("inf"), 2.0)],
+    [(0.0, 1.0, 2.0), (-1.0, 2.0, 3.0), (1.0, float("nan"), 2.0), (1.0, float("inf"), 2.0),
+     (10**400, 1, 2)],
 )
 def test_inertia_rejects_nonpositive_or_nonfinite(moments):
     with pytest.raises(DomainError):
@@ -78,6 +81,14 @@ def test_moduli_from_mechanics_base_chamber():
 def test_moduli_rejects_nonpositive_casimir():
     with pytest.raises(DomainError, match="positive"):
         ModuliPoint(3, 2, 1, 2.5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), complex(0.0, float("inf")), 10**400], ids=["nan", "inf-imag", "int-beyond-float"]
+)
+def test_moduli_coordinates_must_be_finite(value):
+    with pytest.raises(DomainError, match=f"^{re.escape(f'coordinate a must be finite, got {value!r}')}$"):
+        ModuliPoint(value, 2, 1, 2.5)
 
 
 def test_moduli_scale_and_discriminant_distance():

@@ -144,12 +144,13 @@ def test_loop_start_distance_is_relative_to_the_loop_scale(factor):
 
 @pytest.mark.parametrize("key", ["center", "radius", "start", "frozen.b"])
 def test_loop_values_must_be_finite(key):
-    # From Python as from a loop file, a nan is refused while the loop is
-    # built, with an error naming its key.
-    loop, nan = preset_loop("a", "d"), float("nan")
-    change = {"frozen": {**loop.frozen, "b": nan}} if key == "frozen.b" else {key: nan}
-    with pytest.raises(ValueError, match=f"'{key}' must be finite"):
-        dataclasses.replace(loop, **change)
+    # From Python as from a loop file, a nan, or an int beyond the float
+    # range, is refused while the loop is built, with an error naming its key.
+    loop = preset_loop("a", "d")
+    for bad in (float("nan"), 10**400):
+        change = {"frozen": {**loop.frozen, "b": bad}} if key == "frozen.b" else {key: bad}
+        with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+            dataclasses.replace(loop, **change)
 
 
 @pytest.mark.parametrize("frozen,pair", [({"c": [2.5, 0.0]}, "c = d"), ({"b": [1.0, -0.001]}, "b = c")])
@@ -174,9 +175,12 @@ def test_loop_file_winding_is_bounded(winding):
     ("move", None), ("center", None), ("radius", None), ("winding", None), ("frozen", None),
     ("move", ["a"]), ("center", "x"), ("radius", "abc"), ("radius", [0.2, 0.0]),
     ("winding", "1"), ("frozen", [2.0, 1.0]), ("start", [3.0, "q"]),
+    pytest.param("radius", 10**400, id="radius-int-beyond-float"),
+    pytest.param("center", [10**400, 0], id="center-int-beyond-float"),
 ])
 def test_loop_file_missing_or_ill_typed_key(key, value):
-    # None stands for a missing key; every error names the key it is about.
+    # None stands for a missing key; every error names the key it is about,
+    # also for an int too large for a float.
     data = preset_loop("a", "d").to_json_dict()
     if value is None:
         del data[key]

@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from eulertop.birkhoff import (
@@ -140,12 +140,32 @@ def test_tanh_sinh_node_table_is_built_on_first_use_and_reused():
     assert again.misses == built.misses and again.hits > built.hits
 
 
-@pytest.mark.parametrize("s", [0.0, 1.0])
-def test_sigma_quadrature_matches_closed_form(s):
+def test_sigma_quadrature_matches_closed_form():
     # l enters only as the prefactor 1/sqrt(l), from 1e-300 to 1e300.
     for l in (1.0, 1e-300, 1e300):
-        got = quadrature_sigma_integral(BASE.replace(l=l), s=s)
+        got = quadrature_sigma_integral(BASE.replace(l=l))
         assert got.value == pytest.approx(S1 / math.sqrt(l), rel=1e-12)
+
+
+# The worst relative error measured over the moment sets below, rounded up
+# to a power of ten.  It grows toward the separatrix because Q(x) = (d - c)
+# - (b - c) x^2 cancels at the nodes next to the endpoints, where Q is near
+# (a - c)(d - b)/(a - b).
+SEPARATRIX_RTOL = {1e-6: 1e-11, 1e-5: 1e-12, 1e-4: 1e-13, 1e-3: 1e-14}
+
+
+@pytest.mark.parametrize("fraction", sorted(SEPARATRIX_RTOL))
+def test_sigma_quadrature_near_the_separatrix(fraction):
+    # d is this fraction of the gap a - b away from b, in both chamber
+    # orientations; the reference is K(mu) in 40 digits at the same floats.
+    for a, b, c in ((3.0, 2.0, 1.0), (3.4, 1.4, 0.78), (5.79, 3.11, 0.963), (1.0, 2.0, 3.0), (0.78, 1.4, 3.4)):
+        d = b + fraction * (a - b)
+        got = quadrature_sigma_integral(ModuliPoint(a, b, c, d)).value
+        with mpmath.workdps(40):
+            A, B, C, D = (mpmath.mpf(x) for x in (a, b, c, d))
+            mu = (D - A) * (B - C) / ((D - C) * (B - A))
+            want = -mpmath.sqrt(2) / (3 * mpmath.pi) * mpmath.ellipk(mu) / mpmath.sqrt((D - C) * (A - B))
+            assert abs((got - want) / want) < SEPARATRIX_RTOL[fraction], (a, b, c)
 
 
 def test_sigma_quadrature_reversed_chamber():
@@ -388,6 +408,16 @@ def test_birkhoff_evaluators_round_the_exact_values_once(order, s, w):
             assert series.pn_value(n, s) == float(sum(c * Fraction(s) ** k for k, c in enumerate(poly)))
 
 
+@PROPERTY
+@given(abc=st.tuples(*[st.floats(0.5, 4.0)] * 3), z=st.floats(-0.25, 0.25))
+def test_birkhoff_d_of_z_is_rounded_once(abc, z):
+    # d = b + 4 (a - b) Z, formed exactly: (a - b)/(c - b) times (c - b)
+    # would round a - b twice.
+    a, b, c = abc
+    assume(c != b)
+    assert birkhoff_d_of_z(a, b, c, z) == float(Fraction(b) + 4 * (Fraction(a) - Fraction(b)) * Fraction(z))
+
+
 def test_birkhoff_order_budget():
     with pytest.raises(PrecisionError):
         birkhoff_series(order=33)
@@ -413,16 +443,18 @@ def test_birkhoff_normalization_values():
 @pytest.mark.parametrize("call,message", [
     (lambda: birkhoff_normalization(math.nan, 1.0, 3.0), "a must be finite, got nan"),
     (lambda: birkhoff_normalization(math.inf, 1.0, 3.0), "a must be finite, got inf"),
+    (lambda: birkhoff_normalization(10**400, 1.0, 3.0), f"a must be finite, got {10**400}"),
     (lambda: birkhoff_normalization(2.0, 1.0, 3.0, math.nan), "Casimir level l must be positive and finite, got nan"),
     (lambda: birkhoff_normalization(2.0, 1.0, 3.0, -1.0), "Casimir level l must be positive and finite, got -1.0"),
     (lambda: birkhoff_normalization(2.0, 1.0, 3.0, 0.0), "Casimir level l must be positive and finite, got 0.0"),
     (lambda: birkhoff_d_of_z(2.0, 1.0, 1.0, 0.1), "d(Z) needs c != b"),
     (lambda: birkhoff_d_of_z(2.0, 1.0, 3.0, math.nan), "Z must be finite, got nan"),
     (lambda: birkhoff_d_of_z(2.0, -math.inf, 3.0, 0.1), "b must be finite, got -inf"),
-    (lambda: birkhoff_d_of_z(1e308, -1e308, 3.0, 0.2), "d(Z) must be finite, got inf"),
+    (lambda: birkhoff_d_of_z(1e308, 0.0, 3.0, 1.0), "d(Z) is outside the float range at a = 1e+308"),
     (lambda: birkhoff_series(3).evaluate(0.1, math.nan), "shape ratio s must be finite, got nan"),
     (lambda: birkhoff_series(3).pn_value(1, -math.inf), "shape ratio s must be finite, got -inf"),
-], ids=["a-nan", "a-inf", "l-nan", "l-negative", "l-zero", "c-equals-b", "z-nan", "b-inf", "d-overflows", "evaluate-s-nan", "pn-s-inf"])
+], ids=["a-nan", "a-inf", "a-int-beyond-float", "l-nan", "l-negative", "l-zero", "c-equals-b", "z-nan", "b-inf",
+        "d-overflows", "evaluate-s-nan", "pn-s-inf"])
 def test_birkhoff_inputs_must_be_finite_and_in_domain(call, message):
     # Each is refused by name, not answered with nan, -0.0 or a bare arithmetic error.
     with pytest.raises(DomainError, match="^" + re.escape(message)):
