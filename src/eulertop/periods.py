@@ -32,7 +32,7 @@ from .core import (
     lambda_proof,
     ldexp,
 )
-from .special import DivergenceError, _on_cut, _sqrt_sided, elliptic_K
+from .special import DivergenceError, _sqrt_sided, elliptic_K
 
 __all__ = [
     "CYCLE_LABELS",
@@ -55,24 +55,14 @@ CYCLE_LABELS = ("sigma1_axis", "sigma3_axis", "gamma_hyperbolic", "tau")
 # p1, p2 and p3.
 _CLASS_ORDERS = {"S1": "abcd", "S2": "bacd", "S3": "cbad"}
 
-# A covariance row deviating from its class representative by more than
-# this, relatively, is flagged: it must have crossed a branch cut.
-SYMMETRY_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PeriodValue:
-    """A period with provenance: which cycle, at which moduli point.
-
-    ``branch_flagged`` records that the evaluation crossed a branch cut and
-    was resolved by the d - i0 rule (relevant when comparing against naive
-    principal-branch values).
-    """
+    """A period with provenance: which cycle, at which moduli point."""
 
     value: complex
     cycle_label: str
     moduli: ModuliPoint
-    branch_flagged: bool = False
 
     def __post_init__(self) -> None:
         if self.cycle_label not in CYCLE_LABELS:
@@ -115,10 +105,9 @@ def S_closed_form(m: ModuliPoint) -> PeriodValue:
         raise CoincidentModuliError(("d", "b"), "K argument hit 1: S diverges") from None
     radicand = (d - c) * (a - b)
     root = _sqrt_sided(radicand, _d_side(a - b))
-    flagged = _on_cut(1.0 - mu) or _on_cut(radicand)
 
     value = -math.sqrt(2.0 / u.l) / (3.0 * math.pi) * kval / root
-    return PeriodValue(ldexp(value, k + j), "sigma1_axis", m, flagged)
+    return PeriodValue(ldexp(value, k + j), "sigma1_axis", m)
 
 
 def phi_prime(axis: str, m: ModuliPoint) -> PeriodValue:
@@ -131,10 +120,10 @@ def phi_prime(axis: str, m: ModuliPoint) -> PeriodValue:
         return S_closed_form(m)
     if axis == "p3":
         inner = S_closed_form(m.reorder(_CLASS_ORDERS["S3"]))
-        return PeriodValue(inner.value, "sigma3_axis", m, inner.branch_flagged)
+        return PeriodValue(inner.value, "sigma3_axis", m)
     if axis == "p2":
         inner = S_closed_form(m.reorder(_CLASS_ORDERS["S2"]))
-        return PeriodValue(-1j * inner.value, "gamma_hyperbolic", m, inner.branch_flagged)
+        return PeriodValue(-1j * inner.value, "gamma_hyperbolic", m)
     raise ValueError(f"axis must be 'p1', 'p2' or 'p3', got {axis!r}")
 
 
@@ -239,7 +228,9 @@ def quadrature_sigma_integral(m: ModuliPoint) -> PeriodValue:
     Q(x) = (d - c) - (b - c) x^2.  Toward the separatrix d -> b, Q tends to
     zero only at the endpoints, where tanh-sinh places its nodes; the arc in
     p3 would put that near-zero at its midpoint, between the nodes, and lose
-    digits there (7e-2 at 1e-6 of the gap).
+    digits there (7e-2 at 1e-6 of the gap).  Q is formed as
+    (a - c)(d - b)/(a - b) + (b - c)(P - x)(P + x), from the endpoint
+    distances, so it does not cancel at the nodes next to the endpoints.
 
     Oracle for ``S_closed_form``: the quadrature route of the three period
     routes, sharing no code with the AGM or the ODE route.
@@ -250,10 +241,11 @@ def quadrature_sigma_integral(m: ModuliPoint) -> PeriodValue:
     # The arc is integrated on the sphere with 2 l = 1; l enters only as
     # the prefactor 1/sqrt(2 l).
     P = math.sqrt((a - d) / (a - b))
+    q_end = (a - c) * (d - b) / (a - b)
 
     def g(x, dlo, dhi):
         # (a - b)(P - x)(P + x) Q(x) is positive in both chamber orientations.
-        q = (d - c) - (b - c) * x * x
+        q = q_end + (b - c) * dlo * dhi
         return 1.0 / math.sqrt((a - b) * dlo * dhi * q)
 
     value = -tanh_sinh(g, -P, P) / 3.0 / (math.pi * math.sqrt(2.0 * l))
@@ -316,12 +308,15 @@ def verify_connection_identity(m: ModuliPoint) -> float:
 
 @dataclass(frozen=True)
 class SymmetryRow:
+    """One ordering's value and its lattice vector: the value is
+    p S1 + q S2 for ``vector`` (p, q), to within ``residual`` relative to
+    max(|S1|, |S2|)."""
+
     order: str
     value: complex
     class_key: str
-    deviation: float
-    cut_resolved: bool
-    flagged: bool
+    vector: tuple[int, int]
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -329,10 +324,10 @@ class SymmetryReport:
     """Outcome of evaluating S on all 24 slot orderings of one point.
 
     The orderings partition into three classes of eight by which label shares
-    a slot pair with d (the class key); within a class, rows that stayed on
-    the principal branch agree to rounding, and rows that crossed a cut are
-    flagged.  Every summary is read from the rows; ``stabilizer`` lists the
-    orderings in the identity's class.
+    a slot pair with d (the class key).  Every value is a vector of the
+    period lattice that S1 and S2 span; a row whose evaluation crossed a cut
+    is another vector than its class representative.  Every summary is read
+    from the rows; ``stabilizer`` lists the orderings in the identity's class.
     """
 
     moduli: ModuliPoint
@@ -351,16 +346,8 @@ class SymmetryReport:
         return out
 
     @property
-    def max_unflagged_deviation(self) -> float:
-        return max([0.0] + [r.deviation for r in self.rows if not r.flagged])
-
-    @property
-    def flagged_count(self) -> int:
-        return len(self.flagged_rows)
-
-    @property
-    def cut_resolved_count(self) -> int:
-        return sum(r.cut_resolved for r in self.rows)
+    def max_residual(self) -> float:
+        return max(r.residual for r in self.rows)
 
     @property
     def stabilizer(self) -> tuple[str, ...]:
@@ -368,49 +355,38 @@ class SymmetryReport:
         keep d paired with a, a group of order 8 under composition."""
         return tuple(r.order for r in self.rows if r.class_key == "S1")
 
-    @property
-    def flagged_rows(self) -> tuple[SymmetryRow, ...]:
-        return tuple(r for r in self.rows if r.flagged)
-
 
 def verify_symmetries(m: ModuliPoint) -> SymmetryReport:
-    """Evaluate S on all 24 orderings and report the class structure.
+    """Evaluate S on all 24 orderings and write each value in the lattice basis.
 
-    A row is flagged when its value deviates from its class representative
-    by more than ``SYMMETRY_RTOL`` (relatively); every flagged row must have
-    crossed a branch cut on the way (``cut_resolved``), so the flag count is
-    bounded by the number of cut-resolved rows.
+    Each value v is p S1 + q S2, with S1 = S(a,b,c,d) and S2 = S(b,a,c,d):
+    one real 2x2 solve of the real and imaginary parts gives p and q, which
+    are rounded to integers, and the row's residual is
+    |v - (p S1 + q S2)| / max(|S1|, |S2|).
 
     The point must be real (``ModuliPoint.is_real``) and is evaluated at
     its real parts: off the axis, even by 1e-13, the principal square root
     puts some orderings on the other sheet without crossing a cut.  Rows
-    are compared at ``at_unit_scale()``, their values then scaled back.
+    are solved at ``at_unit_scale()``, their values then scaled back.
     """
     from itertools import permutations
 
     if not m.is_real():
         raise DomainError("the covariance report requires a real moduli point")
     u, k, j = ModuliPoint(*(z.real for z in m.coords()), l=m.l).at_unit_scale()
-    reps: dict[str, complex] = {}
-    raw = []
-    for order in map("".join, permutations("abcd")):
-        pv = S_closed_form(u.reorder(order))
+    values = {order: S_closed_form(u.reorder(order)).value for order in map("".join, permutations("abcd"))}
+    s1, s2 = values[_CLASS_ORDERS["S1"]], values[_CLASS_ORDERS["S2"]]
+    det = s1.real * s2.imag - s2.real * s1.imag
+    basis_scale = max(abs(s1), abs(s2))
+
+    rows = []
+    for order, v in values.items():
         # Slot pairing is {1,4} vs {2,3}; the class is named after the first
         # label of its representative, the one sharing a slot pair with d.
         partner = order[3 - order.index("d")]
-        key = next(k for k, rep in _CLASS_ORDERS.items() if rep[0] == partner)
-        raw.append((order, pv, key))
-        if order == _CLASS_ORDERS[key]:
-            reps[key] = pv.value
-
-    rows = []
-    for order, pv, key in raw:
-        rep = reps[key]
-        dev = abs(pv.value - rep) / abs(rep)
-        flagged = dev > SYMMETRY_RTOL
-        if flagged and not pv.branch_flagged:
-            raise AssertionError(
-                f"ordering {order} deviates without crossing a cut; branch bookkeeping is broken"
-            )
-        rows.append(SymmetryRow(order, ldexp(pv.value, k + j), key, dev, pv.branch_flagged, flagged))
+        key = next(name for name, rep in _CLASS_ORDERS.items() if rep[0] == partner)
+        p = round((v.real * s2.imag - s2.real * v.imag) / det)
+        q = round((s1.real * v.imag - v.real * s1.imag) / det)
+        residual = abs(v - (p * s1 + q * s2)) / basis_scale
+        rows.append(SymmetryRow(order, ldexp(v, k + j), key, (p, q), residual))
     return SymmetryReport(m, tuple(rows))

@@ -3,7 +3,8 @@
 ``CHECKS`` is the ordered table of checks.  It maps each name to the check,
 which takes verify's tolerance and returns its fields and whether it passed,
 and to the field that its CSV row shows; a structural check names none and
-shows 1 or 0.  Only the connection identity reads the tolerance.  Every
+shows 1 or 0.  The connection identity and the covariance read the
+tolerance.  Every
 check is scalar, exact or integer work, so this module does not load numpy.
 """
 
@@ -15,7 +16,7 @@ from typing import Callable
 from .birkhoff import birkhoff_series
 from .core import ModuliPoint
 from .lattice import verify_confluence_product
-from .periods import SYMMETRY_RTOL, verify_connection_identity, verify_symmetries
+from .periods import verify_connection_identity, verify_symmetries
 from .special import elliptic_K
 
 __all__ = ["CHECKS", "verify_report"]
@@ -32,24 +33,33 @@ def _connection_identity(tol: float) -> tuple[dict, bool]:
     return {"rows": rows, "max_residual": worst, "tol": tol}, worst < tol
 
 
+# The 24 orderings at (3, 2, 1, 2.5) as lattice vectors (p, q) of
+# p S1 + q S2.  Rows off their class's vector, (1, 0), (0, 1) or (1, 1),
+# crossed a cut at d - i0.
+_COVARIANCE_VECTORS = {
+    (1, 0): "abcd acbd badc bdac cadb cdab dbca dcba",
+    (0, 1): "bacd cbda cdba dacb",
+    (1, 1): "cabd cbad dabc",
+    (0, -1): "abdc adbc bcad dcab",
+    (1, -1): "acdb adcb bcda",
+    (-1, 1): "bdca",
+    (-1, -1): "dbac",
+}
+
+
 def _covariance(tol: float) -> tuple[dict, bool]:
-    """Three covariance classes at the base point, unflagged rows within the
-    flag threshold ``SYMMETRY_RTOL`` of their class, and no more flagged rows
-    than rows that crossed a cut."""
+    """Three covariance classes at the base point, every ordering the stated
+    lattice vector, and the worst residual below tol."""
     sym = verify_symmetries(ModuliPoint(3.0, 2.0, 1.0, 2.5))
+    vectors = {r.order: r.vector for r in sym.rows}
+    stated = {order: v for v, orders in _COVARIANCE_VECTORS.items() for order in orders.split()}
     fields = {
         "class_sizes": sym.class_sizes,
-        "max_unflagged_deviation": sym.max_unflagged_deviation,
-        "flagged_count": sym.flagged_count,
-        "cut_resolved_count": sym.cut_resolved_count,
-        "flagged_rows": [
-            {"order": list(r.order), "value": [r.value.real, r.value.imag], "class": r.class_key}
-            for r in sym.flagged_rows
-        ],
+        "vectors": {order: list(v) for order, v in vectors.items()},
+        "max_residual": sym.max_residual,
         "stabilizer": list(sym.stabilizer),
     }
-    ok = len(sym.class_sizes) == 3 and sym.max_unflagged_deviation < SYMMETRY_RTOL
-    return fields, ok and sym.flagged_count <= sym.cut_resolved_count
+    return fields, len(sym.class_sizes) == 3 and vectors == stated and sym.max_residual < tol
 
 
 def _modular_identity(tol: float) -> tuple[dict, bool]:
@@ -75,7 +85,7 @@ def _confluence(tol: float) -> tuple[dict, bool]:
 
 CHECKS: dict[str, tuple[Callable[[float], tuple[dict, bool]], str | None]] = {
     "connection_identity": (_connection_identity, "max_residual"),
-    "covariance": (_covariance, "max_unflagged_deviation"),
+    "covariance": (_covariance, "max_residual"),
     "modular_identity": (_modular_identity, "max_abs_error"),
     "series_palindromes": (_series_palindromes, None),
     "confluence": (_confluence, None),

@@ -233,7 +233,8 @@ def test_period_solver_failure_prints_only_its_error_line(capsys):
 
 def test_verify_battery(capsys):
     code, out, err = run(capsys, "verify")
-    assert code == 0
+    # A passing verify writes nothing to stderr.
+    assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["status"] == "pass"
     assert report["failures"] == []
@@ -257,7 +258,7 @@ def test_verify_csv_statuses_are_the_report_statuses(capsys):
     from eulertop.verify import CHECKS, verify_report
 
     code, out, err = run(capsys, "verify", "--format", "csv")
-    assert code == 0
+    assert (code, err) == (0, "")
     report = verify_report()
     rows = [line.split(",") for line in out.splitlines()]
     assert rows[0] == ["check", "value", "status"]
@@ -268,10 +269,26 @@ def test_verify_fails_below_the_identity_residual(capsys):
     code, out, err = run(capsys, "verify", "--tol", "1e-17")
     assert code == 1
     report = json.loads(out)
-    assert (report["status"], report["failures"]) == ("fail", ["connection_identity"])
+    assert (report["status"], report["failures"]) == ("fail", ["connection_identity", "covariance"])
     code, out, err = run(capsys, "verify", "--tol", "1e-17", "--format", "csv")
     assert code == 1
     assert out.splitlines()[1] == "connection_identity,7.8504622934188758e-17,fail"
+
+
+def test_verify_covariance_is_the_stated_vector_table(monkeypatch):
+    from eulertop import verify
+
+    check, _ = verify.CHECKS["covariance"]
+    fields, ok = check(1e-12)
+    assert ok and fields["max_residual"] < 1e-12
+    assert sorted(map(tuple, fields["vectors"].values())) == sorted(
+        v for v, orders in verify._COVARIANCE_VECTORS.items() for _ in orders.split()
+    )
+    # One ordering moved to another vector fails the check.
+    table = dict(verify._COVARIANCE_VECTORS)
+    table[(1, 1)], table[(-1, -1)] = "cabd cbad", "dbac dabc"
+    monkeypatch.setattr(verify, "_COVARIANCE_VECTORS", table)
+    assert check(1e-12)[1] is False
 
 
 def test_monodromy_preset_alpha(capsys):
@@ -370,13 +387,13 @@ def test_monodromy_table_presets_match_the_reference_files(capsys, preset):
 ])
 @pytest.mark.parametrize("target", ["missing-dir/out.txt", "."])
 def test_unwritable_out_is_one_error_line(tmp_path, capsys, argv, target):
-    # A path in a missing directory, or a directory itself; verify's
-    # branch-flag warnings come before the error line.
+    # A path in a missing directory, or a directory itself: the error line
+    # is all that is written to stderr.
     path = tmp_path / target
     code, out, err = run(capsys, *argv, "--out", str(path))
     assert (code, out) == (1, "")
-    assert err.endswith(f"'{path}'\n") and err.count("error:") == 1
-    assert err.splitlines()[-1].startswith("error: [Errno ")
+    assert err.endswith(f"'{path}'\n") and err.count("\n") == 1
+    assert err.startswith("error: [Errno ")
 
 
 def test_monodromy_loop_transport_stall(tmp_path, capsys):

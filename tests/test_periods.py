@@ -2,9 +2,11 @@
 
 import cmath
 import hashlib
+import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -49,13 +51,11 @@ def test_closed_form_at_the_distinguished_corner():
     # d = a makes the elliptic integral complete at modulus zero.
     got = S_closed_form(ModuliPoint(3, 2, 1, 3.0, 1.0))
     assert got.value == pytest.approx(-1.0 / 6.0, rel=1e-14)
-    assert not got.branch_flagged
 
 
 def test_closed_form_base_anchor():
     got = S_closed_form(BASE)
     assert got.value == pytest.approx(S1, rel=1e-14)
-    assert not got.branch_flagged
     assert got.cycle_label == "sigma1_axis"
 
 
@@ -64,11 +64,10 @@ def test_closed_form_reversed_chamber():
     assert got.value == pytest.approx(S_REVERSED, rel=1e-14)
 
 
-def test_closed_form_flagged_ordering():
+def test_closed_form_ordering_across_the_cut():
     # Slot order (b, a, c, d): the radicand goes negative and the branch
     # rule resolves the square root; the value is purely imaginary here.
     got = S_closed_form(ModuliPoint(2, 3, 1, 2.5, 1.0))
-    assert got.branch_flagged
     assert got.value == pytest.approx(S2, rel=1e-13)
 
 
@@ -96,7 +95,6 @@ def test_closed_form_refuses_four_equal_coordinates(value):
 def test_phi_prime_axes():
     assert phi_prime("p1", BASE).value == pytest.approx(S1, rel=1e-14)
     p2 = phi_prime("p2", BASE)
-    assert p2.branch_flagged
     assert p2.value == pytest.approx(-1j * S2, rel=1e-13)
     p3 = phi_prime("p3", ModuliPoint(3, 2, 1, 1.5, 1.0))
     assert p3.value == pytest.approx(S1, rel=1e-13)
@@ -147,14 +145,13 @@ def test_sigma_quadrature_matches_closed_form():
         assert got.value == pytest.approx(S1 / math.sqrt(l), rel=1e-12)
 
 
-# The worst relative error measured over the moment sets below, rounded up
-# to a power of ten.  It grows toward the separatrix because Q(x) = (d - c)
-# - (b - c) x^2 cancels at the nodes next to the endpoints, where Q is near
-# (a - c)(d - b)/(a - b).
-SEPARATRIX_RTOL = {1e-6: 1e-11, 1e-5: 1e-12, 1e-4: 1e-13, 1e-3: 1e-14}
+# The worst relative error measured over the moment sets below, 4.5e-16 at
+# every fraction, rounded up to a power of ten.  Q(x) is formed from the
+# endpoint distances, so it does not cancel toward the separatrix.
+SEPARATRIX_RTOL = 1e-15
 
 
-@pytest.mark.parametrize("fraction", sorted(SEPARATRIX_RTOL))
+@pytest.mark.parametrize("fraction", [1e-6, 1e-5, 1e-4, 1e-3])
 def test_sigma_quadrature_near_the_separatrix(fraction):
     # d is this fraction of the gap a - b away from b, in both chamber
     # orientations; the reference is K(mu) in 40 digits at the same floats.
@@ -165,7 +162,7 @@ def test_sigma_quadrature_near_the_separatrix(fraction):
             A, B, C, D = (mpmath.mpf(x) for x in (a, b, c, d))
             mu = (D - A) * (B - C) / ((D - C) * (B - A))
             want = -mpmath.sqrt(2) / (3 * mpmath.pi) * mpmath.ellipk(mu) / mpmath.sqrt((D - C) * (A - B))
-            assert abs((got - want) / want) < SEPARATRIX_RTOL[fraction], (a, b, c)
+            assert abs((got - want) / want) < SEPARATRIX_RTOL, (a, b, c)
 
 
 def test_sigma_quadrature_reversed_chamber():
@@ -255,7 +252,11 @@ def test_connection_identity_residual():
 def test_symmetry_classes_partition():
     rep = verify_symmetries(BASE)
     assert rep.class_sizes == {"S1": 8, "S2": 8, "S3": 8}
-    assert rep.max_unflagged_deviation < 1e-12
+    assert rep.max_residual < 1e-12
+    # Each class representative is its class's basis vector.
+    assert {r.order: r.vector for r in rep.rows if r.order in ("abcd", "bacd", "cbad")} == {
+        "abcd": (1, 0), "bacd": (0, 1), "cbad": (1, 1),
+    }
     assert len(rep.stabilizer) == 8
     assert {"acbd", "bdac"} <= set(rep.stabilizer)  # (bc) and (abdc)
     # A group: composing two of its relabellings gives a third.
@@ -273,25 +274,42 @@ def test_symmetry_stabilizer_is_read_from_the_rows(d):
     assert rep.stabilizer == ("abcd", "acbd", "badc", "bdac", "cadb", "cdab", "dbca", "dcba")
 
 
-def test_symmetry_flags_are_cut_crossings():
-    rep = verify_symmetries(BASE)
-    assert rep.flagged_count == 9
-    assert rep.flagged_count <= rep.cut_resolved_count
-    per_class = {}
-    for row in rep.flagged_rows:
-        per_class[row.class_key] = per_class.get(row.class_key, 0) + 1
-    assert per_class == {"S2": 4, "S3": 5}
-    # the identity class stays on the principal branch throughout
-    assert all(row.class_key != "S1" for row in rep.flagged_rows)
+# Gaps between the sorted coordinates of the order-type draws, log-uniform.
+# As two gaps shrink together the residual grows, roughly like 1e-16 over
+# their product: near a double coincidence 1 - mu cancels in S itself.
+ORDER_TYPE_GAPS = (1e-2, 3.0)
+# The worst residual measured over 100 draws per order type, 7.6e-13,
+# rounded up to a power of ten.
+ORDER_TYPE_RESIDUAL = 1e-12
+
+
+def test_symmetry_vectors_are_constant_in_each_order_type():
+    # Ten seeded real points in each of the 24 order types of (a, b, c, d):
+    # every point of an order type writes its 24 values as the same vectors.
+    rng = random.Random(26)
+    lo, hi = (math.log(g) for g in ORDER_TYPE_GAPS)
+    tables = set()
+    for perm in itertools.permutations(range(4)):
+        seen = set()
+        for _ in range(10):
+            x = [rng.uniform(0.1, 2.0)]
+            for _ in range(3):
+                x.append(x[-1] + math.exp(rng.uniform(lo, hi)))
+            rep = verify_symmetries(ModuliPoint(*(x[i] for i in perm)))
+            assert rep.max_residual < ORDER_TYPE_RESIDUAL, perm
+            seen.add(tuple(r.vector for r in rep.rows))
+        assert len(seen) == 1, perm
+        tables |= seen
+    assert len(tables) == 12
 
 
 @pytest.mark.parametrize("k", [1000, -1000])
 def test_symmetry_report_is_scale_free(k):
-    # The rows are compared at unit scale: the deviations and flags are those
+    # The rows are solved at unit scale: the vectors and residuals are those
     # of the unscaled point, and each value is its S times 2**-k exactly.
     s = 2.0**k
     rep, base = verify_symmetries(ModuliPoint(3 * s, 2 * s, s, 2.5 * s, 1.0)), verify_symmetries(BASE)
-    assert [(r.deviation, r.flagged) for r in rep.rows] == [(r.deviation, r.flagged) for r in base.rows]
+    assert [(r.vector, r.residual) for r in rep.rows] == [(r.vector, r.residual) for r in base.rows]
     assert [r.value for r in rep.rows] == [ldexp(r.value, -k) for r in base.rows]
 
 
