@@ -9,7 +9,7 @@ a rational polynomial of degree n.  The summand is symmetric under
 k <-> n - k, so every P_n is palindromic: P_n(1/s) s^n = P_n(s).
 
 The series is exact: it needs only Fractions and ``math.comb``, so this
-module does not import numpy.  Both evaluators run one exact Horner kernel
+module needs no numpy.  Both evaluators run one exact Horner kernel
 and round at most once: ``pn_value`` gives P_n(s) as a Fraction, or rounded
 to a float at a float s, and ``evaluate`` rounds the exact truncated sum.
 """
@@ -98,13 +98,6 @@ class SeriesCoefficients:
     def is_palindromic(self, n: int) -> bool:
         poly = self._poly(n)
         return tuple(reversed(poly)) == poly
-
-    def roots(self, n: int):
-        """The roots of P_n(s) as a numpy array; numpy is loaded only here."""
-        import numpy as np
-
-        coeffs = [float(x) for x in reversed(self._poly(n))]
-        return np.roots(coeffs)
 
     def evaluate(self, z: complex, s) -> complex:
         """The truncated sum of P_n(s) z^n on the disc |z| < Z* = 1/(4 max(1, |s|))

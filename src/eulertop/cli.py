@@ -37,6 +37,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# The --preset values: the three alpha loops, the six generator loops against
+# their stated matrices, and the two tables of stated matrices.
+_MONODROMY_PRESETS = ("alpha1", "alpha2", "alpha3", "all-generators", "confluence", "braid")
+
 # Bound checked before any work is allocated.  The batched ODE solve of
 # period holds about 13 x 3 floats for each grid row.
 MAX_GRID_ROWS = 4096
@@ -196,13 +200,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # period
 
-def _closed_and_quadrature(m: ModuliPoint, axis: str) -> tuple[complex, complex]:
+def _closed_and_quadrature(m: ModuliPoint, axis: str) -> tuple[complex, float]:
     from .periods import _CLASS_ORDERS, phi_prime, quadrature_sigma_integral
 
-    closed = phi_prime(axis, m).value
+    closed = phi_prime(axis, m)
     if axis == "p3":
         m = m.reorder(_CLASS_ORDERS["S3"])
-    return closed, quadrature_sigma_integral(m).value
+    return closed, quadrature_sigma_integral(m)
 
 
 def cmd_period(args: argparse.Namespace) -> int:
@@ -244,7 +248,7 @@ def cmd_period(args: argparse.Namespace) -> int:
         rows.append({
             "a": a, "b": b, "c": c, "d": d, "l": l,
             "S_closed": closed.real,
-            "S_quadrature": quad.real,
+            "S_quadrature": quad,
             "S_ode": s_ode,
             "dev_quad": abs(closed - quad) / abs(closed),
             "dev_ode": abs(abs(closed) - abs(s_ode)) / abs(closed),
@@ -290,7 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_monodromy(args: argparse.Namespace) -> int:
     # The braid and confluence presets multiply stated integer matrices
     # only; the scalar germ transport of ``monodromy`` loads for the loops.
-    from .lattice import GENERATOR_LABELS, PRESETS, verify_braid_relations, verify_confluence_product
+    from .lattice import GENERATOR_LABELS, verify_braid_relations, verify_confluence_product
 
     preset, loop_file = args.preset, args.loop
     if bool(preset) == bool(loop_file):
@@ -303,12 +307,6 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
             loop = ModuliLoop.from_json_dict(json.load(fh))
         result = loop_monodromy(loop)
         out = {"loop": loop.to_json_dict(), "matrix": result.matrix.tolist(), "residual": result.residual}
-    elif preset in PRESETS and preset not in GENERATOR_LABELS:
-        from .monodromy import preset_monodromy
-
-        result = preset_monodromy(preset)
-        out = {"preset": preset, "frame": "engine (S3, S1)"}
-        out.update(matrix=result.matrix.tolist(), residual=result.residual)
     elif preset == "all-generators":
         from .monodromy import numeric_vs_stated
 
@@ -332,9 +330,12 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
         out = {"orderings": verify_confluence_product()}
     elif preset == "braid":
         out = verify_braid_relations()
-    else:
-        print(f"error: unknown preset {preset!r}", file=sys.stderr)
-        return 2
+    else:  # alpha1, alpha2 or alpha3
+        from .monodromy import preset_monodromy
+
+        result = preset_monodromy(preset)
+        out = {"preset": preset, "frame": "engine (S3, S1)"}
+        out.update(matrix=result.matrix.tolist(), residual=result.residual)
     _emit(_json_dump(out), args.out)
     return 0
 
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_mon = sub.add_parser("monodromy", parents=[common], help="loop monodromy")
-    p_mon.add_argument("--preset", help="alpha1|alpha2|alpha3|all-generators|confluence|braid")
+    p_mon.add_argument("--preset", choices=_MONODROMY_PRESETS, help="a preset loop or table")
     p_mon.add_argument("--loop", help="JSON file describing a ModuliLoop")
     p_mon.set_defaults(func=cmd_monodromy)
 

@@ -6,8 +6,10 @@ transformed by an integer matrix.  That matrix is topological: the
 crossings of the induced cross-ratio path with the cuts (-inf, 0] and
 (1, inf) spell a word in two exact generators, and the sign flips of the
 square-root prefactors, kept continuous along the path, conjugate it into
-the period frame.  One frame of value/derivative germs, transported along
-the same path, checks the word numerically.
+the period frame.  One frame of value/derivative germs, seeded from F and
+F' wherever the start's cross-ratio lies off the real axis and transported
+along the same path, checks the word numerically: a loop's result is its
+integer matrix and that check's residual.
 
 This module also holds the continuation engine of the hypergeometric
 equation: the exact connection matrices between the local bases of
@@ -18,7 +20,7 @@ path.  The stated integer matrices the loops are compared with, and their
 exact algebra, live in ``lattice``.
 
 Everything here is scalar Python (``math``, ``cmath``, lists and tuples), so
-this module does not import numpy; a 2x2 matrix is a tuple of two row
+this module needs no numpy; a 2x2 matrix is a tuple of two row
 tuples.
 
 Frames and bases.  The engine's working frame is (S3, S1) = (S(c,b,a,d),
@@ -53,7 +55,8 @@ from .special import (
     ContinuationStallError,
     PathTooCloseError,
     SolutionFrame,
-    _local_frame,
+    _hyper_closed,
+    hyper_series,
 )
 
 __all__ = [
@@ -562,21 +565,27 @@ def _continuous_sqrt(values: Iterable[complex]) -> list[complex]:
     return out
 
 
+def _germ_F(w: complex) -> tuple[complex, complex]:
+    """F(w) = (2/pi) K(w) and F'(w) off the real axis: the series inside
+    |w| < 1, K and E beyond it."""
+    return hyper_series(w)[:2] if abs(w) < 1.0 else _hyper_closed(w)[:2]
+
+
 def _seed_germs(mu0: complex) -> Matrix2:
     """Germs (value, d/dmu) of the numerator solutions at the basepoint.
 
-    Row 0 belongs to S3's numerator (the atInf member, re-expressed through
-    K(1 - mu) and K(mu) on the basepoint's side of the axis), row 1 to S1's
-    numerator F(mu).  The side passed resolves only the frames' log members.
+    Row 0 belongs to S3's numerator F(1 - mu) + sigma i F(mu), sigma the
+    sign of Im mu0 (the atInf member, re-expressed through K(1 - mu) and
+    K(mu) on the basepoint's side of the axis), row 1 to S1's numerator
+    F(mu).  Off the real axis neither F is on its cut, so mu0 may lie
+    anywhere there.
     """
     if mu0.imag == 0.0:
         raise MonodromyError("basepoint cross-ratio is real; offsets are required")
     sgn = 1.0 if mu0.imag > 0.0 else -1.0
-    at0 = _local_frame("at0", mu0, sgn)
-    at1 = _local_frame("at1", mu0, sgn)
-    g1 = (at0.values[0], at0.derivs[0])
-    g5 = tuple(sgn * 1j * x + y for x, y in zip(g1, (at1.values[0], at1.derivs[0])))
-    return g5, g1
+    g1 = _germ_F(mu0)
+    f, fd = _germ_F(1.0 - mu0)
+    return (sgn * 1j * g1[0] + f, sgn * 1j * g1[1] - fd), g1
 
 
 def _loop_path(loop: ModuliLoop):
@@ -628,11 +637,10 @@ def _word_matrix(mu: Sequence[complex], roots0: tuple[complex, complex],
 
 @dataclass(frozen=True)
 class MonodromyResult:
-    """A loop's integer matrix (its crossing word), the complex matrix of the
-    one transported frame, and that frame's residual against the integer one."""
+    """A loop's integer matrix (its crossing word) and the residual of the
+    one transported frame against it."""
 
     matrix: IntegerMatrix2
-    raw: Matrix2
     residual: float
 
 
@@ -643,8 +651,8 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
     more than 1e-9 from an integer matrix of determinant +1 raises
     MonodromyError.  One frame seeded at the basepoint is transported along
     the same path: ``residual`` is the largest entry of |end - M @ start|,
-    and above 1e-6 raises MonodromyError; ``raw`` is end @ start^-1.  A path
-    too close to 0 or 1 raises PathTooCloseError before any step.
+    and above 1e-6 raises MonodromyError.  A path too close to 0 or 1
+    raises PathTooCloseError before any step.
 
     The loop is evaluated with every coordinate and the radius times 2**k,
     k the ``unit_exponent`` of the start's scale.  The cross-ratio is
@@ -672,7 +680,7 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
             f"the transported frame disagrees with the crossing word {rounded}: "
             f"residual {resid:.3g} exceeds {_EXTRACTION_TOL}"
         )
-    return MonodromyResult(IntegerMatrix2(rounded), _matmul(last, _inverse(first)), resid)
+    return MonodromyResult(IntegerMatrix2(rounded), resid)
 
 
 def preset_monodromy(label: str) -> MonodromyResult:
@@ -689,8 +697,7 @@ def preset_monodromy(label: str) -> MonodromyResult:
         return got
     # Swapping the frame reverses both rows and columns, exactly.
     (p, q), (r, s) = got.matrix.entries
-    raw = tuple(row[::-1] for row in got.raw[::-1])
-    return MonodromyResult(IntegerMatrix2(((s, r), (q, p))), raw, got.residual)
+    return MonodromyResult(IntegerMatrix2(((s, r), (q, p))), got.residual)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ T = 6 pi |S| in the elliptic chambers.
 The module provides the closed form, two independent quadrature routes
 (one real arc for the elliptic cycles and a hyperbolic-arc decomposition
 for the connecting cycle), the three-term identity checker,
-and the 24-fold covariance report.  The exact rational series of the
-inverse Birkhoff normal form lives in ``birkhoff``.
+and the 24-fold covariance report.  Each period route returns the number it
+computes: a complex, or a float for the real arc.  The exact rational series
+of the inverse Birkhoff normal form lives in ``birkhoff``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .core import (
 from .special import DivergenceError, _sqrt_sided, elliptic_K
 
 __all__ = [
-    "CYCLE_LABELS",
-    "PeriodValue",
     "S_closed_form",
     "SymmetryReport",
     "euler_period",
@@ -48,25 +47,10 @@ __all__ = [
     "verify_symmetries",
 ]
 
-CYCLE_LABELS = ("sigma1_axis", "sigma3_axis", "gamma_hyperbolic", "tau")
-
 # The period classes as reorderings of one point: S1 = S(a,b,c,d),
 # S2 = S(b,a,c,d) and S3 = S(c,b,a,d), the values behind the axis families
 # p1, p2 and p3.
 _CLASS_ORDERS = {"S1": "abcd", "S2": "bacd", "S3": "cbad"}
-
-
-@dataclass(frozen=True)
-class PeriodValue:
-    """A period with provenance: which cycle, at which moduli point."""
-
-    value: complex
-    cycle_label: str
-    moduli: ModuliPoint
-
-    def __post_init__(self) -> None:
-        if self.cycle_label not in CYCLE_LABELS:
-            raise ValueError(f"cycle_label must be one of {CYCLE_LABELS}")
 
 
 def _d_side(dq_dd: complex) -> int:
@@ -75,8 +59,9 @@ def _d_side(dq_dd: complex) -> int:
     return -1 if complex(dq_dd).real > 0.0 else +1
 
 
-def S_closed_form(m: ModuliPoint) -> PeriodValue:
-    """The normalized period S at a moduli point, branch-resolved at d - i0.
+def S_closed_form(m: ModuliPoint) -> complex:
+    """The normalized period S at a moduli point, branch-resolved at d - i0,
+    as a complex number.
 
     Singular loci: (d - c)(b - a) = 0 makes the cross-ratio undefined and
     (d - b)(c - a) = 0 puts K at its logarithmic singularity; both raise.
@@ -107,11 +92,12 @@ def S_closed_form(m: ModuliPoint) -> PeriodValue:
     root = _sqrt_sided(radicand, _d_side(a - b))
 
     value = -math.sqrt(2.0 / u.l) / (3.0 * math.pi) * kval / root
-    return PeriodValue(ldexp(value, k + j), "sigma1_axis", m)
+    return ldexp(value, k + j)
 
 
-def phi_prime(axis: str, m: ModuliPoint) -> PeriodValue:
-    """Derivative of the rotation-number half-periods along one axis family.
+def phi_prime(axis: str, m: ModuliPoint) -> complex:
+    """Derivative of the rotation-number half-periods along one axis family,
+    as a complex number.
 
     axis "p1" is S(a, b, c, d) itself; "p3" relabels to S(c, b, a, d);
     "p2" (the hyperbolic connecting family) is -i S(b, a, c, d).
@@ -119,17 +105,15 @@ def phi_prime(axis: str, m: ModuliPoint) -> PeriodValue:
     if axis == "p1":
         return S_closed_form(m)
     if axis == "p3":
-        inner = S_closed_form(m.reorder(_CLASS_ORDERS["S3"]))
-        return PeriodValue(inner.value, "sigma3_axis", m)
+        return S_closed_form(m.reorder(_CLASS_ORDERS["S3"]))
     if axis == "p2":
-        inner = S_closed_form(m.reorder(_CLASS_ORDERS["S2"]))
-        return PeriodValue(-1j * inner.value, "gamma_hyperbolic", m)
+        return -1j * S_closed_form(m.reorder(_CLASS_ORDERS["S2"]))
     raise ValueError(f"axis must be 'p1', 'p2' or 'p3', got {axis!r}")
 
 
 def euler_period(m: ModuliPoint, axis: str = "p1") -> float:
     """Rotation period T = 6 pi |S| of the orbit family around an axis."""
-    return 6.0 * math.pi * abs(phi_prime(axis, m).value)
+    return 6.0 * math.pi * abs(phi_prime(axis, m))
 
 
 # ----------------------------------------------------------------------
@@ -217,8 +201,9 @@ def _real_chamber_coords(m: ModuliPoint) -> tuple[float, float, float, float, fl
     return a, b, c, d, m.l
 
 
-def quadrature_sigma_integral(m: ModuliPoint) -> PeriodValue:
-    """S on the elliptic family by real quadrature, bypassing K entirely.
+def quadrature_sigma_integral(m: ModuliPoint) -> float:
+    """S on the elliptic family by real quadrature, bypassing K entirely, as
+    a float.
 
     The cycle is one arc in the p2 coordinate, p2 over (-P, P) with
     P = sqrt((a - d)/(a - b)):
@@ -249,11 +234,12 @@ def quadrature_sigma_integral(m: ModuliPoint) -> PeriodValue:
         return 1.0 / math.sqrt((a - b) * dlo * dhi * q)
 
     value = -tanh_sinh(g, -P, P) / 3.0 / (math.pi * math.sqrt(2.0 * l))
-    return PeriodValue(ldexp(value, k + j), "sigma1_axis", m)
+    return ldexp(value, k + j)
 
 
-def quadrature_tau_integral(m: ModuliPoint) -> PeriodValue:
-    """The connecting-cycle period by real quadrature of hyperbolic arcs.
+def quadrature_tau_integral(m: ModuliPoint) -> complex:
+    """The connecting-cycle period by real quadrature of hyperbolic arcs, as
+    a complex number.
 
     The cycle decomposes into two conjugate arcs crossing the separatrix and
     a pair of arcs whose contributions cancel; parameterizing by u = tanh of
@@ -290,7 +276,7 @@ def quadrature_tau_integral(m: ModuliPoint) -> PeriodValue:
 
     pref = 2.0 / (3.0 * math.sqrt(2.0 * l * abs(a - c) * abs(d - b)))
     value = -pref * (j2 - 1j * j1) / math.pi
-    return PeriodValue(ldexp(value, k + j), "tau", m)
+    return ldexp(value, k + j)
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +288,7 @@ def verify_connection_identity(m: ModuliPoint) -> float:
     Vanishes identically (the three are values of one period lattice); the
     returned residual is limited only by rounding.
     """
-    s1, s2, s3 = (S_closed_form(m.reorder(order)).value for order in _CLASS_ORDERS.values())
+    s1, s2, s3 = (S_closed_form(m.reorder(order)) for order in _CLASS_ORDERS.values())
     return abs(s1 + s2 - s3)
 
 
@@ -332,11 +318,6 @@ class SymmetryReport:
 
     moduli: ModuliPoint
     rows: tuple[SymmetryRow, ...]
-
-    @property
-    def class_values(self) -> dict:
-        """Each class's value, that of its representative ordering."""
-        return {r.class_key: r.value for r in self.rows if r.order == _CLASS_ORDERS[r.class_key]}
 
     @property
     def class_sizes(self) -> dict:
@@ -374,7 +355,7 @@ def verify_symmetries(m: ModuliPoint) -> SymmetryReport:
     if not m.is_real():
         raise DomainError("the covariance report requires a real moduli point")
     u, k, j = ModuliPoint(*(z.real for z in m.coords()), l=m.l).at_unit_scale()
-    values = {order: S_closed_form(u.reorder(order)).value for order in map("".join, permutations("abcd"))}
+    values = {order: S_closed_form(u.reorder(order)) for order in map("".join, permutations("abcd"))}
     s1, s2 = values[_CLASS_ORDERS["S1"]], values[_CLASS_ORDERS["S2"]]
     det = s1.real * s2.imag - s2.real * s1.imag
     basis_scale = max(abs(s1), abs(s2))

@@ -47,8 +47,8 @@ def test_criterion_01_oracle_triangle():
     start = time.perf_counter()
     for d in D_GRID:
         m = ModuliPoint(*ABC, d, 1.0)
-        s_closed = S_closed_form(m).value
-        s_quad = quadrature_sigma_integral(m).value
+        s_closed = S_closed_form(m)
+        s_quad = quadrature_sigma_integral(m)
         assert abs(s_closed - s_quad) / abs(s_closed) < 1e-9
         t_ode = orbit_period(section_state(d), INERTIA)
         assert abs(6.0 * math.pi * s_closed + t_ode) / t_ode < 1e-6
@@ -69,8 +69,8 @@ def test_criterion_03_tau_cycle():
     start = time.perf_counter()
     for d in D_GRID:
         m = ModuliPoint(*ABC, d, 1.0)
-        tau = quadrature_tau_integral(m).value
-        reference = S_closed_form(m.reorder("cbad")).value
+        tau = quadrature_tau_integral(m)
+        reference = S_closed_form(m.reorder("cbad"))
         assert abs(tau - reference) < 1e-7
     report(3, "tau cycle quadrature", time.perf_counter() - start, 10.0)
 
@@ -153,7 +153,8 @@ def test_criterion_09_birkhoff_series():
         assert all(isinstance(c, Fraction) for c in poly)
         assert tuple(reversed(poly)) == poly
     for n in range(1, 9):
-        assert np.max(np.abs(np.abs(series.roots(n)) - 1.0)) < 1e-6
+        roots = np.roots([float(x) for x in reversed(series.polys[n])])
+        assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-6
     report(9, "Birkhoff palindromes and roots", time.perf_counter() - start, 10.0)
 
 

@@ -457,8 +457,45 @@ def test_monodromy_flag_conflicts(capsys):
     assert code == 2
     code, out, err = run(capsys, "monodromy")
     assert code == 2
-    code, out, err = run(capsys, "monodromy", "--preset", "alpha9")
-    assert code == 2
+
+
+@pytest.mark.parametrize("preset", ["alpha9", "h12"])
+def test_monodromy_unknown_preset_is_a_usage_error(tmp_path, capsys, preset):
+    # A generator label such as h12 is a loop of all-generators, not a preset.
+    with pytest.raises(SystemExit) as exc:
+        main(["monodromy", "--preset", preset])
+    assert exc.value.code == 2
+    assert f"argument --preset: invalid choice: '{preset}'" in capsys.readouterr().err
+    # A config file's value is refused by the same choices.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": preset}))
+    code, out, err = run(capsys, "monodromy", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config value for 'preset' must be one of") and repr(preset) in err
+
+
+def test_monodromy_preset_choices_are_the_alpha_presets_and_the_tables():
+    from eulertop.lattice import GENERATOR_LABELS, PRESETS
+
+    alphas = sorted(label for label in PRESETS if label not in GENERATOR_LABELS)
+    assert cli._MONODROMY_PRESETS == (*alphas, "all-generators", "confluence", "braid")
+
+
+@pytest.mark.parametrize("start", [[5.0, 0.0], [0.5, 0.0]])
+def test_monodromy_loop_starting_far_from_both_series_discs(tmp_path, capsys, start):
+    # d circles c from a start whose cross-ratio lies outside |mu| < 1 (at
+    # 0.5) or |1 - mu| < 1 (at 5.0): the frame is seeded from F and F' there.
+    loop = {
+        "move": "d", "center": [1.0, -0.001], "radius": 0.2, "winding": 1, "start": start,
+        "frozen": {"a": [3.0, -0.001], "b": [2.0, -0.001], "c": [1.0, -0.001]},
+    }
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps(loop))
+    code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["matrix"] == [[1, 0], [-2, 1]]
+    assert payload["residual"] < 1e-12
 
 
 def test_series_exact_output(capsys):

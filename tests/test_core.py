@@ -202,6 +202,24 @@ def test_only_dynamics_loads_numpy_on_import():
     assert loads == {"dynamics"}
 
 
+def test_only_dynamics_imports_numpy_at_all():
+    # Inside a function too: the exact series in ``birkhoff`` leaves its
+    # polynomials' roots to the tests.
+    src = Path(eulertop.__file__).parent
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"dynamics"}
+
+
 @pytest.mark.parametrize("name", [info.name for info in pkgutil.iter_modules(eulertop.__path__)])
 def test_every_name_in_all_exists(name):
     # A deleted definition must leave its module's __all__ too.

@@ -124,7 +124,7 @@ def test_loop_monodromy_is_evaluated_at_one_scale(factor):
     # so the preset loop multiplied by one gives bit-identical numbers.
     want = loop_monodromy(preset_loop("a", "d"))
     got = loop_monodromy(ModuliLoop.from_json_dict(_scaled_loop_dict(factor)))
-    assert (got.matrix, got.raw, got.residual) == (want.matrix, want.raw, want.residual)
+    assert (got.matrix, got.residual) == (want.matrix, want.residual)
 
 
 @pytest.mark.parametrize("factor", [1.0, 200.0, 1e100])
