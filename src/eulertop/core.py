@@ -14,7 +14,9 @@ easy to mix up, so both get a name:
     lambda_proof(m) = (d-a)(c-b) / ((d-b)(c-a))      (classical normalization)
 
 They are related by mu = lam/(lam - 1); every downstream formula states which
-one it uses.
+one it uses.  The complement 1 - mu is ``cross_ratio`` with a and b swapped,
+(d-b)(a-c) / ((d-c)(a-b)): formed that way it keeps its digits where mu is
+near 1, as it is next to the separatrix.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "cross_ratio",
     "lambda_proof",
     "ldexp",
-    "moduli_from_mechanics",
     "mu_main",
     "require_finite",
     "require_positive",
@@ -126,11 +127,6 @@ class InertiaSpec:
         if self.I1 == self.I2 or self.I2 == self.I3 or self.I1 == self.I3:
             raise DomainError("moments of inertia must be pairwise distinct")
 
-    @property
-    def canonical(self) -> bool:
-        """Whether I1 < I2 < I3, the ordering the period formulas assume."""
-        return self.I1 < self.I2 < self.I3
-
     def reciprocals(self) -> tuple[float, float, float]:
         """The parameters (a, b, c) = (1/I1, 1/I2, 1/I3)."""
         return 1.0 / self.I1, 1.0 / self.I2, 1.0 / self.I3
@@ -149,7 +145,8 @@ class ModuliPoint:
 
     Coordinates are affine and complex; the Casimir level l > 0 enters only
     through prefactors (the mechanics fixes an affine chart, so no projective
-    bookkeeping happens here).  The original energy is recovered as h = d * l.
+    bookkeeping happens here).  The energy is h = d * l.  A point with one
+    coordinate changed is ``dataclasses.replace(m, d=...)``.
     """
 
     a: complex
@@ -162,10 +159,6 @@ class ModuliPoint:
         require_positive("Casimir level l", self.l)
         for name in LABELS:
             require_finite(f"coordinate {name}", getattr(self, name))
-
-    @property
-    def h(self) -> complex:
-        return self.d * self.l
 
     def coords(self) -> tuple[complex, complex, complex, complex]:
         return (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
@@ -188,9 +181,6 @@ class ModuliPoint:
         tol = DEGENERACY_RTOL * self.scale()
         return [(x, y) for x, y in _PAIRS if abs(complex(getattr(self, x)) - complex(getattr(self, y))) <= tol]
 
-    def distance_to_discriminant(self) -> float:
-        return min(abs(complex(getattr(self, x)) - complex(getattr(self, y))) for x, y in _PAIRS)
-
     def is_real(self) -> bool:
         """Whether every imaginary part is at most _REAL_RTOL times the scale:
         a point and its multiples are treated alike."""
@@ -204,25 +194,6 @@ class ModuliPoint:
         if sorted(order) != list(LABELS):
             raise ValueError(f"order must name each of {LABELS} once, got {order!r}")
         return ModuliPoint(*(getattr(self, x) for x in order), l=self.l)
-
-    def replace(self, **kw) -> "ModuliPoint":
-        data = {n: getattr(self, n) for n in LABELS}
-        data["l"] = self.l
-        data.update(kw)
-        return ModuliPoint(**data)
-
-
-def moduli_from_mechanics(inertia: InertiaSpec, l: float, h: float) -> ModuliPoint:
-    """Map mechanical data (inertia, Casimir level l, energy h) to moduli.
-
-    Returns (a, b, c, d) = (1/I1, 1/I2, 1/I3, h/l) with the level l attached.
-    Coincidences such as d = a are allowed here; they are detected by
-    ``coincident_pairs`` and rejected only by operations that are actually
-    singular there.
-    """
-    require_positive("Casimir level l", l)
-    a, b, c = inertia.reciprocals()
-    return ModuliPoint(a, b, c, h / l, l=float(l))
 
 
 def cross_ratio(a, b, c, d):

@@ -67,10 +67,6 @@ class IntegerMatrix2:
         (p, q), (r, s) = self.entries
         return IntegerMatrix2(((s, -q), (-r, p)))
 
-    @property
-    def trace(self) -> int:
-        return self.entries[0][0] + self.entries[1][1]
-
     @staticmethod
     def identity() -> "IntegerMatrix2":
         return IntegerMatrix2(((1, 0), (0, 1)))

@@ -55,7 +55,7 @@ from .special import (
     ContinuationStallError,
     PathTooCloseError,
     SolutionFrame,
-    _hyper_closed,
+    _F_closed,
     hyper_series,
 )
 
@@ -568,7 +568,7 @@ def _continuous_sqrt(values: Iterable[complex]) -> list[complex]:
 def _germ_F(w: complex) -> tuple[complex, complex]:
     """F(w) = (2/pi) K(w) and F'(w) off the real axis: the series inside
     |w| < 1, K and E beyond it."""
-    return hyper_series(w)[:2] if abs(w) < 1.0 else _hyper_closed(w)[:2]
+    return hyper_series(w)[:2] if abs(w) < 1.0 else _F_closed(w)[:2]
 
 
 def _seed_germs(mu0: complex) -> Matrix2:
@@ -702,7 +702,6 @@ def preset_monodromy(label: str) -> MonodromyResult:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    label: str
     stated: IntegerMatrix2
     computed: IntegerMatrix2
     orientation: int
@@ -727,5 +726,5 @@ def numeric_vs_stated(label: str) -> ComparisonReport:
 
     direct, inverse = mismatches(got.matrix), mismatches(got.matrix.inverse())
     if direct <= inverse:
-        return ComparisonReport(label, stated, got.matrix, +1, direct, got.residual)
-    return ComparisonReport(label, stated, got.matrix, -1, inverse, got.residual)
+        return ComparisonReport(stated, got.matrix, +1, direct, got.residual)
+    return ComparisonReport(stated, got.matrix, -1, inverse, got.residual)

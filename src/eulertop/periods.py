@@ -7,7 +7,9 @@ The central object is the normalized period
     mu = (d - a)(b - c) / ((d - c)(b - a)),
 
 evaluated with a definite branch convention: every on-cut quantity is taken
-at the d - i0 limit (the energy approaches real values from below).  The
+at the d - i0 limit (the energy approaches real values from below).  K gets
+1 - mu as its own cross-ratio, (d - b)(a - c) / ((d - c)(a - b)), so S keeps
+its digits next to the separatrix, where mu is near 1.  The
 rotation period of the body on the orbit with energy ratio d is
 T = 6 pi |S| in the elliptic chambers.
 
@@ -33,7 +35,7 @@ from .core import (
     lambda_proof,
     ldexp,
 )
-from .special import DivergenceError, _sqrt_sided, elliptic_K
+from .special import DivergenceError, _K_sided, _sqrt_sided
 
 __all__ = [
     "S_closed_form",
@@ -81,11 +83,13 @@ def S_closed_form(m: ModuliPoint) -> complex:
     u, k, j = m.at_unit_scale()
     a, b, c, d = u.coords()
     # Coincident pairs c, d and a, b were refused above, as mu_main would.
-    mu = cross_ratio(a, b, c, d)
-    # Both cuts are taken at d - i0; elliptic_K ignores the side off its cut.
+    # K takes 1 - mu as the cross-ratio with a and b swapped,
+    # (d - b)(a - c) / ((d - c)(a - b)), exact to rounding where mu is near 1.
+    mu, mu_c = cross_ratio(a, b, c, d), cross_ratio(b, a, c, d)
+    # Both cuts are taken at d - i0; K ignores the side off its cut.
     dmu_dd = (b - c) * (a - c) / ((b - a) * (d - c) ** 2)
     try:
-        kval = elliptic_K(mu, side=_d_side(dmu_dd))
+        kval = _K_sided(mu, mu_c, _d_side(dmu_dd))
     except DivergenceError:
         raise CoincidentModuliError(("d", "b"), "K argument hit 1: S diverges") from None
     radicand = (d - c) * (a - b)
@@ -112,7 +116,10 @@ def phi_prime(axis: str, m: ModuliPoint) -> complex:
 
 
 def euler_period(m: ModuliPoint, axis: str = "p1") -> float:
-    """Rotation period T = 6 pi |S| of the orbit family around an axis."""
+    """Rotation period T = 6 pi |S| of the orbit family around an axis.
+
+    Check reference: the ODE route's tests compare ``orbit_period`` with it.
+    """
     return 6.0 * math.pi * abs(phi_prime(axis, m))
 
 
@@ -316,7 +323,6 @@ class SymmetryReport:
     from the rows; ``stabilizer`` lists the orderings in the identity's class.
     """
 
-    moduli: ModuliPoint
     rows: tuple[SymmetryRow, ...]
 
     @property
@@ -370,4 +376,4 @@ def verify_symmetries(m: ModuliPoint) -> SymmetryReport:
         q = round((s1.real * v.imag - v.real * s1.imag) / det)
         residual = abs(v - (p * s1 + q * s2)) / basis_scale
         rows.append(SymmetryRow(order, ldexp(v, k + j), key, (p, q), residual))
-    return SymmetryReport(m, tuple(rows))
+    return SymmetryReport(tuple(rows))

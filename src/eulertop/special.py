@@ -12,6 +12,9 @@ connection matrices between them and the continuation of solution frames
 along paths live in ``monodromy``; the errors a continuation raises are
 defined here.  This module does not import numpy.
 
+K and E come from one AGM started at the root of the complement 1 - m; a
+caller that has the complement exactly (``periods.S_closed_form``) passes it.
+
 Branch conventions.  All cut-sensitive evaluations take a ``side`` argument
 with the meaning "sign of an infinitesimal imaginary part added to the
 argument"; +1 is the limit from the upper half-plane.  Sided evaluation never
@@ -89,20 +92,21 @@ class ContinuationStallError(ComputationError):
 # Elliptic integral of the first kind, parameter (not modulus) convention:
 # K(m) = integral_0^1 dx / sqrt((1 - x^2)(1 - m x^2)).
 
-def _agm(m: complex) -> tuple[complex, complex]:
-    """K(m) and E(m) from one AGM iteration, with the branch-optimal square
-    root at each step.
+def _agm(m: complex, mc: complex) -> tuple[complex, complex]:
+    """K(m) and E(m) from one AGM iteration, given m and its complement
+    mc = 1 - m, with the branch-optimal square root at each step.
 
-    K = pi / (2 M), M the limit of the means of 1 and sqrt(1 - m), and
-    E = K (1 - sum_n 2**(n - 1) c_n**2), c_0**2 = m and c_(n+1) the half
-    difference of the n-th pair of means (DLMF 19.8.6).  For real m > 1 the
-    principal square root of 1 - m makes both the limit from the lower
-    half-plane (the m - i0 value); sided callers rely on that.  The loop
-    stops when the means agree to 1e-17 or an iteration leaves them
-    unchanged.
+    K = pi / (2 M), M the limit of the means of 1 and sqrt(mc) (DLMF
+    19.8.5), and E = K (1 - sum_n 2**(n - 1) c_n**2), c_0**2 = m and
+    c_(n+1) the half difference of the n-th pair of means (DLMF 19.8.6).
+    The caller forms mc: where m is near 1, 1 - m taken from a rounded m
+    has lost the digits that K needs.  For real mc < 0 the principal square
+    root makes both the limit from the lower half-plane (the m - i0 value);
+    sided callers rely on that.  The loop stops when the means agree to
+    1e-17 or an iteration leaves them unchanged.
     """
     x = complex(1.0, 0.0)
-    y = cmath.sqrt(1.0 - m)
+    y = cmath.sqrt(mc)
     weight, csum = 0.5, 0.5 * m
     for _ in range(64):
         if abs(x - y) <= 1e-17 * abs(x):
@@ -148,16 +152,23 @@ def elliptic_K(m: complex, side: int | None = None) -> complex:
         If m is on the cut and no side was given.
     """
     m = complex(m)
+    return _K_sided(m, 1.0 - m, side)
+
+
+def _K_sided(m: complex, mc: complex, side: int | None) -> complex:
+    """``elliptic_K(m, side)`` given the complement mc = 1 - m, which the
+    caller forms without cancellation where m is near 1; same refusals."""
     if abs(m - 1.0) < 1e-15:
         raise DivergenceError("K(m) diverges logarithmically at m = 1")
-    if not _on_cut(1.0 - m):
-        return _agm(m)[0]
+    if not _on_cut(mc):
+        return _agm(m, mc)[0]
     _check_side(side, f"K evaluated on the branch cut [1, inf) at m = {m.real}" + _SIDE_HINT)
     # Sided values from the reciprocal-parameter identity:
-    # K(m +/- i0) = (K(1/m) +/- i K(1 - 1/m)) / sqrt(m).
-    x = m.real
-    k_inv = _agm(1.0 / x)[0]
-    k_comp = _agm(1.0 - 1.0 / x)[0]
+    # K(m +/- i0) = (K(1/m) +/- i K(1 - 1/m)) / sqrt(m).  The complements
+    # are 1 - 1/m = -mc/m and 1/m, so none is formed by a subtraction.
+    x, xc = m.real, mc.real
+    k_inv = _agm(1.0 / x, -xc / x)[0]
+    k_comp = _agm(-xc / x, 1.0 / x)[0]
     return (k_inv + side * 1j * k_comp) / math.sqrt(x)
 
 
@@ -223,24 +234,32 @@ def _series_sums(z: complex, q: float) -> tuple[complex, complex, complex, compl
     return None
 
 
+def _F_closed(z: complex) -> tuple[complex, complex, complex, complex]:
+    """F = (2/pi) K(z) and F' from one AGM, on and beyond |z| = 1, with the
+    K(z) and E(z) it gave: dK/dm = (E - (1 - m) K) / (2 m (1 - m)) (DLMF
+    19.4.1)."""
+    k, e = _agm(z, 1.0 - z)
+    f = (2.0 / math.pi) * k
+    fd = (2.0 / math.pi) * (e - (1.0 - z) * k) / (2.0 * z * (1.0 - z))
+    return f, fd, k, e
+
+
 def _hyper_closed(z: complex) -> tuple[complex, complex, complex, complex]:
     """``hyper_series``' four values from K and E, near |z| = 1:
 
         F = (2/pi) K(z),   Fstar = 4 log 2 F - 2 K(1 - z) - F log z,
 
-    and the derivatives from dK/dm = (E - (1 - m) K) / (2 m (1 - m))
-    (DLMF 19.4.1), with E from the AGM that gives K (DLMF 19.8.6).  E at
-    1 - z comes from Legendre's relation E K' + E' K - K K' = pi/2 (primes
-    at 1 - z, DLMF 19.7.1), so it shares the side of K(1 - z).  On (-1, 0)
-    K(1 - z) and log z are both on their cuts; Fstar is analytic there,
-    and taking both from above gives its value.
+    F and F' from ``_F_closed``, with E from the AGM that gives K (DLMF
+    19.8.6).  E at 1 - z comes from Legendre's relation
+    E K' + E' K - K K' = pi/2 (primes at 1 - z, DLMF 19.7.1), so it shares
+    the side of K(1 - z).  On (-1, 0) K(1 - z) and log z are both on their
+    cuts; Fstar is analytic there, and taking both from above gives its
+    value.
     """
-    k, e = _agm(z)
+    f, fd, k, e = _F_closed(z)
     kc = elliptic_K(1.0 - z, side=-1)  # the side of 1 - z when z is taken from above
     lg = _log_sided(z, +1)
     ec = (0.5 * math.pi + k * kc - e * kc) / k
-    f = (2.0 / math.pi) * k
-    fd = (2.0 / math.pi) * (e - (1.0 - z) * k) / (2.0 * z * (1.0 - z))
     fs = LOG16 * f - 2.0 * kc - f * lg
     fsd = LOG16 * fd + (ec - z * kc) / (z * (1.0 - z)) - fd * lg - f / z
     return f, fd, fs, fsd
@@ -394,6 +413,9 @@ def gauss_ode_residual(func, z: complex) -> complex:
 
     Uses 4th-order centered stencils with step 2e-3 max(1, |z|), which
     balances truncation against rounding in the second difference.
+
+    Check reference: acceptance criterion 11 certifies the three local
+    bases with it; no command calls it.
     """
     z = complex(z)
     h = 2e-3 * max(1.0, abs(z))

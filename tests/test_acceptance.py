@@ -114,7 +114,7 @@ def test_criterion_06_local_monodromy():
         matrix = result.matrix
         assert result.residual < 1e-6
         assert matrix.entries == entries
-        assert matrix.trace == 2  # each family is unipotent
+        assert matrix.entries[0][0] + matrix.entries[1][1] == 2  # each family is unipotent
         computed[label] = np.array(matrix.entries)
     # Conjugacy witnesses; the alpha2 witness has determinant -1 because the
     # class of [[1,-2],[0,1]] belongs to the other loop orientation.

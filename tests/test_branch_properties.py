@@ -9,6 +9,7 @@ relative tolerance.  The logarithmic companions are tested inside |z| <= 0.9
 of their series disc.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -137,7 +138,7 @@ def test_closed_form_is_the_d_minus_i0_limit(c, gaps, l):
     a = d + gaps[2]
     for order in itertools.permutations((a, b, c, d)):
         m = ModuliPoint(*order, l=l)
-        below = m.replace(d=m.d - 1j * eps(m.scale()))
+        below = dataclasses.replace(m, d=m.d - 1j * eps(m.scale()))
         assert close(S_closed_form(m), S_closed_form(below))
 
 

@@ -272,7 +272,7 @@ def test_verify_fails_below_the_identity_residual(capsys):
     assert (report["status"], report["failures"]) == ("fail", ["connection_identity", "covariance"])
     code, out, err = run(capsys, "verify", "--tol", "1e-17", "--format", "csv")
     assert code == 1
-    assert out.splitlines()[1] == "connection_identity,7.8504622934188758e-17,fail"
+    assert out.splitlines()[1] == "connection_identity,1.1102230246251565e-16,fail"
 
 
 def test_verify_covariance_is_the_stated_vector_table(monkeypatch):

@@ -1,6 +1,7 @@
 """Moduli bookkeeping: inertia validation, chamber points, relabelling."""
 
 import ast
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -17,7 +18,6 @@ from eulertop.core import (
     InertiaSpec,
     ModuliPoint,
     lambda_proof,
-    moduli_from_mechanics,
     mu_main,
     require_positive,
 )
@@ -53,11 +53,9 @@ def test_inertia_rejects_coincident_moments():
         InertiaSpec(2.0, 1.0, 2.0)
 
 
-def test_inertia_reciprocals_and_canonical_flag():
+def test_inertia_reciprocals():
     spec = InertiaSpec(1 / 3, 1 / 2, 1.0)
-    assert spec.canonical
     assert spec.reciprocals() == pytest.approx((3.0, 2.0, 1.0))
-    assert not InertiaSpec(1.0, 1 / 2, 1 / 3).canonical
 
 
 def test_inertia_from_reciprocals_roundtrip():
@@ -69,13 +67,6 @@ def test_inertia_from_reciprocals_roundtrip():
 def test_inertia_from_reciprocals_rejects_nonpositive_or_nonfinite(reciprocals):
     with pytest.raises(DomainError, match="reciprocal"):
         InertiaSpec.from_reciprocals(*reciprocals)
-
-
-def test_moduli_from_mechanics_base_chamber():
-    m = moduli_from_mechanics(InertiaSpec(1 / 3, 1 / 2, 1.0), l=1.0, h=2.5)
-    assert m.coords() == pytest.approx((3.0, 2.0, 1.0, 2.5))
-    assert m.l == 1.0
-    assert m.h == pytest.approx(2.5)
 
 
 def test_moduli_rejects_nonpositive_casimir():
@@ -91,10 +82,9 @@ def test_moduli_coordinates_must_be_finite(value):
         ModuliPoint(value, 2, 1, 2.5)
 
 
-def test_moduli_scale_and_discriminant_distance():
+def test_moduli_scale_and_reality():
     m = ModuliPoint(3, 2, 1, 2.5, 1.0)
     assert m.scale() == 3.0
-    assert m.distance_to_discriminant() == pytest.approx(0.5)
     assert m.is_real()
     assert not ModuliPoint(3, 2, 1, 2.5 + 1e-3j, 1.0).is_real()
 
@@ -102,7 +92,7 @@ def test_moduli_scale_and_discriminant_distance():
 def test_moduli_coincident_pairs_and_replace():
     assert ModuliPoint(3, 2, 2, 2.5, 1.0).coincident_pairs() == [("b", "c")]
     assert ModuliPoint(3, 2, 1, 2.5, 1.0).coincident_pairs() == []
-    m = ModuliPoint(3, 2, 1, 2.5, 1.0).replace(d=2.7)
+    m = dataclasses.replace(ModuliPoint(3, 2, 1, 2.5, 1.0), d=2.7)
     assert m.coords() == pytest.approx((3.0, 2.0, 1.0, 2.7))
 
 

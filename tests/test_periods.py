@@ -1,6 +1,7 @@
 """Period values: closed form, quadratures, covariance, Birkhoff series."""
 
 import cmath
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -150,7 +151,7 @@ def test_tanh_sinh_node_table_is_built_on_first_use_and_reused():
 def test_sigma_quadrature_matches_closed_form():
     # l enters only as the prefactor 1/sqrt(l), from 1e-300 to 1e300.
     for l in (1.0, 1e-300, 1e300):
-        got = quadrature_sigma_integral(BASE.replace(l=l))
+        got = quadrature_sigma_integral(dataclasses.replace(BASE, l=l))
         assert got == pytest.approx(S1 / math.sqrt(l), rel=1e-12)
 
 
@@ -204,7 +205,7 @@ def test_homogeneous_values_scale_exactly_by_powers_of_two(gaps, l, k, j):
     a = d + gaps[3]
     m = ModuliPoint(a, b, c, d, l)
     scaled = ModuliPoint(*(math.ldexp(x, k) for x in (a, b, c, d)), l)
-    level = m.replace(l=math.ldexp(l, 2 * j))
+    level = dataclasses.replace(m, l=math.ldexp(l, 2 * j))
     values = [
         S_closed_form,
         quadrature_sigma_integral,
@@ -234,6 +235,37 @@ def test_closed_form_at_widely_spread_moments():
     m = ModuliPoint(1e155, 1.0, 0.5, 5e154)
     assert S_closed_form(m) == pytest.approx(want, rel=1e-15, abs=0.0)
     assert quadrature_sigma_integral(m) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def _S_reference(a, b, c, d) -> complex:
+    """S in 50 digits at the same floats, with d taken at d - 1e-40 i."""
+    with mpmath.workdps(50):
+        A, B, C = (mpmath.mpf(x) for x in (a, b, c))
+        D = mpmath.mpf(d) - mpmath.mpc(0, "1e-40")
+        mu = (D - A) * (B - C) / ((D - C) * (B - A))
+        return complex(-mpmath.sqrt(2) / (3 * mpmath.pi) * mpmath.ellipk(mu) / mpmath.sqrt((D - C) * (A - B)))
+
+
+# Two gaps that close together, a - c = 1e-6 and b - d = 1.3e-6: there
+# 1 - mu is about 2e-13, and taken from a rounded mu it keeps only 3 digits.
+DOUBLE_COINCIDENCE = (1.47621006, 3.98278901, 1.47620905, 3.98278768)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+def test_closed_form_at_a_double_coincidence(order):
+    point = tuple(DOUBLE_COINCIDENCE[i] for i in order)
+    want = _S_reference(*point)
+    assert abs(S_closed_form(ModuliPoint(*point)) - want) / abs(want) < 2e-15
+
+
+@pytest.mark.parametrize("fraction", [1e-6, 1e-5, 1e-4])
+def test_closed_form_near_the_separatrix(fraction):
+    # d this fraction of the gap from b, on the p1 side (b, a) and on the p3
+    # side (c, b), where the p3 family is S(c, b, a, d).
+    for a, b, c in ((3.0, 2.0, 1.0), (3.4, 1.4, 0.78), (5.79, 3.11, 0.963)):
+        for point in ((a, b, c, b + fraction * (a - b)), (c, b, a, b - fraction * (b - c))):
+            want = _S_reference(*point)
+            assert abs(S_closed_form(ModuliPoint(*point)) - want) / abs(want) < 2e-15, point
 
 
 def test_sigma_quadrature_needs_real_chamber():
@@ -280,7 +312,7 @@ def test_symmetry_classes_partition():
 @pytest.mark.parametrize("d", [0.5, 1.5, 2.5, 3.5])
 def test_symmetry_stabilizer_is_read_from_the_rows(d):
     # The identity's class keeps d paired with a, in every chamber.
-    rep = verify_symmetries(BASE.replace(d=d))
+    rep = verify_symmetries(dataclasses.replace(BASE, d=d))
     assert rep.stabilizer == ("abcd", "acbd", "badc", "bdac", "cadb", "cdab", "dbca", "dcba")
 
 

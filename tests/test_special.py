@@ -96,7 +96,7 @@ def test_agm_stop_on_a_repeated_pair_keeps_K_and_E_bit_identical():
         + [rng.uniform(1.0, 50.0) for _ in range(500)]
     )
     for m in points:
-        assert repr(special._agm(m)) == repr(_agm_stopping_on_the_means_only(m)), m
+        assert repr(special._agm(m, 1.0 - m)) == repr(_agm_stopping_on_the_means_only(m)), m
 
 
 @pytest.mark.parametrize("m", [0.5, 3 + 0.1j])
@@ -105,7 +105,7 @@ def test_agm_stops_where_the_means_settle(m):
     calls = []
     sqrt = cmath.sqrt
     with mock.patch.object(special.cmath, "sqrt", lambda w: calls.append(w) or sqrt(w)):
-        special._agm(m)
+        special._agm(m, 1.0 - m)
     assert len(calls) - 1 <= 8
 
 
