@@ -10,8 +10,8 @@ the module that defines it:
 - ``birkhoff``: the exact rational series of the inverse normal form
 - ``lattice``: the stated integer monodromy matrices and their algebra
 - ``dynamics``: the momentum equations, orbits, and measured periods
-- ``monodromy``: connection matrices, continuation along paths, and the
-  integer monodromy matrices of moduli-space loops
+- ``monodromy``: germ transport along paths, and the integer monodromy
+  matrices of moduli-space loops as their cut-crossing words
 - ``verify``: the check battery, one table of checks run into one report
 - ``cli``: the ``eulertop`` command
 

@@ -11,13 +11,13 @@ F' wherever the start's cross-ratio lies off the real axis and transported
 along the same path, checks the word numerically: a loop's result is its
 integer matrix and that check's residual.
 
-This module also holds the continuation engine of the hypergeometric
-equation: the exact connection matrices between the local bases of
-``special``, Taylor transport of germs along a path given as a sequence of
-points (followed as a polyline; its winding is read from the points), and
-``continue_frame``, which carries a whole ``SolutionFrame`` along such a
-path.  The stated integer matrices the loops are compared with, and their
-exact algebra, live in ``lattice``.
+This module also holds the one transport kernel of the hypergeometric
+equation, ``_transport_germs``: Taylor transport of germ rows (value,
+derivative) along a path given as a sequence of points, followed as a
+polyline.  ``special.basis_eval`` gives the local bases in the same rows.
+The connection data between those bases live in the crossing word alone,
+as its two exact generators.  The stated integer matrices the loops are
+compared with, and their exact algebra, live in ``lattice``.
 
 Everything here is scalar Python (``math``, ``cmath``, lists and tuples), so
 this module needs no numpy; a 2x2 matrix is a tuple of two row
@@ -49,22 +49,12 @@ from .core import (
     unit_exponent,
 )
 from .lattice import GENERATOR_LABELS, PRESETS, IntegerMatrix2, MonodromyError
-from .special import (
-    BASIS_IDS,
-    LOG16,
-    ContinuationStallError,
-    PathTooCloseError,
-    SolutionFrame,
-    _F_closed,
-    hyper_series,
-)
+from .special import ContinuationStallError, PathTooCloseError, _F_closed, hyper_series
 
 __all__ = [
     "ModuliLoop",
     "MonodromyResult",
     "chamber_basepoint",
-    "connection",
-    "continue_frame",
     "loop_monodromy",
     "numeric_vs_stated",
     "preset_loop",
@@ -102,51 +92,6 @@ def _inverse(m: Matrix2) -> Matrix2:
     (p, q), (r, s) = m
     det = p * s - q * r
     return ((s / det, -q / det), (-r / det, p / det))
-
-
-# ----------------------------------------------------------------------
-# Exact connection matrices.  connection(x, y) expresses the basis of x as
-# combinations of the basis of y: values_x = M @ values_y, valid where both
-# bases are defined (atInf blocks use the upper half-plane sheet).
-
-def _conn_block(from_basis: str, to_basis: str) -> Matrix2:
-    L = LOG16
-    if from_basis == to_basis:
-        return ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
-    if (from_basis, to_basis) == ("at0", "at1"):
-        return (
-            (complex(L / math.pi), complex(-1.0 / math.pi)),
-            (complex((L * L - math.pi ** 2) / math.pi), complex(-L / math.pi)),
-        )
-    if (from_basis, to_basis) == ("at0", "atInf"):
-        return (
-            (complex(L / math.pi), complex(1.0 / math.pi)),
-            ((L * (L + 1j * math.pi) - math.pi ** 2) / math.pi, (L + 1j * math.pi) / math.pi),
-        )
-    if (from_basis, to_basis) == ("at1", "at0"):
-        return _inverse(_conn_block("at0", "at1"))
-    if (from_basis, to_basis) == ("atInf", "at0"):
-        return _inverse(_conn_block("at0", "atInf"))
-    if (from_basis, to_basis) == ("at1", "atInf"):
-        return _matmul(_conn_block("at1", "at0"), _conn_block("at0", "atInf"))
-    if (from_basis, to_basis) == ("atInf", "at1"):
-        return _matmul(_conn_block("atInf", "at0"), _conn_block("at0", "at1"))
-    raise ValueError(f"no connection between {from_basis!r} and {to_basis!r}")
-
-
-def connection(from_basis: str, to_basis: str) -> Matrix2:
-    """Exact connection matrix between two of the local bases, as two row
-    tuples.
-
-    The matrix satisfies values_from = matrix @ values_to pointwise in the
-    common domain of the two bases; entries are exact in pi and log 16.
-    Blocks involving atInf are the upper half-plane (Im z > 0) sheet; the
-    lower sheet is the complex conjugate.
-    """
-    for b in (from_basis, to_basis):
-        if b not in BASIS_IDS:
-            raise ValueError(f"connection is defined between at0/at1/atInf, got {b!r}")
-    return _conn_block(from_basis, to_basis)
 
 
 # ----------------------------------------------------------------------
@@ -291,46 +236,6 @@ def _transport_germs(
             rows = [(m00 * f + m01 * d, m10 * f + m11 * d) for f, d in rows]
         z = target
     return tuple(rows)
-
-
-def _winding(zs: Sequence[complex], s: float) -> float:
-    """Turns of the polyline zs around s.  A straight segment that misses s
-    sweeps exactly the principal angle between its ends, seen from s."""
-    return math.fsum(cmath.phase((q - s) / (p - s)) for p, q in zip(zs, zs[1:])) / (2.0 * math.pi)
-
-
-def continue_frame(frame: SolutionFrame, zs: Iterable[complex]) -> SolutionFrame:
-    """Analytically continue a solution frame along the polyline through
-    the points zs, which must start at the frame's base point.
-
-    The frame's two solutions are transported as (value, derivative) germs by
-    Taylor recentering, with steps capped at 0.35 times the distance to the
-    nearest singular point.  The returned frame is based at zs[-1], and its
-    branch_log adds the turns of the path around 0 and around 1.
-
-    Raises ValueError if zs is not a non-empty 1-D sequence of finite points
-    starting at the base point, and PathTooCloseError if the polyline, its
-    segments included, passes within 1e-12 / 0.35 (about 2.86e-12) of
-    z = 0 or z = 1.
-    """
-    try:
-        points = [complex(z) for z in zs]
-    except (TypeError, ValueError):
-        points = []
-    if not points:
-        raise ValueError("a path is a non-empty 1-D sequence of points")
-    if not all(cmath.isfinite(z) for z in points):
-        raise ValueError("a path's points must be finite")
-    if abs(points[0] - frame.base_point) > 1e-9:
-        raise ValueError(
-            f"path starts at {points[0]}, frame is based at {frame.base_point}"
-        )
-    germs = ((frame.values[0], frame.derivs[0]), (frame.values[1], frame.derivs[1]))
-    (v0, d0), (v1, d1) = _transport_germs(points, germs)
-    log = dict(frame.branch_log)
-    log["around0"] = log.get("around0", 0.0) + _winding(points, 0.0)
-    log["around1"] = log.get("around1", 0.0) + _winding(points, 1.0)
-    return SolutionFrame(frame.basis_id, (v0, v1), points[-1], (d0, d1), log)
 
 
 # ----------------------------------------------------------------------

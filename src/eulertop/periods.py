@@ -35,7 +35,7 @@ from .core import (
     lambda_proof,
     ldexp,
 )
-from .special import DivergenceError, _K_sided, _sqrt_sided
+from .special import _K_sided, _sqrt_sided
 
 __all__ = [
     "S_closed_form",
@@ -88,10 +88,8 @@ def S_closed_form(m: ModuliPoint) -> complex:
     mu, mu_c = cross_ratio(a, b, c, d), cross_ratio(b, a, c, d)
     # Both cuts are taken at d - i0; K ignores the side off its cut.
     dmu_dd = (b - c) * (a - c) / ((b - a) * (d - c) ** 2)
-    try:
-        kval = _K_sided(mu, mu_c, _d_side(dmu_dd))
-    except DivergenceError:
-        raise CoincidentModuliError(("d", "b"), "K argument hit 1: S diverges") from None
+    # mu_c is nonzero, since coincidences b, d and a, c were refused above.
+    kval = _K_sided(mu, mu_c, _d_side(dmu_dd))
     radicand = (d - c) * (a - b)
     root = _sqrt_sided(radicand, _d_side(a - b))
 

@@ -6,26 +6,27 @@ Everything here concerns the hypergeometric equation
     z (1 - z) f'' + (1 - 2 z) f' - f / 4 = 0,
 
 whose solution space is spanned near z = 0 by F(z) = (2/pi) K(z) and the
-logarithmic companion F(z) log z + Fstar(z).  Bases attached to the three
-singular points 0, 1, infinity are provided as scalar evaluators.  The
-connection matrices between them and the continuation of solution frames
-along paths live in ``monodromy``; the errors a continuation raises are
-defined here.  This module does not import numpy.
+logarithmic companion F(z) log z + Fstar(z).  ``basis_eval`` gives the bases
+attached to the three singular points 0, 1, infinity as germ rows (value,
+derivative), the format in which ``monodromy`` transports solutions along
+paths; the errors that transport raises are defined here.  How the period
+frame changes along a loop is the cut-crossing word in ``monodromy``.  This
+module does not import numpy.
 
 K and E come from one AGM started at the root of the complement 1 - m; a
 caller that has the complement exactly (``periods.S_closed_form``) passes it.
 
-Branch conventions.  All cut-sensitive evaluations take a ``side`` argument
+Branch conventions.  Cut-sensitive evaluations take a ``side`` argument
 with the meaning "sign of an infinitesimal imaginary part added to the
 argument"; +1 is the limit from the upper half-plane.  Sided evaluation never
 guesses: landing on a cut without a declared side raises BranchCutError.
+``basis_eval`` takes no side, so on its prefactors' cuts it always raises.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 from .core import ComputationError, DomainError
 
@@ -35,15 +36,14 @@ __all__ = [
     "DivergenceError",
     "PathTooCloseError",
     "RegionError",
-    "SolutionFrame",
     "basis_eval",
     "elliptic_K",
     "gauss_ode_residual",
     "hyper_series",
-    "phi_value",
 ]
 
-# Exact entry of the connection matrices; 4 log 2, never a decimal literal.
+# 4 log 2, the constant in Fstar's closed form (``_hyper_closed``) and in the
+# connection formulas between the bases; never a decimal literal.
 LOG16 = 4.0 * math.log(2.0)
 
 BASIS_IDS = ("at0", "at1", "atInf")
@@ -152,14 +152,17 @@ def elliptic_K(m: complex, side: int | None = None) -> complex:
         If m is on the cut and no side was given.
     """
     m = complex(m)
+    # Given only m, its complement is 1 - m, which has no digits left here.
+    if abs(m - 1.0) < 1e-15:
+        raise DivergenceError("K(m) diverges logarithmically at m = 1")
     return _K_sided(m, 1.0 - m, side)
 
 
 def _K_sided(m: complex, mc: complex, side: int | None) -> complex:
     """``elliptic_K(m, side)`` given the complement mc = 1 - m, which the
-    caller forms without cancellation where m is near 1; same refusals."""
-    if abs(m - 1.0) < 1e-15:
-        raise DivergenceError("K(m) diverges logarithmically at m = 1")
+    caller forms without cancellation where m is near 1.  A nonzero mc is a
+    regular point however close m rounds to 1, so there is no divergence
+    gate here; the cut still needs a side."""
     if not _on_cut(mc):
         return _agm(m, mc)[0]
     _check_side(side, f"K evaluated on the branch cut [1, inf) at m = {m.real}" + _SIDE_HINT)
@@ -286,112 +289,42 @@ def _sqrt_sided(w: complex, side: int | None = None) -> complex:
 
 
 # ----------------------------------------------------------------------
-# The six named solutions.  phi1, phi3, phi5 are the holomorphic members of
-# the three local bases; phi2s, phi4s, phi6s their logarithmic companions
-# (the trailing s marks the starred normalization).
+# The local bases.  Each is a holomorphic member and its logarithmic
+# companion: at0 is F(z) and F(z) log z + Fstar(z), at1 the same in 1 - z,
+# and atInf (F(1/z), F(1/z) log(-z) - Fstar(1/z)) over sqrt(-z).
 
-PHI_NAMES = ("phi1", "phi2s", "phi3", "phi4s", "phi5", "phi6s")
-
-# Each logarithmic companion is the second member of one local basis.
-_COMPANION_BASIS = {"phi2s": "at0", "phi4s": "at1", "phi6s": "atInf"}
-
-
-def phi_value(name: str, z: complex, side: int = +1) -> complex:
-    """Globally continued value of one of the six named solutions.
-
-    ``side`` is the sign of an infinitesimal imaginary part added to z; it
-    resolves every branch cut the evaluation crosses (the cuts of the three
-    holomorphic members jointly cover the real axis outside (0, 1)).
-    The logarithmic companions are only provided inside their series disc.
-
-    Oracle pair: the holomorphic members come from the global K (the AGM),
-    the companions from ``_local_frame``'s local series.  The two share no
-    code, so the connection formulas between them check each other.
-    """
-    z = complex(z)
-    _check_side(side, "phi_value needs a side" + _SIDE_HINT)
-    if name == "phi1":
-        return (2.0 / math.pi) * elliptic_K(z, side=side)
-    if name == "phi3":
-        # Im(1 - z) = -Im z, so the side flips.
-        return (2.0 / math.pi) * elliptic_K(1.0 - z, side=-side)
-    if name == "phi5":
-        if abs(z) < 1e-15:
-            raise RegionError("phi5 is singular at z = 0")
-        # Both 1/z and -z acquire the opposite infinitesimal side.
-        return (2.0 / math.pi) * elliptic_K(1.0 / z, side=-side) / _sqrt_sided(-z, -side)
-    if name in _COMPANION_BASIS:
-        return _local_frame(_COMPANION_BASIS[name], z, side).values[1]
-    raise ValueError(f"unknown solution name {name!r}, expected one of {PHI_NAMES}")
-
-
-# ----------------------------------------------------------------------
-# Solution frames and basis evaluation.
-
-@dataclass(frozen=True)
-class SolutionFrame:
-    """A pair of solution values (with derivative germs) at a base point.
-
-    Attributes
-    ----------
-    basis_id : str
-        One of "at0", "at1", "atInf".
-    values : tuple of complex
-        Values of the two basis solutions at ``base_point``.
-    base_point : complex
-    derivs : tuple of complex
-        d/dz values at the base point; carried so frames can seed continuation.
-    branch_log : dict
-        Accumulated winding (in turns) of z around 0 and around 1 along
-        whatever path produced this frame.
-    """
-
-    basis_id: str
-    values: tuple[complex, complex]
-    base_point: complex
-    derivs: tuple[complex, complex]
-    branch_log: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.basis_id not in BASIS_IDS:
-            raise ValueError(f"basis_id must be one of {BASIS_IDS}, got {self.basis_id!r}")
-
-
-def basis_eval(basis_id: str, z: complex) -> SolutionFrame:
-    """Evaluate the local basis attached to one singular point.
+def basis_eval(basis_id: str, z: complex) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The local basis attached to one singular point, as germ rows
+    ((f, f'), (g, g')): the holomorphic member first, then its logarithmic
+    companion, each with its d/dz.  This is the germ format that
+    ``monodromy._transport_germs`` takes and returns.
 
     Regions are strict: at0 needs |z| < 1, at1 needs |1 - z| < 1, atInf needs
     |z| > 1 with z off the ray [1, inf) (its log/sqrt prefactors are cut
-    there).
+    there).  Errors come in the order region, divergence, cut.
+
+    Check reference: the germ transport's tests and acceptance criterion 11
+    compare against it; no command calls it.
     """
-    return _local_frame(basis_id, z, None)
-
-
-def _local_frame(basis_id: str, z: complex, side: int | None) -> SolutionFrame:
-    """``basis_eval`` with the prefactors' cut resolved by ``side``; the one
-    caller of the series.  Errors come in the order region, divergence, cut.
-    The local-series side of the oracle pair with ``phi_value``'s global K."""
     z = complex(z)
-    # Im(1 - z) = Im(-z) = -Im z: the prefactors of at1 and atInf take the
-    # opposite side.
-    flip = None if side is None else -side
     if basis_id in ("at0", "at1"):
         # at1 is at0 in w = 1 - z, with d/dz = -d/dw.
-        point, w, var, w_side = (0, z, "z", side) if basis_id == "at0" else (1, 1.0 - z, "1 - z", flip)
+        point, w, var = (0, z, "z") if basis_id == "at0" else (1, 1.0 - z, "1 - z")
         if abs(w) >= 1.0:
             raise RegionError(f"{basis_id} basis requires |{var}| < 1, got |{var}| = {abs(w):.6g}")
         if abs(w) < 1e-300:
             raise DivergenceError(f"the logarithmic solution at z = {point} diverges; evaluate off the puncture")
-        lg = _log_sided(w, w_side)
+        lg = _log_sided(w)
         f, fd, fs, fsd = hyper_series(w)
         d0, d1 = fd, fd * lg + f / w + fsd
-        derivs = (-d0, -d1) if point else (d0, d1)
-        return SolutionFrame(basis_id, (f, f * lg + fs), z, derivs, {"around0": 0.0, "around1": 0.0})
+        if point:
+            d0, d1 = -d0, -d1
+        return (f, d0), (f * lg + fs, d1)
     if basis_id == "atInf":
         if abs(z) <= 1.0:
             raise RegionError(f"atInf basis requires |z| > 1, got |z| = {abs(z):.6g}")
-        rt = _sqrt_sided(-z, flip)
-        lg = _log_sided(-z, flip)
+        rt = _sqrt_sided(-z)
+        lg = _log_sided(-z)
         w = 1.0 / z
         f, fd, fs, fsd = hyper_series(w)
         v1 = f / rt
@@ -400,7 +333,7 @@ def _local_frame(basis_id: str, z: complex, side: int | None) -> SolutionFrame:
         dw = -1.0 / (z * z)
         d1 = (fd * dw) / rt - 0.5 * f / (rt * z)
         d2 = (fd * dw * lg + f / z - fsd * dw) / rt - 0.5 * (f * lg - fs) / (rt * z)
-        return SolutionFrame("atInf", (v1, v2), z, (d1, d2), {"around0": 0.0, "around1": 0.0})
+        return (v1, d1), (v2, d2)
     raise ValueError(f"basis_id must be one of {BASIS_IDS}, got {basis_id!r}")
 
 

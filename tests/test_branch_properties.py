@@ -5,8 +5,8 @@ imaginary part added to its argument.  So a sided value on a cut must equal
 the plain value a small step off the cut on that side, with
 eps = 1e-9 * max(1, |x|).  Points stay at least 1e-3 from the singular
 points 0 and 1, so that step moves the value by far less than the 1e-6
-relative tolerance.  The logarithmic companions are tested inside |z| <= 0.9
-of their series disc.
+relative tolerance.  The local bases take no side: on their prefactors'
+cuts, tested inside |z| <= 0.9 of their series disc, they raise.
 """
 
 import dataclasses
@@ -26,7 +26,6 @@ from eulertop.special import (
     _sqrt_sided,
     basis_eval,
     elliptic_K,
-    phi_value,
 )
 
 # The same examples on every run, and no example database written to disk.
@@ -50,18 +49,12 @@ def spread(lo: float, hi: float):
 
 SIDES = st.sampled_from((+1, -1))
 
-# Real points on each named solution's cuts.
-PHI_CUTS = {
-    "phi1": spread(1e-3, 1e6).map(lambda r: 1.0 + r),
-    "phi3": spread(1e-3, 1e6).map(lambda r: -r),
-    "phi5": st.one_of(st.floats(1e-3, 1.0 - 1e-3), spread(1e-3, 1e6).map(lambda r: 1.0 + r)),
-    "phi2s": spread(1e-3, 0.9).map(lambda r: -r),
-    "phi4s": spread(1e-3, 0.9).map(lambda r: 1.0 + r),
-    "phi6s": spread(1e-6, 0.9).map(lambda r: 1.0 / r),
-}
-
 # Real points where each local basis has its log/sqrt prefactors cut.
-BASIS_CUTS = {"at0": PHI_CUTS["phi2s"], "at1": PHI_CUTS["phi4s"], "atInf": PHI_CUTS["phi6s"]}
+BASIS_CUTS = {
+    "at0": spread(1e-3, 0.9).map(lambda r: -r),
+    "at1": spread(1e-3, 0.9).map(lambda r: 1.0 + r),
+    "atInf": spread(1e-6, 0.9).map(lambda r: 1.0 / r),
+}
 
 
 @PROPERTY
@@ -78,24 +71,12 @@ def test_log_and_sqrt_side_is_the_one_sided_limit(x, side):
     assert close(_sqrt_sided(x, side), _sqrt_sided(off))
 
 
-@pytest.mark.parametrize("name", sorted(PHI_CUTS))
-def test_phi_value_side_is_the_one_sided_limit(name):
-    @PROPERTY
-    @given(x=PHI_CUTS[name], side=SIDES)
-    def check(x, side):
-        assert close(phi_value(name, x, side), phi_value(name, complex(x, side * eps(x)), side))
-
-    check()
-
-
 @PROPERTY
 @given(m=spread(1e-3, 1e6).map(lambda r: 1.0 + r), x=spread(1e-3, 1e6).map(lambda r: -r))
 def test_no_side_on_the_cut_raises(m, x):
     # Only the public functions that take a side name it in their message.
     with pytest.raises(BranchCutError, match=r"K evaluated on the branch cut .* \(pass side=\+1"):
         elliptic_K(m)
-    with pytest.raises(BranchCutError, match=r"phi_value needs a side \(pass side=\+1"):
-        phi_value("phi1", m, None)
     with pytest.raises(BranchCutError):
         _log_sided(x)
     with pytest.raises(BranchCutError):

@@ -217,6 +217,63 @@ def test_every_name_in_all_exists(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+# Public names that nothing reads yet, each kept for the open item that would
+# read it (ROADMAP item 8); a name leaves this tuple when it gets a reader or goes.
+OPEN_NAMES = (
+    "core.mu_main",
+    "dynamics.euler_rhs",
+    "dynamics.classify_equilibria",
+    "dynamics.Equilibrium",
+    "birkhoff.birkhoff_normalization",
+    "birkhoff.birkhoff_d_of_z",
+    "periods.quadrature_tau_integral",
+)
+
+
+def _names_read() -> set[str]:
+    """Every name that src/eulertop or bench/*.py reads: as a name, as an
+    attribute, or as a string (its last dotted part, so the bench's
+    "dynamics.orbit_period" reads orbit_period).  A top-level statement's
+    reads of the names it defines do not count, nor does __all__."""
+    root = Path(__file__).resolve().parents[1]
+    reads = set()
+    for path in [*(root / "src" / "eulertop").glob("*.py"), *(root / "bench").glob("*.py")]:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, ast.Assign):
+                own = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            if "__all__" in own:
+                continue
+            found = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    found.add(node.value.rsplit(".", 1)[-1])
+            reads |= found - own
+    return reads
+
+
+def test_every_public_name_is_read_or_a_check_reference():
+    # README's keep rule: a public name stays only if the package or the
+    # benchmark reads it, or its docstring labels it a check reference.
+    reads = _names_read()
+    unread, public = [], set()
+    for info in pkgutil.iter_modules(eulertop.__path__):
+        module = importlib.import_module(f"eulertop.{info.name}")
+        for n in module.__all__:
+            public.add(f"{info.name}.{n}")
+            if n not in reads and "Check reference" not in (getattr(module, n).__doc__ or ""):
+                unread.append(f"{info.name}.{n}")
+    assert sorted(set(unread) - set(OPEN_NAMES)) == []
+    assert sorted(set(OPEN_NAMES) - public) == []
+
+
 def test_every_error_is_a_refusal_or_a_failed_computation():
     # The CLI prints one error line for either root; only a bad --config
     # (a usage error, exit 2) has a class of its own.

@@ -37,6 +37,7 @@ from eulertop.periods import (
     verify_symmetries,
     _tanh_sinh_nodes,
 )
+from eulertop.special import DivergenceError, elliptic_K
 from test_branch_properties import PROPERTY
 
 BASE = ModuliPoint(3, 2, 1, 2.5, 1.0)
@@ -256,6 +257,33 @@ def test_closed_form_at_a_double_coincidence(order):
     point = tuple(DOUBLE_COINCIDENCE[i] for i in order)
     want = _S_reference(*point)
     assert abs(S_closed_form(ModuliPoint(*point)) - want) / abs(want) < 2e-15
+
+
+# Here mu rounds to 1, yet its complement (d - b)(a - c) / ((d - c)(a - b)),
+# about 2.5e-17, is formed exactly to rounding: a regular point, S = 1.538i.
+MU_ROUNDS_TO_ONE = (1.00000001, 3.0, 1.0, 2.99999999)
+
+
+def test_closed_form_where_mu_rounds_to_one():
+    # That point and seeded double coincidences (c + g1, b, c, b - g2), gaps
+    # log-uniform in [1e-11, 1e-7], in all 24 orderings.
+    rng = random.Random(30)
+    points = [MU_ROUNDS_TO_ONE]
+    for _ in range(40):
+        c = rng.uniform(0.5, 2.0)
+        b = c + rng.uniform(0.5, 3.0)
+        g1, g2 = (10.0 ** rng.uniform(-11.0, -7.0) for _ in range(2))
+        points.append((c + g1, b, c, b - g2))
+    for point in points:
+        for order in itertools.permutations(point):
+            want = _S_reference(*order)
+            assert abs(S_closed_form(ModuliPoint(*order)) - want) / abs(want) < 2e-15, order
+    # Within DEGENERACY_RTOL the coincidence is still refused by name, and K
+    # given only m still refuses m whose complement 1 - m has no digits.
+    with pytest.raises(CoincidentModuliError, match="K argument hits 1 where d = b"):
+        S_closed_form(ModuliPoint(1.0 + 3e-12, 3.0, 1.0, 3.0 - 3e-12))
+    with pytest.raises(DivergenceError):
+        elliptic_K(1.0 - 1e-16)
 
 
 @pytest.mark.parametrize("fraction", [1e-6, 1e-5, 1e-4])

@@ -1,4 +1,4 @@
-"""Elliptic integrals, hypergeometric bases, connection matrices, continuation."""
+"""Elliptic integrals, hypergeometric bases, germ transport."""
 
 import cmath
 import math
@@ -14,7 +14,7 @@ from scipy.integrate import solve_ivp
 from test_branch_properties import PROPERTY
 
 from eulertop import monodromy, special
-from eulertop.monodromy import _step_matrices, _transport_germs, connection, continue_frame
+from eulertop.monodromy import _step_matrices, _transport_germs
 from eulertop.special import (
     BranchCutError,
     DivergenceError,
@@ -24,8 +24,8 @@ from eulertop.special import (
     basis_eval,
     elliptic_K,
     gauss_ode_residual,
+    _sqrt_sided,
     hyper_series,
-    phi_value,
 )
 
 # Frozen reference values (AGM / series, cross-checked against scipy.special).
@@ -33,10 +33,6 @@ K_HALF = 1.8540746773013719
 K_MINUS_ONE = 1.3110287771460598
 F_03 = 1.0910959103627813
 FSTAR_03 = 0.18808374835689526
-
-
-def _germs(frame):
-    return np.array([[frame.values[0], frame.derivs[0]], [frame.values[1], frame.derivs[1]]])
 
 
 def _lasso(z0, center, entry, spacing=0.02):
@@ -222,25 +218,22 @@ def test_hyper_series_beyond_the_series_radius_matches_mpmath(radius):
     [(2.5, +1), (2.5, -1), (2.5 + 0.3j, +1), (2.5 - 0.3j, -1), (-0.4 + 1.9j, +1), (0.3 + 0.4j, +1)],
 )
 def test_phi5_combination(z, side):
-    lhs = phi_value("phi5", z, side=side)
-    rhs = side * 1j * phi_value("phi1", z, side=side) + phi_value("phi3", z, side=side)
+    # K's sided connection formula: K(1/z)/sqrt(-z) = side i K(z) + K(1 - z),
+    # every value taken at z + side i0 (1/z, -z and 1 - z take the other side).
+    lhs = elliptic_K(1.0 / z, side=-side) / _sqrt_sided(-z, -side)
+    rhs = side * 1j * elliptic_K(z, side=side) + elliptic_K(1.0 - z, side=-side)
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 @pytest.mark.parametrize("z,side", [(0.3 + 0.4j, +1), (0.3 - 0.4j, -1), (0.6, +1), (0.6, -1)])
 def test_phi2s_combination(z, side):
-    lhs = phi_value("phi2s", z, side=side)
-    rhs = (LOG16 + side * 1j * math.pi) * phi_value("phi1", z, side=side) - math.pi * phi_value(
-        "phi5", z, side=side
-    )
+    # Oracle pair: the at0 companion F log z + Fstar from the local series
+    # against the global K (the AGM), which share no code.
+    lhs = basis_eval("at0", z)[1][0]
+    phi1 = (2.0 / math.pi) * elliptic_K(z, side=side)
+    phi5 = (2.0 / math.pi) * elliptic_K(1.0 / z, side=-side) / _sqrt_sided(-z, -side)
+    rhs = (LOG16 + side * 1j * math.pi) * phi1 - math.pi * phi5
     assert lhs == pytest.approx(rhs, rel=1e-13)
-
-
-def test_phi_value_rejects_bad_side_and_name():
-    with pytest.raises(ValueError):
-        phi_value("phi1", 0.3, side=0)
-    with pytest.raises(ValueError):
-        phi_value("phi9", 0.3)
 
 
 def test_basis_eval_regions_are_strict():
@@ -267,85 +260,30 @@ def test_at1_is_at0_at_one_minus_z(w):
     # tells the zeros' signs apart), with d/dz = -d/dw.
     z = 1.0 - w
     assume(1e-300 <= abs(1.0 - z) < 1.0 and not special._on_cut(1.0 - z))
-    at1, at0 = basis_eval("at1", z), basis_eval("at0", 1.0 - z)
-    assert repr(at1.values) == repr(at0.values)
-    assert repr(at1.derivs) == repr((-at0.derivs[0], -at0.derivs[1]))
-
-
-def test_solution_frame_needs_its_derivatives():
-    # Without germs continue_frame would transport zero derivatives.
-    with pytest.raises(TypeError):
-        special.SolutionFrame("at0", (1.0 + 0j, 0j), 0.5)
+    (f1, d1), (g1, e1) = basis_eval("at1", z)
+    (f0, d0), (g0, e0) = basis_eval("at0", 1.0 - z)
+    assert repr((f1, g1)) == repr((f0, g0))
+    assert repr((d1, e1)) == repr((-d0, -e0))
 
 
 def test_basis_derivatives_match_finite_differences():
     for basis_id, z in [("at0", 0.3 + 0.2j), ("at1", 0.8 + 0.25j), ("atInf", 1.4 + 0.9j)]:
-        frame = basis_eval(basis_id, z)
+        rows = basis_eval(basis_id, z)
         h = 1e-6
         up = basis_eval(basis_id, z + h)
         dn = basis_eval(basis_id, z - h)
         for k in range(2):
-            fd = (up.values[k] - dn.values[k]) / (2.0 * h)
-            assert frame.derivs[k] == pytest.approx(fd, rel=1e-7)
-
-
-def test_connection_at0_at1_pointwise():
-    z = 0.5 + 0.2j
-    M = connection("at0", "at1")
-    vf = np.array(basis_eval("at0", z).values)
-    vt = np.array(basis_eval("at1", z).values)
-    np.testing.assert_allclose(vf, M @ vt, rtol=0, atol=1e-13)
-    assert np.linalg.det(M) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_connection_at1_atInf_pointwise_upper_sheet():
-    z = 1.2 + 0.8j
-    M = connection("at1", "atInf")
-    vf = np.array(basis_eval("at1", z).values)
-    vt = np.array(basis_eval("atInf", z).values)
-    np.testing.assert_allclose(vf, M @ vt, rtol=0, atol=1e-13)
-
-
-def test_connection_at0_atInf_via_continuation():
-    # The regions do not overlap; the block is the upper-half-plane sheet,
-    # so transport the at0 frame across the unit circle and compare there.
-    z0, z1 = 0.5 + 0.3j, 1.2 + 0.8j
-    got = continue_frame(basis_eval("at0", z0), np.linspace(z0, z1, 50))
-    want = connection("at0", "atInf") @ np.array(basis_eval("atInf", z1).values)
-    np.testing.assert_allclose(np.array(got.values), want, rtol=0, atol=1e-12)
-
-
-def test_connection_inverse_and_composition():
-    ab = np.array(connection("at0", "at1"))
-    ba = np.array(connection("at1", "at0"))
-    np.testing.assert_allclose(ab @ ba, np.eye(2), rtol=0, atol=1e-14)
-    composed = np.array(connection("at1", "at0")) @ np.array(connection("at0", "atInf"))
-    np.testing.assert_allclose(connection("at1", "atInf"), composed, rtol=0, atol=1e-14)
-    with pytest.raises(ValueError):
-        connection("at0", "period")
+            fd = (up[k][0] - dn[k][0]) / (2.0 * h)
+            assert rows[k][1] == pytest.approx(fd, rel=1e-7)
 
 
 def test_continuation_closes_trivial_loop():
     # The circle must enclose neither singular point for the frame to close.
     z0 = 0.3 + 0.2j
-    frame = basis_eval("at0", z0)
+    germs = np.array(basis_eval("at0", z0))
     center = 0.35 + 0.35j
-    out = continue_frame(frame, _lasso(z0, center, center + 0.15))
-    np.testing.assert_allclose(np.array(out.values), np.array(frame.values), rtol=1e-12)
-    assert out.branch_log["around0"] == pytest.approx(0.0, abs=1e-9)
-    assert out.branch_log["around1"] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_continuation_records_winding_and_monodromy():
-    # One turn around z = 0: f1 is single valued, f2 gains 2 pi i f1.
-    z0 = 0.3 + 0.2j
-    frame = basis_eval("at0", z0)
-    out = continue_frame(frame, abs(z0) * np.exp(1j * (np.angle(z0) + np.linspace(0.0, 2 * np.pi, 120))))
-    assert out.branch_log["around0"] == pytest.approx(1.0, abs=1e-9)
-    f1, f2 = frame.values
-    g1, g2 = out.values
-    assert g1 == pytest.approx(f1, rel=1e-12)
-    assert g2 == pytest.approx(f2 + 2j * np.pi * f1, rel=1e-12)
+    out = np.array(_transport_germs(_lasso(z0, center, center + 0.15), germs))
+    np.testing.assert_allclose(out[:, 0], germs[:, 0], rtol=1e-12)
 
 
 def _ode_transport(zs: np.ndarray, germs: np.ndarray) -> np.ndarray:
@@ -394,11 +332,11 @@ def _ode_transport(zs: np.ndarray, germs: np.ndarray) -> np.ndarray:
 
 def test_continuation_taylor_and_ode_agree():
     z0 = 0.3 + 0.2j
-    frame = basis_eval("at0", z0)
+    germs = np.array(basis_eval("at0", z0))
     zs = _lasso(z0, 0.0, 0.5 + 0.5j)
-    taylor = continue_frame(frame, zs)
-    ode = _ode_transport(zs, _germs(frame))
-    for u, v in zip(taylor.values + taylor.derivs, (*ode[:, 0], *ode[:, 1])):
+    taylor = np.array(_transport_germs(zs, germs))
+    ode = _ode_transport(zs, germs)
+    for u, v in zip(taylor.ravel(), ode.ravel()):
         assert abs(u - v) / max(1.0, abs(u)) < 1e-8
 
 
@@ -469,54 +407,31 @@ def test_step_matrices_match_per_germ_taylor_sum():
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("z0,turns", [(0.3 + 0.2j, 1), (-0.4 + 0.1j, 1), (0.05 - 0.02j, -6)])
-def test_transport_around_zero_is_the_exact_at0_monodromy(z0, turns):
+@pytest.mark.parametrize(
+    "z0,turns,per_turn",
+    [(0.3 + 0.2j, 1, 400), (-0.4 + 0.1j, 1, 400), (0.05 - 0.02j, -6, 400), (0.3 + 0.2j, 1, 119)],
+    ids=["(0.3+0.2j)-1", "(-0.4+0.1j)-1", "(0.05-0.02j)--6", "(0.3+0.2j)-1-119"],
+)
+def test_transport_around_zero_is_the_exact_at0_monodromy(z0, turns, per_turn):
     # Around z = 0 only, F comes back unchanged and F log z + Fstar gains
     # 2 pi i F per turn, in value and derivative alike.  Six turns near
-    # z = 0 chain about a hundred steps.
-    frame = basis_eval("at0", z0)
-    theta = np.angle(z0) + np.linspace(0.0, 2.0 * np.pi * turns, 400 * abs(turns) + 1)
-    out = continue_frame(frame, abs(z0) * np.exp(1j * theta))
-    want = _germs(frame)
+    # z = 0 chain about a hundred steps; 119 chords make a coarse circle.
+    # Each entry is held to 1e-12 of its own size.
+    germs = np.array(basis_eval("at0", z0))
+    theta = np.angle(z0) + np.linspace(0.0, 2.0 * np.pi * turns, per_turn * abs(turns) + 1)
+    out = np.array(_transport_germs(abs(z0) * np.exp(1j * theta), germs))
+    want = germs.copy()
     want[1] += 2j * np.pi * turns * want[0]
-    assert out.branch_log["around0"] == pytest.approx(turns, abs=1e-9)
-    assert out.branch_log["around1"] == pytest.approx(0.0, abs=1e-9)
-    assert np.max(np.abs(_germs(out) - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_continue_frame_transports_with_the_kernel():
-    # One path, the same germs through the frame API and the bare kernel.
-    z0 = 0.3 + 0.2j
-    frame = basis_eval("at0", z0)
-    zs = _lasso(z0, 1.0, 1.2 + 0.1j)
-    out = continue_frame(frame, zs)
-    assert np.array_equal(_germs(out), _transport_germs(zs, _germs(frame)))
-    assert out.base_point == zs[-1]
-    assert out.branch_log["around1"] == pytest.approx(1.0, abs=1e-9)
+    assert np.all(np.abs(out - want) <= 1e-12 * np.abs(want))
 
 
 @pytest.mark.parametrize("end", [1e-6, 1e-9])
 def test_transport_close_to_a_singular_point(end):
     # Taylor coefficients grow like dist**-n; the kernel must stay finite
     # wherever the path gate lets a path go (steps down to 1e-12).
-    frame = basis_eval("at0", 0.5)
-    got = np.array(_transport_germs(np.array([0.5, end]), _germs(frame)))
-    want = basis_eval("at0", end)
-    np.testing.assert_allclose(got[:, 0], want.values, rtol=1e-13)
-
-
-def test_continuation_guards():
-    z0 = 0.3 + 0.2j
-    frame = basis_eval("at0", z0)
-    with pytest.raises(ValueError, match="based at"):
-        continue_frame(frame, np.array([0.5, 0.7]))
-    with pytest.raises(ValueError, match="non-empty 1-D"):
-        continue_frame(frame, np.array([]))
-    with pytest.raises(PathTooCloseError):
-        continue_frame(frame, np.linspace(z0, 1e-13, 20))
-    for bad in (complex("nan"), complex("inf")):
-        with pytest.raises(ValueError, match="finite"):
-            continue_frame(frame, np.array([z0, bad]))
+    got = np.array(_transport_germs(np.array([0.5, end]), basis_eval("at0", 0.5)))
+    want = np.array(basis_eval("at0", end))
+    np.testing.assert_allclose(got[:, 0], want[:, 0], rtol=1e-13)
 
 
 @pytest.mark.parametrize("end", [-0.5 + 1e-8j, -0.5 + 1e-11j])
@@ -524,8 +439,8 @@ def test_continue_frame_along_a_chord_that_grazes_zero(end):
     # Both samples are 0.5 from 0, but the chord between them passes
     # Im(end) / 2 above it; the clearance rule reads the segment, not the
     # samples, and the transport follows the chord past 0.
-    got = continue_frame(basis_eval("at0", 0.5), [0.5, end])
-    np.testing.assert_allclose(_germs(got), _germs(basis_eval("at0", end)), rtol=1e-13)
+    got = _transport_germs([0.5, end], basis_eval("at0", 0.5))
+    np.testing.assert_allclose(np.array(got), np.array(basis_eval("at0", end)), rtol=1e-13)
 
 
 # Closer than this to 0 or 1, the scipy oracle _ode_transport loses digits
@@ -548,13 +463,13 @@ def test_continue_frame_refuses_exactly_the_paths_too_close(singular, gap, angle
     u = cmath.exp(1j * angle)
     foot = singular + 1j * u * 10.0**gap
     zs = [foot - before * u, foot + after * u] + [0.5 + w for w in extra]
-    frame = special.SolutionFrame("at0", (1.0 + 0j, 0j), zs[0], (0j, 1.0 + 0j))
+    germs = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
     closest = monodromy._closest_approach(zs)
     if closest < monodromy._MIN_STEP / monodromy._STEP_FRACTION:
         with pytest.raises(PathTooCloseError, match="the path passes within"):
-            continue_frame(frame, zs)
+            _transport_germs(zs, germs)
         return
-    taylor = _germs(continue_frame(frame, zs))
+    taylor = np.array(_transport_germs(zs, germs))
     assert np.all(np.isfinite(taylor))
     if closest >= _ODE_REACH:
         ode = _ode_transport(zs, np.eye(2, dtype=complex))
@@ -563,9 +478,8 @@ def test_continue_frame_refuses_exactly_the_paths_too_close(singular, gap, angle
 
 @pytest.mark.parametrize("basis_id,z", [("at0", 0.4 + 0.1j), ("at1", 0.9 - 0.3j), ("atInf", 1.6 + 1.1j)])
 def test_basis_solutions_satisfy_the_ode(basis_id, z):
-    frame = basis_eval(basis_id, z)
     for k in range(2):
-        res = gauss_ode_residual(lambda w, k=k, b=basis_id: basis_eval(b, w).values[k], z)
+        res = gauss_ode_residual(lambda w, k=k, b=basis_id: basis_eval(b, w)[k][0], z)
         assert abs(res) < 1e-8
 
 
