@@ -4,7 +4,7 @@ of the associated family of elliptic curves.
 The package is organized in layers, and each public name is imported from
 the module that defines it:
 
-- ``core``: moduli-space value types and cross-ratio conventions
+- ``core``: moduli-space value types and the one cross-ratio
 - ``special``: elliptic integrals and the hypergeometric bases, as scalars
 - ``periods``: the closed-form period, quadrature routes, identity checks
 - ``birkhoff``: the exact rational series of the inverse normal form

@@ -5,16 +5,17 @@ controlled by four numbers: the reciprocal moments of inertia a = 1/I1,
 b = 1/I2, c = 1/I3 and the energy ratio d = h/l.  Everything downstream
 (periods, quadratures, monodromy loops) is parameterized by the quadruple
 (a, b, c, d) together with the Casimir level l, so those live here as small
-immutable value types, with the two cross-ratio conventions attached.
+immutable value types, with the one cross-ratio attached.
 
-Two cross-ratios of (a, b, c, d) appear in the period formulas and they are
-easy to mix up, so both get a name:
+Every period of the body is a function of one cross-ratio of (a, b, c, d),
+``cross_ratio(a, b, c, d) = (d-a)(b-c) / ((d-c)(b-a))``.  Two of its
+orderings appear in the period formulas and are easy to mix up:
 
-    mu_main(m)      = (d-a)(b-c) / ((d-c)(b-a))      (argument of K)
-    lambda_proof(m) = (d-a)(c-b) / ((d-b)(c-a))      (classical normalization)
+    mu  = cross_ratio(a, b, c, d) = (d-a)(b-c) / ((d-c)(b-a))   (argument of K)
+    lam = cross_ratio(a, c, b, d) = (d-a)(c-b) / ((d-b)(c-a))   (classical normalization)
 
 They are related by mu = lam/(lam - 1); every downstream formula states which
-one it uses.  The complement 1 - mu is ``cross_ratio`` with a and b swapped,
+one it uses.  The complement 1 - mu is ``cross_ratio(b, a, c, d)``,
 (d-b)(a-c) / ((d-c)(a-b)): formed that way it keeps its digits where mu is
 near 1, as it is next to the separatrix.
 """
@@ -34,9 +35,7 @@ __all__ = [
     "LABELS",
     "ModuliPoint",
     "cross_ratio",
-    "lambda_proof",
     "ldexp",
-    "mu_main",
     "require_finite",
     "require_positive",
     "unit_exponent",
@@ -197,32 +196,7 @@ class ModuliPoint:
 
 
 def cross_ratio(a, b, c, d):
-    """(d-a)(b-c) / ((d-c)(b-a)) of complex scalars, unchecked."""
+    """(d-a)(b-c) / ((d-c)(b-a)) of complex scalars, unchecked: callers
+    take it at unit scale, after refusing the pairs that zero its denominator."""
     return (d - a) * (b - c) / ((d - c) * (b - a))
 
-
-def _checked_cross_ratio(m: ModuliPoint, order: str) -> complex:
-    """``cross_ratio`` of ``m.reorder(order)`` at unit scale, refusing a
-    coincident denominator pair."""
-    u = m.at_unit_scale()[0]
-    a, b, c, d = u.reorder(order).coords()
-    tol = DEGENERACY_RTOL * u.scale()
-    if abs(d - c) <= tol:
-        raise CoincidentModuliError((order[3], order[2]))
-    if abs(b - a) <= tol:
-        raise CoincidentModuliError((order[1], order[0]))
-    return cross_ratio(a, b, c, d)
-
-
-def mu_main(m: ModuliPoint) -> complex:
-    """The cross-ratio (d-a)(b-c) / ((d-c)(b-a)), the K argument."""
-    return _checked_cross_ratio(m, "abcd")
-
-
-def lambda_proof(m: ModuliPoint) -> complex:
-    """The cross-ratio (d-a)(c-b) / ((d-b)(c-a)), ``mu_main`` with b and c swapped.
-
-    Related to ``mu_main`` by mu = lam/(lam - 1); in the real chamber
-    a > d > b > c this variant is negative while mu lies in (0, 1).
-    """
-    return _checked_cross_ratio(m, "acbd")

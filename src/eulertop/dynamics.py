@@ -32,17 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComputationError, DomainError, InertiaSpec, ldexp, require_positive, unit_exponent
+from .core import ComputationError, DomainError, InertiaSpec, require_positive, unit_exponent
 
 __all__ = [
-    "Equilibrium",
     "IntegrationError",
     "MomentumState",
     "SeparatrixError",
     "Trajectory",
-    "classify_equilibria",
     "conserved",
-    "euler_rhs",
     "integrate_orbit",
     "orbit_period",
     "orbit_periods",
@@ -80,15 +77,10 @@ class MomentumState:
         return np.array([self.p1, self.p2, self.p3], dtype=float)
 
 
-def euler_rhs(p, inertia: InertiaSpec) -> np.ndarray:
-    """Time derivative of the momentum at p: one state (3,) or a stack (3, N)."""
-    if isinstance(p, MomentumState):
-        p = p.as_array()
-    return _field(p, inertia.reciprocals())
-
-
 def _field(p, reciprocals) -> np.ndarray:
-    # The integrators take the reciprocals once, not once per evaluation.
+    """Time derivative of the momentum at p, one state (3,) or a stack
+    (3, N), given the reciprocals (a, b, c): the integrators take them once,
+    not once per evaluation."""
     a, b, c = reciprocals
     return np.array([-(b - c) * p[1] * p[2], -(c - a) * p[2] * p[0], -(a - b) * p[0] * p[1]])
 
@@ -390,35 +382,6 @@ def _dense_output(F, y_old, x, rows):
         out += coeff[rows]
         out *= x if i % 2 == 0 else 1 - x
     out += y_old[rows]
-    return out
-
-
-@dataclass(frozen=True)
-class Equilibrium:
-    state: MomentumState
-    axis: str  # "p1", "p2", "p3"
-    stability: str  # "elliptic" or "hyperbolic"
-
-
-def classify_equilibria(inertia: InertiaSpec, l: float) -> list[Equilibrium]:
-    """The six relative equilibria +/- sqrt(2 l) e_k with their stability.
-
-    The axis with the middle moment of inertia is hyperbolic, the other two
-    are elliptic, whatever the ordering of the moments in ``inertia``.
-    Returned in the fixed order p1+, p1-, p2+, p2-, p3+, p3-.
-    """
-    require_positive("Casimir level l", l)
-    moments = (inertia.I1, inertia.I2, inertia.I3)
-    middle = sorted(moments)[1]
-    j = unit_exponent(l) // 2
-    r = ldexp(math.sqrt(2.0 * math.ldexp(l, 2 * j)), -j)  # at the level l * 4**j in [1, 4)
-    out = []
-    for k, mom in enumerate(moments):
-        stability = "hyperbolic" if mom == middle else "elliptic"
-        for sign in (+1.0, -1.0):
-            vec = [0.0, 0.0, 0.0]
-            vec[k] = sign * r
-            out.append(Equilibrium(MomentumState(*vec), f"p{k + 1}", stability))
     return out
 
 

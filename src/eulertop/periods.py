@@ -32,7 +32,6 @@ from .core import (
     DomainError,
     ModuliPoint,
     cross_ratio,
-    lambda_proof,
     ldexp,
 )
 from .special import _K_sided, _sqrt_sided
@@ -82,7 +81,7 @@ def S_closed_form(m: ModuliPoint) -> complex:
 
     u, k, j = m.at_unit_scale()
     a, b, c, d = u.coords()
-    # Coincident pairs c, d and a, b were refused above, as mu_main would.
+    # Coincident pairs c, d and a, b, the poles of mu, were refused above.
     # K takes 1 - mu as the cross-ratio with a and b swapped,
     # (d - b)(a - c) / ((d - c)(a - b)), exact to rounding where mu is near 1.
     mu, mu_c = cross_ratio(a, b, c, d), cross_ratio(b, a, c, d)
@@ -250,17 +249,20 @@ def quadrature_tau_integral(m: ModuliPoint) -> complex:
     a pair of arcs whose contributions cancel; parameterizing by u = tanh of
     the hyperbolic angle gives two real integrals J1 (inner, 0 to u*) and J2
     (outer, u* to 1) with u* = 1/sqrt(1 - lam) and lam the classical
-    cross-ratio (negative in the chamber).  The total is
+    ordering cross_ratio(a, c, b, d) (negative in the chamber).  The total is
 
         value = -(2 / (2 pi)) * pref * (J2 - i J1),
 
-    which lands on S(c, b, a, d) = S1 + S2 evaluated at d - i0.
+    which lands on S(c, b, a, d) = S1 + S2 evaluated at d - i0; in the
+    reversed chamber a < d < b < c, on its conjugate, the value at d + i0.
 
     Oracle for ``S_closed_form`` on the connecting cycle: it never calls K.
     """
     u, k, j = m.at_unit_scale()
     a, b, c, d, l = _real_chamber_coords(u)
-    lam = lambda_proof(u).real
+    # The chamber keeps d - b and c - a off zero and puts lam below 0 in both
+    # orientations; only an underflowing numerator can round it to 0.
+    lam = cross_ratio(a, c, b, d)
     if lam >= 0.0:
         raise DomainError(f"connecting cycle needs lambda < 0, got {lam!r}")
     ustar = 1.0 / math.sqrt(1.0 - lam)

@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from eulertop.birkhoff import birkhoff_series
 from eulertop.core import InertiaSpec, ModuliPoint

@@ -3,7 +3,6 @@
 import ast
 import dataclasses
 import importlib
-import math
 import pkgutil
 import re
 from pathlib import Path
@@ -12,13 +11,11 @@ import pytest
 
 import eulertop
 from eulertop.core import (
-    CoincidentModuliError,
     ComputationError,
     DomainError,
     InertiaSpec,
     ModuliPoint,
-    lambda_proof,
-    mu_main,
+    cross_ratio,
     require_positive,
 )
 
@@ -101,46 +98,41 @@ def test_coincidence_is_relative_to_the_points_size():
     tiny = ModuliPoint(3e-20, 2e-20, 1e-20, 2.5e-20)
     assert tiny.scale() == 3e-20
     assert tiny.coincident_pairs() == []
-    assert mu_main(tiny) == pytest.approx(mu_main(ModuliPoint(3, 2, 1, 2.5)), rel=1e-15)
+    assert cross_ratio(*tiny.coords()) == pytest.approx(cross_ratio(3, 2, 1, 2.5), rel=1e-15)
     assert ModuliPoint(3e-20, 2e-20, 2e-20, 2.5e-20).coincident_pairs() == [("b", "c")]
 
 
 @pytest.mark.parametrize("value", [0.0, 2.0, 1e-300])
 def test_a_point_with_four_equal_coordinates_is_refused(value):
+    # Every pair is coincident, so S refuses the point whatever pair it reads.
     m = ModuliPoint(value, value, value, value)
     assert len(m.coincident_pairs()) == 6
-    with pytest.raises(CoincidentModuliError):
-        mu_main(m)
-    with pytest.raises(CoincidentModuliError):
-        lambda_proof(m)
 
 
 def test_cross_ratio_on_equal_energy_line():
-    # d = b puts the main variant at 1; the proof variant degenerates there.
-    m = ModuliPoint(3, 2, 1, 2.0, 1.0)
-    assert mu_main(m) == pytest.approx(1.0)
-    with pytest.raises(CoincidentModuliError) as err:
-        lambda_proof(m)
-    assert err.value.pair == ("b", "d")
+    # d = b puts mu = cross_ratio(a, b, c, d) at 1; lam = cross_ratio(a, c, b, d)
+    # has its pole there.
+    assert cross_ratio(3, 2, 1, 2.0) == 1.0
+    with pytest.raises(ZeroDivisionError):
+        cross_ratio(3, 1, 2, 2.0)
 
 
 def test_cross_ratio_regular_and_fatal_coincidences():
-    # Numerator pairs (d = a, b = c) zero the ratio without leaving the
-    # domain; denominator pairs are genuine degenerations.
-    assert mu_main(ModuliPoint(3, 2, 1, 3.0, 1.0)) == pytest.approx(0.0)
-    assert mu_main(ModuliPoint(3, 2, 2, 2.5, 1.0)) == pytest.approx(0.0)
-    with pytest.raises(CoincidentModuliError) as err:
-        mu_main(ModuliPoint(3, 2, 1, 1.0, 1.0))
-    assert err.value.pair == ("c", "d")
-    with pytest.raises(CoincidentModuliError):
-        mu_main(ModuliPoint(3, 3, 1, 2.5, 1.0))
+    # Numerator pairs (d = a, b = c) zero the ratio; denominator pairs
+    # (d = c, b = a) are its poles, which callers refuse before forming it.
+    assert cross_ratio(3, 2, 1, 3.0) == 0.0
+    assert cross_ratio(3, 2, 2, 2.5) == 0.0
+    with pytest.raises(ZeroDivisionError):
+        cross_ratio(3, 2, 1, 1.0)
+    with pytest.raises(ZeroDivisionError):
+        cross_ratio(3, 3, 1, 2.5)
 
 
 @pytest.mark.parametrize("d", [2.4, 2.5 + 0.3j, 1.7 - 0.4j])
 def test_mu_is_moebius_image_of_lambda(d):
-    m = ModuliPoint(3.1, 2.2, 0.9, d, 1.0)
-    lam = lambda_proof(m)
-    assert mu_main(m) == pytest.approx(lam / (lam - 1.0))
+    # mu = cross_ratio(a, b, c, d) and lam = cross_ratio(a, c, b, d).
+    lam = cross_ratio(3.1, 0.9, 2.2, d)
+    assert cross_ratio(3.1, 2.2, 0.9, d) == pytest.approx(lam / (lam - 1.0))
 
 
 def test_reorder_swaps_slots():
@@ -210,6 +202,31 @@ def test_only_dynamics_imports_numpy_at_all():
     assert importers == {"dynamics"}
 
 
+def _unread_imports(path: Path) -> list[str]:
+    """The names that ``path`` imports and never reads: as a loaded name,
+    or as a string in its __all__ (a re-export).  __future__ imports are
+    directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({alias.asname or alias.name: node.lineno for alias in node.names})
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            reads |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return [f"{path.parent.name}/{path.name}:{line}: {name}" for name, line in sorted(bound.items()) if name not in reads]
+
+
+def test_every_import_is_read():
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for d in (root / "src" / "eulertop", root / "tests", root / "bench") for p in sorted(d.glob("*.py"))]
+    assert len(paths) > 20
+    assert [line for path in paths for line in _unread_imports(path)] == []
+
+
 @pytest.mark.parametrize("name", [info.name for info in pkgutil.iter_modules(eulertop.__path__)])
 def test_every_name_in_all_exists(name):
     # A deleted definition must leave its module's __all__ too.
@@ -220,10 +237,6 @@ def test_every_name_in_all_exists(name):
 # Public names that nothing reads yet, each kept for the open item that would
 # read it (ROADMAP item 8); a name leaves this tuple when it gets a reader or goes.
 OPEN_NAMES = (
-    "core.mu_main",
-    "dynamics.euler_rhs",
-    "dynamics.classify_equilibria",
-    "dynamics.Equilibrium",
     "birkhoff.birkhoff_normalization",
     "birkhoff.birkhoff_d_of_z",
     "periods.quadrature_tau_integral",

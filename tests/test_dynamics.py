@@ -1,4 +1,4 @@
-"""Rigid-body vector field, invariants, equilibria, and return times."""
+"""Rigid-body vector field, invariants, orbits, and return times."""
 
 import math
 import warnings
@@ -18,9 +18,7 @@ from eulertop.dynamics import (
     IntegrationError,
     MomentumState,
     SeparatrixError,
-    classify_equilibria,
     conserved,
-    euler_rhs,
     integrate_orbit,
     orbit_period,
     orbit_periods,
@@ -45,7 +43,7 @@ def chamber_state(d: float, l: float = 1.0) -> MomentumState:
 
 def test_rhs_matches_cyclic_formula():
     p = np.array([0.7, -1.1, 0.4])
-    got = euler_rhs(p, INERTIA)
+    got = _field(p, INERTIA.reciprocals())
     a, b, c = INERTIA.reciprocals()
     want = np.array([
         -(b - c) * p[1] * p[2],
@@ -59,7 +57,7 @@ def test_rhs_is_tangent_to_both_invariants():
     rng = np.random.default_rng(7)
     for _ in range(20):
         p = rng.normal(size=3)
-        v = euler_rhs(p, INERTIA)
+        v = _field(p, INERTIA.reciprocals())
         grad_l = p
         grad_h = p * INERTIA.reciprocals()
         assert abs(v @ grad_l) < 1e-12
@@ -70,39 +68,6 @@ def test_conserved_values():
     h, l = conserved(np.array([1.0, 0.0, 1.0]), INERTIA)
     assert h == pytest.approx(2.0)
     assert l == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("l", [0.0, -1.0, math.nan, math.inf])
-def test_classify_equilibria_refuses_a_level_that_is_not_positive_and_finite(l):
-    with pytest.raises(DomainError, match="Casimir level l must be positive and finite"):
-        classify_equilibria(INERTIA, l)
-
-
-@pytest.mark.parametrize("l", [1e308, 1.7e308, 5e-324])
-def test_classify_equilibria_at_the_ends_of_the_float_range(l):
-    # The radius sqrt(2 l) is formed at the level l * 4**j in [1, 4).
-    want = math.sqrt(2.0) * math.sqrt(l)
-    for e in classify_equilibria(INERTIA, l):
-        r = max(abs(x) for x in e.state.as_array())
-        assert math.isfinite(r) and abs(r - want) <= math.ulp(want)
-
-
-def test_classify_equilibria_axes_and_stability():
-    eqs = classify_equilibria(INERTIA, 1.0)
-    assert len(eqs) == 6
-    assert eqs[0].state.p1 == math.sqrt(2.0)
-    by_axis = {}
-    for e in eqs:
-        by_axis.setdefault(e.axis, []).append(e)
-        np.testing.assert_allclose(
-            np.linalg.norm(e.state.as_array()), math.sqrt(2.0), rtol=1e-14
-        )
-        np.testing.assert_allclose(euler_rhs(e.state.as_array(), INERTIA), 0.0, atol=1e-14)
-    assert {axis: {e.stability for e in group} for axis, group in by_axis.items()} == {
-        "p1": {"elliptic"},
-        "p2": {"hyperbolic"},
-        "p3": {"elliptic"},
-    }
 
 
 def test_integrate_orbit_conserves_invariants():

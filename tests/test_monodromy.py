@@ -15,7 +15,6 @@ from eulertop.lattice import (
     GENERATOR_LABELS,
     PRESETS,
     IntegerMatrix2,
-    MonodromyError,
     generator_matrix,
     verify_braid_relations,
     verify_confluence_product,

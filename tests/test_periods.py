@@ -25,7 +25,7 @@ from eulertop.birkhoff import (
     birkhoff_normalization,
     birkhoff_series,
 )
-from eulertop.core import CoincidentModuliError, DomainError, ModuliPoint, ldexp, lambda_proof, mu_main
+from eulertop.core import CoincidentModuliError, DomainError, ModuliPoint, ldexp
 from eulertop.periods import (
     S_closed_form,
     euler_period,
@@ -216,8 +216,9 @@ def test_homogeneous_values_scale_exactly_by_powers_of_two(gaps, l, k, j):
     for value in values:
         assert value(scaled) == ldexp(value(m), -k)
         assert value(level) == ldexp(value(m), -j)
-    for ratio in (mu_main, lambda_proof):
-        assert ratio(scaled) == ratio(m)
+    # Every route forms its cross-ratios at the unit-scale point, which is
+    # the same point.
+    assert scaled.at_unit_scale()[0] == m.at_unit_scale()[0]
 
 
 @pytest.mark.parametrize("route", [S_closed_form, quadrature_sigma_integral, quadrature_tau_integral])
@@ -306,6 +307,18 @@ def test_sigma_quadrature_needs_real_chamber():
 def test_tau_quadrature_matches_connecting_value():
     got = quadrature_tau_integral(BASE)
     assert got == pytest.approx(S3, rel=1e-12)
+    # d - b this fraction of a - b, in both chamber orientations: closer to
+    # the separatrix than DEGENERACY_RTOL, which refuses only coincident
+    # pairs.  The value is S(c, b, a, d) at d - i0; in the reversed chamber
+    # the quadrature gives its conjugate, the value at d + i0.
+    for a, b, c in ((3.0, 2.0, 1.0), (1.0, 2.0, 3.0)):
+        for fraction in (1e-12, 1e-13, 1e-15):
+            d = b + fraction * (a - b)
+            want = _S_reference(c, b, a, d)
+            if a < b:
+                want = want.conjugate()
+            got = quadrature_tau_integral(ModuliPoint(a, b, c, d))
+            assert abs(got - want) / abs(want) < 1e-15, (a, b, c, d)
 
 
 def test_tau_quadrature_needs_negative_lambda():

@@ -128,6 +128,26 @@ def test_elliptic_K_sided_matches_offcut_limit():
         assert elliptic_K(2.0, side=side) == pytest.approx(lim, rel=1e-7)
 
 
+def test_elliptic_K_on_its_cut_matches_mpmath():
+    # K(m +/- i0) against 50 digits, on m in (1.1, 10) and on m - 1
+    # log-uniform in [1e-14, 1e15].  The cut branch takes two AGMs, at 1/m
+    # and 1 - 1/m; its worst here is 3.6e-16 on (1.1, 10) and 4.3e-16 on
+    # the log-uniform set.  One AGM started at the sided root
+    # -side i sqrt(m - 1) reaches 2.6e-15 on (1.1, 10), with 10 of those
+    # 2,000 values above the bound: that is why the cut keeps two.
+    rng = random.Random(2)
+    points = [rng.uniform(1.1, 10.0) for _ in range(1000)]
+    points += [1.0 + 10.0 ** rng.uniform(-14.0, 15.0) for _ in range(200)]
+    for m in points:
+        # mpmath's K at m +/- 1e-60 i rounds to the same doubles, 7 times slower.
+        with mpmath.workdps(50):
+            x = mpmath.mpf(m)
+            k_inv, k_comp, root = mpmath.ellipk(1 / x), mpmath.ellipk(1 - 1 / x), mpmath.sqrt(x)
+        for side in (+1, -1):
+            want = complex((k_inv + side * 1j * k_comp) / root)
+            assert abs(elliptic_K(m, side) - want) / abs(want) < 1e-15, (m, side)
+
+
 def test_hyper_series_matches_reference():
     f, _, fs, _ = hyper_series(0.3)
     assert f == pytest.approx(F_03, rel=1e-14)
@@ -435,7 +455,7 @@ def test_transport_close_to_a_singular_point(end):
 
 
 @pytest.mark.parametrize("end", [-0.5 + 1e-8j, -0.5 + 1e-11j])
-def test_continue_frame_along_a_chord_that_grazes_zero(end):
+def test_transport_along_a_chord_that_grazes_zero(end):
     # Both samples are 0.5 from 0, but the chord between them passes
     # Im(end) / 2 above it; the clearance rule reads the segment, not the
     # samples, and the transport follows the chord past 0.
@@ -457,7 +477,7 @@ _ODE_REACH = 1e-5
     after=st.floats(0.05, 1.0),
     extra=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False), max_size=2),
 )
-def test_continue_frame_refuses_exactly_the_paths_too_close(singular, gap, angle, before, after, extra):
+def test_transport_refuses_exactly_the_paths_too_close(singular, gap, angle, before, after, extra):
     # A segment that passes 10**gap from 0 or 1, at any angle, then up to
     # two more points within 1 of 1/2.
     u = cmath.exp(1j * angle)
