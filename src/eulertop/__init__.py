@@ -5,7 +5,7 @@ The package is organized in layers, and each public name is imported from
 the module that defines it:
 
 - ``core``: moduli-space value types and the one cross-ratio
-- ``special``: elliptic integrals and the hypergeometric bases, as scalars
+- ``special``: K, and F and F' of the hypergeometric equation, from one AGM
 - ``periods``: the closed-form period, quadrature routes, identity checks
 - ``birkhoff``: the exact rational series of the inverse normal form
 - ``lattice``: the stated integer monodromy matrices and their algebra

@@ -9,12 +9,14 @@ square-root prefactors, kept continuous along the path, conjugate it into
 the period frame.  One frame of value/derivative germs, seeded from F and
 F' wherever the start's cross-ratio lies off the real axis and transported
 along the same path, checks the word numerically: a loop's result is its
-integer matrix and that check's residual.
+integer matrix and that check's residual.  F and F' come from the AGM that
+gives K (``special._F_closed``), at every seed.
 
 This module also holds the one transport kernel of the hypergeometric
 equation, ``_transport_germs``: Taylor transport of germ rows (value,
 derivative) along a path given as a sequence of points, followed as a
-polyline.  ``special.basis_eval`` gives the local bases in the same rows.
+polyline, and the two errors it raises.  The local bases in the same rows,
+the transport's check reference, live with the tests (``tests/oracles.py``).
 The connection data between those bases live in the crossing word alone,
 as its two exact generators.  The stated integer matrices the loops are
 compared with, and their exact algebra, live in ``lattice``.
@@ -42,6 +44,8 @@ from .core import (
     DEGENERACY_RTOL,
     LABELS,
     CoincidentModuliError,
+    ComputationError,
+    DomainError,
     ModuliPoint,
     cross_ratio,
     ldexp,
@@ -49,11 +53,13 @@ from .core import (
     unit_exponent,
 )
 from .lattice import GENERATOR_LABELS, PRESETS, IntegerMatrix2, MonodromyError
-from .special import ContinuationStallError, PathTooCloseError, _F_closed, hyper_series
+from .special import _F_closed
 
 __all__ = [
+    "ContinuationStallError",
     "ModuliLoop",
     "MonodromyResult",
+    "PathTooCloseError",
     "chamber_basepoint",
     "loop_monodromy",
     "numeric_vs_stated",
@@ -80,6 +86,14 @@ _EXTRACTION_TOL = 1e-6
 _SAMPLES_PER_TURN = 256
 MAX_WINDING = 16
 MAX_START_DISTANCE = 64.0
+
+
+class PathTooCloseError(DomainError):
+    """Continuation path passes too close to a singular point."""
+
+
+class ContinuationStallError(ComputationError):
+    """Continuation stepping stalled (required step below the minimum)."""
 
 
 def _matmul(m: Matrix2, n: Matrix2) -> Matrix2:
@@ -470,12 +484,6 @@ def _continuous_sqrt(values: Iterable[complex]) -> list[complex]:
     return out
 
 
-def _germ_F(w: complex) -> tuple[complex, complex]:
-    """F(w) = (2/pi) K(w) and F'(w) off the real axis: the series inside
-    |w| < 1, K and E beyond it."""
-    return hyper_series(w)[:2] if abs(w) < 1.0 else _F_closed(w)[:2]
-
-
 def _seed_germs(mu0: complex) -> Matrix2:
     """Germs (value, d/dmu) of the numerator solutions at the basepoint.
 
@@ -488,8 +496,8 @@ def _seed_germs(mu0: complex) -> Matrix2:
     if mu0.imag == 0.0:
         raise MonodromyError("basepoint cross-ratio is real; offsets are required")
     sgn = 1.0 if mu0.imag > 0.0 else -1.0
-    g1 = _germ_F(mu0)
-    f, fd = _germ_F(1.0 - mu0)
+    g1 = _F_closed(mu0)
+    f, fd = _F_closed(1.0 - mu0)
     return (sgn * 1j * g1[0] + f, sgn * 1j * g1[1] - fd), g1
 
 

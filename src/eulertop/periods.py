@@ -247,8 +247,8 @@ def quadrature_tau_integral(m: ModuliPoint) -> complex:
 
     The cycle decomposes into two conjugate arcs crossing the separatrix and
     a pair of arcs whose contributions cancel; parameterizing by u = tanh of
-    the hyperbolic angle gives two real integrals J1 (inner, 0 to u*) and J2
-    (outer, u* to 1) with u* = 1/sqrt(1 - lam) and lam the classical
+    the hyperbolic angle gives two real integrals J1 (inner, u from 0 to u*)
+    and J2 (outer, u* to 1) with u* = 1/sqrt(1 - lam) and lam the classical
     ordering cross_ratio(a, c, b, d) (negative in the chamber).  The total is
 
         value = -(2 / (2 pi)) * pref * (J2 - i J1),
@@ -256,30 +256,40 @@ def quadrature_tau_integral(m: ModuliPoint) -> complex:
     which lands on S(c, b, a, d) = S1 + S2 evaluated at d - i0; in the
     reversed chamber a < d < b < c, on its conjugate, the value at d + i0.
 
+    Neither integral forms 1 - u*, which rounds to nothing as d -> a.  J1 is
+    taken in t = u/u*, as int_0^1 dt / sqrt(w (w + |lam|)) with
+    w = (1 - t)(1 + t), and J2 in s, where u**2 = 1 - s + s/(1 - lam), as
+    int_0^1 ds / sqrt(s (1 - s) u**2) / (2 sqrt(1 - lam)); every factor
+    comes from the endpoint distances and |lam|.  J1's integrand turns over
+    at 1 - t of about |lam|, which the nodes resolve down to |lam| of about
+    1e-32, so the coincidences d = a and b = c, where S(c, b, a, d) is
+    singular and |lam| vanishes, are refused as ``S_closed_form`` refuses
+    them for that ordering; that keeps |lam| above about 2.5e-25.
+
     Oracle for ``S_closed_form`` on the connecting cycle: it never calls K.
     """
+    for x, y in (("a", "d"), ("b", "c")):
+        if (x, y) in m.coincident_pairs():
+            raise CoincidentModuliError((x, y), f"S(c, b, a, d) is singular where {y} = {x}")
     u, k, j = m.at_unit_scale()
     a, b, c, d, l = _real_chamber_coords(u)
     # The chamber keeps d - b and c - a off zero and puts lam below 0 in both
-    # orientations; only an underflowing numerator can round it to 0.
+    # orientations.
     lam = cross_ratio(a, c, b, d)
-    if lam >= 0.0:
-        raise DomainError(f"connecting cycle needs lambda < 0, got {lam!r}")
-    ustar = 1.0 / math.sqrt(1.0 - lam)
     one_m = 1.0 - lam
 
-    def g_inner(u, dlo, dhi):
-        # dhi = u* - u; regular at u = 0, inverse-sqrt at u*.
-        prod = one_m * dhi * (ustar + u) * (1.0 - u) * (1.0 + u)
-        return 1.0 / math.sqrt(prod)
+    def g_inner(t, dlo, dhi):
+        # dhi = 1 - t; regular at t = 0, like 1/w toward 1 until w falls
+        # below |lam|, then inverse-sqrt.
+        w = dhi * (1.0 + t)
+        return 1.0 / math.sqrt(w * (w - lam))
 
-    def g_outer(u, dlo, dhi):
-        # dlo = u - u*, dhi = 1 - u; inverse-sqrt at both ends.
-        prod = one_m * dlo * (u + ustar) * dhi * (1.0 + u)
-        return 1.0 / math.sqrt(prod)
+    def g_outer(s, dlo, dhi):
+        # dlo = s, dhi = 1 - s; inverse-sqrt at both ends.
+        return 1.0 / math.sqrt(dlo * dhi * (dhi + dlo / one_m))
 
-    j1 = tanh_sinh(g_inner, 0.0, ustar)
-    j2 = tanh_sinh(g_outer, ustar, 1.0)
+    j1 = tanh_sinh(g_inner, 0.0, 1.0)
+    j2 = tanh_sinh(g_outer, 0.0, 1.0) / (2.0 * math.sqrt(one_m))
 
     pref = 2.0 / (3.0 * math.sqrt(2.0 * l * abs(a - c) * abs(d - b)))
     value = -pref * (j2 - 1j * j1) / math.pi

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from oracles import basis_eval, gauss_ode_residual
 
 from eulertop.birkhoff import birkhoff_series
 from eulertop.core import InertiaSpec, ModuliPoint
@@ -22,7 +23,7 @@ from eulertop.periods import (
     verify_connection_identity,
     verify_symmetries,
 )
-from eulertop.special import basis_eval, elliptic_K, gauss_ode_residual
+from eulertop.special import elliptic_K
 
 ABC = (3.0, 2.0, 1.0)
 D_GRID = (2.1, 2.3, 2.5, 2.7, 2.9)

@@ -16,17 +16,11 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _log_sided, basis_eval
 
 from eulertop.core import CoincidentModuliError, ModuliPoint
 from eulertop.periods import S_closed_form
-from eulertop.special import (
-    BranchCutError,
-    _log_sided,
-    _on_cut,
-    _sqrt_sided,
-    basis_eval,
-    elliptic_K,
-)
+from eulertop.special import BranchCutError, _on_cut, _sqrt_sided, elliptic_K
 
 # The same examples on every run, and no example database written to disk.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)

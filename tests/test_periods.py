@@ -321,6 +321,37 @@ def test_tau_quadrature_matches_connecting_value():
             assert abs(got - want) / abs(want) < 1e-15, (a, b, c, d)
 
 
+@pytest.mark.parametrize("fraction", [1e-2, 1e-4, 1e-6, 1e-8, 1e-11])
+def test_tau_quadrature_toward_d_equals_a(fraction):
+    # d - a this fraction of a - b, in both chamber orientations.  Taken in
+    # u, both integrals formed 1 - u from a rounded u* = 1/sqrt(1 - lam):
+    # 3.5e-15 off at 1e-2 of the gap, 2.2e-8 at 1e-11.
+    for a, b, c in ((3.0, 2.0, 1.0), (1.0, 2.0, 3.0), (5.79, 3.11, 0.963), (0.78, 1.4, 3.4)):
+        d = a - fraction * (a - b)
+        want = _S_reference(c, b, a, d)
+        if a < b:
+            want = want.conjugate()
+        got = quadrature_tau_integral(ModuliPoint(a, b, c, d))
+        assert abs(got - want) / abs(want) < 2e-15, (a, b, c, d)
+
+
+@pytest.mark.parametrize(
+    "point,pair",
+    [((3.0, 2.0, 1.0, 3.0 - 4.4e-16), ("a", "d")), ((3.0, 2e-300, 1e-300, 3.0 - 4.4e-16), ("a", "d")),
+     ((1.0, 2.0, 3.0, 1.0 + 1e-14), ("a", "d")), ((3.0, 2.0, 2.0 - 1e-13, 2.5), ("b", "c"))],
+)
+def test_tau_quadrature_refuses_the_coincidences_where_its_value_is_singular(point, pair):
+    # S(c, b, a, d) has its pole at d = a and b = c; within DEGENERACY_RTOL
+    # of either the quadrature refuses by name, as S_closed_form does for
+    # that ordering, instead of a ZeroDivisionError or a wrong value.
+    x, y = pair
+    with pytest.raises(CoincidentModuliError, match=f"S\\(c, b, a, d\\) is singular where {y} = {x}") as info:
+        quadrature_tau_integral(ModuliPoint(*point))
+    assert info.value.pair == pair
+    with pytest.raises(CoincidentModuliError, match="S is singular"):
+        S_closed_form(ModuliPoint(*point).reorder("cbad"))
+
+
 def test_tau_quadrature_needs_negative_lambda():
     with pytest.raises(DomainError):
         quadrature_tau_integral(ModuliPoint(3, 2, 1, 1.5, 1.0))

@@ -1,4 +1,5 @@
-"""Elliptic integrals, hypergeometric bases, germ transport."""
+"""Elliptic integrals, F and F' from the AGM, the hypergeometric check
+references of ``oracles``, germ transport."""
 
 import cmath
 import math
@@ -10,23 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import LOG16, RegionError, basis_eval, gauss_ode_residual, hyper_series
 from scipy.integrate import solve_ivp
 from test_branch_properties import PROPERTY
 
 from eulertop import monodromy, special
-from eulertop.monodromy import _step_matrices, _transport_germs
-from eulertop.special import (
-    BranchCutError,
-    DivergenceError,
-    LOG16,
-    PathTooCloseError,
-    RegionError,
-    basis_eval,
-    elliptic_K,
-    gauss_ode_residual,
-    _sqrt_sided,
-    hyper_series,
-)
+from eulertop.monodromy import PathTooCloseError, _step_matrices, _transport_germs
+from eulertop.special import BranchCutError, DivergenceError, _F_closed, _sqrt_sided, elliptic_K
 
 # Frozen reference values (AGM / series, cross-checked against scipy.special).
 K_HALF = 1.8540746773013719
@@ -63,7 +54,7 @@ def _agm_stopping_on_the_means_only(m):
     # that leaves the pair of means unchanged.
     x = complex(1.0, 0.0)
     y = cmath.sqrt(1.0 - m)
-    weight, csum = 0.5, 0.5 * m
+    weight, c2, term, s = 0.5, complex(m), 1.0 + 0j, 0j
     for _ in range(64):
         if abs(x - y) <= 1e-17 * abs(x):
             break
@@ -73,15 +64,15 @@ def _agm_stopping_on_the_means_only(m):
         if dd > ds or (dd == ds and (y1 / x1).imag < 0.0):
             y1 = -y1
         weight *= 2.0
-        c = 0.5 * (x - y)
-        if abs(c) > 1e-12 * abs(x):
-            csum += weight * c * c
+        ratio = c2 / (16.0 * x1 * x1)
+        c2 *= ratio
+        term *= ratio
+        s += weight * term
         x, y = x1, y1
-    k = math.pi / (2.0 * x)
-    return k, k * (1.0 - csum)
+    return math.pi / (2.0 * x), s
 
 
-def test_agm_stop_on_a_repeated_pair_keeps_K_and_E_bit_identical():
+def test_agm_stop_on_a_repeated_pair_keeps_K_and_its_sum_bit_identical():
     # About a quarter of the real m in (-5, 1) settle on a fixed pair of
     # means an ulp or so apart; the old loop ran on to 64 iterations there.
     rng = random.Random(14)
@@ -103,6 +94,46 @@ def test_agm_stops_where_the_means_settle(m):
     with mock.patch.object(special.cmath, "sqrt", lambda w: calls.append(w) or sqrt(w)):
         special._agm(m, 1.0 - m)
     assert len(calls) - 1 <= 8
+
+
+def _F_reference(w):
+    with mpmath.workdps(40):
+        x = mpmath.mpc(w)
+        return complex(mpmath.hyp2f1(0.5, 0.5, 1, x)), complex(mpmath.hyp2f1(1.5, 1.5, 2, x) / 4)
+
+
+def test_F_and_its_derivative_from_the_agm_match_mpmath():
+    # |w| log-uniform in [1e-6, 3] at random angles, and points 1e-12 to
+    # 1e-3 above and below both cuts, (-50, 0) and (1, 50).  F' as
+    # (E - (1 - m) K) / (2 m (1 - m)) was 5.5e-9 off at 1e-8 + 1e-12i.  The
+    # bound is 2e-15 but 3e-15 next to (1, 50): there the AGM starts next to
+    # its sided root, and K itself is up to 2.6e-15 off on (1.1, 10) from
+    # that start (hence the two AGMs on K's cut), so F is 2.2e-15 off at
+    # 5.04 + 1.6e-10i.
+    rng = random.Random(32)
+    points = [1e-8 + 1e-12j]
+    points += [10.0 ** rng.uniform(-6.0, math.log10(3.0)) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+               for _ in range(200)]
+    for _ in range(26):
+        off = 10.0 ** rng.uniform(-12.0, -3.0)
+        for x in (-(10.0 ** rng.uniform(-3.0, math.log10(50.0))), 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(49.0))):
+            points += [complex(x, off), complex(x, -off)]
+    for w in points:
+        bound = 3e-15 if w.real > 1.0 and abs(w.imag) <= 1e-3 else 2e-15
+        for got, want in zip(_F_closed(w), _F_reference(w)):
+            assert abs(got - want) / abs(want) < bound, w
+
+
+def test_F_and_its_derivative_from_the_agm_match_the_series():
+    # Two independent routes on |w| <= 0.9: the AGM and the series at 0,
+    # which is itself 2.6e-15 from mpmath at |w| = 0.9.  At w = 0 both are
+    # exact, where (E - (1 - m) K) / (2 m (1 - m)) would be 0/0.
+    assert _F_closed(0.0) == hyper_series(0.0)[:2] == (1.0, 0.25)
+    rng = random.Random(33)
+    for _ in range(500):
+        w = 0.9 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        for got, want in zip(_F_closed(w), hyper_series(w)[:2]):
+            assert abs(got - want) / abs(want) < 5e-15, w
 
 
 def test_elliptic_K_diverges_at_one():
