@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .core import ComputationError, DomainError, InertiaSpec, ModuliPoint, ldexp
+from .core import MAX_SAMPLES, ComputationError, DomainError, InertiaSpec, ModuliPoint, ldexp
 
 # Each command imports the layers it runs when it starts, so none pays for a
 # layer it does not use: only ``simulate`` and ``period`` load numpy.
@@ -66,8 +66,6 @@ def _positive(text: str) -> float:
 
 
 def _samples(text: str) -> int:
-    from .dynamics import MAX_SAMPLES  # imported here: dynamics loads numpy
-
     value = int(text)  # argparse reports a ValueError as an invalid value
     if not 2 <= value <= MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"must be from 2 to {MAX_SAMPLES}, got {text!r}")
@@ -294,7 +292,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_monodromy(args: argparse.Namespace) -> int:
     # The braid and confluence presets multiply stated integer matrices
     # only; the scalar germ transport of ``monodromy`` loads for the loops.
-    from .lattice import GENERATOR_LABELS, verify_braid_relations, verify_confluence_product
+    from .lattice import GENERATOR_LABELS, PRESETS, verify_braid_relations, verify_confluence_product
 
     preset, loop_file = args.preset, args.loop
     if bool(preset) == bool(loop_file):
@@ -308,23 +306,21 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
         result = loop_monodromy(loop)
         out = {"loop": loop.to_json_dict(), "matrix": result.matrix.tolist(), "residual": result.residual}
     elif preset == "all-generators":
-        from .monodromy import numeric_vs_stated
+        from .monodromy import preset_monodromy
 
         entries = []
         for label in GENERATOR_LABELS:
-            cmp = numeric_vs_stated(label)
+            result = preset_monodromy(label)
             entries.append({
                 "generator": label,
-                "stated": cmp.stated.tolist(),
-                "computed": cmp.computed.tolist(),
-                "orientation": cmp.orientation,
-                "mismatch_count": cmp.mismatch_count,
-                "residual": cmp.float_residual,
+                "stated": PRESETS[label][2].tolist(),
+                "computed": result.matrix.tolist(),
+                "residual": result.residual,
             })
         out = {
             "frame": "stated (S1, S3)",
             "generators": entries,
-            "all_match": all(e["mismatch_count"] == 0 for e in entries),
+            "all_match": all(e["computed"] == e["stated"] for e in entries),
         }
     elif preset == "confluence":
         out = {"orderings": verify_confluence_product()}

@@ -33,6 +33,7 @@ __all__ = [
     "DomainError",
     "InertiaSpec",
     "LABELS",
+    "MAX_SAMPLES",
     "ModuliPoint",
     "cross_ratio",
     "ldexp",
@@ -50,6 +51,11 @@ DEGENERACY_RTOL = 1e-12
 
 # Imaginary parts up to this times the point's scale count as real.
 _REAL_RTOL = 1e-12
+
+# The most samples an orbit may ask for: ``dynamics.integrate_orbit`` and the
+# CLI's --samples refuse more before allocating them.  It lives here, not in
+# ``dynamics``, so that checking it loads no numpy.
+MAX_SAMPLES = 100001
 
 
 class DomainError(ValueError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComputationError, DomainError, InertiaSpec, require_positive, unit_exponent
+from .core import MAX_SAMPLES, ComputationError, DomainError, InertiaSpec, require_positive, unit_exponent
 
 __all__ = [
     "IntegrationError",
@@ -52,9 +52,6 @@ SEPARATRIX_RTOL = 1e-8
 # An orbit that has not returned within this many characteristic times is
 # refused; near the separatrix the period grows like the log of the distance.
 MAX_CHARACTERISTIC_TIMES = 1e4
-
-# integrate_orbit refuses more samples than this before allocating them.
-MAX_SAMPLES = 100001
 
 
 class SeparatrixError(DomainError):

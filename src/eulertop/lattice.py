@@ -5,7 +5,8 @@ h12..h34 are 2x2 integer matrices of unit determinant.  This module holds
 their stated table, the exact algebra on it, and the two structure checks
 built from it alone: the confluence product of the local matrices and the
 braid relations of the generators.  ``monodromy`` realizes the same labels
-as loops in moduli space and compares the numbers it finds with this table.
+as loops in moduli space and reports each in its stated matrix's frame and
+orientation.
 
 Everything here is integer arithmetic on tuples, so this module imports
 no numeric library, and a caller can catch ``MonodromyError`` without
@@ -27,7 +28,6 @@ __all__ = [
     "IntegerMatrix2",
     "MonodromyError",
     "PRESETS",
-    "generator_matrix",
     "verify_braid_relations",
     "verify_confluence_product",
 ]
@@ -76,14 +76,15 @@ _U = IntegerMatrix2(((1, 2), (0, 1)))
 _A = IntegerMatrix2(((-1, 2), (-2, 3)))
 _LINV = IntegerMatrix2(((1, 0), (-2, 1)))
 
-# Every preset as label -> (move, around, stated matrix); each loop winds
-# once, counterclockwise.  The alphas are the local monodromies around the
-# three finite singular values of the cross-ratio, stated and reported in
-# the engine frame (S3, S1).  The six line generators h_ij are stated and
-# reported in the (S1, S3) frame.  The h13 approach must cross the line of
-# the blocking coordinate b; the downward bow of the loop's approach path
-# (``monodromy._approach_points``) fixes which side, and that choice is
-# what reproduces the stated matrix.
+# Every preset as label -> (move, around, stated matrix): one turn of the
+# coordinate move around the coordinate around.  This is the one statement
+# of the table's convention.  The alphas are the local monodromies around
+# the three finite singular values of the cross-ratio, stated in the engine
+# frame (S3, S1) as counterclockwise loops.  The six line generators h_ij
+# are stated in the (S1, S3) frame as clockwise loops.  The h13 approach
+# must cross the line of the blocking coordinate b; the downward bow of the
+# loop's approach path (``monodromy._approach_points``) fixes which side,
+# and that choice is what reproduces the stated matrix.
 PRESETS = {
     "alpha1": ("a", "d", _U),     # cross-ratio circles 0
     "alpha2": ("d", "b", _A),     # cross-ratio circles infinity
@@ -97,13 +98,6 @@ PRESETS = {
 }
 
 GENERATOR_LABELS = tuple(label for label in PRESETS if label.startswith("h"))
-
-
-def generator_matrix(label: str) -> IntegerMatrix2:
-    """The stated monodromy matrix of one line generator, (S1, S3) frame."""
-    if label not in GENERATOR_LABELS:
-        raise ValueError(f"label must be one of {list(GENERATOR_LABELS)}, got {label!r}")
-    return PRESETS[label][2]
 
 
 # ----------------------------------------------------------------------
@@ -147,9 +141,9 @@ def _word_product(word) -> IntegerMatrix2:
     acc = IntegerMatrix2.identity()
     for token in word:
         if token.endswith("^-1"):
-            acc = acc @ generator_matrix(token[:-3]).inverse()
+            acc = acc @ PRESETS[token[:-3]][2].inverse()
         else:
-            acc = acc @ generator_matrix(token)
+            acc = acc @ PRESETS[token][2]
     return acc
 
 

@@ -18,18 +18,17 @@ derivative) along a path given as a sequence of points, followed as a
 polyline, and the two errors it raises.  The local bases in the same rows,
 the transport's check reference, live with the tests (``tests/oracles.py``).
 The connection data between those bases live in the crossing word alone,
-as its two exact generators.  The stated integer matrices the loops are
-compared with, and their exact algebra, live in ``lattice``.
+as its two exact generators.  The stated integer matrices the preset loops
+realize, and their exact algebra, live in ``lattice``.
 
 Everything here is scalar Python (``math``, ``cmath``, lists and tuples), so
 this module needs no numpy; a 2x2 matrix is a tuple of two row
 tuples.
 
-Frames and bases.  The engine's working frame is (S3, S1) = (S(c,b,a,d),
-S(a,b,c,d)); stated generator matrices live in the (S1, S3) frame, one swap
-away, and the swap reverses both rows and columns.  All matrices act on
-column vectors of frame values, and loops are counterclockwise for positive
-winding.
+Frames.  The engine's working frame is (S3, S1) = (S(c,b,a,d), S(a,b,c,d)).
+All matrices act on column vectors of frame values, and loops are
+counterclockwise for positive winding.  ``preset_monodromy`` alone turns a
+result into the frame and orientation of its stated matrix.
 """
 
 from __future__ import annotations
@@ -56,13 +55,12 @@ from .lattice import GENERATOR_LABELS, PRESETS, IntegerMatrix2, MonodromyError
 from .special import _F_closed
 
 __all__ = [
+    "BASEPOINT",
     "ContinuationStallError",
     "ModuliLoop",
     "MonodromyResult",
     "PathTooCloseError",
-    "chamber_basepoint",
     "loop_monodromy",
-    "numeric_vs_stated",
     "preset_loop",
     "preset_monodromy",
 ]
@@ -70,12 +68,11 @@ __all__ = [
 # A 2x2 matrix, or a pair of (value, derivative) germs, as two row tuples.
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
-# Base chamber point for all preset loops.  The non-energy coordinates are
-# pushed slightly below the real axis so that no cross-ratio sample is ever
-# exactly on a cut; d stays real, matching the d - i0 convention of the
-# period branch rules.
-BASE_CHAMBER = {"a": 3.0, "b": 2.0, "c": 1.0, "d": 2.5}
-PEER_OFFSET = -1e-3j
+# The standard basepoint of every preset loop, in the chamber a > d > b > c.
+# The non-energy coordinates sit 1e-3 below the real axis so that no
+# cross-ratio sample is ever exactly on a cut; d stays real, matching the
+# d - i0 convention of the period branch rules.
+BASEPOINT = {"a": 3 - 1e-3j, "b": 2 - 1e-3j, "c": 1 - 1e-3j, "d": 2.5}
 
 _EXTRACTION_TOL = 1e-6
 
@@ -100,12 +97,6 @@ def _matmul(m: Matrix2, n: Matrix2) -> Matrix2:
     (p, q), (r, s) = m
     (w, x), (y, z) = n
     return ((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z))
-
-
-def _inverse(m: Matrix2) -> Matrix2:
-    (p, q), (r, s) = m
-    det = p * s - q * r
-    return ((s / det, -q / det), (-r / det, p / det))
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +247,11 @@ def _transport_germs(
 # Loops in moduli space and the matrices they produce.
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModuliLoop:
     """One coordinate circling a center while the other three stay frozen.
@@ -270,8 +266,8 @@ class ModuliLoop:
         Must be smaller than the distance from the center to every frozen
         coordinate, so exactly one discriminant line is encircled.
     winding : int
-        Nonzero, at most ``MAX_WINDING`` in absolute value; positive is
-        counterclockwise.
+        Nonzero and not a bool, at most ``MAX_WINDING`` in absolute value;
+        positive is counterclockwise.
     frozen : dict
         Values of the three non-moving coordinates.
     start : complex, optional
@@ -300,7 +296,7 @@ class ModuliLoop:
         expected = set(LABELS) - {self.move}
         if set(self.frozen) != expected:
             raise ValueError(f"frozen must have keys {sorted(expected)}, got {sorted(self.frozen)}")
-        if not (isinstance(self.winding, Integral) and self.winding != 0):
+        if not (isinstance(self.winding, Integral) and not isinstance(self.winding, bool) and self.winding != 0):
             raise ValueError(f"winding must be a nonzero integer, got {self.winding!r}")
         if abs(self.winding) > MAX_WINDING:
             raise ValueError(f"|winding| must be at most {MAX_WINDING}, got {self.winding!r}")
@@ -357,7 +353,9 @@ class ModuliLoop:
     @staticmethod
     def from_json_dict(data: dict) -> "ModuliLoop":
         """Read a loop from its JSON form; a missing or ill-typed key raises
-        ValueError naming the key.  Values are checked by ``__post_init__``."""
+        ValueError naming the key.  A number is an int or a float, not a
+        bool, and a pair is a list of exactly two numbers.  Values are
+        checked by ``__post_init__``."""
         if not isinstance(data, dict):
             raise ValueError(f"a loop must be a JSON object, got {type(data).__name__}")
         missing = [k for k in ("move", "center", "radius", "winding", "frozen") if k not in data]
@@ -365,21 +363,21 @@ class ModuliLoop:
             raise ValueError(f"loop is missing required keys {missing}")
 
         def _c(key, v):
+            if not (_is_number(v) or isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
+                raise ValueError(f"loop key {key!r} must be a number or [re, im] pair, got {v!r}")
             try:
-                return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+                return complex(*v) if isinstance(v, list) else complex(v)
             except OverflowError:
                 raise ValueError(f"loop key {key!r} must be finite, got {v!r}") from None
-            except (TypeError, ValueError, IndexError):
-                raise ValueError(f"loop key {key!r} must be a number or [re, im] pair, got {v!r}") from None
 
         if not isinstance(data["frozen"], dict):
             raise ValueError(f"loop key 'frozen' must be an object of coordinates, got {data['frozen']!r}")
+        if not _is_number(data["radius"]):
+            raise ValueError(f"loop key 'radius' must be a number, got {data['radius']!r}")
         try:
             radius = float(data["radius"])
         except OverflowError:
             raise ValueError(f"loop key 'radius' must be finite, got {data['radius']!r}") from None
-        except (TypeError, ValueError):
-            raise ValueError(f"loop key 'radius' must be a number, got {data['radius']!r}") from None
         return ModuliLoop(
             move=data["move"],
             center=_c("center", data["center"]),
@@ -390,30 +388,20 @@ class ModuliLoop:
         )
 
 
-def chamber_basepoint(offset_scale: float = 1.0) -> dict:
-    """The standard basepoint: chamber values with peers nudged off-axis."""
-    out = {}
-    for name, value in BASE_CHAMBER.items():
-        out[name] = value if name == "d" else value + PEER_OFFSET * offset_scale
-    return out
-
-
-def preset_loop(move: str, around: str, winding: int = 1, *, radius: float = 0.2,
-                offset_scale: float = 1.0) -> ModuliLoop:
-    """A coordinate loop at the standard basepoint: ``move`` circles ``around``."""
+def preset_loop(move: str, around: str, winding: int = 1) -> ModuliLoop:
+    """A loop of radius 0.2 at ``BASEPOINT``: ``move`` circles ``around``."""
     if move not in LABELS:
         raise ValueError(f"move must be one of {LABELS}, got {move!r}")
     if around not in LABELS or around == move:
         raise ValueError(f"around must be a coordinate other than {move!r}")
-    base = chamber_basepoint(offset_scale)
-    frozen = {k: v for k, v in base.items() if k != move}
+    frozen = {k: v for k, v in BASEPOINT.items() if k != move}
     return ModuliLoop(
         move=move,
         center=frozen[around],
-        radius=radius,
+        radius=0.2,
         winding=winding,
         frozen=frozen,
-        start=base[move],
+        start=BASEPOINT[move],
     )
 
 
@@ -535,16 +523,18 @@ def _word_matrix(mu: Sequence[complex], roots0: tuple[complex, complex],
     prefactor roots D = diag(sqrt(R2), sqrt(R1)) at the start and f D at the
     end, f = diag(+-1), the matrix f D^-1 T D is T_ij roots0[j] / roots1[i]."""
     sigma = 1 if mu[0].imag > 0.0 else -1
-    g0, g1 = ((1, -2j), (0, 1)), ((1 + 2 * sigma, -2j), (-2j, 1 - 2 * sigma))
+    g0, g0_inv = ((1, -2j), (0, 1)), ((1, 2j), (0, 1))
+    g1 = ((1 + 2 * sigma, -2j), (-2j, 1 - 2 * sigma))
+    g1_inv = ((1 - 2 * sigma, 2j), (2j, 1 + 2 * sigma))
     word = ((1, 0), (0, 1))
     for p, q in zip(mu, mu[1:]):
         down = p.imag >= 0.0 > q.imag
         if down or q.imag >= 0.0 > p.imag:
             x = p.real + (q.real - p.real) * (p.imag / (p.imag - q.imag))
             if x < 0.0:
-                word = _matmul(word, g0 if down else _inverse(g0))
+                word = _matmul(word, g0 if down else g0_inv)
             elif x > 1.0:
-                word = _matmul(word, _inverse(g1) if down else g1)
+                word = _matmul(word, g1_inv if down else g1)
     return tuple(tuple(t * r / e for t, r in zip(row, roots0)) for row, e in zip(word, roots1))
 
 
@@ -597,10 +587,14 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
 
 
 def preset_monodromy(label: str) -> MonodromyResult:
-    """Compute the monodromy of a preset loop realization numerically.
+    """The monodromy of a preset loop, in the frame and orientation of its
+    stated matrix, so that ``matrix == PRESETS[label][2]``.
 
-    Accepts alpha1/alpha2/alpha3 (reported in the engine frame) and the six
-    generator labels (reported in the stated (S1, S3) frame).
+    The alphas are stated in the engine frame as counterclockwise loops and
+    are reported as computed.  The generators are stated in the (S1, S3)
+    frame as clockwise loops: the counterclockwise loop's ((p, q), (r, s))
+    is swapped into that frame, which reverses both rows and columns, and
+    inverted, both exactly, to ((p, -r), (-q, s)), with that loop's residual.
     """
     if label not in PRESETS:
         raise ValueError(f"unknown preset {label!r}")
@@ -608,36 +602,5 @@ def preset_monodromy(label: str) -> MonodromyResult:
     got = loop_monodromy(preset_loop(move, around))
     if label not in GENERATOR_LABELS:
         return got
-    # Swapping the frame reverses both rows and columns, exactly.
     (p, q), (r, s) = got.matrix.entries
-    return MonodromyResult(IntegerMatrix2(((s, r), (q, p))), got.residual)
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    stated: IntegerMatrix2
-    computed: IntegerMatrix2
-    orientation: int
-    mismatch_count: int
-    float_residual: float
-
-
-def numeric_vs_stated(label: str) -> ComparisonReport:
-    """Compare a computed generator (or alpha) matrix against its stated value.
-
-    The arc orientations behind the stated table depend on orientation
-    choices for the discriminant lines that the labels alone do not fix, so
-    the comparison accepts either the matrix or its inverse and reports
-    which orientation matched; mismatch_count counts differing entries for
-    the better orientation.
-    """
-    got = preset_monodromy(label)
-    stated = PRESETS[label][2]
-
-    def mismatches(m: IntegerMatrix2) -> int:
-        return sum(x != y for row, want in zip(m.entries, stated.entries) for x, y in zip(row, want))
-
-    direct, inverse = mismatches(got.matrix), mismatches(got.matrix.inverse())
-    if direct <= inverse:
-        return ComparisonReport(stated, got.matrix, +1, direct, got.residual)
-    return ComparisonReport(stated, got.matrix, -1, inverse, got.residual)
+    return MonodromyResult(IntegerMatrix2(((p, -r), (-q, s))), got.residual)

@@ -303,8 +303,11 @@ def test_monodromy_all_generators(capsys):
     code, out, err = run(capsys, "monodromy", "--preset", "all-generators")
     assert code == 0
     payload = json.loads(out)
-    assert payload["all_match"]
+    assert payload["all_match"] is True
     assert len(payload["generators"]) == 6
+    for entry in payload["generators"]:
+        assert sorted(entry) == ["computed", "generator", "residual", "stated"]
+        assert entry["computed"] == entry["stated"]
 
 
 def test_monodromy_loop_file(tmp_path, capsys):
@@ -647,9 +650,12 @@ def test_no_command_loads_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_version_and_series_do_not_load_numpy():
+def test_version_and_series_do_not_load_numpy(tmp_path):
     # The exact series needs only Fractions: neither it nor --version may
-    # pay for importing numpy.
+    # pay for importing numpy, nor may checking a config file's flat
+    # "samples" key, which series does not read.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"samples": 10}))
     script = (
         "import sys\n"
         "import eulertop.cli as cli\n"
@@ -658,6 +664,7 @@ def test_version_and_series_do_not_load_numpy():
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
         "assert cli.main(['series', '--n', '32', '--s', '1/3', '--z', '0.05']) == 0\n"
+        f"assert cli.main(['series', '--n', '2', '--config', {str(config)!r}]) == 0\n"
         "sys.exit('numpy' in sys.modules)\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

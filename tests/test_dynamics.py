@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 
 from eulertop import dynamics
-from eulertop.core import DomainError, InertiaSpec, ModuliPoint
+from eulertop.core import MAX_SAMPLES, DomainError, InertiaSpec, ModuliPoint
 from eulertop.dynamics import (
     MAX_CHARACTERISTIC_TIMES,
     IntegrationError,
@@ -93,7 +93,7 @@ def test_integrate_orbit_rejects_bad_horizon():
     (1.0, {"tol": -1.0}, "tol must be positive and finite, got -1.0"),
     (1.0, {"tol": math.nan}, "tol must be positive and finite, got nan"),
     (1.0, {"n_samples": 0}, "n_samples must be an integer from 1 to 100001, got 0"),
-    (1.0, {"n_samples": dynamics.MAX_SAMPLES + 1}, "n_samples must be an integer from 1 to 100001, got 100002"),
+    (1.0, {"n_samples": MAX_SAMPLES + 1}, "n_samples must be an integer from 1 to 100001, got 100002"),
     (1.0, {"n_samples": 2.0}, "n_samples must be an integer"),
 ])
 def test_integrate_orbit_refuses_bad_scalars_before_any_work(t_end, kw, message):

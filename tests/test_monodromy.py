@@ -15,16 +15,14 @@ from eulertop.lattice import (
     GENERATOR_LABELS,
     PRESETS,
     IntegerMatrix2,
-    generator_matrix,
     verify_braid_relations,
     verify_confluence_product,
 )
 from eulertop.monodromy import (
+    BASEPOINT,
     MAX_WINDING,
     ModuliLoop,
-    chamber_basepoint,
     loop_monodromy,
-    numeric_vs_stated,
     preset_loop,
     preset_monodromy,
     _matmul,
@@ -79,18 +77,17 @@ def test_integer_matrix_algebra_equals_numpy_int_products(word):
 
 
 def test_chamber_basepoint_layout():
-    base = chamber_basepoint()
-    assert base["d"].imag == 0.0
+    assert complex(BASEPOINT["d"]).imag == 0.0
     for name in ("a", "b", "c"):
-        assert base[name].imag == pytest.approx(-1e-3)
-    assert base["a"].real > base["d"].real > base["b"].real > base["c"].real
+        assert BASEPOINT[name].imag == pytest.approx(-1e-3)
+    assert BASEPOINT["a"].real > BASEPOINT["d"].real > BASEPOINT["b"].real > BASEPOINT["c"].real
 
 
 def test_loop_validation():
-    base = chamber_basepoint()
-    frozen = {k: v for k, v in base.items() if k != "a"}
-    with pytest.raises(ValueError, match="winding"):
-        ModuliLoop(move="a", center=frozen["d"], radius=0.2, winding=0, frozen=frozen)
+    frozen = {k: v for k, v in BASEPOINT.items() if k != "a"}
+    for winding in (0, True):
+        with pytest.raises(ValueError, match="winding"):
+            ModuliLoop(move="a", center=frozen["d"], radius=0.2, winding=winding, frozen=frozen)
     with pytest.raises(ValueError, match="radius"):
         ModuliLoop(move="a", center=frozen["d"], radius=0.6, winding=1, frozen=frozen)
     with pytest.raises(ValueError, match="keys"):
@@ -177,10 +174,16 @@ def test_loop_file_winding_is_bounded(winding):
     ("winding", "1"), ("frozen", [2.0, 1.0]), ("start", [3.0, "q"]),
     pytest.param("radius", 10**400, id="radius-int-beyond-float"),
     pytest.param("center", [10**400, 0], id="center-int-beyond-float"),
+    pytest.param("winding", True, id="winding-bool"),
+    pytest.param("radius", "0.2", id="radius-numeric-string"),
+    pytest.param("center", "2.5", id="center-numeric-string"),
+    pytest.param("center", [2.5, 0.0, 99], id="center-three-elements"),
+    pytest.param("start", [True, False], id="start-bools"),
 ])
 def test_loop_file_missing_or_ill_typed_key(key, value):
     # None stands for a missing key; every error names the key it is about,
-    # also for an int too large for a float.
+    # also for an int too large for a float.  A number is an int or a float,
+    # not a bool or a string, and a pair holds exactly two numbers.
     data = preset_loop("a", "d").to_json_dict()
     if value is None:
         del data[key]
@@ -227,13 +230,13 @@ def test_alpha_monodromies(label, entries):
     assert result.residual < 1e-6
 
 
-def test_alpha_comparison_reports():
-    for label in ("alpha1", "alpha2", "alpha3"):
-        stated = PRESETS[label][2]
-        report = numeric_vs_stated(label)
-        assert report.mismatch_count == 0
-        assert report.orientation == +1
-        assert report.computed.entries == stated.entries
+@pytest.mark.parametrize("label", sorted(PRESETS))
+def test_preset_monodromy_reports_the_stated_matrix(label):
+    # Every preset comes back in the frame and orientation of its stated
+    # matrix, so equality is the whole comparison.
+    result = preset_monodromy(label)
+    assert result.matrix == PRESETS[label][2]
+    assert result.residual < 1e-6
 
 
 def test_winding_is_a_homomorphism():
@@ -247,10 +250,14 @@ def test_winding_is_a_homomorphism():
 def test_monodromy_is_homotopy_invariant():
     # Radius and basepoint offsets deform the loop without crossing the
     # discriminant, so the matrix cannot change.
-    reference = loop_monodromy(preset_loop("a", "d")).matrix.entries
-    assert loop_monodromy(preset_loop("a", "d", radius=0.1)).matrix.entries == reference
-    assert loop_monodromy(preset_loop("a", "d", radius=0.3)).matrix.entries == reference
-    assert loop_monodromy(preset_loop("a", "d", offset_scale=2.0)).matrix.entries == reference
+    loop = preset_loop("a", "d")
+    reference = loop_monodromy(loop).matrix.entries
+    assert loop_monodromy(dataclasses.replace(loop, radius=0.1)).matrix.entries == reference
+    assert loop_monodromy(dataclasses.replace(loop, radius=0.3)).matrix.entries == reference
+    # The peers twice as far below the real axis.
+    frozen = {"b": 2 - 2e-3j, "c": 1 - 2e-3j, "d": 2.5}
+    deeper = dataclasses.replace(loop, frozen=frozen, start=3 - 2e-3j)
+    assert loop_monodromy(deeper).matrix.entries == reference
 
 
 # Closed cross-ratio polylines for the crossing word, all starting at
@@ -344,31 +351,27 @@ def test_loop_matrix_is_a_power_of_its_single_turn(pair, radius, winding):
     # The word and the one transported frame agree on random loops at the
     # standard basepoint, and w turns give the w-th power of one turn.
     move, around = pair
-    once = loop_monodromy(preset_loop(move, around, radius=radius))
-    got = loop_monodromy(preset_loop(move, around, winding, radius=radius))
+    once = loop_monodromy(dataclasses.replace(preset_loop(move, around), radius=radius))
+    got = loop_monodromy(dataclasses.replace(preset_loop(move, around, winding), radius=radius))
     assert max(once.residual, got.residual) < 1e-10
     assert got.matrix == _power(once.matrix, winding)
 
 
 def test_stated_generator_table():
-    assert generator_matrix("h12").entries == U
-    assert generator_matrix("h34").entries == U
-    assert generator_matrix("h13").entries == A
-    assert generator_matrix("h24").entries == A
-    assert generator_matrix("h14").entries == L_INV
-    assert generator_matrix("h23").entries == L_INV
-    with pytest.raises(ValueError):
-        generator_matrix("h15")
+    stated = {label: PRESETS[label][2].entries for label in GENERATOR_LABELS}
+    assert stated == {"h12": U, "h34": U, "h13": A, "h24": A, "h14": L_INV, "h23": L_INV}
 
 
 @pytest.mark.parametrize("label", GENERATOR_LABELS)
 def test_generators_match_stated_up_to_orientation(label):
-    report = numeric_vs_stated(label)
-    assert report.mismatch_count == 0
-    assert report.orientation == -1
-    assert report.float_residual < 1e-6
-    computed = np.array(report.computed.entries)
-    assert round(abs(np.linalg.det(computed))) == 1
+    # The engine's own counterclockwise loop, swapped into the (S1, S3)
+    # frame, is the inverse of the stated matrix: the generators are stated
+    # as clockwise loops.
+    move, around, stated = PRESETS[label]
+    result = loop_monodromy(preset_loop(move, around))
+    (p, q), (r, s) = result.matrix.entries
+    assert IntegerMatrix2(((s, r), (q, p))) == stated.inverse()
+    assert result.residual < 1e-6
 
 
 def test_confluence_orderings():
