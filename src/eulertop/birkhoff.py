@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, ldexp, require_finite, require_positive, unit_exponent
+from .core import DomainError, FrozenRecord, ldexp, require_finite, require_positive, unit_exponent
 
 __all__ = [
     "MAX_SERIES_ORDER",
@@ -63,8 +62,7 @@ def _birkhoff_poly(n: int) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
+class SeriesCoefficients(FrozenRecord):
     """Exact series data for the inverse normal-form derivative.
 
     ``polys[n]`` lists the Fraction coefficients of P_n(s), constant term
@@ -72,8 +70,7 @@ class SeriesCoefficients:
     an argument of the evaluators, not part of the series.
     """
 
-    order: int
-    polys: tuple
+    __slots__ = ("order", "polys")
 
     def pn_value(self, n: int, s):
         """P_n(s): the exact Fraction at a p/q s, and at a float s that value

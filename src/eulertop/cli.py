@@ -22,7 +22,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .core import MAX_SAMPLES, ComputationError, DomainError, InertiaSpec, ModuliPoint, ldexp
@@ -92,6 +91,8 @@ def _ratio(text: str) -> Fraction | float:
     """An exact fraction written ``p/q``, or else a finite float."""
     if "/" not in text:
         return _float(text)
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -5,7 +5,10 @@ controlled by four numbers: the reciprocal moments of inertia a = 1/I1,
 b = 1/I2, c = 1/I3 and the energy ratio d = h/l.  Everything downstream
 (periods, quadratures, monodromy loops) is parameterized by the quadruple
 (a, b, c, d) together with the Casimir level l, so those live here as small
-immutable value types, with the one cross-ratio attached.
+immutable value types, with the one cross-ratio attached.  Every record of
+the package derives from ``FrozenRecord``, a frozen record on ``__slots__``:
+it needs no import, so a command that loads no numpy loads no ``inspect``
+either.
 
 Every period of the body is a function of one cross-ratio of (a, b, c, d),
 ``cross_ratio(a, b, c, d) = (d-a)(b-c) / ((d-c)(b-a))``.  Two of its
@@ -24,13 +27,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 __all__ = [
     "CoincidentModuliError",
     "ComputationError",
     "DomainError",
+    "FrozenRecord",
     "InertiaSpec",
     "LABELS",
     "MAX_SAMPLES",
@@ -112,8 +115,63 @@ def ldexp(z, k: int):
         raise DomainError(f"{z!r} * 2**{k} is outside the float range") from None
 
 
-@dataclass(frozen=True)
-class InertiaSpec:
+class FrozenRecord:
+    """An immutable record whose fields are its class's ``__slots__``, in order.
+
+    Equality, hash and repr work over the fields as those of a frozen
+    dataclass do; a slot named with a leading underscore is derived state,
+    outside all three.  The base ``__init__`` stores its arguments in field
+    order; a record with checks overrides it, stores, then validates.
+    Assigning to or deleting any attribute raises AttributeError, and
+    ``replace`` rebuilds the record through ``__init__``, so its checks run
+    again; so do ``copy`` and ``pickle``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built and checked by ``__init__``."""
+        values = tuple(changes.pop(name, getattr(self, name)) for name in self._fields)
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no fields {sorted(changes)}")
+        return type(self)(*values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class InertiaSpec(FrozenRecord):
     """Principal moments of inertia, pairwise distinct and positive.
 
     Attributes
@@ -122,11 +180,10 @@ class InertiaSpec:
         Moments of inertia in arbitrary mass * length**2 units.
     """
 
-    I1: float
-    I2: float
-    I3: float
+    __slots__ = ("I1", "I2", "I3")
 
-    def __post_init__(self) -> None:
+    def __init__(self, I1: float, I2: float, I3: float) -> None:
+        super().__init__(I1, I2, I3)
         for name in ("I1", "I2", "I3"):
             require_positive(name, getattr(self, name))
         if self.I1 == self.I2 or self.I2 == self.I3 or self.I1 == self.I3:
@@ -144,23 +201,19 @@ class InertiaSpec:
         return InertiaSpec(1.0 / a, 1.0 / b, 1.0 / c)
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
+class ModuliPoint(FrozenRecord):
     """A point (a, b, c, d) of the parameter space with its Casimir level l.
 
     Coordinates are affine and complex; the Casimir level l > 0 enters only
     through prefactors (the mechanics fixes an affine chart, so no projective
     bookkeeping happens here).  The energy is h = d * l.  A point with one
-    coordinate changed is ``dataclasses.replace(m, d=...)``.
+    coordinate changed is ``m.replace(d=...)``, checked as a new point.
     """
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    l: float = 1.0
+    __slots__ = ("a", "b", "c", "d", "l")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: complex, b: complex, c: complex, d: complex, l: float = 1.0) -> None:
+        super().__init__(a, b, c, d, l)
         require_positive("Casimir level l", self.l)
         for name in LABELS:
             require_finite(f"coordinate {name}", getattr(self, name))

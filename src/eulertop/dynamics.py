@@ -28,11 +28,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_SAMPLES, ComputationError, DomainError, InertiaSpec, require_positive, unit_exponent
+from .core import (
+    MAX_SAMPLES,
+    ComputationError,
+    DomainError,
+    FrozenRecord,
+    InertiaSpec,
+    require_positive,
+    unit_exponent,
+)
 
 __all__ = [
     "IntegrationError",
@@ -62,13 +69,10 @@ class IntegrationError(ComputationError):
     """The ODE solver failed or did not close an orbit in time."""
 
 
-@dataclass(frozen=True)
-class MomentumState:
-    """Body-frame angular momentum."""
+class MomentumState(FrozenRecord):
+    """Body-frame angular momentum (p1, p2, p3)."""
 
-    p1: float
-    p2: float
-    p3: float
+    __slots__ = ("p1", "p2", "p3")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3], dtype=float)
@@ -382,14 +386,12 @@ def _dense_output(F, y_old, x, rows):
     return out
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A sampled orbit with its invariants along the way."""
+class Trajectory(FrozenRecord):
+    """A sampled orbit (t, p, H, L) with its invariants along the way:
+    arrays of the sample times, the momenta (shape (n, 3)), the energy and
+    the Casimir."""
 
-    t: np.ndarray
-    p: np.ndarray  # shape (n, 3)
-    H: np.ndarray
-    L: np.ndarray
+    __slots__ = ("t", "p", "H", "L")
 
     @property
     def drift_h(self) -> float:

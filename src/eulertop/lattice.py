@@ -15,11 +15,10 @@ loading the numeric engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from numbers import Integral
 
-from .core import ComputationError
+from .core import ComputationError, FrozenRecord
 
 __all__ = [
     "BRAID_RELATIONS",
@@ -37,14 +36,14 @@ class MonodromyError(ComputationError):
     """A loop's monodromy failed, e.g. its frame disagrees with its crossing word."""
 
 
-@dataclass(frozen=True)
-class IntegerMatrix2:
+class IntegerMatrix2(FrozenRecord):
     """A 2x2 integer matrix with unit determinant; its algebra is exact."""
 
-    entries: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        (p, q), (r, s) = self.entries
+    def __init__(self, entries: tuple[tuple[int, int], tuple[int, int]]) -> None:
+        super().__init__(entries)
+        (p, q), (r, s) = entries
         for x in (p, q, r, s):
             if not isinstance(x, Integral):
                 raise ValueError(f"entries must be ints, got {x!r}")

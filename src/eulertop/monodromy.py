@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Sequence
 from numbers import Integral
-from typing import Iterable, Sequence
 
 from .core import (
     DEGENERACY_RTOL,
@@ -45,6 +44,7 @@ from .core import (
     CoincidentModuliError,
     ComputationError,
     DomainError,
+    FrozenRecord,
     ModuliPoint,
     cross_ratio,
     ldexp,
@@ -252,8 +252,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ModuliLoop:
+class ModuliLoop(FrozenRecord):
     """One coordinate circling a center while the other three stay frozen.
 
     Attributes
@@ -281,16 +280,12 @@ class ModuliLoop:
     raises ValueError naming its key or pair.
     """
 
-    move: str
-    center: complex
-    radius: float
-    winding: int
-    frozen: dict
-    start: complex | None = None
-    # The unit_exponent of the start's scale, set by __post_init__.
-    _unit: int = field(init=False, repr=False, compare=False)
+    # _unit is derived, not a field: the unit_exponent of the start's scale.
+    __slots__ = ("move", "center", "radius", "winding", "frozen", "start", "_unit")
 
-    def __post_init__(self) -> None:
+    def __init__(self, move: str, center: complex, radius: float, winding: int, frozen: dict,
+                 start: complex | None = None) -> None:
+        super().__init__(move, center, radius, winding, frozen, start)
         if self.move not in LABELS:
             raise ValueError(f"move must be one of {LABELS}, got {self.move!r}")
         expected = set(LABELS) - {self.move}
@@ -352,15 +347,18 @@ class ModuliLoop:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ModuliLoop":
-        """Read a loop from its JSON form; a missing or ill-typed key raises
-        ValueError naming the key.  A number is an int or a float, not a
+        """Read a loop from its JSON form; a missing, unknown or ill-typed key
+        raises ValueError naming the key.  A number is an int or a float, not a
         bool, and a pair is a list of exactly two numbers.  Values are
-        checked by ``__post_init__``."""
+        checked by ``__init__``."""
         if not isinstance(data, dict):
             raise ValueError(f"a loop must be a JSON object, got {type(data).__name__}")
         missing = [k for k in ("move", "center", "radius", "winding", "frozen") if k not in data]
         if missing:
             raise ValueError(f"loop is missing required keys {missing}")
+        unknown = sorted(set(data) - set(ModuliLoop._fields))
+        if unknown:
+            raise ValueError(f"unknown loop keys {unknown}")
 
         def _c(key, v):
             if not (_is_number(v) or isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
@@ -538,13 +536,11 @@ def _word_matrix(mu: Sequence[complex], roots0: tuple[complex, complex],
     return tuple(tuple(t * r / e for t, r in zip(row, roots0)) for row, e in zip(word, roots1))
 
 
-@dataclass(frozen=True)
-class MonodromyResult:
+class MonodromyResult(FrozenRecord):
     """A loop's integer matrix (its crossing word) and the residual of the
     one transported frame against it."""
 
-    matrix: IntegerMatrix2
-    residual: float
+    __slots__ = ("matrix", "residual")
 
 
 def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
@@ -566,7 +562,7 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
     frozen = {x: ldexp(complex(v), k) for x, v in loop.frozen.items()}
     start = None if loop.start is None else ldexp(complex(loop.start), k)
     center, radius = ldexp(complex(loop.center), k), ldexp(loop.radius, k)
-    loop = replace(loop, center=center, radius=radius, frozen=frozen, start=start)
+    loop = loop.replace(center=center, radius=radius, frozen=frozen, start=start)
     mu, roots0, roots1 = _loop_path(loop)
     germs = _seed_germs(mu[0])
     # The period germs S3, S1 as rows, each numerator over its root.

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .core import (
     CoincidentModuliError,
     DomainError,
+    FrozenRecord,
     ModuliPoint,
     cross_ratio,
     ldexp,
@@ -309,21 +309,15 @@ def verify_connection_identity(m: ModuliPoint) -> float:
     return abs(s1 + s2 - s3)
 
 
-@dataclass(frozen=True)
-class SymmetryRow:
+class SymmetryRow(FrozenRecord):
     """One ordering's value and its lattice vector: the value is
     p S1 + q S2 for ``vector`` (p, q), to within ``residual`` relative to
     max(|S1|, |S2|)."""
 
-    order: str
-    value: complex
-    class_key: str
-    vector: tuple[int, int]
-    residual: float
+    __slots__ = ("order", "value", "class_key", "vector", "residual")
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(FrozenRecord):
     """Outcome of evaluating S on all 24 slot orderings of one point.
 
     The orderings partition into three classes of eight by which label shares
@@ -333,7 +327,7 @@ class SymmetryReport:
     from the rows; ``stabilizer`` lists the orderings in the identity's class.
     """
 
-    rows: tuple[SymmetryRow, ...]
+    __slots__ = ("rows",)
 
     @property
     def class_sizes(self) -> dict:

@@ -11,7 +11,7 @@ check is scalar, exact or integer work, so this module does not load numpy.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .birkhoff import birkhoff_series
 from .core import ModuliPoint

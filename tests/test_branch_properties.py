@@ -9,7 +9,6 @@ relative tolerance.  The local bases take no side: on their prefactors'
 cuts, tested inside |z| <= 0.9 of their series disc, they raise.
 """
 
-import dataclasses
 import itertools
 import math
 
@@ -113,7 +112,7 @@ def test_closed_form_is_the_d_minus_i0_limit(c, gaps, l):
     a = d + gaps[2]
     for order in itertools.permutations((a, b, c, d)):
         m = ModuliPoint(*order, l=l)
-        below = dataclasses.replace(m, d=m.d - 1j * eps(m.scale()))
+        below = m.replace(d=m.d - 1j * eps(m.scale()))
         assert close(S_closed_form(m), S_closed_form(below))
 
 

@@ -650,6 +650,40 @@ def test_no_command_loads_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_light_commands_do_not_load_dataclasses_inspect_or_fractions(tmp_path):
+    # The records need no dataclasses, and with them no inspect; only the
+    # exact series reads Fractions.  Neither --version nor any monodromy
+    # command may pay for those imports, nor may verify or series pay for
+    # the first two.
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps(_loop_round_b(0.9)))
+    script = (
+        "import sys\n"
+        "import eulertop.cli as cli\n"
+        "def loaded(names):\n"
+        "    return [m for m in names if m in sys.modules]\n"
+        "try:\n"
+        "    cli.main(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert not loaded(('dataclasses', 'inspect', 'fractions')), '--version'\n"
+        f"for argv in [['monodromy', '--preset', p] for p in {cli._MONODROMY_PRESETS!r}] + [\n"
+        f"        ['monodromy', '--loop', {str(loop_file)!r}]]:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert not loaded(('dataclasses', 'inspect', 'fractions')), argv\n"
+        "for argv in (['verify'], ['series', '--n', '32', '--s', '1/3', '--z', '0.05']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert not loaded(('dataclasses', 'inspect')), argv\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_version_and_series_do_not_load_numpy(tmp_path):
     # The exact series needs only Fractions: neither it nor --version may
     # pay for importing numpy, nor may checking a config file's flat

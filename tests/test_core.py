@@ -1,8 +1,10 @@
 """Moduli bookkeeping: inertia validation, chamber points, relabelling."""
 
 import ast
+import copy
 import dataclasses
 import importlib
+import pickle
 import pkgutil
 import re
 from pathlib import Path
@@ -89,8 +91,82 @@ def test_moduli_scale_and_reality():
 def test_moduli_coincident_pairs_and_replace():
     assert ModuliPoint(3, 2, 2, 2.5, 1.0).coincident_pairs() == [("b", "c")]
     assert ModuliPoint(3, 2, 1, 2.5, 1.0).coincident_pairs() == []
-    m = dataclasses.replace(ModuliPoint(3, 2, 1, 2.5, 1.0), d=2.7)
+    m = ModuliPoint(3, 2, 1, 2.5, 1.0).replace(d=2.7)
     assert m.coords() == pytest.approx((3.0, 2.0, 1.0, 2.7))
+
+
+def _records():
+    from eulertop.dynamics import MomentumState
+    from eulertop.lattice import IntegerMatrix2
+    from eulertop.monodromy import MonodromyResult, preset_loop
+
+    return [
+        ModuliPoint(3, 2, 1, 2.5 - 1e-3j, 0.5),
+        InertiaSpec(1.0, 2.0, 3.0),
+        IntegerMatrix2(((1, 2), (0, 1))),
+        MonodromyResult(IntegerMatrix2(((1, 2), (0, 1))), 1.6e-15),
+        MomentumState(1.0, 0.5, 0.2),
+        preset_loop("a", "d"),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_compare_hash_and_print_as_frozen_dataclasses(record):
+    # Each record against a frozen dataclass of the same name and fields:
+    # the same repr, the same hash (or the same refusal to hash, for the
+    # loop's frozen dict), and equality by class and fields.
+    fields = type(record)._fields
+    twin = dataclasses.make_dataclass(type(record).__name__, fields, frozen=True)(
+        *(getattr(record, name) for name in fields)
+    )
+    assert repr(record) == repr(twin)
+    try:
+        want = hash(twin)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == want
+    same = record.replace()
+    assert same == record and same is not record
+    assert record != twin
+
+
+def test_record_fields_cannot_be_assigned_or_deleted():
+    m = ModuliPoint(3, 2, 1, 2.5)
+    with pytest.raises(AttributeError, match="'d'"):
+        m.d = 2.7
+    with pytest.raises(AttributeError, match="'d'"):
+        del m.d
+    with pytest.raises(AttributeError):
+        m.h = 2.5
+    assert m == ModuliPoint(3, 2, 1, 2.5)
+
+
+def test_record_replace_checks_the_new_record():
+    from eulertop.monodromy import preset_loop
+
+    m = ModuliPoint(3, 2, 1, 2.5)
+    assert m.replace(d=2.7) == ModuliPoint(3, 2, 1, 2.7) != m
+    with pytest.raises(DomainError, match="Casimir level l"):
+        m.replace(l=-1)
+    with pytest.raises(TypeError, match="'h'"):
+        m.replace(h=2.5)
+    loop = preset_loop("a", "d")
+    with pytest.raises(ValueError, match="reaches another frozen coordinate"):
+        loop.replace(radius=0.6)
+    # The derived unit is recomputed, not copied: a loop 2**10 larger has
+    # a unit 10 lower, and the unit stays outside equality and repr.
+    big = loop.replace(center=loop.center * 1024, radius=loop.radius * 1024, start=loop.start * 1024,
+                       frozen={k: v * 1024 for k, v in loop.frozen.items()})
+    assert big._unit == loop._unit - 10
+    assert "_unit" not in repr(loop)
+
+
+def test_records_copy_and_pickle_through_init():
+    m = ModuliPoint(3, 2, 1, 2.5, 0.5)
+    assert copy.copy(m) == m
+    assert pickle.loads(pickle.dumps(m)) == m
 
 
 def test_coincidence_is_relative_to_the_points_size():

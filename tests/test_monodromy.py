@@ -1,7 +1,6 @@
 """Integer monodromy: loop engine, stated generators, braid bookkeeping."""
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -147,7 +146,7 @@ def test_loop_values_must_be_finite(key):
     for bad in (float("nan"), 10**400):
         change = {"frozen": {**loop.frozen, "b": bad}} if key == "frozen.b" else {key: bad}
         with pytest.raises(ValueError, match=f"'{key}' must be finite"):
-            dataclasses.replace(loop, **change)
+            loop.replace(**change)
 
 
 @pytest.mark.parametrize("frozen,pair", [({"c": [2.5, 0.0]}, "c = d"), ({"b": [1.0, -0.001]}, "b = c")])
@@ -190,6 +189,16 @@ def test_loop_file_missing_or_ill_typed_key(key, value):
     else:
         data[key] = value
     with pytest.raises(ValueError, match=key):
+        ModuliLoop.from_json_dict(data)
+
+
+@pytest.mark.parametrize("key", ["strat", "chamber", "Move"])
+def test_loop_file_unknown_key_is_refused(key):
+    # A misspelt optional key would otherwise run another loop without a
+    # word: "strat" would start the mover at the default, not at "start".
+    data = preset_loop("a", "d").to_json_dict()
+    data[key] = data.pop("start") if key == "strat" else [3.0, -0.001]
+    with pytest.raises(ValueError, match=f"unknown loop keys \\['{key}'\\]"):
         ModuliLoop.from_json_dict(data)
 
 
@@ -252,11 +261,11 @@ def test_monodromy_is_homotopy_invariant():
     # discriminant, so the matrix cannot change.
     loop = preset_loop("a", "d")
     reference = loop_monodromy(loop).matrix.entries
-    assert loop_monodromy(dataclasses.replace(loop, radius=0.1)).matrix.entries == reference
-    assert loop_monodromy(dataclasses.replace(loop, radius=0.3)).matrix.entries == reference
+    assert loop_monodromy(loop.replace(radius=0.1)).matrix.entries == reference
+    assert loop_monodromy(loop.replace(radius=0.3)).matrix.entries == reference
     # The peers twice as far below the real axis.
     frozen = {"b": 2 - 2e-3j, "c": 1 - 2e-3j, "d": 2.5}
-    deeper = dataclasses.replace(loop, frozen=frozen, start=3 - 2e-3j)
+    deeper = loop.replace(frozen=frozen, start=3 - 2e-3j)
     assert loop_monodromy(deeper).matrix.entries == reference
 
 
@@ -351,8 +360,8 @@ def test_loop_matrix_is_a_power_of_its_single_turn(pair, radius, winding):
     # The word and the one transported frame agree on random loops at the
     # standard basepoint, and w turns give the w-th power of one turn.
     move, around = pair
-    once = loop_monodromy(dataclasses.replace(preset_loop(move, around), radius=radius))
-    got = loop_monodromy(dataclasses.replace(preset_loop(move, around, winding), radius=radius))
+    once = loop_monodromy(preset_loop(move, around).replace(radius=radius))
+    got = loop_monodromy(preset_loop(move, around, winding).replace(radius=radius))
     assert max(once.residual, got.residual) < 1e-10
     assert got.matrix == _power(once.matrix, winding)
 

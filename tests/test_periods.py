@@ -1,7 +1,6 @@
 """Period values: closed form, quadratures, covariance, Birkhoff series."""
 
 import cmath
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -152,7 +151,7 @@ def test_tanh_sinh_node_table_is_built_on_first_use_and_reused():
 def test_sigma_quadrature_matches_closed_form():
     # l enters only as the prefactor 1/sqrt(l), from 1e-300 to 1e300.
     for l in (1.0, 1e-300, 1e300):
-        got = quadrature_sigma_integral(dataclasses.replace(BASE, l=l))
+        got = quadrature_sigma_integral(BASE.replace(l=l))
         assert got == pytest.approx(S1 / math.sqrt(l), rel=1e-12)
 
 
@@ -206,7 +205,7 @@ def test_homogeneous_values_scale_exactly_by_powers_of_two(gaps, l, k, j):
     a = d + gaps[3]
     m = ModuliPoint(a, b, c, d, l)
     scaled = ModuliPoint(*(math.ldexp(x, k) for x in (a, b, c, d)), l)
-    level = dataclasses.replace(m, l=math.ldexp(l, 2 * j))
+    level = m.replace(l=math.ldexp(l, 2 * j))
     values = [
         S_closed_form,
         quadrature_sigma_integral,
@@ -384,7 +383,7 @@ def test_symmetry_classes_partition():
 @pytest.mark.parametrize("d", [0.5, 1.5, 2.5, 3.5])
 def test_symmetry_stabilizer_is_read_from_the_rows(d):
     # The identity's class keeps d paired with a, in every chamber.
-    rep = verify_symmetries(dataclasses.replace(BASE, d=d))
+    rep = verify_symmetries(BASE.replace(d=d))
     assert rep.stabilizer == ("abcd", "acbd", "badc", "bdac", "cadb", "cdab", "dbca", "dcba")
 
 
