@@ -24,7 +24,7 @@ import re
 import sys
 
 from . import __version__
-from .core import MAX_SAMPLES, ComputationError, DomainError, InertiaSpec, ModuliPoint, ldexp
+from .core import MAX_SAMPLES, ComputationError, InertiaSpec
 
 # Each command imports the layers it runs when it starts, so none pays for a
 # layer it does not use: only ``simulate`` and ``period`` load numpy.
@@ -199,17 +199,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # period
 
-def _closed_and_quadrature(m: ModuliPoint, axis: str) -> tuple[complex, float]:
-    from .periods import _CLASS_ORDERS, phi_prime, quadrature_sigma_integral
-
-    closed = phi_prime(axis, m)
-    if axis == "p3":
-        m = m.reorder(_CLASS_ORDERS["S3"])
-    return closed, quadrature_sigma_integral(m)
-
-
 def cmd_period(args: argparse.Namespace) -> int:
-    from .dynamics import SEPARATRIX_RTOL, MomentumState, orbit_periods
+    from .periods import period_report
 
     a, b, c = args.abc
     tol = args.tol
@@ -221,40 +212,10 @@ def cmd_period(args: argparse.Namespace) -> int:
     if len(grid_d) * len(args.grid_l) > MAX_GRID_ROWS:
         print(f"error: --grid-d and --grid-l make more than {MAX_GRID_ROWS} rows", file=sys.stderr)
         return 2
-    grid = [(d, l) for l in args.grid_l for d in grid_d]
-    # A degenerate --abc is named before the grid it puts on d = b.
-    inertia = InertiaSpec.from_reciprocals(a, b, c)
-    # Refuse separatrix grid points up front; the period diverges there.
-    for d, _ in grid:
-        if abs(d - b) < SEPARATRIX_RTOL * abs(b):
-            raise DomainError(
-                f"grid point d = {d} sits on the separatrix (d = b); "
-                "the rotation period diverges there"
-            )
-    points = [ModuliPoint(a, b, c, d, l=l) for d, l in grid]
-    routes = [_closed_and_quadrature(m, args.axis) for m in points]
-    # ODE route: the orbit with p2 = 0 on the matching oval, all rows in
-    # one solve, each formed at the level l * 4**j in [1, 4) and scaled back.
-    states = []
-    for m in points:
-        u, _, j = m.at_unit_scale()
-        p1, p3 = (ldexp(math.sqrt(abs(2.0 * u.l * x / (a - c))), -j) for x in (m.d - c, a - m.d))
-        states.append(MomentumState(p1, 0.0, p3))
-    periods = orbit_periods(states, inertia, tol=min(1e-12, tol))
-    rows = []
-    for (d, l), (closed, quad), t_orbit in zip(grid, routes, periods):
-        s_ode = -float(t_orbit) / (6.0 * math.pi)
-        rows.append({
-            "a": a, "b": b, "c": c, "d": d, "l": l,
-            "S_closed": closed.real,
-            "S_quadrature": quad,
-            "S_ode": s_ode,
-            "dev_quad": abs(closed - quad) / abs(closed),
-            "dev_ode": abs(abs(closed) - abs(s_ode)) / abs(closed),
-        })
-    worst = max(max(r["dev_quad"], r["dev_ode"]) for r in rows)
+    report = period_report(a, b, c, args.axis, grid_d, args.grid_l, tol)
+    rows, worst = report["rows"], report["max_deviation"]
     if args.format == "json":
-        _emit(_json_dump({"rows": rows, "max_deviation": worst}), args.out)
+        _emit(_json_dump(report), args.out)
     else:
         header = "a,b,c,d,l,S_closed,S_quadrature,S_ode,dev_quad,dev_ode"
         lines = [header]

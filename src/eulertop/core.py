@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from itertools import combinations
 
 __all__ = [
@@ -172,7 +173,8 @@ class FrozenRecord:
 
 
 class InertiaSpec(FrozenRecord):
-    """Principal moments of inertia, pairwise distinct and positive.
+    """Principal moments of inertia, pairwise distinct and positive, each
+    with a reciprocal that is a normal float.
 
     Attributes
     ----------
@@ -185,7 +187,12 @@ class InertiaSpec(FrozenRecord):
     def __init__(self, I1: float, I2: float, I3: float) -> None:
         super().__init__(I1, I2, I3)
         for name in ("I1", "I2", "I3"):
-            require_positive(name, getattr(self, name))
+            value = require_positive(name, getattr(self, name))
+            if not sys.float_info.min <= 1.0 / value <= sys.float_info.max:
+                raise DomainError(
+                    f"moment of inertia {name} = {value!r} has the reciprocal {1.0 / value!r}, "
+                    "outside the normal float range"
+                )
         if self.I1 == self.I2 or self.I2 == self.I3 or self.I1 == self.I3:
             raise DomainError("moments of inertia must be pairwise distinct")
 

@@ -525,7 +525,8 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     # h and l are formed: exact, and in range for every finite state.
     e = np.array([unit_exponent(x) for x in np.abs(p0).max(axis=0)])
     p = np.ldexp(p0, e)
-    h, l = conserved(p, inertia)
+    with np.errstate(over="ignore"):  # an overflowing h is refused with the moments below
+        h, l = conserved(p, inertia)
     if np.any(l <= 0.0):
         raise DomainError("zero momentum has no orbit")
     # Orbit k runs on the unit sphere, q = p / sqrt(2 l_k), in its own

@@ -274,6 +274,7 @@ class ModuliLoop(FrozenRecord):
         from the center in the loop's unit, the power of two that
         ``loop_monodromy`` divides by.  Defaults to a
         point on the ray from the center through theta = 0, two radii out.
+        A start on the circle, to rounding, begins the circle itself.
 
     Every value must be finite, and no two of the four coordinates at the
     start may coincide (``ModuliPoint.coincident_pairs``); a bad value
@@ -438,16 +439,21 @@ def _approach_points(start: complex, entry: complex, frozen: Iterable[complex]) 
 
 
 def _loop_point_samples(loop: ModuliLoop) -> list[complex]:
-    """Sample the mover's path: radial approach, circle(s), and return."""
+    """Sample the mover's path: radial approach, circle(s), and return; a
+    start on the circle has no approach."""
     center = complex(loop.center)
     start = loop.effective_start()
     # Enter the circle where the radial ray from the start hits it, so the
     # approach never pierces the disc.
     theta0 = math.atan2((start - center).imag, (start - center).real)
     entry = center + loop.radius * cmath.exp(1j * theta0)
-    approach = _approach_points(start, entry, loop.frozen.values())
     turns = _spaced(2.0 * math.pi * loop.winding, _SAMPLES_PER_TURN * abs(loop.winding) + 1)
     circle = [center + loop.radius * cmath.exp(1j * (theta0 + t)) for t in turns[1:]]
+    if entry == start:
+        # The start lies on the circle to rounding: no approach, and the
+        # circle closes on the start itself.
+        return [start, *circle[:-1], start]
+    approach = _approach_points(start, entry, loop.frozen.values())
     return approach + circle + approach[-2::-1]
 
 

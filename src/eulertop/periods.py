@@ -16,7 +16,8 @@ T = 6 pi |S| in the elliptic chambers.
 The module provides the closed form, two independent quadrature routes
 (one real arc for the elliptic cycles and a hyperbolic-arc decomposition
 for the connecting cycle), the three-term identity checker,
-and the 24-fold covariance report.  Each period route returns the number it
+the 24-fold covariance report, and ``period_report``, which sets the closed
+form, the real-arc quadrature and the ODE route side by side on a grid.  Each period route returns the number it
 computes: a complex, or a float for the real arc.  The exact rational series
 of the inverse Birkhoff normal form lives in ``birkhoff``.
 """
@@ -30,6 +31,7 @@ from .core import (
     CoincidentModuliError,
     DomainError,
     FrozenRecord,
+    InertiaSpec,
     ModuliPoint,
     cross_ratio,
     ldexp,
@@ -40,6 +42,7 @@ __all__ = [
     "S_closed_form",
     "SymmetryReport",
     "euler_period",
+    "period_report",
     "phi_prime",
     "quadrature_sigma_integral",
     "quadrature_tau_integral",
@@ -118,6 +121,66 @@ def euler_period(m: ModuliPoint, axis: str = "p1") -> float:
     Check reference: the ODE route's tests compare ``orbit_period`` with it.
     """
     return 6.0 * math.pi * abs(phi_prime(axis, m))
+
+
+def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: float) -> dict:
+    """What ``eulertop period --format json`` prints: the three period routes
+    on the (d, l) rows of the grid, l-major, at reciprocal moments a, b, c.
+
+    A row holds a, b, c, d, l, ``S_closed``, ``S_quadrature``, ``S_ode`` =
+    -T / (6 pi), and ``dev_quad`` and ``dev_ode``, the other two routes'
+    deviations from the closed form relative to it; ``max_deviation`` is
+    the largest.  Axis "p1" is S(a, b, c, d) and "p3" is S(c, b, a, d):
+    each row is reordered once, and the closed form and the quadrature take
+    that point.  The ODE route integrates all rows' p2 = 0 orbits in one
+    batch at tolerance min(1e-12, tol).
+
+    Refused before any route runs: moments that ``InertiaSpec`` refuses,
+    then a d within ``dynamics.SEPARATRIX_RTOL`` of b (SeparatrixError),
+    then a row that is no ``ModuliPoint``.  Loads numpy only when called.
+    """
+    from .dynamics import SEPARATRIX_RTOL, MomentumState, SeparatrixError, orbit_periods
+
+    if axis not in ("p1", "p3"):
+        raise ValueError(f"axis must be 'p1' or 'p3', got {axis!r}")
+    grid = [(d, l) for l in grid_l for d in grid_d]
+    # A degenerate a, b, c is named before the grid it puts on d = b.
+    inertia = InertiaSpec.from_reciprocals(a, b, c)
+    # orbit_periods refuses these rows too, but by energy and after the
+    # other two routes have run; here they are named by d, first.
+    for d, _ in grid:
+        if abs(d - b) < SEPARATRIX_RTOL * abs(b):
+            raise SeparatrixError(
+                f"grid point d = {d} sits on the separatrix (d = b); "
+                "the rotation period diverges there"
+            )
+    points = [ModuliPoint(a, b, c, d, l=l) for d, l in grid]
+    order = _CLASS_ORDERS["S1" if axis == "p1" else "S3"]
+    routes = []
+    for m in points:
+        r = m.reorder(order)
+        routes.append((S_closed_form(r), quadrature_sigma_integral(r)))
+    states = []
+    for m in points:
+        # At unit scale, where 2 l (d - c) cannot overflow; bit for bit the
+        # unscaled value wherever that is a normal float.
+        u, _, j = m.at_unit_scale()
+        ua, _, uc, ud = (z.real for z in u.coords())
+        p1, p3 = (ldexp(math.sqrt(abs(2.0 * u.l * x / (ua - uc))), -j) for x in (ud - uc, ua - ud))
+        states.append(MomentumState(p1, 0.0, p3))
+    t_orbits = orbit_periods(states, inertia, tol=min(1e-12, tol))
+    rows = []
+    for (d, l), (closed, quad), t_orbit in zip(grid, routes, t_orbits):
+        s_ode = -float(t_orbit) / (6.0 * math.pi)
+        rows.append({
+            "a": a, "b": b, "c": c, "d": d, "l": l,
+            "S_closed": closed.real,
+            "S_quadrature": quad,
+            "S_ode": s_ode,
+            "dev_quad": abs(closed - quad) / abs(closed),
+            "dev_ode": abs(abs(closed) - abs(s_ode)) / abs(closed),
+        })
+    return {"rows": rows, "max_deviation": max(max(r["dev_quad"], r["dev_ode"]) for r in rows)}
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@ behind every branch cut.
 
 K, and F = (2/pi) K with its derivative F', come from one AGM started at the
 root of the complement 1 - m; a caller that has the complement exactly
-(``periods.S_closed_form``) passes it.  F and F' are the values of the
+(``periods.S_closed_form``) passes it.  Beyond Re m = 1, K comes from two,
+by the reciprocal-parameter identity.  F and F' are the values of the
 hypergeometric equation
 
     z (1 - z) f'' + (1 - 2 z) f' - f / 4 = 0
@@ -150,17 +151,27 @@ def _K_sided(m: complex, mc: complex, side: int | None) -> complex:
     """``elliptic_K(m, side)`` given the complement mc = 1 - m, which the
     caller forms without cancellation where m is near 1.  A nonzero mc is a
     regular point however close m rounds to 1, so there is no divergence
-    gate here; the cut still needs a side."""
-    if not _on_cut(mc):
+    gate here; the cut still needs a side.
+
+    Where Re m > 1 (Re mc < 0), on the cut or off it, K comes from the
+    reciprocal-parameter identity
+    K(m) = (K(1/m) + side i K(1 - 1/m)) / sqrt(m), side the declared one on
+    the cut and the sign of Im m off it.  The complements are
+    1 - 1/m = -mc/m and 1/m, so none is formed by a subtraction.  One AGM
+    at m loses about a digit there: 2.5e-15 against 5e-16 for the identity,
+    next to the cut and at |Im m| up to 30 alike.
+    """
+    if _on_cut(mc):
+        _check_side(side, f"K evaluated on the branch cut [1, inf) at m = {m.real}" + _SIDE_HINT)
+        # At the real parts, so the sided values are exact limits.
+        m, mc = complex(m.real), complex(mc.real)
+    elif mc.real >= 0.0:
         return _agm(m, mc)[0]
-    _check_side(side, f"K evaluated on the branch cut [1, inf) at m = {m.real}" + _SIDE_HINT)
-    # Sided values from the reciprocal-parameter identity:
-    # K(m +/- i0) = (K(1/m) +/- i K(1 - 1/m)) / sqrt(m).  The complements
-    # are 1 - 1/m = -mc/m and 1/m, so none is formed by a subtraction.
-    x, xc = m.real, mc.real
-    k_inv = _agm(1.0 / x, -xc / x)[0]
-    k_comp = _agm(-xc / x, 1.0 / x)[0]
-    return (k_inv + side * 1j * k_comp) / math.sqrt(x)
+    else:
+        side = 1 if m.imag > 0.0 else -1
+    k_inv = _agm(1.0 / m, -mc / m)[0]
+    k_comp = _agm(-mc / m, 1.0 / m)[0]
+    return (k_inv + side * 1j * k_comp) / cmath.sqrt(m)
 
 
 # ----------------------------------------------------------------------

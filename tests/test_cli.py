@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, formats, config, exit codes."""
 
+import cmath
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +12,9 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_branch_properties import PROPERTY
 
 from eulertop import cli
 from eulertop.cli import main
@@ -83,6 +90,18 @@ def test_period_json_rows_are_l_major(capsys):
     assert [(r["d"], r["l"]) for r in payload["rows"]] == [
         (2.3, 1.0), (2.7, 1.0), (2.3, 2.0), (2.7, 2.0),
     ]
+
+
+@pytest.mark.parametrize("axis, grid_d", [("p1", "2.1,2.6,2.9"), ("p3", "1.2,1.5,1.95")])
+def test_period_report_is_what_period_prints(capsys, axis, grid_d):
+    from eulertop.periods import period_report
+
+    code, out, err = run(capsys, "period", "--axis", axis, "--grid-d", grid_d, "--grid-l", "0.5,3",
+                         "--format", "json")
+    assert code == 0
+    report = period_report(3.0, 2.0, 1.0, axis, [float(d) for d in grid_d.split(",")], [0.5, 3.0], 1e-7)
+    assert len(report["rows"]) == 6
+    assert report == json.loads(out)
 
 
 def test_period_grid_is_bounded(capsys):
@@ -215,6 +234,14 @@ def test_extreme_moments_print_one_error_line_naming_them(capsys, argv, moments)
     assert "outside the normal float range" in err and err.count("\n") == 1
 
 
+def test_simulate_refuses_a_moment_whose_reciprocal_overflows(capsys):
+    # 1/5e-324 is inf: refused by name before the vector field sees it.
+    code, out, err = run(capsys, "simulate", "--inertia", "1,5e-324,2.5", "--p0", "1,0,0.2", "--t", "2",
+                         "--samples", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: moment of inertia I2 = 5e-324 has the reciprocal inf, outside the normal float range\n"
+
+
 def test_simulate_runs_the_zero_state(capsys):
     code, out, err = run(capsys, "simulate", "--inertia", "1,2,3", "--p0", "0,0,0", "--t", "1", "--samples", "3")
     assert code == 0
@@ -333,6 +360,16 @@ def test_monodromy_loop_file_at_a_tiny_scale(tmp_path, capsys, factor):
     payload = json.loads(out)
     assert payload["matrix"] == [[1, 2], [0, 1]]
     assert payload["residual"] < 1e-13
+
+
+def test_monodromy_loop_file_starting_on_its_circle(tmp_path, capsys):
+    loop = {"move": "a", "center": 2.5, "radius": 0.25, "winding": 1, "start": 2.75,
+            "frozen": {"b": [2.0, -0.001], "c": [1.0, -0.001], "d": 2.5}}
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps(loop))
+    code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["matrix"] == [[1, 2], [0, 1]]
 
 
 def test_monodromy_missing_loop_file(tmp_path, capsys):
@@ -824,3 +861,87 @@ def test_config_section_rejects_flags_its_command_does_not_read(tmp_path, capsys
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "'tol'" in err
+
+
+# ----------------------------------------------------------------------
+# Hostile input: argv built from extreme values gives a result or one error.
+
+_EXTREMES = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, 0.5, 1.0, 2.0, 3.0)
+_extreme = st.sampled_from(_EXTREMES)
+
+
+def _csv(*values) -> str:
+    return ",".join(repr(float(x)) for x in values)
+
+
+# Three numbers from the extremes, or three moments two of which are a few
+# float spacings, or a relative 1e-12, apart.
+_triples = st.tuples(_extreme, _extreme, _extreme) | st.builds(
+    lambda x, gap, far: (x, x * (1.0 + gap), x * far),
+    st.sampled_from((1e-300, 1.0, 1e300)),
+    st.sampled_from((2.3e-16, 4.5e-16, 1e-12)),
+    st.sampled_from((0.5, 2.0)),
+)
+
+_simulate = st.builds(
+    lambda inertia, p0, t: ["simulate", f"--inertia={_csv(*inertia)}", f"--p0={_csv(*p0)}", f"--t={t!r}",
+                            "--samples=5"],
+    _triples, st.tuples(_extreme, _extreme, _extreme), _extreme,
+)
+
+
+@st.composite
+def _period(draw):
+    abc = draw(_triples)
+    argv = ["period", f"--abc={_csv(*abc)}", f"--axis={draw(st.sampled_from(('p1', 'p3')))}"]
+    grid_d = draw(st.sampled_from(("default", "extreme", "at b")))
+    if grid_d == "extreme":
+        argv.append(f"--grid-d={_csv(draw(_extreme))}")
+    elif grid_d == "at b":
+        argv.append(f"--grid-d={_csv(abc[1] + draw(st.floats(-1e-10, 1e-10)))}")
+    return argv + [f"--grid-l={_csv(draw(_extreme))}", f"--format={draw(st.sampled_from(('csv', 'json')))}"]
+
+
+@st.composite
+def _loop(draw):
+    # The mover a circles a frozen coordinate or a free point, starting on
+    # its circle, off it, or at the default start two radii out.
+    center = draw(st.sampled_from((2.5, 2 - 1e-3j, 3 - 1e-3j, 2.25 - 1e-3j)))
+    radius = 10.0 ** draw(st.floats(-300.0, math.log10(3.0)))
+    loop = {"move": "a", "center": [center.real, center.imag], "radius": radius, "winding": 1,
+            "frozen": {"b": [2.0, -1e-3], "c": [1.0, -1e-3], "d": [2.5, 0.0]}}
+    where = draw(st.sampled_from(("on", "off", "default")))
+    if where != "default":
+        factor = 1.0 if where == "on" else draw(st.floats(0.0, 4.0))
+        start = center + factor * radius * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        loop["start"] = [start.real, start.imag]
+    return loop
+
+
+@settings(PROPERTY, max_examples=60)
+@given(case=st.one_of(_simulate, _period(), _loop()))
+@example(case=["simulate", "--inertia=1,5e-324,2.5", "--p0=1,0,0.2", "--t=2", "--samples=5"])
+@example(case=["period", "--abc=1.7e308,1,0.5"])
+@example(case={"move": "a", "center": 2.5, "radius": 0.25, "winding": 1, "start": 2.75,
+               "frozen": {"b": [2.0, -1e-3], "c": [1.0, -1e-3], "d": 2.5}})
+@example(case={"move": "a", "center": [3.0, -1e-3], "radius": 1e-17, "winding": 1,
+               "frozen": {"b": [2.0, -1e-3], "c": [1.0, -1e-3], "d": 2.5}})
+def test_hostile_input_gives_a_result_or_one_error_line(tmp_path_factory, case):
+    # A RuntimeWarning is an error under pytest's settings, so a numpy
+    # warning fails here as a traceback would.
+    argv = case
+    if isinstance(case, dict):
+        loop_file = tmp_path_factory.mktemp("loop") / "loop.json"
+        loop_file.write_text(json.dumps(case))
+        argv = ["monodromy", "--loop", str(loop_file)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # an argparse usage error
+            code = exc.code
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    if code == 0:
+        assert out.getvalue() and errors == [], (argv, err.getvalue())
+    else:
+        assert code in (1, 2) and len(errors) == 1, (argv, code, err.getvalue())

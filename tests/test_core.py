@@ -45,6 +45,14 @@ def test_inertia_rejects_nonpositive_or_nonfinite(moments):
         InertiaSpec(*moments)
 
 
+@pytest.mark.parametrize("moments, name", [((1.0, 5e-324, 2.5), "I2"), ((1e308, 1.0, 2.5), "I1")])
+def test_inertia_refuses_moments_whose_reciprocal_is_not_a_normal_float(moments, name):
+    # 1/5e-324 overflows to inf, and 1/1e308 is subnormal: either would
+    # reach the vector field as a reciprocal moment with no correct digits.
+    with pytest.raises(DomainError, match=f"moment of inertia {name} = .* outside the normal float range"):
+        InertiaSpec(*moments)
+
+
 def test_inertia_rejects_coincident_moments():
     with pytest.raises(DomainError, match="distinct"):
         InertiaSpec(1.0, 1.0, 2.0)

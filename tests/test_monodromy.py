@@ -123,6 +123,25 @@ def test_loop_monodromy_is_evaluated_at_one_scale(factor):
     assert (got.matrix, got.residual) == (want.matrix, want.residual)
 
 
+@pytest.mark.parametrize("start", [2.75, 2.75 + 1e-9j])
+def test_loop_starting_on_its_circle_gives_the_matrix_of_a_start_off_it(start):
+    # The circle's entry point rounds to the start, so the approach has
+    # length 0: the path is the circle alone, closed on the start.
+    frozen = {"b": 2 - 1e-3j, "c": 1 - 1e-3j, "d": 2.5}
+    want = loop_monodromy(ModuliLoop("a", 2.5, 0.25, 1, frozen, start=2.8))
+    got = loop_monodromy(ModuliLoop("a", 2.5, 0.25, 1, frozen, start=start))
+    assert got.matrix == want.matrix
+    assert got.matrix.entries == ((1, 2), (0, 1))
+    assert got.residual < 1e-13
+
+
+def test_loop_below_the_center_spacing_is_the_identity():
+    # Radius 1e-17 about 3 - 1e-3i: the default start, two radii out, rounds
+    # to the center, and the circle encloses no frozen coordinate.
+    loop = ModuliLoop("a", 3 - 1e-3j, 1e-17, 1, {"b": 2 - 1e-3j, "c": 1 - 1e-3j, "d": 2.5})
+    assert loop_monodromy(loop).matrix.entries == ((1, 0), (0, 1))
+
+
 @pytest.mark.parametrize("factor", [1.0, 200.0, 1e100])
 def test_loop_start_distance_is_relative_to_the_loop_scale(factor):
     # The start lies about 0.5 * factor from the center, beyond an absolute

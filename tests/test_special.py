@@ -177,6 +177,17 @@ def test_elliptic_K_on_its_cut_matches_mpmath():
         for side in (+1, -1):
             want = complex((k_inv + side * 1j * k_comp) / root)
             assert abs(elliptic_K(m, side) - want) / abs(want) < 1e-15, (m, side)
+    # Off the cut beyond Re m = 1, against 40 digits: next to the cut, |Im m|
+    # log-uniform in [1e-12, 1e-3], and at |Im m| from 1 to 30.  One AGM at
+    # m is up to 2.5e-15 off on both sets; the identity's worst is 5e-16 and
+    # 8.7e-16.
+    near = [complex(rng.uniform(1.05, 10.0), rng.choice((-1, 1)) * 10.0 ** rng.uniform(-12.0, -3.0))
+            for _ in range(300)]
+    far = [complex(rng.uniform(1.0, 50.0), rng.choice((-1, 1)) * rng.uniform(1.0, 30.0)) for _ in range(200)]
+    for m in near + far:
+        with mpmath.workdps(40):
+            want = complex(mpmath.ellipk(mpmath.mpc(m.real, m.imag)))
+        assert abs(elliptic_K(m) - want) / abs(want) < 1e-15, m
 
 
 def test_hyper_series_matches_reference():
