@@ -135,11 +135,12 @@ def birkhoff_normalization(a: float, b: float, c: float, l: float = 1.0) -> floa
         require_finite(name, x)
     require_positive("Casimir level l", l)
     k, j = unit_exponent(max(abs(a), abs(b), abs(c))), unit_exponent(l) // 2
-    a, b, c = (math.ldexp(x, k) for x in (a, b, c))
-    rad = (b - c) * (b - a)
+    ua, ub, uc = (math.ldexp(x, k) for x in (a, b, c))
+    rad = (ub - uc) * (ub - ua)
     if rad <= 0.0:
         raise DomainError("normalization needs (b - c)(b - a) > 0")
-    return ldexp(-math.sqrt(2.0 / math.ldexp(l, 2 * j)) / (6.0 * math.sqrt(rad)), k + j)
+    return ldexp(-math.sqrt(2.0 / math.ldexp(l, 2 * j)) / (6.0 * math.sqrt(rad)), k + j,
+                 lambda: f"the prefactor C at a = {a!r}, b = {b!r}, c = {c!r}, l = {l!r}")
 
 
 def birkhoff_d_of_z(a: float, b: float, c: float, z: float) -> float:

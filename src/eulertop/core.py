@@ -107,13 +107,16 @@ def unit_exponent(x: float) -> int:
     return 2 - math.frexp(x)[1]
 
 
-def ldexp(z, k: int):
+def ldexp(z, k: int, what=None):
     """z * 2**k for a float or complex z, part by part so zeros keep their
-    sign: exact unless subnormal.  DomainError outside the float range."""
+    sign: exact unless subnormal.  DomainError outside the float range,
+    naming the value as ``what()`` where a caller gives that callable: the
+    message is formatted only on refusal."""
     try:
         return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) if isinstance(z, complex) else math.ldexp(z, k)
     except OverflowError:
-        raise DomainError(f"{z!r} * 2**{k} is outside the float range") from None
+        name = what() if what else f"{z!r} * 2**{k}"
+        raise DomainError(f"{name} is outside the float range") from None
 
 
 class FrozenRecord:

@@ -205,8 +205,8 @@ def _transport_germs(
 
     Each step's matrix (``_step_matrices``) is applied to the rows as soon
     as it is built.  Its oracle is the test-only ``_ode_transport`` in
-    ``tests/test_special.py``, which integrates the same ODE with scipy
-    instead.
+    ``tests/test_monodromy.py``, next to the transport's tests, which
+    integrates the same ODE with scipy's DOP853 instead, one chord at a time.
     """
     points = [complex(z) for z in zs]
     bound = _MIN_STEP / _STEP_FRACTION

@@ -96,7 +96,7 @@ def S_closed_form(m: ModuliPoint) -> complex:
     root = _sqrt_sided(radicand, _d_side(a - b))
 
     value = -math.sqrt(2.0 / u.l) / (3.0 * math.pi) * kval / root
-    return ldexp(value, k + j)
+    return ldexp(value, k + j, lambda: f"S at {m!r}")
 
 
 def phi_prime(axis: str, m: ModuliPoint) -> complex:
@@ -301,7 +301,7 @@ def quadrature_sigma_integral(m: ModuliPoint) -> float:
         return 1.0 / math.sqrt((a - b) * dlo * dhi * q)
 
     value = -tanh_sinh(g, -P, P) / 3.0 / (math.pi * math.sqrt(2.0 * l))
-    return ldexp(value, k + j)
+    return ldexp(value, k + j, lambda: f"S at {m!r}")
 
 
 def quadrature_tau_integral(m: ModuliPoint) -> complex:
@@ -356,7 +356,7 @@ def quadrature_tau_integral(m: ModuliPoint) -> complex:
 
     pref = 2.0 / (3.0 * math.sqrt(2.0 * l * abs(a - c) * abs(d - b)))
     value = -pref * (j2 - 1j * j1) / math.pi
-    return ldexp(value, k + j)
+    return ldexp(value, k + j, lambda: f"S(c, b, a, d) at {m!r}")
 
 
 # ----------------------------------------------------------------------
@@ -442,5 +442,6 @@ def verify_symmetries(m: ModuliPoint) -> SymmetryReport:
         p = round((v.real * s2.imag - s2.real * v.imag) / det)
         q = round((s1.real * v.imag - v.real * s1.imag) / det)
         residual = abs(v - (p * s1 + q * s2)) / basis_scale
-        rows.append(SymmetryRow(order, ldexp(v, k + j), key, (p, q), residual))
+        scaled = ldexp(v, k + j, lambda: f"S({', '.join(order)}) at {m!r}")
+        rows.append(SymmetryRow(order, scaled, key, (p, q), residual))
     return SymmetryReport(tuple(rows))

@@ -195,6 +195,15 @@ def test_period_casimir_level_extremes(capsys):
     assert report["max_deviation"] < 1e-12
 
 
+def test_period_names_the_period_beyond_the_float_range(capsys):
+    # |S| is about 1.6e461 at l = 5e-324: the refusal names S at the row's
+    # point and l.
+    code, out, err = run(capsys, "period", "--abc", "3e-300,2e-300,1e-300", "--grid-l", "5e-324")
+    assert (code, out) == (1, "")
+    assert err == ("error: S at ModuliPoint(a=3e-300, b=2e-300, c=1e-300, d=2.1e-300, l=5e-324) "
+                   "is outside the float range\n")
+
+
 def test_simulate_horizon_is_bounded(capsys):
     code, out, err = run(
         capsys, "simulate", "--inertia", "1,2,3", "--p0", "1,1,1", "--t", "1e9", "--samples", "3",

@@ -1,14 +1,19 @@
-"""Integer monodromy: loop engine, stated generators, braid bookkeeping."""
+"""Integer monodromy: germ transport and its scipy oracle, loop engine,
+stated generators, braid bookkeeping."""
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import basis_eval
+from scipy.integrate import solve_ivp
 from test_branch_properties import PROPERTY
 
+from eulertop import monodromy
 from eulertop.core import CoincidentModuliError
 from eulertop.lattice import (
     GENERATOR_LABELS,
@@ -21,11 +26,13 @@ from eulertop.monodromy import (
     BASEPOINT,
     MAX_WINDING,
     ModuliLoop,
+    PathTooCloseError,
     loop_monodromy,
     preset_loop,
     preset_monodromy,
     _matmul,
     _seed_germs,
+    _step_matrices,
     _transport_germs,
     _word_matrix,
 )
@@ -73,6 +80,233 @@ def test_integer_matrix_algebra_equals_numpy_int_products(word):
     assert (-exact).tolist() == (-ref).tolist()
     assert (np.array(exact.inverse().entries) @ ref).tolist() == [[1, 0], [0, 1]]
     assert (ref @ np.array(exact.inverse().entries)).tolist() == [[1, 0], [0, 1]]
+
+
+# ----------------------------------------------------------------------
+# Germ transport, checked against exact monodromies and against the scipy
+# oracle _ode_transport.
+
+def _lasso(z0, center, entry, spacing=0.02):
+    """Points from z0 to entry, once counterclockwise round the circle about
+    center through entry, and back, at most spacing apart."""
+    line = np.linspace(z0, entry, int(np.ceil(abs(entry - z0) / spacing)) + 1)
+    r, t0 = abs(entry - center), np.angle(entry - center)
+    theta = t0 + np.linspace(0.0, 2 * np.pi, int(np.ceil(2 * np.pi * r / spacing)) + 1)
+    return np.concatenate([line, (center + r * np.exp(1j * theta))[1:], line[::-1][1:]])
+
+
+def test_continuation_closes_trivial_loop():
+    # The circle must enclose neither singular point for the frame to close.
+    z0 = 0.3 + 0.2j
+    germs = np.array(basis_eval("at0", z0))
+    center = 0.35 + 0.35j
+    out = np.array(_transport_germs(_lasso(z0, center, center + 0.15), germs))
+    np.testing.assert_allclose(out[:, 0], germs[:, 0], rtol=1e-12)
+
+
+def _ode_transport(zs: np.ndarray, germs: np.ndarray) -> np.ndarray:
+    """Oracle for ``_transport_germs``: integrate the ODE along the polyline
+    with scipy's DOP853, independent of the Taylor transport it checks.
+
+    Each chord z = z0 + t dz, t from 0 to 1, is one integration: dz jumps at
+    every node, and one integration across such a jump rejects steps until
+    they are tiny.  scipy's solvers want real systems, so the two germ rows
+    are unpacked into 8 real components.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    y = np.empty(8)
+    for k in range(2):
+        f, fp = germs[k]
+        y[4 * k], y[4 * k + 1] = f.real, f.imag
+        y[4 * k + 2], y[4 * k + 3] = fp.real, fp.imag
+    for z0, dz in zip(zs[:-1], np.diff(zs)):
+
+        def rhs(t, y, z0=z0, dz=dz):
+            z = z0 + t * dz
+            out = np.empty_like(y)
+            for k in range(2):
+                f = y[4 * k] + 1j * y[4 * k + 1]
+                fp = y[4 * k + 2] + 1j * y[4 * k + 3]
+                fpp = (f / 4.0 - (1.0 - 2.0 * z) * fp) / (z * (1.0 - z))
+                df = dz * fp
+                dfp = dz * fpp
+                out[4 * k], out[4 * k + 1] = df.real, df.imag
+                out[4 * k + 2], out[4 * k + 3] = dfp.real, dfp.imag
+            return out
+
+        sol = solve_ivp(rhs, (0.0, 1.0), y, method="DOP853", rtol=1e-13, atol=1e-13)
+        assert sol.success, sol.message
+        y = sol.y[:, -1]
+    out = np.empty((2, 2), dtype=complex)
+    for k in range(2):
+        out[k, 0] = y[4 * k] + 1j * y[4 * k + 1]
+        out[k, 1] = y[4 * k + 2] + 1j * y[4 * k + 3]
+    return out
+
+
+def test_continuation_taylor_and_ode_agree():
+    z0 = 0.3 + 0.2j
+    germs = np.array(basis_eval("at0", z0))
+    zs = _lasso(z0, 0.0, 0.5 + 0.5j)
+    taylor = np.array(_transport_germs(zs, germs))
+    ode = _ode_transport(zs, germs)
+    for u, v in zip(taylor.ravel(), ode.ravel()):
+        assert abs(u - v) / max(1.0, abs(u)) < 1e-8
+
+
+def test_ode_oracle_around_zero_is_the_exact_at0_monodromy():
+    # The lasso above goes once round 0: F comes back unchanged and
+    # F log z + Fstar gains 2 pi i F.  The oracle holds the transport to
+    # 1e-8, so it must itself be much closer to the exact values.
+    z0 = 0.3 + 0.2j
+    germs = np.array(basis_eval("at0", z0))
+    got = _ode_transport(_lasso(z0, 0.0, 0.5 + 0.5j), germs)
+    want = germs.copy()
+    want[1] += 2j * np.pi * want[0]
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def _clearance(zs):
+    # Distance from the polyline zs to the nearer of 0 and 1.
+    p, d = zs[:-1], np.diff(zs)
+    out = np.inf
+    for s in (0.0, 1.0):
+        t = np.clip(((s - p) * d.conj()).real / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
+        out = min(out, float(np.min(np.abs(p + t * d - s))))
+    return out
+
+
+@settings(PROPERTY, max_examples=15)
+@given(
+    around=st.sampled_from([0.0, 1.0, 0.5]),
+    size=st.floats(0.0, 1.0),
+    angle=st.floats(-math.pi, math.pi),
+    tail=st.floats(0.0, 1.0),
+)
+def test_merged_steps_match_the_ode_and_stay_in_reach(around, size, angle, tail):
+    # A lasso round 0, round 1, or round both (center 1/2), sampled at a
+    # tenth of its radius, so most steps span several samples.  Its
+    # tail runs out along the radius, and the whole polyline keeps at least
+    # 1e-3 from 0 and 1.
+    if around == 0.5:
+        radius = 0.501 + 1.5 * size
+    else:
+        radius = 1e-3 + 0.9 * size
+    entry = around + radius * np.exp(1j * angle)
+    z0 = around + (1.0 + tail) * radius * np.exp(1j * angle)
+    zs = _lasso(z0, around, entry, spacing=0.1 * radius)
+    assume(_clearance(zs) >= 1e-3)
+    germs = np.eye(2, dtype=complex)
+    with mock.patch.object(monodromy, "_step_matrices", wraps=monodromy._step_matrices) as steps:
+        taylor = np.array(_transport_germs(zs, germs))
+    ode = _ode_transport(zs, germs)
+    assert np.max(np.abs(taylor - ode) / np.maximum(1.0, np.abs(taylor))) < 1e-8
+    assert steps.call_count < len(zs) - 1
+    for (z, h), _ in steps.call_args_list:
+        # The slack is the rounding of the node z + h near z = 1.
+        assert abs(h) <= monodromy._STEP_FRACTION * min(abs(z), abs(z - 1.0)) + 1e-15, (z, h)
+
+
+def _per_germ_taylor_step(z0, f0, f1, h, nterms=64):
+    # One germ at a time: the Taylor recurrence of the equation from (f0, f1)
+    # at z0, summed at z0 + h.
+    a = np.empty(nterms, dtype=complex)
+    a[0], a[1] = f0, f1
+    s, t = z0 * (1.0 - z0), 1.0 - 2.0 * z0
+    for n in range(nterms - 2):
+        a[n + 2] = ((n + 0.5) ** 2 * a[n] - t * (n + 1) ** 2 * a[n + 1]) / (s * (n + 2) * (n + 1))
+    powers = h ** np.arange(nterms)
+    return np.dot(a, powers), np.dot(a[1:] * np.arange(1, nterms), powers[:-1])
+
+
+def test_step_matrices_match_per_germ_taylor_sum():
+    # Steps of ratio 0.35 (the transport's largest) next to 0 and next to 1,
+    # and shorter steps elsewhere, in several directions.
+    z0 = np.array([0.02 + 0.01j, 0.97 - 0.02j, 0.3 + 0.2j, -0.4 + 0.1j, 1.5 - 0.7j, 0.5 + 0.5j])
+    dist = np.minimum(np.abs(z0), np.abs(z0 - 1.0))
+    h = np.array([0.35, 0.35, 0.2, 0.35, 0.1, 0.3]) * dist * np.exp(1j * np.array([0.3, 2.0, -1.2, 3.0, 0.7, -2.5]))
+    for k in range(len(z0)):
+        mat = np.reshape(_step_matrices(complex(z0[k]), complex(h[k])), (2, 2))
+        for j, (f0, f1) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+            want = np.array(_per_germ_taylor_step(z0[k], f0, f1, h[k]))
+            got = mat[:, j]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "z0,turns,per_turn",
+    [(0.3 + 0.2j, 1, 400), (-0.4 + 0.1j, 1, 400), (0.05 - 0.02j, -6, 400), (0.3 + 0.2j, 1, 119)],
+    ids=["(0.3+0.2j)-1", "(-0.4+0.1j)-1", "(0.05-0.02j)--6", "(0.3+0.2j)-1-119"],
+)
+def test_transport_around_zero_is_the_exact_at0_monodromy(z0, turns, per_turn):
+    # Around z = 0 only, F comes back unchanged and F log z + Fstar gains
+    # 2 pi i F per turn, in value and derivative alike.  Six turns near
+    # z = 0 chain about a hundred steps; 119 chords make a coarse circle.
+    # Each entry is held to 1e-12 of its own size.
+    germs = np.array(basis_eval("at0", z0))
+    theta = np.angle(z0) + np.linspace(0.0, 2.0 * np.pi * turns, per_turn * abs(turns) + 1)
+    out = np.array(_transport_germs(abs(z0) * np.exp(1j * theta), germs))
+    want = germs.copy()
+    want[1] += 2j * np.pi * turns * want[0]
+    assert np.all(np.abs(out - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("end", [1e-6, 1e-9])
+def test_transport_close_to_a_singular_point(end):
+    # Taylor coefficients grow like dist**-n; the kernel must stay finite
+    # wherever the path gate lets a path go (steps down to 1e-12).
+    got = np.array(_transport_germs(np.array([0.5, end]), basis_eval("at0", 0.5)))
+    want = np.array(basis_eval("at0", end))
+    np.testing.assert_allclose(got[:, 0], want[:, 0], rtol=1e-13)
+
+
+@pytest.mark.parametrize("end", [-0.5 + 1e-8j, -0.5 + 1e-11j])
+def test_transport_along_a_chord_that_grazes_zero(end):
+    # Both samples are 0.5 from 0, but the chord between them passes
+    # Im(end) / 2 above it; the clearance rule reads the segment, not the
+    # samples, and the transport follows the chord past 0.
+    got = _transport_germs([0.5, end], basis_eval("at0", 0.5))
+    np.testing.assert_allclose(np.array(got), np.array(basis_eval("at0", end)), rtol=1e-13)
+
+
+# Closer than this to 0 or 1, the scipy oracle _ode_transport still steps
+# but loses digits and time.  Against the Taylor transport, at a distance d:
+# on the path -1 + di -> 1 + di -> 0.5, a chord passing d from 0 and a node
+# d from 1, it is 6.5e-11 off at d = 1e-5 and 5.8e-10 at d = 1e-6, where it
+# takes 6.7 s (2 shared CPUs); on a chord passing d from 0 alone, at 8
+# angles, 4.9e-11 and 3.2e-10.
+_ODE_REACH = 1e-5
+
+
+@PROPERTY
+@given(
+    singular=st.sampled_from([0.0, 1.0]),
+    gap=st.floats(-14.0, -1.0),
+    angle=st.floats(-math.pi, math.pi),
+    before=st.floats(0.05, 1.0),
+    after=st.floats(0.05, 1.0),
+    extra=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False), max_size=2),
+)
+# The path -1 + 1e-4i -> 1 + 1e-4i -> 0.5, which passes 1e-4 from 0 and turns
+# 1e-4 from 1: an oracle that integrated across the turn could not step there.
+@example(singular=0.0, gap=-4.0, angle=0.0, before=1.0, after=1.0, extra=[0j])
+def test_transport_refuses_exactly_the_paths_too_close(singular, gap, angle, before, after, extra):
+    # A segment that passes 10**gap from 0 or 1, at any angle, then up to
+    # two more points within 1 of 1/2.
+    u = cmath.exp(1j * angle)
+    foot = singular + 1j * u * 10.0**gap
+    zs = [foot - before * u, foot + after * u] + [0.5 + w for w in extra]
+    germs = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
+    closest = monodromy._closest_approach(zs)
+    if closest < monodromy._MIN_STEP / monodromy._STEP_FRACTION:
+        with pytest.raises(PathTooCloseError, match="the path passes within"):
+            _transport_germs(zs, germs)
+        return
+    taylor = np.array(_transport_germs(zs, germs))
+    assert np.all(np.isfinite(taylor))
+    if closest >= _ODE_REACH:
+        ode = _ode_transport(zs, np.eye(2, dtype=complex))
+        assert np.max(np.abs(taylor - ode) / np.maximum(1.0, np.abs(taylor))) < 1e-8
 
 
 def test_chamber_basepoint_layout():

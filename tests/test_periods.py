@@ -228,6 +228,25 @@ def test_values_beyond_the_float_range_are_refused(route):
         route(ModuliPoint(3e-310, 2e-310, 1e-310, 2.5e-310))
 
 
+_TINY = ModuliPoint(3e-300, 2e-300, 1e-300, 2.5e-300, l=5e-324)
+_AT_TINY = "at ModuliPoint(a=3e-300, b=2e-300, c=1e-300, d=2.5e-300, l=5e-324)"
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: S_closed_form(_TINY), f"S {_AT_TINY}"),
+    (lambda: quadrature_sigma_integral(_TINY), f"S {_AT_TINY}"),
+    (lambda: quadrature_tau_integral(_TINY), f"S(c, b, a, d) {_AT_TINY}"),
+    (lambda: verify_symmetries(_TINY), f"S(a, b, c, d) {_AT_TINY}"),
+    (lambda: birkhoff_normalization(3e-300, 1e-300, 2e-300, 5e-324),
+     "the prefactor C at a = 3e-300, b = 1e-300, c = 2e-300, l = 5e-324"),
+], ids=["closed-form", "sigma-quadrature", "tau-quadrature", "covariance-row", "prefactor"])
+def test_a_value_beyond_the_float_range_is_refused_by_name(call, name):
+    # The refusal names the value and the input it was asked at, not the
+    # unit-scale intermediate that would overflow when scaled back.
+    with pytest.raises(DomainError, match="^" + re.escape(f"{name} is outside the float range") + "$"):
+        call()
+
+
 def test_closed_form_at_widely_spread_moments():
     a, b, c, d = (mpmath.mpf(x) for x in (1e155, 1, 0.5, 5e154))
     with mpmath.workdps(30):

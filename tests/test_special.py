@@ -1,22 +1,19 @@
 """Elliptic integrals, F and F' from the AGM, the hypergeometric check
-references of ``oracles``, germ transport."""
+references of ``oracles``."""
 
 import cmath
 import math
 import random
-from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from oracles import LOG16, RegionError, basis_eval, gauss_ode_residual, hyper_series
-from scipy.integrate import solve_ivp
 from test_branch_properties import PROPERTY
 
-from eulertop import monodromy, special
-from eulertop.monodromy import PathTooCloseError, _step_matrices, _transport_germs
+from eulertop import special
 from eulertop.special import BranchCutError, DivergenceError, _F_closed, _sqrt_sided, elliptic_K
 
 # Frozen reference values (AGM / series, cross-checked against scipy.special).
@@ -24,15 +21,6 @@ K_HALF = 1.8540746773013719
 K_MINUS_ONE = 1.3110287771460598
 F_03 = 1.0910959103627813
 FSTAR_03 = 0.18808374835689526
-
-
-def _lasso(z0, center, entry, spacing=0.02):
-    """Points from z0 to entry, once counterclockwise round the circle about
-    center through entry, and back, at most spacing apart."""
-    line = np.linspace(z0, entry, int(np.ceil(abs(entry - z0) / spacing)) + 1)
-    r, t0 = abs(entry - center), np.angle(entry - center)
-    theta = t0 + np.linspace(0.0, 2 * np.pi, int(np.ceil(2 * np.pi * r / spacing)) + 1)
-    return np.concatenate([line, (center + r * np.exp(1j * theta))[1:], line[::-1][1:]])
 
 
 def test_elliptic_K_at_zero_is_quarter_turn():
@@ -87,11 +75,12 @@ def test_agm_stop_on_a_repeated_pair_keeps_K_and_its_sum_bit_identical():
 
 
 @pytest.mark.parametrize("m", [0.5, 3 + 0.1j])
-def test_agm_stops_where_the_means_settle(m):
+def test_agm_stops_where_the_means_settle(m, monkeypatch):
     # One square root before the loop and one per iteration.
     calls = []
     sqrt = cmath.sqrt
-    with mock.patch.object(special.cmath, "sqrt", lambda w: calls.append(w) or sqrt(w)):
+    with monkeypatch.context() as patch:
+        patch.setattr(special.cmath, "sqrt", lambda w: calls.append(w) or sqrt(w))
         special._agm(m, 1.0 - m)
     assert len(calls) - 1 <= 8
 
@@ -337,205 +326,6 @@ def test_basis_derivatives_match_finite_differences():
         for k in range(2):
             fd = (up[k][0] - dn[k][0]) / (2.0 * h)
             assert rows[k][1] == pytest.approx(fd, rel=1e-7)
-
-
-def test_continuation_closes_trivial_loop():
-    # The circle must enclose neither singular point for the frame to close.
-    z0 = 0.3 + 0.2j
-    germs = np.array(basis_eval("at0", z0))
-    center = 0.35 + 0.35j
-    out = np.array(_transport_germs(_lasso(z0, center, center + 0.15), germs))
-    np.testing.assert_allclose(out[:, 0], germs[:, 0], rtol=1e-12)
-
-
-def _ode_transport(zs: np.ndarray, germs: np.ndarray) -> np.ndarray:
-    """Oracle for ``_transport_germs``: integrate the ODE along the polyline
-    with scipy's DOP853, independent of the Taylor transport it checks.
-
-    scipy's solvers want real systems, so the two germ rows are unpacked
-    into 8 real components.  The path is parameterized by arc index.
-    """
-    zs = np.asarray(zs, dtype=complex)
-    n = len(zs)
-
-    def z_of(t: float) -> tuple[complex, complex]:
-        i = min(int(t), n - 2)
-        frac = t - i
-        dz = zs[i + 1] - zs[i]
-        return zs[i] + frac * dz, dz
-
-    def rhs(t, y):
-        z, dz = z_of(t)
-        out = np.empty_like(y)
-        for k in range(2):
-            f = y[4 * k] + 1j * y[4 * k + 1]
-            fp = y[4 * k + 2] + 1j * y[4 * k + 3]
-            fpp = (f / 4.0 - (1.0 - 2.0 * z) * fp) / (z * (1.0 - z))
-            df = dz * fp
-            dfp = dz * fpp
-            out[4 * k], out[4 * k + 1] = df.real, df.imag
-            out[4 * k + 2], out[4 * k + 3] = dfp.real, dfp.imag
-        return out
-
-    y0 = np.empty(8)
-    for k in range(2):
-        f, fp = germs[k]
-        y0[4 * k], y0[4 * k + 1] = f.real, f.imag
-        y0[4 * k + 2], y0[4 * k + 3] = fp.real, fp.imag
-    sol = solve_ivp(rhs, (0.0, n - 1.0), y0, method="DOP853", rtol=1e-13, atol=1e-13, max_step=1.0)
-    assert sol.success, sol.message
-    y = sol.y[:, -1]
-    out = np.empty((2, 2), dtype=complex)
-    for k in range(2):
-        out[k, 0] = y[4 * k] + 1j * y[4 * k + 1]
-        out[k, 1] = y[4 * k + 2] + 1j * y[4 * k + 3]
-    return out
-
-
-def test_continuation_taylor_and_ode_agree():
-    z0 = 0.3 + 0.2j
-    germs = np.array(basis_eval("at0", z0))
-    zs = _lasso(z0, 0.0, 0.5 + 0.5j)
-    taylor = np.array(_transport_germs(zs, germs))
-    ode = _ode_transport(zs, germs)
-    for u, v in zip(taylor.ravel(), ode.ravel()):
-        assert abs(u - v) / max(1.0, abs(u)) < 1e-8
-
-
-def _clearance(zs):
-    # Distance from the polyline zs to the nearer of 0 and 1.
-    p, d = zs[:-1], np.diff(zs)
-    out = np.inf
-    for s in (0.0, 1.0):
-        t = np.clip(((s - p) * d.conj()).real / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
-        out = min(out, float(np.min(np.abs(p + t * d - s))))
-    return out
-
-
-@settings(PROPERTY, max_examples=15)
-@given(
-    around=st.sampled_from([0.0, 1.0, 0.5]),
-    size=st.floats(0.0, 1.0),
-    angle=st.floats(-math.pi, math.pi),
-    tail=st.floats(0.0, 1.0),
-)
-def test_merged_steps_match_the_ode_and_stay_in_reach(around, size, angle, tail):
-    # A lasso round 0, round 1, or round both (center 1/2), sampled at a
-    # tenth of its radius, so most steps span several samples.  Its
-    # tail runs out along the radius, and the whole polyline keeps at least
-    # 1e-3 from 0 and 1.
-    if around == 0.5:
-        radius = 0.501 + 1.5 * size
-    else:
-        radius = 1e-3 + 0.9 * size
-    entry = around + radius * np.exp(1j * angle)
-    z0 = around + (1.0 + tail) * radius * np.exp(1j * angle)
-    zs = _lasso(z0, around, entry, spacing=0.1 * radius)
-    assume(_clearance(zs) >= 1e-3)
-    germs = np.eye(2, dtype=complex)
-    with mock.patch.object(monodromy, "_step_matrices", wraps=monodromy._step_matrices) as steps:
-        taylor = np.array(_transport_germs(zs, germs))
-    ode = _ode_transport(zs, germs)
-    assert np.max(np.abs(taylor - ode) / np.maximum(1.0, np.abs(taylor))) < 1e-8
-    assert steps.call_count < len(zs) - 1
-    for (z, h), _ in steps.call_args_list:
-        # The slack is the rounding of the node z + h near z = 1.
-        assert abs(h) <= monodromy._STEP_FRACTION * min(abs(z), abs(z - 1.0)) + 1e-15, (z, h)
-
-
-def _per_germ_taylor_step(z0, f0, f1, h, nterms=64):
-    # One germ at a time: the Taylor recurrence of the equation from (f0, f1)
-    # at z0, summed at z0 + h.
-    a = np.empty(nterms, dtype=complex)
-    a[0], a[1] = f0, f1
-    s, t = z0 * (1.0 - z0), 1.0 - 2.0 * z0
-    for n in range(nterms - 2):
-        a[n + 2] = ((n + 0.5) ** 2 * a[n] - t * (n + 1) ** 2 * a[n + 1]) / (s * (n + 2) * (n + 1))
-    powers = h ** np.arange(nterms)
-    return np.dot(a, powers), np.dot(a[1:] * np.arange(1, nterms), powers[:-1])
-
-
-def test_step_matrices_match_per_germ_taylor_sum():
-    # Steps of ratio 0.35 (the transport's largest) next to 0 and next to 1,
-    # and shorter steps elsewhere, in several directions.
-    z0 = np.array([0.02 + 0.01j, 0.97 - 0.02j, 0.3 + 0.2j, -0.4 + 0.1j, 1.5 - 0.7j, 0.5 + 0.5j])
-    dist = np.minimum(np.abs(z0), np.abs(z0 - 1.0))
-    h = np.array([0.35, 0.35, 0.2, 0.35, 0.1, 0.3]) * dist * np.exp(1j * np.array([0.3, 2.0, -1.2, 3.0, 0.7, -2.5]))
-    for k in range(len(z0)):
-        mat = np.reshape(_step_matrices(complex(z0[k]), complex(h[k])), (2, 2))
-        for j, (f0, f1) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-            want = np.array(_per_germ_taylor_step(z0[k], f0, f1, h[k]))
-            got = mat[:, j]
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize(
-    "z0,turns,per_turn",
-    [(0.3 + 0.2j, 1, 400), (-0.4 + 0.1j, 1, 400), (0.05 - 0.02j, -6, 400), (0.3 + 0.2j, 1, 119)],
-    ids=["(0.3+0.2j)-1", "(-0.4+0.1j)-1", "(0.05-0.02j)--6", "(0.3+0.2j)-1-119"],
-)
-def test_transport_around_zero_is_the_exact_at0_monodromy(z0, turns, per_turn):
-    # Around z = 0 only, F comes back unchanged and F log z + Fstar gains
-    # 2 pi i F per turn, in value and derivative alike.  Six turns near
-    # z = 0 chain about a hundred steps; 119 chords make a coarse circle.
-    # Each entry is held to 1e-12 of its own size.
-    germs = np.array(basis_eval("at0", z0))
-    theta = np.angle(z0) + np.linspace(0.0, 2.0 * np.pi * turns, per_turn * abs(turns) + 1)
-    out = np.array(_transport_germs(abs(z0) * np.exp(1j * theta), germs))
-    want = germs.copy()
-    want[1] += 2j * np.pi * turns * want[0]
-    assert np.all(np.abs(out - want) <= 1e-12 * np.abs(want))
-
-
-@pytest.mark.parametrize("end", [1e-6, 1e-9])
-def test_transport_close_to_a_singular_point(end):
-    # Taylor coefficients grow like dist**-n; the kernel must stay finite
-    # wherever the path gate lets a path go (steps down to 1e-12).
-    got = np.array(_transport_germs(np.array([0.5, end]), basis_eval("at0", 0.5)))
-    want = np.array(basis_eval("at0", end))
-    np.testing.assert_allclose(got[:, 0], want[:, 0], rtol=1e-13)
-
-
-@pytest.mark.parametrize("end", [-0.5 + 1e-8j, -0.5 + 1e-11j])
-def test_transport_along_a_chord_that_grazes_zero(end):
-    # Both samples are 0.5 from 0, but the chord between them passes
-    # Im(end) / 2 above it; the clearance rule reads the segment, not the
-    # samples, and the transport follows the chord past 0.
-    got = _transport_germs([0.5, end], basis_eval("at0", 0.5))
-    np.testing.assert_allclose(np.array(got), np.array(basis_eval("at0", end)), rtol=1e-13)
-
-
-# Closer than this to 0 or 1, the scipy oracle _ode_transport loses digits
-# (about 2e-9 at 3e-7) and then fails to step.
-_ODE_REACH = 1e-5
-
-
-@PROPERTY
-@given(
-    singular=st.sampled_from([0.0, 1.0]),
-    gap=st.floats(-14.0, -1.0),
-    angle=st.floats(-math.pi, math.pi),
-    before=st.floats(0.05, 1.0),
-    after=st.floats(0.05, 1.0),
-    extra=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False), max_size=2),
-)
-def test_transport_refuses_exactly_the_paths_too_close(singular, gap, angle, before, after, extra):
-    # A segment that passes 10**gap from 0 or 1, at any angle, then up to
-    # two more points within 1 of 1/2.
-    u = cmath.exp(1j * angle)
-    foot = singular + 1j * u * 10.0**gap
-    zs = [foot - before * u, foot + after * u] + [0.5 + w for w in extra]
-    germs = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
-    closest = monodromy._closest_approach(zs)
-    if closest < monodromy._MIN_STEP / monodromy._STEP_FRACTION:
-        with pytest.raises(PathTooCloseError, match="the path passes within"):
-            _transport_germs(zs, germs)
-        return
-    taylor = np.array(_transport_germs(zs, germs))
-    assert np.all(np.isfinite(taylor))
-    if closest >= _ODE_REACH:
-        ode = _ode_transport(zs, np.eye(2, dtype=complex))
-        assert np.max(np.abs(taylor - ode) / np.maximum(1.0, np.abs(taylor))) < 1e-8
 
 
 @pytest.mark.parametrize("basis_id,z", [("at0", 0.4 + 0.1j), ("at1", 0.9 - 0.3j), ("atInf", 1.6 + 1.1j)])
