@@ -15,9 +15,10 @@ the module that defines it:
 - ``verify``: the check battery, one table of checks run into one report
 - ``cli``: the ``eulertop`` command
 
-Only ``dynamics`` computes with arrays, and only it imports numpy; the
-other layers are scalar, exact or integer code, so a command that does not
-integrate orbits never loads it.
+Only ``dynamics`` computes with arrays, and only it imports numpy, inside
+the functions that build them; the other layers are scalar, exact or
+integer code.  So only ``simulate``, and ``period`` on a grid large enough
+to step as one batch, load numpy.
 """
 
 __version__ = "0.1.0"

@@ -27,7 +27,8 @@ from . import __version__
 from .core import MAX_SAMPLES, ComputationError, InertiaSpec
 
 # Each command imports the layers it runs when it starts, so none pays for a
-# layer it does not use: only ``simulate`` and ``period`` load numpy.
+# layer it does not use: only ``simulate``, and ``period`` on a grid of at
+# least ``dynamics._BATCH_ROWS`` rows, load numpy.
 
 __all__ = ["main", "build_parser"]
 
@@ -40,8 +41,8 @@ def _fmt(x: float) -> str:
 # their stated matrices, and the two tables of stated matrices.
 _MONODROMY_PRESETS = ("alpha1", "alpha2", "alpha3", "all-generators", "confluence", "braid")
 
-# Bound checked before any work is allocated.  The batched ODE solve of
-# period holds about 13 x 3 floats for each grid row.
+# Bound checked before any work is allocated.  The batched ODE solve of a
+# large period grid holds about 13 x 3 floats for each grid row.
 MAX_GRID_ROWS = 4096
 
 

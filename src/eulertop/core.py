@@ -239,8 +239,11 @@ class ModuliPoint(FrozenRecord):
     def at_unit_scale(self) -> tuple["ModuliPoint", int, int]:
         """(u, k, j): u has this point's coordinates times 2**k, the largest
         |coordinate| in [2, 4), and the level u.l = l * 4**j in [1, 4).  S is
-        homogeneous, so S(self) = S(u) * 2**(k + j); cross-ratios are equal."""
+        homogeneous, so S(self) = S(u) * 2**(k + j); cross-ratios are equal.
+        A point already at unit scale is its own u."""
         k, j = unit_exponent(self.scale()), unit_exponent(self.l) // 2
+        if k == j == 0:
+            return self, 0, 0
         return ModuliPoint(*(ldexp(z, k) for z in self.coords()), l=math.ldexp(self.l, 2 * j)), k, j
 
     def coincident_pairs(self) -> list[tuple[str, str]]:

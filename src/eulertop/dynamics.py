@@ -9,7 +9,7 @@ The angular momentum p = (p1, p2, p3) in the body frame obeys
 which preserves the energy H = (1/2) sum p_i^2 / I_i and the Casimir
 L = (1/2) |p|^2.  Orbits are intersections of an energy ellipsoid with a
 momentum sphere; away from the separatrix they are closed and their periods
-are what ``orbit_periods`` measures, all orbits in one integration.
+are what ``orbit_periods`` measures.
 
 The classical solution of the Euler top (Whittaker) gives the component
 along the circled axis as a Jacobi ``dn`` and the other two as an ``sn``
@@ -19,17 +19,25 @@ two consecutive such zeros, and returns four times the time between them;
 it uses nothing of that solution but the symmetry, and nothing of the
 orbit but the vector field.  Since the measured interval is multiplied by
 four, the solver runs at a quarter of the tolerance that a full period
-would get.  Each zero keeps only its component's dense output over its
-step, so the memory held is proportional to the number of orbits, and all
-zeros are refined together by bisection once the stepping stops.
+would get.  Each zero is refined by bisection on its component's dense
+output over the step that passed it.
+
+Two DOP853 steppers share one tableau, stored as Python floats.
+``_dop853`` steps a numpy state and serves ``integrate_orbit`` and calls
+of ``orbit_periods`` with at least ``_BATCH_ROWS`` rows, which run as one
+batch; its sums are numpy's, which keeps it bit for bit with scipy's
+DOP853.  ``_dop853_floats`` steps one orbit's three Python floats and
+serves the smaller calls of ``orbit_periods``, one orbit at a time, so
+they never load numpy: below about 90 rows that costs less than
+the import.  This module imports numpy only inside the functions that
+build arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-
-import numpy as np
 
 from .core import (
     MAX_SAMPLES,
@@ -74,16 +82,24 @@ class MomentumState(FrozenRecord):
 
     __slots__ = ("p1", "p2", "p3")
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np
+
         return np.array([self.p1, self.p2, self.p3], dtype=float)
 
 
-def _field(p, reciprocals) -> np.ndarray:
-    """Time derivative of the momentum at p, one state (3,) or a stack
-    (3, N), given the reciprocals (a, b, c): the integrators take them once,
-    not once per evaluation."""
+def _field(p, reciprocals):
+    """Time derivative of the momentum at p, given the reciprocals (a, b, c):
+    the integrators take them once, not once per evaluation.  A tuple of
+    three floats gives a tuple; an array, one state (3,) or a stack (3, N),
+    gives an array."""
     a, b, c = reciprocals
-    return np.array([-(b - c) * p[1] * p[2], -(c - a) * p[2] * p[0], -(a - b) * p[0] * p[1]])
+    f = (-(b - c) * p[1] * p[2], -(c - a) * p[2] * p[0], -(a - b) * p[0] * p[1])
+    if type(p) is tuple:
+        return f
+    import numpy as np
+
+    return np.array(f)
 
 
 def _normal(x: float) -> bool:
@@ -91,11 +107,11 @@ def _normal(x: float) -> bool:
 
 
 def _ldexp(x: float, k: int) -> float:
-    """x * 2**k for x >= 0, inf where that overflows."""
+    """x * 2**k, an infinity of x's sign where that overflows."""
     try:
         return math.ldexp(x, k)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, x)
 
 
 def _characteristic_time(l: float, reciprocals, k: int = 0) -> float:
@@ -121,12 +137,18 @@ def _characteristic_time(l: float, reciprocals, k: int = 0) -> float:
 
 def conserved(p, inertia: InertiaSpec):
     """The pair (H, L) = (energy, Casimir) at one state (3,) or a stack (3, N)."""
+    import numpy as np
+
     if isinstance(p, MomentumState):
         p = p.as_array()
-    p = np.asarray(p, dtype=float)
-    sq = p * p
-    a, b, c = inertia.reciprocals()
-    return 0.5 * (a * sq[0] + b * sq[1] + c * sq[2]), 0.5 * (sq[0] + sq[1] + sq[2])
+    return _invariants(np.asarray(p, dtype=float), inertia.reciprocals())
+
+
+def _invariants(p, reciprocals):
+    """(h, l) at p, three floats or three arrays, given the reciprocals."""
+    a, b, c = reciprocals
+    s1, s2, s3 = p[0] * p[0], p[1] * p[1], p[2] * p[2]
+    return 0.5 * (a * s1 + b * s2 + c * s3), 0.5 * (s1 + s2 + s3)
 
 
 # ----------------------------------------------------------------------
@@ -136,8 +158,11 @@ def conserved(p, inertia: InertiaSpec):
 # (Hairer, Norsett & Wanner, "Solving Ordinary Differential Equations I",
 # 2nd ed., sections II.5 and II.10).  Stages 0-11 make a step, stage 12 is
 # the derivative at its end, and stages 13-15 serve only the dense output.
+# The tableau is stored once, as Python floats: each row of weights as
+# {column: value} over its nonzero entries.  ``_dop853_floats`` sums over
+# those entries; ``_tableau_arrays`` builds ``_dop853``'s arrays from them.
 
-_C = np.array([
+_C = (
     0.0,
     0.526001519587677318785587544488e-01,
     0.789002279381515978178381316732e-01,
@@ -154,21 +179,11 @@ _C = np.array([
     0.1,
     0.2,
     0.777777777777777777777777777778,
-])
-
-
-def _rows(shape, rows) -> np.ndarray:
-    """A dense array from its nonzero entries, one {column: value} per row."""
-    out = np.zeros(shape)
-    for i, row in enumerate(rows):
-        for j, value in row.items():
-            out[i, j] = value
-    return out
-
+)
 
 # Row i holds the weights of stages 0..i-1 in stage i; row 12 is the weights b
 # of the 8th-order solution.
-_A = _rows((16, 16), (
+_A = (
     {},
     {0: 5.26001519587677318785587544488e-2},
     {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
@@ -214,30 +229,24 @@ _A = _rows((16, 16), (
      6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
      8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
      13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
-))
-_B = _A[12, :12]
+)
+_B = _A[12]
 
-# Each stage's node and weights, (c_s, A[s, :s]), sliced once.
-_STAGES = tuple((_C[s], _A[s, :s]) for s in range(16))
-
-# The two error estimators, as weights of stages 0..12: the 5th-order one
+# The two error estimators, as weights of stages 0..11: the 5th-order one
 # directly, the 3rd-order one as b minus the weights bhh of a 3rd-order
 # solution.
-_E5 = np.zeros(13)
-_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
-    0.1312004499419488073250102996e-01, -0.1225156446376204440720569753e+01,
-    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+01,
-    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
-    0.8192320648511571246570742613e-01, -0.2235530786388629525884427845e-01,
-]
-_E3 = np.append(_B, 0.0)
-_E3[[0, 8, 11]] -= [
-    0.244094488188976377952755905512, 0.733846688281611857341361741547, 0.220588235294117647058823529412e-1,
-]
+_E5 = {
+    0: 0.1312004499419488073250102996e-01, 5: -0.1225156446376204440720569753e+01,
+    6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+01,
+    8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+    10: 0.8192320648511571246570742613e-01, 11: -0.2235530786388629525884427845e-01,
+}
+_BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547, 11: 0.220588235294117647058823529412e-1}
+_E3 = {j: w - _BHH.get(j, 0.0) for j, w in _B.items()}
 
 # Stage weights of the dense output's coefficients 3..6; coefficients 0..2
 # come from the step's ends.
-_D = _rows((4, 16), (
+_D = (
     {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
      6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
      8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
@@ -262,7 +271,7 @@ _D = _rows((4, 16), (
      10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
      12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
      14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
-))
+)
 
 # Step control: a new step is h * SAFETY * err**(-1/8), its factor held to
 # [0.2, 10], and to at most 1 right after a rejection.
@@ -270,13 +279,36 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EXPONENT = -1 / 8
 
 
+@functools.cache
+def _tableau_arrays() -> tuple:
+    """The tableau as ``_dop853`` reads it, built once per process: each
+    stage's node and weights (c_s, A[s, :s]), b, the two error estimators
+    over stages 0..12 and the dense output's weights D (4, 16)."""
+    import numpy as np
+
+    def dense(shape, rows):
+        out = np.zeros(shape)
+        for i, row in enumerate(rows):
+            for j, value in row.items():
+                out[i, j] = value
+        return out
+
+    A, C = dense((16, 16), _A), np.array(_C)
+    E5, E3 = dense((2, 13), (_E5, _E3))
+    return tuple((C[s], A[s, :s]) for s in range(16)), A[12, :12], E5, E3, dense((4, 16), _D)
+
+
 def _rms(x) -> float:
+    import numpy as np
+
     return np.linalg.norm(x) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     """First step size: Hairer's guess from the sizes of y0, f0 and a
     difference quotient of f, for a local error of order 8 in the step."""
+    import numpy as np
+
     interval = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
@@ -293,8 +325,11 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
 def _error_norm(K, h, scale) -> float:
     """RMS of the 5th-order error estimate over ``scale``, damped where the
     3rd-order estimate is much smaller than the 5th-order one."""
-    err5 = np.dot(K.T, _E5) / scale
-    err3 = np.dot(K.T, _E3) / scale
+    import numpy as np
+
+    _, _, E5, E3, _ = _tableau_arrays()
+    err5 = np.dot(K.T, E5) / scale
+    err3 = np.dot(K.T, E3) / scale
     # np.linalg.norm's own operations, without its per-call checks: the
     # squares keep the bits scipy's DOP853 computes.
     err5_2 = np.sqrt(err5.dot(err5)) ** 2
@@ -319,6 +354,9 @@ def _dop853(fun, t0, y0, t_bound, *, rtol, atol):
     the step size falls below ten spacings of t.  A step whose arithmetic
     overflows counts as a rejected step, without a warning.
     """
+    import numpy as np
+
+    stages, B, _, _, _ = _tableau_arrays()
     rtol = max(rtol, 100 * np.finfo(float).eps)
     t, y = t0, np.asarray(y0, dtype=float)
     K = np.empty((16, y.size))
@@ -339,9 +377,9 @@ def _dop853(fun, t0, y0, t_bound, *, rtol, atol):
             h_abs = np.abs(h)
             with np.errstate(all="ignore"):
                 K[0] = f
-                for s, (c, a) in enumerate(_STAGES[1:12], 1):
+                for s, (c, a) in enumerate(stages[1:12], 1):
                     K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
-                y_new = y + h * np.dot(K[:12].T, _B)
+                y_new = y + h * np.dot(K[:12].T, B)
                 K[12] = f_new = fun(t + h, y_new)
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
                 err = _error_norm(K[:13], h, scale)
@@ -357,15 +395,18 @@ def _dop853(fun, t0, y0, t_bound, *, rtol, atol):
 
 def _interpolant(fun, t_old, t, y_old, y, f_old, f, K) -> tuple:
     """The dense output of the step from t_old to t."""
+    import numpy as np
+
+    stages, _, _, _, D = _tableau_arrays()
     h = t - t_old
-    for s, (c, a) in enumerate(_STAGES[13:], 13):
+    for s, (c, a) in enumerate(stages[13:], 13):
         K[s] = fun(t_old + c * h, y_old + np.dot(K[:s].T, a) * h)
     delta = y - y_old
     F = np.empty((7, y.size))
     F[0] = delta
     F[1] = h * f_old - delta
     F[2] = 2 * delta - h * (f + f_old)
-    F[3:] = h * np.dot(_D, K)
+    F[3:] = h * np.dot(D, K)
     return t_old, h, F, y_old
 
 
@@ -378,12 +419,175 @@ def _dense_output(F, y_old, x, rows):
     step as well, so one call serves all of them, gathering one coefficient
     at a time.
     """
+    import numpy as np
+
     out = np.zeros(np.broadcast_shapes(np.shape(x), y_old[rows].shape))
     for i, coeff in enumerate(F[::-1]):
         out += coeff[rows]
         out *= x if i % 2 == 0 else 1 - x
     out += y_old[rows]
     return out
+
+
+# ----------------------------------------------------------------------
+# DOP853 over one orbit's three Python floats.  Each sum over stages runs
+# left to right over a row's nonzero weights, (stage, weight) pairs.
+
+_STAGE_WEIGHTS = tuple((_C[s], tuple(_A[s].items())) for s in range(16))
+# b and the two error estimators weigh the same stages: (stage, b, e5, e3).
+_END_WEIGHTS = tuple((j, w, _E5[j], _E3[j]) for j, w in _B.items())
+_D_WEIGHTS = tuple(tuple(row.items()) for row in _D)
+
+
+def _combine(K, weights) -> tuple[float, float, float]:
+    """The sum of w K[j] over the (j, w) pairs ``weights``, per component."""
+    s1 = s2 = s3 = 0.0
+    for j, w in weights:
+        k1, k2, k3 = K[j]
+        s1 += w * k1
+        s2 += w * k2
+        s3 += w * k3
+    return s1, s2, s3
+
+
+def _rms_floats(x) -> float:
+    x1, x2, x3 = x
+    return math.sqrt((x1 * x1 + x2 * x2 + x3 * x3) / 3.0)
+
+
+def _initial_step_floats(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
+    """``_initial_step`` for three floats; where it divides by zero, the
+    quotient numpy gives."""
+    interval = abs(t_bound - t0)
+    scale = [atol + abs(y) * rtol for y in y0]
+    d0 = _rms_floats([y / s for y, s in zip(y0, scale)])
+    d1 = _rms_floats([f / s for f, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0, tuple(y + h0 * f for y, f in zip(y0, f0)))
+    d2 = _rms_floats([(u - v) / s for u, v, s in zip(f1, f0, scale)]) / h0 if h0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        top = max(d1, d2)
+        h1 = (0.01 / top) ** (1 / 8) if top else math.inf
+    return min(100 * h0, h1, interval)
+
+
+def _error_norm_floats(err5, err3, h, scale) -> float:
+    """``_error_norm`` for three components, given the stage sums err5 and
+    err3 of the two estimators; nan where it would divide 0 by 0."""
+    n5 = n3 = 0.0
+    for x5, x3, s in zip(err5, err3, scale):
+        x5, x3 = x5 / s, x3 / s
+        n5 += x5 * x5
+        n3 += x3 * x3
+    if n5 == 0 and n3 == 0:
+        return 0.0
+    denominator = math.sqrt((n5 + 0.01 * n3) * 3)
+    return abs(h) * n5 / denominator if denominator else math.nan
+
+
+def _dop853_floats(fun, t0, y0, t_bound, *, rtol, atol):
+    """``_dop853`` for a state of three Python floats, without numpy.
+
+    The same pair, first step, step control and refusal: ``fun(t, y)``
+    takes and returns a tuple of three floats, and atol must be above zero.
+    rtol is raised to 10 machine epsilons if below, not 100: the
+    compensated sum below keeps the states' rounding under that.
+    A step whose arithmetic overflows is rejected, and no operation here
+    raises or warns on overflow: squares are products, never powers.  Sums
+    over stages run left to right, and the accepted states are summed with
+    compensation (E. Hairer, C. Lubich & G. Wanner, "Geometric Numerical
+    Integration", 2nd ed., section VIII.5): each new state's rounding error
+    is carried into the next step's increment.  Yields ``(t, y, dense)`` as
+    ``_dop853`` does; ``dense()`` gives F as seven 3-tuples, and
+    ``_dense_value`` evaluates one component from their entries.
+    """
+    rtol = max(rtol, 10 * sys.float_info.epsilon)
+    t, y = t0, tuple(y0)
+    carry = (0.0, 0.0, 0.0)
+    f = fun(t, y)
+    h_abs = _initial_step_floats(fun, t, y, f, t_bound, rtol, atol)
+    while t < t_bound:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        y1, y2, y3 = y
+        while True:
+            if not h_abs >= min_step:  # a nan step size fails here too
+                raise IntegrationError(
+                    "integration failed: Required step size is less than spacing between numbers."
+                )
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            K = [f]
+            for c, weights in _STAGE_WEIGHTS[1:12]:
+                # _combine's loop, inline: the stages are most of a step's work.
+                s1 = s2 = s3 = 0.0
+                for j, w in weights:
+                    k1, k2, k3 = K[j]
+                    s1 += w * k1
+                    s2 += w * k2
+                    s3 += w * k3
+                K.append(fun(t + c * h, (y1 + s1 * h, y2 + s2 * h, y3 + s3 * h)))
+            # The increment b (b1..b3) and the two error estimates (u, v),
+            # in one pass over their stages.
+            b1 = b2 = b3 = u1 = u2 = u3 = v1 = v2 = v3 = 0.0
+            for j, wb, w5, w3 in _END_WEIGHTS:
+                k1, k2, k3 = K[j]
+                b1 += wb * k1
+                b2 += wb * k2
+                b3 += wb * k3
+                u1 += w5 * k1
+                u2 += w5 * k2
+                u3 += w5 * k3
+                v1 += w3 * k1
+                v2 += w3 * k2
+                v3 += w3 * k3
+            d1, d2, d3 = carry[0] + h * b1, carry[1] + h * b2, carry[2] + h * b3
+            y_new = (y1 + d1, y2 + d2, y3 + d3)
+            f_new = fun(t + h, y_new)
+            scale = [atol + max(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)]
+            err = _error_norm_floats((u1, u2, u3), (v1, v2, v3), h, scale)
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            rejected = True
+        carry = ((y1 - y_new[0]) + d1, (y2 - y_new[1]) + d2, (y3 - y_new[2]) + d3)
+        K.append(f_new)
+        t_old, y_old, t, y, f_old, f = t, y, t_new, y_new, f, f_new
+        yield t, y, lambda: _interpolant_floats(fun, t_old, t, y_old, y, f_old, f, K)
+
+
+def _interpolant_floats(fun, t_old, t, y_old, y, f_old, f, K) -> tuple:
+    """``_interpolant`` for three floats: the step's K holds stages 0..12."""
+    K = K[:13]
+    h = t - t_old
+    y1, y2, y3 = y_old
+    for c, weights in _STAGE_WEIGHTS[13:]:
+        s1, s2, s3 = _combine(K, weights)
+        K.append(fun(t_old + c * h, (y1 + s1 * h, y2 + s2 * h, y3 + s3 * h)))
+    delta = tuple(u - v for u, v in zip(y, y_old))
+    F = (
+        delta,
+        tuple(h * g - d for g, d in zip(f_old, delta)),
+        tuple(2 * d - h * (g + g_old) for d, g, g_old in zip(delta, f, f_old)),
+        *(tuple(h * x for x in _combine(K, weights)) for weights in _D_WEIGHTS),
+    )
+    return t_old, h, F, y_old
+
+
+def _dense_value(f, y0, x) -> float:
+    """One component of a ``_dop853_floats`` dense output at x, from its
+    seven coefficients f and its value y0 at the step's start:
+    ``_dense_output``'s Horner scheme in x and 1 - x, term for term."""
+    f0, f1, f2, f3, f4, f5, f6 = f
+    u = 1 - x
+    return ((((((f6 * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u + f0) * x + y0
 
 
 class Trajectory(FrozenRecord):
@@ -404,6 +608,8 @@ class Trajectory(FrozenRecord):
 
 def _drift(x) -> float:
     """The largest |x - x[0]|, relative to |x[0]| unless that is 0."""
+    import numpy as np
+
     return float(np.max(np.abs(x - x[0])) / (abs(x[0]) or 1.0))
 
 
@@ -428,6 +634,8 @@ def integrate_orbit(
     smallest normal float (sys.float_info.min), where it has no correct
     digits, and for moments whose characteristic time at L has no normal float.
     """
+    import numpy as np
+
     require_positive("t_end", t_end)
     require_positive("tol", tol)
     if not (isinstance(n_samples, (int, np.integer)) and 1 <= n_samples <= MAX_SAMPLES):
@@ -468,18 +676,34 @@ def integrate_orbit(
 _DENSE_BLOCK = 256
 
 
-def _sample_steps(steps, times) -> np.ndarray:
+def _sample_steps(steps, times):
     """The states (3, len(times)) at ``times`` from the dense output of
     consecutive steps: ``steps`` holds each step's dense output followed by
     its number of samples, in order."""
+    import numpy as np
+
     t_old, h, F, y_old, counts = zip(*steps)
     step = np.repeat(np.arange(len(steps)), counts)
     x = (times - np.array(t_old)[step]) / np.array(h)[step]
     return _dense_output(np.stack(F, axis=-1), np.stack(y_old, axis=-1), x, (slice(None), step))
 
 
-def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.ndarray:
-    """Periods of the closed orbits through ``states``, in one integration.
+# Calls of ``orbit_periods`` with at least this many rows step them as one
+# numpy batch; smaller ones step each orbit alone in Python floats and never
+# load numpy.  A fresh ``period --format json`` process took 142 ms stepping
+# orbits alone and 152 ms as one batch at 80 rows, 156 and 152 ms at 96
+# (median of 9, 2 shared CPUs): one orbit alone costs about 0.8 ms, the
+# batch about 0.2 ms a row once numpy is imported.
+_BATCH_ROWS = 90
+
+# An orbit stepped alone runs at atol = rtol = tol * _ORBIT_TOL: with the
+# compensated sum this keeps the digits that the batch of 64 rows, at
+# tol / 64, gave from 1e-4 of the separatrix gap outward.
+_ORBIT_TOL = 1 / 512
+
+
+def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> list[float]:
+    """Periods of the closed orbits through ``states``, as a list of floats.
 
     An orbit above the separatrix energy (h > b l, b the middle reciprocal)
     circles the axis of the largest reciprocal, one below it the axis of the
@@ -489,19 +713,28 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     the time between two consecutive zeros of those two components.  A
     component that is exactly 0 at the start counts as a zero at t = 0.
 
-    All orbits run as one 3N-dimensional DOP853 system, orbit k scaled to
-    the unit sphere and in its own characteristic time
-    1/sqrt(2 l_k (a - c)(a - b)), a > b > c the sorted reciprocals, so all
-    turn at a comparable rate and l_k scales only the returned period.  The
-    solver's atol and rtol are each tol / (8 sqrt(N)): sqrt(N) because it
-    bounds the RMS error over all 3N components, 2 to split the allowance
-    between atol and rtol, and 4 because the period is four times the
-    measured interval.  The stepping stops once every orbit has two zeros;
-    a step that passes zeros of both components counts both.  Each sign
-    change keeps only that component's 7 dense-output coefficients and its
-    value at the step's start, so memory stays proportional to N, and all
-    of them are refined together by bisection after the last step, to
-    adjacent floats.
+    Orbit k runs scaled to the unit sphere and in its own characteristic
+    time 1/sqrt(2 l_k (a - c)(a - b)), a > b > c the sorted reciprocals, so
+    all turn at a comparable rate and l_k scales only the returned period.
+    Each watched component's zero is refined by bisection on its dense
+    output over the step that passed it, to adjacent floats; a step that
+    passes zeros of both components counts both.  How the orbits are
+    stepped depends on how many rows the call has:
+
+    - below ``_BATCH_ROWS`` rows, one orbit at a time, by
+      ``_dop853_floats`` at atol = rtol = tol / 512 (``_ORBIT_TOL``) on
+      the unit sphere, rtol floored at 10 machine epsilons, each orbit
+      stopping at its own second zero, without numpy; each steps its row
+      itself, exact, where the unit-sphere state has rounded;
+    - from ``_BATCH_ROWS`` rows on, all N orbits as one 3N-dimensional
+      system, by ``_dop853`` at atol = rtol = tol / (8 sqrt(N)): sqrt(N)
+      because it bounds the RMS error over all 3N components, 2 to split
+      the allowance between atol and rtol, and 4 because the period is four
+      times the measured interval.  The stepping stops once every orbit has
+      two zeros.
+
+    So a row's last digits depend on the call it is in, as they did when
+    every call was one batch, whose tolerance and steps follow N.
 
     Oracle: this is the ODE route of the three period routes, independent
     of the closed form (``periods.S_closed_form``) and of the quadratures.
@@ -513,51 +746,121 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     sphere outside the float range; SeparatrixError when h is within a
     relative 1e-8 of the separatrix energy l/I2 (I2 the middle moment; the
     period diverges there); and IntegrationError if the solver fails or an
-    orbit does not turn a quarter within MAX_CHARACTERISTIC_TIMES.
+    orbit does not turn a quarter within MAX_CHARACTERISTIC_TIMES.  Each
+    check runs over all rows before the next.
     """
     require_positive("tol", tol)
-    p0 = np.array([s.as_array() for s in states]).reshape(-1, 3).T
-    n = p0.shape[1]
-    if n == 0:
-        return np.empty(0)
+    p0 = [(float(s.p1), float(s.p2), float(s.p3)) for s in states]
+    if not p0:
+        return []
     reciprocals = inertia.reciprocals()
     # Row k is multiplied by 2**e_k, its largest component in [2, 4), before
-    # h and l are formed: exact, and in range for every finite state.
-    e = np.array([unit_exponent(x) for x in np.abs(p0).max(axis=0)])
-    p = np.ldexp(p0, e)
-    with np.errstate(over="ignore"):  # an overflowing h is refused with the moments below
-        h, l = conserved(p, inertia)
-    if np.any(l <= 0.0):
+    # h and l are formed: exact, and in range for every finite state.  A nan
+    # is the largest, as numpy's max takes it.
+    e = [unit_exponent(math.nan if any(map(math.isnan, row)) else max(map(abs, row))) for row in p0]
+    p = [(_ldexp(x1, k), _ldexp(x2, k), _ldexp(x3, k)) for (x1, x2, x3), k in zip(p0, e)]
+    # An overflowing h is refused with the moments below.
+    h, l = zip(*[_invariants(row, reciprocals) for row in p])
+    if any(x <= 0.0 for x in l):
         raise DomainError("zero momentum has no orbit")
     # Orbit k runs on the unit sphere, q = p / sqrt(2 l_k), in its own
     # characteristic time, where the field is _field(q) / sqrt((a - c)(a - b)):
     # l enters only through t_char.
-    t_char = np.array([_characteristic_time(x, reciprocals, k) for x, k in zip(l.tolist(), e.tolist())])
+    t_char = [_characteristic_time(x, reciprocals, k) for x, k in zip(l, e)]
     t_unit = _characteristic_time(0.5, reciprocals)  # on the unit sphere, 2 l = 1
     a, b, c = sorted(reciprocals, reverse=True)
-    q0 = p / np.sqrt(2.0 * l)
-    with np.errstate(over="ignore"):
-        speed = np.linalg.norm(_field(q0, reciprocals), axis=0)
-    if not np.all(np.isfinite(speed)):
+    q0, speed, roots = [], [], []
+    for (x1, x2, x3), x in zip(p, l):
+        root = math.sqrt(2.0 * x)
+        roots.append(root)
+        q0.append((x1 / root, x2 / root, x3 / root))
+        f1, f2, f3 = _field(q0[-1], reciprocals)
+        speed.append(math.sqrt(f1 * f1 + f2 * f2 + f3 * f3))
+    if not all(map(math.isfinite, speed)):
         raise DomainError(
             f"reciprocal moments a > b > c = {a!r}, {b!r}, {c!r} put the speed on the unit sphere, "
             "of the order of a - c, outside the float range"
         )
-    if np.any(speed < 1e-13 * max(reciprocals)):
+    if any(v < 1e-13 * max(reciprocals) for v in speed):
         raise DomainError("initial condition is an equilibrium; the orbit is a point")
-    h_sep = b * l
-    near = np.abs(h - h_sep) < SEPARATRIX_RTOL * np.abs(h_sep)
-    if near.any():
-        k = np.argmax(near)
-        h, h_sep = (_ldexp(float(x[k]), -2 * int(e[k])) for x in (h, h_sep))
-        raise SeparatrixError(f"energy h = {h!r} is within 1e-8 of the separatrix value {h_sep!r}")
+    h_sep = [b * x for x in l]
+    for x, y, k in zip(h, h_sep, e):
+        if abs(x - y) < SEPARATRIX_RTOL * abs(y):
+            x, y = _ldexp(x, -2 * k), _ldexp(y, -2 * k)
+            raise SeparatrixError(f"energy h = {x!r} is within 1e-8 of the separatrix value {y!r}")
     # Row k circles the axis of the largest reciprocal when h > b l, else
     # that of the smallest, and watches the other two components.
-    above = h > h_sep
-    watched = np.ones((3, n), dtype=bool)
-    watched[reciprocals.index(max(reciprocals)), above] = False
-    watched[reciprocals.index(min(reciprocals)), ~above] = False
+    circled = [reciprocals.index(max(reciprocals) if x > y else min(reciprocals)) for x, y in zip(h, h_sep)]
+    if len(q0) >= _BATCH_ROWS:
+        quarters = _batch_quarters(q0, circled, reciprocals, t_unit, tol, t_char)
+    else:
+        # Each orbit steps its own exact row p, of radius r = sqrt(2 l), not
+        # the rounded q0 = p / r: in the time unit t_unit / r its orbit is
+        # q0's scaled by r, at atol = r tol as on the unit sphere.
+        quarters = [
+            _orbit_quarter(row, k, reciprocals, t_unit / r, _ORBIT_TOL * tol, t, r)
+            for row, r, k, t in zip(p, roots, circled, t_char)
+        ]
+    return [4.0 * x * t for x, t in zip(quarters, t_char)]
 
+
+def _no_quarter(t_char: float) -> IntegrationError:
+    return IntegrationError(
+        f"orbit did not turn a quarter within {MAX_CHARACTERISTIC_TIMES * t_char:.3g} time units; "
+        "the initial condition may be exponentially close to the separatrix"
+    )
+
+
+def _orbit_quarter(q0, circled: int, reciprocals, t_unit: float, tol: float, t_char: float, size: float) -> float:
+    """The time, in units of t_unit, between the first zeros of the two
+    components other than ``circled`` of the orbit through q0, of radius
+    ``size``, stepped alone by ``_dop853_floats`` at rtol = tol and atol =
+    size * tol.  Raises IntegrationError, naming t_char, if it has not both
+    by MAX_CHARACTERISTIC_TIMES."""
+
+    def fun(tau, q):
+        f1, f2, f3 = _field(q, reciprocals)
+        return t_unit * f1, t_unit * f2, t_unit * f3
+
+    watched = [i for i in range(3) if i != circled]
+    zero = dict.fromkeys(watched, 0.0)
+    pending = [i for i in watched if q0[i] != 0.0]
+    y_old = q0
+    for t, y, dense in _dop853_floats(fun, 0.0, q0, MAX_CHARACTERISTIC_TIMES, rtol=tol, atol=size * tol):
+        # A pending component is nonzero at the step's start.
+        changed = [i for i in pending if y[i] == 0.0 or (y[i] < 0.0) != (y_old[i] < 0.0)]
+        if changed:
+            t_old, h, F, start = dense()
+            for i in changed:
+                f = [coeff[i] for coeff in F]
+                lo, hi = t_old, t
+                while math.nextafter(lo, hi) < hi:
+                    mid = 0.5 * (lo + hi)
+                    value = _dense_value(f, start[i], (mid - t_old) / h)
+                    if value != 0.0 and (value < 0.0) == (start[i] < 0.0):
+                        lo = mid
+                    else:
+                        hi = mid
+                zero[i] = hi
+            pending = [i for i in pending if i not in changed]
+            if not pending:
+                i, j = watched
+                return abs(zero[j] - zero[i])
+        y_old = y
+    raise _no_quarter(t_char)
+
+
+def _batch_quarters(q0, circled, reciprocals, t_unit: float, tol: float, t_char) -> list[float]:
+    """The quarter periods of all rows, as ``_orbit_quarter`` measures each,
+    from one ``_dop853`` run of the 3N-dimensional system at atol = rtol =
+    tol / (8 sqrt(N)); the bisections run together after the last step.
+    Raises IntegrationError naming the first row without both zeros."""
+    import numpy as np
+
+    n = len(q0)
+    q0 = np.array(q0).T
+    watched = np.ones((3, n), dtype=bool)
+    watched[circled, np.arange(n)] = False
     # On the unit sphere a component's allowance atol + rtol |q_i| stays
     # below 2 batch_tol, relative to the orbit's size whatever l is.
     batch_tol = 0.125 * tol / math.sqrt(n)
@@ -587,11 +890,7 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
                 break
         t_old, y_old = t, y
     else:
-        t_max = MAX_CHARACTERISTIC_TIMES * t_char[np.argmax(pending.any(axis=0))]
-        raise IntegrationError(
-            f"orbit did not turn a quarter within {t_max:.3g} time units; "
-            "the initial condition may be exponentially close to the separatrix"
-        )
+        raise _no_quarter(t_char[int(np.argmax(pending.any(axis=0)))])
     t_start, t_end, F, start = t_start[crossing], t_end[crossing], F[:, crossing], start[crossing]
     lo, hi, step = t_start, t_end, t_end - t_start
     while np.any(np.nextafter(lo, hi) < hi):
@@ -603,9 +902,9 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> np.nda
     zero = np.zeros(3 * n)
     zero[crossing] = hi
     zero = zero.reshape(3, n).T[watched.T].reshape(n, 2)
-    return 4.0 * np.abs(zero[:, 1] - zero[:, 0]) * t_char
+    return np.abs(zero[:, 1] - zero[:, 0]).tolist()
 
 
 def orbit_period(state: MomentumState, inertia: InertiaSpec, *, tol: float = 1e-12) -> float:
     """Period of the closed orbit through ``state``; see ``orbit_periods``."""
-    return float(orbit_periods([state], inertia, tol=tol)[0])
+    return orbit_periods([state], inertia, tol=tol)[0]

@@ -132,12 +132,15 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     deviations from the closed form relative to it; ``max_deviation`` is
     the largest.  Axis "p1" is S(a, b, c, d) and "p3" is S(c, b, a, d):
     each row is reordered once, and the closed form and the quadrature take
-    that point.  The ODE route integrates all rows' p2 = 0 orbits in one
-    batch at tolerance min(1e-12, tol).
+    that point; an S outside the float range is refused as S, or as
+    S(c, b, a, d), at the row's own point.  The ODE route takes all rows'
+    p2 = 0 orbits in one ``orbit_periods`` call at tolerance
+    min(1e-12, tol).
 
     Refused before any route runs: moments that ``InertiaSpec`` refuses,
     then a d within ``dynamics.SEPARATRIX_RTOL`` of b (SeparatrixError),
-    then a row that is no ``ModuliPoint``.  Loads numpy only when called.
+    then a row that is no ``ModuliPoint``.  Loads numpy only for a grid of
+    at least ``dynamics._BATCH_ROWS`` rows.
     """
     from .dynamics import SEPARATRIX_RTOL, MomentumState, SeparatrixError, orbit_periods
 
@@ -156,15 +159,20 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
             )
     points = [ModuliPoint(a, b, c, d, l=l) for d, l in grid]
     order = _CLASS_ORDERS["S1" if axis == "p1" else "S3"]
-    routes = []
+    label = "S" if axis == "p1" else f"S({', '.join(order)})"
+    routes, states = [], []
     for m in points:
-        r = m.reorder(order)
-        routes.append((S_closed_form(r), quadrature_sigma_integral(r)))
-    states = []
-    for m in points:
-        # At unit scale, where 2 l (d - c) cannot overflow; bit for bit the
-        # unscaled value wherever that is a normal float.
-        u, _, j = m.at_unit_scale()
+        # Each row is taken at unit scale once.  Both routes run there, where
+        # they do not scale back; the one scaling here names a refusal at the
+        # point the caller gave.
+        u, k, j = m.at_unit_scale()
+        r = u.reorder(order)
+        routes.append(tuple(
+            ldexp(route(r), k + j, lambda: f"{label} at {m!r}")
+            for route in (S_closed_form, quadrature_sigma_integral)
+        ))
+        # The orbit's state, where 2 l (d - c) cannot overflow; bit for bit
+        # the unscaled value wherever that is a normal float.
         ua, _, uc, ud = (z.real for z in u.coords())
         p1, p3 = (ldexp(math.sqrt(abs(2.0 * u.l * x / (ua - uc))), -j) for x in (ud - uc, ua - ud))
         states.append(MomentumState(p1, 0.0, p3))

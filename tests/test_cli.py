@@ -18,6 +18,8 @@ from test_branch_properties import PROPERTY
 
 from eulertop import cli
 from eulertop.cli import main
+from eulertop.core import DomainError
+from eulertop.periods import period_report
 
 BASE_ANCHOR = "-0.21243521802276702"
 
@@ -202,6 +204,18 @@ def test_period_names_the_period_beyond_the_float_range(capsys):
     assert (code, out) == (1, "")
     assert err == ("error: S at ModuliPoint(a=3e-300, b=2e-300, c=1e-300, d=2.1e-300, l=5e-324) "
                    "is outside the float range\n")
+
+
+def test_period_p3_names_the_period_beyond_the_float_range_at_the_given_point(capsys):
+    # The p3 axis evaluates S(c, b, a, d); the refusal names it so, at the
+    # point as given, not at the reordered one.
+    with pytest.raises(DomainError) as info:
+        period_report(3e-300, 2e-300, 1e-300, "p3", [1.9e-300], [5e-324], 1e-8)
+    message = ("S(c, b, a, d) at ModuliPoint(a=3e-300, b=2e-300, c=1e-300, d=1.9e-300, l=5e-324) "
+               "is outside the float range")
+    assert str(info.value) == message
+    code, out, err = run(capsys, "period", "--abc", "3e-300,2e-300,1e-300", "--grid-l", "5e-324", "--axis", "p3")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_simulate_horizon_is_bounded(capsys):
@@ -758,19 +772,31 @@ def test_version_and_series_do_not_load_numpy(tmp_path):
 
 def test_light_commands_do_not_load_numpy(tmp_path):
     # verify and every monodromy command are scalar and integer work;
-    # neither they nor the layers they import may pay for numpy.
+    # neither they nor the layers they import may pay for numpy.  Nor may
+    # period below dynamics._BATCH_ROWS rows, whose orbits are stepped one
+    # at a time in Python floats: the default grid, and a 64-row grid like
+    # the benchmark's.  A grid of _BATCH_ROWS rows is one numpy batch.
     loop_file = tmp_path / "loop.json"
     loop_file.write_text(json.dumps(_loop_round_b(0.9)))
+    grid_64 = ["--grid-d", _csv(*(2.0 + 10.0 ** (-4.0 + 0.2 * k) for k in range(16))), "--grid-l", "0.01,0.3,7,100"]
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import eulertop.special, eulertop.periods, eulertop.lattice, eulertop.monodromy, eulertop.verify\n"
+        "import eulertop.dynamics\n"
         "assert 'numpy' not in sys.modules, 'importing the layers loaded numpy'\n"
         "import eulertop.cli as cli\n"
         "for argv in (['verify'], ['monodromy', '--preset', 'braid'], ['monodromy', '--preset', 'confluence'],\n"
         "             ['monodromy', '--preset', 'alpha1'], ['monodromy', '--preset', 'all-generators'],\n"
-        f"             ['monodromy', '--loop', {str(loop_file)!r}]):\n"
-        "    assert cli.main(argv) == 0, argv\n"
+        f"             ['monodromy', '--loop', {str(loop_file)!r}],\n"
+        f"             ['period'], ['period', '--format', 'json', *{grid_64!r}]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n"
+        "n = eulertop.dynamics._BATCH_ROWS\n"
+        "grid = ','.join(str(2.0 + 0.5 * (k + 1) / n) for k in range(n))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['period', '--grid-d', grid]) == 0\n"
+        "assert 'numpy' in sys.modules, 'a grid of _BATCH_ROWS rows ran without numpy'\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

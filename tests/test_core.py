@@ -237,7 +237,7 @@ def test_reorder_composes():
 
 
 def _import_time_imports(tree: ast.Module):
-    """(module, level) of each import that runs when the module is imported:
+    """The module of each import that runs when the module is imported:
     every import statement outside a function body."""
     stack = list(tree.body)
     while stack:
@@ -245,27 +245,24 @@ def _import_time_imports(tree: ast.Module):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         if isinstance(node, ast.Import):
-            yield from ((alias.name, 0) for alias in node.names)
+            yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            yield node.module or "", node.level
+            yield node.module or ""
         else:
             stack.extend(ast.iter_child_nodes(node))
 
 
-def test_only_dynamics_loads_numpy_on_import():
+def test_no_layer_loads_numpy_on_import():
     # The layers are kept apart so that a command loads numpy only where it
-    # computes with arrays.  A module loads numpy when it, or a package
-    # module it imports, imports numpy outside a function.
+    # computes with arrays; dynamics imports it inside the functions that
+    # build them.  A module would load numpy if it imported numpy outside a
+    # function; as none does, none loads it through another either.
     src = Path(eulertop.__file__).parent
-    imports = {
-        path.stem: set(_import_time_imports(ast.parse(path.read_text(encoding="utf-8"))))
-        for path in src.glob("*.py")
+    loads = {
+        path.stem for path in src.glob("*.py")
+        if any(m.split(".")[0] == "numpy" for m in _import_time_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
-    loads = {name for name, found in imports.items() if any(m.split(".")[0] == "numpy" for m, _ in found)}
-    local = {name: {m.split(".")[0] for m, level in found if level == 1} for name, found in imports.items()}
-    while more := {name for name, deps in local.items() if deps & loads} - loads:
-        loads |= more
-    assert loads == {"dynamics"}
+    assert loads == set()
 
 
 def test_only_dynamics_imports_numpy_at_all():

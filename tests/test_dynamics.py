@@ -1,6 +1,7 @@
 """Rigid-body vector field, invariants, orbits, and return times."""
 
 import math
+import random
 import warnings
 from unittest import mock
 
@@ -24,7 +25,9 @@ from eulertop.dynamics import (
     orbit_periods,
     _characteristic_time,
     _dense_output,
+    _dense_value,
     _dop853,
+    _dop853_floats,
     _field,
 )
 from eulertop.periods import euler_period
@@ -261,8 +264,9 @@ def test_orbit_period_matches_mpmath_at_its_own_energy(axis, near_axis, log_dist
 
 
 def test_orbit_periods_stop_within_a_step_of_the_longest_quarter(monkeypatch):
-    # Rows on p2 = 0 start on a zero, so the solve ends in the step that
-    # passes a quarter of the longest period, in characteristic time.
+    # Rows on p2 = 0 start on a zero, so the batch's solve ends in the step
+    # that passes a quarter of the longest period, in characteristic time.
+    monkeypatch.setattr(dynamics, "_BATCH_ROWS", 1)
     ends = []
 
     def recording(*args, **kwargs):
@@ -281,9 +285,11 @@ def test_orbit_periods_stop_within_a_step_of_the_longest_quarter(monkeypatch):
 
 
 def test_orbit_periods_count_both_zeros_a_step_passes(monkeypatch):
-    # At a loose tolerance one step passes a zero of each watched component,
-    # on an orbit of each family.  Both count, so each period still comes
-    # from two consecutive zeros, not from zeros half a period apart.
+    # At a loose tolerance one step of the batch passes a zero of each
+    # watched component, on an orbit of each family.  Both count, so each
+    # period still comes from two consecutive zeros, not from zeros half a
+    # period apart.
+    monkeypatch.setattr(dynamics, "_BATCH_ROWS", 1)
     rows = [(2.9, "p1"), (1.1, "p3")]
     periods = [euler_period(ModuliPoint(3, 2, 1, d, 0.5), axis=axis) for d, axis in rows]
     states = [
@@ -304,6 +310,132 @@ def test_orbit_periods_count_both_zeros_a_step_passes(monkeypatch):
     # Row 0 watches p2 and p3, row 1 p1 and p2.
     assert np.any(flips[:, 1, 0] & flips[:, 2, 0]) and np.any(flips[:, 0, 1] & flips[:, 1, 1])
     np.testing.assert_allclose(got, periods, rtol=1e-3)
+
+
+def _record_orbits(monkeypatch) -> list:
+    """Each _dop853_floats run from here on, as the list of its states: the
+    start, then the state after each accepted step, with the step's end."""
+    runs = []
+
+    def recording(fun, t0, y0, t_bound, **kwargs):
+        runs.append([(t0, y0)])
+        for step in _dop853_floats(fun, t0, y0, t_bound, **kwargs):
+            runs[-1].append(step[:2])
+            yield step
+
+    monkeypatch.setattr(dynamics, "_dop853_floats", recording)
+    return runs
+
+
+def test_orbit_stepped_alone_stops_within_a_step_of_its_quarter(monkeypatch):
+    # Below _BATCH_ROWS each orbit runs alone and stops in the step that
+    # passes its own quarter period, in characteristic time.
+    runs = _record_orbits(monkeypatch)
+    rows = [(2.5, 1.0, "p1"), (2.0001, 7.0, "p1"), (1.5, 0.3, "p3"), (1.9999, 1.0, "p3")]
+    orbit_periods([chamber_state(d, l) for d, l, _ in rows], INERTIA)
+    assert len(runs) == len(rows)
+    for (d, l, axis), run in zip(rows, runs):
+        period = euler_period(ModuliPoint(3, 2, 1, d, l), axis=axis) / _characteristic_time(l, INERTIA.reciprocals())
+        assert run[-2][0] < period / 4.0 <= run[-1][0]
+
+
+def test_orbit_stepped_alone_counts_both_zeros_a_step_passes(monkeypatch):
+    # The per-orbit route at a tolerance loose enough that one step passes
+    # a zero of each watched component, on an orbit of each family.
+    rows = [(2.9, "p1"), (1.1, "p3")]
+    periods = [euler_period(ModuliPoint(3, 2, 1, d, 0.5), axis=axis) for d, axis in rows]
+    states = [
+        MomentumState(*integrate_orbit(chamber_state(d, 0.5), INERTIA, period / 8, n_samples=2).p[-1])
+        for (d, _), period in zip(rows, periods)
+    ]
+    runs = _record_orbits(monkeypatch)
+    got = orbit_periods(states, INERTIA, tol=0.1)
+    # Row 0 watches p2 and p3, row 1 p1 and p2.
+    for watched, run in zip([(1, 2), (0, 1)], runs):
+        signs = np.sign([y for _, y in run])
+        flips = signs[1:] != signs[:-1]
+        assert np.any(flips[:, watched[0]] & flips[:, watched[1]])
+    np.testing.assert_allclose(got, periods, rtol=1e-3)
+
+
+# The mean log10 relative error against mpmath on the rows of the test
+# below, per share of the gap, when every call of orbit_periods was one
+# numpy batch (measured before the per-orbit route, rounded down).
+_BATCH_DIGITS = {1e-2: -13.42, 1e-4: -12.80, 1e-6: -10.99}
+
+
+@pytest.mark.parametrize("share", sorted(_BATCH_DIGITS, reverse=True))
+def test_orbits_stepped_alone_keep_the_batch_digits_near_the_separatrix(share):
+    # Four levels l per call, on three seeded sets of moments per family, at
+    # a share of the gap from the separatrix; each call is below _BATCH_ROWS.
+    # Near the separatrix a row's error is mostly its energy's rounding,
+    # which follows the moments more than the route, so the bound is on the
+    # mean digits: the batch's own on these rows.
+    rng = random.Random(f"separatrix:{share}")
+    errors = []
+    for family in ("p1", "p3"):
+        for _ in range(3):
+            c = rng.uniform(0.2, 2.0)
+            b = c + rng.uniform(0.2, 3.0)
+            a = b + rng.uniform(0.2, 3.0)
+            d = b + (a - b) * share if family == "p1" else b - (b - c) * share
+            levels = [10.0 ** rng.uniform(-2.0, 2.0) for _ in range(4)]
+            states = [MomentumState(*(math.sqrt(2.0 * l * x / (a - c)) for x in (d - c, 0.0, a - d))) for l in levels]
+            got = orbit_periods(states, InertiaSpec.from_reciprocals(a, b, c))
+            for state, period in zip(states, got):
+                want = _reference_period((state.p1, state.p2, state.p3), (a, b, c))
+                errors.append(max(abs(period - want) / want, 1e-17))
+    assert sum(map(math.log10, errors)) / len(errors) <= _BATCH_DIGITS[share]
+
+
+def test_batch_and_orbits_stepped_alone_agree():
+    # _BATCH_ROWS rows, 1e-4 to 0.4 of the gap on both families, in one call
+    # (one numpy batch) and in four calls (each orbit alone).
+    a, b, c = INERTIA.reciprocals()
+    n = dynamics._BATCH_ROWS
+    shares = [10.0 ** (-4.0 + 3.7 * (k // 2) / (n // 2)) for k in range(n)]
+    states = [chamber_state(b + (a - b) * s if k % 2 else b - (b - c) * s, 10.0 ** (k % 5 - 2))
+              for k, s in enumerate(shares)]
+    batch = orbit_periods(states, INERTIA)
+    alone = [t for k in range(0, n, n // 4) for t in orbit_periods(states[k:k + n // 4], INERTIA)]
+    np.testing.assert_allclose(alone, batch, rtol=1e-11)
+
+
+def test_both_steppers_reject_a_step_that_overflows():
+    # The field is 0 until t = 1, so the steps grow tenfold each, then
+    # -1e6 y**3: the first step across t = 1 overflows in its stages.
+    # Each stepper rejects such steps, without an exception or a warning,
+    # and ends on t_bound at y = 1 / sqrt(1 / y0**2 + 2e6 (t - 1)).
+    y0 = (1.0, 2.0, 0.5)
+    overflowed = []
+
+    def fun(t, y):
+        f = [0.0 if t < 1.0 else -1e6 * x * x * x for x in y]
+        overflowed.append(not all(map(math.isfinite, f)))
+        return tuple(f)
+
+    want = [1.0 / math.sqrt(1.0 / (x * x) + 4e6) for x in y0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for steps in (_dop853_floats(fun, 0.0, y0, 3.0, rtol=1e-10, atol=1e-12),
+                      _dop853(lambda t, y: np.array(fun(t, tuple(y))), 0.0, np.array(y0), 3.0, rtol=1e-10, atol=1e-12)):
+            overflowed.clear()
+            *_, (t, y, _) = steps
+            assert any(overflowed) and t == 3.0
+            np.testing.assert_allclose(y, want, rtol=1e-10)
+
+
+def test_dense_value_is_the_dense_output_of_one_component():
+    # The two steppers' interpolants, evaluated each its own way, agree on
+    # the first step of the same orbit.
+    reciprocals = INERTIA.reciprocals()
+    q0 = (0.6, 0.0, 0.8)
+    *_, dense = next(_dop853_floats(lambda t, q: _field(q, reciprocals), 0.0, q0, 10.0, rtol=1e-12, atol=1e-12))
+    t_old, h, F, y_old = dense()
+    for x in (0.0, 0.3, 0.7, 1.0):
+        want = _dense_output(np.array(F), np.array(y_old), x, slice(None))
+        got = [_dense_value([coeff[i] for coeff in F], y_old[i], x) for i in range(3)]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-16)
 
 
 def test_orbit_periods_batch_refuses_one_bad_row():
