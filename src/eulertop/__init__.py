@@ -17,8 +17,8 @@ the module that defines it:
 
 Only ``dynamics`` computes with arrays, and only it imports numpy, inside
 the functions that build them; the other layers are scalar, exact or
-integer code.  So only ``simulate``, and ``period`` on a grid large enough
-to step as one batch, load numpy.
+integer code.  ``period`` steps each orbit alone in Python floats, so only
+``simulate`` loads numpy.
 """
 
 __version__ = "0.1.0"

@@ -27,8 +27,7 @@ from . import __version__
 from .core import MAX_SAMPLES, ComputationError, InertiaSpec
 
 # Each command imports the layers it runs when it starts, so none pays for a
-# layer it does not use: only ``simulate``, and ``period`` on a grid of at
-# least ``dynamics._BATCH_ROWS`` rows, load numpy.
+# layer it does not use: only ``simulate`` loads numpy.
 
 __all__ = ["main", "build_parser"]
 
@@ -41,8 +40,8 @@ def _fmt(x: float) -> str:
 # their stated matrices, and the two tables of stated matrices.
 _MONODROMY_PRESETS = ("alpha1", "alpha2", "alpha3", "all-generators", "confluence", "braid")
 
-# Bound checked before any work is allocated.  The batched ODE solve of a
-# large period grid holds about 13 x 3 floats for each grid row.
+# Bound checked before any work starts.  It bounds time: the ODE route
+# steps each grid row alone, at about 0.9 ms a row.
 MAX_GRID_ROWS = 4096
 
 
@@ -138,6 +137,8 @@ def _config_defaults(path: str, commands: dict[str, argparse.ArgumentParser], co
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config file {path} nests its JSON too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     known = {
@@ -265,7 +266,11 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
         from .monodromy import ModuliLoop, loop_monodromy
 
         with open(loop_file, "r", encoding="utf-8") as fh:
-            loop = ModuliLoop.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"loop file {loop_file} nests its JSON too deeply") from None
+        loop = ModuliLoop.from_json_dict(data)
         result = loop_monodromy(loop)
         out = {"loop": loop.to_json_dict(), "matrix": result.matrix.tolist(), "residual": result.residual}
     elif preset == "all-generators":

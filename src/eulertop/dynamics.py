@@ -18,18 +18,16 @@ and a ``cn``, so the zeros of those two alternate a quarter period apart.
 two consecutive such zeros, and returns four times the time between them;
 it uses nothing of that solution but the symmetry, and nothing of the
 orbit but the vector field.  Since the measured interval is multiplied by
-four, the solver runs at a quarter of the tolerance that a full period
-would get.  Each zero is refined by bisection on its component's dense
+four, so is its error, and the solver runs well below the tolerance asked
+of the period.  Each zero is refined by bisection on its component's dense
 output over the step that passed it.
 
 Two DOP853 steppers share one tableau, stored as Python floats.
-``_dop853`` steps a numpy state and serves ``integrate_orbit`` and calls
-of ``orbit_periods`` with at least ``_BATCH_ROWS`` rows, which run as one
-batch; its sums are numpy's, which keeps it bit for bit with scipy's
-DOP853.  ``_dop853_floats`` steps one orbit's three Python floats and
-serves the smaller calls of ``orbit_periods``, one orbit at a time, so
-they never load numpy: below about 90 rows that costs less than
-the import.  This module imports numpy only inside the functions that
+``_dop853`` steps a numpy state and serves ``integrate_orbit``, and so
+``simulate``, alone; its sums are numpy's, which keeps it bit for bit with
+scipy's DOP853.  ``_dop853_floats`` steps one orbit's three Python floats
+and serves ``orbit_periods``, one orbit at a time, so ``period`` never
+loads numpy.  This module imports numpy only inside the functions that
 build arrays.
 """
 
@@ -688,17 +686,9 @@ def _sample_steps(steps, times):
     return _dense_output(np.stack(F, axis=-1), np.stack(y_old, axis=-1), x, (slice(None), step))
 
 
-# Calls of ``orbit_periods`` with at least this many rows step them as one
-# numpy batch; smaller ones step each orbit alone in Python floats and never
-# load numpy.  A fresh ``period --format json`` process took 142 ms stepping
-# orbits alone and 152 ms as one batch at 80 rows, 156 and 152 ms at 96
-# (median of 9, 2 shared CPUs): one orbit alone costs about 0.8 ms, the
-# batch about 0.2 ms a row once numpy is imported.
-_BATCH_ROWS = 90
-
-# An orbit stepped alone runs at atol = rtol = tol * _ORBIT_TOL: with the
-# compensated sum this keeps the digits that the batch of 64 rows, at
-# tol / 64, gave from 1e-4 of the separatrix gap outward.
+# Each orbit runs at atol = rtol = tol * _ORBIT_TOL: with the compensated
+# sum this keeps the digits that a numpy batch of 64 rows, at tol / 64,
+# gave from 1e-4 of the separatrix gap outward.
 _ORBIT_TOL = 1 / 512
 
 
@@ -716,25 +706,14 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> list[f
     Orbit k runs scaled to the unit sphere and in its own characteristic
     time 1/sqrt(2 l_k (a - c)(a - b)), a > b > c the sorted reciprocals, so
     all turn at a comparable rate and l_k scales only the returned period.
+    Each orbit is stepped alone by ``_dop853_floats``, without numpy, at
+    atol = rtol = tol / 512 (``_ORBIT_TOL``) on the unit sphere, rtol
+    floored at 10 machine epsilons, and stops at its own second zero.  It
+    steps its row itself, exact, where the unit-sphere state has rounded.
     Each watched component's zero is refined by bisection on its dense
     output over the step that passed it, to adjacent floats; a step that
-    passes zeros of both components counts both.  How the orbits are
-    stepped depends on how many rows the call has:
-
-    - below ``_BATCH_ROWS`` rows, one orbit at a time, by
-      ``_dop853_floats`` at atol = rtol = tol / 512 (``_ORBIT_TOL``) on
-      the unit sphere, rtol floored at 10 machine epsilons, each orbit
-      stopping at its own second zero, without numpy; each steps its row
-      itself, exact, where the unit-sphere state has rounded;
-    - from ``_BATCH_ROWS`` rows on, all N orbits as one 3N-dimensional
-      system, by ``_dop853`` at atol = rtol = tol / (8 sqrt(N)): sqrt(N)
-      because it bounds the RMS error over all 3N components, 2 to split
-      the allowance between atol and rtol, and 4 because the period is four
-      times the measured interval.  The stepping stops once every orbit has
-      two zeros.
-
-    So a row's last digits depend on the call it is in, as they did when
-    every call was one batch, whose tolerance and steps follow N.
+    passes zeros of both components counts both.  So a row's period does
+    not depend on the other rows of its call.
 
     Oracle: this is the ODE route of the three period routes, independent
     of the closed form (``periods.S_closed_form``) and of the quadratures.
@@ -769,12 +748,11 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> list[f
     t_char = [_characteristic_time(x, reciprocals, k) for x, k in zip(l, e)]
     t_unit = _characteristic_time(0.5, reciprocals)  # on the unit sphere, 2 l = 1
     a, b, c = sorted(reciprocals, reverse=True)
-    q0, speed, roots = [], [], []
+    speed, roots = [], []
     for (x1, x2, x3), x in zip(p, l):
         root = math.sqrt(2.0 * x)
         roots.append(root)
-        q0.append((x1 / root, x2 / root, x3 / root))
-        f1, f2, f3 = _field(q0[-1], reciprocals)
+        f1, f2, f3 = _field((x1 / root, x2 / root, x3 / root), reciprocals)
         speed.append(math.sqrt(f1 * f1 + f2 * f2 + f3 * f3))
     if not all(map(math.isfinite, speed)):
         raise DomainError(
@@ -791,24 +769,14 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> list[f
     # Row k circles the axis of the largest reciprocal when h > b l, else
     # that of the smallest, and watches the other two components.
     circled = [reciprocals.index(max(reciprocals) if x > y else min(reciprocals)) for x, y in zip(h, h_sep)]
-    if len(q0) >= _BATCH_ROWS:
-        quarters = _batch_quarters(q0, circled, reciprocals, t_unit, tol, t_char)
-    else:
-        # Each orbit steps its own exact row p, of radius r = sqrt(2 l), not
-        # the rounded q0 = p / r: in the time unit t_unit / r its orbit is
-        # q0's scaled by r, at atol = r tol as on the unit sphere.
-        quarters = [
-            _orbit_quarter(row, k, reciprocals, t_unit / r, _ORBIT_TOL * tol, t, r)
-            for row, r, k, t in zip(p, roots, circled, t_char)
-        ]
+    # Each orbit steps its own exact row p, of radius r = sqrt(2 l), not the
+    # rounded unit-sphere state q0 = p / r: in the time unit t_unit / r its
+    # orbit is q0's scaled by r, at atol = r tol as on the unit sphere.
+    quarters = [
+        _orbit_quarter(row, k, reciprocals, t_unit / r, _ORBIT_TOL * tol, t, r)
+        for row, r, k, t in zip(p, roots, circled, t_char)
+    ]
     return [4.0 * x * t for x, t in zip(quarters, t_char)]
-
-
-def _no_quarter(t_char: float) -> IntegrationError:
-    return IntegrationError(
-        f"orbit did not turn a quarter within {MAX_CHARACTERISTIC_TIMES * t_char:.3g} time units; "
-        "the initial condition may be exponentially close to the separatrix"
-    )
 
 
 def _orbit_quarter(q0, circled: int, reciprocals, t_unit: float, tol: float, t_char: float, size: float) -> float:
@@ -847,62 +815,10 @@ def _orbit_quarter(q0, circled: int, reciprocals, t_unit: float, tol: float, t_c
                 i, j = watched
                 return abs(zero[j] - zero[i])
         y_old = y
-    raise _no_quarter(t_char)
-
-
-def _batch_quarters(q0, circled, reciprocals, t_unit: float, tol: float, t_char) -> list[float]:
-    """The quarter periods of all rows, as ``_orbit_quarter`` measures each,
-    from one ``_dop853`` run of the 3N-dimensional system at atol = rtol =
-    tol / (8 sqrt(N)); the bisections run together after the last step.
-    Raises IntegrationError naming the first row without both zeros."""
-    import numpy as np
-
-    n = len(q0)
-    q0 = np.array(q0).T
-    watched = np.ones((3, n), dtype=bool)
-    watched[circled, np.arange(n)] = False
-    # On the unit sphere a component's allowance atol + rtol |q_i| stays
-    # below 2 batch_tol, relative to the orbit's size whatever l is.
-    batch_tol = 0.125 * tol / math.sqrt(n)
-    steps = _dop853(
-        lambda tau, y: (t_unit * _field(y.reshape(3, n), reciprocals)).ravel(),
-        0.0, q0.ravel(), MAX_CHARACTERISTIC_TIMES, rtol=batch_tol, atol=batch_tol,
+    raise IntegrationError(
+        f"orbit did not turn a quarter within {MAX_CHARACTERISTIC_TIMES * t_char:.3g} time units; "
+        "the initial condition may be exponentially close to the separatrix"
     )
-    # The watched components still without a zero; one that is 0 at the
-    # start has its zero at t = 0.  For each other one, once its sign
-    # changes: the step's ends, and the component's dense output over the
-    # step, its coefficients and its value at the step's start.
-    pending = watched & (q0 != 0.0)
-    crossing = np.flatnonzero(pending)
-    t_start, t_end, start = np.zeros(3 * n), np.zeros(3 * n), np.zeros(3 * n)
-    F = np.zeros((7, 3 * n))
-    t_old, y_old = 0.0, q0
-    for t, y, dense in steps:
-        y = y.reshape(3, n)
-        # A pending component is nonzero at the step's start.
-        changed = pending & ((y == 0.0) | ((y < 0.0) != (y_old < 0.0)))
-        if changed.any():
-            flat = np.flatnonzero(changed)
-            _, _, F_step, y_step = dense()
-            t_start[flat], t_end[flat], F[:, flat], start[flat] = t_old, t, F_step[:, flat], y_step[flat]
-            pending &= ~changed
-            if not pending.any():
-                break
-        t_old, y_old = t, y
-    else:
-        raise _no_quarter(t_char[int(np.argmax(pending.any(axis=0)))])
-    t_start, t_end, F, start = t_start[crossing], t_end[crossing], F[:, crossing], start[crossing]
-    lo, hi, step = t_start, t_end, t_end - t_start
-    while np.any(np.nextafter(lo, hi) < hi):
-        mid = 0.5 * (lo + hi)
-        value = _dense_output(F, start, (mid - t_start) / step, slice(None))
-        before = (value != 0.0) & ((value < 0.0) == (start < 0.0))
-        lo, hi = np.where(before, mid, lo), np.where(before, hi, mid)
-    # The first zeros of each row's two watched components are consecutive.
-    zero = np.zeros(3 * n)
-    zero[crossing] = hi
-    zero = zero.reshape(3, n).T[watched.T].reshape(n, 2)
-    return np.abs(zero[:, 1] - zero[:, 0]).tolist()
 
 
 def orbit_period(state: MomentumState, inertia: InertiaSpec, *, tol: float = 1e-12) -> float:

@@ -135,12 +135,12 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     that point; an S outside the float range is refused as S, or as
     S(c, b, a, d), at the row's own point.  The ODE route takes all rows'
     p2 = 0 orbits in one ``orbit_periods`` call at tolerance
-    min(1e-12, tol).
+    min(1e-12, tol), which steps each orbit alone; no route loads numpy.
 
     Refused before any route runs: moments that ``InertiaSpec`` refuses,
     then a d within ``dynamics.SEPARATRIX_RTOL`` of b (SeparatrixError),
-    then a row that is no ``ModuliPoint``.  Loads numpy only for a grid of
-    at least ``dynamics._BATCH_ROWS`` rows.
+    then a d outside the axis's open gap, (b, a) for p1 and (c, b) for p3
+    (DomainError), then a row that is no ``ModuliPoint``.
     """
     from .dynamics import SEPARATRIX_RTOL, MomentumState, SeparatrixError, orbit_periods
 
@@ -157,6 +157,10 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
                 f"grid point d = {d} sits on the separatrix (d = b); "
                 "the rotation period diverges there"
             )
+    far = a if axis == "p1" else c
+    for d, _ in grid:
+        if not min(b, far) < d < max(b, far):
+            raise DomainError(f"grid point d = {d} lies outside the open gap ({b}, {far}) of axis {axis}")
     points = [ModuliPoint(a, b, c, d, l=l) for d, l in grid]
     order = _CLASS_ORDERS["S1" if axis == "p1" else "S3"]
     label = "S" if axis == "p1" else f"S({', '.join(order)})"

@@ -171,6 +171,27 @@ def test_period_chamber_violation(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("axis, good, bad", [("p1", 2.5, 3.5), ("p1", 2.5, 3.0), ("p3", 1.5, 2.5), ("p3", 1.5, 0.5)])
+def test_period_names_a_d_outside_the_axis_gap(capsys, monkeypatch, axis, good, bad):
+    # d must lie inside the open gap (b, a) for p1, (c, b) for p3.  A d
+    # outside it is refused by name before any route runs.
+    from eulertop import periods
+
+    def no_route(*args, **kwargs):
+        raise AssertionError("a route ran")
+
+    # The ODE route runs after these two.
+    for route in ("S_closed_form", "quadrature_sigma_integral"):
+        monkeypatch.setattr(periods, route, no_route)
+    gap = "(2.0, 3.0)" if axis == "p1" else "(2.0, 1.0)"
+    want = f"grid point d = {bad} lies outside the open gap {gap} of axis {axis}"
+    with pytest.raises(DomainError) as exc:
+        period_report(3.0, 2.0, 1.0, axis, [good, bad], [1.0], 1e-10)
+    assert str(exc.value) == want
+    code, out, err = run(capsys, "period", "--abc", "3,2,1", "--axis", axis, "--grid-d", f"{good},{bad}")
+    assert (code, out, err) == (1, "", f"error: {want}\n")
+
+
 def test_period_rejects_nonpositive_reciprocal(capsys):
     code, out, err = run(capsys, "period", "--abc", "3,2,0", "--grid-d", "2.5")
     assert code == 1
@@ -399,6 +420,15 @@ def test_monodromy_missing_loop_file(tmp_path, capsys):
     code, out, err = run(capsys, "monodromy", "--loop", str(tmp_path / "absent.json"))
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_monodromy_loop_file_nested_too_deeply(tmp_path, capsys):
+    # Refused like a loop file's other faults: one line naming the file, exit 1.
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text("[" * 2000 + "]" * 2000)
+    code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
+    assert (code, out) == (1, "")
+    assert err == f"error: loop file {loop_file} nests its JSON too deeply\n"
 
 
 def test_monodromy_loop_file_missing_key(tmp_path, capsys):
@@ -638,6 +668,16 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, content, message):
     assert err.startswith("error:") and message in err
 
 
+def test_config_file_nested_too_deeply(tmp_path, capsys):
+    # JSON nested deeper than the parser recurses is refused in one line
+    # that names the file, not with a RecursionError traceback.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 2000 + "]" * 2000)
+    code, out, err = run(capsys, "period", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: config file {cfg} nests its JSON too deeply\n"
+
+
 def test_config_missing_or_malformed_file(tmp_path, capsys):
     code, out, err = run(capsys, "series", "--config", str(tmp_path / "absent.json"))
     assert code == 2
@@ -773,12 +813,12 @@ def test_version_and_series_do_not_load_numpy(tmp_path):
 def test_light_commands_do_not_load_numpy(tmp_path):
     # verify and every monodromy command are scalar and integer work;
     # neither they nor the layers they import may pay for numpy.  Nor may
-    # period below dynamics._BATCH_ROWS rows, whose orbits are stepped one
-    # at a time in Python floats: the default grid, and a 64-row grid like
-    # the benchmark's.  A grid of _BATCH_ROWS rows is one numpy batch.
+    # period, whose orbits are stepped one at a time in Python floats: the
+    # default grid, a 64-row grid like the benchmark's, and a 90-row grid.
     loop_file = tmp_path / "loop.json"
     loop_file.write_text(json.dumps(_loop_round_b(0.9)))
     grid_64 = ["--grid-d", _csv(*(2.0 + 10.0 ** (-4.0 + 0.2 * k) for k in range(16))), "--grid-l", "0.01,0.3,7,100"]
+    grid_90 = ["--grid-d", ",".join(str(2.0 + 0.5 * (k + 1) / 90) for k in range(90))]
     script = (
         "import contextlib, io, sys\n"
         "import eulertop.special, eulertop.periods, eulertop.lattice, eulertop.monodromy, eulertop.verify\n"
@@ -788,15 +828,10 @@ def test_light_commands_do_not_load_numpy(tmp_path):
         "for argv in (['verify'], ['monodromy', '--preset', 'braid'], ['monodromy', '--preset', 'confluence'],\n"
         "             ['monodromy', '--preset', 'alpha1'], ['monodromy', '--preset', 'all-generators'],\n"
         f"             ['monodromy', '--loop', {str(loop_file)!r}],\n"
-        f"             ['period'], ['period', '--format', 'json', *{grid_64!r}]):\n"
+        f"             ['period'], ['period', '--format', 'json', *{grid_64!r}], ['period', *{grid_90!r}]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n"
-        "n = eulertop.dynamics._BATCH_ROWS\n"
-        "grid = ','.join(str(2.0 + 0.5 * (k + 1) / n) for k in range(n))\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['period', '--grid-d', grid]) == 0\n"
-        "assert 'numpy' in sys.modules, 'a grid of _BATCH_ROWS rows ran without numpy'\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

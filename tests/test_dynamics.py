@@ -197,7 +197,7 @@ def test_orbit_periods_take_states_whose_casimir_is_outside_the_float_range(p0):
     assert got == pytest.approx(_reference_period(p0, INERTIA.reciprocals()), rel=1e-11)
 
 
-def test_orbit_periods_batch_matches_closed_form():
+def test_orbit_periods_match_closed_form():
     # Both families, l from 1e-300 to 1e300, rows at 1e-4 of the separatrix
     # gap, and one state flowed off the p2 = 0 plane, all in one call, in
     # row order.
@@ -263,55 +263,6 @@ def test_orbit_period_matches_mpmath_at_its_own_energy(axis, near_axis, log_dist
     assert got == pytest.approx(_reference_period(p, INERTIA.reciprocals()), rel=1e-11)
 
 
-def test_orbit_periods_stop_within_a_step_of_the_longest_quarter(monkeypatch):
-    # Rows on p2 = 0 start on a zero, so the batch's solve ends in the step
-    # that passes a quarter of the longest period, in characteristic time.
-    monkeypatch.setattr(dynamics, "_BATCH_ROWS", 1)
-    ends = []
-
-    def recording(*args, **kwargs):
-        for step in _dop853(*args, **kwargs):
-            ends.append(step[0])
-            yield step
-
-    monkeypatch.setattr(dynamics, "_dop853", recording)
-    rows = [(2.5, 1.0, "p1"), (2.0001, 7.0, "p1"), (2.9, 0.05, "p1"), (1.5, 0.3, "p3"), (1.9999, 1.0, "p3")]
-    orbit_periods([chamber_state(d, l) for d, l, _ in rows], INERTIA)
-    quarter = max(
-        euler_period(ModuliPoint(3, 2, 1, d, l), axis=axis) / _characteristic_time(l, INERTIA.reciprocals())
-        for d, l, axis in rows
-    ) / 4.0
-    assert ends[-2] < quarter <= ends[-1]
-
-
-def test_orbit_periods_count_both_zeros_a_step_passes(monkeypatch):
-    # At a loose tolerance one step of the batch passes a zero of each
-    # watched component, on an orbit of each family.  Both count, so each
-    # period still comes from two consecutive zeros, not from zeros half a
-    # period apart.
-    monkeypatch.setattr(dynamics, "_BATCH_ROWS", 1)
-    rows = [(2.9, "p1"), (1.1, "p3")]
-    periods = [euler_period(ModuliPoint(3, 2, 1, d, 0.5), axis=axis) for d, axis in rows]
-    states = [
-        MomentumState(*integrate_orbit(chamber_state(d, 0.5), INERTIA, period / 8, n_samples=2).p[-1])
-        for (d, _), period in zip(rows, periods)
-    ]
-    ends = []
-
-    def recording(*args, **kwargs):
-        for step in _dop853(*args, **kwargs):
-            ends.append(step[1].reshape(3, -1))
-            yield step
-
-    monkeypatch.setattr(dynamics, "_dop853", recording)
-    got = orbit_periods(states, INERTIA, tol=1e-3)
-    signs = np.sign([np.array([s.as_array() for s in states]).T, *ends])
-    flips = signs[1:] != signs[:-1]
-    # Row 0 watches p2 and p3, row 1 p1 and p2.
-    assert np.any(flips[:, 1, 0] & flips[:, 2, 0]) and np.any(flips[:, 0, 1] & flips[:, 1, 1])
-    np.testing.assert_allclose(got, periods, rtol=1e-3)
-
-
 def _record_orbits(monkeypatch) -> list:
     """Each _dop853_floats run from here on, as the list of its states: the
     start, then the state after each accepted step, with the step's end."""
@@ -328,8 +279,8 @@ def _record_orbits(monkeypatch) -> list:
 
 
 def test_orbit_stepped_alone_stops_within_a_step_of_its_quarter(monkeypatch):
-    # Below _BATCH_ROWS each orbit runs alone and stops in the step that
-    # passes its own quarter period, in characteristic time.
+    # Each orbit runs alone and stops in the step that passes its own
+    # quarter period, in characteristic time.
     runs = _record_orbits(monkeypatch)
     rows = [(2.5, 1.0, "p1"), (2.0001, 7.0, "p1"), (1.5, 0.3, "p3"), (1.9999, 1.0, "p3")]
     orbit_periods([chamber_state(d, l) for d, l, _ in rows], INERTIA)
@@ -340,7 +291,7 @@ def test_orbit_stepped_alone_stops_within_a_step_of_its_quarter(monkeypatch):
 
 
 def test_orbit_stepped_alone_counts_both_zeros_a_step_passes(monkeypatch):
-    # The per-orbit route at a tolerance loose enough that one step passes
+    # Each orbit alone at a tolerance loose enough that one step passes
     # a zero of each watched component, on an orbit of each family.
     rows = [(2.9, "p1"), (1.1, "p3")]
     periods = [euler_period(ModuliPoint(3, 2, 1, d, 0.5), axis=axis) for d, axis in rows]
@@ -367,7 +318,7 @@ _BATCH_DIGITS = {1e-2: -13.42, 1e-4: -12.80, 1e-6: -10.99}
 @pytest.mark.parametrize("share", sorted(_BATCH_DIGITS, reverse=True))
 def test_orbits_stepped_alone_keep_the_batch_digits_near_the_separatrix(share):
     # Four levels l per call, on three seeded sets of moments per family, at
-    # a share of the gap from the separatrix; each call is below _BATCH_ROWS.
+    # a share of the gap from the separatrix.
     # Near the separatrix a row's error is mostly its energy's rounding,
     # which follows the moments more than the route, so the bound is on the
     # mean digits: the batch's own on these rows.
@@ -388,17 +339,17 @@ def test_orbits_stepped_alone_keep_the_batch_digits_near_the_separatrix(share):
     assert sum(map(math.log10, errors)) / len(errors) <= _BATCH_DIGITS[share]
 
 
-def test_batch_and_orbits_stepped_alone_agree():
-    # _BATCH_ROWS rows, 1e-4 to 0.4 of the gap on both families, in one call
-    # (one numpy batch) and in four calls (each orbit alone).
+def test_a_rows_period_does_not_depend_on_its_call():
+    # 90 rows, 1e-4 to 0.4 of the gap on both families, in one call and in
+    # four calls: each orbit is stepped alone, so every period keeps its bits.
     a, b, c = INERTIA.reciprocals()
-    n = dynamics._BATCH_ROWS
+    n, part = 90, 23
     shares = [10.0 ** (-4.0 + 3.7 * (k // 2) / (n // 2)) for k in range(n)]
     states = [chamber_state(b + (a - b) * s if k % 2 else b - (b - c) * s, 10.0 ** (k % 5 - 2))
               for k, s in enumerate(shares)]
-    batch = orbit_periods(states, INERTIA)
-    alone = [t for k in range(0, n, n // 4) for t in orbit_periods(states[k:k + n // 4], INERTIA)]
-    np.testing.assert_allclose(alone, batch, rtol=1e-11)
+    whole = orbit_periods(states, INERTIA)
+    parts = [t for k in range(0, n, part) for t in orbit_periods(states[k:k + part], INERTIA)]
+    assert parts == whole
 
 
 def test_both_steppers_reject_a_step_that_overflows():
@@ -438,7 +389,7 @@ def test_dense_value_is_the_dense_output_of_one_component():
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-16)
 
 
-def test_orbit_periods_batch_refuses_one_bad_row():
+def test_orbit_periods_refuse_one_bad_row():
     good = [chamber_state(2.5), chamber_state(1.5, 2.0)]
     with pytest.raises(SeparatrixError):
         orbit_periods([*good, chamber_state(2.0)], INERTIA)
@@ -474,7 +425,9 @@ def _step_beside_scipy(fun, y0, t_bound, rtol, atol):
 
 @pytest.mark.parametrize("n", [1, 64])
 def test_dop853_steps_the_batched_system_like_scipy(n):
-    # orbit_periods' system and tolerances, on n random unit-sphere orbits.
+    # n random unit-sphere orbits stacked as one 3n-dimensional system: the
+    # stepper that integrate_orbit uses keeps scipy's bits beyond its 3
+    # components, and _dense_output reads any row at its own time.
     rng = np.random.default_rng(n)
     q0 = rng.normal(size=(3, n))
     q0 /= np.linalg.norm(q0, axis=0)
@@ -485,7 +438,7 @@ def test_dop853_steps_the_batched_system_like_scipy(n):
         return (0.7 * _field(y.reshape(3, n), reciprocals)).ravel()
     steps, _ = _step_beside_scipy(fun, q0.ravel(), 20.0, batch_tol, batch_tol)
     assert steps > 10
-    # orbit_periods reads each row's three components at the row's own time.
+    # Each picked row's three components, at the row's own time.
     t, _, dense = next(_dop853(fun, 0.0, q0.ravel(), 20.0, rtol=batch_tol, atol=batch_tol))
     rows = np.arange(0, n, 3)
     mid = t * rng.uniform(size=rows.size)
