@@ -15,10 +15,8 @@ the module that defines it:
 - ``verify``: the check battery, one table of checks run into one report
 - ``cli``: the ``eulertop`` command
 
-Only ``dynamics`` computes with arrays, and only it imports numpy, inside
-the functions that build them; the other layers are scalar, exact or
-integer code.  ``period`` steps each orbit alone in Python floats, so only
-``simulate`` loads numpy.
+No layer imports numpy: ``dynamics`` steps each orbit in Python floats,
+and the other layers are scalar, exact or integer code.
 """
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from . import __version__
 from .core import MAX_SAMPLES, ComputationError, InertiaSpec
 
 # Each command imports the layers it runs when it starts, so none pays for a
-# layer it does not use: only ``simulate`` loads numpy.
+# layer it does not use.  No command loads numpy.
 
 __all__ = ["main", "build_parser"]
 
@@ -268,6 +268,8 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
         with open(loop_file, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"cannot read loop file {loop_file}: {exc}") from None
             except RecursionError:
                 raise ValueError(f"loop file {loop_file} nests its JSON too deeply") from None
         loop = ModuliLoop.from_json_dict(data)

@@ -7,8 +7,7 @@ b = 1/I2, c = 1/I3 and the energy ratio d = h/l.  Everything downstream
 (a, b, c, d) together with the Casimir level l, so those live here as small
 immutable value types, with the one cross-ratio attached.  Every record of
 the package derives from ``FrozenRecord``, a frozen record on ``__slots__``:
-it needs no import, so a command that loads no numpy loads no ``inspect``
-either.
+it needs no import, so no command loads ``inspect`` for it.
 
 Every period of the body is a function of one cross-ratio of (a, b, c, d),
 ``cross_ratio(a, b, c, d) = (d-a)(b-c) / ((d-c)(b-a))``.  Two of its
@@ -58,7 +57,7 @@ _REAL_RTOL = 1e-12
 
 # The most samples an orbit may ask for: ``dynamics.integrate_orbit`` and the
 # CLI's --samples refuse more before allocating them.  It lives here, not in
-# ``dynamics``, so that checking it loads no numpy.
+# ``dynamics``, so that the CLI checks it without importing ``dynamics``.
 MAX_SAMPLES = 100001
 
 

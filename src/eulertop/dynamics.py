@@ -22,19 +22,16 @@ four, so is its error, and the solver runs well below the tolerance asked
 of the period.  Each zero is refined by bisection on its component's dense
 output over the step that passed it.
 
-Two DOP853 steppers share one tableau, stored as Python floats.
-``_dop853`` steps a numpy state and serves ``integrate_orbit``, and so
-``simulate``, alone; its sums are numpy's, which keeps it bit for bit with
-scipy's DOP853.  ``_dop853_floats`` steps one orbit's three Python floats
-and serves ``orbit_periods``, one orbit at a time, so ``period`` never
-loads numpy.  This module imports numpy only inside the functions that
-build arrays.
+One DOP853 stepper, ``_dop853``, steps an orbit's three Python floats: it
+serves ``integrate_orbit``, which samples its dense output on a uniform
+grid, and ``orbit_periods``, which bisects it for zeros.  This module
+imports no numpy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 import sys
 
 from .core import (
@@ -80,24 +77,13 @@ class MomentumState(FrozenRecord):
 
     __slots__ = ("p1", "p2", "p3")
 
-    def as_array(self):
-        import numpy as np
 
-        return np.array([self.p1, self.p2, self.p3], dtype=float)
-
-
-def _field(p, reciprocals):
-    """Time derivative of the momentum at p, given the reciprocals (a, b, c):
-    the integrators take them once, not once per evaluation.  A tuple of
-    three floats gives a tuple; an array, one state (3,) or a stack (3, N),
-    gives an array."""
+def _field(p, reciprocals) -> tuple:
+    """Time derivative of the momentum at p, three floats, given the
+    reciprocals (a, b, c): the integrators take them once, not once per
+    evaluation."""
     a, b, c = reciprocals
-    f = (-(b - c) * p[1] * p[2], -(c - a) * p[2] * p[0], -(a - b) * p[0] * p[1])
-    if type(p) is tuple:
-        return f
-    import numpy as np
-
-    return np.array(f)
+    return -(b - c) * p[1] * p[2], -(c - a) * p[2] * p[0], -(a - b) * p[0] * p[1]
 
 
 def _normal(x: float) -> bool:
@@ -134,12 +120,11 @@ def _characteristic_time(l: float, reciprocals, k: int = 0) -> float:
 
 
 def conserved(p, inertia: InertiaSpec):
-    """The pair (H, L) = (energy, Casimir) at one state (3,) or a stack (3, N)."""
-    import numpy as np
-
+    """The pair (H, L) = (energy, Casimir) at p: a ``MomentumState``, three
+    numbers, or the three rows of any stack whose arithmetic is elementwise."""
     if isinstance(p, MomentumState):
-        p = p.as_array()
-    return _invariants(np.asarray(p, dtype=float), inertia.reciprocals())
+        p = (p.p1, p.p2, p.p3)
+    return _invariants(p, inertia.reciprocals())
 
 
 def _invariants(p, reciprocals):
@@ -157,8 +142,7 @@ def _invariants(p, reciprocals):
 # 2nd ed., sections II.5 and II.10).  Stages 0-11 make a step, stage 12 is
 # the derivative at its end, and stages 13-15 serve only the dense output.
 # The tableau is stored once, as Python floats: each row of weights as
-# {column: value} over its nonzero entries.  ``_dop853_floats`` sums over
-# those entries; ``_tableau_arrays`` builds ``_dop853``'s arrays from them.
+# {column: value} over its nonzero entries, which ``_dop853`` sums over.
 
 _C = (
     0.0,
@@ -276,161 +260,8 @@ _D = (
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EXPONENT = -1 / 8
 
-
-@functools.cache
-def _tableau_arrays() -> tuple:
-    """The tableau as ``_dop853`` reads it, built once per process: each
-    stage's node and weights (c_s, A[s, :s]), b, the two error estimators
-    over stages 0..12 and the dense output's weights D (4, 16)."""
-    import numpy as np
-
-    def dense(shape, rows):
-        out = np.zeros(shape)
-        for i, row in enumerate(rows):
-            for j, value in row.items():
-                out[i, j] = value
-        return out
-
-    A, C = dense((16, 16), _A), np.array(_C)
-    E5, E3 = dense((2, 13), (_E5, _E3))
-    return tuple((C[s], A[s, :s]) for s in range(16)), A[12, :12], E5, E3, dense((4, 16), _D)
-
-
-def _rms(x) -> float:
-    import numpy as np
-
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
-def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
-    """First step size: Hairer's guess from the sizes of y0, f0 and a
-    difference quotient of f, for a local error of order 8 in the step."""
-    import numpy as np
-
-    interval = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval)
-
-
-def _error_norm(K, h, scale) -> float:
-    """RMS of the 5th-order error estimate over ``scale``, damped where the
-    3rd-order estimate is much smaller than the 5th-order one."""
-    import numpy as np
-
-    _, _, E5, E3, _ = _tableau_arrays()
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    # np.linalg.norm's own operations, without its per-call checks: the
-    # squares keep the bits scipy's DOP853 computes.
-    err5_2 = np.sqrt(err5.dot(err5)) ** 2
-    err3_2 = np.sqrt(err3.dot(err3)) ** 2
-    if err5_2 == 0 and err3_2 == 0:
-        return 0.0
-    return np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
-
-
-def _dop853(fun, t0, y0, t_bound, *, rtol, atol):
-    """Integrate y' = fun(t, y) from t0 forward to t_bound with DOP853.
-
-    Yields ``(t, y, dense)`` after each accepted step; the last step is cut
-    to end on t_bound.  ``dense()`` returns the step's dense output
-    ``(t_old, h, F, y_old)``: the step of length h from t_old, the
-    coefficients F (7, n) of a polynomial in x = (t - t_old) / h that
-    ``_dense_output`` evaluates, and the state y_old at the step's start.
-    ``dense()`` must be called before the generator resumes.
-    A step is accepted when the scaled error norm is below 1, the scale of a
-    component being atol + rtol max(|y_i| before, |y_i| after); rtol is
-    raised to 100 machine epsilons if below.  Raises IntegrationError when
-    the step size falls below ten spacings of t.  A step whose arithmetic
-    overflows counts as a rejected step, without a warning.
-    """
-    import numpy as np
-
-    stages, B, _, _, _ = _tableau_arrays()
-    rtol = max(rtol, 100 * np.finfo(float).eps)
-    t, y = t0, np.asarray(y0, dtype=float)
-    K = np.empty((16, y.size))
-    with np.errstate(all="ignore"):
-        f = fun(t, y)
-        h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
-    while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:  # a nan step size fails here too
-                raise IntegrationError(
-                    "integration failed: Required step size is less than spacing between numbers."
-                )
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = np.abs(h)
-            with np.errstate(all="ignore"):
-                K[0] = f
-                for s, (c, a) in enumerate(stages[1:12], 1):
-                    K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
-                y_new = y + h * np.dot(K[:12].T, B)
-                K[12] = f_new = fun(t + h, y_new)
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                err = _error_norm(K[:13], h, scale)
-            if err < 1:
-                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
-            rejected = True
-        t_old, y_old, t, y, f_old, f = t, y, t_new, y_new, f, f_new
-        yield t, y, lambda: _interpolant(fun, t_old, t, y_old, y, f_old, f, K)
-
-
-def _interpolant(fun, t_old, t, y_old, y, f_old, f, K) -> tuple:
-    """The dense output of the step from t_old to t."""
-    import numpy as np
-
-    stages, _, _, _, D = _tableau_arrays()
-    h = t - t_old
-    for s, (c, a) in enumerate(stages[13:], 13):
-        K[s] = fun(t_old + c * h, y_old + np.dot(K[:s].T, a) * h)
-    delta = y - y_old
-    F = np.empty((7, y.size))
-    F[0] = delta
-    F[1] = h * f_old - delta
-    F[2] = 2 * delta - h * (f + f_old)
-    F[3:] = h * np.dot(D, K)
-    return t_old, h, F, y_old
-
-
-def _dense_output(F, y_old, x, rows):
-    """The dense output at x = (t - t_old) / h: y_old plus a Horner scheme
-    in x and 1 - x, alternating, over the coefficients F[6], ..., F[0].
-
-    Each F[i] and y_old are read at the index ``rows``, broadcast against x.
-    When they hold many steps on a last axis, ``rows`` picks each sample's
-    step as well, so one call serves all of them, gathering one coefficient
-    at a time.
-    """
-    import numpy as np
-
-    out = np.zeros(np.broadcast_shapes(np.shape(x), y_old[rows].shape))
-    for i, coeff in enumerate(F[::-1]):
-        out += coeff[rows]
-        out *= x if i % 2 == 0 else 1 - x
-    out += y_old[rows]
-    return out
-
-
-# ----------------------------------------------------------------------
-# DOP853 over one orbit's three Python floats.  Each sum over stages runs
-# left to right over a row's nonzero weights, (stage, weight) pairs.
-
+# Each sum over stages runs left to right over a row's nonzero weights,
+# (stage, weight) pairs.
 _STAGE_WEIGHTS = tuple((_C[s], tuple(_A[s].items())) for s in range(16))
 # b and the two error estimators weigh the same stages: (stage, b, e5, e3).
 _END_WEIGHTS = tuple((j, w, _E5[j], _E3[j]) for j, w in _B.items())
@@ -448,22 +279,23 @@ def _combine(K, weights) -> tuple[float, float, float]:
     return s1, s2, s3
 
 
-def _rms_floats(x) -> float:
+def _rms(x) -> float:
     x1, x2, x3 = x
     return math.sqrt((x1 * x1 + x2 * x2 + x3 * x3) / 3.0)
 
 
-def _initial_step_floats(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
-    """``_initial_step`` for three floats; where it divides by zero, the
-    quotient numpy gives."""
+def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
+    """First step size: Hairer's guess from the sizes of y0, f0 and a
+    difference quotient of f, for a local error of order 8 in the step.
+    A quotient by zero is taken as infinite."""
     interval = abs(t_bound - t0)
     scale = [atol + abs(y) * rtol for y in y0]
-    d0 = _rms_floats([y / s for y, s in zip(y0, scale)])
-    d1 = _rms_floats([f / s for f, s in zip(f0, scale)])
+    d0 = _rms([y / s for y, s in zip(y0, scale)])
+    d1 = _rms([f / s for f, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = fun(t0 + h0, tuple(y + h0 * f for y, f in zip(y0, f0)))
-    d2 = _rms_floats([(u - v) / s for u, v, s in zip(f1, f0, scale)]) / h0 if h0 else math.inf
+    d2 = _rms([(u - v) / s for u, v, s in zip(f1, f0, scale)]) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -472,9 +304,11 @@ def _initial_step_floats(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-def _error_norm_floats(err5, err3, h, scale) -> float:
-    """``_error_norm`` for three components, given the stage sums err5 and
-    err3 of the two estimators; nan where it would divide 0 by 0."""
+def _error_norm(err5, err3, h, scale) -> float:
+    """RMS of the 5th-order error estimate over ``scale``, damped where the
+    3rd-order estimate is much smaller than the 5th-order one, given the
+    stage sums err5 and err3 of the two estimators; nan where it would
+    divide 0 by 0."""
     n5 = n3 = 0.0
     for x5, x3, s in zip(err5, err3, scale):
         x5, x3 = x5 / s, x3 / s
@@ -486,27 +320,35 @@ def _error_norm_floats(err5, err3, h, scale) -> float:
     return abs(h) * n5 / denominator if denominator else math.nan
 
 
-def _dop853_floats(fun, t0, y0, t_bound, *, rtol, atol):
-    """``_dop853`` for a state of three Python floats, without numpy.
+def _dop853(fun, t0, y0, t_bound, *, rtol, atol):
+    """Integrate y' = fun(t, y) from t0 forward to t_bound with DOP853, for a
+    state of three Python floats: ``fun(t, y)`` takes and returns a tuple of
+    three floats.
 
-    The same pair, first step, step control and refusal: ``fun(t, y)``
-    takes and returns a tuple of three floats, and atol must be above zero.
-    rtol is raised to 10 machine epsilons if below, not 100: the
-    compensated sum below keeps the states' rounding under that.
-    A step whose arithmetic overflows is rejected, and no operation here
+    Yields ``(t, y, dense)`` after each accepted step; the last step is cut
+    to end on t_bound.  ``dense()`` returns the step's dense output
+    ``(t_old, h, F, y_old)``: the step of length h from t_old, the
+    coefficients F, seven 3-tuples, of a polynomial in x = (t - t_old) / h
+    whose components ``_dense_value`` evaluates, and the state y_old at the
+    step's start.  ``dense()`` must be called before the generator resumes.
+
+    A step is accepted when the scaled error norm is below 1, the scale of a
+    component being atol + rtol max(|y_i| before, |y_i| after); atol must be
+    above zero, and rtol is raised to 10 machine epsilons if below.  Raises
+    IntegrationError when the step size falls below ten spacings of t.  A
+    step whose arithmetic overflows is rejected, and no operation here
     raises or warns on overflow: squares are products, never powers.  Sums
     over stages run left to right, and the accepted states are summed with
     compensation (E. Hairer, C. Lubich & G. Wanner, "Geometric Numerical
     Integration", 2nd ed., section VIII.5): each new state's rounding error
-    is carried into the next step's increment.  Yields ``(t, y, dense)`` as
-    ``_dop853`` does; ``dense()`` gives F as seven 3-tuples, and
-    ``_dense_value`` evaluates one component from their entries.
+    is carried into the next step's increment, which keeps the states'
+    rounding below the rtol floor.
     """
     rtol = max(rtol, 10 * sys.float_info.epsilon)
     t, y = t0, tuple(y0)
     carry = (0.0, 0.0, 0.0)
     f = fun(t, y)
-    h_abs = _initial_step_floats(fun, t, y, f, t_bound, rtol, atol)
+    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     while t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -548,7 +390,7 @@ def _dop853_floats(fun, t0, y0, t_bound, *, rtol, atol):
             y_new = (y1 + d1, y2 + d2, y3 + d3)
             f_new = fun(t + h, y_new)
             scale = [atol + max(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)]
-            err = _error_norm_floats((u1, u2, u3), (v1, v2, v3), h, scale)
+            err = _error_norm((u1, u2, u3), (v1, v2, v3), h, scale)
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
@@ -558,11 +400,12 @@ def _dop853_floats(fun, t0, y0, t_bound, *, rtol, atol):
         carry = ((y1 - y_new[0]) + d1, (y2 - y_new[1]) + d2, (y3 - y_new[2]) + d3)
         K.append(f_new)
         t_old, y_old, t, y, f_old, f = t, y, t_new, y_new, f, f_new
-        yield t, y, lambda: _interpolant_floats(fun, t_old, t, y_old, y, f_old, f, K)
+        yield t, y, lambda: _interpolant(fun, t_old, t, y_old, y, f_old, f, K)
 
 
-def _interpolant_floats(fun, t_old, t, y_old, y, f_old, f, K) -> tuple:
-    """``_interpolant`` for three floats: the step's K holds stages 0..12."""
+def _interpolant(fun, t_old, t, y_old, y, f_old, f, K) -> tuple:
+    """The dense output of the step from t_old to t, whose K holds stages
+    0..12."""
     K = K[:13]
     h = t - t_old
     y1, y2, y3 = y_old
@@ -580,9 +423,9 @@ def _interpolant_floats(fun, t_old, t, y_old, y, f_old, f, K) -> tuple:
 
 
 def _dense_value(f, y0, x) -> float:
-    """One component of a ``_dop853_floats`` dense output at x, from its
-    seven coefficients f and its value y0 at the step's start:
-    ``_dense_output``'s Horner scheme in x and 1 - x, term for term."""
+    """One component of a ``_dop853`` dense output at x, from its seven
+    coefficients f and its value y0 at the step's start: y0 plus a Horner
+    scheme in x and 1 - x, alternating, over f[6], ..., f[0]."""
     f0, f1, f2, f3, f4, f5, f6 = f
     u = 1 - x
     return ((((((f6 * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u + f0) * x + y0
@@ -590,7 +433,7 @@ def _dense_value(f, y0, x) -> float:
 
 class Trajectory(FrozenRecord):
     """A sampled orbit (t, p, H, L) with its invariants along the way:
-    arrays of the sample times, the momenta (shape (n, 3)), the energy and
+    tuples of the sample times, the momenta (each a 3-tuple), the energy and
     the Casimir."""
 
     __slots__ = ("t", "p", "H", "L")
@@ -606,9 +449,17 @@ class Trajectory(FrozenRecord):
 
 def _drift(x) -> float:
     """The largest |x - x[0]|, relative to |x[0]| unless that is 0."""
-    import numpy as np
+    x0 = x[0]
+    return max(abs(v - x0) for v in x) / (abs(x0) or 1.0)
 
-    return float(np.max(np.abs(x - x[0])) / (abs(x[0]) or 1.0))
+
+def _linspace(stop: float, n: int) -> list[float]:
+    """numpy.linspace(0.0, stop, n), bit for bit: i * (stop / (n - 1)), or
+    i / (n - 1) * stop where that step underflows to 0, and stop last."""
+    if n == 1:
+        return [0.0]
+    step = stop / (n - 1)
+    return [i * step if step else i / (n - 1) * stop for i in range(n - 1)] + [stop]
 
 
 def integrate_orbit(
@@ -621,30 +472,37 @@ def integrate_orbit(
 ) -> Trajectory:
     """Integrate the momentum equations to t_end with an adaptive RK8(5,3).
 
-    Samples are taken on a uniform grid via dense output: each step that
-    reaches grid times keeps its interpolant's coefficients, and the samples
-    of up to _DENSE_BLOCK such steps are evaluated together.
-    Energy and Casimir are evaluated at every sample so drift is directly
-    inspectable.  Raises DomainError before any work starts for a t_end or
-    tol not finite and above zero, for n_samples outside [1, MAX_SAMPLES],
-    for a t_end beyond MAX_CHARACTERISTIC_TIMES characteristic times, for a
-    nonzero state whose Casimir L = |p|^2/2 overflows or lies below the
-    smallest normal float (sys.float_info.min), where it has no correct
-    digits, and for moments whose characteristic time at L has no normal float.
-    """
-    import numpy as np
+    Samples are taken on the uniform grid of numpy.linspace(0, t_end,
+    n_samples), bit for bit, via dense output: as each step ends, the grid
+    times it reaches are read from its interpolant by ``_dense_value``.
+    The stepper is ``_dop853`` at rtol = atol = tol.  Energy and Casimir are
+    evaluated at every sample by ``conserved``, so drift is directly
+    inspectable.
 
+    Raises DomainError before any work starts for a t_end or tol not finite
+    and above zero, for an n_samples that is a bool, not an integer, or
+    outside [1, MAX_SAMPLES], for a t_end beyond MAX_CHARACTERISTIC_TIMES
+    characteristic times, for a nonzero state whose Casimir L = |p|^2/2
+    overflows or lies below the smallest normal float (sys.float_info.min),
+    where it has no correct digits, and for moments whose characteristic
+    time at L has no normal float.
+    """
     require_positive("t_end", t_end)
     require_positive("tol", tol)
-    if not (isinstance(n_samples, (int, np.integer)) and 1 <= n_samples <= MAX_SAMPLES):
+    if isinstance(n_samples, bool):
+        raise DomainError(f"n_samples must be an integer from 1 to {MAX_SAMPLES}, not the bool {n_samples!r}")
+    try:
+        n = operator.index(n_samples)
+    except TypeError:
+        n = 0
+    if not 1 <= n <= MAX_SAMPLES:
         raise DomainError(f"n_samples must be an integer from 1 to {MAX_SAMPLES}, got {n_samples!r}")
     reciprocals = inertia.reciprocals()
-    p0 = state.as_array()
-    with np.errstate(over="ignore"):
-        l = float(conserved(p0, inertia)[1])
-    if p0.any() and not _normal(l):
+    p0 = (float(state.p1), float(state.p2), float(state.p3))
+    l = conserved(p0, inertia)[1]
+    if any(p0) and not _normal(l):
         raise DomainError(
-            f"the Casimir L = |p|^2/2 of p0 = {tuple(p0.tolist())} is {l!r}; a nonzero state needs it "
+            f"the Casimir L = |p|^2/2 of p0 = {p0} is {l!r}; a nonzero state needs it "
             f"in [{sys.float_info.min!r}, {sys.float_info.max!r}]"
         )
     t_max = MAX_CHARACTERISTIC_TIMES * _characteristic_time(l, reciprocals) if l > 0.0 else math.inf
@@ -653,37 +511,19 @@ def integrate_orbit(
             f"t_end = {t_end!r} exceeds {MAX_CHARACTERISTIC_TIMES:g} characteristic times "
             f"({t_max:.6g} time units) of this orbit"
         )
-    t_eval = np.linspace(0.0, t_end, n_samples)
-    p = np.empty((3, n_samples))
-    block, first, done = [], 0, 0
+    times = _linspace(float(t_end), n)
+    p, k = [], 0
     for t, _, dense in _dop853(lambda t, p: _field(p, reciprocals), 0.0, p0, float(t_end), rtol=tol, atol=tol):
-        reached = int(np.searchsorted(t_eval, t, side="right"))
-        if reached > done:
-            block.append((*dense(), reached - done))
-            done = reached
-            # The last step ends on t_end, the last sample.
-            if len(block) == _DENSE_BLOCK or done == n_samples:
-                p[:, first:done] = _sample_steps(block, t_eval[first:done])
-                block, first = [], done
-    H, L = conserved(p, inertia)
-    return Trajectory(t_eval, p.T, H, L)
-
-
-# Sampled steps whose dense output integrate_orbit evaluates in one pass;
-# bounds the coefficients it holds however many steps an orbit takes.
-_DENSE_BLOCK = 256
-
-
-def _sample_steps(steps, times):
-    """The states (3, len(times)) at ``times`` from the dense output of
-    consecutive steps: ``steps`` holds each step's dense output followed by
-    its number of samples, in order."""
-    import numpy as np
-
-    t_old, h, F, y_old, counts = zip(*steps)
-    step = np.repeat(np.arange(len(steps)), counts)
-    x = (times - np.array(t_old)[step]) / np.array(h)[step]
-    return _dense_output(np.stack(F, axis=-1), np.stack(y_old, axis=-1), x, (slice(None), step))
+        # The last step ends on t_end, the last sample.
+        if k < n and times[k] <= t:
+            t_old, h, F, (y1, y2, y3) = dense()
+            f1, f2, f3 = zip(*F)
+            while k < n and times[k] <= t:
+                x = (times[k] - t_old) / h
+                p.append((_dense_value(f1, y1, x), _dense_value(f2, y2, x), _dense_value(f3, y3, x)))
+                k += 1
+    H, L = zip(*(conserved(q, inertia) for q in p))
+    return Trajectory(tuple(times), tuple(p), H, L)
 
 
 # Each orbit runs at atol = rtol = tol * _ORBIT_TOL: with the compensated
@@ -706,7 +546,7 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> list[f
     Orbit k runs scaled to the unit sphere and in its own characteristic
     time 1/sqrt(2 l_k (a - c)(a - b)), a > b > c the sorted reciprocals, so
     all turn at a comparable rate and l_k scales only the returned period.
-    Each orbit is stepped alone by ``_dop853_floats``, without numpy, at
+    Each orbit is stepped alone by ``_dop853`` at
     atol = rtol = tol / 512 (``_ORBIT_TOL``) on the unit sphere, rtol
     floored at 10 machine epsilons, and stops at its own second zero.  It
     steps its row itself, exact, where the unit-sphere state has rounded.
@@ -734,8 +574,8 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> list[f
         return []
     reciprocals = inertia.reciprocals()
     # Row k is multiplied by 2**e_k, its largest component in [2, 4), before
-    # h and l are formed: exact, and in range for every finite state.  A nan
-    # is the largest, as numpy's max takes it.
+    # h and l are formed: exact, and in range for every finite state.  A row
+    # holding a nan takes nan as its largest.
     e = [unit_exponent(math.nan if any(map(math.isnan, row)) else max(map(abs, row))) for row in p0]
     p = [(_ldexp(x1, k), _ldexp(x2, k), _ldexp(x3, k)) for (x1, x2, x3), k in zip(p0, e)]
     # An overflowing h is refused with the moments below.
@@ -782,7 +622,7 @@ def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> list[f
 def _orbit_quarter(q0, circled: int, reciprocals, t_unit: float, tol: float, t_char: float, size: float) -> float:
     """The time, in units of t_unit, between the first zeros of the two
     components other than ``circled`` of the orbit through q0, of radius
-    ``size``, stepped alone by ``_dop853_floats`` at rtol = tol and atol =
+    ``size``, stepped alone by ``_dop853`` at rtol = tol and atol =
     size * tol.  Raises IntegrationError, naming t_char, if it has not both
     by MAX_CHARACTERISTIC_TIMES."""
 
@@ -794,7 +634,7 @@ def _orbit_quarter(q0, circled: int, reciprocals, t_unit: float, tol: float, t_c
     zero = dict.fromkeys(watched, 0.0)
     pending = [i for i in watched if q0[i] != 0.0]
     y_old = q0
-    for t, y, dense in _dop853_floats(fun, 0.0, q0, MAX_CHARACTERISTIC_TIMES, rtol=tol, atol=size * tol):
+    for t, y, dense in _dop853(fun, 0.0, q0, MAX_CHARACTERISTIC_TIMES, rtol=tol, atol=size * tol):
         # A pending component is nonzero at the step's start.
         changed = [i for i in pending if y[i] == 0.0 or (y[i] < 0.0) != (y_old[i] < 0.0)]
         if changed:

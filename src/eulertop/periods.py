@@ -138,7 +138,8 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     min(1e-12, tol), which steps each orbit alone; no route loads numpy.
 
     Refused before any route runs: moments that ``InertiaSpec`` refuses,
-    then a d within ``dynamics.SEPARATRIX_RTOL`` of b (SeparatrixError),
+    then a b not strictly between a and c (DomainError), then a d within
+    ``dynamics.SEPARATRIX_RTOL`` of b (SeparatrixError),
     then a d outside the axis's open gap, (b, a) for p1 and (c, b) for p3
     (DomainError), then a row that is no ``ModuliPoint``.
     """
@@ -149,6 +150,9 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     grid = [(d, l) for l in grid_l for d in grid_d]
     # A degenerate a, b, c is named before the grid it puts on d = b.
     inertia = InertiaSpec.from_reciprocals(a, b, c)
+    # Such moments have no elliptic chamber for any d; named by the moments.
+    if not min(a, c) < b < max(a, c):
+        raise DomainError(f"reciprocal moment b = {b!r} must lie strictly between a = {a!r} and c = {c!r}")
     # orbit_periods refuses these rows too, but by energy and after the
     # other two routes have run; here they are named by d, first.
     for d, _ in grid:

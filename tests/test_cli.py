@@ -208,6 +208,21 @@ def test_period_names_a_degenerate_abc(capsys, flags):
     assert err == "error: moments of inertia must be pairwise distinct\n"
 
 
+@pytest.mark.parametrize("axis", ["p1", "p3"])
+@pytest.mark.parametrize("abc", ["2,3,1", "3,1,2"])
+def test_period_names_a_b_outside_a_and_c(capsys, abc, axis):
+    # Such moments leave no elliptic chamber for any d: refused by the
+    # moments, before the separatrix check that a grid point d = b meets.
+    a, b, c = map(float, abc.split(","))
+    want = f"error: reciprocal moment b = {b!r} must lie strictly between a = {a!r} and c = {c!r}\n"
+    for grid in ([], ["--grid-d", str(b)]):
+        code, out, err = run(capsys, "period", "--abc", abc, "--axis", axis, *grid)
+        assert (code, out, err) == (1, "", want)
+    # The full reversal of 3, 2, 1 runs.
+    code, out, err = run(capsys, "period", "--abc", "1,2,3", "--axis", axis)
+    assert code == 0, err
+
+
 def test_period_casimir_level_extremes(capsys):
     code, out, err = run(
         capsys, "period", "--grid-d", "2.5", "--grid-l", "1e-300,1e-100,1e100,1e300", "--format", "json",
@@ -429,6 +444,18 @@ def test_monodromy_loop_file_nested_too_deeply(tmp_path, capsys):
     code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
     assert (code, out) == (1, "")
     assert err == f"error: loop file {loop_file} nests its JSON too deeply\n"
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b'{"move": x}', "Expecting value: line 1 column 10 (char 9)"),
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+])
+def test_monodromy_names_a_loop_file_that_is_not_json(tmp_path, capsys, content, reason):
+    # Invalid JSON, or a file that is not UTF-8: one line naming the file, exit 1.
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_bytes(content)
+    code, out, err = run(capsys, "monodromy", "--loop", str(loop_file))
+    assert (code, out, err) == (1, "", f"error: cannot read loop file {loop_file}: {reason}\n")
 
 
 def test_monodromy_loop_file_missing_key(tmp_path, capsys):
@@ -813,8 +840,9 @@ def test_version_and_series_do_not_load_numpy(tmp_path):
 def test_light_commands_do_not_load_numpy(tmp_path):
     # verify and every monodromy command are scalar and integer work;
     # neither they nor the layers they import may pay for numpy.  Nor may
-    # period, whose orbits are stepped one at a time in Python floats: the
-    # default grid, a 64-row grid like the benchmark's, and a 90-row grid.
+    # period and simulate, whose orbits are stepped in Python floats: the
+    # default grid, a 64-row grid like the benchmark's, a 90-row grid, and
+    # a sampled orbit.
     loop_file = tmp_path / "loop.json"
     loop_file.write_text(json.dumps(_loop_round_b(0.9)))
     grid_64 = ["--grid-d", _csv(*(2.0 + 10.0 ** (-4.0 + 0.2 * k) for k in range(16))), "--grid-l", "0.01,0.3,7,100"]
@@ -828,7 +856,8 @@ def test_light_commands_do_not_load_numpy(tmp_path):
         "for argv in (['verify'], ['monodromy', '--preset', 'braid'], ['monodromy', '--preset', 'confluence'],\n"
         "             ['monodromy', '--preset', 'alpha1'], ['monodromy', '--preset', 'all-generators'],\n"
         f"             ['monodromy', '--loop', {str(loop_file)!r}],\n"
-        f"             ['period'], ['period', '--format', 'json', *{grid_64!r}], ['period', *{grid_90!r}]):\n"
+        f"             ['period'], ['period', '--format', 'json', *{grid_64!r}], ['period', *{grid_90!r}],\n"
+        "             ['simulate', '--inertia', '1,2,3', '--p0', '1,0.5,0.2', '--t', '2', '--samples', '5']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n"

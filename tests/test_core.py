@@ -253,10 +253,8 @@ def _import_time_imports(tree: ast.Module):
 
 
 def test_no_layer_loads_numpy_on_import():
-    # The layers are kept apart so that a command loads numpy only where it
-    # computes with arrays; dynamics imports it inside the functions that
-    # build them.  A module would load numpy if it imported numpy outside a
-    # function; as none does, none loads it through another either.
+    # A module would load numpy if it imported numpy outside a function; as
+    # none does, none loads it through another either.
     src = Path(eulertop.__file__).parent
     loads = {
         path.stem for path in src.glob("*.py")
@@ -266,8 +264,10 @@ def test_no_layer_loads_numpy_on_import():
 
 
 def test_only_dynamics_imports_numpy_at_all():
-    # Inside a function too: the exact series in ``birkhoff`` leaves its
-    # polynomials' roots to the tests.
+    # Inside a function too.  ``dynamics`` once built numpy arrays for a
+    # batched stepper; it now steps each orbit in Python floats, so no
+    # module imports numpy at all, and the exact series in ``birkhoff``
+    # leaves its polynomials' roots to the tests.
     src = Path(eulertop.__file__).parent
     importers = set()
     for path in src.glob("*.py"):
@@ -280,7 +280,7 @@ def test_only_dynamics_imports_numpy_at_all():
                 continue
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(path.stem)
-    assert importers == {"dynamics"}
+    assert importers == set()
 
 
 def _unread_imports(path: Path) -> list[str]:

@@ -24,10 +24,8 @@ from eulertop.dynamics import (
     orbit_period,
     orbit_periods,
     _characteristic_time,
-    _dense_output,
     _dense_value,
     _dop853,
-    _dop853_floats,
     _field,
 )
 from eulertop.periods import euler_period
@@ -45,22 +43,23 @@ def chamber_state(d: float, l: float = 1.0) -> MomentumState:
 
 
 def test_rhs_matches_cyclic_formula():
-    p = np.array([0.7, -1.1, 0.4])
+    p = (0.7, -1.1, 0.4)
     got = _field(p, INERTIA.reciprocals())
     a, b, c = INERTIA.reciprocals()
-    want = np.array([
+    want = (
         -(b - c) * p[1] * p[2],
         -(c - a) * p[2] * p[0],
         -(a - b) * p[0] * p[1],
-    ])
-    np.testing.assert_allclose(got, want, rtol=1e-15)
+    )
+    assert type(got) is tuple
+    assert got == pytest.approx(want, rel=1e-15)
 
 
 def test_rhs_is_tangent_to_both_invariants():
     rng = np.random.default_rng(7)
     for _ in range(20):
         p = rng.normal(size=3)
-        v = _field(p, INERTIA.reciprocals())
+        v = np.array(_field(tuple(p.tolist()), INERTIA.reciprocals()))
         grad_l = p
         grad_h = p * INERTIA.reciprocals()
         assert abs(v @ grad_l) < 1e-12
@@ -68,9 +67,15 @@ def test_rhs_is_tangent_to_both_invariants():
 
 
 def test_conserved_values():
-    h, l = conserved(np.array([1.0, 0.0, 1.0]), INERTIA)
-    assert h == pytest.approx(2.0)
-    assert l == pytest.approx(1.0)
+    # A state, three floats, or the rows of a stack (3, N) through its own
+    # elementwise arithmetic.
+    for p in (MomentumState(1.0, 0.0, 1.0), (1.0, 0.0, 1.0), np.array([1.0, 0.0, 1.0])):
+        h, l = conserved(p, INERTIA)
+        assert h == pytest.approx(2.0)
+        assert l == pytest.approx(1.0)
+    h, l = conserved(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), INERTIA)
+    np.testing.assert_allclose(h, [2.0, 1.0])
+    np.testing.assert_allclose(l, [1.0, 0.5])
 
 
 def test_integrate_orbit_conserves_invariants():
@@ -79,7 +84,10 @@ def test_integrate_orbit_conserves_invariants():
     assert traj.drift_l < 1e-10
     assert traj.t[0] == 0.0
     assert traj.t[-1] == pytest.approx(50.0)
-    assert traj.p.shape == (len(traj.t), 3)
+    # Tuples of floats, the momenta as 3-tuples.
+    assert all(type(x) is tuple for x in (traj.t, traj.p, traj.H, traj.L))
+    assert len(traj.p) == len(traj.H) == len(traj.L) == len(traj.t)
+    assert {type(q) for q in traj.p} == {tuple} and {len(q) for q in traj.p} == {3}
 
 
 def test_integrate_orbit_rejects_bad_horizon():
@@ -98,12 +106,15 @@ def test_integrate_orbit_rejects_bad_horizon():
     (1.0, {"n_samples": 0}, "n_samples must be an integer from 1 to 100001, got 0"),
     (1.0, {"n_samples": MAX_SAMPLES + 1}, "n_samples must be an integer from 1 to 100001, got 100002"),
     (1.0, {"n_samples": 2.0}, "n_samples must be an integer"),
+    (1.0, {"n_samples": True}, "n_samples must be an integer from 1 to 100001, not the bool True"),
+    # Any integer type is taken, a numpy integer too: it reaches the stepper.
+    (1.0, {"n_samples": np.int64(5)}, None),
 ])
 def test_integrate_orbit_refuses_bad_scalars_before_any_work(t_end, kw, message):
     # Refused before the stepper runs: a nan t_end would leave the samples
     # unfilled, and a negative tol would step at the wrong tolerance.
     with mock.patch.object(dynamics, "_dop853", side_effect=AssertionError("integrated")):
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(AssertionError if message is None else DomainError, match=message or "integrated"):
             integrate_orbit(MomentumState(1.0, 0.5, 0.2), InertiaSpec(1, 2, 3), t_end, **kw)
 
 
@@ -264,17 +275,17 @@ def test_orbit_period_matches_mpmath_at_its_own_energy(axis, near_axis, log_dist
 
 
 def _record_orbits(monkeypatch) -> list:
-    """Each _dop853_floats run from here on, as the list of its states: the
-    start, then the state after each accepted step, with the step's end."""
+    """Each _dop853 run from here on, as the list of its states: the start,
+    then the state after each accepted step, with the step's end."""
     runs = []
 
     def recording(fun, t0, y0, t_bound, **kwargs):
         runs.append([(t0, y0)])
-        for step in _dop853_floats(fun, t0, y0, t_bound, **kwargs):
+        for step in _dop853(fun, t0, y0, t_bound, **kwargs):
             runs[-1].append(step[:2])
             yield step
 
-    monkeypatch.setattr(dynamics, "_dop853_floats", recording)
+    monkeypatch.setattr(dynamics, "_dop853", recording)
     return runs
 
 
@@ -352,10 +363,10 @@ def test_a_rows_period_does_not_depend_on_its_call():
     assert parts == whole
 
 
-def test_both_steppers_reject_a_step_that_overflows():
+def test_dop853_rejects_a_step_that_overflows():
     # The field is 0 until t = 1, so the steps grow tenfold each, then
     # -1e6 y**3: the first step across t = 1 overflows in its stages.
-    # Each stepper rejects such steps, without an exception or a warning,
+    # The stepper rejects such steps, without an exception or a warning,
     # and ends on t_bound at y = 1 / sqrt(1 / y0**2 + 2e6 (t - 1)).
     y0 = (1.0, 2.0, 0.5)
     overflowed = []
@@ -368,25 +379,27 @@ def test_both_steppers_reject_a_step_that_overflows():
     want = [1.0 / math.sqrt(1.0 / (x * x) + 4e6) for x in y0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for steps in (_dop853_floats(fun, 0.0, y0, 3.0, rtol=1e-10, atol=1e-12),
-                      _dop853(lambda t, y: np.array(fun(t, tuple(y))), 0.0, np.array(y0), 3.0, rtol=1e-10, atol=1e-12)):
-            overflowed.clear()
-            *_, (t, y, _) = steps
-            assert any(overflowed) and t == 3.0
-            np.testing.assert_allclose(y, want, rtol=1e-10)
+        *_, (t, y, _) = _dop853(fun, 0.0, y0, 3.0, rtol=1e-10, atol=1e-12)
+    assert any(overflowed) and t == 3.0
+    np.testing.assert_allclose(y, want, rtol=1e-10)
 
 
 def test_dense_value_is_the_dense_output_of_one_component():
-    # The two steppers' interpolants, evaluated each its own way, agree on
-    # the first step of the same orbit.
+    # The first step of an orbit starts where scipy's DOP853 starts and
+    # takes its step size; each component's interpolant agrees with scipy's
+    # dense output to rounding, and is the step's start at x = 0.
     reciprocals = INERTIA.reciprocals()
     q0 = (0.6, 0.0, 0.8)
-    *_, dense = next(_dop853_floats(lambda t, q: _field(q, reciprocals), 0.0, q0, 10.0, rtol=1e-12, atol=1e-12))
+    t, _, dense = next(_dop853(lambda t, q: _field(q, reciprocals), 0.0, q0, 10.0, rtol=1e-12, atol=1e-12))
+    ref = DOP853(lambda t, q: np.array(_field(q, reciprocals)), 0.0, np.array(q0), 10.0, rtol=1e-12, atol=1e-12)
+    ref.step()
+    assert t == ref.t
     t_old, h, F, y_old = dense()
+    want = ref.dense_output()
     for x in (0.0, 0.3, 0.7, 1.0):
-        want = _dense_output(np.array(F), np.array(y_old), x, slice(None))
         got = [_dense_value([coeff[i] for coeff in F], y_old[i], x) for i in range(3)]
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-16)
+        np.testing.assert_allclose(got, want(t_old + x * h), rtol=1e-15, atol=1e-16)
+        assert x or got == list(y_old)
 
 
 def test_orbit_periods_refuse_one_bad_row():
@@ -397,74 +410,57 @@ def test_orbit_periods_refuse_one_bad_row():
         orbit_periods([good[0], MomentumState(0.0, 0.0, math.sqrt(2.0)), good[1]], INERTIA)
 
 
-def _at(step, times, rows=slice(None)):
-    """A step's dense output ``(t_old, h, F, y_old)`` at ``times``."""
-    t_old, h, F, y_old = step
-    return _dense_output(F, y_old, (np.asarray(times) - t_old) / h, rows)
-
-
-def _step_beside_scipy(fun, y0, t_bound, rtol, atol):
-    """Step _dop853 and scipy's DOP853 together, asserting bit-identical t,
-    y, step sizes and dense output at interior points of every step.
-    Returns the number of steps and scipy's count of rhs evaluations."""
-    ref = DOP853(fun, 0.0, y0, t_bound, rtol=rtol, atol=atol)
-    every = np.arange(len(y0))[:, None]
-    t_old, steps = 0.0, 0
-    for t, y, dense in _dop853(fun, 0.0, y0, t_bound, rtol=rtol, atol=atol):
+def _count_beside_scipy(fun, y0, t_bound, rtol, atol):
+    """Step _dop853 and scipy's DOP853 over y' = fun(t, y), three Python
+    floats, to t_bound, and assert that they take as many accepted steps and
+    evaluations of fun, that the last step ends on t_bound, and that the end
+    states agree within the tolerances asked.  Their bits differ: scipy sums with numpy, the
+    stepper left to right and with compensation.  Returns the number of
+    steps and of evaluations."""
+    ref = DOP853(lambda t, y: np.array(fun(t, tuple(y.tolist()))), 0.0, np.array(y0), t_bound, rtol=rtol, atol=atol)
+    ref_steps = 0
+    while ref.status == "running":
         assert ref.step() is None
-        assert (t, t - t_old) == (ref.t, ref.step_size)
-        assert np.array_equal(y, ref.y)
-        times = t_old + np.array([0.1, 0.5, 0.9]) * (t - t_old)
-        at, want = dense(), ref.dense_output()
-        assert np.array_equal(_at(at, times, every), want(times))
-        assert np.array_equal(_at(at, times[1]), want(times[1]))
-        t_old, steps = t, steps + 1
-    assert ref.status == "finished" and t == t_bound
-    return steps, ref.nfev
+        ref_steps += 1
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return fun(t, y)
+
+    steps = [step[:2] for step in _dop853(counted, 0.0, y0, t_bound, rtol=rtol, atol=atol)]
+    assert (len(steps), len(calls)) == (ref_steps, ref.nfev)
+    t, y = steps[-1]
+    assert t == t_bound == ref.t
+    np.testing.assert_allclose(y, ref.y, rtol=rtol, atol=atol)
+    return len(steps), len(calls)
 
 
-@pytest.mark.parametrize("n", [1, 64])
-def test_dop853_steps_the_batched_system_like_scipy(n):
-    # n random unit-sphere orbits stacked as one 3n-dimensional system: the
-    # stepper that integrate_orbit uses keeps scipy's bits beyond its 3
-    # components, and _dense_output reads any row at its own time.
-    rng = np.random.default_rng(n)
-    q0 = rng.normal(size=(3, n))
-    q0 /= np.linalg.norm(q0, axis=0)
-    reciprocals = INERTIA.reciprocals()
-    batch_tol = 0.5e-12 / math.sqrt(n)
-
-    def fun(t, y):
-        return (0.7 * _field(y.reshape(3, n), reciprocals)).ravel()
-    steps, _ = _step_beside_scipy(fun, q0.ravel(), 20.0, batch_tol, batch_tol)
-    assert steps > 10
-    # Each picked row's three components, at the row's own time.
-    t, _, dense = next(_dop853(fun, 0.0, q0.ravel(), 20.0, rtol=batch_tol, atol=batch_tol))
-    rows = np.arange(0, n, 3)
-    mid = t * rng.uniform(size=rows.size)
-    want = DOP853(fun, 0.0, q0.ravel(), 20.0, rtol=batch_tol, atol=batch_tol)
-    want.step()
-    picked = want.dense_output()(mid).reshape(3, n, rows.size)[:, rows, np.arange(rows.size)]
-    assert np.array_equal(_at(dense(), mid, np.arange(3)[:, None] * n + rows), picked)
+@pytest.mark.parametrize("p0, t_end, counts", [((1.0, 0.5, 0.2), 10.0, (32, 386)), ((0.3, -1.2, 0.7), 200.0, (604, 7250))])
+def test_dop853_steps_euler_top_orbits_like_scipy(p0, t_end, counts):
+    # Orbits as integrate_orbit steps them, at its default tolerance.
+    reciprocals = InertiaSpec(1.0, 2.0, 3.0).reciprocals()
+    assert _count_beside_scipy(lambda t, p: _field(p, reciprocals), p0, t_end, 1e-12, 1e-12) == counts
 
 
 def test_dop853_rejects_steps_like_scipy():
-    steps, nfev = _step_beside_scipy(lambda t, y: -50.0 * (y - np.cos(t)), np.array([0.0, 2.0]), 3.0, 1e-6, 1e-9)
+    steps, nfev = _count_beside_scipy(lambda t, y: tuple(-500.0 * (x - math.cos(t)) for x in y), (0.0, 2.0, -1.0),
+                                      3.0, 1e-6, 1e-9)
     # An accepted step costs 12 evaluations and the start 2; the rest are
-    # rejected steps.
-    assert nfev > 12 * steps + 2
+    # 22 rejected steps.
+    assert (steps, nfev) == (277, 3590) and nfev > 12 * steps + 2
 
 
 def test_dop853_clips_the_last_step_like_scipy():
-    steps, _ = _step_beside_scipy(lambda t, y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]), 1.2345, 1e-10, 1e-10)
-    assert steps >= 2
+    steps, _ = _count_beside_scipy(lambda t, y: (y[1], -y[0], 0.5 * y[2]), (1.0, 0.0, 1.0), 1.2345, 1e-10, 1e-10)
+    assert steps == 5
 
 
 def test_dop853_fails_on_a_too_small_step_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="less than spacing between numbers"):
-            for _ in _dop853(lambda t, y: np.array([y[1], -y[0]]), 0.0, np.array([1.0, 0.0]), 1.0, rtol=0.0, atol=1e-300):
+            for _ in _dop853(lambda t, y: (y[1], -y[0], 0.0), 0.0, (1.0, 0.0, 0.0), 1.0, rtol=0.0, atol=1e-300):
                 pass
 
 
@@ -472,23 +468,34 @@ def test_dop853_fails_on_a_too_small_step_without_warning():
     ((1.0, 0.5, 0.2), 10.0, 101), ((0.3, -1.2, 0.7), 200.0, 2001), ((0.0, 0.0, 0.0), 1.0, 5),
 ])
 def test_integrate_orbit_matches_solve_ivp(p0, t_end, samples):
+    # The sample times are numpy's linspace, bit for bit.  The momenta stay
+    # within 1e-15 t_end of scipy's, relative to the largest: rounding grows
+    # with the number of steps (1.1e-13 measured at t = 200).
     inertia = InertiaSpec(1.0, 2.0, 3.0)
     reciprocals = inertia.reciprocals()
     traj = integrate_orbit(MomentumState(*p0), inertia, t_end, n_samples=samples)
     sol = solve_ivp(lambda t, p: _field(p, reciprocals), (0.0, t_end), np.array(p0), method="DOP853",
                     rtol=1e-12, atol=1e-12, t_eval=np.linspace(0.0, t_end, samples))
-    assert np.array_equal(traj.t, sol.t)
-    assert np.array_equal(traj.p, sol.y.T)
+    assert traj.t == tuple(sol.t.tolist())
+    assert np.max(np.abs(np.array(traj.p) - sol.y.T)) <= 1e-15 * t_end * np.max(np.abs(sol.y))
+
+
+@pytest.mark.parametrize("t_end, samples", [(5e-324, 3), (3e-323, 100), (1.0, 2), (108.37877678873703, 2001)])
+def test_integrate_orbit_samples_at_numpys_linspace(t_end, samples):
+    # Where t_end / (samples - 1) underflows to 0, numpy spaces the times
+    # as i / (samples - 1) * t_end instead.
+    traj = integrate_orbit(MomentumState(1.0, 0.5, 0.2), InertiaSpec(1.0, 2.0, 3.0), t_end, n_samples=samples)
+    assert traj.t == tuple(np.linspace(0.0, t_end, samples).tolist())
 
 
 @pytest.mark.parametrize("samples", [1, 5, 2001, 20001])
 def test_integrate_orbit_samples_like_each_steps_interpolant(samples):
     # The reference reads each step's samples from that step's own
-    # interpolant as the step ends; integrate_orbit evaluates them in blocks
-    # after the steps, and must give the same bits.  Over about 1,900 steps
-    # the larger counts fill more than one block.
+    # interpolant, one component at a time by _dense_value, and finds the
+    # samples of a step by numpy's searchsorted; integrate_orbit must give
+    # the same bits.  The orbit takes about 1,900 steps.
     inertia = InertiaSpec(1.6854392932156403, 0.9288621276165752, 0.3212160890504273)
-    p0 = np.array([1.1846703691020275, 0.36118512848764794, 1.1015098068379459])
+    p0 = (1.1846703691020275, 0.36118512848764794, 1.1015098068379459)
     t_end = 108.37877678873703
     reciprocals = inertia.reciprocals()
     traj = integrate_orbit(MomentumState(*p0), inertia, t_end, n_samples=samples)
@@ -498,10 +505,13 @@ def test_integrate_orbit_samples_like_each_steps_interpolant(samples):
         step_ends.add(t)
         reached = np.searchsorted(t_eval, t, side="right")
         if reached > done:
-            want.append(_at(dense(), t_eval[done:reached], np.arange(3)[:, None]))
+            t_old, h, F, y_old = dense()
+            for s in t_eval[done:reached].tolist():
+                want.append(tuple(_dense_value([coeff[i] for coeff in F], y_old[i], (s - t_old) / h) for i in range(3)))
             done = reached
-    assert np.array_equal(traj.t, t_eval)
-    assert np.array_equal(traj.p, np.hstack(want).T)
+    assert traj.t == tuple(t_eval.tolist())
+    assert traj.p == tuple(want)
+    assert (traj.H, traj.L) == tuple(zip(*(conserved(q, inertia) for q in want)))
     # Samples on step ends: t = 0 starts the first step, t_end ends the last.
     assert {t_eval[0], t_eval[-1]} <= step_ends
 
