@@ -39,7 +39,9 @@ __all__ = [
     "MAX_SAMPLES",
     "ModuliPoint",
     "cross_ratio",
+    "is_normal",
     "ldexp",
+    "linspace",
     "require_finite",
     "require_positive",
     "unit_exponent",
@@ -99,6 +101,20 @@ def require_positive(name: str, value):
     if not (isinstance(value, (int, float)) and _is_finite(value) and value > 0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return value
+
+
+def is_normal(x: float) -> bool:
+    """Whether x is a normal float above zero: in [float_info.min, float_info.max]."""
+    return sys.float_info.min <= x <= sys.float_info.max
+
+
+def linspace(stop: float, n: int) -> list[float]:
+    """numpy.linspace(0.0, stop, n), bit for bit: i * (stop / (n - 1)), or
+    i / (n - 1) * stop where that step underflows to 0, and stop last."""
+    if n == 1:
+        return [0.0]
+    step = stop / (n - 1)
+    return [i * step if step else i / (n - 1) * stop for i in range(n - 1)] + [stop]
 
 
 def unit_exponent(x: float) -> int:
@@ -190,7 +206,7 @@ class InertiaSpec(FrozenRecord):
         super().__init__(I1, I2, I3)
         for name in ("I1", "I2", "I3"):
             value = require_positive(name, getattr(self, name))
-            if not sys.float_info.min <= 1.0 / value <= sys.float_info.max:
+            if not is_normal(1.0 / value):
                 raise DomainError(
                     f"moment of inertia {name} = {value!r} has the reciprocal {1.0 / value!r}, "
                     "outside the normal float range"

@@ -9,22 +9,12 @@ The angular momentum p = (p1, p2, p3) in the body frame obeys
 which preserves the energy H = (1/2) sum p_i^2 / I_i and the Casimir
 L = (1/2) |p|^2.  Orbits are intersections of an energy ellipsoid with a
 momentum sphere; away from the separatrix they are closed and their periods
-are what ``orbit_periods`` measures.
-
-The classical solution of the Euler top (Whittaker) gives the component
-along the circled axis as a Jacobi ``dn`` and the other two as an ``sn``
-and a ``cn``, so the zeros of those two alternate a quarter period apart.
-``orbit_periods`` therefore integrates each orbit only until it has seen
-two consecutive such zeros, and returns four times the time between them;
-it uses nothing of that solution but the symmetry, and nothing of the
-orbit but the vector field.  Since the measured interval is multiplied by
-four, so is its error, and the solver runs well below the tolerance asked
-of the period.  Each zero is refined by bisection on its component's dense
-output over the step that passed it.
+are what ``orbit_period`` measures, one orbit per call, from the vector
+field alone.
 
 One DOP853 stepper, ``_dop853``, steps an orbit's three Python floats: it
 serves ``integrate_orbit``, which samples its dense output on a uniform
-grid, and ``orbit_periods``, which bisects it for zeros.  This module
+grid, and ``orbit_period``, which bisects it for zeros.  This module
 imports no numpy.
 """
 
@@ -40,6 +30,8 @@ from .core import (
     DomainError,
     FrozenRecord,
     InertiaSpec,
+    is_normal,
+    linspace,
     require_positive,
     unit_exponent,
 )
@@ -52,7 +44,6 @@ __all__ = [
     "conserved",
     "integrate_orbit",
     "orbit_period",
-    "orbit_periods",
 ]
 
 # Relative width of the energy window around the separatrix value h = l/I2
@@ -86,10 +77,6 @@ def _field(p, reciprocals) -> tuple:
     return -(b - c) * p[1] * p[2], -(c - a) * p[2] * p[0], -(a - b) * p[0] * p[1]
 
 
-def _normal(x: float) -> bool:
-    return sys.float_info.min <= x <= sys.float_info.max
-
-
 def _ldexp(x: float, k: int) -> float:
     """x * 2**k, an infinity of x's sign where that overflows."""
     try:
@@ -107,9 +94,9 @@ def _characteristic_time(l: float, reciprocals, k: int = 0) -> float:
     a, b, c = sorted(reciprocals, reverse=True)
     rate = 2.0 * l * (a - c) * (a - b)
     t = _ldexp(1.0 / math.sqrt(rate), k) if rate else math.inf
-    if not (_normal(rate) and _normal(t)):
+    if not (is_normal(rate) and is_normal(t)):
         level = _ldexp(l, -2 * k)
-        caller = repr(level) if _normal(level) else f"{l!r} * 4**{-k}"
+        caller = repr(level) if is_normal(level) else f"{l!r} * 4**{-k}"
         scaled = f" at L * 4**{k} = {l!r}" if k else ""
         raise DomainError(
             f"reciprocal moments a > b > c = {a!r}, {b!r}, {c!r} at Casimir L = {caller} "
@@ -453,13 +440,12 @@ def _drift(x) -> float:
     return max(abs(v - x0) for v in x) / (abs(x0) or 1.0)
 
 
-def _linspace(stop: float, n: int) -> list[float]:
-    """numpy.linspace(0.0, stop, n), bit for bit: i * (stop / (n - 1)), or
-    i / (n - 1) * stop where that step underflows to 0, and stop last."""
-    if n == 1:
-        return [0.0]
-    step = stop / (n - 1)
-    return [i * step if step else i / (n - 1) * stop for i in range(n - 1)] + [stop]
+def _require_tol(tol) -> None:
+    """DomainError naming tol unless it is a finite number in (0, 1): a
+    relative tolerance of 1 or more asks for no correct digit."""
+    require_positive("tol", tol)
+    if tol >= 1:
+        raise DomainError(f"tol must be below 1, got {tol!r}")
 
 
 def integrate_orbit(
@@ -479,16 +465,17 @@ def integrate_orbit(
     evaluated at every sample by ``conserved``, so drift is directly
     inspectable.
 
-    Raises DomainError before any work starts for a t_end or tol not finite
-    and above zero, for an n_samples that is a bool, not an integer, or
-    outside [1, MAX_SAMPLES], for a t_end beyond MAX_CHARACTERISTIC_TIMES
-    characteristic times, for a nonzero state whose Casimir L = |p|^2/2
-    overflows or lies below the smallest normal float (sys.float_info.min),
-    where it has no correct digits, and for moments whose characteristic
-    time at L has no normal float.
+    Raises DomainError before any work starts for a t_end not finite and
+    above zero, for a tol not a finite number in (0, 1), for an n_samples
+    that is a bool, not an integer, or outside [1, MAX_SAMPLES], for a
+    t_end beyond MAX_CHARACTERISTIC_TIMES characteristic times, for a
+    nonzero state whose Casimir L = |p|^2/2 overflows or lies below the
+    smallest normal float (sys.float_info.min), where it has no correct
+    digits, and for moments whose characteristic time at L has no normal
+    float.
     """
     require_positive("t_end", t_end)
-    require_positive("tol", tol)
+    _require_tol(tol)
     if isinstance(n_samples, bool):
         raise DomainError(f"n_samples must be an integer from 1 to {MAX_SAMPLES}, not the bool {n_samples!r}")
     try:
@@ -500,7 +487,7 @@ def integrate_orbit(
     reciprocals = inertia.reciprocals()
     p0 = (float(state.p1), float(state.p2), float(state.p3))
     l = conserved(p0, inertia)[1]
-    if any(p0) and not _normal(l):
+    if any(p0) and not is_normal(l):
         raise DomainError(
             f"the Casimir L = |p|^2/2 of p0 = {p0} is {l!r}; a nonzero state needs it "
             f"in [{sys.float_info.min!r}, {sys.float_info.max!r}]"
@@ -511,7 +498,7 @@ def integrate_orbit(
             f"t_end = {t_end!r} exceeds {MAX_CHARACTERISTIC_TIMES:g} characteristic times "
             f"({t_max:.6g} time units) of this orbit"
         )
-    times = _linspace(float(t_end), n)
+    times = linspace(float(t_end), n)
     p, k = [], 0
     for t, _, dense in _dop853(lambda t, p: _field(p, reciprocals), 0.0, p0, float(t_end), rtol=tol, atol=tol):
         # The last step ends on t_end, the last sample.
@@ -526,97 +513,89 @@ def integrate_orbit(
     return Trajectory(tuple(times), tuple(p), H, L)
 
 
-# Each orbit runs at atol = rtol = tol * _ORBIT_TOL: with the compensated
-# sum this keeps the digits that a numpy batch of 64 rows, at tol / 64,
-# gave from 1e-4 of the separatrix gap outward.
+# Each orbit runs at atol = rtol = tol * _ORBIT_TOL.  At the default tol
+# this holds the mean digits against mpmath at 1e-6 to 1e-2 of the
+# separatrix gap to the bounds of
+# test_orbits_stepped_alone_keep_the_batch_digits_near_the_separatrix.
 _ORBIT_TOL = 1 / 512
 
 
-def orbit_periods(states, inertia: InertiaSpec, *, tol: float = 1e-12) -> list[float]:
-    """Periods of the closed orbits through ``states``, as a list of floats.
+def orbit_period(state: MomentumState, inertia: InertiaSpec, *, tol: float = 1e-12) -> float:
+    """Period of the closed orbit through ``state``, a float.
 
     An orbit above the separatrix energy (h > b l, b the middle reciprocal)
     circles the axis of the largest reciprocal, one below it the axis of the
-    smallest.  In the classical solution of the Euler top the circled
-    component is a ``dn`` and the other two are an ``sn`` and a ``cn``, so
-    their zeros alternate a quarter period apart; the period is four times
-    the time between two consecutive zeros of those two components.  A
-    component that is exactly 0 at the start counts as a zero at t = 0.
+    smallest.  In the classical solution of the Euler top (Whittaker) the
+    circled component is a Jacobi ``dn`` and the other two are an ``sn`` and
+    a ``cn``, so their zeros alternate a quarter period apart; the period is
+    four times the time between two consecutive zeros of those two
+    components, and nothing else of that solution is used.  A component
+    that is exactly 0 at the start counts as a zero at t = 0.
 
-    Orbit k runs scaled to the unit sphere and in its own characteristic
-    time 1/sqrt(2 l_k (a - c)(a - b)), a > b > c the sorted reciprocals, so
-    all turn at a comparable rate and l_k scales only the returned period.
-    Each orbit is stepped alone by ``_dop853`` at
-    atol = rtol = tol / 512 (``_ORBIT_TOL``) on the unit sphere, rtol
-    floored at 10 machine epsilons, and stops at its own second zero.  It
-    steps its row itself, exact, where the unit-sphere state has rounded.
-    Each watched component's zero is refined by bisection on its dense
-    output over the step that passed it, to adjacent floats; a step that
-    passes zeros of both components counts both.  So a row's period does
-    not depend on the other rows of its call.
+    The orbit runs scaled to the unit sphere and in its own characteristic
+    time 1/sqrt(2 l (a - c)(a - b)), a > b > c the sorted reciprocals, so
+    every orbit turns at a comparable rate and l scales only the returned
+    period.  It is stepped by ``_dop853`` at atol = rtol = tol / 512
+    (``_ORBIT_TOL``) on the unit sphere, rtol floored at 10 machine
+    epsilons, well below tol since four times the measured interval carries
+    four times its error, and stops at its second zero.  It steps the state itself,
+    exact, where the unit-sphere state has rounded.  Each watched
+    component's zero is refined by bisection on its dense output over the
+    step that passed it, to adjacent floats; a step that passes zeros of
+    both components counts both.
 
     Oracle: this is the ODE route of the three period routes, independent
     of the closed form (``periods.S_closed_form``) and of the quadratures.
     It uses only the vector field.
 
-    Raises DomainError for a tol that is not a finite number above zero, at
-    zero momentum, at an equilibrium, and where the
-    moments and l put the characteristic time or the speed on the unit
-    sphere outside the float range; SeparatrixError when h is within a
-    relative 1e-8 of the separatrix energy l/I2 (I2 the middle moment; the
-    period diverges there); and IntegrationError if the solver fails or an
-    orbit does not turn a quarter within MAX_CHARACTERISTIC_TIMES.  Each
-    check runs over all rows before the next.
+    Raises DomainError for a tol that is not a finite number in (0, 1), at
+    zero momentum, at an equilibrium, and where the moments and l put the
+    characteristic time or the speed on the unit sphere outside the float
+    range; SeparatrixError when h is within a relative 1e-8 of the
+    separatrix energy l/I2 (I2 the middle moment; the period diverges
+    there); and IntegrationError if the solver fails or the orbit does not
+    turn a quarter within MAX_CHARACTERISTIC_TIMES.
     """
-    require_positive("tol", tol)
-    p0 = [(float(s.p1), float(s.p2), float(s.p3)) for s in states]
-    if not p0:
-        return []
+    _require_tol(tol)
+    p0 = (float(state.p1), float(state.p2), float(state.p3))
     reciprocals = inertia.reciprocals()
-    # Row k is multiplied by 2**e_k, its largest component in [2, 4), before
-    # h and l are formed: exact, and in range for every finite state.  A row
-    # holding a nan takes nan as its largest.
-    e = [unit_exponent(math.nan if any(map(math.isnan, row)) else max(map(abs, row))) for row in p0]
-    p = [(_ldexp(x1, k), _ldexp(x2, k), _ldexp(x3, k)) for (x1, x2, x3), k in zip(p0, e)]
+    # The state is multiplied by 2**e, its largest component in [2, 4),
+    # before h and l are formed: exact, and in range for every finite state.
+    # A state holding a nan takes nan as its largest.
+    e = unit_exponent(math.nan if any(map(math.isnan, p0)) else max(map(abs, p0)))
+    p = tuple(_ldexp(x, e) for x in p0)
     # An overflowing h is refused with the moments below.
-    h, l = zip(*[_invariants(row, reciprocals) for row in p])
-    if any(x <= 0.0 for x in l):
+    h, l = _invariants(p, reciprocals)
+    if l <= 0.0:
         raise DomainError("zero momentum has no orbit")
-    # Orbit k runs on the unit sphere, q = p / sqrt(2 l_k), in its own
+    # The orbit runs on the unit sphere, q = p / sqrt(2 l), in its own
     # characteristic time, where the field is _field(q) / sqrt((a - c)(a - b)):
     # l enters only through t_char.
-    t_char = [_characteristic_time(x, reciprocals, k) for x, k in zip(l, e)]
+    t_char = _characteristic_time(l, reciprocals, e)
     t_unit = _characteristic_time(0.5, reciprocals)  # on the unit sphere, 2 l = 1
     a, b, c = sorted(reciprocals, reverse=True)
-    speed, roots = [], []
-    for (x1, x2, x3), x in zip(p, l):
-        root = math.sqrt(2.0 * x)
-        roots.append(root)
-        f1, f2, f3 = _field((x1 / root, x2 / root, x3 / root), reciprocals)
-        speed.append(math.sqrt(f1 * f1 + f2 * f2 + f3 * f3))
-    if not all(map(math.isfinite, speed)):
+    r = math.sqrt(2.0 * l)
+    f1, f2, f3 = _field((p[0] / r, p[1] / r, p[2] / r), reciprocals)
+    speed = math.sqrt(f1 * f1 + f2 * f2 + f3 * f3)
+    if not math.isfinite(speed):
         raise DomainError(
             f"reciprocal moments a > b > c = {a!r}, {b!r}, {c!r} put the speed on the unit sphere, "
             "of the order of a - c, outside the float range"
         )
-    if any(v < 1e-13 * max(reciprocals) for v in speed):
+    if speed < 1e-13 * max(reciprocals):
         raise DomainError("initial condition is an equilibrium; the orbit is a point")
-    h_sep = [b * x for x in l]
-    for x, y, k in zip(h, h_sep, e):
-        if abs(x - y) < SEPARATRIX_RTOL * abs(y):
-            x, y = _ldexp(x, -2 * k), _ldexp(y, -2 * k)
-            raise SeparatrixError(f"energy h = {x!r} is within 1e-8 of the separatrix value {y!r}")
-    # Row k circles the axis of the largest reciprocal when h > b l, else
+    h_sep = b * l
+    if abs(h - h_sep) < SEPARATRIX_RTOL * abs(h_sep):
+        h, h_sep = _ldexp(h, -2 * e), _ldexp(h_sep, -2 * e)
+        raise SeparatrixError(f"energy h = {h!r} is within 1e-8 of the separatrix value {h_sep!r}")
+    # The orbit circles the axis of the largest reciprocal when h > b l, else
     # that of the smallest, and watches the other two components.
-    circled = [reciprocals.index(max(reciprocals) if x > y else min(reciprocals)) for x, y in zip(h, h_sep)]
-    # Each orbit steps its own exact row p, of radius r = sqrt(2 l), not the
+    circled = reciprocals.index(max(reciprocals) if h > h_sep else min(reciprocals))
+    # The orbit steps its exact state p, of radius r = sqrt(2 l), not the
     # rounded unit-sphere state q0 = p / r: in the time unit t_unit / r its
     # orbit is q0's scaled by r, at atol = r tol as on the unit sphere.
-    quarters = [
-        _orbit_quarter(row, k, reciprocals, t_unit / r, _ORBIT_TOL * tol, t, r)
-        for row, r, k, t in zip(p, roots, circled, t_char)
-    ]
-    return [4.0 * x * t for x, t in zip(quarters, t_char)]
+    quarter = _orbit_quarter(p, circled, reciprocals, t_unit / r, _ORBIT_TOL * tol, t_char, r)
+    return 4.0 * quarter * t_char
 
 
 def _orbit_quarter(q0, circled: int, reciprocals, t_unit: float, tol: float, t_char: float, size: float) -> float:
@@ -659,8 +638,3 @@ def _orbit_quarter(q0, circled: int, reciprocals, t_unit: float, tol: float, t_c
         f"orbit did not turn a quarter within {MAX_CHARACTERISTIC_TIMES * t_char:.3g} time units; "
         "the initial condition may be exponentially close to the separatrix"
     )
-
-
-def orbit_period(state: MomentumState, inertia: InertiaSpec, *, tol: float = 1e-12) -> float:
-    """Period of the closed orbit through ``state``; see ``orbit_periods``."""
-    return orbit_periods([state], inertia, tol=tol)[0]

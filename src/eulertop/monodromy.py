@@ -48,6 +48,7 @@ from .core import (
     ModuliPoint,
     cross_ratio,
     ldexp,
+    linspace,
     require_finite,
     unit_exponent,
 )
@@ -404,13 +405,6 @@ def preset_loop(move: str, around: str, winding: int = 1) -> ModuliLoop:
     )
 
 
-def _spaced(stop: float, n: int) -> list[float]:
-    """n evenly spaced values from 0 to stop, both included (n >= 2), each
-    k * step with step = stop / (n - 1), and stop itself last."""
-    step = stop / (n - 1)
-    return [k * step for k in range(n - 1)] + [stop]
-
-
 def _approach_points(start: complex, entry: complex, frozen: Iterable[complex]) -> list[complex]:
     """Path from the basepoint to the circle entry.
 
@@ -420,7 +414,7 @@ def _approach_points(start: complex, entry: complex, frozen: Iterable[complex]) 
     the chord already chose.
     """
     chord = entry - start
-    t = _spaced(1.0, max(48, int(48 * abs(chord) / 0.5) + 1))
+    t = linspace(1.0, max(48, int(48 * abs(chord) / 0.5) + 1))
     blocked = False
     for value in frozen:
         w = (complex(value) - start) / chord
@@ -447,7 +441,7 @@ def _loop_point_samples(loop: ModuliLoop) -> list[complex]:
     # approach never pierces the disc.
     theta0 = math.atan2((start - center).imag, (start - center).real)
     entry = center + loop.radius * cmath.exp(1j * theta0)
-    turns = _spaced(2.0 * math.pi * loop.winding, _SAMPLES_PER_TURN * abs(loop.winding) + 1)
+    turns = linspace(2.0 * math.pi * loop.winding, _SAMPLES_PER_TURN * abs(loop.winding) + 1)
     circle = [center + loop.radius * cmath.exp(1j * (theta0 + t)) for t in turns[1:]]
     if entry == start:
         # The start lies on the circle to rounding: no approach, and the

@@ -133,9 +133,10 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     the largest.  Axis "p1" is S(a, b, c, d) and "p3" is S(c, b, a, d):
     each row is reordered once, and the closed form and the quadrature take
     that point; an S outside the float range is refused as S, or as
-    S(c, b, a, d), at the row's own point.  The ODE route takes all rows'
-    p2 = 0 orbits in one ``orbit_periods`` call at tolerance
-    min(1e-12, tol), which steps each orbit alone; no route loads numpy.
+    S(c, b, a, d), at the row's own point.  The ODE route is
+    ``orbit_period`` on the row's p2 = 0 orbit at tolerance
+    min(1e-12, tol); no route loads numpy.  The three routes run row by
+    row, so a route's refusal names the first row that fails.
 
     Refused before any route runs: moments that ``InertiaSpec`` refuses,
     then a b not strictly between a and c (DomainError), then a d within
@@ -143,7 +144,7 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     then a d outside the axis's open gap, (b, a) for p1 and (c, b) for p3
     (DomainError), then a row that is no ``ModuliPoint``.
     """
-    from .dynamics import SEPARATRIX_RTOL, MomentumState, SeparatrixError, orbit_periods
+    from .dynamics import SEPARATRIX_RTOL, MomentumState, SeparatrixError, orbit_period
 
     if axis not in ("p1", "p3"):
         raise ValueError(f"axis must be 'p1' or 'p3', got {axis!r}")
@@ -153,8 +154,8 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     # Such moments have no elliptic chamber for any d; named by the moments.
     if not min(a, c) < b < max(a, c):
         raise DomainError(f"reciprocal moment b = {b!r} must lie strictly between a = {a!r} and c = {c!r}")
-    # orbit_periods refuses these rows too, but by energy and after the
-    # other two routes have run; here they are named by d, first.
+    # orbit_period refuses these rows too, but by energy and after the
+    # other two routes have run on the row; here they are named by d, first.
     for d, _ in grid:
         if abs(d - b) < SEPARATRIX_RTOL * abs(b):
             raise SeparatrixError(
@@ -168,28 +169,24 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     points = [ModuliPoint(a, b, c, d, l=l) for d, l in grid]
     order = _CLASS_ORDERS["S1" if axis == "p1" else "S3"]
     label = "S" if axis == "p1" else f"S({', '.join(order)})"
-    routes, states = [], []
+    rows = []
     for m in points:
-        # Each row is taken at unit scale once.  Both routes run there, where
-        # they do not scale back; the one scaling here names a refusal at the
-        # point the caller gave.
+        # Each row is taken at unit scale once.  The closed form and the
+        # quadrature run there, where they do not scale back; the one
+        # scaling here names a refusal at the point the caller gave.
         u, k, j = m.at_unit_scale()
         r = u.reorder(order)
-        routes.append(tuple(
+        closed, quad = (
             ldexp(route(r), k + j, lambda: f"{label} at {m!r}")
             for route in (S_closed_form, quadrature_sigma_integral)
-        ))
+        )
         # The orbit's state, where 2 l (d - c) cannot overflow; bit for bit
         # the unscaled value wherever that is a normal float.
         ua, _, uc, ud = (z.real for z in u.coords())
         p1, p3 = (ldexp(math.sqrt(abs(2.0 * u.l * x / (ua - uc))), -j) for x in (ud - uc, ua - ud))
-        states.append(MomentumState(p1, 0.0, p3))
-    t_orbits = orbit_periods(states, inertia, tol=min(1e-12, tol))
-    rows = []
-    for (d, l), (closed, quad), t_orbit in zip(grid, routes, t_orbits):
-        s_ode = -float(t_orbit) / (6.0 * math.pi)
+        s_ode = -orbit_period(MomentumState(p1, 0.0, p3), inertia, tol=min(1e-12, tol)) / (6.0 * math.pi)
         rows.append({
-            "a": a, "b": b, "c": c, "d": d, "l": l,
+            "a": a, "b": b, "c": c, "d": m.d, "l": m.l,
             "S_closed": closed.real,
             "S_quadrature": quad,
             "S_ode": s_ode,

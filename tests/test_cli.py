@@ -301,6 +301,15 @@ def test_simulate_refuses_a_moment_whose_reciprocal_overflows(capsys):
     assert err == "error: moment of inertia I2 = 5e-324 has the reciprocal inf, outside the normal float range\n"
 
 
+@pytest.mark.parametrize("tol", ["10", "1e10"])
+def test_simulate_refuses_a_tolerance_of_one_or_more(capsys, tol):
+    # Such a tol once printed a nan row, or ended in an unnamed step-size error.
+    code, out, err = run(capsys, "simulate", "--inertia", "1,2,3", "--p0", "1,0.5,0.2", "--t", "20",
+                         "--samples", "3", "--tol", tol)
+    assert (code, out) == (1, "")
+    assert err == f"error: tol must be below 1, got {float(tol)!r}\n"
+
+
 def test_simulate_runs_the_zero_state(capsys):
     code, out, err = run(capsys, "simulate", "--inertia", "1,2,3", "--p0", "0,0,0", "--t", "1", "--samples", "3")
     assert code == 0

@@ -22,13 +22,12 @@ from eulertop.dynamics import (
     conserved,
     integrate_orbit,
     orbit_period,
-    orbit_periods,
     _characteristic_time,
     _dense_value,
     _dop853,
     _field,
 )
-from eulertop.periods import euler_period
+from eulertop.periods import euler_period, period_report
 from test_branch_properties import PROPERTY
 
 INERTIA = InertiaSpec(1 / 3, 1 / 2, 1.0)
@@ -109,6 +108,8 @@ def test_integrate_orbit_rejects_bad_horizon():
     (1.0, {"n_samples": True}, "n_samples must be an integer from 1 to 100001, not the bool True"),
     # Any integer type is taken, a numpy integer too: it reaches the stepper.
     (1.0, {"n_samples": np.int64(5)}, None),
+    # A relative tolerance of 1 or more asks for no digit.
+    (1.0, {"tol": 10.0}, "tol must be below 1, got 10.0"),
 ])
 def test_integrate_orbit_refuses_bad_scalars_before_any_work(t_end, kw, message):
     # Refused before the stepper runs: a nan t_end would leave the samples
@@ -122,6 +123,14 @@ def test_integrate_orbit_refuses_bad_scalars_before_any_work(t_end, kw, message)
 def test_orbit_periods_refuse_a_tolerance_that_is_not_positive_and_finite(tol):
     with pytest.raises(DomainError, match="tol must be positive and finite"):
         orbit_period(MomentumState(1.0, 0.5, 0.2), InertiaSpec(1, 2, 3), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1.0, 10.0])
+def test_orbit_period_refuses_a_tolerance_of_one_or_more_before_stepping(tol):
+    # tol = 10 once returned 31.9 for a period of 10.75.
+    with mock.patch.object(dynamics, "_dop853", side_effect=AssertionError("integrated")):
+        with pytest.raises(DomainError, match=f"tol must be below 1, got {tol!r}"):
+            orbit_period(MomentumState(1.0, 0.5, 0.2), InertiaSpec(1, 2, 3), tol=tol)
 
 
 def test_characteristic_time_names_an_underflowing_level_at_its_scale():
@@ -175,6 +184,8 @@ def test_orbit_period_separatrix_refusal():
 def test_orbit_period_equilibrium_refusal():
     with pytest.raises(DomainError, match="equilibrium"):
         orbit_period(MomentumState(math.sqrt(2.0), 0.0, 0.0), INERTIA)
+    with pytest.raises(DomainError, match="equilibrium"):
+        orbit_period(MomentumState(0.0, 0.0, math.sqrt(2.0)), INERTIA)
     with pytest.raises(DomainError):
         orbit_period(MomentumState(0.0, 0.0, 0.0), INERTIA)
 
@@ -193,7 +204,7 @@ def test_orbit_periods_refuse_moments_outside_the_float_range(reciprocals, p0, m
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message) as info:
-            orbit_periods([MomentumState(*p0)], InertiaSpec.from_reciprocals(*reciprocals))
+            orbit_period(MomentumState(*p0), InertiaSpec.from_reciprocals(*reciprocals))
     assert f"a > b > c = {reciprocals[0]!r}" in str(info.value)
 
 
@@ -210,15 +221,14 @@ def test_orbit_periods_take_states_whose_casimir_is_outside_the_float_range(p0):
 
 def test_orbit_periods_match_closed_form():
     # Both families, l from 1e-300 to 1e300, rows at 1e-4 of the separatrix
-    # gap, and one state flowed off the p2 = 0 plane, all in one call, in
-    # row order.
+    # gap, and one state flowed off the p2 = 0 plane.
     rows = [(2.5, 1.0, "p1"), (1.5, 0.3, "p3"), (2.0001, 7.0, "p1"), (1.9999, 1.0, "p3"), (2.9, 0.05, "p1"),
             (2.5, 1e-300, "p1"), (1.5, 1e300, "p3")]
     states = [chamber_state(d, l) for d, l, _ in rows]
     traj = integrate_orbit(chamber_state(1.2, 2.0), INERTIA, 0.37, n_samples=11)
     states.append(MomentumState(*traj.p[-1]))
     rows.append((1.2, 2.0, "p3"))
-    got = orbit_periods(states, INERTIA)
+    got = [orbit_period(state, INERTIA) for state in states]
     want = [euler_period(ModuliPoint(3, 2, 1, d, l), axis=axis) for d, l, axis in rows]
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -294,7 +304,8 @@ def test_orbit_stepped_alone_stops_within_a_step_of_its_quarter(monkeypatch):
     # quarter period, in characteristic time.
     runs = _record_orbits(monkeypatch)
     rows = [(2.5, 1.0, "p1"), (2.0001, 7.0, "p1"), (1.5, 0.3, "p3"), (1.9999, 1.0, "p3")]
-    orbit_periods([chamber_state(d, l) for d, l, _ in rows], INERTIA)
+    for d, l, _ in rows:
+        orbit_period(chamber_state(d, l), INERTIA)
     assert len(runs) == len(rows)
     for (d, l, axis), run in zip(rows, runs):
         period = euler_period(ModuliPoint(3, 2, 1, d, l), axis=axis) / _characteristic_time(l, INERTIA.reciprocals())
@@ -311,7 +322,7 @@ def test_orbit_stepped_alone_counts_both_zeros_a_step_passes(monkeypatch):
         for (d, _), period in zip(rows, periods)
     ]
     runs = _record_orbits(monkeypatch)
-    got = orbit_periods(states, INERTIA, tol=0.1)
+    got = [orbit_period(state, INERTIA, tol=0.1) for state in states]
     # Row 0 watches p2 and p3, row 1 p1 and p2.
     for watched, run in zip([(1, 2), (0, 1)], runs):
         signs = np.sign([y for _, y in run])
@@ -321,15 +332,16 @@ def test_orbit_stepped_alone_counts_both_zeros_a_step_passes(monkeypatch):
 
 
 # The mean log10 relative error against mpmath on the rows of the test
-# below, per share of the gap, when every call of orbit_periods was one
-# numpy batch (measured before the per-orbit route, rounded down).
+# below, per share of the gap, when the ODE route stepped the rows of a
+# call as one numpy batch (measured before each orbit was stepped alone,
+# rounded down).
 _BATCH_DIGITS = {1e-2: -13.42, 1e-4: -12.80, 1e-6: -10.99}
 
 
 @pytest.mark.parametrize("share", sorted(_BATCH_DIGITS, reverse=True))
 def test_orbits_stepped_alone_keep_the_batch_digits_near_the_separatrix(share):
-    # Four levels l per call, on three seeded sets of moments per family, at
-    # a share of the gap from the separatrix.
+    # Four levels l, on three seeded sets of moments per family, at a share
+    # of the gap from the separatrix.
     # Near the separatrix a row's error is mostly its energy's rounding,
     # which follows the moments more than the route, so the bound is on the
     # mean digits: the batch's own on these rows.
@@ -343,7 +355,8 @@ def test_orbits_stepped_alone_keep_the_batch_digits_near_the_separatrix(share):
             d = b + (a - b) * share if family == "p1" else b - (b - c) * share
             levels = [10.0 ** rng.uniform(-2.0, 2.0) for _ in range(4)]
             states = [MomentumState(*(math.sqrt(2.0 * l * x / (a - c)) for x in (d - c, 0.0, a - d))) for l in levels]
-            got = orbit_periods(states, InertiaSpec.from_reciprocals(a, b, c))
+            inertia = InertiaSpec.from_reciprocals(a, b, c)
+            got = [orbit_period(state, inertia) for state in states]
             for state, period in zip(states, got):
                 want = _reference_period((state.p1, state.p2, state.p3), (a, b, c))
                 errors.append(max(abs(period - want) / want, 1e-17))
@@ -351,16 +364,18 @@ def test_orbits_stepped_alone_keep_the_batch_digits_near_the_separatrix(share):
 
 
 def test_a_rows_period_does_not_depend_on_its_call():
-    # 90 rows, 1e-4 to 0.4 of the gap on both families, in one call and in
-    # four calls: each orbit is stepped alone, so every period keeps its bits.
+    # 90 rows, 9 shares from 1e-4 to 0.4 of the gap at 5 levels l on each
+    # family, in one grid and in grid parts of 4 d values: each row's orbit
+    # is stepped alone, so every S_ode keeps its bits.
     a, b, c = INERTIA.reciprocals()
-    n, part = 90, 23
-    shares = [10.0 ** (-4.0 + 3.7 * (k // 2) / (n // 2)) for k in range(n)]
-    states = [chamber_state(b + (a - b) * s if k % 2 else b - (b - c) * s, 10.0 ** (k % 5 - 2))
-              for k, s in enumerate(shares)]
-    whole = orbit_periods(states, INERTIA)
-    parts = [t for k in range(0, n, part) for t in orbit_periods(states[k:k + part], INERTIA)]
-    assert parts == whole
+    shares = [10.0 ** (-4.0 + 3.6 * k / 8) for k in range(9)]
+    levels = [10.0 ** k for k in range(-2, 3)]
+    for axis, grid_d in (("p1", [b + (a - b) * s for s in shares]), ("p3", [b - (b - c) * s for s in shares])):
+        whole = period_report(a, b, c, axis, grid_d, levels, 1e-7)["rows"]
+        parts = [row for k in range(0, len(grid_d), 4)
+                 for row in period_report(a, b, c, axis, grid_d[k:k + 4], levels, 1e-7)["rows"]]
+        assert len(whole) == len(parts) == 45
+        assert {(r["d"], r["l"]): r["S_ode"] for r in parts} == {(r["d"], r["l"]): r["S_ode"] for r in whole}
 
 
 def test_dop853_rejects_a_step_that_overflows():
@@ -400,14 +415,6 @@ def test_dense_value_is_the_dense_output_of_one_component():
         got = [_dense_value([coeff[i] for coeff in F], y_old[i], x) for i in range(3)]
         np.testing.assert_allclose(got, want(t_old + x * h), rtol=1e-15, atol=1e-16)
         assert x or got == list(y_old)
-
-
-def test_orbit_periods_refuse_one_bad_row():
-    good = [chamber_state(2.5), chamber_state(1.5, 2.0)]
-    with pytest.raises(SeparatrixError):
-        orbit_periods([*good, chamber_state(2.0)], INERTIA)
-    with pytest.raises(DomainError, match="equilibrium"):
-        orbit_periods([good[0], MomentumState(0.0, 0.0, math.sqrt(2.0)), good[1]], INERTIA)
 
 
 def _count_beside_scipy(fun, y0, t_bound, rtol, atol):
