@@ -54,6 +54,16 @@ SEPARATRIX_RTOL = 1e-8
 # refused; near the separatrix the period grows like the log of the distance.
 MAX_CHARACTERISTIC_TIMES = 1e4
 
+# The smallest tol the integrators take.  Below about 1e-160 a state with a
+# component exactly 0 overflows _dop853's step-size control: its absolute
+# tolerance is that component's whole error scale, and the squared ratios
+# of the derivatives to it pass the float range (bisected at 2.7e-168 for
+# orbit_period at d = 2.5 of the moments 3, 2, 1, at 1.5e-171 and 5.3e-152
+# for integrate_orbit from (1, 0, 0.2) and (1e10, 0, 2e9) at the moments
+# 1, 2, 3).  The floor leaves 50 decades for states and moments farther
+# from unit scale; rtol is floored at 10 machine epsilons anyway.
+MIN_TOL = 1e-100
+
 
 class SeparatrixError(DomainError):
     """Initial condition is on (or too near) the separatrix."""
@@ -441,11 +451,13 @@ def _drift(x) -> float:
 
 
 def _require_tol(tol) -> None:
-    """DomainError naming tol unless it is a finite number in (0, 1): a
-    relative tolerance of 1 or more asks for no correct digit."""
+    """DomainError naming tol unless it is a finite number in [MIN_TOL, 1):
+    a relative tolerance of 1 or more asks for no correct digit."""
     require_positive("tol", tol)
     if tol >= 1:
         raise DomainError(f"tol must be below 1, got {tol!r}")
+    if tol < MIN_TOL:
+        raise DomainError(f"tol must be at least {MIN_TOL!r}, got {tol!r}")
 
 
 def integrate_orbit(
@@ -466,8 +478,8 @@ def integrate_orbit(
     inspectable.
 
     Raises DomainError before any work starts for a t_end not finite and
-    above zero, for a tol not a finite number in (0, 1), for an n_samples
-    that is a bool, not an integer, or outside [1, MAX_SAMPLES], for a
+    above zero, for a tol not a finite number in [MIN_TOL, 1), for an
+    n_samples that is a bool, not an integer, or outside [1, MAX_SAMPLES], for a
     t_end beyond MAX_CHARACTERISTIC_TIMES characteristic times, for a
     nonzero state whose Casimir L = |p|^2/2 overflows or lies below the
     smallest normal float (sys.float_info.min), where it has no correct
@@ -548,14 +560,25 @@ def orbit_period(state: MomentumState, inertia: InertiaSpec, *, tol: float = 1e-
     of the closed form (``periods.S_closed_form``) and of the quadratures.
     It uses only the vector field.
 
-    Raises DomainError for a tol that is not a finite number in (0, 1), at
-    zero momentum, at an equilibrium, and where the moments and l put the
-    characteristic time or the speed on the unit sphere outside the float
-    range; SeparatrixError when h is within a relative 1e-8 of the
-    separatrix energy l/I2 (I2 the middle moment; the period diverges
-    there); and IntegrationError if the solver fails or the orbit does not
-    turn a quarter within MAX_CHARACTERISTIC_TIMES.
+    Raises DomainError for a tol that is not a finite number in
+    [MIN_TOL, 1), MIN_TOL = 1e-100, at zero momentum, at an equilibrium,
+    and where the moments and l put the characteristic time or the speed
+    on the unit sphere outside the float range; SeparatrixError when h is
+    within a relative 1e-8 of the separatrix energy l/I2 (I2 the middle
+    moment; the period diverges there); and IntegrationError if the
+    solver fails or the orbit does not turn a quarter within
+    MAX_CHARACTERISTIC_TIMES.
     """
+    q0, circled, reciprocals, t_unit, t_char, size = _orbit_start(state, inertia, tol)
+    return 4.0 * _orbit_quarter(q0, circled, reciprocals, t_unit, _ORBIT_TOL * tol, t_char, size) * t_char
+
+
+def _orbit_start(state: MomentumState, inertia: InertiaSpec, tol: float) -> tuple:
+    """The checks of ``orbit_period`` on its arguments, in its order, and
+    the orbit they set up: the arguments (q0, circled, reciprocals, t_unit,
+    t_char, size) of ``_orbit_quarter`` but its tol.  A caller that reuses
+    one orbit for many states runs these on each state, so each refusal is
+    the one ``orbit_period`` gives on that state."""
     _require_tol(tol)
     p0 = (float(state.p1), float(state.p2), float(state.p3))
     reciprocals = inertia.reciprocals()
@@ -594,8 +617,7 @@ def orbit_period(state: MomentumState, inertia: InertiaSpec, *, tol: float = 1e-
     # The orbit steps its exact state p, of radius r = sqrt(2 l), not the
     # rounded unit-sphere state q0 = p / r: in the time unit t_unit / r its
     # orbit is q0's scaled by r, at atol = r tol as on the unit sphere.
-    quarter = _orbit_quarter(p, circled, reciprocals, t_unit / r, _ORBIT_TOL * tol, t_char, r)
-    return 4.0 * quarter * t_char
+    return p, circled, reciprocals, t_unit / r, t_char, r
 
 
 def _orbit_quarter(q0, circled: int, reciprocals, t_unit: float, tol: float, t_char: float, size: float) -> float:

@@ -133,10 +133,20 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     the largest.  Axis "p1" is S(a, b, c, d) and "p3" is S(c, b, a, d):
     each row is reordered once, and the closed form and the quadrature take
     that point; an S outside the float range is refused as S, or as
-    S(c, b, a, d), at the row's own point.  The ODE route is
-    ``orbit_period`` on the row's p2 = 0 orbit at tolerance
-    min(1e-12, tol); no route loads numpy.  The three routes run row by
-    row, so a route's refusal names the first row that fails.
+    S(c, b, a, d), at the row's own point.  No route loads numpy.
+
+    On the sphere |p|^2 = 2 l a period at a given d depends on l only
+    through the factor 1/sqrt(2 l), so the l-free part of the two numeric
+    routes is computed once per distinct d, at the first row with that d,
+    and scaled to every row: the tanh-sinh arc of
+    ``quadrature_sigma_integral``, which gives ``S_quadrature`` bit for bit,
+    and the period tau of ``orbit_period`` at tolerance min(1e-12, tol) on
+    the p2 = 0 orbit of the unit sphere, 2 l = 1, which gives ``S_ode`` =
+    -tau / (6 pi sqrt(2 l)).  A row's values depend only on its own a, b, c,
+    d, l and tol.  The routes run row by row, so a route's refusal names
+    the first row that fails; the ODE route first runs ``orbit_period``'s
+    checks on the row's own p2 = 0 state, so it refuses as that call
+    would, naming the row's moments and L.
 
     Refused before any route runs: moments that ``InertiaSpec`` refuses,
     then a b not strictly between a and c (DomainError), then a d within
@@ -144,7 +154,7 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     then a d outside the axis's open gap, (b, a) for p1 and (c, b) for p3
     (DomainError), then a row that is no ``ModuliPoint``.
     """
-    from .dynamics import SEPARATRIX_RTOL, MomentumState, SeparatrixError, orbit_period
+    from .dynamics import SEPARATRIX_RTOL, MomentumState, SeparatrixError, _orbit_start, orbit_period
 
     if axis not in ("p1", "p3"):
         raise ValueError(f"axis must be 'p1' or 'p3', got {axis!r}")
@@ -169,22 +179,44 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     points = [ModuliPoint(a, b, c, d, l=l) for d, l in grid]
     order = _CLASS_ORDERS["S1" if axis == "p1" else "S3"]
     label = "S" if axis == "p1" else f"S({', '.join(order)})"
+    ode_tol = min(1e-12, tol)
+    # The l-free arc and orbit period of each distinct d.  tau is None where
+    # the unit sphere's orbit is refused and the row's own is not: moments
+    # near the top of the float range, where each row then steps its own.
+    arcs, taus = {}, {}
     rows = []
     for m in points:
         # Each row is taken at unit scale once.  The closed form and the
-        # quadrature run there, where they do not scale back; the one
-        # scaling here names a refusal at the point the caller gave.
+        # quadrature's arc run there, where they do not scale back; each
+        # scaling to the row here names a refusal at the point the caller
+        # gave.
+        def named():
+            return f"{label} at {m!r}"
+
         u, k, j = m.at_unit_scale()
         r = u.reorder(order)
-        closed, quad = (
-            ldexp(route(r), k + j, lambda: f"{label} at {m!r}")
-            for route in (S_closed_form, quadrature_sigma_integral)
-        )
-        # The orbit's state, where 2 l (d - c) cannot overflow; bit for bit
-        # the unscaled value wherever that is a normal float.
+        closed = ldexp(S_closed_form(r), k + j, named)
+        if m.d not in arcs:
+            arcs[m.d] = _sigma_arc(*_real_chamber_coords(r)[:4])
+        quad = ldexp(_sigma_from_arc(arcs[m.d], u.l), k + j, named)
+        # The row's p2 = 0 state, where 2 l (d - c) cannot overflow; bit for
+        # bit the unscaled value wherever that is a normal float.
         ua, _, uc, ud = (z.real for z in u.coords())
         p1, p3 = (ldexp(math.sqrt(abs(2.0 * u.l * x / (ua - uc))), -j) for x in (ud - uc, ua - ud))
-        s_ode = -orbit_period(MomentumState(p1, 0.0, p3), inertia, tol=min(1e-12, tol)) / (6.0 * math.pi)
+        state = MomentumState(p1, 0.0, p3)
+        # orbit_period's checks on that state: a refusal names the row's
+        # moments and L, not the unit sphere's.
+        _orbit_start(state, inertia, ode_tol)
+        if m.d not in taus:
+            q1, q3 = (math.sqrt(abs(x / (ua - uc))) for x in (ud - uc, ua - ud))
+            try:
+                taus[m.d] = orbit_period(MomentumState(q1, 0.0, q3), inertia, tol=ode_tol)
+            except DomainError:
+                taus[m.d] = None
+        if taus[m.d] is None:
+            s_ode = -orbit_period(state, inertia, tol=ode_tol) / (6.0 * math.pi)
+        else:
+            s_ode = ldexp(-taus[m.d] / (6.0 * math.pi) / math.sqrt(2.0 * u.l), j, named)
         rows.append({
             "a": a, "b": b, "c": c, "d": m.d, "l": m.l,
             "S_closed": closed.real,
@@ -296,15 +328,21 @@ def quadrature_sigma_integral(m: ModuliPoint) -> float:
     digits there (7e-2 at 1e-6 of the gap).  Q is formed as
     (a - c)(d - b)/(a - b) + (b - c)(P - x)(P + x), from the endpoint
     distances, so it does not cancel at the nodes next to the endpoints.
+    The arc is integrated at ``m.at_unit_scale()``, where l enters only as
+    the prefactor 1/sqrt(2 l); ``period_report`` reuses one arc for every
+    level l of a d.
 
     Oracle for ``S_closed_form``: the quadrature route of the three period
     routes, sharing no code with the AGM or the ODE route.
     """
     u, k, j = m.at_unit_scale()
     a, b, c, d, l = _real_chamber_coords(u)
+    return ldexp(_sigma_from_arc(_sigma_arc(a, b, c, d), l), k + j, lambda: f"S at {m!r}")
 
-    # The arc is integrated on the sphere with 2 l = 1; l enters only as
-    # the prefactor 1/sqrt(2 l).
+
+def _sigma_arc(a: float, b: float, c: float, d: float) -> float:
+    """The integral of ``quadrature_sigma_integral`` over (-P, P), the part
+    of S that does not depend on l, at a point in an elliptic chamber."""
     P = math.sqrt((a - d) / (a - b))
     q_end = (a - c) * (d - b) / (a - b)
 
@@ -313,8 +351,12 @@ def quadrature_sigma_integral(m: ModuliPoint) -> float:
         q = q_end + (b - c) * dlo * dhi
         return 1.0 / math.sqrt((a - b) * dlo * dhi * q)
 
-    value = -tanh_sinh(g, -P, P) / 3.0 / (math.pi * math.sqrt(2.0 * l))
-    return ldexp(value, k + j, lambda: f"S at {m!r}")
+    return tanh_sinh(g, -P, P)
+
+
+def _sigma_from_arc(arc: float, l: float) -> float:
+    """S at level l from the l-free arc of ``_sigma_arc``."""
+    return -arc / 3.0 / (math.pi * math.sqrt(2.0 * l))
 
 
 def quadrature_tau_integral(m: ModuliPoint) -> complex:

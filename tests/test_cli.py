@@ -284,13 +284,28 @@ def test_simulate_refuses_a_casimir_outside_the_float_range(capsys, p0, casimir)
 def test_extreme_moments_print_one_error_line_naming_them(capsys, argv, moments):
     # 2 L (a - c)(a - b), which sets the orbit's time scale, overflows or
     # underflows: the closed form and the quadrature compute at unit scale,
-    # and the ODE route refuses in one line naming the moments.
+    # and the ODE route refuses in one line naming the moments and the
+    # caller's L: period's default level 1, or |p0|^2/2 of simulate.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, *argv)
+    casimir = 1.5 if argv[0] == "simulate" else 1.0
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: reciprocal moments {moments} at Casimir L = ")
+    assert err.startswith(f"error: reciprocal moments {moments} at Casimir L = {casimir!r} put ")
     assert "outside the normal float range" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("abc, level, casimir", [
+    ("3e-160,2e-160,1e-160", "7", "7.0"), ("1e155,1,0.5", "1e-300", "1e-300"),
+    ("1e300,0.5e300,1e299", "3", "2.9999999999999996"),
+])
+def test_period_refusal_names_the_rows_own_casimir_level(capsys, abc, level, casimir):
+    # The orbit is stepped once per d on the unit sphere, but a refusal
+    # names the level of the row's own state, |p|^2/2 as rounded, not the
+    # unit sphere's.
+    code, out, err = run(capsys, "period", f"--abc={abc}", "--grid-l", level)
+    assert (code, out) == (1, "")
+    assert f" at Casimir L = {casimir} put " in err and err.count("\n") == 1
 
 
 def test_simulate_refuses_a_moment_whose_reciprocal_overflows(capsys):
@@ -316,14 +331,19 @@ def test_simulate_runs_the_zero_state(capsys):
     assert out.splitlines()[1:] == ["0,0,0,0,0,0", "0.5,0,0,0,0,0", "1,0,0,0,0,0"]
 
 
-def test_period_solver_failure_prints_only_its_error_line(capsys):
-    # At tol 1e-300 every step overflows the error norm; the stepper fails
-    # on a too-small step without a numpy warning.
+@pytest.mark.parametrize("command", [
+    ("period", "--grid-d", "2.5", "--grid-l", "1"),
+    ("simulate", "--inertia", "1,2,3", "--p0", "1,0,0.2", "--t", "20", "--samples", "3"),
+])
+@pytest.mark.parametrize("tol", ["1e-300", "5e-324"])
+def test_a_tol_below_the_floor_prints_one_error_line_naming_it(capsys, command, tol):
+    # Such a tol once overflowed the error norm of every step, or divided by
+    # an absolute tolerance that underflowed to 0, on the exact p2 = 0.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, "period", "--grid-d", "2.5", "--grid-l", "1", "--tol", "1e-300")
+        code, out, err = run(capsys, *command, "--tol", tol)
     assert (code, out) == (1, "")
-    assert err == "error: integration failed: Required step size is less than spacing between numbers.\n"
+    assert err == f"error: tol must be at least 1e-100, got {float(tol)!r}\n"
 
 
 def test_verify_battery(capsys):

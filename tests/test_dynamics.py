@@ -133,6 +133,27 @@ def test_orbit_period_refuses_a_tolerance_of_one_or_more_before_stepping(tol):
             orbit_period(MomentumState(1.0, 0.5, 0.2), InertiaSpec(1, 2, 3), tol=tol)
 
 
+@pytest.mark.parametrize("tol", [5e-324, 1e-300, 1e-101])
+def test_orbit_periods_refuse_a_tolerance_below_the_floor_before_stepping(tol):
+    # Such a tol once ended in a ZeroDivisionError or in an unnamed
+    # step-size error on a state with a component exactly 0.
+    with mock.patch.object(dynamics, "_dop853", side_effect=AssertionError("integrated")):
+        for call in (lambda: orbit_period(chamber_state(2.5), INERTIA, tol=tol),
+                     lambda: integrate_orbit(MomentumState(1.0, 0.0, 0.2), InertiaSpec(1, 2, 3), 20.0, tol=tol)):
+            with pytest.raises(DomainError, match=f"^tol must be at least 1e-100, got {tol!r}$"):
+                call()
+
+
+def test_orbits_with_a_zero_component_step_at_the_tolerance_floor():
+    # 50 decades and more above the measured failures of a zero component.
+    assert dynamics.MIN_TOL == 1e-100
+    period = orbit_period(chamber_state(2.5), INERTIA, tol=dynamics.MIN_TOL)
+    assert period == pytest.approx(euler_period(ModuliPoint(3.0, 2.0, 1.0, 2.5)), rel=1e-13)
+    for p0, t_end in (((1.0, 0.0, 0.2), 20.0), ((1e10, 0.0, 2e9), 2e-9)):
+        traj = integrate_orbit(MomentumState(*p0), InertiaSpec(1, 2, 3), t_end, tol=dynamics.MIN_TOL, n_samples=3)
+        assert traj.drift_h < 1e-13 and traj.drift_l < 1e-13
+
+
 def test_characteristic_time_names_an_underflowing_level_at_its_scale():
     # The caller's L, about 4.4 * 4**-1063, is below every float: the
     # refusal names the scaled level and its power of four.
@@ -365,8 +386,9 @@ def test_orbits_stepped_alone_keep_the_batch_digits_near_the_separatrix(share):
 
 def test_a_rows_period_does_not_depend_on_its_call():
     # 90 rows, 9 shares from 1e-4 to 0.4 of the gap at 5 levels l on each
-    # family, in one grid and in grid parts of 4 d values: each row's orbit
-    # is stepped alone, so every S_ode keeps its bits.
+    # family, in one grid and in grid parts of 4 d values: each d's orbit is
+    # stepped once, on the unit sphere, whatever else the grid holds, so
+    # every S_ode keeps its bits.
     a, b, c = INERTIA.reciprocals()
     shares = [10.0 ** (-4.0 + 3.6 * k / 8) for k in range(9)]
     levels = [10.0 ** k for k in range(-2, 3)]

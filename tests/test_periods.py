@@ -24,10 +24,13 @@ from eulertop.birkhoff import (
     birkhoff_normalization,
     birkhoff_series,
 )
-from eulertop.core import CoincidentModuliError, DomainError, ModuliPoint, ldexp
+from eulertop import dynamics
+from eulertop.core import CoincidentModuliError, DomainError, InertiaSpec, ModuliPoint, ldexp
+from eulertop.dynamics import MomentumState
 from eulertop.periods import (
     S_closed_form,
     euler_period,
+    period_report,
     phi_prime,
     quadrature_sigma_integral,
     quadrature_tau_integral,
@@ -178,6 +181,102 @@ def test_sigma_quadrature_near_the_separatrix(fraction):
 def test_sigma_quadrature_reversed_chamber():
     got = quadrature_sigma_integral(ModuliPoint(1, 2, 3, 1.2, 1.0))
     assert got == pytest.approx(S_REVERSED, rel=1e-12)
+
+
+def _period_grid(axis, n_d=16):
+    """n_d values of d spread over the open gap of the axis at moments 3, 2, 1."""
+    lo, hi = (2.0, 3.0) if axis == "p1" else (1.0, 2.0)
+    return [lo + (hi - lo) * (k + 0.5) / n_d for k in range(n_d)]
+
+
+def _p2_zero_state(a, c, d, l):
+    """The state of the orbit of energy ratio d at level l where p2 = 0."""
+    return MomentumState(math.sqrt(2 * l * (d - c) / (a - c)), 0.0, math.sqrt(2 * l * (a - d) / (a - c)))
+
+
+def _counting_orbit_period(monkeypatch):
+    """Patch dynamics.orbit_period to record the states it is called on."""
+    calls = []
+    orbit_period = dynamics.orbit_period
+
+    def counted(state, inertia, **kw):
+        calls.append(state)
+        return orbit_period(state, inertia, **kw)
+
+    monkeypatch.setattr(dynamics, "orbit_period", counted)
+    return calls
+
+
+@pytest.mark.parametrize("axis", ["p1", "p3"])
+def test_period_report_steps_one_orbit_per_distinct_d(monkeypatch, axis):
+    # 16 d values at 4 levels: 64 rows and 16 orbits, each on the unit
+    # sphere 2 l = 1, at whatever level comes first.
+    calls = _counting_orbit_period(monkeypatch)
+    report = period_report(3.0, 2.0, 1.0, axis, _period_grid(axis), [1e-3, 0.5, 7.0, 1e5], 1e-7)
+    assert len(report["rows"]) == 64 and len(calls) == 16
+    assert all(s.p2 == 0.0 and abs(s.p1 ** 2 + s.p3 ** 2 - 1.0) < 1e-15 for s in calls)
+    # A repeated d is one orbit too.
+    calls.clear()
+    grid_d = [2.5, 2.1, 2.5, 2.9, 2.1] if axis == "p1" else [1.5, 1.1, 1.5, 1.9, 1.1]
+    report = period_report(3.0, 2.0, 1.0, axis, grid_d, [1.0, 3.0], 1e-7)
+    assert len(report["rows"]) == 10 and len(calls) == 3
+    by_d = {}
+    for row in report["rows"]:
+        by_d.setdefault((row["d"], row["l"]), set()).add(row["S_ode"])
+    assert all(len(values) == 1 for values in by_d.values())
+
+
+@pytest.mark.parametrize("axis, order", [("p1", "abcd"), ("p3", "cbad")])
+def test_period_report_quadrature_is_the_quadrature_route_bit_for_bit(axis, order):
+    # One arc per d, scaled to each level, is quadrature_sigma_integral at
+    # the row's reordered point, at every level from 1e-300 to 1e300.
+    levels = [1e-300, 1e-7, 0.3, 1.0, 2.0, 5.0, 1e11, 1e300]
+    for row in period_report(3.0, 2.0, 1.0, axis, _period_grid(axis, 5), levels, 1e-7)["rows"]:
+        m = ModuliPoint(row["a"], row["b"], row["c"], row["d"], l=row["l"]).reorder(order)
+        assert row["S_quadrature"] == quadrature_sigma_integral(m)
+
+
+@pytest.mark.parametrize("axis", ["p1", "p3"])
+def test_period_report_ode_route_scales_as_one_over_root_l(axis):
+    # S_ode sqrt(l) is one orbit's period scaled: equal across levels to a
+    # few rounding errors.  Against orbit_period on each row's own state
+    # it is within the route's error.
+    a, b, c = 3.0, 2.0, 1.0
+    levels = [1e-300, 1e-7, 0.3, 1.0, 2.0, 5.0, 1e11, 1e300]
+    grid_d = _period_grid(axis, 5)
+    rows = period_report(a, b, c, axis, grid_d, levels, 1e-7)["rows"]
+    inertia = InertiaSpec.from_reciprocals(a, b, c)
+    for d in grid_d:
+        scaled = [r["S_ode"] * math.sqrt(r["l"]) for r in rows if r["d"] == d]
+        assert max(scaled) - min(scaled) <= 4 * math.ulp(max(map(abs, scaled)))
+        for r in rows:
+            if r["d"] == d and 1e-7 <= r["l"] <= 1e11:
+                own = -dynamics.orbit_period(_p2_zero_state(a, c, d, r["l"]), inertia) / (6.0 * math.pi)
+                assert abs(r["S_ode"] - own) <= 1e-12 * abs(own)
+
+
+def test_period_report_keeps_its_digits_at_extreme_levels():
+    levels = [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300]
+    assert period_report(3.0, 2.0, 1.0, "p1", [2.5], levels, 1e-7)["max_deviation"] <= 1e-14
+
+
+def test_period_report_steps_each_rows_own_orbit_where_the_unit_sphere_is_refused(monkeypatch):
+    # At a = 4e153, 2 L (a - c)(a - b) overflows on the unit sphere: each
+    # row's orbit is its own, as orbit_period on that row would give, and
+    # a row whose own time scale overflows is refused at its own L.
+    a, b, c = 4e153, 1.0, 0.5
+    inertia = InertiaSpec.from_reciprocals(a, b, c)
+    with pytest.raises(DomainError, match=r"^reciprocal moments .* at Casimir L = 0\.(49|50)\d* put "):
+        dynamics.orbit_period(MomentumState(0.5, 0.0, math.sqrt(0.75)), inertia)
+    calls = _counting_orbit_period(monkeypatch)
+    rows = period_report(a, b, c, "p1", [0.5e153, 1e153], [1.0, 3.5], 1e-7)["rows"]
+    assert len(calls) == 2 + 4
+    for r in rows:
+        state = _p2_zero_state(a, c, r["d"], r["l"])
+        assert r["S_ode"] == -dynamics.orbit_period(state, inertia) / (6.0 * math.pi)
+        assert r["dev_ode"] < 1e-14
+    with pytest.raises(DomainError, match=r"^reciprocal moments .* at Casimir L = 1\.5 put "):
+        period_report(a, b, c, "p1", [0.5e153, 1e153], [1.0, 1.5], 1e-7)
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e300])
