@@ -40,8 +40,8 @@ def _fmt(x: float) -> str:
 # their stated matrices, and the two tables of stated matrices.
 _MONODROMY_PRESETS = ("alpha1", "alpha2", "alpha3", "all-generators", "confluence", "braid")
 
-# Bound checked before any work starts.  It bounds time: the ODE route
-# steps each grid row alone, at about 0.9 ms a row.
+# Bound checked before any work starts.  It bounds time: every row runs the
+# closed form, and each distinct d steps one orbit and one quadrature arc.
 MAX_GRID_ROWS = 4096
 
 

@@ -569,16 +569,6 @@ def orbit_period(state: MomentumState, inertia: InertiaSpec, *, tol: float = 1e-
     solver fails or the orbit does not turn a quarter within
     MAX_CHARACTERISTIC_TIMES.
     """
-    q0, circled, reciprocals, t_unit, t_char, size = _orbit_start(state, inertia, tol)
-    return 4.0 * _orbit_quarter(q0, circled, reciprocals, t_unit, _ORBIT_TOL * tol, t_char, size) * t_char
-
-
-def _orbit_start(state: MomentumState, inertia: InertiaSpec, tol: float) -> tuple:
-    """The checks of ``orbit_period`` on its arguments, in its order, and
-    the orbit they set up: the arguments (q0, circled, reciprocals, t_unit,
-    t_char, size) of ``_orbit_quarter`` but its tol.  A caller that reuses
-    one orbit for many states runs these on each state, so each refusal is
-    the one ``orbit_period`` gives on that state."""
     _require_tol(tol)
     p0 = (float(state.p1), float(state.p2), float(state.p3))
     reciprocals = inertia.reciprocals()
@@ -617,7 +607,7 @@ def _orbit_start(state: MomentumState, inertia: InertiaSpec, tol: float) -> tupl
     # The orbit steps its exact state p, of radius r = sqrt(2 l), not the
     # rounded unit-sphere state q0 = p / r: in the time unit t_unit / r its
     # orbit is q0's scaled by r, at atol = r tol as on the unit sphere.
-    return p, circled, reciprocals, t_unit / r, t_char, r
+    return 4.0 * _orbit_quarter(p, circled, reciprocals, t_unit / r, _ORBIT_TOL * tol, t_char, r) * t_char
 
 
 def _orbit_quarter(q0, circled: int, reciprocals, t_unit: float, tol: float, t_char: float, size: float) -> float:

@@ -34,7 +34,9 @@ from .core import (
     InertiaSpec,
     ModuliPoint,
     cross_ratio,
+    is_normal,
     ldexp,
+    unit_exponent,
 )
 from .special import _K_sided, _sqrt_sided
 
@@ -133,45 +135,62 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     the largest.  Axis "p1" is S(a, b, c, d) and "p3" is S(c, b, a, d):
     each row is reordered once, and the closed form and the quadrature take
     that point; an S outside the float range is refused as S, or as
-    S(c, b, a, d), at the row's own point.  No route loads numpy.
+    S(c, b, a, d), at the row's own point.
 
-    On the sphere |p|^2 = 2 l a period at a given d depends on l only
+    Every route runs at the row's unit-scale point ``m.at_unit_scale()``,
+    (u, k, j), and its value is scaled back to the row once, by 2**(k + j).
+    Every d lies strictly between two moments, so every row has the same
+    k.  On the sphere |p|^2 = 2 l a period at a given d depends on l only
     through the factor 1/sqrt(2 l), so the l-free part of the two numeric
     routes is computed once per distinct d, at the first row with that d,
     and scaled to every row: the tanh-sinh arc of
     ``quadrature_sigma_integral``, which gives ``S_quadrature`` bit for bit,
     and the period tau of ``orbit_period`` at tolerance min(1e-12, tol) on
-    the p2 = 0 orbit of the unit sphere, 2 l = 1, which gives ``S_ode`` =
-    -tau / (6 pi sqrt(2 l)).  A row's values depend only on its own a, b, c,
-    d, l and tol.  The routes run row by row, so a route's refusal names
-    the first row that fails; the ODE route first runs ``orbit_period``'s
-    checks on the row's own p2 = 0 state, so it refuses as that call
-    would, naming the row's moments and L.
+    the p2 = 0 orbit of the unit sphere, 2 l = 1, at the unit-scale
+    moments, which gives ``S_ode`` = -tau / (6 pi sqrt(2 u.l)) * 2**(k + j).
+    The moments, the vector field and the orbit's time scales all scale by
+    exact powers of two, so a row's values depend only on its own a, b, c,
+    d, l and tol, and scaling the moments by 2**k scales every value by
+    2**-k, bit for bit.  The routes run row by row, so a route's refusal
+    names the first row that fails.
 
     Refused before any route runs: moments that ``InertiaSpec`` refuses,
-    then a b not strictly between a and c (DomainError), then a d within
-    ``dynamics.SEPARATRIX_RTOL`` of b (SeparatrixError),
-    then a d outside the axis's open gap, (b, a) for p1 and (c, b) for p3
-    (DomainError), then a row that is no ``ModuliPoint``.
+    then a b not strictly between a and c, then moments whose smallest is
+    not a normal float once the largest is scaled into [2, 4)
+    (DomainError), then a d within ``dynamics.SEPARATRIX_RTOL`` of b
+    (SeparatrixError), then a d outside the axis's open gap, (b, a) for p1
+    and (c, b) for p3 (DomainError), then a row that is no ``ModuliPoint``.
+    A d that ``orbit_period``'s energy test puts on the separatrix by
+    rounding is refused as such a d.
     """
-    from .dynamics import SEPARATRIX_RTOL, MomentumState, SeparatrixError, _orbit_start, orbit_period
+    from .dynamics import SEPARATRIX_RTOL, MomentumState, SeparatrixError, orbit_period
 
     if axis not in ("p1", "p3"):
         raise ValueError(f"axis must be 'p1' or 'p3', got {axis!r}")
     grid = [(d, l) for l in grid_l for d in grid_d]
     # A degenerate a, b, c is named before the grid it puts on d = b.
-    inertia = InertiaSpec.from_reciprocals(a, b, c)
+    InertiaSpec.from_reciprocals(a, b, c)
     # Such moments have no elliptic chamber for any d; named by the moments.
     if not min(a, c) < b < max(a, c):
         raise DomainError(f"reciprocal moment b = {b!r} must lie strictly between a = {a!r} and c = {c!r}")
+    # The moments at every row's unit scale: a or c is each row's largest
+    # coordinate.
+    unit = [ldexp(x, unit_exponent(max(a, c))) for x in (a, b, c)]
+    if not all(map(is_normal, unit)):
+        raise DomainError(
+            f"reciprocal moments a = {a!r}, b = {b!r}, c = {c!r} span more than the float range: "
+            "scaled so the largest is in [2, 4), the smallest is not a normal float"
+        )
+    unit_inertia = InertiaSpec.from_reciprocals(*unit)
+
+    def on_separatrix(d):
+        return SeparatrixError(f"grid point d = {d} sits on the separatrix (d = b); the rotation period diverges there")
+
     # orbit_period refuses these rows too, but by energy and after the
     # other two routes have run on the row; here they are named by d, first.
     for d, _ in grid:
         if abs(d - b) < SEPARATRIX_RTOL * abs(b):
-            raise SeparatrixError(
-                f"grid point d = {d} sits on the separatrix (d = b); "
-                "the rotation period diverges there"
-            )
+            raise on_separatrix(d)
     far = a if axis == "p1" else c
     for d, _ in grid:
         if not min(b, far) < d < max(b, far):
@@ -180,43 +199,30 @@ def period_report(a: float, b: float, c: float, axis: str, grid_d, grid_l, tol: 
     order = _CLASS_ORDERS["S1" if axis == "p1" else "S3"]
     label = "S" if axis == "p1" else f"S({', '.join(order)})"
     ode_tol = min(1e-12, tol)
-    # The l-free arc and orbit period of each distinct d.  tau is None where
-    # the unit sphere's orbit is refused and the row's own is not: moments
-    # near the top of the float range, where each row then steps its own.
-    arcs, taus = {}, {}
+    # The l-free arc and orbit period of each distinct d.
+    per_d = {}
     rows = []
     for m in points:
-        # Each row is taken at unit scale once.  The closed form and the
-        # quadrature's arc run there, where they do not scale back; each
-        # scaling to the row here names a refusal at the point the caller
-        # gave.
+        # Scaling each value back to the row names a refusal at the point
+        # the caller gave.
         def named():
             return f"{label} at {m!r}"
 
         u, k, j = m.at_unit_scale()
         r = u.reorder(order)
         closed = ldexp(S_closed_form(r), k + j, named)
-        if m.d not in arcs:
-            arcs[m.d] = _sigma_arc(*_real_chamber_coords(r)[:4])
-        quad = ldexp(_sigma_from_arc(arcs[m.d], u.l), k + j, named)
-        # The row's p2 = 0 state, where 2 l (d - c) cannot overflow; bit for
-        # bit the unscaled value wherever that is a normal float.
-        ua, _, uc, ud = (z.real for z in u.coords())
-        p1, p3 = (ldexp(math.sqrt(abs(2.0 * u.l * x / (ua - uc))), -j) for x in (ud - uc, ua - ud))
-        state = MomentumState(p1, 0.0, p3)
-        # orbit_period's checks on that state: a refusal names the row's
-        # moments and L, not the unit sphere's.
-        _orbit_start(state, inertia, ode_tol)
-        if m.d not in taus:
+        if m.d not in per_d:
+            # The unit sphere's p2 = 0 state of energy ratio d.
+            ua, _, uc, ud = (z.real for z in u.coords())
             q1, q3 = (math.sqrt(abs(x / (ua - uc))) for x in (ud - uc, ua - ud))
             try:
-                taus[m.d] = orbit_period(MomentumState(q1, 0.0, q3), inertia, tol=ode_tol)
-            except DomainError:
-                taus[m.d] = None
-        if taus[m.d] is None:
-            s_ode = -orbit_period(state, inertia, tol=ode_tol) / (6.0 * math.pi)
-        else:
-            s_ode = ldexp(-taus[m.d] / (6.0 * math.pi) / math.sqrt(2.0 * u.l), j, named)
+                tau = orbit_period(MomentumState(q1, 0.0, q3), unit_inertia, tol=ode_tol)
+            except SeparatrixError:
+                raise on_separatrix(m.d) from None
+            per_d[m.d] = _sigma_arc(*_real_chamber_coords(r)[:4]), tau
+        arc, tau = per_d[m.d]
+        quad = ldexp(_sigma_from_arc(arc, u.l), k + j, named)
+        s_ode = ldexp(-tau / (6.0 * math.pi) / math.sqrt(2.0 * u.l), k + j, named)
         rows.append({
             "a": a, "b": b, "c": c, "d": m.d, "l": m.l,
             "S_closed": closed.real,

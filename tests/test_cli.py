@@ -276,36 +276,44 @@ def test_simulate_refuses_a_casimir_outside_the_float_range(capsys, p0, casimir)
 
 
 @pytest.mark.parametrize("argv, moments", [
-    (("period", "--abc", "1e155,1,0.5", "--grid-d", "5e154"), "a > b > c = 1e+155, 1.0, 0.5"),
+    (("period", "--abc=1e300,1,1e-300", "--grid-d", "5e299"), "a = 1e+300, b = 1.0, c = 1e-300"),
     (("simulate", "--inertia", "1e-300,1,2", "--p0", "1,1,1", "--t", "1e-300", "--samples", "3"),
      "a > b > c = 9.999999999999999e+299, 1.0, 0.5"),
-    (("period", "--abc=3e-160,2e-160,1e-160"), "a > b > c = 3e-160, 2e-160, 1e-160"),
+    (("period", "--abc=1e300,1,3e-308", "--grid-d", "5e299"), "a = 1e+300, b = 1.0, c = 3e-308"),
 ])
 def test_extreme_moments_print_one_error_line_naming_them(capsys, argv, moments):
-    # 2 L (a - c)(a - b), which sets the orbit's time scale, overflows or
-    # underflows: the closed form and the quadrature compute at unit scale,
-    # and the ODE route refuses in one line naming the moments and the
-    # caller's L: period's default level 1, or |p0|^2/2 of simulate.
+    # simulate: 2 L (a - c)(a - b), which sets the orbit's time scale,
+    # overflows at the caller's L = |p0|^2/2.  period: scaled so the largest
+    # is in [2, 4), where every route runs, the smallest moment is no
+    # normal float.  Either way one line names the moments as given.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, *argv)
-    casimir = 1.5 if argv[0] == "simulate" else 1.0
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: reciprocal moments {moments} at Casimir L = {casimir!r} put ")
-    assert "outside the normal float range" in err and err.count("\n") == 1
+    if argv[0] == "simulate":
+        assert err.startswith(f"error: reciprocal moments {moments} at Casimir L = 1.5 put ")
+        assert "outside the normal float range" in err
+    else:
+        assert err.startswith(f"error: reciprocal moments {moments} span more than the float range: ")
+    assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("abc, level, casimir", [
-    ("3e-160,2e-160,1e-160", "7", "7.0"), ("1e155,1,0.5", "1e-300", "1e-300"),
-    ("1e300,0.5e300,1e299", "3", "2.9999999999999996"),
+@pytest.mark.parametrize("argv", [
+    pytest.param(("--abc", "1e155,1,0.5", "--grid-d", "5e154"), id="1e155-d5e154"),
+    pytest.param(("--abc=3e-160,2e-160,1e-160",), id="3e-160"),
+    pytest.param(("--abc=3e-160,2e-160,1e-160", "--grid-l", "7"), id="3e-160-l7"),
+    pytest.param(("--abc=1e155,1,0.5", "--grid-l", "1e-300"), id="1e155-l1e-300"),
+    pytest.param(("--abc=1e300,0.5e300,1e299", "--grid-l", "3"), id="1e300-l3"),
+    pytest.param(("--abc=4e153,1,0.5", "--grid-d", "0.5e153,1e153", "--grid-l", "1,1.5"), id="4e153-two-levels"),
 ])
-def test_period_refusal_names_the_rows_own_casimir_level(capsys, abc, level, casimir):
-    # The orbit is stepped once per d on the unit sphere, but a refusal
-    # names the level of the row's own state, |p|^2/2 as rounded, not the
-    # unit sphere's.
-    code, out, err = run(capsys, "period", f"--abc={abc}", "--grid-l", level)
-    assert (code, out) == (1, "")
-    assert f" at Casimir L = {casimir} put " in err and err.count("\n") == 1
+def test_period_answers_moments_far_from_unit_scale(capsys, argv):
+    # Every route runs at the row's unit-scale point, where 2 l (a - c)(a - b)
+    # is in range whatever the moments' scale: all three routes agree to
+    # rounding.
+    code, out, err = run(capsys, "period", "--format", "json", *argv)
+    assert code == 0 and err.startswith("max deviation across ")
+    rows = json.loads(out)["rows"]
+    assert all(r["dev_quad"] <= 1e-14 and r["dev_ode"] <= 1e-14 for r in rows)
 
 
 def test_simulate_refuses_a_moment_whose_reciprocal_overflows(capsys):

@@ -260,23 +260,77 @@ def test_period_report_keeps_its_digits_at_extreme_levels():
     assert period_report(3.0, 2.0, 1.0, "p1", [2.5], levels, 1e-7)["max_deviation"] <= 1e-14
 
 
-def test_period_report_steps_each_rows_own_orbit_where_the_unit_sphere_is_refused(monkeypatch):
-    # At a = 4e153, 2 L (a - c)(a - b) overflows on the unit sphere: each
-    # row's orbit is its own, as orbit_period on that row would give, and
-    # a row whose own time scale overflows is refused at its own L.
-    a, b, c = 4e153, 1.0, 0.5
-    inertia = InertiaSpec.from_reciprocals(a, b, c)
-    with pytest.raises(DomainError, match=r"^reciprocal moments .* at Casimir L = 0\.(49|50)\d* put "):
-        dynamics.orbit_period(MomentumState(0.5, 0.0, math.sqrt(0.75)), inertia)
-    calls = _counting_orbit_period(monkeypatch)
-    rows = period_report(a, b, c, "p1", [0.5e153, 1e153], [1.0, 3.5], 1e-7)["rows"]
-    assert len(calls) == 2 + 4
-    for r in rows:
-        state = _p2_zero_state(a, c, r["d"], r["l"])
-        assert r["S_ode"] == -dynamics.orbit_period(state, inertia) / (6.0 * math.pi)
-        assert r["dev_ode"] < 1e-14
-    with pytest.raises(DomainError, match=r"^reciprocal moments .* at Casimir L = 1\.5 put "):
-        period_report(a, b, c, "p1", [0.5e153, 1e153], [1.0, 1.5], 1e-7)
+@PROPERTY
+@given(
+    axis=st.sampled_from(["p1", "p3"]),
+    gaps=st.tuples(*[st.floats(0.01, 1.0)] * 4),
+    l=st.floats(0.25, 4.0),
+    k=st.integers(-1000, 1000),
+    j=st.integers(-500, 500),
+)
+def test_period_report_scales_exactly_by_powers_of_two(axis, gaps, l, k, j):
+    # Every route runs at the row's unit-scale point, which moments times
+    # 2**k and l times 4**j leave unchanged: each value of the scaled row
+    # is the unscaled row's divided by 2**(k + j), bit for bit.
+    assume(abs(k + j) <= 1000)
+    c = gaps[0]
+    lo = c + gaps[1]
+    hi = lo + gaps[2]
+    a = hi + gaps[3]
+    b, d = (lo, hi) if axis == "p1" else (hi, lo)
+    row = period_report(a, b, c, axis, [d], [l], 1e-7)["rows"][0]
+    a2, b2, c2, d2 = (math.ldexp(x, k) for x in (a, b, c, d))
+    scaled = period_report(a2, b2, c2, axis, [d2], [math.ldexp(l, 2 * j)], 1e-7)["rows"][0]
+    for key in ("S_closed", "S_quadrature", "S_ode"):
+        assert scaled[key] == ldexp(row[key], -k - j)
+
+
+_ON_SEPARATRIX = "grid point d = {} sits on the separatrix (d = b); the rotation period diverges there"
+
+
+def test_period_report_names_d_where_the_orbit_rounds_onto_the_separatrix():
+    # d passes the up-front test, |d - b| >= 1e-8 b, but orbit_period's
+    # energy test on the rounded unit-sphere state does not: the refusal
+    # still names d, not an energy.
+    a, b, c, d = 6.9840568157826, 4.30457314075059, 1.6331260466190647, 4.304573183796322
+    assert abs(d - b) >= dynamics.SEPARATRIX_RTOL * b
+    with pytest.raises(dynamics.SeparatrixError, match="^" + re.escape(_ON_SEPARATRIX.format(d)) + "$"):
+        period_report(a, b, c, "p1", [d], [3.0], 1e-7)
+
+
+def test_period_report_names_d_at_every_seeded_separatrix_boundary_draw():
+    # d at 1e-8 b (1 +- 1e-7) from b: each draw is answered or refused by
+    # name, and some draws that pass the up-front test are refused by the
+    # orbit's own energy test.
+    rng = random.Random(1)
+    by_orbit = 0
+    for _ in range(1000):
+        c = rng.uniform(0.2, 2.0)
+        b = c + rng.uniform(0.2, 3.0)
+        a = b + rng.uniform(0.2, 3.0)
+        axis = rng.choice(["p1", "p3"])
+        sign = 1.0 if axis == "p1" else -1.0
+        d = b + sign * dynamics.SEPARATRIX_RTOL * b * (1.0 + rng.uniform(-1e-7, 1e-7))
+        try:
+            row = period_report(a, b, c, axis, [d], [1.0], 1e-7)["rows"][0]
+        except dynamics.SeparatrixError as exc:
+            assert str(exc) == _ON_SEPARATRIX.format(d)
+            by_orbit += abs(d - b) >= dynamics.SEPARATRIX_RTOL * b
+        else:
+            assert row["dev_ode"] <= 1e-7
+    assert by_orbit > 0
+
+
+@pytest.mark.parametrize("abc", [(1e300, 1.0, 1e-300), (1e300, 1.0, 3e-308), (1e-300, 1.0, 1e300)])
+def test_period_report_refuses_moments_that_do_not_survive_unit_scale(abc):
+    # Scaled so the largest is in [2, 4), the smallest is subnormal or 0:
+    # refused before any route runs, naming the moments the caller gave.
+    a, b, c = abc
+    far = a if a > c else c
+    want = (f"reciprocal moments a = {a!r}, b = {b!r}, c = {c!r} span more than the float range: "
+            "scaled so the largest is in [2, 4), the smallest is not a normal float")
+    with pytest.raises(DomainError, match="^" + re.escape(want) + "$"):
+        period_report(a, b, c, "p1" if far == a else "p3", [0.5 * far], [1.0], 1e-7)
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e300])
