@@ -54,14 +54,14 @@ SEPARATRIX_RTOL = 1e-8
 # refused; near the separatrix the period grows like the log of the distance.
 MAX_CHARACTERISTIC_TIMES = 1e4
 
-# The smallest tol the integrators take.  Below about 1e-160 a state with a
-# component exactly 0 overflows _dop853's step-size control: its absolute
-# tolerance is that component's whole error scale, and the squared ratios
-# of the derivatives to it pass the float range (bisected at 2.7e-168 for
-# orbit_period at d = 2.5 of the moments 3, 2, 1, at 1.5e-171 and 5.3e-152
-# for integrate_orbit from (1, 0, 0.2) and (1e10, 0, 2e9) at the moments
-# 1, 2, 3).  The floor leaves 50 decades for states and moments farther
-# from unit scale; rtol is floored at 10 machine epsilons anyway.
+# The smallest tol the integrators take.  Measured: orbit_period at d = 2.5
+# of the moments 3, 2, 1 and integrate_orbit from (1, 0, 0.2) at the moments
+# 1, 2, 3 agree with their tol = 1e-150 results to 1e-15 at every tol down
+# to 1e-300, so a tighter tol buys no digit (rtol is floored at 10 machine
+# epsilons anyway).  Below the normal floats it fails: from 1e-308 down the
+# ratio of a derivative to atol can itself overflow (integrate_orbit from
+# (1e10, 0, 2e9) stops with a step-size error), and at 5e-324
+# orbit_period's atol = tol / 512 rounds to 0 and is divided by.
 MIN_TOL = 1e-100
 
 
@@ -277,8 +277,13 @@ def _combine(K, weights) -> tuple[float, float, float]:
 
 
 def _rms(x) -> float:
+    """Root mean square of three floats.  Where the plain sum of squares
+    overflows, and only there, the same norm is taken by ``math.hypot``."""
     x1, x2, x3 = x
-    return math.sqrt((x1 * x1 + x2 * x2 + x3 * x3) / 3.0)
+    squares = x1 * x1 + x2 * x2 + x3 * x3
+    if squares == math.inf:
+        return math.hypot(x1, x2, x3) / math.sqrt(3.0)
+    return math.sqrt(squares / 3.0)
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
@@ -305,7 +310,8 @@ def _error_norm(err5, err3, h, scale) -> float:
     """RMS of the 5th-order error estimate over ``scale``, damped where the
     3rd-order estimate is much smaller than the 5th-order one, given the
     stage sums err5 and err3 of the two estimators; nan where it would
-    divide 0 by 0."""
+    divide 0 by 0.  Where a sum of squares overflows, and only there, the
+    same norm is taken from the two estimates' ``_rms``."""
     n5 = n3 = 0.0
     for x5, x3, s in zip(err5, err3, scale):
         x5, x3 = x5 / s, x3 / s
@@ -313,7 +319,12 @@ def _error_norm(err5, err3, h, scale) -> float:
         n3 += x3 * x3
     if n5 == 0 and n3 == 0:
         return 0.0
-    denominator = math.sqrt((n5 + 0.01 * n3) * 3)
+    squares = (n5 + 0.01 * n3) * 3
+    if squares == math.inf:
+        r5 = _rms([x / s for x, s in zip(err5, scale)])
+        r3 = _rms([x / s for x, s in zip(err3, scale)])
+        return abs(h) * r5 * (r5 / math.hypot(r5, 0.1 * r3))
+    denominator = math.sqrt(squares)
     return abs(h) * n5 / denominator if denominator else math.nan
 
 

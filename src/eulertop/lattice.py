@@ -36,6 +36,13 @@ class MonodromyError(ComputationError):
     """A loop's monodromy failed, e.g. its frame disagrees with its crossing word."""
 
 
+def _matmul(m, n):
+    """The product of two 2x2 matrices, each a tuple of two row tuples."""
+    (p, q), (r, s) = m
+    (w, x), (y, z) = n
+    return ((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z))
+
+
 class IntegerMatrix2(FrozenRecord):
     """A 2x2 integer matrix with unit determinant; its algebra is exact."""
 
@@ -54,9 +61,7 @@ class IntegerMatrix2(FrozenRecord):
         return [list(row) for row in self.entries]
 
     def __matmul__(self, other: "IntegerMatrix2") -> "IntegerMatrix2":
-        (p, q), (r, s) = self.entries
-        (w, x), (y, z) = other.entries
-        return IntegerMatrix2(((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z)))
+        return IntegerMatrix2(_matmul(self.entries, other.entries))
 
     def __neg__(self) -> "IntegerMatrix2":
         (p, q), (r, s) = self.entries

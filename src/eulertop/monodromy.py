@@ -1,16 +1,17 @@
 """Monodromy of the period lattice over the moduli space.
 
-Loops move one coordinate of (a, b, c, d) around another while the remaining
-coordinates stay frozen; the two-dimensional space of periods comes back
-transformed by an integer matrix.  That matrix is topological: the
-crossings of the induced cross-ratio path with the cuts (-inf, 0] and
+The engine (``_path_monodromy``) takes a closed path of unit-scale
+(a, b, c, d) samples, along which the two-dimensional space of periods
+comes back transformed by an integer matrix.  That matrix is topological:
+the crossings of the induced cross-ratio path with the cuts (-inf, 0] and
 (1, inf) spell a word in two exact generators, and the sign flips of the
 square-root prefactors, kept continuous along the path, conjugate it into
 the period frame.  One frame of value/derivative germs, seeded from F and
-F' wherever the start's cross-ratio lies off the real axis and transported
-along the same path, checks the word numerically: a loop's result is its
-integer matrix and that check's residual.  F and F' come from the AGM that
-gives K (``special._F_closed``), at every seed.
+F' (``special._F_closed``, the AGM that gives K) wherever the start's
+cross-ratio lies off the real axis and transported along the same path,
+checks the word numerically: a path's result is its integer matrix and
+that check's residual.  A ``ModuliLoop``, one coordinate circling another
+while the other three stay frozen, only builds such a path.
 
 This module also holds the one transport kernel of the hypergeometric
 equation, ``_transport_germs``: Taylor transport of germ rows (value,
@@ -22,8 +23,7 @@ as its two exact generators.  The stated integer matrices the preset loops
 realize, and their exact algebra, live in ``lattice``.
 
 Everything here is scalar Python (``math``, ``cmath``, lists and tuples), so
-this module needs no numpy; a 2x2 matrix is a tuple of two row
-tuples.
+this module needs no numpy; a 2x2 matrix is a tuple of two row tuples.
 
 Frames.  The engine's working frame is (S3, S1) = (S(c,b,a,d), S(a,b,c,d)).
 All matrices act on column vectors of frame values, and loops are
@@ -52,7 +52,7 @@ from .core import (
     require_finite,
     unit_exponent,
 )
-from .lattice import GENERATOR_LABELS, PRESETS, IntegerMatrix2, MonodromyError
+from .lattice import GENERATOR_LABELS, PRESETS, IntegerMatrix2, MonodromyError, _matmul
 from .special import _F_closed
 
 __all__ = [
@@ -92,12 +92,6 @@ class PathTooCloseError(DomainError):
 
 class ContinuationStallError(ComputationError):
     """Continuation stepping stalled (required step below the minimum)."""
-
-
-def _matmul(m: Matrix2, n: Matrix2) -> Matrix2:
-    (p, q), (r, s) = m
-    (w, x), (y, z) = n
-    return ((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z))
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +298,7 @@ class ModuliLoop(FrozenRecord):
                 require_finite(f"loop key {key!r}", value)
         if self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
-        point = ModuliPoint(*_coordinates(self, self.effective_start()))
+        point = ModuliPoint(*_coordinates(self.move, self.frozen, self.effective_start()))
         object.__setattr__(self, "_unit", unit_exponent(point.scale()))
         distance = ldexp(abs(self.effective_start() - complex(self.center)), self._unit)
         if not distance <= MAX_START_DISTANCE:
@@ -432,28 +426,33 @@ def _approach_points(start: complex, entry: complex, frozen: Iterable[complex]) 
     return points
 
 
-def _loop_point_samples(loop: ModuliLoop) -> list[complex]:
-    """Sample the mover's path: radial approach, circle(s), and return; a
-    start on the circle has no approach."""
-    center = complex(loop.center)
-    start = loop.effective_start()
+def _loop_points(loop: ModuliLoop) -> list[tuple[complex, complex, complex, complex]]:
+    """The closed path of a loop's (a, b, c, d) samples at its unit scale,
+    every coordinate and the radius times 2**loop._unit: radial approach,
+    circle(s), and return; a start on the circle has no approach."""
+    k = loop._unit
+    center, radius = ldexp(complex(loop.center), k), ldexp(loop.radius, k)
+    frozen = {x: ldexp(complex(v), k) for x, v in loop.frozen.items()}
+    start = center + 2.0 * radius if loop.start is None else ldexp(complex(loop.start), k)
     # Enter the circle where the radial ray from the start hits it, so the
     # approach never pierces the disc.
     theta0 = math.atan2((start - center).imag, (start - center).real)
-    entry = center + loop.radius * cmath.exp(1j * theta0)
+    entry = center + radius * cmath.exp(1j * theta0)
     turns = linspace(2.0 * math.pi * loop.winding, _SAMPLES_PER_TURN * abs(loop.winding) + 1)
-    circle = [center + loop.radius * cmath.exp(1j * (theta0 + t)) for t in turns[1:]]
+    circle = [center + radius * cmath.exp(1j * (theta0 + t)) for t in turns[1:]]
     if entry == start:
         # The start lies on the circle to rounding: no approach, and the
         # circle closes on the start itself.
-        return [start, *circle[:-1], start]
-    approach = _approach_points(start, entry, loop.frozen.values())
-    return approach + circle + approach[-2::-1]
+        movers = [start, *circle[:-1], start]
+    else:
+        approach = _approach_points(start, entry, frozen.values())
+        movers = approach + circle + approach[-2::-1]
+    return [_coordinates(loop.move, frozen, z) for z in movers]
 
 
-def _coordinates(loop: ModuliLoop, mover: complex) -> tuple[complex, complex, complex, complex]:
-    """a, b, c, d with the mover's value in its slot."""
-    return tuple(mover if name == loop.move else complex(loop.frozen[name]) for name in LABELS)
+def _coordinates(move: str, frozen: dict, mover: complex) -> tuple[complex, complex, complex, complex]:
+    """a, b, c, d with the mover's value in the slot ``move``."""
+    return tuple(mover if name == move else complex(frozen[name]) for name in LABELS)
 
 
 def _continuous_sqrt(values: Iterable[complex]) -> list[complex]:
@@ -485,19 +484,6 @@ def _seed_germs(mu0: complex) -> Matrix2:
     g1 = _F_closed(mu0)
     f, fd = _F_closed(1.0 - mu0)
     return (sgn * 1j * g1[0] + f, sgn * 1j * g1[1] - fd), g1
-
-
-def _loop_path(loop: ModuliLoop):
-    """The cross-ratio polyline of a loop's samples, with the start and end
-    values of the two square-root prefactors sqrt(R2), sqrt(R1), where
-    R1 = (d - c)(a - b) and R2 = (d - c)(b - a); the roots are continued
-    by closeness so sign flips under full turns are captured.
-    """
-    coords = [_coordinates(loop, z) for z in _loop_point_samples(loop)]
-    mu = [cross_ratio(*point) for point in coords]
-    r1 = _continuous_sqrt([(d - c) * (a - b) for a, b, c, d in coords])
-    r2 = _continuous_sqrt([(d - c) * (b - a) for a, b, c, d in coords])
-    return mu, (r2[0], r1[0]), (r2[-1], r1[-1])
 
 
 # The crossing word.  F(m) = (2/pi) K(m) = 2F1(1/2, 1/2; 1; m) is cut along
@@ -543,27 +529,23 @@ class MonodromyResult(FrozenRecord):
     __slots__ = ("matrix", "residual")
 
 
-def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
-    """Monodromy matrix of one loop in the engine frame (S3, S1).
+def _path_monodromy(points: Sequence[tuple[complex, complex, complex, complex]]) -> MonodromyResult:
+    """Monodromy matrix, in the engine frame (S3, S1), of a closed path of
+    unit-scale (a, b, c, d) samples, followed as a polyline.
 
-    ``matrix`` is the loop's crossing word (``_word_matrix``), rounded; a word
-    more than 1e-9 from an integer matrix of determinant +1 raises
-    MonodromyError.  One frame seeded at the basepoint is transported along
-    the same path: ``residual`` is the largest entry of |end - M @ start|,
-    and above 1e-6 raises MonodromyError.  A path too close to 0 or 1
-    raises PathTooCloseError before any step.
-
-    The loop is evaluated with every coordinate and the radius times 2**k,
-    k the ``unit_exponent`` of the start's scale.  The cross-ratio is
-    scale-free and the prefactor roots share one factor, which cancels, so
-    the residual is absolute at the loop's unit scale.
+    ``matrix`` is the crossing word (``_word_matrix``) of the path's
+    cross-ratios, conjugated by the prefactors sqrt(R2), sqrt(R1), where
+    R1 = (d - c)(a - b) = -R2, continued by closeness; rounded, a word more
+    than 1e-9 from an integer matrix of determinant +1 raises MonodromyError.
+    One frame seeded at the first sample is transported along the same path:
+    ``residual`` is the largest entry of |end - M @ start|, and above 1e-6
+    raises MonodromyError.  A path too close to 0 or 1 raises
+    PathTooCloseError before any step.
     """
-    k = loop._unit
-    frozen = {x: ldexp(complex(v), k) for x, v in loop.frozen.items()}
-    start = None if loop.start is None else ldexp(complex(loop.start), k)
-    center, radius = ldexp(complex(loop.center), k), ldexp(loop.radius, k)
-    loop = loop.replace(center=center, radius=radius, frozen=frozen, start=start)
-    mu, roots0, roots1 = _loop_path(loop)
+    mu = [cross_ratio(*point) for point in points]
+    r1 = _continuous_sqrt([(d - c) * (a - b) for a, b, c, d in points])
+    r2 = _continuous_sqrt([(d - c) * (b - a) for a, b, c, d in points])
+    roots0, roots1 = (r2[0], r1[0]), (r2[-1], r1[-1])
     germs = _seed_germs(mu[0])
     # The period germs S3, S1 as rows, each numerator over its root.
     first, last = (tuple(tuple(x / root for x in g) for g, root in zip(rows, roots))
@@ -580,6 +562,16 @@ def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
             f"residual {resid:.3g} exceeds {_EXTRACTION_TOL}"
         )
     return MonodromyResult(IntegerMatrix2(rounded), resid)
+
+
+def loop_monodromy(loop: ModuliLoop) -> MonodromyResult:
+    """Monodromy matrix of one loop in the engine frame (S3, S1): the
+    ``_path_monodromy`` of its samples at its unit scale (``_loop_points``),
+    with the matrix, residual and errors described there.  The cross-ratio
+    is scale-free and the prefactor roots share one factor, which cancels,
+    so the residual is absolute at the loop's unit scale.
+    """
+    return _path_monodromy(_loop_points(loop))
 
 
 def preset_monodromy(label: str) -> MonodromyResult:

@@ -25,7 +25,9 @@ from eulertop.dynamics import (
     _characteristic_time,
     _dense_value,
     _dop853,
+    _error_norm,
     _field,
+    _rms,
 )
 from eulertop.periods import euler_period, period_report
 from test_branch_properties import PROPERTY
@@ -145,7 +147,7 @@ def test_orbit_periods_refuse_a_tolerance_below_the_floor_before_stepping(tol):
 
 
 def test_orbits_with_a_zero_component_step_at_the_tolerance_floor():
-    # 50 decades and more above the measured failures of a zero component.
+    # States with a component exactly 0, at unit scale and far from it.
     assert dynamics.MIN_TOL == 1e-100
     period = orbit_period(chamber_state(2.5), INERTIA, tol=dynamics.MIN_TOL)
     assert period == pytest.approx(euler_period(ModuliPoint(3.0, 2.0, 1.0, 2.5)), rel=1e-13)
@@ -485,12 +487,40 @@ def test_dop853_clips_the_last_step_like_scipy():
     assert steps == 5
 
 
+def test_norms_take_an_overflowing_sum_of_squares_by_hypot():
+    # Finite sums keep the plain formula's bits; an overflowing one is the
+    # same norm, not inf or nan.
+    assert _rms((3.0, 4.0, 12.0)) == math.sqrt((9.0 + 16.0 + 144.0) / 3.0)
+    assert _rms((1e200, 0.0, 0.0)) == pytest.approx(1e200 / math.sqrt(3.0), rel=1e-15)
+    assert _error_norm((3.0, 4.0, 0.0), (1.0, 0.0, 0.0), 2.0, (1.0, 1.0, 1.0)) == 2.0 * 25.0 / math.sqrt(25.01 * 3)
+    # |h| n5 / sqrt(3 (n5 + 0.01 n3)) with n5 = 2 x**2 and n3 = x**2.
+    n = _error_norm((1e200, 1e200, 0.0), (1e200, 0.0, 0.0), 1e-200, (1.0, 1.0, 1.0))
+    assert n == pytest.approx(2.0 / math.sqrt(6.03), rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e100, 1e150])
+def test_a_large_state_with_a_zero_component_is_its_unit_orbit_scaled(scale):
+    # p(t; s p0) = s p(s t; p0).  The squared ratios of the derivatives to
+    # atol once overflowed the step-size control, which then failed with
+    # "Required step size is less than spacing between numbers".
+    inertia, p0, t_end = InertiaSpec(1.0, 2.0, 3.0), (1.0, 0.0, 0.2), 0.1
+    unit = integrate_orbit(MomentumState(*p0), inertia, t_end, n_samples=3)
+    big = integrate_orbit(MomentumState(*(scale * x for x in p0)), inertia, t_end / scale, n_samples=3)
+    for p, q in zip(big.p, unit.p):
+        assert max(abs(x / scale - y) for x, y in zip(p, q)) <= 1e-13 * max(map(abs, q))
+
+
 def test_dop853_fails_on_a_too_small_step_without_warning():
+    # y1' = y1**2 from y1 = 1 blows up at t = 1, so the step size must
+    # vanish there: the stepper stops within 1e-12 of it.
+    reached = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="less than spacing between numbers"):
-            for _ in _dop853(lambda t, y: (y[1], -y[0], 0.0), 0.0, (1.0, 0.0, 0.0), 1.0, rtol=0.0, atol=1e-300):
-                pass
+            for t, _, _ in _dop853(lambda t, y: (y[0] * y[0], 0.0, 0.0), 0.0, (1.0, 0.0, 0.0), 2.0,
+                                   rtol=0.0, atol=1e-300):
+                reached.append(t)
+    assert abs(reached[-1] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("p0, t_end, samples", [

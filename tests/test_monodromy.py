@@ -19,6 +19,7 @@ from eulertop.lattice import (
     GENERATOR_LABELS,
     PRESETS,
     IntegerMatrix2,
+    _matmul,
     verify_braid_relations,
     verify_confluence_product,
 )
@@ -30,7 +31,8 @@ from eulertop.monodromy import (
     loop_monodromy,
     preset_loop,
     preset_monodromy,
-    _matmul,
+    _loop_points,
+    _path_monodromy,
     _seed_germs,
     _step_matrices,
     _transport_germs,
@@ -617,6 +619,34 @@ def test_loop_matrix_is_a_power_of_its_single_turn(pair, radius, winding):
     got = loop_monodromy(preset_loop(move, around, winding).replace(radius=radius))
     assert max(once.residual, got.residual) < 1e-10
     assert got.matrix == _power(once.matrix, winding)
+
+
+# The generators' engine-frame loops, all based at BASEPOINT: each path
+# begins and ends on the same (a, b, c, d) sample, so two of them join.
+GENERATOR_PATHS = {label: _loop_points(preset_loop(*PRESETS[label][:2])) for label in GENERATOR_LABELS}
+
+
+@pytest.mark.parametrize("g", GENERATOR_LABELS)
+def test_a_joined_path_is_the_product_of_its_loops(g):
+    # "g then h" is M_g @ M_h in the engine frame, for every ordered pair.
+    path_g = GENERATOR_PATHS[g]
+    assert path_g[0] == path_g[-1]
+    m_g = loop_monodromy(preset_loop(*PRESETS[g][:2])).matrix
+    for h, path_h in GENERATOR_PATHS.items():
+        got = _path_monodromy(path_g + path_h[1:])
+        assert got.matrix == m_g @ loop_monodromy(preset_loop(*PRESETS[h][:2])).matrix
+        assert got.residual <= 1e-13
+
+
+@pytest.mark.parametrize("label", sorted(PRESETS))
+def test_a_loop_joined_to_its_reverse_is_the_identity_and_to_itself_its_square(label):
+    move, around, _ = PRESETS[label]
+    path = _loop_points(preset_loop(move, around))
+    back = _path_monodromy(path + path[-2::-1])
+    twice = _path_monodromy(path + path[1:])
+    assert back.matrix == IntegerMatrix2.identity()
+    assert twice.matrix == loop_monodromy(preset_loop(move, around, winding=2)).matrix
+    assert max(back.residual, twice.residual) <= 1e-13
 
 
 def test_stated_generator_table():
